@@ -15,26 +15,23 @@ Entry points:
 
 - `approximate(spec)` runs the full projection algorithm and returns a
   `Projected`, `Infeasible`, or `Inconclusive` outcome.
-- `check_cp_membership(C)` decides whether C itself is completely positive.
+- `check_cp_membership(C)` decides whether C itself is completely positive
+  and returns a `MembershipResult`.
 - `ProblemSpec` / `LinearConstraint` describe the instance; `DriverSettings`
-  tunes orders and tolerances.
+  sets the highest relaxation order, the extraction seed and the
+  `SolverSettings` of the conic solver.
+- `SolverFailure` and `ConicSolverError` report a solver breakdown or a
+  malformed program; `CpDecomposition` holds the certified factors.
 
-The remaining exports are the layers those entry points are built from:
-monomial bookkeeping and truncated moment sequences (`polybasis`), moment and
-localizing matrices with the flatness test (`moments`), atom extraction and
-factor handling (`extraction`), the semidefinite reformulations of the four
-norms (`norms`, `relaxation`), and a self-contained homogeneous conic
-interior-point solver (`conic`).
+The layers those entry points are built from are imported from their own
+modules: monomial bookkeeping and truncated moment sequences
+(`cpproj.polybasis`), moment and localizing matrices with the flatness test
+(`cpproj.moments`), atom extraction and factor handling (`cpproj.extraction`),
+the semidefinite reformulations of the four norms (`cpproj.norms`,
+`cpproj.relaxation`), and a self-contained homogeneous conic interior-point
+solver (`cpproj.conic`).
 """
-from .conic import (
-    ConeBlock,
-    ConicProgram,
-    ConicSolution,
-    ConicSolverError,
-    SolverSettings,
-    solve,
-    verify_certificate,
-)
+from .conic import ConicSolverError, SolverSettings
 from .driver import (
     DriverSettings,
     Inconclusive,
@@ -45,115 +42,24 @@ from .driver import (
     approximate,
     check_cp_membership,
 )
-from .extraction import (
-    AtomicMeasure,
-    CpDecomposition,
-    ExtractionError,
-    ExtractionTols,
-    cp_decomposition,
-    extract_atoms,
-    polish_decomposition,
-    sparsify_decomposition,
-    verify_decomposition,
-)
-from .moments import (
-    FlatnessReport,
-    MomentConeSystem,
-    check_flat,
-    coordinate_spec,
-    localizing_matrix,
-    moment_cone_constraints,
-    moment_matrix,
-    sphere_residual_spec,
-    unit_spec,
-)
-from .polybasis import (
-    ETms,
-    Monomial,
-    MonomialBasis,
-    SymMatrix,
-    Tms,
-    basis_size,
-    etms_of_matrix,
-    matrix_of_etms,
-    moments_of_atoms,
-    monomials_up_to,
-    riesz,
-    vech,
-    vech_inv,
-    weighted_vech,
-)
-from .relaxation import (
-    LinearConstraint,
-    ProblemSpec,
-    RelaxationSolution,
-    assemble,
-    assemble_witness,
-    check_weak_duality,
-    lift_atomic_point,
-    map_solution,
-    project_dnn,
-    solve_relaxation,
-)
+from .extraction import CpDecomposition
+from .relaxation import LinearConstraint, ProblemSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure",
-    "ConeBlock",
-    "ConicProgram",
-    "ConicSolution",
+    "approximate",
+    "check_cp_membership",
+    "ProblemSpec",
+    "LinearConstraint",
+    "DriverSettings",
+    "SolverSettings",
+    "Projected",
+    "Infeasible",
+    "Inconclusive",
+    "MembershipResult",
+    "SolverFailure",
     "ConicSolverError",
     "CpDecomposition",
-    "DriverSettings",
-    "ETms",
-    "ExtractionError",
-    "ExtractionTols",
-    "FlatnessReport",
-    "Inconclusive",
-    "Infeasible",
-    "LinearConstraint",
-    "MembershipResult",
-    "MomentConeSystem",
-    "Monomial",
-    "MonomialBasis",
-    "ProblemSpec",
-    "Projected",
-    "RelaxationSolution",
-    "SolverFailure",
-    "SolverSettings",
-    "SymMatrix",
-    "Tms",
-    "approximate",
-    "assemble",
-    "assemble_witness",
-    "basis_size",
-    "check_cp_membership",
-    "check_flat",
-    "check_weak_duality",
-    "coordinate_spec",
-    "cp_decomposition",
-    "etms_of_matrix",
-    "extract_atoms",
-    "lift_atomic_point",
-    "localizing_matrix",
-    "map_solution",
-    "matrix_of_etms",
-    "moment_cone_constraints",
-    "moment_matrix",
-    "moments_of_atoms",
-    "monomials_up_to",
-    "polish_decomposition",
-    "project_dnn",
-    "riesz",
-    "solve",
-    "solve_relaxation",
-    "sparsify_decomposition",
-    "sphere_residual_spec",
-    "unit_spec",
-    "vech",
-    "vech_inv",
-    "verify_decomposition",
-    "weighted_vech",
     "__version__",
 ]

@@ -32,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -86,7 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="projection norm (required unless --check)",
     )
     p.add_argument("--kmax", type=int, default=4, help="largest relaxation order (default 4)")
-    p.add_argument("--tol", type=float, default=1e-8, help="conic solver tolerance (default 1e-8)")
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="conic solver tolerance (default: the driver's, "
+        f"{DriverSettings().solver.tol_feas:g})",
+    )
     p.add_argument(
         "--check",
         action="store_true",
@@ -220,22 +226,13 @@ def _decomposition_doc(dec: Optional[CpDecomposition]) -> Optional[dict]:
     }
 
 
-def _constraint_violation(spec: ProblemSpec, X: np.ndarray) -> float:
-    worst = 0.0
-    for con in spec.constraints:
-        val = float(np.sum(con.matrix * X))
-        err = abs(val - con.rhs) if con.kind == "eq" else max(0.0, con.rhs - val)
-        worst = max(worst, err)
-    return worst
-
-
 def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
     if isinstance(outcome, Projected):
         X = outcome.matrix
         dec = outcome.decomposition
         residuals = {
             "reconstruction": float(np.linalg.norm(dec.reconstruct() - X)),
-            "constraint_violation": _constraint_violation(spec, X),
+            "constraint_violation": max((0.0, *spec.violations(X))),
             "distance_gap": abs(p_norm(X - spec.C, spec.norm) - outcome.gamma),
         }
         doc = {
@@ -342,7 +339,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise InputError("--norm is required unless --check is given")
         if args.kmax < 2:
             raise InputError("--kmax must be at least 2")
-        if not args.tol > 0.0:
+        if args.tol is not None and not args.tol > 0.0:
             raise InputError("--tol must be positive")
         try:
             text = Path(args.problem).read_text()
@@ -358,11 +355,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cpproj: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    settings = DriverSettings(
-        k_max=args.kmax,
-        extraction_seed=args.seed,
-        solver=SolverSettings(tol_feas=args.tol, tol_gap=args.tol),
-    )
+    settings = DriverSettings(k_max=args.kmax, extraction_seed=args.seed)
+    if args.tol is not None:
+        settings = replace(settings, solver=SolverSettings(tol_feas=args.tol, tol_gap=args.tol))
     try:
         if args.check:
             result = check_cp_membership(C, settings=settings)

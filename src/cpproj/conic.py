@@ -13,12 +13,15 @@ inner products equal plain dot products.
 
 The algorithm embeds the primal-dual pair in a homogeneous self-dual model,
 scales each cone block by its Nesterov-Todd point, and takes Mehrotra
-predictor-corrector steps with a 0.99 fraction-to-boundary rule.  Both
-infeasibility directions surface as convergence modes of the embedding; a
-Farkas certificate or improving ray is only reported after it has been
-re-verified against the raw program data.  The search direction comes from a
-dense symmetric-indefinite factorization of the cone-eliminated KKT system
-with static regularization and a couple of iterative-refinement sweeps, so
+predictor-corrector steps with a 0.99 fraction-to-boundary rule.  Primal
+infeasibility surfaces as a convergence mode of the embedding; a Farkas
+certificate is only reported after it has been re-verified against the raw
+program data.  Every program built in this package has an objective bounded
+below by zero (a distance bound, or a positive definite functional of a
+moment matrix), so a dual infeasible program cannot arise; one would end
+without a certificate.  The search direction comes from a dense
+symmetric-indefinite factorization of the cone-eliminated KKT system with
+static regularization and a couple of iterative-refinement sweeps, so
 identical inputs produce identical iterates.
 """
 from __future__ import annotations
@@ -126,24 +129,11 @@ class ConicProgram:
     def num_vars(self) -> int:
         return self.objective.size
 
-    def dump(self, fh) -> None:
-        """Plain-text dump: sizes, layout, blocks, then triplets of each map."""
-        fh.write(f"vars {self.num_vars} eq_rows {self.eq_map.shape[0]} cone_rows {self.cone_map.shape[0]}\n")
-        for name, sl in self.layout.items():
-            fh.write(f"layout {name} {sl.start} {sl.stop}\n")
-        for b in self.cone_blocks:
-            fh.write(f"block {b.kind} {b.size} {b.order}\n")
-        for label, mat, vec in (
-            ("eq", self.eq_map, self.eq_rhs),
-            ("cone", self.cone_map, self.cone_offset),
-        ):
-            coo = mat.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{label} {r} {c} {v!r}\n")
-            for r, v in enumerate(vec):
-                if v != 0.0:
-                    fh.write(f"{label}_rhs {r} {v!r}\n")
-        fh.write(f"objective {' '.join(repr(v) for v in self.objective)}\n")
+
+INFEAS_THRESHOLD = 1e-8  # declare infeasibility once tau/kappa drops below
+STATIC_REG = 1e-9  # absolute KKT regularization; see _Kkt
+REFINE_STEPS = 2  # iterative-refinement sweeps per KKT solve
+CERT_TOL = 1e-6  # relative residual up to which a Farkas pair verifies
 
 
 @dataclass(frozen=True)
@@ -151,13 +141,9 @@ class SolverSettings:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
     max_iters: int = 200
-    infeas_threshold: float = 1e-8  # declare infeasibility once tau/kappa drops below
-    static_reg: float = 1e-9
-    refine_steps: int = 2
-    cert_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.tol_feas, self.tol_gap, self.infeas_threshold, self.static_reg) <= 0:
+        if min(self.tol_feas, self.tol_gap) <= 0:
             raise ConicSolverError("tolerances must be positive")
         if self.max_iters < 1:
             raise ConicSolverError("need at least one iteration")
@@ -168,10 +154,11 @@ class ConicSolution:
     """Solver outcome.
 
     For status "optimal", `primal`, `dual_eq`, `dual_cone` hold the scaled
-    primal-dual point.  For "primal_infeasible" the pair (dual_eq, dual_cone)
-    is a Farkas certificate normalized to eq_rhs . y - cone_offset . z == 1
-    with adjoint eq_map^T y + cone_map^T z == 0 and z in the dual cone.  For
-    "dual_infeasible" `primal` is an improving ray normalized to c . x == -1.
+    primal-dual point; "iteration_limit" and "ill_posed" hold the best
+    iterate seen, if any.  For "primal_infeasible" the pair (dual_eq,
+    dual_cone) is a Farkas certificate normalized to
+    eq_rhs . y - cone_offset . z == 1 with adjoint
+    eq_map^T y + cone_map^T z == 0 and z in the dual cone.
     """
 
     status: str
@@ -224,7 +211,6 @@ class _NonnegScaling:
             raise _Breakdown
         self.w = np.sqrt(s / z)
         self.lam = np.sqrt(s * z)
-        self.deg = s.size
 
     def e(self):
         return np.ones(self.lam.size)
@@ -286,7 +272,6 @@ class _SocScaling:
         self.Winv = (2.0 * np.outer(jv, jv) - J) / math.sqrt(eta)
         self.Hinv = self.Winv @ self.Winv
         self.lam = self.Winv @ s
-        self.deg = 1
 
     def e(self):
         out = np.zeros(self.lam.size)
@@ -364,7 +349,6 @@ class _PsdScaling:
         self.Ginv = G
         self.Ls = Ls
         self.Lz = Lz
-        self.deg = order
 
     def e(self):
         return svec(np.eye(self.order))
@@ -501,6 +485,21 @@ def _fold_zero_blocks(prog: ConicProgram):
     return E, d, M, h, tuple(keep_blocks), (zero_rows, keep_rows)
 
 
+def _unfold_duals(prog: ConicProgram, fold, y: np.ndarray, z: np.ndarray):
+    """Multipliers (y, z) of the folded program as (dual_eq, dual_cone) of `prog`.
+
+    Folded zero-block rows sit after the original equality rows, so their
+    multipliers move from the tail of y back into the pinned cone rows.
+    """
+    if fold is None:
+        return y, z
+    zero_rows, keep_rows = fold
+    dual_cone = np.zeros(prog.cone_map.shape[0])
+    dual_cone[keep_rows] = z
+    dual_cone[zero_rows] = y[prog.eq_rhs.size :]
+    return y[: prog.eq_rhs.size], dual_cone
+
+
 # ---------------------------------------------------------------------------
 # the interior-point loop
 
@@ -612,20 +611,14 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         return r1, r2, r3, r4, pres, dres, pobj, dobj, gap, relgap
 
-    def pack_optimal(pres, dres, pobj, dobj, gap, relgap, it):
-        xs, ys, zs, ss = x / tau, y / tau, z / tau, s / tau
-        dual_full = zs
-        if fold is not None:
-            zero_rows, keep_rows = fold
-            dual_full = np.zeros(prog.cone_map.shape[0])
-            dual_full[keep_rows] = zs
-            dual_full[zero_rows] = ys[prog.eq_rhs.size :]
-            ys = ys[: prog.eq_rhs.size]
+    def pack_point(status, it, measures, x, y, z, tau):
+        pres, dres, pobj, dobj, gap, relgap = measures
+        dual_eq, dual_cone = _unfold_duals(prog, fold, y / tau, z / tau)
         return ConicSolution(
-            status="optimal",
-            primal=xs,
-            dual_eq=ys,
-            dual_cone=dual_full,
+            status=status,
+            primal=x / tau,
+            dual_eq=dual_eq,
+            dual_cone=dual_cone,
             primal_obj=float(pobj),
             dual_obj=float(dobj),
             residuals={
@@ -637,50 +630,24 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             iterations=it,
         )
 
-    def try_certificates(it):
+    def try_certificate(it):
         # primal infeasibility: Farkas pair from the dual embedding variables
         margin = (d @ y if m_eq else 0.0) - h @ z
-        if margin > 1e-300:
-            yc, zc = y / margin, z / margin
-            cert_full = zc
-            yy = yc
-            if fold is not None:
-                zero_rows, keep_rows = fold
-                cert_full = np.zeros(prog.cone_map.shape[0])
-                cert_full[keep_rows] = zc
-                cert_full[zero_rows] = yc[prog.eq_rhs.size :]
-                yy = yc[: prog.eq_rhs.size]
-            cand = ConicSolution(
-                status="primal_infeasible",
-                primal=None,
-                dual_eq=yy,
-                dual_cone=cert_full,
-                primal_obj=None,
-                dual_obj=None,
-                residuals=_certificate_residuals(prog, yy, cert_full),
-                iterations=it,
-            )
-            if verify_certificate(prog, cand, st.cert_tol):
-                return cand
-        # dual infeasibility: improving ray from the primal embedding variables
-        cobj = c @ x
-        if cobj < -1e-300:
-            xc = x / (-cobj)
-            cand = ConicSolution(
-                status="dual_infeasible",
-                primal=xc,
-                dual_eq=None,
-                dual_cone=None,
-                primal_obj=None,
-                dual_obj=None,
-                residuals=_ray_residuals(prog, xc),
-                iterations=it,
-            )
-            if verify_certificate(prog, cand, st.cert_tol):
-                return cand
-        return None
+        if not margin > 1e-300:
+            return None
+        yy, cert = _unfold_duals(prog, fold, y / margin, z / margin)
+        cand = ConicSolution(
+            status="primal_infeasible",
+            primal=None,
+            dual_eq=yy,
+            dual_cone=cert,
+            primal_obj=None,
+            dual_obj=None,
+            residuals=_certificate_residuals(prog, yy, cert),
+            iterations=it,
+        )
+        return cand if verify_certificate(prog, cand) else None
 
-    mu0 = (s @ z + tau * kappa) / (nu + 1)
     tiny_steps = 0
 
     for it in range(st.max_iters + 1):
@@ -690,15 +657,16 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             "iter %3d  pres %.3e  dres %.3e  relgap %.3e  tau %.3e  kappa %.3e",
             it, pres, dres, relgap, tau, kappa,
         )
+        measures = (pres, dres, pobj, dobj, gap, relgap)
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
-            best = (pres, dres, pobj, dobj, gap, relgap, x.copy(), y.copy(), z.copy(), s.copy(), tau)
+            best = (measures, x.copy(), y.copy(), z.copy(), tau)
 
         if pres <= st.tol_feas and dres <= st.tol_feas and relgap <= st.tol_gap:
-            return pack_optimal(pres, dres, pobj, dobj, gap, relgap, it)
-        if kappa > 0 and tau / kappa < st.infeas_threshold:
-            cert = try_certificates(it)
+            return pack_point("optimal", it, measures, x, y, z, tau)
+        if kappa > 0 and tau / kappa < INFEAS_THRESHOLD:
+            cert = try_certificate(it)
             if cert is not None:
                 return cert
             status = "ill_posed"
@@ -725,7 +693,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             mh = MT @ hinv_h
             hHh = float(h @ hinv_h)
 
-            kkt = _Kkt(K11, E, st.static_reg, st.refine_steps)
+            kkt = _Kkt(K11, E, STATIC_REG, REFINE_STEPS)
             vx, vy = kkt.solve(-(c + mh), d)
 
             mu = (s @ z + tau * kappa) / (nu + 1)
@@ -800,35 +768,11 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             break
 
     # no convergence: report the best iterate seen, or a late certificate
-    cert = try_certificates(iters_done)
+    cert = try_certificate(iters_done)
     if cert is not None:
         return cert
     if best is not None:
-        pres, dres, pobj, dobj, gap, relgap, bx, by, bz, bs, btau = best
-        dual_full = bz / btau
-        ys = by / btau
-        if fold is not None:
-            zero_rows, keep_rows = fold
-            full = np.zeros(prog.cone_map.shape[0])
-            full[keep_rows] = dual_full
-            full[zero_rows] = ys[prog.eq_rhs.size :]
-            dual_full = full
-            ys = ys[: prog.eq_rhs.size]
-        return ConicSolution(
-            status=status,
-            primal=bx / btau,
-            dual_eq=ys,
-            dual_cone=dual_full,
-            primal_obj=float(pobj),
-            dual_obj=float(dobj),
-            residuals={
-                "primal_feas": float(pres),
-                "dual_feas": float(dres),
-                "gap": float(gap),
-                "rel_gap": float(relgap),
-            },
-            iterations=iters_done,
-        )
+        return pack_point(status, iters_done, *best)
     return ConicSolution(status, None, None, None, None, None, {}, iters_done)
 
 
@@ -851,43 +795,20 @@ def _certificate_residuals(prog: ConicProgram, y, z) -> dict[str, float]:
     }
 
 
-def _ray_residuals(prog: ConicProgram, x) -> dict[str, float]:
-    eqv = prog.eq_map @ x
-    img = prog.cone_map @ x
-    dist = 0.0
-    for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks)):
-        dist = max(dist, _dist_outside_cone(b, img[sl]))
-    return {
-        "equality": float(np.abs(eqv).max(initial=0.0)),
-        "cone_distance": float(dist),
-        "objective_error": float(abs(prog.objective @ x + 1.0)),
-    }
-
-
-def verify_certificate(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> bool:
-    """Recompute the Farkas / improving-ray conditions from the raw data."""
-    if sol.status == "primal_infeasible":
-        if sol.dual_eq is None or sol.dual_cone is None:
-            return False
-        res = _certificate_residuals(prog, sol.dual_eq, sol.dual_cone)
-        scale = max(
-            1.0,
-            float(np.abs(sol.dual_eq).max(initial=0.0)),
-            float(np.abs(sol.dual_cone).max(initial=0.0)),
-        )
-        return (
-            res["adjoint"] <= tol * scale
-            and res["cone_distance"] <= tol * scale
-            and res["margin_error"] <= tol * scale
-        )
-    if sol.status == "dual_infeasible":
-        if sol.primal is None:
-            return False
-        res = _ray_residuals(prog, sol.primal)
-        scale = max(1.0, float(np.abs(sol.primal).max(initial=0.0)))
-        return (
-            res["equality"] <= tol * scale
-            and res["cone_distance"] <= tol * scale
-            and res["objective_error"] <= tol * scale
-        )
-    return False
+def verify_certificate(
+    prog: ConicProgram, sol: ConicSolution, tol: float = CERT_TOL
+) -> bool:
+    """Recompute the Farkas conditions of a primal infeasibility certificate."""
+    if sol.status != "primal_infeasible" or sol.dual_eq is None or sol.dual_cone is None:
+        return False
+    res = _certificate_residuals(prog, sol.dual_eq, sol.dual_cone)
+    scale = max(
+        1.0,
+        float(np.abs(sol.dual_eq).max(initial=0.0)),
+        float(np.abs(sol.dual_cone).max(initial=0.0)),
+    )
+    return (
+        res["adjoint"] <= tol * scale
+        and res["cone_distance"] <= tol * scale
+        and res["margin_error"] <= tol * scale
+    )

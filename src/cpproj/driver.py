@@ -72,46 +72,44 @@ class SolverFailure(RuntimeError):
         self.solution = solution
 
 
+K_START = 2  # the lowest relaxation order; `assemble` rejects anything below
+RANK_TOL = 1e-6  # flatness rank decisions
+FEAS_TOL = 1e-7  # flatness feasibility residual
+# solver-grade sequences carry ~1e-7 noise that the eigenstructure reading can
+# amplify by a few orders, so the raw gates sit much looser than the module
+# defaults; the polished decomposition residual and constraint recheck below
+# are the binding verification
+EXTRACTION_TOLS = ExtractionTols(
+    entry_tol=1.5e-1, sphere_tol=1.5e-1, weight_tol=1e-8, fit_tol=1.5e-1
+)
+# the extreme-point re-solve pins the degree-2 slice only to within
+# WITNESS_SLACK * (1 + ||X||_F); zero would make the witness program lose its
+# interior whenever X carries solver-level error
+WITNESS_SLACK = 1e-6
+WITNESS_ATTEMPTS = 3  # seeds tried before giving up on refinement
+# residual multiplier (on top of the solver tolerances) up to which a stalled
+# iterate is still offered to the certification scan; its objective is never
+# recorded as a distance bound in that band
+STALL_SLACK = 100.0
+CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
+RECON_TOL = 1e-4  # relative factor-reconstruction residual
+MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
+
+
 @dataclass(frozen=True)
 class DriverSettings:
-    k_start: int = 2
     k_max: int = 4
-    rank_tol: float = 1e-6  # flatness rank decisions
-    feas_tol: float = 1e-7  # flatness feasibility residual
-    extraction: ExtractionTols = field(
-        # solver-grade sequences carry ~1e-7 noise that the eigenstructure
-        # reading can amplify by a few orders, so the raw gates sit much
-        # looser than the module defaults; the polished decomposition
-        # residual and constraint recheck below are the binding verification
-        default_factory=lambda: ExtractionTols(
-            entry_tol=1.5e-1, sphere_tol=1.5e-1, weight_tol=1e-8, fit_tol=1.5e-1
-        )
-    )
     extraction_seed: int = 0
-    # the extreme-point re-solve pins the degree-2 slice only to within
-    # witness_slack * (1 + ||X||_F); zero would make the witness program
-    # lose its interior whenever X carries solver-level error
-    witness_slack: float = 1e-6
-    witness_attempts: int = 3  # seeds tried before giving up on refinement
-    # residual multiplier (on top of the solver tolerances) up to which a
-    # stalled iterate is still offered to the certification scan; its
-    # objective is never recorded as a distance bound in that band
-    stall_slack: float = 100.0
     # moment relaxations are chronically degenerate: the dense-LDL engine
     # reliably reaches ~1e-7 KKT accuracy on them but can stall a decade
     # short of its 1e-8 default, so the driver asks for what is attainable
     solver: SolverSettings = field(
         default_factory=lambda: SolverSettings(tol_feas=1e-7, tol_gap=1e-7)
     )
-    constraint_tol: float = 1e-6
-    recon_tol: float = 1e-4  # relative factor-reconstruction residual
-    membership_tol: float = 1e-5  # distance below which C itself counts as CP
 
     def __post_init__(self) -> None:
-        if self.k_start < 2:
-            raise ValueError("relaxation orders start at 2")
-        if self.k_max < self.k_start:
-            raise ValueError("k_max must be at least k_start")
+        if self.k_max < K_START:
+            raise ValueError(f"k_max must be at least {K_START}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +178,9 @@ def _usable_solution(csol, solver: SolverSettings, slack: float = 10.0) -> bool:
     )
 
 
-def _constraints_hold(spec: ProblemSpec, X: np.ndarray, tol: float) -> Optional[str]:
-    for i, con in enumerate(spec.constraints):
-        val = float(np.sum(con.matrix * X))
-        err = abs(val - con.rhs) if con.kind == "eq" else max(0.0, con.rhs - val)
-        if err > tol * (1.0 + abs(con.rhs)):
+def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
+    for i, (con, err) in enumerate(zip(spec.constraints, spec.violations(X))):
+        if err > CONSTRAINT_TOL * (1.0 + abs(con.rhs)):
             return f"constraint {i} off by {err:.3e}"
     return None
 
@@ -199,7 +195,7 @@ def _scan_truncations(
 ) -> Optional[tuple[CpDecomposition, int]]:
     """Look for a flat truncation of tms whose atoms rebuild X; None if none."""
     for t in range(1, tms.k + 1):
-        report = check_flat(tms, t, rank_tol=st.rank_tol, feas_tol=st.feas_tol)
+        report = check_flat(tms, t, rank_tol=RANK_TOL, feas_tol=FEAS_TOL)
         if not report.is_flat:
             continue
         note(
@@ -210,24 +206,24 @@ def _scan_truncations(
             measure = extract_atoms(
                 tms,
                 t,
-                tols=st.extraction,
+                tols=EXTRACTION_TOLS,
                 seed=st.extraction_seed,
-                rank_tol=st.rank_tol,
+                rank_tol=RANK_TOL,
             )
         except ExtractionError as exc:
             note(f"{tag}, truncation {t}: extraction failed ({exc})")
             continue
         dec = polish_decomposition(X, cp_decomposition(measure))
         scale = 1.0 + float(np.linalg.norm(X))
-        dec = sparsify_decomposition(X, dec, st.recon_tol * scale)
+        dec = sparsify_decomposition(X, dec, RECON_TOL * scale)
         resid = verify_decomposition(X, dec)
-        if resid > st.recon_tol * scale:
+        if resid > RECON_TOL * scale:
             note(
                 f"{tag}, truncation {t}: factor residual {resid:.3e} "
-                f"exceeds {st.recon_tol * scale:.3e}"
+                f"exceeds {RECON_TOL * scale:.3e}"
             )
             continue
-        bad = _constraints_hold(spec, X, st.constraint_tol)
+        bad = _constraints_hold(spec, X)
         if bad is not None:
             note(f"{tag}, truncation {t}: {bad}")
             continue
@@ -257,14 +253,14 @@ def _refine_and_scan(
     decide, so stalled witness solves are acceptable at a generous band.
     """
     if slack_scale is None:
-        slack_scale = st.witness_slack
+        slack_scale = WITNESS_SLACK
     slack = slack_scale * (1.0 + float(np.linalg.norm(X)))
-    for attempt in range(max(1, st.witness_attempts)):
+    for attempt in range(WITNESS_ATTEMPTS):
         seed = st.extraction_seed + attempt
         note(f"order {k}: re-solving for an extreme moment vector (seed {seed})")
         wprog = assemble_witness(X, k, seed=seed, slack=slack)
         wsol = conic_solve(wprog, st.solver)
-        if not _usable_solution(wsol, st.solver, 10.0 * st.stall_slack):
+        if not _usable_solution(wsol, st.solver, 10.0 * STALL_SLACK):
             note(f"order {k}: extreme-point solve ended {wsol.status}; skipping")
             continue
         s = wsol.primal[wprog.layout["tms"]]
@@ -291,8 +287,8 @@ def approximate(
     gamma_lower: Optional[float] = None
     last_rsol: Optional[RelaxationSolution] = None
     bounds: list[tuple[int, float]] = []
-    k = st.k_start
-    for k in range(st.k_start, st.k_max + 1):
+    k = K_START
+    for k in range(K_START, st.k_max + 1):
         prog, csol = solve_relaxation(spec, k, st.solver)
         note(f"order {k}: solver finished {csol.status} after {csol.iterations} iterations")
         if csol.status == "primal_infeasible":
@@ -301,7 +297,7 @@ def approximate(
         near_optimal = True
         if csol.status != "optimal":
             near_optimal = _usable_solution(csol, st.solver)
-            if not near_optimal and not _usable_solution(csol, st.solver, st.stall_slack):
+            if not near_optimal and not _usable_solution(csol, st.solver, STALL_SLACK):
                 if not bounds:
                     raise SolverFailure(
                         f"relaxation order {k} ended with status {csol.status!r} "
@@ -333,7 +329,7 @@ def approximate(
             note(f"order {k}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
 
         X = rsol.matrix.values
-        wslack = st.witness_slack
+        wslack = WITNESS_SLACK
         if not near_optimal:
             far = float("inf")
             level = max(
@@ -397,21 +393,20 @@ def check_cp_membership(
     lower bound from an exhausted hierarchy, rules membership out.  Any norm
     answers the yes/no question; the default is the numerically gentlest.
     """
-    st = settings or DriverSettings()
     C = np.asarray(C, dtype=float)
-    outcome = approximate(ProblemSpec(C, norm=norm), st)
+    outcome = approximate(ProblemSpec(C, norm=norm), settings)
     scale = max(1.0, float(np.linalg.norm(C)))
     if isinstance(outcome, Projected):
-        if outcome.gamma <= st.membership_tol * scale:
+        if outcome.gamma <= MEMBERSHIP_TOL * scale:
             # the factors decompose the projection; hand them out as a
             # certificate for C itself only when the two actually coincide
             dec = outcome.decomposition
-            if float(np.linalg.norm(outcome.matrix - C)) > st.membership_tol * scale:
+            if float(np.linalg.norm(outcome.matrix - C)) > MEMBERSHIP_TOL * scale:
                 dec = None
             return MembershipResult(True, outcome.gamma, dec, outcome)
         return MembershipResult(False, outcome.gamma, None, outcome)
     if isinstance(outcome, Inconclusive):
-        if outcome.gamma_lower is not None and outcome.gamma_lower > st.membership_tol * scale:
+        if outcome.gamma_lower is not None and outcome.gamma_lower > MEMBERSHIP_TOL * scale:
             # the relaxation bound already separates C from the cone
             return MembershipResult(False, outcome.gamma_lower, None, outcome)
         return MembershipResult(None, outcome.gamma_lower, None, outcome)

@@ -1,39 +1,20 @@
-"""Matrix norms on symmetric matrices, their duals, and norm-cone membership."""
+"""Matrix norms on symmetric matrices."""
 from __future__ import annotations
-
-from typing import Literal
 
 import numpy as np
 
 from .polybasis import SymMatrix
 
-__all__ = [
-    "NormKind",
-    "NORM_KINDS",
-    "p_norm",
-    "dual_norm",
-    "in_norm_cone",
-    "in_dual_norm_cone",
-]
+__all__ = ["NORM_KINDS", "p_norm"]
 
-NormKind = Literal["one", "two", "inf", "fro"]
 NORM_KINDS: tuple[str, ...] = ("one", "two", "inf", "fro")
-
-
-def _values(A: SymMatrix | np.ndarray) -> np.ndarray:
-    return A.values if isinstance(A, SymMatrix) else SymMatrix(A).values
-
-
-def _check_kind(p: str) -> str:
-    if p not in NORM_KINDS:
-        raise ValueError(f"unknown norm {p!r}; expected one of {NORM_KINDS}")
-    return p
 
 
 def p_norm(A: SymMatrix | np.ndarray, p: str) -> float:
     """Norm of a symmetric matrix: max column sum / spectral / max row sum / Frobenius."""
-    V = _values(A)
-    _check_kind(p)
+    V = A.values if isinstance(A, SymMatrix) else SymMatrix(A).values
+    if p not in NORM_KINDS:
+        raise ValueError(f"unknown norm {p!r}; expected one of {NORM_KINDS}")
     if p == "one":
         return float(np.abs(V).sum(axis=0).max(initial=0.0))
     if p == "inf":
@@ -43,29 +24,3 @@ def p_norm(A: SymMatrix | np.ndarray, p: str) -> float:
         return float(np.abs(np.linalg.eigvalsh(V)).max(initial=0.0))
     return float(np.linalg.norm(V))
 
-
-def dual_norm(A: SymMatrix | np.ndarray, p: str) -> float:
-    """Dual norm: sum of per-column maxima / nuclear / per-row maxima / Frobenius."""
-    V = _values(A)
-    _check_kind(p)
-    if p == "one":
-        return float(np.abs(V).max(axis=0).sum())
-    if p == "inf":
-        return float(np.abs(V).max(axis=1).sum())
-    if p == "two":
-        return float(np.abs(np.linalg.eigvalsh(V)).sum())
-    return float(np.linalg.norm(V))
-
-
-def in_norm_cone(Y: SymMatrix | np.ndarray, s: float, p: str, tol: float = 1e-8) -> bool:
-    """Membership of (Y, s) in the epigraph cone {||Y||_p <= s}, within tol."""
-    if s < -tol:
-        return False
-    return p_norm(Y, p) <= s + tol
-
-
-def in_dual_norm_cone(Z: SymMatrix | np.ndarray, t: float, p: str, tol: float = 1e-8) -> bool:
-    """Membership of (Z, t) in the dual cone {||Z||_p* <= t}, within tol."""
-    if t < -tol:
-        return False
-    return dual_norm(Z, p) <= t + tol

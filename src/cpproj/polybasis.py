@@ -28,7 +28,6 @@ __all__ = [
     "weighted_vech",
     "etms_of_matrix",
     "matrix_of_etms",
-    "riesz",
     "moments_of_atoms",
 ]
 
@@ -89,10 +88,6 @@ class MonomialBasis:
             raise ValueError(
                 f"monomial {key} is not indexed by the basis (n={self.n}, d={self.d})"
             ) from None
-
-    def __contains__(self, alpha) -> bool:
-        key = tuple(alpha.alpha) if isinstance(alpha, Monomial) else tuple(alpha)
-        return key in self._index
 
 
 @lru_cache(maxsize=None)
@@ -219,15 +214,6 @@ class ETms(object):
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
-    def position(self, alpha: Sequence[int]) -> int:
-        key = tuple(alpha)
-        if len(key) != self.n or sum(key) != 2 or any(e < 0 for e in key):
-            raise ValueError(f"{key} is not a degree-2 monomial in {self.n} variables")
-        nz = [i for i, e in enumerate(key) if e > 0]
-        i, j = (nz[0], nz[0]) if len(nz) == 1 else (nz[0], nz[1])
-        # row-major upper-triangle offset of the pair (i, j), i <= j
-        return i * self.n - i * (i + 1) // 2 + j
-
 
 @dataclass(frozen=True, eq=False)
 class Tms(object):
@@ -278,24 +264,6 @@ def etms_of_matrix(A: SymMatrix | np.ndarray) -> ETms:
 def matrix_of_etms(a: ETms) -> SymMatrix:
     """Inverse identification of etms_of_matrix."""
     return vech_inv(a.a)
-
-
-def riesz(poly: Mapping[Sequence[int], float], s: Tms | ETms) -> float:
-    """Linear functional sending each monomial of `poly` to its moment.
-
-    `poly` maps exponent tuples to coefficients.  Monomials outside the index
-    set of `s` raise rather than being dropped.
-    """
-    total = 0.0
-    if isinstance(s, Tms):
-        for alpha, coeff in poly.items():
-            total += coeff * s.s[s.basis.position(alpha)]
-    elif isinstance(s, ETms):
-        for alpha, coeff in poly.items():
-            total += coeff * s.a[s.position(alpha)]
-    else:
-        raise TypeError(f"unsupported moment sequence type {type(s)!r}")
-    return float(total)
 
 
 def moments_of_atoms(

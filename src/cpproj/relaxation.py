@@ -110,15 +110,19 @@ class ProblemSpec:
     def inequalities(self) -> tuple[LinearConstraint, ...]:
         return tuple(c for c in self.constraints if c.kind == "ineq")
 
+    def violations(self, X: np.ndarray) -> list[float]:
+        """How far X misses each constraint: |<A, X> - b| or max(0, b - <A, X>)."""
+        out = []
+        for con in self.constraints:
+            val = float(np.sum(con.matrix * X))
+            out.append(abs(val - con.rhs) if con.kind == "eq" else max(0.0, con.rhs - val))
+        return out
+
 
 def _vech_index(n: int, i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return i * n - i * (i + 1) // 2 + j
-
-
-def _triu_index(p: int, r: int, c: int) -> int:
-    return r * p - r * (r + 1) // 2 + c
 
 
 class _ConeRows:
@@ -247,27 +251,8 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
             cone.add_row(cs, vs)
     cone.close_block("nonneg")
 
-    if spec.norm == "fro":
-        cone.add_row([g], [1.0])
-        for m, (a, b) in enumerate((a, b) for a in range(n) for b in range(a, n)):
-            wgt = _SQRT2 if a != b else 1.0
-            cone.add_row([e_off + m], [wgt], offset=-wgt * cvech[m])
-        cone.close_block("soc")
-    elif spec.norm == "two":
-        p = 2 * n
-        for rr in range(p):
-            for cc in range(rr, p):
-                if rr == cc:
-                    cone.add_row([g], [1.0])
-                elif rr < n <= cc:
-                    i, j = rr, cc - n
-                    m = _vech_index(n, i, j)
-                    cone.add_row(
-                        [e_off + m], [_SQRT2], offset=-_SQRT2 * spec.C[i, j]
-                    )
-                else:
-                    cone.add_row([], [])
-        cone.close_block("psd", order=p)
+    if spec.norm in ("fro", "two"):
+        _append_norm_block(cone, spec.norm, spec.C, g, e_off)
 
     _append_moment_blocks(cone, system, N)
 
@@ -282,6 +267,37 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         layout=layout,
         info={"n": n, "k": k, "norm": spec.norm},
     )
+
+
+def _append_norm_block(
+    cone: _ConeRows, norm: str, C: np.ndarray, g: int, x_off: int
+) -> None:
+    """Append the epigraph block gamma >= ||X - C|| for norm "fro" or "two".
+
+    Column g holds gamma and columns x_off + m hold vech(X).
+    """
+    n = C.shape[0]
+    if norm == "fro":
+        cvech = vech(C)
+        cone.add_row([g], [1.0])
+        for m, (a, b) in enumerate((a, b) for a in range(n) for b in range(a, n)):
+            wgt = _SQRT2 if a != b else 1.0
+            cone.add_row([x_off + m], [wgt], offset=-wgt * cvech[m])
+        cone.close_block("soc")
+        return
+    p = 2 * n
+    for rr in range(p):
+        for cc in range(rr, p):
+            if rr == cc:
+                cone.add_row([g], [1.0])
+            elif rr < n <= cc:
+                i, j = rr, cc - n
+                cone.add_row(
+                    [x_off + _vech_index(n, i, j)], [_SQRT2], offset=-_SQRT2 * C[i, j]
+                )
+            else:
+                cone.add_row([], [])
+    cone.close_block("psd", order=p)
 
 
 def _append_moment_blocks(cone: _ConeRows, system, num_vars: int) -> None:
@@ -469,7 +485,6 @@ def project_dnn(
         raise ValueError("reference projection supports norms 'fro' and 'two'")
     N = nbar + 1
     g = nbar
-    cvech = vech(C)
     objective = np.zeros(N)
     objective[g] = 1.0
 
@@ -477,26 +492,7 @@ def project_dnn(
     for m in range(nbar):
         cone.add_row([m], [1.0])
     cone.close_block("nonneg")
-    if norm == "fro":
-        cone.add_row([g], [1.0])
-        for m, (a, b) in enumerate((a, b) for a in range(n) for b in range(a, n)):
-            wgt = _SQRT2 if a != b else 1.0
-            cone.add_row([m], [wgt], offset=-wgt * cvech[m])
-        cone.close_block("soc")
-    else:
-        p = 2 * n
-        for rr in range(p):
-            for cc in range(rr, p):
-                if rr == cc:
-                    cone.add_row([g], [1.0])
-                elif rr < n <= cc:
-                    i, j = rr, cc - n
-                    cone.add_row(
-                        [_vech_index(n, i, j)], [_SQRT2], offset=-_SQRT2 * C[i, j]
-                    )
-                else:
-                    cone.add_row([], [])
-        cone.close_block("psd", order=p)
+    _append_norm_block(cone, norm, C, g, 0)
     for i in range(n):
         for j in range(i, n):
             wgt = _SQRT2 if i != j else 1.0

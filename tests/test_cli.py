@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from cpproj.cli import InputError, load_problem, render_json, run
+from cpproj.driver import DriverSettings
 
 CP2 = [[2.0, 1.0], [1.0, 2.0]]
 
@@ -16,6 +17,39 @@ C4 = [
     [1.0, 2.0, 6.0, 5.0],
     [1.0, 1.0, 5.0, 6.0],
 ]
+
+# the reference instance two-c4: 5x5, spectral norm, two equalities and one
+# inequality; its gamma moves in the 8th digit between solver tolerances
+# 1e-8 and 1e-7
+S5 = [
+    [1.0, -1.0, 1.0, -1.0, 1.0],
+    [-1.0, 2.0, -2.0, 2.0, -2.0],
+    [1.0, -2.0, 3.0, -3.0, 3.0],
+    [-1.0, 2.0, -3.0, 4.0, -4.0],
+    [1.0, -2.0, 3.0, -4.0, 5.0],
+]
+P5 = [
+    [0.0, 1.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0, 1.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0, 1.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0],
+]
+TWO_C4 = {
+    "n": 5,
+    "C": [
+        [2.0, 1.0, 1.0, 1.0, 2.0],
+        [1.0, 2.0, 2.0, 1.0, 1.0],
+        [1.0, 2.0, 6.0, 5.0, 1.0],
+        [1.0, 1.0, 5.0, 6.0, 2.0],
+        [2.0, 1.0, 1.0, 2.0, 3.0],
+    ],
+    "constraints": [
+        {"A": np.eye(5).tolist(), "b": 10.0, "kind": "eq"},
+        {"A": S5, "b": 12.0, "kind": "eq"},
+        {"A": P5, "b": -2.0, "kind": "ge"},
+    ],
+}
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -200,6 +234,18 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     _, first, _ = run_cli(["--norm", "fro", path], capsys)
     _, second, _ = run_cli(["--norm", "fro", path], capsys)
     assert first == second
+
+
+def test_tol_defaults_to_the_driver_solver_tolerance(tmp_path, capsys):
+    path = write_problem(tmp_path, TWO_C4)
+    tol = DriverSettings().solver.tol_feas
+    code, default_out, _ = run_cli(["--norm", "two", path], capsys)
+    assert code == 0
+    _, explicit_out, _ = run_cli(["--norm", "two", path, "--tol", repr(tol)], capsys)
+    assert default_out == explicit_out
+    code, _, err = run_cli(["--norm", "two", path, "--tol", "0"], capsys)
+    assert code == 1
+    assert "--tol must be positive" in err
 
 
 def test_emitted_matrix_reparses_as_input(tmp_path, capsys):

@@ -108,9 +108,8 @@ def test_driver_is_deterministic():
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        DriverSettings(k_start=1)
-    with pytest.raises(ValueError):
-        DriverSettings(k_start=3, k_max=2)
+        DriverSettings(k_max=1)
+    assert DriverSettings(k_max=2).k_max == 2
 
 
 @pytest.mark.parametrize("norm", ["one", "two", "inf", "fro"])

@@ -13,7 +13,6 @@ from cpproj.polybasis import (
     matrix_of_etms,
     moments_of_atoms,
     monomials_up_to,
-    riesz,
     vech,
     vech_inv,
     weighted_vech,
@@ -98,9 +97,6 @@ def test_etms_matrix_identification_round_trip():
     npt.assert_array_equal(matrix_of_etms(a).values, A.values)
     # degree-2 monomials in graded-lex order line up with vech order
     npt.assert_array_equal(a.a, vech(A))
-    assert a.position((2, 0, 0, 0)) == 0
-    assert a.position((1, 0, 0, 1)) == 3
-    assert a.position((0, 0, 0, 2)) == 9
 
 
 def test_tms_truncation_is_prefix():
@@ -126,24 +122,6 @@ def test_tms_degree2_slice_matches_identification():
 def test_tms_length_validation():
     with pytest.raises(ValueError):
         Tms(2, 2, np.zeros(14))  # needs C(2 + 4, 4) = 15
-
-
-def test_riesz_multiplicative_on_atomic_measures():
-    # oracle: for s = moments of delta_u, the functional evaluates polynomials at u
-    rng = np.random.default_rng(17)
-    n, k = 3, 2
-    u = rng.uniform(0.2, 1.0, n)
-    s = moments_of_atoms([u], [1.0], k)
-    p = {(1, 0, 0): 2.0, (0, 1, 1): -0.75, (0, 0, 0): 0.5}
-    val = 2.0 * u[0] - 0.75 * u[1] * u[2] + 0.5
-    npt.assert_allclose(riesz(p, s), val, rtol=1e-12)
-    # unindexed monomial errors instead of silently dropping
-    with pytest.raises(ValueError):
-        riesz({(5, 0, 0): 1.0}, s)
-    a = s.to_etms()
-    npt.assert_allclose(riesz({(1, 1, 0): 3.0}, a), 3.0 * u[0] * u[1], rtol=1e-12)
-    with pytest.raises(ValueError):
-        riesz({(1, 0, 0): 1.0}, a)
 
 
 def test_moments_of_atoms_against_matrix_sum():
