@@ -99,7 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="membership mode: decide whether C itself is completely positive "
         "(Frobenius norm, constraints must be absent or empty)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the extraction refinement step")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed for the randomized steps: atom extraction and the factorization start",
+    )
     p.add_argument(
         "--log",
         choices=("none", "summary", "trace"),
@@ -311,10 +316,10 @@ def _emit_logs(events: Sequence[str], summary: str, mode: str) -> None:
 def _summarize(doc: dict) -> str:
     status = doc["status"]
     if status == "projected":
+        route = "factorization" if doc["t_used"] is None else f"truncation {doc['t_used']}"
         return (
             f"projected: gamma={_scalar(doc['gamma'])} at order {doc['k_used']}, "
-            f"truncation {doc['t_used']}, "
-            f"{len(doc['decomposition']['weights'])} atoms"
+            f"{route}, {len(doc['decomposition']['weights'])} atoms"
         )
     if status == "infeasible":
         return f"infeasible: certified at order {doc['k_used']}"

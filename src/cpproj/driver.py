@@ -5,10 +5,12 @@ the solution for a flat truncation, and certifies the projection by
 extracting an atomic measure and rebuilding the matrix from its CP factors.
 The relaxation fixes the optimal matrix but not the moment vector behind it,
 and the path-following solver returns the analytic center of the optimal
-face, which is flat only when that face is a point.  Whenever the first scan
-certifies nothing, the driver re-solves for an extreme moment vector with the
-same degree-2 slice (a random positive definite objective pinned to the
-optimal matrix) and scans again before moving to the next order.
+face, which is flat only when that face is a point.  Whenever the scan
+certifies nothing, the driver fits nonnegative factors to the optimal matrix
+directly, from a seeded random start, before moving to the next order.  Both
+routes pass the same gates: polish, sparsify, the factor residual and the
+constraints.  No moment evidence backs the direct factorization, so it is
+held to a tighter residual than extracted atoms are.
 
 Three outcomes are possible:
 
@@ -29,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .conic import ConicSolution, SolverSettings, solve as conic_solve
+from .conic import ConicSolution, SolverSettings
 from .extraction import (
     CpDecomposition,
     ExtractionError,
@@ -41,11 +43,9 @@ from .extraction import (
     verify_decomposition,
 )
 from .moments import check_flat
-from .polybasis import Tms
 from .relaxation import (
     ProblemSpec,
     RelaxationSolution,
-    assemble_witness,
     map_solution,
     solve_relaxation,
 )
@@ -82,17 +82,17 @@ FEAS_TOL = 1e-7  # flatness feasibility residual
 EXTRACTION_TOLS = ExtractionTols(
     entry_tol=1.5e-1, sphere_tol=1.5e-1, weight_tol=1e-8, fit_tol=1.5e-1
 )
-# the extreme-point re-solve pins the degree-2 slice only to within
-# WITNESS_SLACK * (1 + ||X||_F); zero would make the witness program lose its
-# interior whenever X carries solver-level error
-WITNESS_SLACK = 1e-6
-WITNESS_ATTEMPTS = 3  # seeds tried before giving up on refinement
 # residual multiplier (on top of the solver tolerances) up to which a stalled
 # iterate is still offered to the certification scan; its objective is never
 # recorded as a distance bound in that band
 STALL_SLACK = 100.0
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
-RECON_TOL = 1e-4  # relative factor-reconstruction residual
+RECON_TOL = 1e-4  # relative factor-reconstruction residual of extracted atoms
+# a direct factorization has no moment evidence behind it, so its fit is the
+# whole proof that X is completely positive: it is held to ten times the
+# default solver tolerance (widened only for a stalled iterate), not to the
+# looser budget for polishing extracted atoms
+FACTOR_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 
 
@@ -114,13 +114,17 @@ class DriverSettings:
 
 @dataclass(frozen=True, eq=False)
 class Projected:
-    """Certified projection with its completely positive decomposition."""
+    """Certified projection with its completely positive decomposition.
+
+    `t_used` is the flat truncation order whose atoms certified, or None
+    when the direct factorization of `matrix` did.
+    """
 
     matrix: np.ndarray
     gamma: float
     decomposition: CpDecomposition
     k_used: int
-    t_used: int
+    t_used: Optional[int]
     relaxation: RelaxationSolution
     events: tuple[str, ...]
     bounds: tuple[tuple[int, float], ...] = ()  # (order, distance bound) per solve
@@ -185,21 +189,48 @@ def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
     return None
 
 
-def _scan_truncations(
-    tms: Tms,
+def _certify(
     X: np.ndarray,
+    dec: CpDecomposition,
+    spec: ProblemSpec,
+    note: Callable[[str], None],
+    tag: str,
+    tol: float,
+) -> Optional[CpDecomposition]:
+    """Polish and sparsify candidate factors of X; None unless both gates pass.
+
+    `tol` is the factor residual allowed, relative to 1 + ||X||.
+    """
+    dec = polish_decomposition(X, dec)
+    budget = tol * (1.0 + float(np.linalg.norm(X)))
+    dec = sparsify_decomposition(X, dec, budget)
+    resid = verify_decomposition(X, dec)
+    if resid > budget:
+        note(f"{tag}: factor residual {resid:.3e} exceeds {budget:.3e}")
+        return None
+    bad = _constraints_hold(spec, X)
+    if bad is not None:
+        note(f"{tag}: {bad}")
+        return None
+    note(f"{tag}: certified with {dec.rank} atoms, factor residual {resid:.3e}")
+    return dec
+
+
+def _scan_truncations(
+    rsol: RelaxationSolution,
     spec: ProblemSpec,
     st: DriverSettings,
     note: Callable[[str], None],
-    tag: str,
+    k: int,
 ) -> Optional[tuple[CpDecomposition, int]]:
-    """Look for a flat truncation of tms whose atoms rebuild X; None if none."""
+    """Look for a flat truncation whose atoms rebuild X; None if none does."""
+    tms, X = rsol.tms, rsol.matrix.values
     for t in range(1, tms.k + 1):
         report = check_flat(tms, t, rank_tol=RANK_TOL, feas_tol=FEAS_TOL)
         if not report.is_flat:
             continue
         note(
-            f"{tag}: flat at truncation {t} "
+            f"order {k}: flat at truncation {t} "
             f"(rank {report.rank_lo} = {report.rank_hi})"
         )
         try:
@@ -211,64 +242,39 @@ def _scan_truncations(
                 rank_tol=RANK_TOL,
             )
         except ExtractionError as exc:
-            note(f"{tag}, truncation {t}: extraction failed ({exc})")
+            note(f"order {k}, truncation {t}: extraction failed ({exc})")
             continue
-        dec = polish_decomposition(X, cp_decomposition(measure))
-        scale = 1.0 + float(np.linalg.norm(X))
-        dec = sparsify_decomposition(X, dec, RECON_TOL * scale)
-        resid = verify_decomposition(X, dec)
-        if resid > RECON_TOL * scale:
-            note(
-                f"{tag}, truncation {t}: factor residual {resid:.3e} "
-                f"exceeds {RECON_TOL * scale:.3e}"
-            )
-            continue
-        bad = _constraints_hold(spec, X)
-        if bad is not None:
-            note(f"{tag}, truncation {t}: {bad}")
-            continue
-        note(
-            f"{tag}, truncation {t}: certified with {dec.rank} atoms, "
-            f"factor residual {resid:.3e}"
-        )
-        return dec, t
+        tag = f"order {k}, truncation {t}"
+        dec = _certify(X, cp_decomposition(measure), spec, note, tag, RECON_TOL)
+        if dec is not None:
+            return dec, t
     return None
 
 
-def _refine_and_scan(
+def _factorize(
     X: np.ndarray,
-    k: int,
+    csol: ConicSolution,
     spec: ProblemSpec,
     st: DriverSettings,
     note: Callable[[str], None],
-    slack_scale: float | None = None,
-) -> Optional[tuple[CpDecomposition, int]]:
-    """Re-solve for an extreme moment vector near X, then rescan.
+    k: int,
+) -> Optional[CpDecomposition]:
+    """Fit nonnegative factors to X directly, from a seeded random start.
 
-    Any breakdown here is reported as an event and swallowed: the refined
-    solve is a second chance at certification, not a correctness gate.  The
-    random objective occasionally lands on a functional whose minimizer is
-    not flat at this order, so a few seeds are tried before giving up.  The
-    witness iterate only ever feeds the scan, whose own verification gates
-    decide, so stalled witness solves are acceptable at a generous band.
+    The start has n(n+1)/2 rows, more than the cp-rank of any completely
+    positive matrix of order n (Barioli & Berman, 2003), and is scaled so
+    that its reconstruction has the trace of X.  The fit must reach
+    FACTOR_TOL, or ten times the worst residual of the solve when that is
+    larger: a stalled iterate is only that accurate, so a tighter fit would
+    hold X to more than the solve could deliver.
     """
-    if slack_scale is None:
-        slack_scale = WITNESS_SLACK
-    slack = slack_scale * (1.0 + float(np.linalg.norm(X)))
-    for attempt in range(WITNESS_ATTEMPTS):
-        seed = st.extraction_seed + attempt
-        note(f"order {k}: re-solving for an extreme moment vector (seed {seed})")
-        wprog = assemble_witness(X, k, seed=seed, slack=slack)
-        wsol = conic_solve(wprog, st.solver)
-        if not _usable_solution(wsol, st.solver, 10.0 * STALL_SLACK):
-            note(f"order {k}: extreme-point solve ended {wsol.status}; skipping")
-            continue
-        s = wsol.primal[wprog.layout["tms"]]
-        wtms = Tms(int(wprog.info["n"]), k, s.copy())
-        hit = _scan_truncations(wtms, X, spec, st, note, f"order {k} (refined)")
-        if hit is not None:
-            return hit
-    return None
+    level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
+    tol = max(FACTOR_TOL, 10.0 * level)
+    n = X.shape[0]
+    F = np.random.default_rng(st.extraction_seed).uniform(size=(n * (n + 1) // 2, n))
+    F *= np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F)
+    tag = f"order {k} (factorization)"
+    return _certify(X, CpDecomposition.from_factors(F), spec, note, tag, tol)
 
 
 def approximate(
@@ -329,22 +335,9 @@ def approximate(
             note(f"order {k}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
 
         X = rsol.matrix.values
-        wslack = WITNESS_SLACK
-        if not near_optimal:
-            far = float("inf")
-            level = max(
-                csol.residuals.get("primal_feas", far),
-                csol.residuals.get("dual_feas", far),
-                csol.residuals.get("rel_gap", far),
-            )
-            # the iterate sits about this far from the cone section, so the
-            # witness ball has to be at least that wide to contain a measure
-            wslack = max(wslack, 10.0 * level)
-        hit = _scan_truncations(rsol.tms, X, spec, st, note, f"order {k}")
-        if hit is None:
-            hit = _refine_and_scan(X, k, spec, st, note, wslack)
-        if hit is not None:
-            dec, t = hit
+        hit = _scan_truncations(rsol, spec, st, note, k)
+        dec, t = hit if hit is not None else (_factorize(X, csol, spec, st, note, k), None)
+        if dec is not None:
             return Projected(
                 matrix=X,
                 gamma=rsol.gamma,
@@ -355,7 +348,7 @@ def approximate(
                 events=tuple(events),
                 bounds=tuple(bounds),
             )
-        note(f"order {k}: no flat truncation certified a measure")
+        note(f"order {k}: neither a flat truncation nor the direct factorization certified")
 
     return Inconclusive(
         gamma_lower=gamma_lower,

@@ -92,6 +92,21 @@ class CpDecomposition:
     def rank(self) -> int:
         return self.factors.shape[0]
 
+    @classmethod
+    def from_factors(cls, F: np.ndarray) -> "CpDecomposition":
+        """Split nonnegative factor rows into unit atoms and weights.
+
+        Rows whose mass has collapsed are dropped, and the rest are sorted
+        lexicographically by atom, so the result does not depend on the row
+        order of F.
+        """
+        norms = np.linalg.norm(F, axis=1)
+        keep = norms > 1e-12
+        F, norms = F[keep], norms[keep]
+        atoms = F / norms[:, None]
+        order = np.lexsort(atoms.T[::-1])
+        return cls(atoms[order], (norms**2)[order], F[order])
+
 
 def _echelon_pivots(VT: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
     """Column echelon form by Gauss-Jordan with row partial pivoting.
@@ -244,22 +259,25 @@ def polish_decomposition(
     iu = np.triu_indices(n)
     wgt = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     target = Xv[iu] * wgt
+    rows = np.arange(iu[0].size)
 
     def resid(z: np.ndarray) -> np.ndarray:
         F = z.reshape(r, n)
         return (F.T @ F)[iu] * wgt - target
 
+    def jac(z: np.ndarray) -> np.ndarray:
+        # d(F^T F)_ab / dF_ic = delta_ca F_ib + delta_cb F_ia
+        F = z.reshape(r, n)
+        J = np.zeros((rows.size, r, n))
+        J[rows, :, iu[0]] += wgt[:, None] * F[:, iu[1]].T
+        J[rows, :, iu[1]] += wgt[:, None] * F[:, iu[0]].T
+        return J.reshape(rows.size, r * n)
+
     start = np.clip(dec.factors.ravel(), 0.0, None)
     fit = least_squares(
-        resid, start, bounds=(0.0, np.inf), method="trf", xtol=1e-14, ftol=1e-14
+        resid, start, jac=jac, bounds=(0.0, np.inf), method="trf", xtol=1e-14, ftol=1e-14
     )
-    F = fit.x.reshape(r, n)
-    norms = np.linalg.norm(F, axis=1)
-    keep = norms > 1e-12
-    F, norms = F[keep], norms[keep]
-    atoms = np.divide(F, norms[:, None], out=np.zeros_like(F), where=norms[:, None] > 0)
-    order = np.lexsort(atoms.T[::-1])
-    return CpDecomposition(atoms[order], (norms**2)[order], F[order])
+    return CpDecomposition.from_factors(fit.x.reshape(r, n))
 
 
 def sparsify_decomposition(

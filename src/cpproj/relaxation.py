@@ -7,8 +7,9 @@ completely positive cone is relaxed through the moment-sequence description
 from `cpproj.moments`: X is identified with the degree-2 slice of a moment
 vector s that satisfies the sphere equalities and the PSD block conditions of
 order k.  The sequence of optimal values grows with k toward the exact
-projection distance; certification at finite k happens downstream through
-flat truncation and atom extraction.
+projection distance; certification at finite k happens downstream, through
+flat truncation and atom extraction or a direct nonnegative factorization of
+the optimal matrix.
 
 The norm objective turns into standard conic epigraphs:
 
@@ -53,7 +54,6 @@ __all__ = [
     "ProblemSpec",
     "RelaxationSolution",
     "assemble",
-    "assemble_witness",
     "map_solution",
     "solve_relaxation",
     "check_weak_duality",
@@ -254,7 +254,18 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     if spec.norm in ("fro", "two"):
         _append_norm_block(cone, spec.norm, spec.C, g, e_off)
 
-    _append_moment_blocks(cone, system, N)
+    # svec-scaled PSD blocks of the moment system; the moment vector fills
+    # the leading L columns, the epigraph and split columns get zeros
+    for blk in system.psd_blocks:
+        scale = np.array(
+            [1.0 if a == b else _SQRT2
+             for a in range(blk.order) for b in range(a, blk.order)]
+        )
+        scaled = sp.diags(scale) @ blk.entries
+        cone.add_sparse(
+            sp.hstack([scaled, sp.csr_matrix((scaled.shape[0], N - L))], format="csr")
+        )
+        cone.close_block("psd", order=blk.order)
 
     cone_map, cone_offset, blocks = cone.matrices()
     return ConicProgram(
@@ -298,100 +309,6 @@ def _append_norm_block(
             else:
                 cone.add_row([], [])
     cone.close_block("psd", order=p)
-
-
-def _append_moment_blocks(cone: _ConeRows, system, num_vars: int) -> None:
-    """Append the svec-scaled PSD blocks of the moment system to `cone`.
-
-    The moment vector is assumed to occupy the leading columns; extra
-    variables (epigraph, splits) just get zero columns.
-    """
-    for blk in system.psd_blocks:
-        scale = np.array(
-            [1.0 if a == b else _SQRT2
-             for a in range(blk.order) for b in range(a, blk.order)]
-        )
-        scaled = sp.diags(scale) @ blk.entries
-        pad = num_vars - scaled.shape[1]
-        if pad:
-            scaled = sp.hstack(
-                [scaled, sp.csr_matrix((scaled.shape[0], pad))], format="csr"
-            )
-        cone.add_sparse(scaled)
-        cone.close_block("psd", order=blk.order)
-
-
-def assemble_witness(
-    X: np.ndarray, k: int, seed: int = 0, slack: float = 0.0
-) -> ConicProgram:
-    """Build a program whose solution is an extraction-friendly certificate
-    that the fixed matrix X is completely positive.
-
-    The projection solve determines the optimal matrix but not the moment
-    vector behind it: every sequence whose degree-2 slice equals vech(X) is
-    equally optimal, and a path-following solver lands in the interior of
-    that face, where flat truncation essentially never holds.  Minimizing a
-    random positive definite functional of the order-k moment matrix over
-    the same face pushes the iterates to an extreme point instead, and
-    extreme points of this section come from atomic measures, so the rank
-    plateau reappears whenever X admits a nonnegative factorization that is
-    visible at order k.
-
-    With `slack` zero the degree-2 slice is pinned by equalities.  That is
-    the exact section, but when X itself came out of a solver at finite
-    accuracy the section can miss the cone by a hair and has no interior, so
-    the witness solve may stall or report infeasibility.  A positive slack
-    relaxes the pin to a Euclidean ball of that radius, which restores a
-    strictly feasible interior while moving the recovered factors by at most
-    the same hair; callers verify the factorization against X afterwards.
-    """
-    if k < 2:
-        raise ValueError("relaxation order must be at least 2")
-    if slack < 0.0:
-        raise ValueError("slack must be nonnegative")
-    X = SymMatrix(np.asarray(X, dtype=float)).values
-    n = X.shape[0]
-    nbar = n * (n + 1) // 2
-    L = basis_size(n, 2 * k)
-    system = moment_cone_constraints(n, k)
-    e_off = 1 + n
-
-    unit = system.psd_blocks[0]
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((unit.order, unit.order))
-    R = G @ G.T + 0.1 * np.eye(unit.order)
-    R = (R + R.T) / (2.0 * np.linalg.norm(R))
-    # <R, M_k(s)> is linear in s; fold R through the triu entry map
-    objective = unit.entries.T @ weighted_vech(R)
-
-    xv = vech(X)
-    cone = _ConeRows(L)
-    _append_moment_blocks(cone, system, L)
-    if slack > 0.0:
-        eq_map = system.equality
-        eq_rhs = np.zeros(system.equality.shape[0])
-        cone.add_row([], [], offset=float(slack))
-        for m in range(nbar):
-            cone.add_row([e_off + m], [1.0], offset=-float(xv[m]))
-        cone.close_block("soc")
-    else:
-        rows = list(range(nbar))
-        cols = [e_off + m for m in range(nbar)]
-        pins = sp.csr_matrix((np.ones(nbar), (rows, cols)), shape=(nbar, L))
-        eq_map = sp.vstack([system.equality, pins], format="csr")
-        eq_rhs = np.concatenate([np.zeros(system.equality.shape[0]), xv])
-
-    cone_map, cone_offset, blocks = cone.matrices()
-    return ConicProgram(
-        objective=np.asarray(objective, dtype=float),
-        eq_map=eq_map,
-        eq_rhs=eq_rhs,
-        cone_map=cone_map,
-        cone_offset=cone_offset,
-        cone_blocks=blocks,
-        layout={"tms": slice(0, L)},
-        info={"n": n, "k": k, "seed": seed, "slack": float(slack)},
-    )
 
 
 @dataclass(frozen=True, eq=False)

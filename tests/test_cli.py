@@ -8,6 +8,7 @@ import pytest
 
 from cpproj.cli import InputError, load_problem, render_json, run
 from cpproj.driver import DriverSettings
+from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 
 CP2 = [[2.0, 1.0], [1.0, 2.0]]
 
@@ -16,6 +17,13 @@ C4 = [
     [1.0, 2.0, 2.0, 1.0],
     [1.0, 2.0, 6.0, 5.0],
     [1.0, 1.0, 5.0, 6.0],
+]
+
+# draw 46 of the acceptance suite's seed-7 DNN-oracle set
+RAND46 = [
+    [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
+    [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
+    [-0.8477403269276138, 0.06507137558352677, 0.3368524787764621],
 ]
 
 # the reference instance two-c4: 5x5, spectral norm, two equalities and one
@@ -118,16 +126,39 @@ def test_infeasible_gives_exit_10_and_certificate(tmp_path, capsys):
 
 
 def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys):
-    # this instance certifies only at order 3, so capping at 2 leaves the
-    # question open and the emitted gamma is the relaxation lower bound
-    path = write_problem(tmp_path, {"n": 4, "C": C4})
-    code, out, _ = run_cli(["--norm", "one", "--kmax", "2", path], capsys)
+    # the order-2 optimal matrix X of this instance is not CP: its distance,
+    # 1.45436, is 1.9e-4 below the DNN distance 1.45456, and CP = DNN for
+    # n = 3, so every nonnegative factorization misses X by at least 1.9e-4,
+    # about 70 times the factorization budget 1e-6 * (1 + ||X||) = 2.7e-6.
+    # Capping at 2 leaves the question open, and the emitted gamma is the
+    # order-2 relaxation lower bound
+    path = write_problem(tmp_path, {"n": 3, "C": RAND46})
+    code, out, _ = run_cli(["--norm", "fro", "--kmax", "2", path], capsys)
     assert code == 20
     res = json.loads(out)
     assert res["status"] == "inconclusive"
     assert res["decomposition"] is None
-    assert res["gamma"] <= 1e-6
     assert res["k_used"] == 2
+    prog, csol = solve_relaxation(
+        ProblemSpec(np.array(RAND46), "fro"), 2, DriverSettings().solver
+    )
+    assert csol.status == "optimal"
+    assert res["gamma"] == json.loads(render_json(map_solution(prog, csol).gamma))
+
+
+def test_factorization_certificate_reports_no_truncation(tmp_path, capsys):
+    # C4 is CP, and its order-2 moment vector is not flat: the direct
+    # factorization certifies it at order 2 without a truncation order
+    path = write_problem(tmp_path, {"n": 4, "C": C4})
+    code, out, err = run_cli(["--norm", "one", "--log", "summary", path], capsys)
+    assert code == 0
+    res = json.loads(out)
+    assert res["status"] == "projected"
+    assert res["k_used"] == 2
+    assert res["t_used"] is None
+    assert '"t_used": null' in out
+    assert "at order 2, factorization," in err
+    assert "truncation" not in err
 
 
 def test_check_mode_accepts_cp_matrix(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from cpproj.conic import SolverSettings
 from cpproj.driver import (
+    FACTOR_TOL,
     DriverSettings,
     Inconclusive,
     Infeasible,
@@ -104,6 +105,42 @@ def test_driver_is_deterministic():
     b = approximate(C)
     assert a.gamma == b.gamma
     npt.assert_array_equal(a.decomposition.atoms, b.decomposition.atoms)
+
+
+def test_direct_factorization_certifies_without_a_flat_truncation():
+    # the order-2 moment vector of this CP matrix is not flat, so the
+    # certificate comes from factoring the relaxation's matrix directly
+    C4 = np.array([
+        [2.0, 1, 1, 1],
+        [1, 2, 2, 1],
+        [1, 2, 6, 5],
+        [1, 1, 5, 6],
+    ])
+    out = approximate(ProblemSpec(C4, "one"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 2
+    assert out.t_used is None
+    assert any("(factorization): certified" in e for e in out.events)
+    assert out.decomposition.factors.min() >= 0.0
+    scale = 1.0 + np.linalg.norm(out.matrix)
+    resid = np.linalg.norm(out.decomposition.reconstruct() - out.matrix)
+    assert resid <= FACTOR_TOL * scale
+
+
+def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
+    # draw 19 of the acceptance suite's seed-7 DNN-oracle set: its order-2
+    # distance is 1.6e-5 below the DNN distance, and CP = DNN for n = 4, so
+    # the order-2 matrix lies at least 1.6e-5 from the CP cone, six times
+    # the factorization budget; the extracted-atom budget would admit it
+    C = np.array([
+        [-0.061344079833248494, -0.04752070495388338, 0.2260475390418809, 0.6498794000316037],
+        [-0.04752070495388338, 1.1880942172123188, -0.11041043468631645, 0.47938866899588234],
+        [0.2260475390418809, -0.11041043468631645, -0.3894303048753847, -0.4499534834136761],
+        [0.6498794000316037, 0.47938866899588234, -0.4499534834136761, 0.6688984464469374],
+    ])
+    out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
+    assert isinstance(out, Inconclusive)
+    assert any("(factorization): factor residual" in e for e in out.events)
 
 
 def test_settings_validation():

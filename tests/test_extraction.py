@@ -190,3 +190,35 @@ def test_sparsify_keeps_minimal_decomposition():
     out = sparsify_decomposition(X, dec, 1e-9)
     assert out.rank == 2
     npt.assert_allclose(out.reconstruct(), X, atol=1e-12)
+
+
+C5 = np.array([
+    [2.0, 1, 1, 1, 2],
+    [1, 2, 2, 1, 1],
+    [1, 2, 6, 5, 1],
+    [1, 1, 5, 6, 2],
+    [2, 1, 1, 2, 3],
+])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed):
+    # the driver's direct-factorization start: n(n+1)/2 uniform rows whose
+    # reconstruction has the trace of the target; C5 is nonsingular, so no
+    # fewer than 5 factors rebuild it
+    F = np.random.default_rng(seed).uniform(size=(15, 5))
+    F *= np.sqrt(np.trace(C5)) / np.linalg.norm(F)
+    dec = polish_decomposition(C5, CpDecomposition.from_factors(F))
+    out = sparsify_decomposition(C5, dec, 1e-8)
+    assert out.rank == 5
+    assert out.factors.min() >= 0.0
+    assert verify_decomposition(C5, out) <= 1e-8
+
+
+def test_from_factors_drops_empty_rows_and_normalizes_atoms():
+    F = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]])
+    dec = CpDecomposition.from_factors(F)
+    assert dec.rank == 2
+    npt.assert_allclose(np.linalg.norm(dec.atoms, axis=1), 1.0)
+    npt.assert_allclose(dec.weights, [4.0, 25.0])
+    npt.assert_allclose(dec.reconstruct(), F.T @ F)
