@@ -22,7 +22,12 @@ moment matrix), so a dual infeasible program cannot arise; one would end
 without a certificate.  The search direction comes from a dense
 symmetric-indefinite factorization of the cone-eliminated KKT system with
 static regularization and a couple of iterative-refinement sweeps, so
-identical inputs produce identical iterates.
+identical inputs produce identical iterates.  Work that does not change
+between iterations is done once per solve: each PSD block's map is turned
+into a batch of symmetric matrices over its used columns, which every
+iteration's Schur-complement build congruences in bounded chunks, and the
+dense equality border of the KKT matrix is written once.  The step length
+of a PSD block reuses the Cholesky factors of its NT scaling.
 """
 from __future__ import annotations
 
@@ -190,9 +195,12 @@ def svec(U: np.ndarray) -> np.ndarray:
 
 def smat(v: np.ndarray, order: int) -> np.ndarray:
     iu, scale = _svec_index(order)
-    U = np.zeros((order, order))
-    U[iu] = v / scale
-    return U + np.triu(U, 1).T
+    # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
+    vals = v / scale + 0.0
+    U = np.empty((order, order))
+    U[iu] = vals
+    U[iu[1], iu[0]] = vals
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +217,16 @@ class _NonnegScaling:
     def __init__(self, s, z):
         if s.min(initial=np.inf) <= 0 or z.min(initial=np.inf) <= 0:
             raise _Breakdown
+        self.s, self.z = s, z
         self.w = np.sqrt(s / z)
         self.lam = np.sqrt(s * z)
 
     def e(self):
         return np.ones(self.lam.size)
 
-    def hinv_mat(self, cols: np.ndarray) -> np.ndarray:
-        return cols / (self.w * self.w)[:, None]
+    def schur(self, Mb):
+        """Mb' H^{-1} Mb for the block's sparse map Mb."""
+        return (Mb.T @ Mb.multiply((1.0 / (self.w * self.w))[:, None])).toarray()
 
     def hinv_vec(self, v):
         return v / (self.w * self.w)
@@ -239,8 +249,12 @@ class _NonnegScaling:
     def jordan(self, a, b):
         return a * b
 
+    def max_step(self, ds, dz):
+        """Largest steps along ds and dz that keep s and z in the cone."""
+        return self._step(self.s, ds), self._step(self.z, dz)
+
     @staticmethod
-    def max_step(u, du):
+    def _step(u, du):
         neg = du < 0
         if not neg.any():
             return np.inf
@@ -256,6 +270,7 @@ class _SocScaling:
         ds, dz = _soc_det(s), _soc_det(z)
         if ds <= 0 or dz <= 0 or s[0] <= 0 or z[0] <= 0:
             raise _Breakdown
+        self.s, self.z = s, z
         ns, nz = math.sqrt(ds), math.sqrt(dz)
         sh, zh = s / ns, z / nz
         gamma = math.sqrt((1.0 + sh @ zh) / 2.0)
@@ -278,8 +293,9 @@ class _SocScaling:
         out[0] = 1.0
         return out
 
-    def hinv_mat(self, cols):
-        return self.Hinv @ cols
+    def schur(self, Mb):
+        """Mb' H^{-1} Mb for the block's dense map Mb."""
+        return Mb.T @ (self.Hinv @ Mb)
 
     def hinv_vec(self, v):
         return self.Hinv @ v
@@ -308,8 +324,12 @@ class _SocScaling:
     def jordan(self, a, b):
         return np.concatenate(([a @ b], a[0] * b[1:] + b[0] * a[1:]))
 
+    def max_step(self, ds, dz):
+        """Largest steps along ds and dz that keep s and z in the cone."""
+        return self._step(self.s, ds), self._step(self.z, dz)
+
     @staticmethod
-    def max_step(u, du):
+    def _step(u, du):
         # first positive root of det(u + alpha du) = 0, if any
         a = _soc_det(du)
         b = 2.0 * (u[0] * du[0] - u[1:] @ du[1:])
@@ -353,19 +373,9 @@ class _PsdScaling:
     def e(self):
         return svec(np.eye(self.order))
 
-    def _batch(self, cols):
-        iu, scale = _svec_index(self.order)
-        T = np.zeros((cols.shape[1], self.order, self.order))
-        vals = (cols / scale[:, None]).T
-        T[:, iu[0], iu[1]] = vals
-        T[:, iu[1], iu[0]] = vals
-        return T
-
-    def hinv_mat(self, cols):
-        iu, scale = _svec_index(self.order)
-        T = self._batch(cols)
-        out = self.Ginv @ T @ self.Ginv
-        return (out[:, iu[0], iu[1]] * scale[None, :]).T
+    def schur(self, pmap: "_PsdMap"):
+        """Mb' H^{-1} Mb for the block's map, batched once per solve."""
+        return pmap.schur(self.Ginv)
 
     def _congr(self, v, L, Rm):
         return svec(L @ smat(v, self.order) @ Rm)
@@ -395,18 +405,56 @@ class _PsdScaling:
         B = smat(b, self.order)
         return svec(0.5 * (A @ B + B @ A))
 
-    def max_step(self, u, du):
-        # largest alpha with U + alpha dU still PSD, via the cholesky of U
-        U = smat(u, self.order)
+    def max_step(self, ds, dz):
+        """Largest steps along ds and dz that keep S and Z semidefinite."""
+        return self._step(self.Ls, ds), self._step(self.Lz, dz)
+
+    def _step(self, L, du):
+        # largest alpha with L L' + alpha dU still PSD, from the factor L
         dU = smat(du, self.order)
-        try:
-            L = np.linalg.cholesky(U)
-        except np.linalg.LinAlgError:
-            raise _Breakdown from None
         A = sla.solve_triangular(L, dU, lower=True)
         B = sla.solve_triangular(L, A.T, lower=True).T
         lam_min = float(np.linalg.eigvalsh(0.5 * (B + B.T)).min())
         return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
+
+
+# Entries of the (chunk, N, N) intermediates of one chunk of a PSD block's
+# congruence batch (4 MB each); bounds the build's peak memory.
+PSD_CHUNK_ENTRIES = 1 << 19
+
+
+class _PsdMap:
+    """The dense map Mb of one PSD block, prepared once per solve.
+
+    Each used column of Mb (one with a nonzero entry) is kept as the
+    symmetric matrix it maps to.  `schur(G)` returns
+    Mb' [svec(G smat(Mb[:, j]) G)]_j, running the congruences over the used
+    columns in chunks of at most PSD_CHUNK_ENTRIES entries and writing them
+    into a buffer that every iteration reuses; unused columns stay zero.
+    """
+
+    def __init__(self, Mb: np.ndarray, order: int):
+        iu, scale = _svec_index(order)
+        self.Mb = Mb
+        self.order = order
+        self.used = np.flatnonzero(np.any(Mb != 0.0, axis=0))
+        vals = (Mb[:, self.used] / scale[:, None]).T
+        self.batch = np.zeros((self.used.size, order, order))
+        self.batch[:, iu[0], iu[1]] = vals
+        self.batch[:, iu[1], iu[0]] = vals
+        self.chunk = max(1, PSD_CHUNK_ENTRIES // (order * order))
+        # spans all columns of Mb: restricting Mb' @ buf to the used ones
+        # lets BLAS round the product differently.  Column-major, so each
+        # chunk writes whole columns.
+        self.buf = np.zeros((Mb.shape[1], Mb.shape[0])).T
+
+    def schur(self, G: np.ndarray) -> np.ndarray:
+        iu, scale = _svec_index(self.order)
+        for at in range(0, self.used.size, self.chunk):
+            cols = self.used[at : at + self.chunk]
+            out = G @ self.batch[at : at + self.chunk] @ G
+            self.buf[:, cols] = (out[:, iu[0], iu[1]] * scale[None, :]).T
+        return self.Mb.T @ self.buf
 
 
 def _make_scaling(block: ConeBlock, s, z):
@@ -417,6 +465,15 @@ def _make_scaling(block: ConeBlock, s, z):
     if block.kind == "psd":
         return _PsdScaling(s, z, block.order)
     raise ConicSolverError(f"no scaling for kind {block.kind!r}")
+
+
+def _block_map(block: ConeBlock, Mb: sp.csr_matrix):
+    """The block's rows of the cone map, in the form its `schur` takes."""
+    if block.kind == "nonneg":
+        return Mb
+    if block.kind == "soc":
+        return Mb.toarray()
+    return _PsdMap(Mb.toarray(), block.order)
 
 
 def _unit_element(block: ConeBlock) -> np.ndarray:
@@ -505,30 +562,35 @@ def _unfold_duals(prog: ConicProgram, fold, y: np.ndarray, z: np.ndarray):
 
 
 class _Kkt:
-    """Factorization of [[K11 + eps, E'], [E, -eps]] with refinement."""
+    """Factorization of [[K11 + eps, E'], [E, -eps]] with refinement.
 
-    def __init__(self, K11, E, reg, refine):
-        self.n = K11.shape[0]
+    The dense border E is written once per solve; `factor` writes each
+    iteration's K11 into it and hands dsytrf a fresh copy per attempt.
+    """
+
+    def __init__(self, E: sp.csr_matrix, n: int):
+        self.n = n
         self.m = E.shape[0]
         self.E = E
-        self.K11 = K11
-        self.refine = refine
-        dim = self.n + self.m
-        full = np.zeros((dim, dim))
-        full[: self.n, : self.n] = K11
+        self.full = np.zeros((n + self.m, n + self.m), order="F")
         if self.m:
-            Ed = E.toarray() if sp.issparse(E) else E
-            full[self.n :, : self.n] = Ed
-            full[: self.n, self.n :] = Ed.T
+            Ed = E.toarray()
+            self.full[n:, :n] = Ed
+            self.full[:n, n:] = Ed.T
+
+    def factor(self, K11: np.ndarray) -> None:
+        n, dim = self.n, self.full.shape[0]
+        self.K11 = K11
+        self.full[:n, :n] = K11
         # absolute regularization: the NT diagonal grows like 1/mu near
         # convergence, so scaling eps by the matrix magnitude would wreck
         # the late directions that refinement is supposed to rescue
-        eps = reg
+        eps = STATIC_REG
         for attempt in range(4):
-            mat = full.copy()
-            mat[np.arange(self.n), np.arange(self.n)] += eps
-            mat[np.arange(self.n, dim), np.arange(self.n, dim)] -= eps
-            ldu, ipiv, info = lapack.dsytrf(mat, lower=1)
+            mat = self.full.copy(order="F")
+            mat[np.arange(n), np.arange(n)] += eps
+            mat[np.arange(n, dim), np.arange(n, dim)] -= eps
+            ldu, ipiv, info = lapack.dsytrf(mat, lower=1, overwrite_a=True)
             if info == 0:
                 self.ldu, self.ipiv = ldu, ipiv
                 return
@@ -554,7 +616,7 @@ class _Kkt:
         rhs = np.concatenate([rhs1, rhs2])
         sol = self._raw_solve(rhs)
         scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-        for _ in range(self.refine):
+        for _ in range(REFINE_STEPS):
             resid = rhs - self._apply(sol)
             if np.abs(resid).max(initial=0.0) <= 1e-14 * scale:
                 break
@@ -575,10 +637,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
     ET = E.T.tocsr()
     MT = M.T.tocsr()
-    M_dense_blocks = {}
-    for i, (b, sl) in enumerate(zip(blocks, slices)):
-        if b.kind in ("soc", "psd"):
-            M_dense_blocks[i] = M[sl].toarray()
+    block_maps = [_block_map(b, M[sl]) for b, sl in zip(blocks, slices)]
+    kkt = _Kkt(E, n)
 
     x = np.zeros(n)
     y = np.zeros(m_eq)
@@ -681,19 +741,13 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             # K11 = M' H^{-1} M assembled blockwise
             K11 = np.zeros((n, n))
             hinv_h = np.zeros(m_k)
-            for i, (b, sl, sc) in enumerate(zip(blocks, slices, scalings)):
+            for sl, sc, bmap in zip(slices, scalings, block_maps):
                 hinv_h[sl] = sc.hinv_vec(h[sl])
-                if b.kind == "nonneg":
-                    Mb = M[sl]
-                    scaled = Mb.multiply((1.0 / (sc.w * sc.w))[:, None])
-                    K11 += (Mb.T @ scaled).toarray()
-                else:
-                    Mb = M_dense_blocks[i]
-                    K11 += Mb.T @ sc.hinv_mat(Mb)
+                K11 += sc.schur(bmap)
             mh = MT @ hinv_h
             hHh = float(h @ hinv_h)
 
-            kkt = _Kkt(K11, E, STATIC_REG, REFINE_STEPS)
+            kkt.factor(K11)
             vx, vy = kkt.solve(-(c + mh), d)
 
             mu = (s @ z + tau * kappa) / (nu + 1)
@@ -725,9 +779,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
             def max_step(dz, ds, dtau, dkappa):
                 alpha = np.inf
-                for b, sl, sc in zip(blocks, slices, scalings):
-                    alpha = min(alpha, sc.max_step(s[sl], ds[sl]))
-                    alpha = min(alpha, sc.max_step(z[sl], dz[sl]))
+                for sl, sc in zip(slices, scalings):
+                    alpha = min(alpha, *sc.max_step(ds[sl], dz[sl]))
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
                 if dkappa < 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from cpproj.conic import (
@@ -9,11 +10,14 @@ from cpproj.conic import (
     ConicSolverError,
     SolverSettings,
     _dist_outside_cone,
+    _PsdMap,
+    _PsdScaling,
     smat,
     solve,
     svec,
     verify_certificate,
 )
+from cpproj.moments import moment_cone_constraints
 
 
 def make_program(c, E, d, M, h, blocks, layout=None):
@@ -303,3 +307,67 @@ def test_iteration_limit_reports_best_iterate():
     assert sol.primal is not None
     assert "primal_feas" in sol.residuals
 
+
+def _svec_scaled(entries, order):
+    """A moment block's 0/1 entry map with the cone map's svec weights."""
+    scale = np.array(
+        [1.0 if a == b else np.sqrt(2.0) for a in range(order) for b in range(a, order)]
+    )
+    return sp.diags(scale) @ entries
+
+
+def _psd_map_case(name):
+    if name == "dense random":
+        order = 6
+        return np.random.default_rng(3).normal(size=(order * (order + 1) // 2, 9)), order
+    if name == "moment n=4 k=4":
+        blk = moment_cone_constraints(4, 4).psd_blocks[0]
+    else:  # x_1 times the order-1 moment block of n=3, k=2
+        blk = moment_cone_constraints(3, 2).psd_blocks[2]
+    return _svec_scaled(blk.entries, blk.order).toarray(), blk.order
+
+
+@pytest.mark.parametrize("name", ["moment n=4 k=4", "coordinate localizer", "dense random"])
+def test_psd_map_schur_matches_the_columnwise_congruence_bitwise(name):
+    Mb, order = _psd_map_case(name)
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(order, order))
+    G = A @ A.T / order + np.eye(order)
+    pmap = _PsdMap(Mb, order)
+    # reference: one congruence per column of Mb, stacked column-major as
+    # the batched build writes them
+    ref = np.array([svec(G @ smat(Mb[:, v], order) @ G) for v in range(Mb.shape[1])]).T
+    assert np.array_equal(pmap.schur(G), Mb.T @ ref)
+    assert np.array_equal(pmap.schur(G), Mb.T @ ref)  # the reused buffer
+    used = np.flatnonzero(np.abs(Mb).sum(axis=0))
+    assert np.array_equal(pmap.used, used)
+    if name.startswith("moment"):
+        assert pmap.used.size == 495 and pmap.used.size > pmap.chunk
+    if name.startswith("coordinate"):
+        assert used.size < Mb.shape[1]
+
+
+def _psd_step_fresh(u, du, order):
+    # the step length from a fresh Cholesky factorization of smat(u)
+    L = np.linalg.cholesky(smat(u, order))
+    A = sla.solve_triangular(L, smat(du, order), lower=True)
+    B = sla.solve_triangular(L, A.T, lower=True).T
+    lam_min = float(np.linalg.eigvalsh(0.5 * (B + B.T)).min())
+    return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
+
+
+def test_psd_step_from_the_scaling_factors_matches_a_fresh_cholesky():
+    rng = np.random.default_rng(5)
+    order = 7
+    A, B = rng.normal(size=(2, order, order))
+    s = svec(A @ A.T + 0.1 * np.eye(order))
+    z = svec(B @ B.T + 0.1 * np.eye(order))
+    sc = _PsdScaling(s, z, order)
+    D = rng.normal(size=(order, order))
+    for d in (svec(D + D.T), -svec(D + D.T)):
+        got = sc.max_step(d, -d)
+        assert got == (_psd_step_fresh(s, d, order), _psd_step_fresh(z, -d, order))
+        assert all(np.isfinite(a) and a > 0 for a in got)
+    P = svec(D @ D.T)
+    assert sc.max_step(P, P) == (np.inf, np.inf)
+    assert sc.max_step(-P, P) == (_psd_step_fresh(s, -P, order), np.inf)
