@@ -37,7 +37,9 @@ __all__ = [
     "extract_atoms",
     "cp_decomposition",
     "polish_decomposition",
+    "row_floor",
     "sparsify_decomposition",
+    "trace_scaled",
     "verify_decomposition",
 ]
 
@@ -280,23 +282,53 @@ def polish_decomposition(
     return CpDecomposition.from_factors(fit.x.reshape(r, n))
 
 
+def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F rescaled so that its reconstruction F^T F has the trace of X."""
+    return F * (np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F))
+
+
+def row_floor(X: np.ndarray | SymMatrix, tol: float) -> int:
+    """Fewest factor rows (at least 1) whose reconstruction can lie within tol of X.
+
+    By Eckart-Young, any k rows leave a Frobenius residual of at least the
+    norm of the n - k eigenvalues of X smallest in absolute value, so fewer
+    rows than the smallest k whose tail is at most `tol` cannot pass the gate.
+    """
+    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
+    lam = np.sort(np.abs(np.linalg.eigvalsh(Xv)))
+    tails = np.sqrt(np.concatenate(([0.0], np.cumsum(lam**2))))
+    dropped = int(np.searchsorted(tails, tol, side="right")) - 1
+    return max(1, lam.size - dropped)
+
+
 def sparsify_decomposition(
     X: np.ndarray | SymMatrix, dec: CpDecomposition, tol: float
 ) -> CpDecomposition:
-    """Greedily drop factors while the rest still reconstructs X within tol.
+    """Drop factors while the rest still reconstructs X within tol.
 
     The moment vectors behind a factorization often carry more atoms than a
     minimal nonnegative factorization of X needs (duplicated support points,
-    mass that other atoms can absorb).  Each pass tentatively removes the
-    lightest factor whose removal survives a re-polish, so the result is a
-    locally minimal certificate.  `tol` is the absolute Frobenius residual
-    budget; the input is returned unchanged when already within budget at
-    minimal length or when no removal fits.
+    mass that other atoms can absorb), and a direct factorization starts
+    from n(n+1)/2 rows.  No factorization with fewer rows than
+    `row_floor(X, tol)` can pass, so the search first jumps there: one
+    polish from the heaviest rows, rescaled to the trace of X.  If that fits,
+    its count is the fewest possible (the Eckart-Young minimum).  Otherwise
+    the greedy pass runs from the untouched input: each pass tentatively
+    removes the lightest factor whose removal survives a re-polish, down to
+    the floor, so the result is a locally minimal certificate.  `tol` is the
+    absolute Frobenius residual budget; the input is returned unchanged when
+    it is already at the floor or when no removal fits.
     """
     Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
+    least = row_floor(Xv, tol)
+    if dec.rank > least:
+        heavy = dec.factors[np.argsort(dec.weights)[-least:]]
+        jump = polish_decomposition(Xv, CpDecomposition.from_factors(trace_scaled(heavy, Xv)))
+        if verify_decomposition(Xv, jump) <= tol:
+            return jump
     cur = dec
     shrunk = True
-    while shrunk and cur.rank > 1:
+    while shrunk and cur.rank > least:
         shrunk = False
         for idx in np.argsort(cur.weights):
             trial = CpDecomposition(

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cpproj.driver
 from cpproj.conic import SolverSettings
 from cpproj.driver import (
     FACTOR_TOL,
@@ -141,6 +142,38 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
     out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
     assert isinstance(out, Inconclusive)
     assert any("(factorization): factor residual" in e for e in out.events)
+
+
+def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
+    # draw 15 of the acceptance suite's seed-7 set: the polished 10-row start
+    # misses the factorization budget (3.6e-5 against 1.6e-6), and only the
+    # re-polish from fewer rows inside sparsify certifies order 2
+    C = np.array([
+        [-0.1666548508803217, -0.5165536597357838, -1.3212621748156361, 0.4308736801067756],
+        [-0.5165536597357838, 0.40652853663281385, -0.9379684042419925, -0.15915143320922082],
+        [-1.3212621748156361, -0.9379684042419925, 0.19540791774940214, 0.6210931852725784],
+        [0.4308736801067756, -0.15915143320922082, 0.6210931852725784, -1.3927890458668095],
+    ])
+    starts = []
+    sparsify = cpproj.driver.sparsify_decomposition
+
+    def recording(X, dec, tol):
+        starts.append((dec.rank, np.linalg.norm(dec.reconstruct() - X), tol))
+        return sparsify(X, dec, tol)
+
+    monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", recording)
+    out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
+    assert isinstance(out, Projected)
+    assert out.k_used == 2
+    assert out.t_used is None
+    assert out.decomposition.rank == 2
+    rank, resid, budget = starts[-1]
+    assert rank == 10
+    assert resid > 10.0 * budget
+    assert any(
+        "(factorization): certified with 2 atoms (the Eckart-Young minimum)" in e
+        for e in out.events
+    )
 
 
 def test_settings_validation():

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cpproj.extraction
+from cpproj.driver import FACTOR_TOL, DriverSettings
 from cpproj.extraction import (
     AtomicMeasure,
     CpDecomposition,
@@ -10,11 +12,14 @@ from cpproj.extraction import (
     cp_decomposition,
     extract_atoms,
     polish_decomposition,
+    row_floor,
     sparsify_decomposition,
+    trace_scaled,
     verify_decomposition,
 )
 from cpproj.moments import check_flat
 from cpproj.polybasis import Tms, moments_of_atoms
+from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 
 
 def _random_simplex_atoms(rng, r, n):
@@ -201,18 +206,111 @@ C5 = np.array([
 ])
 
 
+def _spy_on_polish(monkeypatch, miss_first=False):
+    """Record (row count, result) of every polish that sparsify starts.
+
+    With `miss_first`, the first polish hands its start back unpolished, so
+    a jump to the row floor misses and the greedy pass has to run.
+    """
+    calls = []
+    polish = cpproj.extraction.polish_decomposition
+
+    def spy(X, dec):
+        out = dec if miss_first and not calls else polish(X, dec)
+        calls.append((dec.rank, out))
+        return out
+
+    monkeypatch.setattr(cpproj.extraction, "polish_decomposition", spy)
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed):
+def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypatch):
     # the driver's direct-factorization start: n(n+1)/2 uniform rows whose
     # reconstruction has the trace of the target; C5 is nonsingular, so no
-    # fewer than 5 factors rebuild it
-    F = np.random.default_rng(seed).uniform(size=(15, 5))
-    F *= np.sqrt(np.trace(C5)) / np.linalg.norm(F)
+    # fewer than 5 factors rebuild it, and sparsify jumps there in one polish
+    F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
     dec = polish_decomposition(C5, CpDecomposition.from_factors(F))
+    calls = _spy_on_polish(monkeypatch)
     out = sparsify_decomposition(C5, dec, 1e-8)
+    assert [rank for rank, _ in calls] == [5]
     assert out.rank == 5
     assert out.factors.min() >= 0.0
     assert verify_decomposition(C5, out) <= 1e-8
+
+
+def test_trace_scaled_matches_the_trace_of_the_target():
+    F = trace_scaled(np.random.default_rng(1).uniform(size=(6, 3)), np.diag([1.0, 2.0, 4.0]))
+    npt.assert_allclose(np.sum(F**2), 7.0)
+
+
+def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
+    X = np.diag([3.0, 2.0, 0.5])
+    assert row_floor(X, 0.5) == 2
+    assert row_floor(X, np.nextafter(0.5, 0.0)) == 3
+    assert row_floor(X, np.sqrt(0.5**2 + 2.0**2)) == 1
+    assert row_floor(np.zeros((3, 3)), 1e-9) == 1
+
+
+@pytest.mark.parametrize("miss_jump", [False, True])
+def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_jump, monkeypatch):
+    # a rank-2 X of order 3, so no single row rebuilds it within 1e-9; the
+    # first factor is split in two, the lighter part the lightest row
+    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
+    X = F.T @ F
+    dec = _decomposition_from_factors(np.vstack([0.9 * F[0], np.sqrt(0.19) * F[0], F[1]]))
+    calls = _spy_on_polish(monkeypatch, miss_first=miss_jump)
+    out = sparsify_decomposition(X, dec, 1e-9)
+    assert [rank for rank, _ in calls] == ([2, 2] if miss_jump else [2])
+    assert out.rank == 2
+    assert verify_decomposition(X, out) <= 1e-9
+
+
+def _greedy_sparsify(X, dec, tol):
+    """The sparsify pass without floor or jump: drop the lightest factor
+    whose removal survives a re-polish, down to one factor."""
+    cur = dec
+    shrunk = True
+    while shrunk and cur.rank > 1:
+        shrunk = False
+        for idx in np.argsort(cur.weights):
+            trial = CpDecomposition(
+                np.delete(cur.atoms, idx, axis=0),
+                np.delete(cur.weights, idx),
+                np.delete(cur.factors, idx, axis=0),
+            )
+            trial = polish_decomposition(X, trial)
+            if verify_decomposition(X, trial) <= tol:
+                cur = trial
+                shrunk = True
+                break
+    return cur
+
+
+def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
+    # the order-2 X of draw 46 of the acceptance suite's seed-7 set is not
+    # CP, so the jump to its 3-row floor misses the factorization budget;
+    # sparsify must then return the greedy pass's result, bit for bit
+    C = np.array([
+        [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
+        [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
+        [-0.8477403269276138, 0.06507137558352677, 0.3368524787764621],
+    ])
+    prog, csol = solve_relaxation(ProblemSpec(C, "fro"), 2, DriverSettings().solver)
+    X = map_solution(prog, csol).matrix.values
+    tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    F = trace_scaled(np.random.default_rng(0).uniform(size=(6, 3)), X)
+    dec = polish_decomposition(X, CpDecomposition.from_factors(F))
+    want = _greedy_sparsify(X, dec, tol)
+
+    calls = _spy_on_polish(monkeypatch)
+    got = sparsify_decomposition(X, dec, tol)
+    jump_rows, jump = calls[0]
+    assert jump_rows == row_floor(X, tol) == 3
+    assert verify_decomposition(X, jump) > tol
+    assert got.rank == want.rank > 3
+    for field in ("atoms", "weights", "factors"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_from_factors_drops_empty_rows_and_normalizes_atoms():
