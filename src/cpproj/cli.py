@@ -317,8 +317,9 @@ def _summarize(doc: dict) -> str:
     status = doc["status"]
     if status == "projected":
         route = "factorization" if doc["t_used"] is None else f"truncation {doc['t_used']}"
+        where = "the DNN relaxation" if doc["k_used"] == 1 else f"order {doc['k_used']}"
         return (
-            f"projected: gamma={_scalar(doc['gamma'])} at order {doc['k_used']}, "
+            f"projected: gamma={_scalar(doc['gamma'])} at {where}, "
             f"{route}, {len(doc['decomposition']['weights'])} atoms"
         )
     if status == "infeasible":

@@ -1,5 +1,12 @@
 """End-to-end projection driver.
 
+First solves the doubly nonnegative (DNN) relaxation: CP lies inside DNN for
+every n (and equals it for n <= 4), so its distance bounds the projection
+distance from below, and when a direct factorization of its optimum passes
+the gates below, that optimum is the projection (reported as order 1).
+Otherwise, and always for infeasible constraints, whose Farkas certificates
+come from the moment relaxations, the driver goes on to the hierarchy.
+
 Solves the order-k relaxation for increasing k, watches the moment matrix of
 the solution for a flat truncation, and certifies the projection by
 extracting an atomic measure and rebuilding the matrix from its CP factors.
@@ -10,7 +17,9 @@ certifies nothing, the driver fits nonnegative factors to the optimal matrix
 directly, from a seeded random start, before moving to the next order.  Both
 routes pass the same gates: polish, sparsify, the factor residual and the
 constraints.  No moment evidence backs the direct factorization, so it is
-held to a tighter residual than extracted atoms are.
+held to a tighter residual than extracted atoms are.  A candidate matrix
+whose provable distance from the CP cone (`cp_distance_floor`) already
+exceeds the residual budget skips polish and sparsify altogether.
 
 Three outcomes are possible:
 
@@ -37,6 +46,7 @@ from .extraction import (
     ExtractionError,
     ExtractionTols,
     cp_decomposition,
+    cp_distance_floor,
     extract_atoms,
     polish_decomposition,
     row_floor,
@@ -49,6 +59,7 @@ from .relaxation import (
     ProblemSpec,
     RelaxationSolution,
     map_solution,
+    solve_dnn,
     solve_relaxation,
 )
 
@@ -118,8 +129,13 @@ class DriverSettings:
 class Projected:
     """Certified projection with its completely positive decomposition.
 
-    `t_used` is the flat truncation order whose atoms certified, or None
-    when the direct factorization of `matrix` did.
+    `k_used` is the relaxation order that certified, or 1 for the DNN
+    relaxation.  `t_used` is the flat truncation order whose atoms
+    certified, or None when the direct factorization of `matrix` did.
+    `relaxation` is the moment relaxation's solution, or None at the DNN
+    relaxation, which has no moment vector.  `bounds` lists an (order,
+    distance bound) pair per solve that gave one, order 1 for the DNN
+    relaxation.
     """
 
     matrix: np.ndarray
@@ -127,9 +143,9 @@ class Projected:
     decomposition: CpDecomposition
     k_used: int
     t_used: Optional[int]
-    relaxation: RelaxationSolution
+    relaxation: Optional[RelaxationSolution]
     events: tuple[str, ...]
-    bounds: tuple[tuple[int, float], ...] = ()  # (order, distance bound) per solve
+    bounds: tuple[tuple[int, float], ...] = ()
 
     status = "projected"
 
@@ -201,14 +217,24 @@ def _certify(
 ) -> Optional[CpDecomposition]:
     """Polish and sparsify candidate factors of X; None unless both gates pass.
 
-    `tol` is the factor residual allowed, relative to 1 + ||X||.  Sparsify
-    runs even when the polished candidate misses that budget: its re-polish
-    from fewer rows is part of the search for a certificate, and some
-    matrices are certified only that way.  The event says when the atom
-    count is the fewest that can fit X at all (`row_floor`).
+    `tol` is the factor residual allowed, relative to 1 + ||X||.  When
+    `cp_distance_floor` proves that no nonnegative factorization can come
+    within that budget, polish and sparsify are skipped and the event names
+    the gate.  Sparsify runs even when the polished candidate misses the
+    budget: its re-polish from fewer rows is part of the search for a
+    certificate, and some matrices are certified only that way.  The event
+    says when the atom count is the fewest that can fit X at all
+    (`row_floor`).
     """
-    dec = polish_decomposition(X, dec)
     budget = tol * (1.0 + float(np.linalg.norm(X)))
+    floor, gate = cp_distance_floor(X)
+    if floor > budget:
+        note(
+            f"{tag}: {gate} floor {floor:.3e} exceeds the factor budget {budget:.3e} "
+            f"({floor / budget:.3g} times); polish skipped"
+        )
+        return None
+    dec = polish_decomposition(X, dec)
     dec = sparsify_decomposition(X, dec, budget)
     resid = verify_decomposition(X, dec)
     if resid > budget:
@@ -264,7 +290,7 @@ def _factorize(
     spec: ProblemSpec,
     st: DriverSettings,
     note: Callable[[str], None],
-    k: int,
+    tag: str,
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly, from a seeded random start.
 
@@ -280,8 +306,7 @@ def _factorize(
     n = X.shape[0]
     F = np.random.default_rng(st.extraction_seed).uniform(size=(n * (n + 1) // 2, n))
     F = trace_scaled(F, X)
-    tag = f"order {k} (factorization)"
-    return _certify(X, CpDecomposition.from_factors(F), spec, note, tag, tol)
+    return _certify(X, CpDecomposition.from_factors(F), spec, note, f"{tag} (factorization)", tol)
 
 
 def approximate(
@@ -300,6 +325,32 @@ def approximate(
     gamma_lower: Optional[float] = None
     last_rsol: Optional[RelaxationSolution] = None
     bounds: list[tuple[int, float]] = []
+
+    # the DNN rung: CP lies inside DNN, so a DNN optimum that factors is the
+    # projection; every other ending falls through to the hierarchy, which
+    # also owns the Farkas certificates of infeasible instances
+    csol, gamma, X = solve_dnn(spec, st.solver)
+    note(f"DNN relaxation: solver finished {csol.status} after {csol.iterations} iterations")
+    if csol.status == "optimal":
+        gamma_lower = gamma
+        bounds.append((1, gamma))
+        note(f"DNN relaxation: distance bound {gamma:.10g}")
+        dec = _factorize(X, csol, spec, st, note, "DNN relaxation")
+        if dec is not None:
+            return Projected(
+                matrix=X,
+                gamma=gamma,
+                decomposition=dec,
+                k_used=1,
+                t_used=None,
+                relaxation=None,
+                events=tuple(events),
+                bounds=tuple(bounds),
+            )
+        note(f"DNN relaxation: not certified; going on to order {K_START}")
+    else:
+        note(f"DNN relaxation: status {csol.status!r} gives no bound; going on to order {K_START}")
+
     k = K_START
     for k in range(K_START, st.k_max + 1):
         prog, csol = solve_relaxation(spec, k, st.solver)
@@ -343,7 +394,9 @@ def approximate(
 
         X = rsol.matrix.values
         hit = _scan_truncations(rsol, spec, st, note, k)
-        dec, t = hit if hit is not None else (_factorize(X, csol, spec, st, note, k), None)
+        if hit is None:
+            hit = _factorize(X, csol, spec, st, note, f"order {k}"), None
+        dec, t = hit
         if dec is not None:
             return Projected(
                 matrix=X,

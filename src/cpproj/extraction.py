@@ -18,8 +18,10 @@ order instead of consuming wrong atoms.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "CpDecomposition",
     "extract_atoms",
     "cp_decomposition",
+    "cp_distance_floor",
     "polish_decomposition",
     "row_floor",
     "sparsify_decomposition",
@@ -276,10 +279,68 @@ def polish_decomposition(
         return J.reshape(rows.size, r * n)
 
     start = np.clip(dec.factors.ravel(), 0.0, None)
-    fit = least_squares(
-        resid, start, jac=jac, bounds=(0.0, np.inf), method="trf", xtol=1e-14, ftol=1e-14
-    )
+    try:
+        fit = least_squares(
+            resid, start, jac=jac, bounds=(0.0, np.inf), method="trf", xtol=1e-14, ftol=1e-14
+        )
+    except np.linalg.LinAlgError as exc:
+        # a failed fit is reported as the unrefined start, which the
+        # caller's residual gate then judges like any other candidate
+        logger.debug("polish failed (%s); keeping the start", exc)
+        return CpDecomposition.from_factors(start.reshape(r, n))
     return CpDecomposition.from_factors(fit.x.reshape(r, n))
+
+
+# the Horn matrix: copositive, yet not a PSD plus a nonnegative matrix, so
+# <H, X> >= 0 holds on the CP cone and can fail on DNN matrices of order >= 5
+_HORN = np.array([
+    [1.0, -1.0, 1.0, 1.0, -1.0],
+    [-1.0, 1.0, -1.0, 1.0, 1.0],
+    [1.0, -1.0, 1.0, -1.0, 1.0],
+    [1.0, 1.0, -1.0, 1.0, -1.0],
+    [-1.0, 1.0, 1.0, -1.0, 1.0],
+])
+
+
+@lru_cache(maxsize=None)
+def _horn_cuts(n: int) -> np.ndarray:
+    """Every distinct relabeling of _HORN on every 5-subset of n indices.
+
+    Returns an array of shape (count, n, n), zero outside each subset: 12
+    matrices for n = 5, 72 for n = 6, none below 5.
+    """
+    perms = {_HORN[np.ix_(p, p)].tobytes(): p for p in itertools.permutations(range(5))}
+    cuts = []
+    for subset in itertools.combinations(range(n), 5):
+        idx = np.array(subset)
+        for p in perms.values():
+            H = np.zeros((n, n))
+            H[np.ix_(idx, idx)] = _HORN[np.ix_(p, p)]
+            cuts.append(H)
+    cuts = np.array(cuts).reshape(-1, n, n)
+    cuts.setflags(write=False)  # cached, so shared by every caller
+    return cuts
+
+
+def cp_distance_floor(X: np.ndarray | SymMatrix) -> tuple[float, str]:
+    """A lower bound on ||F^T F - X||_F over all nonnegative F, and its gate.
+
+    Every F^T F is entrywise nonnegative, PSD and has <H, F^T F> >= 0 for
+    each copositive H, so it lies at least ||min(X, 0)||_F ("entrywise"),
+    ||min(lambda(X), 0)||_2 ("eigenvalue") and -<H, X> / ||H||_F ("Horn")
+    away from X.  Returns the largest of these with the name of its gate.
+    """
+    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
+    floors = {
+        "entrywise": float(np.linalg.norm(np.minimum(Xv, 0.0))),
+        "eigenvalue": float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(Xv), 0.0))),
+    }
+    cuts = _horn_cuts(Xv.shape[0])
+    if cuts.size:
+        # every embedded Horn matrix has Frobenius norm 5
+        floors["Horn"] = max(0.0, float(-np.einsum("kij,ij->k", cuts, Xv).min()) / 5.0)
+    gate = max(floors, key=floors.get)
+    return floors[gate], gate
 
 
 def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ vector s that satisfies the sphere equalities and the PSD block conditions of
 order k.  The sequence of optimal values grows with k toward the exact
 projection distance; certification at finite k happens downstream, through
 flat truncation and atom extraction or a direct nonnegative factorization of
-the optimal matrix.
+the optimal matrix.  `assemble_dnn` builds the coarser doubly nonnegative
+relaxation (X PSD and entrywise nonnegative) with the same constraint, split
+and norm rows; the driver solves it before the hierarchy.
 
 The norm objective turns into standard conic epigraphs:
 
@@ -22,7 +24,7 @@ The norm objective turns into standard conic epigraphs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +56,8 @@ __all__ = [
     "ProblemSpec",
     "RelaxationSolution",
     "assemble",
+    "assemble_dnn",
+    "solve_dnn",
     "map_solution",
     "solve_relaxation",
     "check_weak_duality",
@@ -62,6 +66,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# the DNN program is small and well conditioned, so its solve is held to the
+# engine's default accuracy: at 1e-7 its X is only about sqrt(gap) accurate
+DNN_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,40 +176,33 @@ class _ConeRows:
         return mat, np.asarray(self.offsets), tuple(self.blocks)
 
 
-def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
-    """Build the order-k conic relaxation of the projection instance."""
-    if k < 2:
-        raise ValueError("relaxation order must be at least 2")
+def _columns(spec: ProblemSpec, head: str, size: int) -> tuple[dict[str, slice], int]:
+    """Column layout and count: `head` in the first `size` columns, then
+    gamma, then the split parts Y+ and Y- (vech order) for the one and inf
+    norms."""
+    nbar = spec.dim * (spec.dim + 1) // 2
+    layout = {head: slice(0, size), "gamma": slice(size, size + 1)}
+    if spec.norm not in ("one", "inf"):
+        return layout, size + 1
+    layout["y_pos"] = slice(size + 1, size + 1 + nbar)
+    layout["y_neg"] = slice(size + 1 + nbar, size + 1 + 2 * nbar)
+    return layout, size + 1 + 2 * nbar
+
+
+def _constraint_rows(
+    spec: ProblemSpec, cone: _ConeRows, layout: dict[str, slice], x_off: int
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Rows every relaxation shares, with vech(X) in columns x_off + m.
+
+    Returns the equality rows and their right-hand side: the user's
+    equalities, then the one/inf split X - C = Y+ - Y-.  Appends to `cone`
+    the user's inequalities, Y+ >= 0, Y- >= 0 and the column-sum bounds
+    gamma >= sum_i (Y+ + Y-)_ij; the caller closes that nonnegative block.
+    """
     n = spec.dim
     nbar = n * (n + 1) // 2
-    L = basis_size(n, 2 * k)
-    system = moment_cone_constraints(n, k)
-    e_off = 1 + n  # degree-2 monomials start right after degree <= 1
-
-    layout: dict[str, slice] = {"tms": slice(0, L), "gamma": slice(L, L + 1)}
-    cur = L + 1
-    if spec.norm in ("one", "inf"):
-        layout["y_pos"] = slice(cur, cur + nbar)
-        cur += nbar
-        layout["y_neg"] = slice(cur, cur + nbar)
-        cur += nbar
-    N = cur
-    g = L  # gamma column
-
-    objective = np.zeros(N)
-    objective[g] = 1.0
-
-    cvech = vech(spec.C)
-
-    # --- equality rows ------------------------------------------------------
-    eq_parts = [
-        sp.hstack(
-            [system.equality, sp.csr_matrix((system.equality.shape[0], N - L))],
-            format="csr",
-        )
-    ]
-    eq_rhs = [np.zeros(system.equality.shape[0])]
-
+    g = layout["gamma"].start
+    split = spec.norm in ("one", "inf")
     rows, cols, vals, rhs = [], [], [], []
     r = 0
     for con in spec.equalities:
@@ -210,33 +210,25 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         for m in range(nbar):
             if w[m] != 0.0:
                 rows.append(r)
-                cols.append(e_off + m)
+                cols.append(x_off + m)
                 vals.append(w[m])
         rhs.append(con.rhs)
         r += 1
-    if spec.norm in ("one", "inf"):
+    if split:
+        cvech = vech(spec.C)
         yp, yn = layout["y_pos"].start, layout["y_neg"].start
         for m in range(nbar):
             rows.extend([r, r, r])
-            cols.extend([e_off + m, yp + m, yn + m])
+            cols.extend([x_off + m, yp + m, yn + m])
             vals.extend([1.0, -1.0, 1.0])
             rhs.append(cvech[m])
             r += 1
-    if r:
-        eq_parts.append(sp.csr_matrix((vals, (rows, cols)), shape=(r, N)))
-        eq_rhs.append(np.asarray(rhs))
-    eq_map = sp.vstack(eq_parts, format="csr")
-    eq_vec = np.concatenate(eq_rhs)
-
-    # --- cone rows ----------------------------------------------------------
-    cone = _ConeRows(N)
 
     for con in spec.inequalities:
         w = weighted_vech(con.matrix)
         nz = np.nonzero(w)[0]
-        cone.add_row(e_off + nz, w[nz], offset=-con.rhs)
-    if spec.norm in ("one", "inf"):
-        yp, yn = layout["y_pos"].start, layout["y_neg"].start
+        cone.add_row(x_off + nz, w[nz], offset=-con.rhs)
+    if split:
         for m in range(nbar):
             cone.add_row([yp + m], [1.0])
         for m in range(nbar):
@@ -249,7 +241,33 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
                     cs.extend([yp + m, yn + m])
                     vs.extend([-1.0, -1.0])
             cone.add_row(cs, vs)
+    eq = sp.csr_matrix((vals, (rows, cols)), shape=(r, cone.num_vars))
+    return eq, np.asarray(rhs, dtype=float)
+
+
+def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
+    """Build the order-k conic relaxation of the projection instance."""
+    if k < 2:
+        raise ValueError("relaxation order must be at least 2")
+    n = spec.dim
+    L = basis_size(n, 2 * k)
+    system = moment_cone_constraints(n, k)
+    e_off = 1 + n  # degree-2 monomials start right after degree <= 1
+
+    layout, N = _columns(spec, "tms", L)
+    g = L  # gamma column
+
+    objective = np.zeros(N)
+    objective[g] = 1.0
+
+    cone = _ConeRows(N)
+    user_eq, user_rhs = _constraint_rows(spec, cone, layout, e_off)
     cone.close_block("nonneg")
+    moment_eq = sp.hstack(
+        [system.equality, sp.csr_matrix((system.equality.shape[0], N - L))], format="csr"
+    )
+    eq_map = sp.vstack([moment_eq, user_eq], format="csr")
+    eq_vec = np.concatenate([np.zeros(system.equality.shape[0]), user_rhs])
 
     if spec.norm in ("fro", "two"):
         _append_norm_block(cone, spec.norm, spec.C, g, e_off)
@@ -309,6 +327,65 @@ def _append_norm_block(
             else:
                 cone.add_row([], [])
     cone.close_block("psd", order=p)
+
+
+def assemble_dnn(spec: ProblemSpec) -> ConicProgram:
+    """Build the doubly nonnegative relaxation of the projection instance.
+
+    Its variables are vech(X), gamma and, for the one and inf norms, the
+    split parts.  X is held entrywise nonnegative and PSD, under the same
+    constraint, split and norm rows as `assemble`.  CP lies inside DNN for
+    every n, so its optimum bounds the distance from below, and for n <= 4
+    the two cones coincide.
+    """
+    n = spec.dim
+    nbar = n * (n + 1) // 2
+    layout, N = _columns(spec, "vech", nbar)
+    g = nbar  # gamma column
+
+    objective = np.zeros(N)
+    objective[g] = 1.0
+
+    cone = _ConeRows(N)
+    for m in range(nbar):
+        cone.add_row([m], [1.0])
+    eq_map, eq_rhs = _constraint_rows(spec, cone, layout, 0)
+    cone.close_block("nonneg")
+    if spec.norm in ("fro", "two"):
+        _append_norm_block(cone, spec.norm, spec.C, g, 0)
+    for m, (a, b) in enumerate((a, b) for a in range(n) for b in range(a, n)):
+        cone.add_row([m], [1.0 if a == b else _SQRT2])
+    cone.close_block("psd", order=n)
+
+    cone_map, cone_offset, blocks = cone.matrices()
+    return ConicProgram(
+        objective=objective,
+        eq_map=eq_map,
+        eq_rhs=eq_rhs,
+        cone_map=cone_map,
+        cone_offset=cone_offset,
+        cone_blocks=blocks,
+        layout=layout,
+        info={"n": n, "norm": spec.norm},
+    )
+
+
+def solve_dnn(
+    spec: ProblemSpec, settings: SolverSettings | None = None
+) -> tuple[ConicSolution, Optional[float], Optional[np.ndarray]]:
+    """Solve the DNN relaxation; returns (conic solution, gamma, X).
+
+    Both tolerances are tightened to at most DNN_TOL and `max_iters` is
+    kept.  gamma and X are None when the solution carries no point.
+    """
+    st = settings or SolverSettings()
+    tight = replace(st, tol_feas=min(st.tol_feas, DNN_TOL), tol_gap=min(st.tol_gap, DNN_TOL))
+    prog = assemble_dnn(spec)
+    sol = conic_solve(prog, tight)
+    if sol.primal is None:
+        return sol, None, None
+    gamma = float(sol.primal[prog.layout["gamma"]][0])
+    return sol, gamma, vech_inv(sol.primal[prog.layout["vech"]]).values
 
 
 @dataclass(frozen=True, eq=False)

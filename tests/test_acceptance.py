@@ -369,18 +369,56 @@ def test_six_by_six_constrained_suite(reference_outcomes, capsys):
     _verdict(capsys, "six-by-six constrained suite", failures, ", ".join(parts))
 
 
-def test_random_small_projections_match_dnn_oracle(capsys):
-    """For n <= 4 the CP cone equals the doubly nonnegative cone, so the
-    nearest DNN matrix is an independent oracle for the certified distance."""
+def _dykstra_dnn_distance(C, tol=1e-12, max_iter=20000):
+    """Frobenius distance from C to the doubly nonnegative cone.
+
+    Dykstra's alternating projections between the PSD cone and the
+    nonnegative orthant (Higham, IMA J. Numer. Anal. 2002): plain numpy,
+    no conic solver, so it is independent of the driver's programs.
+    Returns the distance and the iterations used.
+    """
+    X = C.copy()
+    P = np.zeros_like(C)
+    Q = np.zeros_like(C)
+    for it in range(1, max_iter + 1):
+        w, V = np.linalg.eigh(X + P)
+        Y = (V * np.maximum(w, 0.0)) @ V.T
+        P = X + P - Y
+        X_next = np.maximum(Y + Q, 0.0)
+        Q = Y + Q - X_next
+        step = np.linalg.norm(X_next - X)
+        X = X_next
+        if step <= tol and np.linalg.norm(X - Y) <= tol:
+            break
+    return float(np.linalg.norm(X - C)), it
+
+
+def _oracle_draws():
+    """The 50 seed-7 draws of size 3 or 4, as (index, C)."""
     rng = np.random.default_rng(7)
-    failures = []
-    inconclusive = []
-    worst = 0.0
     for i in range(50):
         n = int(rng.integers(3, 5))
         G = rng.standard_normal((n, n))
-        C = (G + G.T) / 2.0
-        gamma_dnn, _ = project_dnn(C, "fro")
+        yield i, (G + G.T) / 2.0
+
+
+def test_random_small_projections_match_dnn_oracle(capsys):
+    """For n <= 4 the CP cone equals the doubly nonnegative cone, so the
+    nearest DNN matrix, found by Dykstra's projections, is an independent
+    oracle for the certified distance.  The oracle is first checked against
+    the conic DNN projection."""
+    failures = []
+    inconclusive = []
+    worst = 0.0
+    oracle_worst = 0.0
+    oracle_iters = 0
+    for i, C in _oracle_draws():
+        gamma_dnn, iters = _dykstra_dnn_distance(C)
+        oracle_iters = max(oracle_iters, iters)
+        oracle_gap = abs(gamma_dnn - project_dnn(C, "fro")[0])
+        oracle_worst = max(oracle_worst, oracle_gap)
+        _check(failures, oracle_gap <= 1e-6,
+               f"instance {i}: Dykstra {gamma_dnn:.8f} vs conic DNN projection")
         out = approximate(ProblemSpec(C, "fro"))
         if out.status == "projected":
             gap = abs(out.gamma - gamma_dnn)
@@ -392,7 +430,19 @@ def test_random_small_projections_match_dnn_oracle(capsys):
     _check(failures, len(inconclusive) < 5,
            f"{len(inconclusive)}/50 inconclusive, need fewer than 10%")
     _verdict(capsys, "random 3x3/4x4 against the DNN oracle", failures,
-             f"worst gap {worst:.1e}, inconclusive {len(inconclusive)}/50 {inconclusive}")
+             f"worst gap {worst:.1e}, inconclusive {len(inconclusive)}/50 {inconclusive}, "
+             f"oracle within {oracle_worst:.1e} of the conic projection "
+             f"in at most {oracle_iters} iterations")
+
+
+def test_rand45_is_certified_at_the_dnn_relaxation():
+    # draw 45 stalls at order 4, where its status depended on the BLAS
+    # kernel; its DNN optimum factors, so the hierarchy is never entered
+    C = dict(_oracle_draws())[45]
+    out = approximate(ProblemSpec(C, "fro"))
+    assert out.status == "projected"
+    assert out.k_used == 1
+    assert abs(out.gamma - _dykstra_dnn_distance(C)[0]) <= 1e-6
 
 
 def _moment_identity_residual():
@@ -585,16 +635,17 @@ def test_structural_property_suites(reference_outcomes, capsys):
         ok = sol.status == "primal_infeasible" and verify_certificate(prog, sol)
         _check(failures, ok, f"infeasible {seed}: {sol.status}, certificate {ok}")
 
-    # every order the driver reached, and orders 2 and 3 of the instances in
-    # BOUND_STEP_INSTANCES however early the driver certified them, so the
-    # monotonicity check always has steps to compare
+    # every order the driver reached, at least order 2 (the driver may stop
+    # at the DNN relaxation, which has no moment order), and orders 2 and 3
+    # of the instances in BOUND_STEP_INSTANCES however early the driver
+    # certified them, so the monotonicity check always has steps to compare
     st = SolverSettings(tol_feas=1e-7, tol_gap=1e-7)
     steps = 0
     optimal_solves = 0
     for name, (out, _) in reference_outcomes.items():
         if out.status == "infeasible":
             continue
-        k_hi = out.k_used if out.status == "projected" else out.k_last
+        k_hi = max(2, out.k_used if out.status == "projected" else out.k_last)
         if name in BOUND_STEP_INSTANCES:
             k_hi = max(k_hi, 3)
         bd = []

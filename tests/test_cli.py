@@ -19,11 +19,13 @@ C4 = [
     [1.0, 1.0, 5.0, 6.0],
 ]
 
-# draw 46 of the acceptance suite's seed-7 DNN-oracle set
-RAND46 = [
-    [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
-    [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
-    [-0.8477403269276138, 0.06507137558352677, 0.3368524787764621],
+# 1.8 I + adj(C5): doubly nonnegative, and not CP, as <Horn, CYCLE5> = -1
+CYCLE5 = [
+    [1.8, 1.0, 0.0, 0.0, 1.0],
+    [1.0, 1.8, 1.0, 0.0, 0.0],
+    [0.0, 1.0, 1.8, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 1.8, 1.0],
+    [1.0, 0.0, 0.0, 1.0, 1.8],
 ]
 
 # the reference instance two-c4: 5x5, spectral norm, two equalities and one
@@ -126,13 +128,13 @@ def test_infeasible_gives_exit_10_and_certificate(tmp_path, capsys):
 
 
 def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys):
-    # the order-2 optimal matrix X of this instance is not CP: its distance,
-    # 1.45436, is 1.9e-4 below the DNN distance 1.45456, and CP = DNN for
-    # n = 3, so every nonnegative factorization misses X by at least 1.9e-4,
-    # about 70 times the factorization budget 1e-6 * (1 + ||X||) = 2.7e-6.
+    # the cycle matrix is its own DNN projection, but the Horn matrix H has
+    # <H, CYCLE5> = -1 and <H, Y> >= 0 for every CP Y, so CYCLE5 lies at least
+    # 1 / ||H||_F = 0.2 from the CP cone.  The order-2 optimal matrix still
+    # has a Horn floor of 0.056, about 9,000 times the factorization budget.
     # Capping at 2 leaves the question open, and the emitted gamma is the
     # order-2 relaxation lower bound
-    path = write_problem(tmp_path, {"n": 3, "C": RAND46})
+    path = write_problem(tmp_path, {"n": 5, "C": CYCLE5})
     code, out, _ = run_cli(["--norm", "fro", "--kmax", "2", path], capsys)
     assert code == 20
     res = json.loads(out)
@@ -140,24 +142,25 @@ def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys):
     assert res["decomposition"] is None
     assert res["k_used"] == 2
     prog, csol = solve_relaxation(
-        ProblemSpec(np.array(RAND46), "fro"), 2, DriverSettings().solver
+        ProblemSpec(np.array(CYCLE5), "fro"), 2, DriverSettings().solver
     )
     assert csol.status == "optimal"
     assert res["gamma"] == json.loads(render_json(map_solution(prog, csol).gamma))
+    assert res["gamma"] == pytest.approx(0.1491502912, abs=1e-10)
 
 
 def test_factorization_certificate_reports_no_truncation(tmp_path, capsys):
-    # C4 is CP, and its order-2 moment vector is not flat: the direct
-    # factorization certifies it at order 2 without a truncation order
+    # C4 is CP: the direct factorization of its DNN projection certifies it
+    # before any moment relaxation, so there is no truncation order
     path = write_problem(tmp_path, {"n": 4, "C": C4})
     code, out, err = run_cli(["--norm", "one", "--log", "summary", path], capsys)
     assert code == 0
     res = json.loads(out)
     assert res["status"] == "projected"
-    assert res["k_used"] == 2
+    assert res["k_used"] == 1
     assert res["t_used"] is None
     assert '"t_used": null' in out
-    assert "at order 2, factorization," in err
+    assert "at the DNN relaxation, factorization," in err
     assert "truncation" not in err
 
 
@@ -315,7 +318,7 @@ def test_log_trace_prints_events(tmp_path, capsys):
     path = write_problem(tmp_path, {"n": 2, "C": CP2})
     code, _, err = run_cli(["--norm", "fro", path, "--log", "trace"], capsys)
     assert code == 0
-    assert "order 2" in err
+    assert "cpproj: DNN relaxation: solver finished optimal" in err
 
 
 def test_module_entry_point(tmp_path):

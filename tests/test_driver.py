@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import cpproj.driver
+import cpproj.extraction
 from cpproj.conic import SolverSettings
 from cpproj.driver import (
     FACTOR_TOL,
@@ -11,10 +12,11 @@ from cpproj.driver import (
     Infeasible,
     Projected,
     SolverFailure,
+    _factorize,
     approximate,
     check_cp_membership,
 )
-from cpproj.relaxation import LinearConstraint, ProblemSpec
+from cpproj.relaxation import LinearConstraint, ProblemSpec, map_solution, solve_relaxation
 
 
 def test_identity_projects_to_itself():
@@ -57,6 +59,8 @@ def test_negative_trace_constraint_is_infeasible():
     assert isinstance(out, Infeasible)
     assert out.status == "infeasible"
     assert out.certificate.status == "primal_infeasible"
+    # the Farkas pair belongs to a moment relaxation, never to the DNN rung
+    assert out.k_used == 2
 
 
 def test_constrained_projection():
@@ -109,8 +113,9 @@ def test_driver_is_deterministic():
 
 
 def test_direct_factorization_certifies_without_a_flat_truncation():
-    # the order-2 moment vector of this CP matrix is not flat, so the
-    # certificate comes from factoring the relaxation's matrix directly
+    # C4 is CP, so it is its own DNN projection in the one norm, and the
+    # factorization of the DNN optimum certifies it before any moment
+    # relaxation: no truncation, no relaxation solution
     C4 = np.array([
         [2.0, 1, 1, 1],
         [1, 2, 2, 1],
@@ -119,35 +124,52 @@ def test_direct_factorization_certifies_without_a_flat_truncation():
     ])
     out = approximate(ProblemSpec(C4, "one"))
     assert isinstance(out, Projected)
-    assert out.k_used == 2
+    assert out.k_used == 1
     assert out.t_used is None
-    assert any("(factorization): certified" in e for e in out.events)
+    assert out.relaxation is None
+    assert out.bounds == ((1, out.gamma),)
+    assert any("DNN relaxation (factorization): certified" in e for e in out.events)
     assert out.decomposition.factors.min() >= 0.0
     scale = 1.0 + np.linalg.norm(out.matrix)
     resid = np.linalg.norm(out.decomposition.reconstruct() - out.matrix)
     assert resid <= FACTOR_TOL * scale
 
 
+def _order2(C):
+    """Spec, order-2 conic solution and optimal matrix of a Frobenius instance."""
+    spec = ProblemSpec(C, "fro")
+    prog, csol = solve_relaxation(spec, 2, DriverSettings().solver)
+    assert csol.status == "optimal"
+    return spec, csol, map_solution(prog, csol).matrix.values
+
+
 def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
     # draw 19 of the acceptance suite's seed-7 DNN-oracle set: its order-2
     # distance is 1.6e-5 below the DNN distance, and CP = DNN for n = 4, so
-    # the order-2 matrix lies at least 1.6e-5 from the CP cone, six times
-    # the factorization budget; the extracted-atom budget would admit it
+    # the order-2 matrix lies at least 1.6e-5 from the CP cone.  Its entries
+    # reach -4.1e-5, and that entrywise floor (5.8e-5) is 21 times the
+    # factorization budget, so no polish is tried; the extracted-atom budget
+    # 1e-4 * (1 + ||X||) would admit a 2-atom fit.  The driver certifies
+    # this draw at the DNN relaxation, so the order-2 matrix is handed to
+    # the factorization directly
     C = np.array([
         [-0.061344079833248494, -0.04752070495388338, 0.2260475390418809, 0.6498794000316037],
         [-0.04752070495388338, 1.1880942172123188, -0.11041043468631645, 0.47938866899588234],
         [0.2260475390418809, -0.11041043468631645, -0.3894303048753847, -0.4499534834136761],
         [0.6498794000316037, 0.47938866899588234, -0.4499534834136761, 0.6688984464469374],
     ])
-    out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
-    assert isinstance(out, Inconclusive)
-    assert any("(factorization): factor residual" in e for e in out.events)
+    spec, csol, X = _order2(C)
+    events = []
+    assert _factorize(X, csol, spec, DriverSettings(), events.append, "order 2") is None
+    assert [e for e in events if "certified" in e] == []
+    assert any("order 2 (factorization): entrywise floor" in e for e in events)
 
 
 def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
     # draw 15 of the acceptance suite's seed-7 set: the polished 10-row start
     # misses the factorization budget (3.6e-5 against 1.6e-6), and only the
-    # re-polish from fewer rows inside sparsify certifies order 2
+    # re-polish from fewer rows inside sparsify certifies its order-2 matrix
+    # (the driver certifies this draw at the DNN relaxation)
     C = np.array([
         [-0.1666548508803217, -0.5165536597357838, -1.3212621748156361, 0.4308736801067756],
         [-0.5165536597357838, 0.40652853663281385, -0.9379684042419925, -0.15915143320922082],
@@ -162,17 +184,17 @@ def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypat
         return sparsify(X, dec, tol)
 
     monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", recording)
-    out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
-    assert isinstance(out, Projected)
-    assert out.k_used == 2
-    assert out.t_used is None
-    assert out.decomposition.rank == 2
-    rank, resid, budget = starts[-1]
+    spec, csol, X = _order2(C)
+    events = []
+    dec = _factorize(X, csol, spec, DriverSettings(), events.append, "order 2")
+    assert dec is not None
+    assert dec.rank == 2
+    (rank, resid, budget), = starts
     assert rank == 10
     assert resid > 10.0 * budget
     assert any(
-        "(factorization): certified with 2 atoms (the Eckart-Young minimum)" in e
-        for e in out.events
+        "order 2 (factorization): certified with 2 atoms (the Eckart-Young minimum)" in e
+        for e in events
     )
 
 
@@ -191,3 +213,49 @@ def test_all_norms_project_cp_fixed_point(norm):
     assert isinstance(out, Projected)
     assert abs(out.gamma) <= 1e-5
     npt.assert_allclose(out.matrix, C, atol=1e-4)
+
+
+def _cycle_matrix():
+    """1.8 I + adj(C5): doubly nonnegative, but <Horn, A> = -1, so not CP."""
+    A = 1.8 * np.eye(5)
+    for i in range(5):
+        A[i, (i + 1) % 5] = A[(i + 1) % 5, i] = 1.0
+    return A
+
+
+def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
+    # the SVD inside least_squares can fail to converge; the polish then
+    # hands back its start, which the residual gate judges, and approximate
+    # returns an outcome instead of raising
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cpproj.extraction, "least_squares", failing)
+    out = approximate(np.array([[2.0, 1.0], [1.0, 2.0]]), DriverSettings(k_max=2))
+    assert isinstance(out, (Projected, Inconclusive))
+    assert calls
+    assert any("DNN relaxation (factorization): factor residual" in e for e in out.events)
+
+
+def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
+    # the DNN optimum of the cycle matrix is the matrix itself, and the Horn
+    # matrix keeps every CP matrix 0.2 away from it; at order 2 the bound is
+    # 0.05587.  Both exceed the factor budget, so no polish runs at all
+    polished = []
+    monkeypatch.setattr(
+        cpproj.driver, "polish_decomposition", lambda X, dec: polished.append(1) or dec
+    )
+    out = approximate(_cycle_matrix(), DriverSettings(k_max=2))
+    assert isinstance(out, Inconclusive)
+    assert polished == []
+    skips = [e for e in out.events if "Horn floor" in e and "polish skipped" in e]
+    assert [e.split(":")[0] for e in skips] == [
+        "DNN relaxation (factorization)",
+        "order 2 (factorization)",
+    ]
+    assert "Horn floor 2.000e-01" in skips[0]
+    assert [k for k, _ in out.bounds] == [1, 2]
+    assert out.gamma_lower == out.bounds[1][1]

@@ -9,7 +9,9 @@ from cpproj.extraction import (
     CpDecomposition,
     ExtractionError,
     ExtractionTols,
+    _horn_cuts,
     cp_decomposition,
+    cp_distance_floor,
     extract_atoms,
     polish_decomposition,
     row_floor,
@@ -320,3 +322,41 @@ def test_from_factors_drops_empty_rows_and_normalizes_atoms():
     npt.assert_allclose(np.linalg.norm(dec.atoms, axis=1), 1.0)
     npt.assert_allclose(dec.weights, [4.0, 25.0])
     npt.assert_allclose(dec.reconstruct(), F.T @ F)
+
+
+@pytest.mark.parametrize("n, count", [(4, 0), (5, 12), (6, 72)])
+def test_horn_cuts_are_the_distinct_embedded_relabelings(n, count):
+    cuts = _horn_cuts(n)
+    assert cuts.shape == (count, n, n)
+    assert len({H.tobytes() for H in cuts}) == count
+    for H in cuts:
+        support = np.flatnonzero(np.abs(H).sum(axis=0))
+        assert support.size == 5
+        assert np.linalg.norm(H) == 5.0
+        npt.assert_array_equal(np.diag(H)[support], 1.0)
+
+
+def test_cp_distance_floor_names_the_gate_that_gives_it():
+    cycle = 1.8 * np.eye(5)
+    for i in range(5):
+        cycle[i, (i + 1) % 5] = cycle[(i + 1) % 5, i] = 1.0
+    bound, gate = cp_distance_floor(cycle)
+    assert gate == "Horn"
+    assert bound == pytest.approx(0.2, abs=1e-15)
+    assert cp_distance_floor(np.array([[1.0, -0.5], [-0.5, 1.0]])) == (
+        pytest.approx(np.sqrt(0.5), abs=1e-15), "entrywise"
+    )
+    bound, gate = cp_distance_floor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert gate == "eigenvalue"
+    assert bound == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_cp_distance_floor_never_exceeds_a_factorization_residual(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        F = rng.uniform(size=(rng.integers(1, 2 * n), n)) * (rng.uniform(size=(1, n)) > 0.3)
+        E = rng.standard_normal((n, n))
+        X = F.T @ F + rng.uniform(0.0, 2.0) * (E + E.T)
+        bound, _ = cp_distance_floor(X)
+        assert bound <= np.linalg.norm(F.T @ F - X) * (1.0 + 1e-12)

@@ -2,16 +2,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cpproj.conic import _dist_outside_cone, solve as conic_solve
+import cpproj.relaxation
+from cpproj.conic import SolverSettings, _dist_outside_cone, solve as conic_solve
 from cpproj.norms import p_norm
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
     assemble,
+    assemble_dnn,
     check_weak_duality,
     lift_atomic_point,
     map_solution,
     project_dnn,
+    solve_dnn,
     solve_relaxation,
 )
 
@@ -173,3 +176,52 @@ def test_map_solution_requires_a_point():
     assert rs.tms.n == 2 and rs.tms.k == 2
     assert rs.xtilde.size == prog.num_vars
     assert rs.dual_objective is not None
+
+
+def test_dnn_relaxation_of_a_plain_instance_is_the_dnn_projection():
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((4, 4))
+    C = (G + G.T) / 2.0
+    for norm in ("fro", "two"):
+        prog = assemble_dnn(ProblemSpec(C, norm))
+        assert [(b.kind, b.order) for b in prog.cone_blocks][-1] == ("psd", 4)
+        sol, gamma, X = solve_dnn(ProblemSpec(C, norm))
+        assert sol.status == "optimal"
+        ref_gamma, ref_X = project_dnn(C, norm)
+        assert gamma == pytest.approx(ref_gamma, abs=1e-8)
+        npt.assert_allclose(X, ref_X, atol=1e-6)
+
+
+def test_dnn_relaxation_keeps_the_constraints_and_the_split():
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((3, 3))
+    C = (G + G.T) / 2.0
+    cons = (
+        LinearConstraint(np.eye(3), 4.0, "eq"),
+        LinearConstraint(np.ones((3, 3)), 6.0, "ineq"),
+    )
+    for norm in ("one", "inf"):
+        spec = ProblemSpec(C, norm, cons)
+        prog = assemble_dnn(spec)
+        assert set(prog.layout) == {"vech", "gamma", "y_pos", "y_neg"}
+        sol, gamma, X = solve_dnn(spec)
+        assert sol.status == "optimal"
+        assert max(spec.violations(X)) <= 1e-7
+        assert X.min() >= -1e-8
+        assert np.linalg.eigvalsh(X).min() >= -1e-8
+        assert gamma == pytest.approx(p_norm(X - C, "one"), abs=1e-6)
+
+
+def test_solve_dnn_tightens_the_tolerances_and_keeps_max_iters(monkeypatch):
+    seen = []
+    real = cpproj.relaxation.conic_solve
+    monkeypatch.setattr(
+        cpproj.relaxation, "conic_solve", lambda prog, st: seen.append(st) or real(prog, st)
+    )
+    spec = ProblemSpec(np.eye(2))
+    solve_dnn(spec, SolverSettings(tol_feas=1e-7, tol_gap=1e-6, max_iters=50))
+    solve_dnn(spec, SolverSettings(tol_feas=1e-9, tol_gap=1e-10, max_iters=7))
+    assert [(st.tol_feas, st.tol_gap, st.max_iters) for st in seen] == [
+        (1e-8, 1e-8, 50),
+        (1e-9, 1e-10, 7),
+    ]
