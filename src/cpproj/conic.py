@@ -23,11 +23,14 @@ without a certificate.  The search direction comes from a dense
 symmetric-indefinite factorization of the cone-eliminated KKT system with
 static regularization and a couple of iterative-refinement sweeps, so
 identical inputs produce identical iterates.  Work that does not change
-between iterations is done once per solve: each PSD block's map is turned
-into a batch of symmetric matrices over its used columns, which every
-iteration's Schur-complement build congruences in bounded chunks, and the
-dense equality border of the KKT matrix is written once.  The step length
-of a PSD block reuses the Cholesky factors of its NT scaling.
+between iterations is done once per solve: each PSD block's sparse map is
+split into rank-one symmetric units grouped by column, and the dense
+equality border of the KKT matrix is written once.  Every PSD block in this
+package is a moment, localizing or norm matrix whose map has a few nonzeros
+per column, so each iteration builds that block's Schur complement from
+low-rank congruences and a sparse reduction, at a cost proportional to the
+map's nonzeros rather than to dense N x N congruences (see _PsdMap).  The
+step length of a PSD block reuses the Cholesky factors of its NT scaling.
 """
 from __future__ import annotations
 
@@ -374,7 +377,7 @@ class _PsdScaling:
         return svec(np.eye(self.order))
 
     def schur(self, pmap: "_PsdMap"):
-        """Mb' H^{-1} Mb for the block's map, batched once per solve."""
+        """Mb' H^{-1} Mb for the block's map, prepared once per solve."""
         return pmap.schur(self.Ginv)
 
     def _congr(self, v, L, Rm):
@@ -418,43 +421,67 @@ class _PsdScaling:
         return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
 
-# Entries of the (chunk, N, N) intermediates of one chunk of a PSD block's
-# congruence batch (4 MB each); bounds the build's peak memory.
+# Entries of the largest intermediate of one chunk of a PSD block's
+# Schur-complement build (4 MB); bounds the build's peak memory.
 PSD_CHUNK_ENTRIES = 1 << 19
 
 
 class _PsdMap:
-    """The dense map Mb of one PSD block, prepared once per solve.
+    """The sparse map Mb of one PSD block, prepared once per solve.
 
-    Each used column of Mb (one with a nonzero entry) is kept as the
-    symmetric matrix it maps to.  `schur(G)` returns
-    Mb' [svec(G smat(Mb[:, j]) G)]_j, running the congruences over the used
-    columns in chunks of at most PSD_CHUNK_ENTRIES entries and writing them
-    into a buffer that every iteration reuses; unused columns stay zero.
+    A nonzero v of Mb in the svec row of entry (a, b) adds the symmetric
+    unit c (e_a e_b' + e_b e_a') to smat(Mb[:, j]), with c = v / sqrt(2) off
+    the diagonal and c = v / 2 on it.  For symmetric G, therefore,
+    G smat(Mb[:, j]) G = X_j + X_j' with X_j = G[:, a_j] diag(c_j) G[b_j, :],
+    a product of rank nnz(Mb[:, j]), and the Schur complement
+    Mb' [svec(G smat(Mb[:, j]) G)]_j has entries 2 <smat(Mb[:, i]), X_j>:
+    a sparse reduction of vec(X_j) against the pattern matrix Q whose row i
+    is 2 vec(smat(Mb[:, i])).  The used columns (those with a nonzero) are
+    grouped by their nonzero count, so no column is padded, and split into
+    chunks whose intermediates hold at most PSD_CHUNK_ENTRIES entries.  One
+    `schur` call costs N^2 nnz(Mb) for the products and nnz(Q) per used
+    column for the reduction, where dense congruences cost 2 N^3 per used
+    column and a dense product with Mb' on top; unused columns stay zero.
     """
 
-    def __init__(self, Mb: np.ndarray, order: int):
-        iu, scale = _svec_index(order)
-        self.Mb = Mb
+    def __init__(self, Mb: sp.spmatrix, order: int):
+        iu, _ = _svec_index(order)
+        Mb = sp.csc_matrix(Mb, dtype=float)
+        Mb.sum_duplicates()
+        Mb.eliminate_zeros()
         self.order = order
-        self.used = np.flatnonzero(np.any(Mb != 0.0, axis=0))
-        vals = (Mb[:, self.used] / scale[:, None]).T
-        self.batch = np.zeros((self.used.size, order, order))
-        self.batch[:, iu[0], iu[1]] = vals
-        self.batch[:, iu[1], iu[0]] = vals
-        self.chunk = max(1, PSD_CHUNK_ENTRIES // (order * order))
-        # spans all columns of Mb: restricting Mb' @ buf to the used ones
-        # lets BLAS round the product differently.  Column-major, so each
-        # chunk writes whole columns.
-        self.buf = np.zeros((Mb.shape[1], Mb.shape[0])).T
+        self.size = Mb.shape[1]
+        a, b = iu[0][Mb.indices], iu[1][Mb.indices]
+        c = Mb.data / np.where(a == b, 2.0, math.sqrt(2.0))
+        counts = np.diff(Mb.indptr)
+        cols = np.repeat(np.arange(self.size), counts)
+        # coo sums the two halves of a diagonal unit into one entry
+        self.Q = sp.csr_matrix(
+            (np.concatenate([2.0 * c, 2.0 * c]),
+             (np.concatenate([cols, cols]), np.concatenate([a * order + b, b * order + a]))),
+            shape=(self.size, order * order),
+        )
+        used = np.flatnonzero(counts)
+        self.chunks = []
+        by_count = used[np.argsort(counts[used], kind="stable")]
+        for group in np.split(by_count, np.flatnonzero(np.diff(counts[by_count])) + 1):
+            if not group.size:  # no column of Mb is used
+                continue
+            m = counts[group[0]]
+            size = max(1, PSD_CHUNK_ENTRIES // (order * max(order, m)))
+            for at in range(0, group.size, size):
+                part = group[at : at + size]
+                nz = Mb.indptr[part][:, None] + np.arange(m)
+                self.chunks.append((part, a[nz], b[nz], c[nz]))
 
     def schur(self, G: np.ndarray) -> np.ndarray:
-        iu, scale = _svec_index(self.order)
-        for at in range(0, self.used.size, self.chunk):
-            cols = self.used[at : at + self.chunk]
-            out = G @ self.batch[at : at + self.chunk] @ G
-            self.buf[:, cols] = (out[:, iu[0], iu[1]] * scale[None, :]).T
-        return self.Mb.T @ self.buf
+        N = self.order
+        out = np.zeros((self.size, self.size))
+        for part, a, b, c in self.chunks:
+            X = (G[:, a].transpose(1, 0, 2) * c[:, None, :]) @ G[b]
+            # the reduction reads each vec(X_j) as a column
+            out[:, part] = self.Q @ np.ascontiguousarray(X.reshape(part.size, N * N).T)
+        return out
 
 
 def _make_scaling(block: ConeBlock, s, z):
@@ -473,7 +500,7 @@ def _block_map(block: ConeBlock, Mb: sp.csr_matrix):
         return Mb
     if block.kind == "soc":
         return Mb.toarray()
-    return _PsdMap(Mb.toarray(), block.order)
+    return _PsdMap(Mb, block.order)
 
 
 def _unit_element(block: ConeBlock) -> np.ndarray:

@@ -48,6 +48,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+STALL_ITERS = 50  # a polish stops once its cost has not halved over this many iterations
+
 
 class ExtractionError(RuntimeError):
     """The sequence did not yield a clean atomic measure at this order."""
@@ -253,9 +255,12 @@ def polish_decomposition(
     products square up; a few bound-constrained Gauss-Newton steps on the
     factor matrix recover several digits at negligible cost.  The factor
     count never grows, entries stay nonnegative by the bound constraint, and
-    rows whose mass collapses are dropped.  Any factor set this returns is
-    validated by the caller through `verify_decomposition`, so a polish that
-    stalls in a poor local minimum is caught there rather than here.
+    rows whose mass collapses are dropped.  A fit whose cost has not halved
+    over the last STALL_ITERS iterations stops where it is: on boundary
+    matrices the bounded steps can crawl for thousands of evaluations
+    without reaching the gate.  Any factor set this returns is validated by
+    the caller through `verify_decomposition`, so a polish that stalls in a
+    poor local minimum is caught there rather than here.
     """
     Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
     if dec.factors.size == 0:
@@ -278,10 +283,18 @@ def polish_decomposition(
         J[rows, :, iu[1]] += wgt[:, None] * F[:, iu[0]].T
         return J.reshape(rows.size, r * n)
 
+    costs: list[float] = []
+
+    def stall_stop(intermediate_result) -> None:
+        costs.append(intermediate_result.cost)
+        if len(costs) > STALL_ITERS and costs[-1] > 0.5 * costs[-1 - STALL_ITERS]:
+            raise StopIteration
+
     start = np.clip(dec.factors.ravel(), 0.0, None)
     try:
         fit = least_squares(
-            resid, start, jac=jac, bounds=(0.0, np.inf), method="trf", xtol=1e-14, ftol=1e-14
+            resid, start, jac=jac, bounds=(0.0, np.inf), method="trf", xtol=1e-14,
+            ftol=1e-14, callback=stall_stop,
         )
     except np.linalg.LinAlgError as exc:
         # a failed fit is reported as the unrefined start, which the

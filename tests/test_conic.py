@@ -4,6 +4,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import cpproj.conic
 from cpproj.conic import (
     ConeBlock,
     ConicProgram,
@@ -18,6 +19,7 @@ from cpproj.conic import (
     verify_certificate,
 )
 from cpproj.moments import moment_cone_constraints
+from cpproj.relaxation import ProblemSpec, assemble_dnn
 
 
 def make_program(c, E, d, M, h, blocks, layout=None):
@@ -316,35 +318,75 @@ def _svec_scaled(entries, order):
     return sp.diags(scale) @ entries
 
 
+def _program_psd_block(norm, order):
+    """The cone-map rows of the order-`order` PSD block of a 3x3 DNN relaxation."""
+    G = np.random.default_rng(2).normal(size=(3, 3))
+    prog = assemble_dnn(ProblemSpec((G + G.T) / 2.0, norm))
+    at = 0
+    for b in prog.cone_blocks:
+        if b.kind == "psd" and b.order == order:
+            return prog.cone_map[at : at + b.size].toarray()
+        at += b.size
+    raise AssertionError(f"no psd block of order {order}")
+
+
 def _psd_map_case(name):
     if name == "dense random":
         order = 6
         return np.random.default_rng(3).normal(size=(order * (order + 1) // 2, 9)), order
-    if name == "moment n=4 k=4":
+    if name == "dnn block":
+        return _program_psd_block("fro", 3), 3
+    if name == "two-norm block":
+        return _program_psd_block("two", 6), 6
+    if name.startswith("moment n=4 k=4"):
         blk = moment_cone_constraints(4, 4).psd_blocks[0]
     else:  # x_1 times the order-1 moment block of n=3, k=2
         blk = moment_cone_constraints(3, 2).psd_blocks[2]
     return _svec_scaled(blk.entries, blk.order).toarray(), blk.order
 
 
-@pytest.mark.parametrize("name", ["moment n=4 k=4", "coordinate localizer", "dense random"])
-def test_psd_map_schur_matches_the_columnwise_congruence_bitwise(name):
+@pytest.mark.parametrize(
+    "name",
+    [
+        "moment n=4 k=4",
+        "moment n=4 k=4, small chunks",
+        "coordinate localizer",
+        "dense random",
+        "dnn block",
+        "two-norm block",
+    ],
+)
+def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     Mb, order = _psd_map_case(name)
+    if name.endswith("small chunks"):
+        # at most 8 columns of order 70 per chunk, so count groups split
+        monkeypatch.setattr(cpproj.conic, "PSD_CHUNK_ENTRIES", 8 * order * order)
     rng = np.random.default_rng(11)
     A = rng.normal(size=(order, order))
     G = A @ A.T / order + np.eye(order)
-    pmap = _PsdMap(Mb, order)
-    # reference: one congruence per column of Mb, stacked column-major as
-    # the batched build writes them
-    ref = np.array([svec(G @ smat(Mb[:, v], order) @ G) for v in range(Mb.shape[1])]).T
-    assert np.array_equal(pmap.schur(G), Mb.T @ ref)
-    assert np.array_equal(pmap.schur(G), Mb.T @ ref)  # the reused buffer
-    used = np.flatnonzero(np.abs(Mb).sum(axis=0))
-    assert np.array_equal(pmap.used, used)
-    if name.startswith("moment"):
-        assert pmap.used.size == 495 and pmap.used.size > pmap.chunk
-    if name.startswith("coordinate"):
+    pmap = _PsdMap(sp.csr_matrix(Mb), order)
+    # reference: one dense congruence per column of Mb
+    ref = Mb.T @ np.array([svec(G @ smat(Mb[:, v], order) @ G) for v in range(Mb.shape[1])]).T
+    got = pmap.schur(G)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(pmap.schur(G), got)
+    counts = np.count_nonzero(Mb, axis=0)
+    used = np.flatnonzero(counts)
+    assert sorted(np.concatenate([part for part, *_ in pmap.chunks])) == list(used)
+    assert all(
+        part.size * order * max(order, a.shape[1]) <= cpproj.conic.PSD_CHUNK_ENTRIES
+        or part.size == 1
+        for part, a, *_ in pmap.chunks
+    )
+    if name == "moment n=4 k=4":
+        assert used.size == 495 and used.size > cpproj.conic.PSD_CHUNK_ENTRIES // order**2
+        assert counts.max() == 13
+    if name.endswith("small chunks"):
+        assert len(pmap.chunks) > np.unique(counts[used]).size
+    if name == "coordinate localizer":
         assert used.size < Mb.shape[1]
+    if name == "two-norm block":
+        assert counts.max() == order  # the gamma column: 2n diagonal entries
 
 
 def _psd_step_fresh(u, du, order):

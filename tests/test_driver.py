@@ -259,3 +259,29 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
     assert "Horn floor 2.000e-01" in skips[0]
     assert [k for k, _ in out.bounds] == [1, 2]
     assert out.gamma_lower == out.bounds[1][1]
+
+
+def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):
+    # draw 41 of the acceptance suite's seed-7 set: its DNN optimum is a CP
+    # boundary matrix, on which bounded trf fits crawl to their evaluation
+    # cap (6,273 evaluations in all without the stall stop)
+    C = np.array([
+        [1.272591177882884, 0.6115922042386994, -0.21173324322243775, 1.371384810658078],
+        [0.6115922042386994, -0.10335341582736501, 0.0919186627761294, -1.0166193235613654],
+        [-0.21173324322243775, 0.0919186627761294, 0.39573076180964684, 0.02708085549524727],
+        [1.371384810658078, -1.0166193235613654, 0.02708085549524727, 0.7312429884948122],
+    ])
+    fits = []
+    fit = cpproj.extraction.least_squares
+
+    def counting(*args, **kwargs):
+        res = fit(*args, **kwargs)
+        fits.append((res.nfev, res.status))
+        return res
+
+    monkeypatch.setattr(cpproj.extraction, "least_squares", counting)
+    out = approximate(ProblemSpec(C, "fro"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert sum(nfev for nfev, _ in fits) < 2000
+    assert any(status == -2 for _, status in fits)  # stopped by the callback

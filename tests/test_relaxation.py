@@ -4,6 +4,7 @@ import pytest
 
 import cpproj.relaxation
 from cpproj.conic import SolverSettings, _dist_outside_cone, solve as conic_solve
+from cpproj.driver import DriverSettings
 from cpproj.norms import p_norm
 from cpproj.relaxation import (
     LinearConstraint,
@@ -225,3 +226,19 @@ def test_solve_dnn_tightens_the_tolerances_and_keeps_max_iters(monkeypatch):
         (1e-8, 1e-8, 50),
         (1e-9, 1e-10, 7),
     ]
+
+
+def test_relabeling_leaves_the_order4_probe_solve_unchanged():
+    # the benchmark's order-4 probe times relabelings of one 4x4 matrix as
+    # equal work, which needs the same status and iteration count for each
+    G = np.random.default_rng(5).standard_normal((4, 4))
+    base = (G + G.T) / 2.0
+    runs = []
+    for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
+        spec = ProblemSpec(base[np.ix_(perm, perm)], "fro")
+        prog, sol = solve_relaxation(spec, 4, DriverSettings().solver)
+        runs.append((sol.status, sol.iterations, map_solution(prog, sol).gamma))
+    (status_a, iters_a, gamma_a), (status_b, iters_b, gamma_b) = runs
+    assert status_a == status_b == "optimal"
+    assert iters_a == iters_b
+    assert abs(gamma_a - gamma_b) <= 1e-9
