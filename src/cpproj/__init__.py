@@ -6,10 +6,11 @@ The package solves, in the 1-, 2-, infinity-, or Frobenius norm,
 
 returning either the projection together with an explicit nonnegative rank-one
 decomposition of it, or a certificate that no completely positive matrix
-satisfies the constraints.  The computation runs a hierarchy of semidefinite
-moment relaxations solved by the built-in conic interior-point method; exact
-termination is detected through a moment-matrix rank condition and the measure
-behind the solution is recovered atom by atom.
+satisfies the constraints.  The computation solves the doubly nonnegative
+relaxation and then a hierarchy of semidefinite moment relaxations with the
+built-in conic interior-point method; each relaxation bounds the distance
+from below, and its optimal matrix is certified completely positive by a
+direct nonnegative factorization.
 
 Entry points:
 
@@ -18,15 +19,15 @@ Entry points:
 - `check_cp_membership(C)` decides whether C itself is completely positive
   and returns a `MembershipResult`.
 - `ProblemSpec` / `LinearConstraint` describe the instance; `DriverSettings`
-  sets the highest relaxation order, the extraction seed and the
-  `SolverSettings` of the conic solver.
+  sets the highest relaxation order, the seed of the factorization start
+  and the `SolverSettings` of the conic solver.
 - `SolverFailure` and `ConicSolverError` report a solver breakdown or a
   malformed program; `CpDecomposition` holds the certified factors.
 
 The layers those entry points are built from are imported from their own
 modules: monomial bookkeeping and truncated moment sequences
-(`cpproj.polybasis`), moment and localizing matrices with the flatness test
-(`cpproj.moments`), atom extraction and factor handling (`cpproj.extraction`),
+(`cpproj.polybasis`), the moment-cone constraints (`cpproj.moments`), factor
+polish, sparsify and the CP distance floor (`cpproj.extraction`),
 the semidefinite reformulations of the four norms (`cpproj.norms`,
 `cpproj.relaxation`), and a self-contained homogeneous conic interior-point
 solver (`cpproj.conic`).

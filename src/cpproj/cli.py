@@ -52,7 +52,7 @@ from .extraction import CpDecomposition
 from .norms import p_norm
 from .relaxation import LinearConstraint, ProblemSpec
 
-__all__ = ["main", "run", "build_parser", "load_problem", "render_json"]
+__all__ = ["main", "run"]
 
 EXIT_PROJECTED = 0
 EXIT_INFEASIBLE = 10
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed for the randomized steps: atom extraction and the factorization start",
+        help="seed of the random factorization start",
     )
     p.add_argument(
         "--log",
@@ -246,7 +246,6 @@ def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
             "X": X.tolist(),
             "decomposition": _decomposition_doc(dec),
             "k_used": outcome.k_used,
-            "t_used": outcome.t_used,
             "certificate": None,
             "residuals": residuals,
         }
@@ -259,7 +258,6 @@ def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
             "X": None,
             "decomposition": None,
             "k_used": outcome.k_used,
-            "t_used": None,
             "certificate": {
                 "dual_equality": cert.dual_eq.tolist(),
                 "dual_cone": cert.dual_cone.tolist(),
@@ -276,7 +274,6 @@ def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
         "X": None if rel is None else rel.matrix.values.tolist(),
         "decomposition": None,
         "k_used": outcome.k_last,
-        "t_used": None,
         "certificate": None,
         "residuals": {},
     }
@@ -316,11 +313,10 @@ def _emit_logs(events: Sequence[str], summary: str, mode: str) -> None:
 def _summarize(doc: dict) -> str:
     status = doc["status"]
     if status == "projected":
-        route = "factorization" if doc["t_used"] is None else f"truncation {doc['t_used']}"
         where = "the DNN relaxation" if doc["k_used"] == 1 else f"order {doc['k_used']}"
         return (
             f"projected: gamma={_scalar(doc['gamma'])} at {where}, "
-            f"{route}, {len(doc['decomposition']['weights'])} atoms"
+            f"{len(doc['decomposition']['weights'])} atoms"
         )
     if status == "infeasible":
         return f"infeasible: certified at order {doc['k_used']}"

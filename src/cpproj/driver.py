@@ -7,27 +7,24 @@ the gates below, that optimum is the projection (reported as order 1).
 Otherwise, and always for infeasible constraints, whose Farkas certificates
 come from the moment relaxations, the driver goes on to the hierarchy.
 
-Solves the order-k relaxation for increasing k, watches the moment matrix of
-the solution for a flat truncation, and certifies the projection by
-extracting an atomic measure and rebuilding the matrix from its CP factors.
-The relaxation fixes the optimal matrix but not the moment vector behind it,
-and the path-following solver returns the analytic center of the optimal
-face, which is flat only when that face is a point.  Whenever the scan
-certifies nothing, the driver fits nonnegative factors to the optimal matrix
-directly, from a seeded random start, before moving to the next order.  Both
-routes pass the same gates: polish, sparsify, the factor residual and the
-constraints.  No moment evidence backs the direct factorization, so it is
-held to a tighter residual than extracted atoms are.  A candidate matrix
-whose provable distance from the CP cone (`cp_distance_floor`) already
-exceeds the residual budget skips polish and sparsify altogether.
+Solves the order-k moment relaxation for increasing k.  Each order gives a
+lower bound on the distance (or, for incompatible constraints, a Farkas
+certificate), and its optimal matrix goes through the same certification as
+the DNN optimum: the driver fits nonnegative factors to the matrix directly,
+from a seeded random start, polishes and sparsifies them, and accepts them
+only if their residual is within FACTOR_TOL and the matrix meets the
+constraints.  A candidate matrix whose provable distance from the CP cone
+(`cp_distance_floor`) already exceeds the residual budget skips polish and
+sparsify altogether.
 
 Three outcomes are possible:
 
   Projected     a certified projection: matrix, distance, CP decomposition
   Infeasible    the constraint set excludes every completely positive matrix
                 (a verified Farkas certificate is attached)
-  Inconclusive  no order up to k_max produced a certified measure; the best
-                relaxation bound is still a valid lower bound on the distance
+  Inconclusive  no order up to k_max produced a certified factorization; the
+                best relaxation bound is still a valid lower bound on the
+                distance
 
 A solver breakdown (no convergence, unverifiable certificate) raises
 SolverFailure instead of guessing.
@@ -43,18 +40,13 @@ import numpy as np
 from .conic import ConicSolution, SolverSettings
 from .extraction import (
     CpDecomposition,
-    ExtractionError,
-    ExtractionTols,
-    cp_decomposition,
     cp_distance_floor,
-    extract_atoms,
     polish_decomposition,
     row_floor,
     sparsify_decomposition,
     trace_scaled,
     verify_decomposition,
 )
-from .moments import check_flat
 from .relaxation import (
     ProblemSpec,
     RelaxationSolution,
@@ -86,25 +78,14 @@ class SolverFailure(RuntimeError):
 
 
 K_START = 2  # the lowest relaxation order; `assemble` rejects anything below
-RANK_TOL = 1e-6  # flatness rank decisions
-FEAS_TOL = 1e-7  # flatness feasibility residual
-# solver-grade sequences carry ~1e-7 noise that the eigenstructure reading can
-# amplify by a few orders, so the raw gates sit much looser than the module
-# defaults; the polished decomposition residual and constraint recheck below
-# are the binding verification
-EXTRACTION_TOLS = ExtractionTols(
-    entry_tol=1.5e-1, sphere_tol=1.5e-1, weight_tol=1e-8, fit_tol=1.5e-1
-)
 # residual multiplier (on top of the solver tolerances) up to which a stalled
-# iterate is still offered to the certification scan; its objective is never
+# iterate is still offered to the factorization; its objective is never
 # recorded as a distance bound in that band
 STALL_SLACK = 100.0
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
-RECON_TOL = 1e-4  # relative factor-reconstruction residual of extracted atoms
-# a direct factorization has no moment evidence behind it, so its fit is the
-# whole proof that X is completely positive: it is held to ten times the
-# default solver tolerance (widened only for a stalled iterate), not to the
-# looser budget for polishing extracted atoms
+# the factorization is the whole proof that X is completely positive, so its
+# fit is held to ten times the default solver tolerance (widened only for a
+# stalled iterate)
 FACTOR_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 
@@ -130,19 +111,16 @@ class Projected:
     """Certified projection with its completely positive decomposition.
 
     `k_used` is the relaxation order that certified, or 1 for the DNN
-    relaxation.  `t_used` is the flat truncation order whose atoms
-    certified, or None when the direct factorization of `matrix` did.
-    `relaxation` is the moment relaxation's solution, or None at the DNN
-    relaxation, which has no moment vector.  `bounds` lists an (order,
-    distance bound) pair per solve that gave one, order 1 for the DNN
-    relaxation.
+    relaxation.  `relaxation` is the moment relaxation's solution, or None
+    at the DNN relaxation, which has no moment vector.  `bounds` lists an
+    (order, distance bound) pair per solve that gave one, order 1 for the
+    DNN relaxation.
     """
 
     matrix: np.ndarray
     gamma: float
     decomposition: CpDecomposition
     k_used: int
-    t_used: Optional[int]
     relaxation: Optional[RelaxationSolution]
     events: tuple[str, ...]
     bounds: tuple[tuple[int, float], ...] = ()
@@ -183,9 +161,9 @@ def _usable_solution(csol, solver: SolverSettings, slack: float = 10.0) -> bool:
     Moment relaxations are degenerate enough that the interior-point engine
     can stall a small factor short of the request (typically on instances
     whose optimum touches the cone boundary everywhere).  The iterate it
-    hands back is still far more accurate than the rank scan needs, and the
-    binding checks happen downstream on the reconstructed factors and the
-    constraints, so a near miss is worth scanning rather than aborting.
+    hands back can still be certified, and the binding checks happen
+    downstream on the reconstructed factors and the constraints, so a near
+    miss is worth factorizing rather than aborting.
     """
     if csol.status == "optimal":
         return True
@@ -207,26 +185,32 @@ def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
     return None
 
 
-def _certify(
+def _factorize(
     X: np.ndarray,
-    dec: CpDecomposition,
+    csol: ConicSolution,
     spec: ProblemSpec,
+    st: DriverSettings,
     note: Callable[[str], None],
     tag: str,
-    tol: float,
 ) -> Optional[CpDecomposition]:
-    """Polish and sparsify candidate factors of X; None unless both gates pass.
+    """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    `tol` is the factor residual allowed, relative to 1 + ||X||.  When
-    `cp_distance_floor` proves that no nonnegative factorization can come
-    within that budget, polish and sparsify are skipped and the event names
-    the gate.  Sparsify runs even when the polished candidate misses the
-    budget: its re-polish from fewer rows is part of the search for a
-    certificate, and some matrices are certified only that way.  The event
-    says when the atom count is the fewest that can fit X at all
-    (`row_floor`).
+    The start has n(n+1)/2 rows of a seeded uniform draw, more than the
+    cp-rank of any completely positive matrix of order n (Barioli & Berman,
+    2003), scaled so that its reconstruction has the trace of X.  The fit
+    must reach FACTOR_TOL relative to 1 + ||X||, or ten times the worst
+    residual of the solve when that is larger: a stalled iterate is only
+    that accurate, so a tighter fit would hold X to more than the solve
+    could deliver.  When `cp_distance_floor` proves that no nonnegative
+    factorization can come within that budget, polish and sparsify are
+    skipped and the event names the gate.  Sparsify runs even when the
+    polished start misses the budget: its re-polish from fewer rows is part
+    of the search for a certificate.  The event says when the atom count is
+    the fewest that can fit X at all (`row_floor`).
     """
-    budget = tol * (1.0 + float(np.linalg.norm(X)))
+    tag = f"{tag} (factorization)"
+    level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
+    budget = max(FACTOR_TOL, 10.0 * level) * (1.0 + float(np.linalg.norm(X)))
     floor, gate = cp_distance_floor(X)
     if floor > budget:
         note(
@@ -234,7 +218,9 @@ def _certify(
             f"({floor / budget:.3g} times); polish skipped"
         )
         return None
-    dec = polish_decomposition(X, dec)
+    n = X.shape[0]
+    F = np.random.default_rng(st.extraction_seed).uniform(size=(n * (n + 1) // 2, n))
+    dec = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(F, X)))
     dec = sparsify_decomposition(X, dec, budget)
     resid = verify_decomposition(X, dec)
     if resid > budget:
@@ -247,66 +233,6 @@ def _certify(
     minimum = " (the Eckart-Young minimum)" if dec.rank == row_floor(X, budget) else ""
     note(f"{tag}: certified with {dec.rank} atoms{minimum}, factor residual {resid:.3e}")
     return dec
-
-
-def _scan_truncations(
-    rsol: RelaxationSolution,
-    spec: ProblemSpec,
-    st: DriverSettings,
-    note: Callable[[str], None],
-    k: int,
-) -> Optional[tuple[CpDecomposition, int]]:
-    """Look for a flat truncation whose atoms rebuild X; None if none does."""
-    tms, X = rsol.tms, rsol.matrix.values
-    for t in range(1, tms.k + 1):
-        report = check_flat(tms, t, rank_tol=RANK_TOL, feas_tol=FEAS_TOL)
-        if not report.is_flat:
-            continue
-        note(
-            f"order {k}: flat at truncation {t} "
-            f"(rank {report.rank_lo} = {report.rank_hi})"
-        )
-        try:
-            measure = extract_atoms(
-                tms,
-                t,
-                tols=EXTRACTION_TOLS,
-                seed=st.extraction_seed,
-                rank_tol=RANK_TOL,
-            )
-        except ExtractionError as exc:
-            note(f"order {k}, truncation {t}: extraction failed ({exc})")
-            continue
-        tag = f"order {k}, truncation {t}"
-        dec = _certify(X, cp_decomposition(measure), spec, note, tag, RECON_TOL)
-        if dec is not None:
-            return dec, t
-    return None
-
-
-def _factorize(
-    X: np.ndarray,
-    csol: ConicSolution,
-    spec: ProblemSpec,
-    st: DriverSettings,
-    note: Callable[[str], None],
-    tag: str,
-) -> Optional[CpDecomposition]:
-    """Fit nonnegative factors to X directly, from a seeded random start.
-
-    The start has n(n+1)/2 rows, more than the cp-rank of any completely
-    positive matrix of order n (Barioli & Berman, 2003), and is scaled so
-    that its reconstruction has the trace of X.  The fit must reach
-    FACTOR_TOL, or ten times the worst residual of the solve when that is
-    larger: a stalled iterate is only that accurate, so a tighter fit would
-    hold X to more than the solve could deliver.
-    """
-    level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
-    tol = max(FACTOR_TOL, 10.0 * level)
-    n = X.shape[0]
-    F = np.random.default_rng(st.extraction_seed).uniform(size=(n * (n + 1) // 2, n))
-    F = trace_scaled(F, X)
-    return _certify(X, CpDecomposition.from_factors(F), spec, note, f"{tag} (factorization)", tol)
 
 
 def approximate(
@@ -342,7 +268,6 @@ def approximate(
                 gamma=gamma,
                 decomposition=dec,
                 k_used=1,
-                t_used=None,
                 relaxation=None,
                 events=tuple(events),
                 bounds=tuple(bounds),
@@ -393,22 +318,18 @@ def approximate(
             note(f"order {k}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
 
         X = rsol.matrix.values
-        hit = _scan_truncations(rsol, spec, st, note, k)
-        if hit is None:
-            hit = _factorize(X, csol, spec, st, note, f"order {k}"), None
-        dec, t = hit
+        dec = _factorize(X, csol, spec, st, note, f"order {k}")
         if dec is not None:
             return Projected(
                 matrix=X,
                 gamma=rsol.gamma,
                 decomposition=dec,
                 k_used=k,
-                t_used=t,
                 relaxation=rsol,
                 events=tuple(events),
                 bounds=tuple(bounds),
             )
-        note(f"order {k}: neither a flat truncation nor the direct factorization certified")
+        note(f"order {k}: not certified")
 
     return Inconclusive(
         gamma_lower=gamma_lower,
@@ -441,7 +362,7 @@ def check_cp_membership(
     """Decide membership of C in the completely positive cone.
 
     Projects C (no constraints, Frobenius norm unless overridden) onto the
-    cone: distance zero means C is completely positive and the extracted
+    cone: distance zero means C is completely positive and the certified
     factors decompose C itself; a positive certified distance, or a positive
     lower bound from an exhausted hierarchy, rules membership out.  Any norm
     answers the yes/no question; the default is the numerically gentlest.

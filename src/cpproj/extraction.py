@@ -1,20 +1,13 @@
-"""Atom extraction from flat moment sequences and CP factor recovery.
+"""Nonnegative factorizations of a candidate matrix, and their gates.
 
-When the moment matrix of a sequence stops gaining rank between consecutive
-truncation orders, the sequence is (numerically) the moment vector of a
-measure supported on finitely many points.  The support is recovered through
-the classical multiplication-operator construction: a column echelon basis of
-the moment matrix turns each coordinate function into an r x r operator, and
-the joint eigenvalues of those commuting operators are the atom coordinates.
-A real Schur basis of a random convex combination of the operators
-simultaneously (quasi-)triangularizes them, which is where the joint
-eigenvalues are read off.
-
-Atoms are then cleaned (tiny negative coordinates clamped, unit-sphere
-deviation renormalized), weights refit by nonnegative least squares on the
-full truncated sequence, and the fit residual checked.  Failures raise
-ExtractionError so callers can move on to the next truncation or relaxation
-order instead of consuming wrong atoms.
+A matrix X is certified completely positive by nonnegative factor rows F
+with F^T F = X up to a residual budget.  `polish_decomposition` fits the
+factors by bound-constrained least squares, `sparsify_decomposition` drops
+rows down to the Eckart-Young floor (`row_floor`) while the fit holds, and
+`verify_decomposition` measures the residual that the caller gates on.
+`cp_distance_floor` gives a provable lower bound on that residual over all
+nonnegative factorizations, so a matrix that no factorization can fit is
+rejected without a polish.
 """
 from __future__ import annotations
 
@@ -22,22 +15,14 @@ import itertools
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import least_squares, nnls
+from scipy.optimize import least_squares
 
-from .moments import moment_matrix
-from .polybasis import SymMatrix, Tms, monomials_up_to
+from .polybasis import SymMatrix
 
 __all__ = [
-    "ExtractionTols",
-    "ExtractionError",
-    "AtomicMeasure",
     "CpDecomposition",
-    "extract_atoms",
-    "cp_decomposition",
     "cp_distance_floor",
     "polish_decomposition",
     "row_floor",
@@ -48,40 +33,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-STALL_ITERS = 50  # a polish stops once its cost has not halved over this many iterations
-
-
-class ExtractionError(RuntimeError):
-    """The sequence did not yield a clean atomic measure at this order."""
-
-
-@dataclass(frozen=True)
-class ExtractionTols:
-    entry_tol: float = 1e-6  # most negative atom coordinate that gets clamped
-    sphere_tol: float = 1e-6  # largest tolerated deviation from unit length
-    weight_tol: float = 1e-8  # weights at or below this are dropped
-    fit_tol: float = 1e-6  # relative moment-fit residual bound
-
-
-@dataclass(frozen=True, eq=False)
-class AtomicMeasure:
-    """Finitely supported measure: `atoms` has one point per row."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim != 2:
-            raise ValueError("atoms must be a 2-d array (one point per row)")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if atoms.shape[0] != weights.size:
-            raise ValueError("atom and weight counts differ")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.weights.size
+STALL_ITERS = 50  # a polish stage stops once its cost has not halved over this many iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,152 +67,25 @@ class CpDecomposition:
         return cls(atoms[order], (norms**2)[order], F[order])
 
 
-def _echelon_pivots(VT: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
-    """Column echelon form by Gauss-Jordan with row partial pivoting.
-
-    Scans columns left to right (graded-lex, so low degrees are preferred as
-    pivots) and returns the pivot column indices together with the reduced
-    matrix U, which satisfies U[:, pivots] == identity.
-    """
-    U = VT.copy()
-    r, cols = U.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        if row == r:
-            break
-        piv = row + int(np.argmax(np.abs(U[row:, col])))
-        if abs(U[piv, col]) <= tol:
-            continue
-        if piv != row:
-            U[[row, piv]] = U[[piv, row]]
-        U[row] /= U[row, col]
-        others = [i for i in range(r) if i != row]
-        U[others] -= np.outer(U[others, col], U[row])
-        pivots.append(col)
-        row += 1
-    return pivots, U
-
-
-def _read_joint_eigenvalues(ops, seed):
-    """Atoms as joint diagonal values of the commuting operators."""
-    r = ops[0].shape[0]
-    n = len(ops)
-    for attempt_seed in (seed, seed + 101):
-        rng = np.random.default_rng(attempt_seed)
-        coeff = rng.uniform(0.1, 1.0, size=n)
-        coeff /= coeff.sum()
-        mix = sum(c * op for c, op in zip(coeff, ops))
-        T, Q = sla.schur(mix, output="real")
-        sub = np.abs(np.diag(T, -1)).max(initial=0.0)
-        if sub > 1e-7 * (1.0 + np.abs(T).max(initial=0.0)):
-            logger.debug("schur basis has 2x2 blocks (subdiag %.2e), retrying", sub)
-            continue
-        pts = np.empty((r, n))
-        for j, op in enumerate(ops):
-            M = Q.T @ op @ Q
-            pts[:, j] = np.diag(M)
-        return pts
-    raise ExtractionError("could not split the joint spectrum into real points")
-
-
-def extract_atoms(
-    s: Tms,
-    t: int,
-    tols: ExtractionTols | None = None,
-    seed: int = 0,
-    rank_tol: float = 1e-6,
-) -> AtomicMeasure:
-    """Recover an atomic measure from the order-t moment matrix of s.
-
-    Assumes the truncation at t is flat (callers typically gate on
-    `cpproj.moments.check_flat`); raises ExtractionError when the numerical
-    construction does not go through cleanly.
-    """
-    tols = tols or ExtractionTols()
-    if t < 1 or t > s.k:
-        raise ValueError(f"truncation order must lie in 1..{s.k}")
-    n = s.n
-    strunc = s.truncate(t).s
-    M = moment_matrix(s, t)
-    w, P = np.linalg.eigh(M)
-    w, P = w[::-1], P[:, ::-1]
-    wmax = w[0] if w.size else 0.0
-    if wmax <= rank_tol * (1.0 + float(np.abs(strunc).max(initial=0.0))):
-        return AtomicMeasure(np.zeros((0, n)), np.zeros(0))
-    r = int(np.sum(w > rank_tol * wmax))
-    V = P[:, :r] * np.sqrt(w[:r])[None, :]
-
-    pivots, U = _echelon_pivots(V.T, tol=1e-10 * max(1.0, float(np.abs(V).max())))
-    if len(pivots) != r:
-        raise ExtractionError(f"echelon rank {len(pivots)} disagrees with {r}")
-
-    basis = monomials_up_to(n, t)
-    exps = basis.exponents
-    ops = []
-    for j in range(n):
-        Nj = np.empty((r, r))
-        for i, p in enumerate(pivots):
-            shifted = tuple(exps[p] + (np.arange(n) == j))
-            try:
-                col = basis.position(shifted)
-            except ValueError:
-                raise ExtractionError(
-                    "a pivot monomial leaves the basis when multiplied"
-                ) from None
-            Nj[i, :] = U[:, col]
-        ops.append(Nj)
-
-    pts = _read_joint_eigenvalues(ops, seed)
-
-    # clean: clamp slightly negative coordinates, renormalize to the sphere
-    low = float(pts.min(initial=0.0))
-    if low < -tols.entry_tol:
-        raise ExtractionError(f"atom coordinate {low:.3e} is negative")
-    pts = np.clip(pts, 0.0, None)
-    norms = np.linalg.norm(pts, axis=1)
-    if np.abs(norms - 1.0).max(initial=0.0) > tols.sphere_tol:
-        worst = float(np.abs(norms - 1.0).max())
-        raise ExtractionError(f"atom leaves the unit sphere by {worst:.3e}")
-    pts /= norms[:, None]
-
-    # weights by nonnegative least squares over the whole truncated sequence
-    strunc = s.truncate(t).s
-    table = monomials_up_to(n, 2 * t).exponents
-    A = np.prod(pts[:, None, :] ** table[None, :, :], axis=2).T
-    weights, _ = nnls(A, strunc)
-    resid = np.abs(A @ weights - strunc).max(initial=0.0)
-    scale = 1.0 + np.abs(strunc).max(initial=0.0)
-    if resid > tols.fit_tol * scale:
-        raise ExtractionError(f"moment fit residual {resid:.3e} is too large")
-
-    keep = weights > tols.weight_tol
-    pts, weights = pts[keep], weights[keep]
-    order = np.lexsort(pts.T[::-1])
-    return AtomicMeasure(pts[order], weights[order])
-
-
-def cp_decomposition(measure: AtomicMeasure) -> CpDecomposition:
-    """Turn an atomic measure on the nonnegative sphere into CP factors."""
-    factors = np.sqrt(measure.weights)[:, None] * measure.atoms
-    return CpDecomposition(measure.atoms, measure.weights, factors)
-
-
 def polish_decomposition(
     X: np.ndarray | SymMatrix, dec: CpDecomposition
 ) -> CpDecomposition:
     """Locally refine the factors so their outer-product sum matches X.
 
-    Atom coordinates read from the eigenstructure carry noise that the outer
-    products square up; a few bound-constrained Gauss-Newton steps on the
-    factor matrix recover several digits at negligible cost.  The factor
-    count never grows, entries stay nonnegative by the bound constraint, and
-    rows whose mass collapses are dropped.  A fit whose cost has not halved
-    over the last STALL_ITERS iterations stops where it is: on boundary
-    matrices the bounded steps can crawl for thousands of evaluations
-    without reaching the gate.  Any factor set this returns is validated by
-    the caller through `verify_decomposition`, so a polish that stalls in a
-    poor local minimum is caught there rather than here.
+    Bound-constrained least squares on the factor matrix, in two stages
+    under the same bounds, tolerances and stall stop.  The interior
+    trust-region stage (`trf`) does the bulk of the fit but never quite
+    reaches the bound, so factor entries that must vanish stall a little
+    above zero (on the identity, at a residual of 3e-5).  The dogleg stage
+    (`dogbox`), started from its result, steps onto the bound and finishes
+    such fits to rounding level.  The factor count never grows, entries stay
+    nonnegative by the bound constraint, and rows whose mass collapses are
+    dropped.  A stage whose cost has not halved over the last STALL_ITERS
+    iterations stops where it is: on boundary matrices the bounded steps can
+    crawl for thousands of evaluations without reaching the gate.  Any
+    factor set this returns is validated by the caller through
+    `verify_decomposition`, so a polish that stalls in a poor local minimum
+    is caught there rather than here.
     """
     Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
     if dec.factors.size == 0:
@@ -290,18 +115,20 @@ def polish_decomposition(
         if len(costs) > STALL_ITERS and costs[-1] > 0.5 * costs[-1 - STALL_ITERS]:
             raise StopIteration
 
-    start = np.clip(dec.factors.ravel(), 0.0, None)
-    try:
-        fit = least_squares(
-            resid, start, jac=jac, bounds=(0.0, np.inf), method="trf", xtol=1e-14,
-            ftol=1e-14, callback=stall_stop,
-        )
-    except np.linalg.LinAlgError as exc:
-        # a failed fit is reported as the unrefined start, which the
-        # caller's residual gate then judges like any other candidate
-        logger.debug("polish failed (%s); keeping the start", exc)
-        return CpDecomposition.from_factors(start.reshape(r, n))
-    return CpDecomposition.from_factors(fit.x.reshape(r, n))
+    z = np.clip(dec.factors.ravel(), 0.0, None)
+    for method in ("trf", "dogbox"):
+        costs.clear()
+        try:
+            z = least_squares(
+                resid, z, jac=jac, bounds=(0.0, np.inf), method=method, xtol=1e-14,
+                ftol=1e-14, callback=stall_stop,
+            ).x
+        except np.linalg.LinAlgError as exc:
+            # a failed fit keeps the last good point, which the caller's
+            # residual gate then judges like any other candidate
+            logger.debug("%s polish failed (%s); keeping its start", method, exc)
+            break
+    return CpDecomposition.from_factors(z.reshape(r, n))
 
 
 # the Horn matrix: copositive, yet not a PSD plus a nonnegative matrix, so
@@ -380,10 +207,9 @@ def sparsify_decomposition(
 ) -> CpDecomposition:
     """Drop factors while the rest still reconstructs X within tol.
 
-    The moment vectors behind a factorization often carry more atoms than a
-    minimal nonnegative factorization of X needs (duplicated support points,
-    mass that other atoms can absorb), and a direct factorization starts
-    from n(n+1)/2 rows.  No factorization with fewer rows than
+    A factorization polished from n(n+1)/2 rows usually carries more rows
+    than X needs (duplicated directions, mass that other rows can absorb).
+    No factorization with fewer rows than
     `row_floor(X, tol)` can pass, so the search first jumps there: one
     polish from the heaviest rows, rescaled to the trace of X.  If that fits,
     its count is the fewest possible (the Eckart-Young minimum).  Otherwise

@@ -1,14 +1,15 @@
-"""Moment and localizing matrices, membership constraints, and flatness checks.
+"""The moment-cone constraints of the order-k relaxation.
 
 The measures of interest live on the nonnegative part of the unit sphere, cut
 out by the sphere residual sum(x_i^2) - 1 = 0 and the coordinate inequalities
 x_j >= 0.  A truncated moment sequence is a candidate for such a measure when
 its sphere-residual localizing matrix vanishes and the moment matrix together
-with every coordinate localizing matrix is positive semidefinite.
+with every coordinate localizing matrix is positive semidefinite; the
+relaxation states these conditions as linear maps from the sequence
+(`moment_cone_constraints`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -16,21 +17,9 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .polybasis import MonomialBasis, Tms, basis_size, monomials_up_to
+from .polybasis import basis_size, monomials_up_to
 
-__all__ = [
-    "LocalizingSpec",
-    "unit_spec",
-    "sphere_residual_spec",
-    "coordinate_spec",
-    "moment_matrix",
-    "localizing_matrix",
-    "MomentConeSystem",
-    "PsdBlockMap",
-    "moment_cone_constraints",
-    "FlatnessReport",
-    "check_flat",
-]
+__all__ = ["moment_cone_constraints"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +61,6 @@ def unit_spec(n: int, k: int) -> LocalizingSpec:
     return LocalizingSpec("unit", {(0,) * n: 1.0}, n, k)
 
 
-def sphere_residual_spec(n: int, k: int) -> LocalizingSpec:
-    """sum_i x_i^2 - 1, which vanishes exactly on the unit sphere."""
-    poly = {tuple(2 if j == i else 0 for j in range(n)): 1.0 for i in range(n)}
-    poly[(0,) * n] = -1.0
-    return LocalizingSpec("sphere_residual", poly, n, k)
-
-
 def coordinate_spec(n: int, j: int, k: int) -> LocalizingSpec:
     """x_j, the localizer for the j-th coordinate nonnegativity (0-based j)."""
     if not 0 <= j < n:
@@ -86,49 +68,6 @@ def coordinate_spec(n: int, j: int, k: int) -> LocalizingSpec:
     return LocalizingSpec(
         f"coordinate_{j}", {tuple(1 if i == j else 0 for i in range(n)): 1.0}, n, k
     )
-
-
-@lru_cache(maxsize=None)
-def _shifted_index_table(n: int, t: int, shift: tuple[int, ...], k: int) -> np.ndarray:
-    """Table[a, b] = position of alpha_a + alpha_b + shift in the (n, 2k) basis."""
-    rows = monomials_up_to(n, t).exponents
-    big = monomials_up_to(n, 2 * k)
-    off = np.asarray(shift, dtype=np.int64)
-    m = len(rows)
-    table = np.empty((m, m), dtype=np.int64)
-    for a in range(m):
-        base = rows[a] + off
-        for b in range(a, m):
-            pos = big.position(tuple(base + rows[b]))
-            table[a, b] = pos
-            table[b, a] = pos
-    table.setflags(write=False)
-    return table
-
-
-def moment_matrix(s: Tms, t: int) -> np.ndarray:
-    """Order-t moment matrix M_t(s), entries s[alpha + beta]."""
-    if t > s.k:
-        raise ValueError(f"order {t} exceeds the sequence half-degree {s.k}")
-    if t < 0:
-        raise ValueError("order must be nonnegative")
-    table = _shifted_index_table(s.n, t, (0,) * s.n, s.k)
-    return s.s[table]
-
-
-def localizing_matrix(s: Tms, spec: LocalizingSpec) -> np.ndarray:
-    """Localizing matrix of spec.poly at order spec.k, built from s."""
-    if spec.n != s.n:
-        raise ValueError(f"spec is for n={spec.n}, sequence has n={s.n}")
-    if spec.k > s.k:
-        raise ValueError(
-            f"spec order {spec.k} exceeds the sequence half-degree {s.k}"
-        )
-    t = spec.half_order
-    out = np.zeros((spec.size, spec.size))
-    for gamma, coeff in spec.poly.items():
-        out += coeff * s.s[_shifted_index_table(s.n, t, tuple(gamma), s.k)]
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,60 +148,3 @@ def moment_cone_constraints(n: int, k: int) -> MomentConeSystem:
         )
         blocks.append(PsdBlockMap(spec.name, order, entries))
     return MomentConeSystem(n, k, equality, tuple(blocks))
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    """Rank comparison between consecutive moment matrices plus feasibility."""
-
-    t: int
-    rank_lo: int
-    rank_hi: int
-    sdpc_residual: float
-    is_flat: bool
-
-
-def _numerical_rank(M: np.ndarray, rank_tol: float, floor: float = 0.0) -> int:
-    """Count singular values above rank_tol * sigma_max.
-
-    `floor` anchors the decision for (near-)zero matrices: a sigma_max at or
-    below it means rank 0, instead of letting pure noise set the scale.
-    """
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    top = sv[0]
-    if top <= floor:
-        return 0
-    return int(np.count_nonzero(sv > rank_tol * top))
-
-
-def check_flat(
-    s: Tms, t: int, rank_tol: float = 1e-6, feas_tol: float = 1e-7
-) -> FlatnessReport:
-    """Detect the rank plateau that certifies an atomic representing measure.
-
-    rank_tol is relative (singular values above rank_tol * sigma_max count);
-    feas_tol is an absolute bound on the constraint residual of s truncated to
-    half-degree t.
-    """
-    if not 1 <= t <= s.k:
-        raise ValueError(f"need 1 <= t <= {s.k}, got {t}")
-    st = s.truncate(t)
-    floor = rank_tol * (1.0 + float(np.abs(st.s).max(initial=0.0)))
-    rank_hi = _numerical_rank(moment_matrix(s, t), rank_tol, floor=floor)
-    rank_lo = _numerical_rank(moment_matrix(s, t - 1), rank_tol, floor=floor)
-
-    resid = float(np.abs(localizing_matrix(st, sphere_residual_spec(s.n, t))).max(initial=0.0))
-    for spec in [unit_spec(s.n, t)] + [coordinate_spec(s.n, j, t) for j in range(s.n)]:
-        M = localizing_matrix(st, spec)
-        lam_min = float(np.linalg.eigvalsh(M).min()) if M.size else 0.0
-        resid = max(resid, max(0.0, -lam_min))
-
-    return FlatnessReport(
-        t=t,
-        rank_lo=rank_lo,
-        rank_hi=rank_hi,
-        sdpc_residual=resid,
-        is_flat=bool(rank_lo == rank_hi and resid <= feas_tol),
-    )

@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "Monomial",
-    "MonomialBasis",
     "SymMatrix",
     "ETms",
     "Tms",
@@ -26,7 +24,6 @@ __all__ = [
     "vech",
     "vech_inv",
     "weighted_vech",
-    "etms_of_matrix",
     "matrix_of_etms",
     "moments_of_atoms",
 ]
@@ -238,12 +235,6 @@ class Tms(object):
     def basis(self) -> MonomialBasis:
         return monomials_up_to(self.n, 2 * self.k)
 
-    def truncate(self, t: int) -> "Tms":
-        """Restriction to degree <= 2t; a prefix of the stored vector."""
-        if not 0 <= t <= self.k:
-            raise ValueError(f"cannot truncate half-degree {self.k} to {t}")
-        return Tms(self.n, t, self.s[: basis_size(self.n, 2 * t)])
-
     def to_etms(self) -> ETms:
         """The degree-2 slice, identified with a symmetric matrix."""
         if self.k < 1:
@@ -255,14 +246,8 @@ class Tms(object):
         return float(self.s[self.basis.position(alpha)])
 
 
-def etms_of_matrix(A: SymMatrix | np.ndarray) -> ETms:
-    """Identify a symmetric matrix with its degree-2 moment vector."""
-    A = _as_sym(A)
-    return ETms(A.n, vech(A))
-
-
 def matrix_of_etms(a: ETms) -> SymMatrix:
-    """Inverse identification of etms_of_matrix."""
+    """The symmetric matrix identified with a degree-2 moment vector."""
     return vech_inv(a.a)
 
 

@@ -8,10 +8,10 @@ from `cpproj.moments`: X is identified with the degree-2 slice of a moment
 vector s that satisfies the sphere equalities and the PSD block conditions of
 order k.  The sequence of optimal values grows with k toward the exact
 projection distance; certification at finite k happens downstream, through
-flat truncation and atom extraction or a direct nonnegative factorization of
-the optimal matrix.  `assemble_dnn` builds the coarser doubly nonnegative
-relaxation (X PSD and entrywise nonnegative) with the same constraint, split
-and norm rows; the driver solves it before the hierarchy.
+a direct nonnegative factorization of the optimal matrix.  `assemble_dnn`
+builds the coarser doubly nonnegative relaxation (X PSD and entrywise
+nonnegative) with the same constraint, split and norm rows; the driver
+solves it before the hierarchy.
 
 The norm objective turns into standard conic epigraphs:
 
@@ -56,13 +56,11 @@ __all__ = [
     "ProblemSpec",
     "RelaxationSolution",
     "assemble",
-    "assemble_dnn",
     "solve_dnn",
     "map_solution",
     "solve_relaxation",
     "check_weak_duality",
     "project_dnn",
-    "lift_atomic_point",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -445,9 +443,10 @@ def lift_atomic_point(
 ) -> np.ndarray:
     """Decision vector of the order-k program evaluated at an atomic measure.
 
-    Useful as a feasibility audit: the lift of any measure supported on the
-    nonnegative unit sphere satisfies every moment-cone row, and gamma is set
-    to the exact distance so the norm block is tight.
+    A feasibility audit and the reference that `assemble` is tested against:
+    the lift of any measure supported on the nonnegative unit sphere
+    satisfies every moment-cone row, and gamma is set to the exact distance
+    so the norm block is tight.
     """
     n = spec.dim
     tms = moments_of_atoms(np.atleast_2d(atoms), np.asarray(weights, float), k, n=n)
@@ -466,45 +465,16 @@ def project_dnn(
     settings: SolverSettings | None = None,
 ) -> tuple[float, np.ndarray]:
     """Project C onto the doubly nonnegative cone (PSD with no negative
-    entries) in the Frobenius or spectral norm.
+    entries) in the Frobenius or spectral norm; returns (distance, matrix).
 
-    For matrices of size up to 4 the doubly nonnegative cone coincides with
-    the completely positive cone, which makes this an independent reference
-    for small projection instances.
+    This is the unconstrained DNN relaxation (`solve_dnn`).  For matrices of
+    size up to 4 the doubly nonnegative cone coincides with the completely
+    positive cone, which makes this a reference for small projection
+    instances.
     """
-    C = SymMatrix(np.asarray(C, dtype=float)).values
-    n = C.shape[0]
-    nbar = n * (n + 1) // 2
     if norm not in ("fro", "two"):
         raise ValueError("reference projection supports norms 'fro' and 'two'")
-    N = nbar + 1
-    g = nbar
-    objective = np.zeros(N)
-    objective[g] = 1.0
-
-    cone = _ConeRows(N)
-    for m in range(nbar):
-        cone.add_row([m], [1.0])
-    cone.close_block("nonneg")
-    _append_norm_block(cone, norm, C, g, 0)
-    for i in range(n):
-        for j in range(i, n):
-            wgt = _SQRT2 if i != j else 1.0
-            cone.add_row([_vech_index(n, i, j)], [wgt])
-    cone.close_block("psd", order=n)
-
-    cone_map, cone_offset, blocks = cone.matrices()
-    prog = ConicProgram(
-        objective=objective,
-        eq_map=sp.csr_matrix((0, N)),
-        eq_rhs=np.zeros(0),
-        cone_map=cone_map,
-        cone_offset=cone_offset,
-        cone_blocks=blocks,
-        layout={"vech": slice(0, nbar), "gamma": slice(nbar, N)},
-    )
-    sol = conic_solve(prog, settings)
+    sol, gamma, X = solve_dnn(ProblemSpec(C, norm), settings)
     if sol.status != "optimal":
         raise RuntimeError(f"reference projection did not converge: {sol.status}")
-    X = vech_inv(sol.primal[:nbar]).values
-    return float(sol.primal[g]), X
+    return gamma, X

@@ -24,15 +24,8 @@ from cpproj.conic import (
     verify_certificate,
 )
 from cpproj.driver import DriverSettings, approximate
-from cpproj.extraction import extract_atoms
-from cpproj.moments import (
-    coordinate_spec,
-    localizing_matrix,
-    moment_matrix,
-    sphere_residual_spec,
-    unit_spec,
-)
-from cpproj.polybasis import Tms, basis_size, moments_of_atoms, monomials_up_to
+from cpproj.moments import coordinate_spec, moment_cone_constraints, unit_spec
+from cpproj.polybasis import basis_size, monomials_up_to
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -435,6 +428,17 @@ def test_random_small_projections_match_dnn_oracle(capsys):
              f"in at most {oracle_iters} iterations")
 
 
+def test_rand29_is_certified_at_the_dnn_relaxation():
+    # draw 29 is CP (n = 4), but its factorization's trf fits stall a little
+    # short of the bound in poor local minima; the dogbox stage of the
+    # polish finishes one of them, so the DNN optimum certifies
+    C = dict(_oracle_draws())[29]
+    out = approximate(ProblemSpec(C, "fro"))
+    assert out.status == "projected"
+    assert out.k_used == 1
+    assert abs(out.gamma - _dykstra_dnn_distance(C)[0]) <= 1e-6
+
+
 def test_rand45_is_certified_at_the_dnn_relaxation():
     # draw 45 stalls at order 4, where its status depended on the BLAS
     # kernel; its DNN optimum factors, so the hierarchy is never entered
@@ -446,51 +450,32 @@ def test_rand45_is_certified_at_the_dnn_relaxation():
 
 
 def _moment_identity_residual():
-    """Largest deviation of built matrices from their defining index formulas."""
+    """Largest deviation of the relaxation's moment-cone rows from their
+    defining index formulas: each PSD block entry (a, b) of the localizer of
+    q is sum_g q_g s[alpha_a + alpha_b + g], and each equality row is the
+    sphere residual sum_i s[delta + 2 e_i] - s[delta]."""
     rng = np.random.default_rng(3)
     worst = 0.0
     for n, k in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        s = Tms(n, k, rng.standard_normal(basis_size(n, 2 * k)))
+        s = rng.standard_normal(basis_size(n, 2 * k))
         big = monomials_up_to(n, 2 * k)
-        for t in range(k + 1):
-            M = moment_matrix(s, t)
-            rows = monomials_up_to(n, t).exponents
-            for a in range(len(rows)):
-                for b in range(len(rows)):
-                    want = s.s[big.position(tuple(rows[a] + rows[b]))]
-                    worst = max(worst, abs(float(M[a, b]) - float(want)))
-        specs = [unit_spec(n, k), sphere_residual_spec(n, k)]
-        specs.extend(coordinate_spec(n, j, k) for j in range(n))
-        for sp_ in specs:
-            L = localizing_matrix(s, sp_)
-            rows = monomials_up_to(n, sp_.half_order).exponents
-            for a in range(len(rows)):
-                for b in range(len(rows)):
-                    want = sum(
-                        coeff * s.s[big.position(tuple(rows[a] + rows[b] + np.asarray(g)))]
-                        for g, coeff in sp_.poly.items()
-                    )
-                    worst = max(worst, abs(float(L[a, b]) - float(want)))
-    return worst
-
-
-def _extraction_roundtrip_residual():
-    """Rebuild measures from their own moments; report the worst mismatch."""
-    worst = 0.0
-    for seed in range(40, 48):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 6))
-        r = int(rng.integers(1, 4))
-        atoms = np.abs(rng.standard_normal((r, n)))
-        atoms /= np.linalg.norm(atoms, axis=1)[:, None]
-        weights = rng.uniform(0.5, 2.0, size=r)
-        measure = extract_atoms(moments_of_atoms(atoms, weights, 2), 2)
-        if measure.atoms.shape[0] != r:
-            return float("inf")
-        for a, w in zip(atoms, weights):
-            d = np.linalg.norm(measure.atoms - a, axis=1)
-            j = int(np.argmin(d))
-            worst = max(worst, float(d[j]), abs(float(measure.weights[j]) - float(w)))
+        system = moment_cone_constraints(n, k)
+        specs = [unit_spec(n, k)] + [coordinate_spec(n, j, k) for j in range(n)]
+        for blk, spec in zip(system.psd_blocks, specs, strict=True):
+            rows = monomials_up_to(n, spec.half_order).exponents
+            want = [
+                sum(coeff * s[big.position(tuple(rows[a] + rows[b] + np.asarray(g)))]
+                    for g, coeff in spec.poly.items())
+                for a in range(len(rows)) for b in range(a, len(rows))
+            ]
+            worst = max(worst, float(np.abs(blk.entries @ s - want).max()))
+        deltas = monomials_up_to(n, 2 * (k - 1)).exponents
+        want = [
+            sum(s[big.position(tuple(d + 2 * e))] for e in np.eye(n, dtype=int))
+            - s[big.position(tuple(d))]
+            for d in deltas
+        ]
+        worst = max(worst, float(np.abs(system.equality @ s - want).max()))
     return worst
 
 
@@ -613,9 +598,6 @@ def test_structural_property_suites(reference_outcomes, capsys):
     ident = _moment_identity_residual()
     _check(failures, ident <= 1e-10, f"moment identity residual {ident:.2e} > 1e-10")
 
-    roundtrip = _extraction_roundtrip_residual()
-    _check(failures, roundtrip <= 1e-7, f"extraction round-trip {roundtrip:.2e} > 1e-7")
-
     conic_worst = 0.0
     for seed in range(200, 300):
         prog = _feasible_conic_program(seed)
@@ -642,6 +624,7 @@ def test_structural_property_suites(reference_outcomes, capsys):
     st = SolverSettings(tol_feas=1e-7, tol_gap=1e-7)
     steps = 0
     optimal_solves = 0
+    skipped = []
     for name, (out, _) in reference_outcomes.items():
         if out.status == "infeasible":
             continue
@@ -652,6 +635,7 @@ def test_structural_property_suites(reference_outcomes, capsys):
         for k in range(2, k_hi + 1):
             prog, csol = solve_relaxation(REFERENCE_INSTANCES[name], k, st)
             if csol.status != "optimal":
+                skipped.append(f"{name} k={k} {csol.status}")
                 continue
             rsol = map_solution(prog, csol)
             _check(failures, check_weak_duality(rsol),
@@ -666,9 +650,10 @@ def test_structural_property_suites(reference_outcomes, capsys):
     _check(failures, steps > 0, "no bound steps exercised")
 
     _verdict(capsys, "structural property suites", failures,
-             f"identities {ident:.1e}, round-trip {roundtrip:.1e}, conic 100+20 ok "
+             f"identities {ident:.1e}, conic 100+20 ok "
              f"(worst kkt {conic_worst:.1e}), {steps} bound steps monotone, "
-             f"weak duality at {optimal_solves} solves")
+             f"weak duality at {optimal_solves} solves, "
+             f"{len(skipped)} non-optimal solves skipped {skipped}")
 
 
 def test_random_six_by_six_projection_finishes_quickly(capsys):

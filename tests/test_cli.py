@@ -81,7 +81,7 @@ def test_projection_schema_and_exit_code(tmp_path, capsys):
     doc = json.loads(out)
     assert list(doc) == [
         "status", "gamma", "X", "decomposition",
-        "k_used", "t_used", "certificate", "residuals",
+        "k_used", "certificate", "residuals",
     ]
     assert doc["status"] == "projected"
     assert abs(doc["gamma"]) <= 1e-6
@@ -151,16 +151,16 @@ def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys):
 
 def test_factorization_certificate_reports_no_truncation(tmp_path, capsys):
     # C4 is CP: the direct factorization of its DNN projection certifies it
-    # before any moment relaxation, so there is no truncation order
+    # before any moment relaxation; the factorization is the only route, so
+    # neither the document nor the summary names a truncation order
     path = write_problem(tmp_path, {"n": 4, "C": C4})
     code, out, err = run_cli(["--norm", "one", "--log", "summary", path], capsys)
     assert code == 0
     res = json.loads(out)
     assert res["status"] == "projected"
     assert res["k_used"] == 1
-    assert res["t_used"] is None
-    assert '"t_used": null' in out
-    assert "at the DNN relaxation, factorization," in err
+    assert "t_used" not in res
+    assert "at the DNN relaxation, " in err
     assert "truncation" not in err
 
 

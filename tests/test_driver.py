@@ -27,8 +27,26 @@ def test_identity_projects_to_itself():
     npt.assert_allclose(out.matrix, np.eye(2), atol=1e-5)
     npt.assert_allclose(out.decomposition.reconstruct(), out.matrix, atol=1e-4)
     assert out.decomposition.factors.min() >= 0.0
-    assert out.k_used == 2
+    assert out.k_used == 1
     assert any("certified" in e for e in out.events)
+
+
+@pytest.mark.parametrize("C", [
+    np.eye(2),
+    np.array([[1.0, -1.0], [-1.0, 1.0]]),
+    np.array([[1.0, -0.5], [-0.5, 1.0]]),
+])
+def test_inputs_with_a_diagonal_projection_certify_at_the_dnn_relaxation(C):
+    # each projects to the identity, whose factors must reach exact zeros;
+    # the polish's dogbox stage takes them onto the bound, so the DNN
+    # optimum factors within budget and the hierarchy is never entered
+    out = approximate(C)
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert out.relaxation is None
+    npt.assert_allclose(out.matrix, np.eye(2), atol=1e-5)
+    scale = 1.0 + np.linalg.norm(out.matrix)
+    assert np.linalg.norm(out.decomposition.reconstruct() - out.matrix) <= FACTOR_TOL * scale
 
 
 def test_projection_of_sign_indefinite_matrix():
@@ -115,7 +133,7 @@ def test_driver_is_deterministic():
 def test_direct_factorization_certifies_without_a_flat_truncation():
     # C4 is CP, so it is its own DNN projection in the one norm, and the
     # factorization of the DNN optimum certifies it before any moment
-    # relaxation: no truncation, no relaxation solution
+    # relaxation: no relaxation solution
     C4 = np.array([
         [2.0, 1, 1, 1],
         [1, 2, 2, 1],
@@ -125,7 +143,6 @@ def test_direct_factorization_certifies_without_a_flat_truncation():
     out = approximate(ProblemSpec(C4, "one"))
     assert isinstance(out, Projected)
     assert out.k_used == 1
-    assert out.t_used is None
     assert out.relaxation is None
     assert out.bounds == ((1, out.gamma),)
     assert any("DNN relaxation (factorization): certified" in e for e in out.events)
@@ -166,10 +183,11 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
 
 
 def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
-    # draw 15 of the acceptance suite's seed-7 set: the polished 10-row start
-    # misses the factorization budget (3.6e-5 against 1.6e-6), and only the
-    # re-polish from fewer rows inside sparsify certifies its order-2 matrix
-    # (the driver certifies this draw at the DNN relaxation)
+    # draw 15 of the acceptance suite's seed-7 set, at order 2 (the driver
+    # certifies this draw at the DNN relaxation).  The polished 10-row start
+    # now fits, so the driver's own polish is made to hand its start back
+    # unpolished: the start then misses the factorization budget, and only
+    # the re-polish from fewer rows inside sparsify certifies the matrix
     C = np.array([
         [-0.1666548508803217, -0.5165536597357838, -1.3212621748156361, 0.4308736801067756],
         [-0.5165536597357838, 0.40652853663281385, -0.9379684042419925, -0.15915143320922082],
@@ -183,6 +201,7 @@ def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypat
         starts.append((dec.rank, np.linalg.norm(dec.reconstruct() - X), tol))
         return sparsify(X, dec, tol)
 
+    monkeypatch.setattr(cpproj.driver, "polish_decomposition", lambda X, dec: dec)
     monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", recording)
     spec, csol, X = _order2(C)
     events = []

@@ -5,151 +5,23 @@ import pytest
 import cpproj.extraction
 from cpproj.driver import FACTOR_TOL, DriverSettings
 from cpproj.extraction import (
-    AtomicMeasure,
     CpDecomposition,
-    ExtractionError,
-    ExtractionTols,
     _horn_cuts,
-    cp_decomposition,
     cp_distance_floor,
-    extract_atoms,
     polish_decomposition,
     row_floor,
     sparsify_decomposition,
     trace_scaled,
     verify_decomposition,
 )
-from cpproj.moments import check_flat
-from cpproj.polybasis import Tms, moments_of_atoms
 from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 
 
-def _random_simplex_atoms(rng, r, n):
-    pts = np.abs(rng.normal(size=(r, n))) + 0.05
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _sorted(measure):
-    order = np.lexsort(measure.atoms.T[::-1])
-    return measure.atoms[order], measure.weights[order]
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_round_trip_recovers_atoms(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    r = int(rng.integers(1, 4))
-    atoms = _random_simplex_atoms(rng, r, n)
-    weights = rng.uniform(0.3, 2.0, size=r)
-    s = moments_of_atoms(atoms, weights, k=3)
-    assert check_flat(s, 2).is_flat
-    got = extract_atoms(s, 2)
-    assert len(got) == r
-    ga, gw = _sorted(got)
-    ea, ew = _sorted(AtomicMeasure(atoms, weights))
-    npt.assert_allclose(ga, ea, atol=1e-7)
-    npt.assert_allclose(gw, ew, atol=1e-7)
-
-
-def test_extraction_is_seed_stable():
-    rng = np.random.default_rng(99)
-    atoms = _random_simplex_atoms(rng, 3, 3)
-    weights = np.array([1.0, 0.5, 2.0])
-    s = moments_of_atoms(atoms, weights, k=3)
-    a = extract_atoms(s, 2, seed=0)
-    b = extract_atoms(s, 2, seed=12345)
-    npt.assert_allclose(a.atoms, b.atoms, atol=1e-9)
-    npt.assert_allclose(a.weights, b.weights, atol=1e-9)
-
-
-def test_duplicate_atoms_merge():
-    u = np.array([0.6, 0.8])
-    atoms = np.vstack([u, u])
-    s = moments_of_atoms(atoms, [0.7, 0.3], k=2)
-    got = extract_atoms(s, 2)
-    assert len(got) == 1
-    npt.assert_allclose(got.atoms[0], u, atol=1e-8)
-    npt.assert_allclose(got.weights[0], 1.0, atol=1e-8)
-
-
-def test_zero_sequence_gives_empty_measure():
-    s = moments_of_atoms(np.zeros((0, 3)), [], k=2, n=3)
-    got = extract_atoms(s, 2)
-    assert len(got) == 0
-    dec = cp_decomposition(got)
-    assert dec.reconstruct().shape == (0, 0) or dec.factors.shape[0] == 0
-    assert verify_decomposition(np.zeros((3, 3)), dec) == 0.0
-
-
-def test_negative_coordinate_is_rejected():
-    atoms = np.array([[0.8, -0.6], [0.6, 0.8]])
-    s = moments_of_atoms(atoms, [1.0, 1.0], k=3)
-    with pytest.raises(ExtractionError, match="negative"):
-        extract_atoms(s, 2)
-
-
-def test_tiny_negative_coordinate_is_clamped():
-    atoms = np.array([[1.0, -1e-9], [0.6, 0.8]])
-    atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
-    s = moments_of_atoms(atoms, [1.0, 1.0], k=3)
-    got = extract_atoms(s, 2)
-    assert got.atoms.min() >= 0.0
-    assert len(got) == 2
-
-
-def test_off_sphere_atoms_are_rejected():
-    atoms = 1.1 * np.array([[1.0, 0.0], [0.0, 1.0]])
-    s = moments_of_atoms(atoms, [1.0, 1.0], k=2)
-    with pytest.raises(ExtractionError, match="sphere"):
-        extract_atoms(s, 2)
-
-
-def test_corrupted_high_degree_entry_fails_the_fit():
-    rng = np.random.default_rng(4)
-    atoms = _random_simplex_atoms(rng, 2, 2)
-    s0 = moments_of_atoms(atoms, [1.0, 1.0], k=2)
-    arr = s0.s.copy()
-    arr[-1] += 0.05  # break the top-degree moment only
-    s = Tms(2, 2, arr)
-    with pytest.raises(ExtractionError):
-        extract_atoms(s, 2, tols=ExtractionTols(fit_tol=1e-8))
-
-
-def test_cp_decomposition_reconstructs_matrix():
-    rng = np.random.default_rng(21)
-    atoms = _random_simplex_atoms(rng, 3, 4)
-    weights = rng.uniform(0.2, 1.5, size=3)
-    X = (atoms.T * weights) @ atoms
-    s = moments_of_atoms(atoms, weights, k=2)
-    dec = cp_decomposition(extract_atoms(s, 2))
-    assert dec.rank == 3
-    assert dec.factors.min() >= 0.0
-    assert verify_decomposition(X, dec) <= 1e-7 * (1 + np.linalg.norm(X))
-    npt.assert_allclose(dec.reconstruct(), X, atol=1e-7)
-
-
 def test_verify_decomposition_rejects_negative_factors():
-    dec = cp_decomposition(AtomicMeasure(np.array([[0.6, 0.8]]), np.array([1.0])))
-    bad = type(dec)(dec.atoms, dec.weights, -dec.factors)
+    dec = CpDecomposition.from_factors(np.array([[0.6, 0.8]]))
+    bad = CpDecomposition(dec.atoms, dec.weights, -dec.factors)
     with pytest.raises(ValueError):
         verify_decomposition(np.eye(2), bad)
-
-
-def test_single_atom():
-    u = np.array([0.0, 1.0])
-    s = moments_of_atoms(u[None, :], [2.5], k=2)
-    got = extract_atoms(s, 1)
-    assert len(got) == 1
-    npt.assert_allclose(got.atoms[0], u, atol=1e-9)
-    npt.assert_allclose(got.weights[0], 2.5, atol=1e-9)
-
-
-def test_truncation_order_bounds():
-    s = moments_of_atoms(np.array([[1.0, 0.0]]), [1.0], k=2)
-    with pytest.raises(ValueError):
-        extract_atoms(s, 0)
-    with pytest.raises(ValueError):
-        extract_atoms(s, 3)
 
 
 def _decomposition_from_factors(F):
@@ -170,6 +42,31 @@ def test_polish_repairs_perturbed_factors(seed):
     npt.assert_allclose(
         np.linalg.norm(dec.atoms, axis=1), np.ones(dec.rank), atol=1e-12
     )
+
+
+def test_polish_takes_factor_entries_of_the_identity_onto_the_bound(monkeypatch):
+    # the driver's factorization start for I2: the trf stage stalls with an
+    # entry that must vanish still a little above zero, at a residual of
+    # 3.4e-5, beyond the 2.4e-6 budget; the dogbox stage from there steps
+    # onto the bound and ends at 6.5e-10, where its gradient test stops it
+    X = np.eye(2)
+    budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    stages = []
+    fit = cpproj.extraction.least_squares
+
+    def recording(*args, **kwargs):
+        res = fit(*args, **kwargs)
+        stages.append((kwargs["method"], np.linalg.norm(res.fun)))
+        return res
+
+    monkeypatch.setattr(cpproj.extraction, "least_squares", recording)
+    F = trace_scaled(np.random.default_rng(0).uniform(size=(3, 2)), X)
+    dec = polish_decomposition(X, CpDecomposition.from_factors(F))
+    (first, trf_resid), (second, _) = stages
+    assert (first, second) == ("trf", "dogbox")
+    assert trf_resid > 10.0 * budget
+    assert verify_decomposition(X, dec) <= 1e-8
+    assert dec.factors.min() >= 0.0
 
 
 def test_polish_keeps_empty_decomposition():

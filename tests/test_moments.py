@@ -6,15 +6,11 @@ import pytest
 
 from cpproj.moments import (
     LocalizingSpec,
-    check_flat,
     coordinate_spec,
-    localizing_matrix,
     moment_cone_constraints,
-    moment_matrix,
-    sphere_residual_spec,
     unit_spec,
 )
-from cpproj.polybasis import Tms, basis_size, moments_of_atoms, monomials_up_to
+from cpproj.polybasis import basis_size, moments_of_atoms, monomials_up_to
 
 
 def sphere_atoms(rng, r, n):
@@ -22,10 +18,25 @@ def sphere_atoms(rng, r, n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def block_matrices(n, k, s):
+    """The symmetric matrices of the order-k PSD blocks at sequence s."""
+    out = []
+    for blk in moment_cone_constraints(n, k).psd_blocks:
+        M = np.zeros((blk.order, blk.order))
+        M[np.triu_indices(blk.order)] = blk.entries @ s
+        out.append(M + np.triu(M, 1).T)
+    return out
+
+
+def evaluations(pts, n, t):
+    """Row i: every monomial of degree <= t evaluated at atom i."""
+    exps = monomials_up_to(n, t).exponents
+    return np.stack([np.prod(p ** exps, axis=1) for p in pts])
+
+
 def test_sizes_smallest_case():
     # n = 1, k = 1: moment matrix 2x2, sphere and coordinate localizers 1x1
     assert unit_spec(1, 1).size == 2
-    assert sphere_residual_spec(1, 1).size == 1
     assert coordinate_spec(1, 0, 1).size == 1
     sys = moment_cone_constraints(1, 1)
     assert [b.order for b in sys.psd_blocks] == [2, 1]
@@ -35,42 +46,33 @@ def test_sizes_smallest_case():
 def test_localizer_size_formula():
     for n, k in [(2, 2), (3, 3), (4, 2)]:
         assert unit_spec(n, k).size == math.comb(n + k, k)
-        assert sphere_residual_spec(n, k).size == math.comb(n + k - 1, k - 1)
         assert coordinate_spec(n, 0, k).size == math.comb(n + k - 1, k - 1)
 
 
 def test_moment_matrix_entries_and_rank():
+    # the unit block of the relaxation is the moment matrix of the sequence
     rng = np.random.default_rng(23)
     n, k, r = 3, 2, 2
     pts = sphere_atoms(rng, r, n)
     wts = rng.uniform(0.5, 2.0, r)
     s = moments_of_atoms(pts, wts, k)
-    M = moment_matrix(s, k)
+    M = block_matrices(n, k, s.s)[0]
     # oracle: M = sum_i w_i v_i v_i^T with v_i the monomial evaluation vector
-    exps = monomials_up_to(n, k).exponents
-    V = np.stack([np.prod(p ** exps, axis=1) for p in pts])
+    V = evaluations(pts, n, k)
     npt.assert_allclose(M, V.T @ (wts[:, None] * V), rtol=1e-12, atol=1e-13)
     sv = np.linalg.svd(M, compute_uv=False)
     assert sv[r - 1] > 1e-6 > sv[r]
     assert np.linalg.eigvalsh(M).min() > -1e-12
 
 
-def test_moment_matrix_order_overflow():
-    s = Tms(2, 1, np.zeros(basis_size(2, 2)))
-    with pytest.raises(ValueError):
-        moment_matrix(s, 2)
-
-
 def test_localizing_matrix_single_atom_oracle():
+    # the coordinate blocks are the localizing matrices of x_j
     rng = np.random.default_rng(29)
     n, k = 3, 2
     u = np.abs(rng.standard_normal(n)) + 0.1
     s = moments_of_atoms([u], [1.7], k)
-    for j in range(n):
-        spec = coordinate_spec(n, j, k)
-        L = localizing_matrix(s, spec)
-        exps = monomials_up_to(n, spec.half_order).exponents
-        v = np.prod(u ** exps, axis=1)
+    for j, L in enumerate(block_matrices(n, k, s.s)[1:]):
+        v = evaluations([u], n, coordinate_spec(n, j, k).half_order)[0]
         npt.assert_allclose(L, 1.7 * u[j] * np.outer(v, v), rtol=1e-12)
 
 
@@ -78,81 +80,45 @@ def test_sphere_residual_vanishes_on_sphere_measures():
     rng = np.random.default_rng(31)
     n, k = 4, 3
     pts = sphere_atoms(rng, 3, n)
+    equality = moment_cone_constraints(n, k).equality
     s = moments_of_atoms(pts, rng.uniform(0.5, 1.5, 3), k)
-    L = localizing_matrix(s, sphere_residual_spec(n, k))
-    assert np.abs(L).max() < 1e-12
+    assert np.abs(equality @ s.s).max() < 1e-12
     # scaling an atom off the sphere breaks it
     s_off = moments_of_atoms(pts * 1.1, np.ones(3), k)
-    assert np.abs(localizing_matrix(s_off, sphere_residual_spec(n, k))).max() > 1e-3
+    assert np.abs(equality @ s_off.s).max() > 1e-3
 
 
 def test_localizing_degree_overflow_rejected():
     with pytest.raises(ValueError):
         LocalizingSpec("too_big", {(4, 0): 1.0}, 2, 1)
-    s = Tms(2, 1, np.zeros(basis_size(2, 2)))
     with pytest.raises(ValueError):
-        localizing_matrix(s, sphere_residual_spec(2, 2))
-    with pytest.raises(ValueError):
-        localizing_matrix(s, coordinate_spec(3, 0, 1))
+        coordinate_spec(3, 3, 1)
 
 
 def test_membership_constraints_necessary_for_atomic_measures():
     rng = np.random.default_rng(37)
     n, k = 3, 2
     pts = sphere_atoms(rng, 4, n)
-    s = moments_of_atoms(pts, rng.uniform(0.2, 2.0, 4), k)
+    wts = rng.uniform(0.2, 2.0, 4)
+    s = moments_of_atoms(pts, wts, k)
     sys = moment_cone_constraints(n, k)
     npt.assert_allclose(sys.equality @ s.s, 0.0, atol=1e-12)
-    for blk in sys.psd_blocks:
-        vec = blk.entries @ s.s
-        M = np.zeros((blk.order, blk.order))
-        M[np.triu_indices(blk.order)] = vec
-        M = M + np.triu(M, 1).T
+    blocks = block_matrices(n, k, s.s)
+    for M in blocks:
         assert np.linalg.eigvalsh(M).min() > -1e-12
-    # the block maps reproduce the direct localizing matrices
-    direct = localizing_matrix(s, unit_spec(n, k))
-    vec0 = sys.psd_blocks[0].entries @ s.s
-    M0 = np.zeros_like(direct)
-    M0[np.triu_indices(blk_order := sys.psd_blocks[0].order)] = vec0
-    M0 = M0 + np.triu(M0, 1).T
-    npt.assert_allclose(M0, direct, rtol=1e-12)
+    # the unit block is the moment matrix sum_i w_i v_i v_i^T
+    V = evaluations(pts, n, k)
+    npt.assert_allclose(blocks[0], V.T @ (wts[:, None] * V), rtol=1e-12, atol=1e-13)
 
 
 def test_negative_mass_violates_unit_block():
     n, k = 2, 2
     s_vec = np.zeros(basis_size(n, 2 * k))
     s_vec[0] = -1.0
-    s = Tms(n, k, s_vec)
-    M = localizing_matrix(s, unit_spec(n, k))
+    M = block_matrices(n, k, s_vec)[0]
     assert np.linalg.eigvalsh(M).min() < -0.5
 
 
 def test_equality_rows_are_deduplicated():
     sys = moment_cone_constraints(2, 2)
     assert sys.equality.shape[0] == basis_size(2, 2)  # C(4, 2) = 6 distinct sums
-
-
-def test_check_flat_on_exact_atomic_sequences():
-    rng = np.random.default_rng(41)
-    n, k, r = 3, 3, 2
-    pts = sphere_atoms(rng, r, n)
-    s = moments_of_atoms(pts, rng.uniform(0.5, 1.5, r), k)
-    rep2 = check_flat(s, 2)
-    assert rep2.is_flat and rep2.rank_lo == r and rep2.rank_hi == r
-    assert rep2.sdpc_residual < 1e-10
-    rep3 = check_flat(s, 3)
-    assert rep3.is_flat and rep3.rank_hi == r
-    # at t = 1 the ranks differ (M_0 is 1x1), so no plateau yet
-    rep1 = check_flat(s, 1)
-    assert rep1.rank_lo == 1 and rep1.rank_hi == r and not rep1.is_flat
-
-
-def test_check_flat_flags_infeasible_sequences():
-    rng = np.random.default_rng(43)
-    n, k = 3, 2
-    pts = 1.3 * sphere_atoms(rng, 2, n)  # off the sphere
-    s = moments_of_atoms(pts, np.ones(2), k)
-    rep = check_flat(s, 2)
-    assert rep.sdpc_residual > 1e-3 and not rep.is_flat
-    with pytest.raises(ValueError):
-        check_flat(s, 3)

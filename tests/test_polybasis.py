@@ -9,7 +9,6 @@ from cpproj.polybasis import (
     SymMatrix,
     Tms,
     basis_size,
-    etms_of_matrix,
     matrix_of_etms,
     moments_of_atoms,
     monomials_up_to,
@@ -93,21 +92,10 @@ def test_weighted_vech_trace_identity():
 def test_etms_matrix_identification_round_trip():
     rng = np.random.default_rng(5)
     A = random_sym(rng, 4)
-    a = etms_of_matrix(A)
+    a = ETms(4, vech(A))
     npt.assert_array_equal(matrix_of_etms(a).values, A.values)
     # degree-2 monomials in graded-lex order line up with vech order
     npt.assert_array_equal(a.a, vech(A))
-
-
-def test_tms_truncation_is_prefix():
-    rng = np.random.default_rng(7)
-    n, k = 3, 3
-    s = Tms(n, k, rng.standard_normal(basis_size(n, 2 * k)))
-    for t in range(k + 1):
-        st = s.truncate(t)
-        npt.assert_array_equal(st.s, s.s[: basis_size(n, 2 * t)])
-    with pytest.raises(ValueError):
-        s.truncate(4)
 
 
 def test_tms_degree2_slice_matches_identification():

@@ -1,6 +1,10 @@
+import ast
 import importlib
+from pathlib import Path
 
 import cpproj
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = (
     "cpproj",
@@ -40,3 +44,34 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert not missing, f"{name} exports missing names {missing}"
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name a source file uses: bare names, attributes, imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_module_export_is_used_outside_its_module():
+    # a name in a module's __all__ that neither another module of the
+    # package nor the benchmark uses is a dead helper or a private one;
+    # the package's own exports are the public interface and are exempt
+    sources = [*(ROOT / "src" / "cpproj").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    users = {path.resolve(): _identifiers(path) for path in sources}
+    unused = []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        own = Path(module.__file__).resolve()
+        for attr in module.__all__:
+            if attr in cpproj.__all__:
+                continue
+            if not any(attr in ids for path, ids in users.items() if path != own):
+                unused.append(f"{name}.{attr}")
+    assert not unused, f"exported but used by no other module: {unused}"
