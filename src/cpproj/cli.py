@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed of the random factorization start",
+        help="seed of the random rows the factorization falls back to "
+        "when its square-root start misses",
     )
     p.add_argument(
         "--log",
@@ -357,7 +358,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cpproj: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    settings = DriverSettings(k_max=args.kmax, extraction_seed=args.seed)
+    settings = DriverSettings(k_max=args.kmax, start_seed=args.seed)
     if args.tol is not None:
         settings = replace(settings, solver=SolverSettings(tol_feas=args.tol, tol_gap=args.tol))
     try:

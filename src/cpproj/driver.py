@@ -11,9 +11,10 @@ Solves the order-k moment relaxation for increasing k.  Each order gives a
 lower bound on the distance (or, for incompatible constraints, a Farkas
 certificate), and its optimal matrix goes through the same certification as
 the DNN optimum: the driver fits nonnegative factors to the matrix directly,
-from a seeded random start, polishes and sparsifies them, and accepts them
-only if their residual is within FACTOR_TOL and the matrix meets the
-constraints.  A candidate matrix whose provable distance from the CP cone
+from its PSD square root clipped at zero and, only when that misses, from
+seeded random rows, polishes and sparsifies them, and accepts them only if
+their residual is within FACTOR_TOL and the matrix meets the constraints.
+A candidate matrix whose provable distance from the CP cone
 (`cp_distance_floor`) already exceeds the residual budget skips polish and
 sparsify altogether.
 
@@ -42,6 +43,7 @@ from .extraction import (
     CpDecomposition,
     cp_distance_floor,
     polish_decomposition,
+    root_start,
     row_floor,
     sparsify_decomposition,
     trace_scaled,
@@ -93,7 +95,7 @@ MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 @dataclass(frozen=True)
 class DriverSettings:
     k_max: int = 4
-    extraction_seed: int = 0
+    start_seed: int = 0
     # moment relaxations are chronically degenerate: the dense-LDL engine
     # reliably reaches ~1e-7 KKT accuracy on them but can stall a decade
     # short of its 1e-8 default, so the driver asks for what is attainable
@@ -195,18 +197,22 @@ def _factorize(
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    The start has n(n+1)/2 rows of a seeded uniform draw, more than the
-    cp-rank of any completely positive matrix of order n (Barioli & Berman,
-    2003), scaled so that its reconstruction has the trace of X.  The fit
-    must reach FACTOR_TOL relative to 1 + ||X||, or ten times the worst
-    residual of the solve when that is larger: a stalled iterate is only
-    that accurate, so a tighter fit would hold X to more than the solve
-    could deliver.  When `cp_distance_floor` proves that no nonnegative
-    factorization can come within that budget, polish and sparsify are
-    skipped and the event names the gate.  Sparsify runs even when the
-    polished start misses the budget: its re-polish from fewer rows is part
-    of the search for a certificate.  The event says when the atom count is
-    the fewest that can fit X at all (`row_floor`).
+    The first start is `root_start(X)`, the n rows of the PSD square root
+    of X clipped at zero: an exact factorization wherever the root is
+    nonnegative, and close to one elsewhere.  Only when its fit misses the
+    budget (an event gives its residual) does a second start run: n(n+1)/2
+    rows of a seeded uniform draw, more than the cp-rank of any completely
+    positive matrix of order n (Barioli & Berman, 2003), scaled so that its
+    reconstruction has the trace of X.  The certification event names the
+    start that won.  The fit must reach FACTOR_TOL relative to 1 + ||X||,
+    or ten times the worst residual of the solve when that is larger: a
+    stalled iterate is only that accurate, so a tighter fit would hold X to
+    more than the solve could deliver.  When `cp_distance_floor` proves that
+    no nonnegative factorization can come within that budget, polish and
+    sparsify are skipped and the event names the gate.  Sparsify runs on
+    each start even when its polish misses the budget: its re-polish from
+    fewer rows is part of the search for a certificate.  The event says when
+    the atom count is the fewest that can fit X at all (`row_floor`).
     """
     tag = f"{tag} (factorization)"
     level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
@@ -218,11 +224,18 @@ def _factorize(
             f"({floor / budget:.3g} times); polish skipped"
         )
         return None
-    n = X.shape[0]
-    F = np.random.default_rng(st.extraction_seed).uniform(size=(n * (n + 1) // 2, n))
-    dec = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(F, X)))
-    dec = sparsify_decomposition(X, dec, budget)
-    resid = verify_decomposition(X, dec)
+    start = "square-root"
+    dec, resid = _fit(X, root_start(X), budget)
+    if resid > budget:
+        n = X.shape[0]
+        rows = n * (n + 1) // 2
+        note(
+            f"{tag}: the square-root start misses with factor residual {resid:.3e} "
+            f"against {budget:.3e}; trying {rows} random rows"
+        )
+        start = "random"
+        F = np.random.default_rng(st.start_seed).uniform(size=(rows, n))
+        dec, resid = _fit(X, trace_scaled(F, X), budget)
     if resid > budget:
         note(f"{tag}: factor residual {resid:.3e} exceeds {budget:.3e}")
         return None
@@ -231,8 +244,18 @@ def _factorize(
         note(f"{tag}: {bad}")
         return None
     minimum = " (the Eckart-Young minimum)" if dec.rank == row_floor(X, budget) else ""
-    note(f"{tag}: certified with {dec.rank} atoms{minimum}, factor residual {resid:.3e}")
+    note(
+        f"{tag}: certified from the {start} start with {dec.rank} atoms{minimum}, "
+        f"factor residual {resid:.3e}"
+    )
     return dec
+
+
+def _fit(X: np.ndarray, F: np.ndarray, budget: float) -> tuple[CpDecomposition, float]:
+    """Polish and sparsify the start rows F against X; the factors and their residual."""
+    dec = polish_decomposition(X, CpDecomposition.from_factors(F))
+    dec = sparsify_decomposition(X, dec, budget)
+    return dec, verify_decomposition(X, dec)
 
 
 def approximate(

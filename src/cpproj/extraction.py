@@ -1,7 +1,8 @@
 """Nonnegative factorizations of a candidate matrix, and their gates.
 
 A matrix X is certified completely positive by nonnegative factor rows F
-with F^T F = X up to a residual budget.  `polish_decomposition` fits the
+with F^T F = X up to a residual budget.  `root_start` gives the first rows
+to try (the clipped PSD square root of X), `polish_decomposition` fits the
 factors by bound-constrained least squares, `sparsify_decomposition` drops
 rows down to the Eckart-Young floor (`row_floor`) while the fit holds, and
 `verify_decomposition` measures the residual that the caller gates on.
@@ -25,6 +26,7 @@ __all__ = [
     "CpDecomposition",
     "cp_distance_floor",
     "polish_decomposition",
+    "root_start",
     "row_floor",
     "sparsify_decomposition",
     "trace_scaled",
@@ -183,6 +185,20 @@ def cp_distance_floor(X: np.ndarray | SymMatrix) -> tuple[float, str]:
     return floors[gate], gate
 
 
+def root_start(X: np.ndarray | SymMatrix) -> np.ndarray:
+    """The PSD square root of X, clipped at zero: n factor rows near a fit.
+
+    With X = V diag(lam) V^T, the symmetric root R = V diag(sqrt(max(lam, 0))) V^T
+    satisfies R^T R = X for any PSD X, so where R is already nonnegative it
+    is a certificate by itself, and elsewhere its clipped part is a start
+    close to the answer (Groetzner & Duer's factorization method starts from
+    any such R).
+    """
+    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
+    lam, V = np.linalg.eigh(Xv)
+    return np.maximum((V * np.sqrt(np.maximum(lam, 0.0))) @ V.T, 0.0)
+
+
 def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
     """F rescaled so that its reconstruction F^T F has the trace of X."""
     return F * (np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F))
@@ -207,9 +223,9 @@ def sparsify_decomposition(
 ) -> CpDecomposition:
     """Drop factors while the rest still reconstructs X within tol.
 
-    A factorization polished from n(n+1)/2 rows usually carries more rows
-    than X needs (duplicated directions, mass that other rows can absorb).
-    No factorization with fewer rows than
+    A polished factorization often carries more rows than X needs (the n
+    rows of the square root of a rank-deficient X, duplicated directions,
+    mass that other rows can absorb).  No factorization with fewer rows than
     `row_floor(X, tol)` can pass, so the search first jumps there: one
     polish from the heaviest rows, rescaled to the trace of X.  If that fits,
     its count is the fewest possible (the Eckart-Young minimum).  Otherwise

@@ -231,19 +231,12 @@ class Tms(object):
         arr.setflags(write=False)
         object.__setattr__(self, "s", arr)
 
-    @property
-    def basis(self) -> MonomialBasis:
-        return monomials_up_to(self.n, 2 * self.k)
-
     def to_etms(self) -> ETms:
         """The degree-2 slice, identified with a symmetric matrix."""
         if self.k < 1:
             raise ValueError("need half-degree >= 1 for a degree-2 slice")
         lo = 1 + self.n
         return ETms(self.n, self.s[lo : lo + self.n * (self.n + 1) // 2])
-
-    def entry(self, alpha: Sequence[int]) -> float:
-        return float(self.s[self.basis.position(alpha)])
 
 
 def matrix_of_etms(a: ETms) -> SymMatrix:

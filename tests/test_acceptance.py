@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cpproj.extraction
 from cpproj.conic import (
     ConeBlock,
     ConicProgram,
@@ -447,6 +448,26 @@ def test_rand45_is_certified_at_the_dnn_relaxation():
     assert out.status == "projected"
     assert out.k_used == 1
     assert abs(out.gamma - _dykstra_dnn_distance(C)[0]) <= 1e-6
+
+
+def test_certifying_the_size_3_draws_stays_cheap(monkeypatch):
+    """An effort guard on the factorization: the square-root start certifies
+    the 21 size-3 seed-7 draws in 280 least_squares evaluations in all,
+    where the n(n+1)/2-row random start alone took 1,277."""
+    nfev = []
+    fit = cpproj.extraction.least_squares
+
+    def counting(*args, **kwargs):
+        res = fit(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(cpproj.extraction, "least_squares", counting)
+    draws = [C for _, C in _oracle_draws() if C.shape[0] == 3]
+    assert len(draws) == 21
+    for C in draws:
+        assert approximate(ProblemSpec(C, "fro")).status == "projected"
+    assert sum(nfev) <= 600
 
 
 def _moment_identity_residual():

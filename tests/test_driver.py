@@ -184,10 +184,11 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
 
 def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
     # draw 15 of the acceptance suite's seed-7 set, at order 2 (the driver
-    # certifies this draw at the DNN relaxation).  The polished 10-row start
-    # now fits, so the driver's own polish is made to hand its start back
-    # unpolished: the start then misses the factorization budget, and only
-    # the re-polish from fewer rows inside sparsify certifies the matrix
+    # certifies this draw at the DNN relaxation).  The polished square-root
+    # start fits, so the driver's own polish is made to hand its 4 clipped
+    # root rows back unpolished: they miss the factorization budget about
+    # tenfold, and only the re-polish from fewer rows inside sparsify
+    # certifies the matrix
     C = np.array([
         [-0.1666548508803217, -0.5165536597357838, -1.3212621748156361, 0.4308736801067756],
         [-0.5165536597357838, 0.40652853663281385, -0.9379684042419925, -0.15915143320922082],
@@ -209,11 +210,43 @@ def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypat
     assert dec is not None
     assert dec.rank == 2
     (rank, resid, budget), = starts
-    assert rank == 10
-    assert resid > 10.0 * budget
+    assert rank == 4
+    assert resid > 3.0 * budget
     assert any(
-        "order 2 (factorization): certified with 2 atoms (the Eckart-Young minimum)" in e
+        "order 2 (factorization): certified from the square-root start with 2 atoms "
+        "(the Eckart-Young minimum)" in e
         for e in events
+    )
+    assert not any("misses" in e for e in events)
+
+
+def test_a_missed_square_root_start_falls_back_to_random_rows():
+    # draw 35 of a seeded loop over n = 3..6, every norm, half of the draws
+    # shifted by a multiple of the all-ones matrix: its 5x5 one-norm DNN
+    # optimum has a square root whose clipped part misses the budget, and
+    # the 15 seeded random rows certify it at the Eckart-Young minimum
+    rng = np.random.default_rng(123)
+    for _ in range(36):
+        n = int(rng.integers(3, 7))
+        norm = ["fro", "fro", "two", "one"][rng.integers(4)]
+        G = rng.standard_normal((n, n))
+        C = (G + G.T) / 2
+        if rng.random() < 0.5:
+            C += rng.uniform(0, 2) * np.ones((n, n))
+    assert (n, norm) == (5, "one")
+    out = approximate(ProblemSpec(C, norm))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert out.decomposition.rank == 4
+    assert out.gamma == pytest.approx(1.6287910457500272, rel=1e-9)
+    miss, = [e for e in out.events if "misses" in e]
+    assert miss.startswith(
+        "DNN relaxation (factorization): the square-root start misses with factor residual"
+    )
+    assert miss.endswith("trying 15 random rows")
+    assert any(
+        "DNN relaxation (factorization): certified from the random start with 4 atoms" in e
+        for e in out.events
     )
 
 
@@ -242,10 +275,8 @@ def _cycle_matrix():
     return A
 
 
-def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
-    # the SVD inside least_squares can fail to converge; the polish then
-    # hands back its start, which the residual gate judges, and approximate
-    # returns an outcome instead of raising
+def _failing_fits(monkeypatch):
+    """Make every least_squares call raise, as an SVD that does not converge does."""
     calls = []
 
     def failing(*args, **kwargs):
@@ -253,10 +284,34 @@ def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(cpproj.extraction, "least_squares", failing)
-    out = approximate(np.array([[2.0, 1.0], [1.0, 2.0]]), DriverSettings(k_max=2))
-    assert isinstance(out, (Projected, Inconclusive))
+    return calls
+
+
+def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
+    # the polish then hands back its start, which the residual gate judges,
+    # and approximate returns an outcome instead of raising.  This CP matrix
+    # has a square root with entries of -0.21, so neither its clipped root
+    # nor the random rows fit unpolished
+    calls = _failing_fits(monkeypatch)
+    C = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    out = approximate(C, DriverSettings(k_max=2))
+    assert isinstance(out, Inconclusive)
     assert calls
     assert any("DNN relaxation (factorization): factor residual" in e for e in out.events)
+
+
+def test_a_nonnegative_square_root_certifies_without_a_fit(monkeypatch):
+    # every 2x2 DNN matrix has a nonnegative square root, which is already
+    # an exact factorization, so failing fits do not matter
+    calls = _failing_fits(monkeypatch)
+    out = approximate(np.array([[2.0, 1.0], [1.0, 2.0]]), DriverSettings(k_max=2))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert calls
+    assert any(
+        "DNN relaxation (factorization): certified from the square-root start" in e
+        for e in out.events
+    )
 
 
 def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):

@@ -9,6 +9,7 @@ from cpproj.extraction import (
     _horn_cuts,
     cp_distance_floor,
     polish_decomposition,
+    root_start,
     row_floor,
     sparsify_decomposition,
     trace_scaled,
@@ -125,7 +126,7 @@ def _spy_on_polish(monkeypatch, miss_first=False):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypatch):
-    # the driver's direct-factorization start: n(n+1)/2 uniform rows whose
+    # the driver's fallback factorization start: n(n+1)/2 uniform rows whose
     # reconstruction has the trace of the target; C5 is nonsingular, so no
     # fewer than 5 factors rebuild it, and sparsify jumps there in one polish
     F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
@@ -136,6 +137,22 @@ def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypat
     assert out.rank == 5
     assert out.factors.min() >= 0.0
     assert verify_decomposition(C5, out) <= 1e-8
+
+
+def test_root_start_is_nonnegative_and_exact_for_a_nonnegative_root():
+    # R = B B^T is symmetric, PSD and entrywise nonnegative, so it is the
+    # square root of X = R^2, and the clipped root reconstructs X exactly
+    B = np.random.default_rng(4).uniform(size=(5, 3))
+    R = B @ B.T
+    X = R @ R
+    F = root_start(X)
+    assert F.shape == (5, 5)
+    assert F.min() >= 0.0
+    npt.assert_allclose(F.T @ F, X, rtol=0.0, atol=1e-12 * np.linalg.norm(X))
+    # a CP matrix whose square root has negative entries: they are clipped
+    F = root_start(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]))
+    assert F.min() == 0.0
+    assert F[0, 2] == F[2, 0] == 0.0
 
 
 def test_trace_scaled_matches_the_trace_of_the_target():

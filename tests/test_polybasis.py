@@ -125,7 +125,7 @@ def test_moments_of_atoms_against_matrix_sum():
     # spot-check a degree-6 entry against the raw sum
     alpha = (3, 1, 2, 0)
     want = float(sum(w * np.prod(u ** np.array(alpha)) for w, u in zip(wts, pts)))
-    npt.assert_allclose(s.entry(alpha), want, rtol=1e-12)
+    npt.assert_allclose(s.s[monomials_up_to(n, 2 * k).position(alpha)], want, rtol=1e-12)
 
 
 def test_moments_of_atoms_empty_measure():
