@@ -6,11 +6,12 @@ The package solves, in the 1-, 2-, infinity-, or Frobenius norm,
 
 returning either the projection together with an explicit nonnegative rank-one
 decomposition of it, or a certificate that no completely positive matrix
-satisfies the constraints.  The computation solves the doubly nonnegative
-relaxation and then a hierarchy of semidefinite moment relaxations with the
-built-in conic interior-point method; each relaxation bounds the distance
-from below, and its optimal matrix is certified completely positive by a
-direct nonnegative factorization.
+satisfies the constraints.  The computation climbs one ladder of conic
+relaxations with the built-in interior-point method: order 1 is the doubly
+nonnegative relaxation and orders 2 and up are semidefinite moment
+relaxations.  Each order bounds the distance from below (or proves the
+constraints infeasible), and its optimal matrix is certified completely
+positive by a direct nonnegative factorization.
 
 Entry points:
 

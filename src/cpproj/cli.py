@@ -267,12 +267,11 @@ def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
         }
         return doc, EXIT_INFEASIBLE
     assert isinstance(outcome, Inconclusive)
-    rel = outcome.relaxation
     doc = {
         "status": "inconclusive",
         # best distance lower bound the hierarchy established, not a distance
         "gamma": outcome.gamma_lower,
-        "X": None if rel is None else rel.matrix.values.tolist(),
+        "X": outcome.relaxation.matrix.tolist(),
         "decomposition": None,
         "k_used": outcome.k_last,
         "certificate": None,
@@ -311,16 +310,19 @@ def _emit_logs(events: Sequence[str], summary: str, mode: str) -> None:
         print(f"cpproj: {summary}", file=sys.stderr)
 
 
+def _where(k: int) -> str:
+    return "the DNN relaxation" if k == 1 else f"order {k}"
+
+
 def _summarize(doc: dict) -> str:
     status = doc["status"]
     if status == "projected":
-        where = "the DNN relaxation" if doc["k_used"] == 1 else f"order {doc['k_used']}"
         return (
-            f"projected: gamma={_scalar(doc['gamma'])} at {where}, "
+            f"projected: gamma={_scalar(doc['gamma'])} at {_where(doc['k_used'])}, "
             f"{len(doc['decomposition']['weights'])} atoms"
         )
     if status == "infeasible":
-        return f"infeasible: certified at order {doc['k_used']}"
+        return f"infeasible: certified at {_where(doc['k_used'])}"
     if status == "checked":
         return f"membership: is_cp={_scalar(doc['is_cp'])} (distance {_scalar(doc['distance'])})"
     gamma = doc.get("gamma", doc.get("distance"))

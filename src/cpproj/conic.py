@@ -6,9 +6,9 @@ Programs are stored as
     subject to  eq_map @ v == eq_rhs
                 cone_map @ v + cone_offset  in  K,
 
-where K is an ordered product of zero / nonnegative / second-order / PSD
-blocks partitioning the cone image.  PSD blocks use the isometric upper
-triangle vectorization (off-diagonal entries scaled by sqrt(2)) so that block
+where K is an ordered product of nonnegative / second-order / PSD blocks
+partitioning the cone image.  PSD blocks use the isometric upper triangle
+vectorization (off-diagonal entries scaled by sqrt(2)) so that block
 inner products equal plain dot products.
 
 The algorithm embeds the primal-dual pair in a homogeneous self-dual model,
@@ -55,7 +55,7 @@ __all__ = [
     "verify_certificate",
 ]
 
-KINDS = ("zero", "nonneg", "soc", "psd")
+KINDS = ("nonneg", "soc", "psd")
 
 logger = logging.getLogger(__name__)
 
@@ -529,59 +529,12 @@ def _block_slices(blocks: Sequence[ConeBlock]) -> list[slice]:
 
 def _dist_outside_cone(block: ConeBlock, u: np.ndarray) -> float:
     """How far u sits outside the block's cone (0 when inside)."""
-    if block.kind == "zero":
-        return float(np.abs(u).max(initial=0.0))
     if block.kind == "nonneg":
         return float(max(0.0, -u.min(initial=0.0)))
     if block.kind == "soc":
         return float(max(0.0, np.linalg.norm(u[1:]) - u[0]))
     lam_min = float(np.linalg.eigvalsh(smat(u, block.order)).min())
     return max(0.0, -lam_min)
-
-
-# ---------------------------------------------------------------------------
-# zero-block folding: pinned cone rows become equality rows
-
-
-def _fold_zero_blocks(prog: ConicProgram):
-    if not any(b.kind == "zero" for b in prog.cone_blocks):
-        return (
-            prog.eq_map,
-            prog.eq_rhs,
-            prog.cone_map,
-            prog.cone_offset,
-            prog.cone_blocks,
-            None,
-        )
-    slices = _block_slices(prog.cone_blocks)
-    zero_rows, keep_rows, keep_blocks = [], [], []
-    for b, sl in zip(prog.cone_blocks, slices):
-        rows = list(range(sl.start, sl.stop))
-        if b.kind == "zero":
-            zero_rows.extend(rows)
-        else:
-            keep_rows.extend(rows)
-            keep_blocks.append(b)
-    E = sp.vstack([prog.eq_map, prog.cone_map[zero_rows]], format="csr")
-    d = np.concatenate([prog.eq_rhs, -prog.cone_offset[zero_rows]])
-    M = prog.cone_map[keep_rows].tocsr()
-    h = prog.cone_offset[keep_rows]
-    return E, d, M, h, tuple(keep_blocks), (zero_rows, keep_rows)
-
-
-def _unfold_duals(prog: ConicProgram, fold, y: np.ndarray, z: np.ndarray):
-    """Multipliers (y, z) of the folded program as (dual_eq, dual_cone) of `prog`.
-
-    Folded zero-block rows sit after the original equality rows, so their
-    multipliers move from the tail of y back into the pinned cone rows.
-    """
-    if fold is None:
-        return y, z
-    zero_rows, keep_rows = fold
-    dual_cone = np.zeros(prog.cone_map.shape[0])
-    dual_cone[keep_rows] = z
-    dual_cone[zero_rows] = y[prog.eq_rhs.size :]
-    return y[: prog.eq_rhs.size], dual_cone
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +607,8 @@ class _Kkt:
 def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Run the interior-point method on `prog`."""
     st = settings or SolverSettings()
-    E, d, M, h, blocks, fold = _fold_zero_blocks(prog)
+    E, d, M, h = prog.eq_map, prog.eq_rhs, prog.cone_map, prog.cone_offset
+    blocks = prog.cone_blocks
     c = prog.objective
     n = c.size
     m_eq = E.shape[0]
@@ -700,12 +654,11 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
     def pack_point(status, it, measures, x, y, z, tau):
         pres, dres, pobj, dobj, gap, relgap = measures
-        dual_eq, dual_cone = _unfold_duals(prog, fold, y / tau, z / tau)
         return ConicSolution(
             status=status,
             primal=x / tau,
-            dual_eq=dual_eq,
-            dual_cone=dual_cone,
+            dual_eq=y / tau,
+            dual_cone=z / tau,
             primal_obj=float(pobj),
             dual_obj=float(dobj),
             residuals={
@@ -722,7 +675,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
         margin = (d @ y if m_eq else 0.0) - h @ z
         if not margin > 1e-300:
             return None
-        yy, cert = _unfold_duals(prog, fold, y / margin, z / margin)
+        yy, cert = y / margin, z / margin
         cand = ConicSolution(
             status="primal_infeasible",
             primal=None,
@@ -865,8 +818,6 @@ def _certificate_residuals(prog: ConicProgram, y, z) -> dict[str, float]:
     margin = prog.eq_rhs @ y - prog.cone_offset @ z
     dist = 0.0
     for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks)):
-        if b.kind == "zero":
-            continue  # multipliers of pinned rows are unrestricted
         dist = max(dist, _dist_outside_cone(b, z[sl]))
     return {
         "adjoint": float(np.abs(adj).max(initial=0.0)),

@@ -1,22 +1,17 @@
 """End-to-end projection driver.
 
-First solves the doubly nonnegative (DNN) relaxation: CP lies inside DNN for
-every n (and equals it for n <= 4), so its distance bounds the projection
-distance from below, and when a direct factorization of its optimum passes
-the gates below, that optimum is the projection (reported as order 1).
-Otherwise, and always for infeasible constraints, whose Farkas certificates
-come from the moment relaxations, the driver goes on to the hierarchy.
-
-Solves the order-k moment relaxation for increasing k.  Each order gives a
-lower bound on the distance (or, for incompatible constraints, a Farkas
-certificate), and its optimal matrix goes through the same certification as
-the DNN optimum: the driver fits nonnegative factors to the matrix directly,
-from its PSD square root clipped at zero and, only when that misses, from
-seeded random rows, polishes and sparsifies them, and accepts them only if
-their residual is within FACTOR_TOL and the matrix meets the constraints.
-A candidate matrix whose provable distance from the CP cone
-(`cp_distance_floor`) already exceeds the residual budget skips polish and
-sparsify altogether.
+Solves the relaxations of `cpproj.relaxation` for k = 1, 2, ..., k_max.
+Order 1 is the doubly nonnegative (DNN) relaxation, and orders k >= 2 are
+the moment relaxations.  CP lies inside every order (and equals DNN for
+n <= 4), so each order either gives a lower bound on the distance or, for
+incompatible constraints, a verified Farkas certificate that ends the run.
+Every order's optimal matrix goes through one certification: the driver
+fits nonnegative factors to the matrix directly, from its PSD square root
+clipped at zero and, only when that misses, from seeded random rows,
+polishes and sparsifies them, and accepts them only if their residual is
+within FACTOR_TOL and the matrix meets the constraints.  A candidate matrix
+whose provable distance from the CP cone (`cp_distance_floor`) already
+exceeds the residual budget skips polish and sparsify altogether.
 
 Three outcomes are possible:
 
@@ -53,7 +48,6 @@ from .relaxation import (
     ProblemSpec,
     RelaxationSolution,
     map_solution,
-    solve_dnn,
     solve_relaxation,
 )
 
@@ -79,7 +73,7 @@ class SolverFailure(RuntimeError):
         self.solution = solution
 
 
-K_START = 2  # the lowest relaxation order; `assemble` rejects anything below
+K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one moment order
 # residual multiplier (on top of the solver tolerances) up to which a stalled
 # iterate is still offered to the factorization; its objective is never
 # recorded as a distance bound in that band
@@ -104,26 +98,24 @@ class DriverSettings:
     )
 
     def __post_init__(self) -> None:
-        if self.k_max < K_START:
-            raise ValueError(f"k_max must be at least {K_START}")
+        if self.k_max < K_MIN:
+            raise ValueError(f"k_max must be at least {K_MIN}")
 
 
 @dataclass(frozen=True, eq=False)
 class Projected:
     """Certified projection with its completely positive decomposition.
 
-    `k_used` is the relaxation order that certified, or 1 for the DNN
-    relaxation.  `relaxation` is the moment relaxation's solution, or None
-    at the DNN relaxation, which has no moment vector.  `bounds` lists an
-    (order, distance bound) pair per solve that gave one, order 1 for the
-    DNN relaxation.
+    `k_used` is the relaxation order that certified, 1 for the DNN
+    relaxation, and `relaxation` is that order's solution.  `bounds` lists
+    an (order, distance bound) pair per solve that gave one.
     """
 
     matrix: np.ndarray
     gamma: float
     decomposition: CpDecomposition
     k_used: int
-    relaxation: Optional[RelaxationSolution]
+    relaxation: RelaxationSolution
     events: tuple[str, ...]
     bounds: tuple[tuple[int, float], ...] = ()
 
@@ -147,7 +139,7 @@ class Inconclusive:
 
     gamma_lower: Optional[float]
     k_last: int
-    relaxation: Optional[RelaxationSolution]
+    relaxation: RelaxationSolution
     events: tuple[str, ...]
     bounds: tuple[tuple[int, float], ...] = ()
 
@@ -210,9 +202,10 @@ def _factorize(
     more than the solve could deliver.  When `cp_distance_floor` proves that
     no nonnegative factorization can come within that budget, polish and
     sparsify are skipped and the event names the gate.  Sparsify runs on
-    each start even when its polish misses the budget: its re-polish from
-    fewer rows is part of the search for a certificate.  The event says when
-    the atom count is the fewest that can fit X at all (`row_floor`).
+    each start even when its polish misses the budget: its jump to the row
+    floor re-polishes from fewer rows and is part of the search for a
+    certificate.  The event says when the atom count is the fewest that can
+    fit X at all (`row_floor`).
     """
     tag = f"{tag} (factorization)"
     level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
@@ -275,36 +268,13 @@ def approximate(
     last_rsol: Optional[RelaxationSolution] = None
     bounds: list[tuple[int, float]] = []
 
-    # the DNN rung: CP lies inside DNN, so a DNN optimum that factors is the
-    # projection; every other ending falls through to the hierarchy, which
-    # also owns the Farkas certificates of infeasible instances
-    csol, gamma, X = solve_dnn(spec, st.solver)
-    note(f"DNN relaxation: solver finished {csol.status} after {csol.iterations} iterations")
-    if csol.status == "optimal":
-        gamma_lower = gamma
-        bounds.append((1, gamma))
-        note(f"DNN relaxation: distance bound {gamma:.10g}")
-        dec = _factorize(X, csol, spec, st, note, "DNN relaxation")
-        if dec is not None:
-            return Projected(
-                matrix=X,
-                gamma=gamma,
-                decomposition=dec,
-                k_used=1,
-                relaxation=None,
-                events=tuple(events),
-                bounds=tuple(bounds),
-            )
-        note(f"DNN relaxation: not certified; going on to order {K_START}")
-    else:
-        note(f"DNN relaxation: status {csol.status!r} gives no bound; going on to order {K_START}")
-
-    k = K_START
-    for k in range(K_START, st.k_max + 1):
+    for k in range(1, st.k_max + 1):
+        tag = "DNN relaxation" if k == 1 else f"order {k}"
         prog, csol = solve_relaxation(spec, k, st.solver)
-        note(f"order {k}: solver finished {csol.status} after {csol.iterations} iterations")
+        note(f"{tag}: solver finished {csol.status} after {csol.iterations} iterations")
         if csol.status == "primal_infeasible":
-            # solve() only reports this after verifying the Farkas pair
+            # solve() only reports this after verifying the Farkas pair, and
+            # CP lies inside every order, so the pair rules out CP as well
             return Infeasible(k_used=k, certificate=csol, events=tuple(events))
         near_optimal = True
         if csol.status != "optimal":
@@ -318,33 +288,27 @@ def approximate(
                     )
                 # orders already solved still bound the distance; report those
                 # instead of discarding them over a breakdown higher up
-                note(
-                    f"order {k}: solver stalled with status {csol.status!r}; "
-                    "stopping the hierarchy"
-                )
+                note(f"{tag}: solver stalled with status {csol.status!r}; stopping the hierarchy")
                 break
             note(
-                f"order {k}: accepting a reduced-accuracy iterate "
+                f"{tag}: accepting a reduced-accuracy iterate "
                 f"(rel_gap {csol.residuals.get('rel_gap', float('nan')):.3e})"
             )
         rsol = map_solution(prog, csol)
         last_rsol = rsol
         if near_optimal:
-            gamma_lower = (
-                rsol.gamma if gamma_lower is None else max(gamma_lower, rsol.gamma)
-            )
+            gamma_lower = rsol.gamma if gamma_lower is None else max(gamma_lower, rsol.gamma)
             bounds.append((k, rsol.gamma))
-            note(f"order {k}: distance bound {rsol.gamma:.10g}")
+            note(f"{tag}: distance bound {rsol.gamma:.10g}")
         else:
             # a stalled iterate still makes a certification candidate, but its
             # objective is not trusted as a distance bound
-            note(f"order {k}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
+            note(f"{tag}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
 
-        X = rsol.matrix.values
-        dec = _factorize(X, csol, spec, st, note, f"order {k}")
+        dec = _factorize(rsol.matrix, csol, spec, st, note, tag)
         if dec is not None:
             return Projected(
-                matrix=X,
+                matrix=rsol.matrix,
                 gamma=rsol.gamma,
                 decomposition=dec,
                 k_used=k,
@@ -352,7 +316,7 @@ def approximate(
                 events=tuple(events),
                 bounds=tuple(bounds),
             )
-        note(f"order {k}: not certified")
+        note(f"{tag}: not certified")
 
     return Inconclusive(
         gamma_lower=gamma_lower,

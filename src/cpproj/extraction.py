@@ -20,8 +20,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import least_squares
 
-from .polybasis import SymMatrix
-
 __all__ = [
     "CpDecomposition",
     "cp_distance_floor",
@@ -70,7 +68,7 @@ class CpDecomposition:
 
 
 def polish_decomposition(
-    X: np.ndarray | SymMatrix, dec: CpDecomposition
+    X: np.ndarray, dec: CpDecomposition
 ) -> CpDecomposition:
     """Locally refine the factors so their outer-product sum matches X.
 
@@ -89,13 +87,12 @@ def polish_decomposition(
     `verify_decomposition`, so a polish that stalls in a poor local minimum
     is caught there rather than here.
     """
-    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
     if dec.factors.size == 0:
         return dec
     r, n = dec.factors.shape
     iu = np.triu_indices(n)
     wgt = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    target = Xv[iu] * wgt
+    target = X[iu] * wgt
     rows = np.arange(iu[0].size)
 
     def resid(z: np.ndarray) -> np.ndarray:
@@ -164,7 +161,7 @@ def _horn_cuts(n: int) -> np.ndarray:
     return cuts
 
 
-def cp_distance_floor(X: np.ndarray | SymMatrix) -> tuple[float, str]:
+def cp_distance_floor(X: np.ndarray) -> tuple[float, str]:
     """A lower bound on ||F^T F - X||_F over all nonnegative F, and its gate.
 
     Every F^T F is entrywise nonnegative, PSD and has <H, F^T F> >= 0 for
@@ -172,20 +169,19 @@ def cp_distance_floor(X: np.ndarray | SymMatrix) -> tuple[float, str]:
     ||min(lambda(X), 0)||_2 ("eigenvalue") and -<H, X> / ||H||_F ("Horn")
     away from X.  Returns the largest of these with the name of its gate.
     """
-    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
     floors = {
-        "entrywise": float(np.linalg.norm(np.minimum(Xv, 0.0))),
-        "eigenvalue": float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(Xv), 0.0))),
+        "entrywise": float(np.linalg.norm(np.minimum(X, 0.0))),
+        "eigenvalue": float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(X), 0.0))),
     }
-    cuts = _horn_cuts(Xv.shape[0])
+    cuts = _horn_cuts(X.shape[0])
     if cuts.size:
         # every embedded Horn matrix has Frobenius norm 5
-        floors["Horn"] = max(0.0, float(-np.einsum("kij,ij->k", cuts, Xv).min()) / 5.0)
+        floors["Horn"] = max(0.0, float(-np.einsum("kij,ij->k", cuts, X).min()) / 5.0)
     gate = max(floors, key=floors.get)
     return floors[gate], gate
 
 
-def root_start(X: np.ndarray | SymMatrix) -> np.ndarray:
+def root_start(X: np.ndarray) -> np.ndarray:
     """The PSD square root of X, clipped at zero: n factor rows near a fit.
 
     With X = V diag(lam) V^T, the symmetric root R = V diag(sqrt(max(lam, 0))) V^T
@@ -194,8 +190,7 @@ def root_start(X: np.ndarray | SymMatrix) -> np.ndarray:
     close to the answer (Groetzner & Duer's factorization method starts from
     any such R).
     """
-    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
-    lam, V = np.linalg.eigh(Xv)
+    lam, V = np.linalg.eigh(X)
     return np.maximum((V * np.sqrt(np.maximum(lam, 0.0))) @ V.T, 0.0)
 
 
@@ -204,22 +199,21 @@ def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
     return F * (np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F))
 
 
-def row_floor(X: np.ndarray | SymMatrix, tol: float) -> int:
+def row_floor(X: np.ndarray, tol: float) -> int:
     """Fewest factor rows (at least 1) whose reconstruction can lie within tol of X.
 
     By Eckart-Young, any k rows leave a Frobenius residual of at least the
     norm of the n - k eigenvalues of X smallest in absolute value, so fewer
     rows than the smallest k whose tail is at most `tol` cannot pass the gate.
     """
-    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
-    lam = np.sort(np.abs(np.linalg.eigvalsh(Xv)))
+    lam = np.sort(np.abs(np.linalg.eigvalsh(X)))
     tails = np.sqrt(np.concatenate(([0.0], np.cumsum(lam**2))))
     dropped = int(np.searchsorted(tails, tol, side="right")) - 1
     return max(1, lam.size - dropped)
 
 
 def sparsify_decomposition(
-    X: np.ndarray | SymMatrix, dec: CpDecomposition, tol: float
+    X: np.ndarray, dec: CpDecomposition, tol: float
 ) -> CpDecomposition:
     """Drop factors while the rest still reconstructs X within tol.
 
@@ -228,20 +222,22 @@ def sparsify_decomposition(
     mass that other rows can absorb).  No factorization with fewer rows than
     `row_floor(X, tol)` can pass, so the search first jumps there: one
     polish from the heaviest rows, rescaled to the trace of X.  If that fits,
-    its count is the fewest possible (the Eckart-Young minimum).  Otherwise
-    the greedy pass runs from the untouched input: each pass tentatively
-    removes the lightest factor whose removal survives a re-polish, down to
-    the floor, so the result is a locally minimal certificate.  `tol` is the
-    absolute Frobenius residual budget; the input is returned unchanged when
-    it is already at the floor or when no removal fits.
+    its count is the fewest possible (the Eckart-Young minimum).  Otherwise,
+    if the input itself fits, the greedy pass runs from it: each pass
+    tentatively removes the lightest factor whose removal survives a
+    re-polish, down to the floor, so the result is a locally minimal
+    certificate.  `tol` is the absolute Frobenius residual budget; the input
+    is returned unchanged when it is already at the floor, when it does not
+    fit, or when no removal fits.
     """
-    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
-    least = row_floor(Xv, tol)
+    least = row_floor(X, tol)
     if dec.rank > least:
         heavy = dec.factors[np.argsort(dec.weights)[-least:]]
-        jump = polish_decomposition(Xv, CpDecomposition.from_factors(trace_scaled(heavy, Xv)))
-        if verify_decomposition(Xv, jump) <= tol:
+        jump = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(heavy, X)))
+        if verify_decomposition(X, jump) <= tol:
             return jump
+    if verify_decomposition(X, dec) > tol:
+        return dec
     cur = dec
     shrunk = True
     while shrunk and cur.rank > least:
@@ -252,19 +248,18 @@ def sparsify_decomposition(
                 np.delete(cur.weights, idx),
                 np.delete(cur.factors, idx, axis=0),
             )
-            trial = polish_decomposition(Xv, trial)
-            if verify_decomposition(Xv, trial) <= tol:
+            trial = polish_decomposition(X, trial)
+            if verify_decomposition(X, trial) <= tol:
                 cur = trial
                 shrunk = True
                 break
     return cur
 
 
-def verify_decomposition(X: np.ndarray | SymMatrix, dec: CpDecomposition) -> float:
+def verify_decomposition(X: np.ndarray, dec: CpDecomposition) -> float:
     """Frobenius residual of the factorization; rejects negative factors."""
-    Xv = X.values if isinstance(X, SymMatrix) else np.asarray(X, dtype=float)
     if dec.factors.size and dec.factors.min() < 0:
         raise ValueError("decomposition has a negative factor entry")
     if dec.factors.size == 0:
-        return float(np.linalg.norm(Xv))
-    return float(np.linalg.norm(dec.reconstruct() - Xv))
+        return float(np.linalg.norm(X))
+    return float(np.linalg.norm(dec.reconstruct() - X))

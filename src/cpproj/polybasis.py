@@ -17,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "SymMatrix",
-    "ETms",
-    "Tms",
     "basis_size",
     "monomials_up_to",
     "vech",

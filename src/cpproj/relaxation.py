@@ -3,15 +3,16 @@
 An instance asks for the matrix nearest to C, in one of the matrix norms
 handled by `cpproj.norms`, among completely positive matrices satisfying
 affine trace constraints <A_i, X> = b_i or >= b_i.  Membership of X in the
-completely positive cone is relaxed through the moment-sequence description
+completely positive cone is relaxed by one ladder of conic programs,
+indexed by the order k, that share the constraint, split and norm rows.
+Order 1 is the doubly nonnegative (DNN) relaxation: X entrywise
+nonnegative and PSD.  Order k >= 2 uses the moment-sequence description
 from `cpproj.moments`: X is identified with the degree-2 slice of a moment
-vector s that satisfies the sphere equalities and the PSD block conditions of
-order k.  The sequence of optimal values grows with k toward the exact
-projection distance; certification at finite k happens downstream, through
-a direct nonnegative factorization of the optimal matrix.  `assemble_dnn`
-builds the coarser doubly nonnegative relaxation (X PSD and entrywise
-nonnegative) with the same constraint, split and norm rows; the driver
-solves it before the hierarchy.
+vector s that satisfies the sphere equalities and the PSD block conditions
+of order k.  CP lies inside every rung, so each optimal value bounds the
+projection distance from below, and from order 2 on the values grow with
+k toward it; certification at finite k happens downstream, through a
+direct nonnegative factorization of the optimal matrix.
 
 The norm objective turns into standard conic epigraphs:
 
@@ -40,10 +41,7 @@ from .conic import (
 from .moments import moment_cone_constraints
 from .norms import NORM_KINDS, p_norm
 from .polybasis import (
-    ETms,
     SymMatrix,
-    Tms,
-    basis_size,
     matrix_of_etms,
     moments_of_atoms,
     vech,
@@ -56,7 +54,6 @@ __all__ = [
     "ProblemSpec",
     "RelaxationSolution",
     "assemble",
-    "solve_dnn",
     "map_solution",
     "solve_relaxation",
     "check_weak_duality",
@@ -150,16 +147,16 @@ class _ConeRows:
         self.offsets.append(float(offset))
         self.at += 1
 
-    def add_sparse(self, mat: sp.csr_matrix, offsets=None):
+    def add_sparse(self, mat: sp.spmatrix, scale: Optional[np.ndarray] = None):
+        """Append the rows of `mat`, whose columns are the leading columns,
+        each row i times scale[i]."""
         coo = mat.tocoo()
+        data = coo.data if scale is None else scale[coo.row] * coo.data
         self.rows.extend((coo.row + self.at).tolist())
         self.cols.extend(coo.col.tolist())
-        self.vals.extend(coo.data.tolist())
-        m = mat.shape[0]
-        self.offsets.extend(
-            [0.0] * m if offsets is None else [float(v) for v in offsets]
-        )
-        self.at += m
+        self.vals.extend(data.tolist())
+        self.offsets.extend([0.0] * mat.shape[0])
+        self.at += mat.shape[0]
 
     def close_block(self, kind: str, order: int = 0):
         start = sum(b.size for b in self.blocks)
@@ -188,12 +185,17 @@ def _columns(spec: ProblemSpec, head: str, size: int) -> tuple[dict[str, slice],
 
 
 def _constraint_rows(
-    spec: ProblemSpec, cone: _ConeRows, layout: dict[str, slice], x_off: int
+    spec: ProblemSpec,
+    cone: _ConeRows,
+    layout: dict[str, slice],
+    x_off: int,
+    moment_eq: sp.spmatrix,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Rows every relaxation shares, with vech(X) in columns x_off + m.
 
-    Returns the equality rows and their right-hand side: the user's
-    equalities, then the one/inf split X - C = Y+ - Y-.  Appends to `cone`
+    Returns the equality rows and their right-hand side: `moment_eq` (rows
+    over the leading columns, right-hand side zero), the user's equalities,
+    then the one/inf split X - C = Y+ - Y-.  Appends to `cone`
     the user's inequalities, Y+ >= 0, Y- >= 0 and the column-sum bounds
     gamma >= sum_i (Y+ + Y-)_ij; the caller closes that nonnegative block.
     """
@@ -201,8 +203,10 @@ def _constraint_rows(
     nbar = n * (n + 1) // 2
     g = layout["gamma"].start
     split = spec.norm in ("one", "inf")
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
+    coo = moment_eq.tocoo()
+    rows, cols, vals = coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
+    r = moment_eq.shape[0]
+    rhs = [0.0] * r
     for con in spec.equalities:
         w = weighted_vech(con.matrix)
         for m in range(nbar):
@@ -243,45 +247,58 @@ def _constraint_rows(
     return eq, np.asarray(rhs, dtype=float)
 
 
-def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
-    """Build the order-k conic relaxation of the projection instance."""
-    if k < 2:
-        raise ValueError("relaxation order must be at least 2")
-    n = spec.dim
-    L = basis_size(n, 2 * k)
-    system = moment_cone_constraints(n, k)
-    e_off = 1 + n  # degree-2 monomials start right after degree <= 1
+def _x_offset(n: int, k: int) -> int:
+    """Column of vech(X) in the order-k program: the degree-2 moments follow
+    the n + 1 moments of degree <= 1 at order k >= 2, and are the whole head
+    at order 1."""
+    return 0 if k == 1 else 1 + n
 
-    layout, N = _columns(spec, "tms", L)
+
+def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
+    """Build the order-k conic relaxation of the projection instance.
+
+    Order 1 is the doubly nonnegative relaxation: its head columns are
+    vech(X), held entrywise nonnegative by rows at the head of the
+    nonnegative block and PSD by one order-n block.  Order k >= 2 holds the
+    moment vector of half-degree k under the sphere equalities and the
+    n + 1 moment PSD blocks.  Every order shares the constraint, split and
+    norm rows, and its PSD blocks go through the same svec-scaled map.
+    """
+    if k < 1:
+        raise ValueError("relaxation order must be at least 1")
+    n = spec.dim
+    nbar = n * (n + 1) // 2
+    if k == 1:
+        eye = sp.identity(nbar, format="coo")
+        moment_eq, head_nonneg, psd_blocks = sp.coo_matrix((0, nbar)), eye, ((n, eye),)
+    else:
+        system = moment_cone_constraints(n, k)
+        moment_eq = system.equality
+        head_nonneg = sp.coo_matrix((0, moment_eq.shape[1]))
+        psd_blocks = tuple((blk.order, blk.entries) for blk in system.psd_blocks)
+    L = moment_eq.shape[1]
+    x_off = _x_offset(n, k)
+
+    layout, N = _columns(spec, "vech" if k == 1 else "tms", L)
     g = L  # gamma column
 
     objective = np.zeros(N)
     objective[g] = 1.0
 
     cone = _ConeRows(N)
-    user_eq, user_rhs = _constraint_rows(spec, cone, layout, e_off)
+    cone.add_sparse(head_nonneg)
+    eq_map, eq_vec = _constraint_rows(spec, cone, layout, x_off, moment_eq)
     cone.close_block("nonneg")
-    moment_eq = sp.hstack(
-        [system.equality, sp.csr_matrix((system.equality.shape[0], N - L))], format="csr"
-    )
-    eq_map = sp.vstack([moment_eq, user_eq], format="csr")
-    eq_vec = np.concatenate([np.zeros(system.equality.shape[0]), user_rhs])
 
     if spec.norm in ("fro", "two"):
-        _append_norm_block(cone, spec.norm, spec.C, g, e_off)
+        _append_norm_block(cone, spec.norm, spec.C, g, x_off)
 
-    # svec-scaled PSD blocks of the moment system; the moment vector fills
-    # the leading L columns, the epigraph and split columns get zeros
-    for blk in system.psd_blocks:
+    for order, entries in psd_blocks:
         scale = np.array(
-            [1.0 if a == b else _SQRT2
-             for a in range(blk.order) for b in range(a, blk.order)]
+            [1.0 if a == b else _SQRT2 for a in range(order) for b in range(a, order)]
         )
-        scaled = sp.diags(scale) @ blk.entries
-        cone.add_sparse(
-            sp.hstack([scaled, sp.csr_matrix((scaled.shape[0], N - L))], format="csr")
-        )
-        cone.close_block("psd", order=blk.order)
+        cone.add_sparse(entries, scale)
+        cone.close_block("psd", order=order)
 
     cone_map, cone_offset, blocks = cone.matrices()
     return ConicProgram(
@@ -327,73 +344,12 @@ def _append_norm_block(
     cone.close_block("psd", order=p)
 
 
-def assemble_dnn(spec: ProblemSpec) -> ConicProgram:
-    """Build the doubly nonnegative relaxation of the projection instance.
-
-    Its variables are vech(X), gamma and, for the one and inf norms, the
-    split parts.  X is held entrywise nonnegative and PSD, under the same
-    constraint, split and norm rows as `assemble`.  CP lies inside DNN for
-    every n, so its optimum bounds the distance from below, and for n <= 4
-    the two cones coincide.
-    """
-    n = spec.dim
-    nbar = n * (n + 1) // 2
-    layout, N = _columns(spec, "vech", nbar)
-    g = nbar  # gamma column
-
-    objective = np.zeros(N)
-    objective[g] = 1.0
-
-    cone = _ConeRows(N)
-    for m in range(nbar):
-        cone.add_row([m], [1.0])
-    eq_map, eq_rhs = _constraint_rows(spec, cone, layout, 0)
-    cone.close_block("nonneg")
-    if spec.norm in ("fro", "two"):
-        _append_norm_block(cone, spec.norm, spec.C, g, 0)
-    for m, (a, b) in enumerate((a, b) for a in range(n) for b in range(a, n)):
-        cone.add_row([m], [1.0 if a == b else _SQRT2])
-    cone.close_block("psd", order=n)
-
-    cone_map, cone_offset, blocks = cone.matrices()
-    return ConicProgram(
-        objective=objective,
-        eq_map=eq_map,
-        eq_rhs=eq_rhs,
-        cone_map=cone_map,
-        cone_offset=cone_offset,
-        cone_blocks=blocks,
-        layout=layout,
-        info={"n": n, "norm": spec.norm},
-    )
-
-
-def solve_dnn(
-    spec: ProblemSpec, settings: SolverSettings | None = None
-) -> tuple[ConicSolution, Optional[float], Optional[np.ndarray]]:
-    """Solve the DNN relaxation; returns (conic solution, gamma, X).
-
-    Both tolerances are tightened to at most DNN_TOL and `max_iters` is
-    kept.  gamma and X are None when the solution carries no point.
-    """
-    st = settings or SolverSettings()
-    tight = replace(st, tol_feas=min(st.tol_feas, DNN_TOL), tol_gap=min(st.tol_gap, DNN_TOL))
-    prog = assemble_dnn(spec)
-    sol = conic_solve(prog, tight)
-    if sol.primal is None:
-        return sol, None, None
-    gamma = float(sol.primal[prog.layout["gamma"]][0])
-    return sol, gamma, vech_inv(sol.primal[prog.layout["vech"]]).values
-
-
 @dataclass(frozen=True, eq=False)
 class RelaxationSolution:
     """Mapped-back solution of one relaxation order."""
 
-    tms: Tms
-    matrix: SymMatrix
+    matrix: np.ndarray
     gamma: float
-    xtilde: np.ndarray
     dual_objective: Optional[float]
     conic: ConicSolution
 
@@ -403,21 +359,15 @@ class RelaxationSolution:
 
 
 def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
-    """Split a conic solution back into moment sequence, matrix and distance."""
+    """Read the matrix X and the distance gamma off a conic solution."""
     if sol.primal is None:
         raise ValueError(f"solution with status {sol.status!r} carries no point")
     n = int(prog.info["n"])
-    k = int(prog.info["k"])
-    nbar = n * (n + 1) // 2
+    x_off = _x_offset(n, int(prog.info["k"]))
     xt = sol.primal
-    s = xt[prog.layout["tms"]]
-    gamma = float(xt[prog.layout["gamma"]][0])
-    X = matrix_of_etms(ETms(n, s[1 + n : 1 + n + nbar].copy()))
     return RelaxationSolution(
-        tms=Tms(n, k, s.copy()),
-        matrix=X,
-        gamma=gamma,
-        xtilde=xt,
+        matrix=vech_inv(xt[x_off : x_off + n * (n + 1) // 2]).values,
+        gamma=float(xt[prog.layout["gamma"]][0]),
         dual_objective=sol.dual_obj,
         conic=sol,
     )
@@ -425,10 +375,17 @@ def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
 
 def solve_relaxation(
     spec: ProblemSpec, k: int, settings: SolverSettings | None = None
-):
-    """Assemble and solve one order; returns (program, conic solution)."""
+) -> tuple[ConicProgram, ConicSolution]:
+    """Assemble and solve one order; returns (program, conic solution).
+
+    At order 1 both tolerances are tightened to at most DNN_TOL and
+    `max_iters` is kept.
+    """
+    st = settings or SolverSettings()
+    if k == 1:
+        st = replace(st, tol_feas=min(st.tol_feas, DNN_TOL), tol_gap=min(st.tol_gap, DNN_TOL))
     prog = assemble(spec, k)
-    return prog, conic_solve(prog, settings)
+    return prog, conic_solve(prog, st)
 
 
 def check_weak_duality(rsol: RelaxationSolution, tol: float = 1e-7) -> bool:
@@ -467,14 +424,15 @@ def project_dnn(
     """Project C onto the doubly nonnegative cone (PSD with no negative
     entries) in the Frobenius or spectral norm; returns (distance, matrix).
 
-    This is the unconstrained DNN relaxation (`solve_dnn`).  For matrices of
-    size up to 4 the doubly nonnegative cone coincides with the completely
-    positive cone, which makes this a reference for small projection
-    instances.
+    This is the order-1 relaxation of the unconstrained instance.  For
+    matrices of size up to 4 the doubly nonnegative cone coincides with the
+    completely positive cone, which makes this a reference for small
+    projection instances.
     """
     if norm not in ("fro", "two"):
         raise ValueError("reference projection supports norms 'fro' and 'two'")
-    sol, gamma, X = solve_dnn(ProblemSpec(C, norm), settings)
+    prog, sol = solve_relaxation(ProblemSpec(C, norm), 1, settings)
     if sol.status != "optimal":
         raise RuntimeError(f"reference projection did not converge: {sol.status}")
-    return gamma, X
+    rsol = map_solution(prog, sol)
+    return rsol.gamma, rsol.matrix

@@ -258,7 +258,7 @@ def test_one_norm_infeasible_constraints_are_certified(reference_outcomes, capsy
     detail = f"status {out.status}"
     _check(failures, out.status == "infeasible", f"status {out.status}")
     if out.status == "infeasible":
-        _check(failures, out.k_used == 2, f"detected at k={out.k_used}, not 2")
+        _check(failures, out.k_used == 1, f"detected at k={out.k_used}, not 1")
         prog = assemble(REFERENCE_INSTANCES["one-c3"], out.k_used)
         _check(failures, verify_certificate(prog, out.certificate),
                "dual certificate fails independent verification")
@@ -306,10 +306,10 @@ def test_two_norm_constrained_suite(reference_outcomes, capsys):
     out, _ = reference_outcomes["two-c3"]
     _check(failures, out.status == "infeasible", f"c3 status {out.status}")
     if out.status == "infeasible":
-        _check(failures, out.k_used == 2, f"c3 detected at k={out.k_used}")
+        _check(failures, out.k_used == 1, f"c3 detected at k={out.k_used}")
         prog = assemble(REFERENCE_INSTANCES["two-c3"], out.k_used)
         _check(failures, verify_certificate(prog, out.certificate), "c3 certificate invalid")
-        parts.append("c3 infeasible@2")
+        parts.append("c3 infeasible@1")
 
     _verdict(capsys, "two-norm constrained suite", failures, ", ".join(parts))
 
@@ -519,8 +519,6 @@ def _svec_sym(U):
 
 
 def _cone_interior(block, rng, dual=False):
-    if block.kind == "zero":
-        return rng.standard_normal(block.size) if dual else np.zeros(block.size)
     if block.kind == "nonneg":
         return rng.uniform(0.5, 2.0, size=block.size)
     if block.kind == "soc":
@@ -530,41 +528,57 @@ def _cone_interior(block, rng, dual=False):
     return _svec_sym(G @ G.T + (0.5 + rng.uniform()) * np.eye(block.order))
 
 
-def _random_cone_blocks(rng, allow_zero=True):
+def _random_cone_blocks(rng, allow_pinned=True):
+    """How many pinned rows (cone rows held at zero) to draw, and the cone blocks."""
+    pinned = 0
+    if allow_pinned and rng.uniform() < 0.3:
+        pinned = int(rng.integers(1, 3))
     blocks = []
-    if allow_zero and rng.uniform() < 0.3:
-        blocks.append(ConeBlock("zero", int(rng.integers(1, 3))))
     if rng.uniform() < 0.8:
         blocks.append(ConeBlock("nonneg", int(rng.integers(1, 6))))
     for _ in range(rng.integers(0, 3)):
         blocks.append(ConeBlock("soc", int(rng.integers(2, 6))))
     for _ in range(rng.integers(0, 3)):
         blocks.append(ConeBlock.psd(int(rng.integers(1, 7))))
-    if not blocks:
+    if not pinned and not blocks:
         blocks.append(ConeBlock("nonneg", 2))
-    return blocks
+    return pinned, blocks
 
 
 def _feasible_conic_program(seed):
-    """Random program carrying a strictly feasible primal-dual pair."""
+    """Random program carrying a strictly feasible primal-dual pair.
+
+    The first `pinned` rows of M are drawn as cone rows held at zero, with
+    free multipliers, and go into the equality map after its drawn rows.
+    """
     rng = np.random.default_rng(seed)
-    blocks = _random_cone_blocks(rng)
-    m_k = sum(b.size for b in blocks)
+    pinned, blocks = _random_cone_blocks(rng)
+    m_k = pinned + sum(b.size for b in blocks)
     n = int(rng.integers(3, 12))
     m_e = int(rng.integers(0, 4))
     E = rng.standard_normal((m_e, n))
     M = rng.standard_normal((m_k, n))
     x0 = rng.standard_normal(n)
     y0 = rng.standard_normal(m_e)
-    s0 = np.concatenate([_cone_interior(b, rng) for b in blocks])
-    z0 = np.concatenate([_cone_interior(b, rng, dual=True) for b in blocks])
-    return _make_conic_program(E.T @ y0 + M.T @ z0, E, E @ x0, M, s0 - M @ x0, blocks)
+    s0 = np.concatenate([np.zeros(0)] + [_cone_interior(b, rng) for b in blocks])
+    z0 = np.concatenate(
+        [rng.standard_normal(pinned)] + [_cone_interior(b, rng, dual=True) for b in blocks]
+    )
+    Mx0 = M @ x0
+    return _make_conic_program(
+        E.T @ y0 + M.T @ z0,
+        np.vstack([E, M[:pinned]]),
+        np.concatenate([E @ x0, Mx0[:pinned]]),
+        M[pinned:],
+        s0 - Mx0[pinned:],
+        blocks,
+    )
 
 
 def _infeasible_conic_program(seed):
     """Random program whose cone image keeps a fixed margin against a dual ray."""
     rng = np.random.default_rng(seed + 9000)
-    blocks = _random_cone_blocks(rng, allow_zero=False)
+    _, blocks = _random_cone_blocks(rng, allow_pinned=False)
     m_k = sum(b.size for b in blocks)
     n = int(rng.integers(3, 9))
     z0 = np.concatenate([_cone_interior(b, rng) for b in blocks])
@@ -584,8 +598,6 @@ def _infeasible_conic_program(seed):
 
 
 def _outside_cone(block, v):
-    if block.kind == "zero":
-        return float(np.abs(v).max(initial=0.0))
     if block.kind == "nonneg":
         return float(max(0.0, -v.min(initial=0.0)))
     if block.kind == "soc":
@@ -605,8 +617,7 @@ def _kkt_recompute(prog, sol):
         sl = slice(at, at + b.size)
         at += b.size
         worst = max(worst, _outside_cone(b, img[sl]))
-        if b.kind != "zero":
-            worst = max(worst, _outside_cone(b, z[sl]))
+        worst = max(worst, _outside_cone(b, z[sl]))
     adj = float(np.abs(prog.eq_map.T @ y + prog.cone_map.T @ z - c).max())
     worst = max(worst, adj / (1.0 + float(np.abs(c).max())))
     gap = abs(sol.primal_obj - sol.dual_obj) / max(1.0, abs(sol.primal_obj))
@@ -638,8 +649,8 @@ def test_structural_property_suites(reference_outcomes, capsys):
         ok = sol.status == "primal_infeasible" and verify_certificate(prog, sol)
         _check(failures, ok, f"infeasible {seed}: {sol.status}, certificate {ok}")
 
-    # every order the driver reached, at least order 2 (the driver may stop
-    # at the DNN relaxation, which has no moment order), and orders 2 and 3
+    # every moment order the driver reached, at least order 2 (the driver
+    # may stop at order 1, the DNN relaxation), and orders 2 and 3
     # of the instances in BOUND_STEP_INSTANCES however early the driver
     # certified them, so the monotonicity check always has steps to compare
     st = SolverSettings(tol_feas=1e-7, tol_gap=1e-7)

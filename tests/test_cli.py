@@ -117,13 +117,17 @@ def test_infeasible_gives_exit_10_and_certificate(tmp_path, capsys):
         "constraints": [{"A": [[-1.0, 0.0], [0.0, -1.0]], "b": 1.0, "kind": "ge"}],
     }
     path = write_problem(tmp_path, doc)
-    code, out, _ = run_cli(["--norm", "fro", path], capsys)
+    code, out, err = run_cli(["--norm", "fro", "--log", "summary", path], capsys)
     assert code == 10
     res = json.loads(out)
     assert res["status"] == "infeasible"
+    assert res["k_used"] == 1
+    assert err == "cpproj: infeasible: certified at the DNN relaxation\n"
     assert res["gamma"] is None
     assert res["decomposition"] is None
-    assert res["certificate"]["dual_equality"]
+    # order 1 has no moment equalities, and the one constraint is an
+    # inequality, so the whole Farkas pair sits on the cone rows
+    assert res["certificate"]["dual_equality"] == []
     assert res["certificate"]["dual_cone"]
 
 

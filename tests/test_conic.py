@@ -19,7 +19,7 @@ from cpproj.conic import (
     verify_certificate,
 )
 from cpproj.moments import moment_cone_constraints
-from cpproj.relaxation import ProblemSpec, assemble_dnn
+from cpproj.relaxation import ProblemSpec, assemble
 
 
 def make_program(c, E, d, M, h, blocks, layout=None):
@@ -137,23 +137,7 @@ def test_infeasible_bounds_yield_verified_certificate():
     npt.assert_allclose(prog.cone_map.T @ z, [0.0], atol=1e-6)
 
 
-def test_zero_block_matches_explicit_equality():
-    # pin x = 2 once through a zero cone block, once as a plain equality
-    pinned = make_program([1.0], np.zeros((0, 1)), [],
-                          [[1.0], [1.0]], [-2.0, 0.0],
-                          [ConeBlock("zero", 1), ConeBlock("nonneg", 1)])
-    direct = make_program([1.0], [[1.0]], [2.0], [[1.0]], [0.0],
-                          [ConeBlock("nonneg", 1)])
-    a, b = solve(pinned), solve(direct)
-    assert a.status == b.status == "optimal"
-    npt.assert_allclose(a.primal, b.primal, atol=1e-7)
-    npt.assert_allclose(a.primal_obj, 2.0, atol=1e-7)
-    assert a.dual_cone.size == 2  # multiplier reported for the pinned row too
-
-
 def _interior_point(kind, size, order, rng, dual=False):
-    if kind == "zero":
-        return np.zeros(size) if not dual else rng.normal(size=size)
     if kind == "nonneg":
         return rng.uniform(0.5, 2.0, size=size)
     if kind == "soc":
@@ -163,43 +147,50 @@ def _interior_point(kind, size, order, rng, dual=False):
     return svec(A @ A.T + (0.5 + rng.uniform()) * np.eye(order))
 
 
-def _random_blocks(rng, allow_zero=True):
+def _random_blocks(rng, allow_pinned=True):
+    """How many pinned rows (cone rows held at zero) to draw, and the cone blocks."""
+    pinned = 0
+    if allow_pinned and rng.uniform() < 0.3:
+        pinned = int(rng.integers(1, 3))
     blocks = []
-    if allow_zero and rng.uniform() < 0.3:
-        blocks.append(ConeBlock("zero", int(rng.integers(1, 3))))
     if rng.uniform() < 0.8:
         blocks.append(ConeBlock("nonneg", int(rng.integers(1, 6))))
     for _ in range(rng.integers(0, 3)):
         blocks.append(ConeBlock("soc", int(rng.integers(2, 6))))
     for _ in range(rng.integers(0, 3)):
         blocks.append(ConeBlock.psd(int(rng.integers(1, 7))))
-    if not blocks:
+    if not pinned and not blocks:
         blocks.append(ConeBlock("nonneg", 2))
-    return blocks
+    return pinned, blocks
 
 
 def _feasible_program(seed):
-    """Program with a known strictly feasible primal-dual pair baked in."""
+    """Program with a known strictly feasible primal-dual pair baked in.
+
+    The first `pinned` rows of M are drawn as cone rows held at zero, with
+    free multipliers, and go into the equality map after its drawn rows.
+    """
     rng = np.random.default_rng(seed)
-    blocks = _random_blocks(rng)
-    m_k = sum(b.size for b in blocks)
+    pinned, blocks = _random_blocks(rng)
+    m_k = pinned + sum(b.size for b in blocks)
     n = int(rng.integers(3, 12))
     m_e = int(rng.integers(0, 4))
     E = rng.normal(size=(m_e, n))
     M = rng.normal(size=(m_k, n))
     x0 = rng.normal(size=n)
     y0 = rng.normal(size=m_e)
-    s_parts, z_parts = [], []
+    s_parts, z_parts = [np.zeros(0)], [rng.normal(size=pinned)]
     for b in blocks:
         s_parts.append(_interior_point(b.kind, b.size, b.order, rng))
         z_parts.append(_interior_point(b.kind, b.size, b.order, rng, dual=True))
     s0 = np.concatenate(s_parts)
     z0 = np.concatenate(z_parts)
-    h = s0 - M @ x0
-    d = E @ x0
+    Mx0 = M @ x0
     c = E.T @ y0 + M.T @ z0
-    prog = make_program(c, E, d, M, h, blocks)
-    return prog, x0, y0, z0
+    d = np.concatenate([E @ x0, Mx0[:pinned]])
+    E = np.vstack([E, M[:pinned]])
+    prog = make_program(c, E, d, M[pinned:], s0 - Mx0[pinned:], blocks)
+    return prog, x0, np.concatenate([y0, z0[:pinned]]), z0[pinned:]
 
 
 def _block_slices(blocks):
@@ -223,8 +214,7 @@ def test_random_feasible_programs(seed):
     img = prog.cone_map @ x + h
     for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks)):
         assert _dist_outside_cone(b, img[sl]) <= 1e-6
-        if b.kind != "zero":
-            assert _dist_outside_cone(b, z[sl]) <= 1e-6
+        assert _dist_outside_cone(b, z[sl]) <= 1e-6
     adj = prog.eq_map.T @ y + prog.cone_map.T @ z
     assert np.abs(adj - c).max() <= 1e-6 * (1 + np.abs(c).max())
     assert abs(sol.primal_obj - sol.dual_obj) <= 1e-6 * max(1.0, abs(sol.primal_obj))
@@ -242,7 +232,7 @@ def test_random_feasible_programs(seed):
 def _infeasible_program(seed):
     """Empty feasible set by construction, but a strictly feasible dual."""
     rng = np.random.default_rng(seed + 5000)
-    blocks = _random_blocks(rng, allow_zero=False)
+    _, blocks = _random_blocks(rng, allow_pinned=False)
     m_k = sum(b.size for b in blocks)
     n = int(rng.integers(3, 9))
     z0 = np.concatenate(
@@ -321,7 +311,7 @@ def _svec_scaled(entries, order):
 def _program_psd_block(norm, order):
     """The cone-map rows of the order-`order` PSD block of a 3x3 DNN relaxation."""
     G = np.random.default_rng(2).normal(size=(3, 3))
-    prog = assemble_dnn(ProblemSpec((G + G.T) / 2.0, norm))
+    prog = assemble(ProblemSpec((G + G.T) / 2.0, norm), 1)
     at = 0
     for b in prog.cone_blocks:
         if b.kind == "psd" and b.order == order:

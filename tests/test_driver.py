@@ -4,7 +4,8 @@ import pytest
 
 import cpproj.driver
 import cpproj.extraction
-from cpproj.conic import SolverSettings
+import cpproj.relaxation
+from cpproj.conic import SolverSettings, verify_certificate
 from cpproj.driver import (
     FACTOR_TOL,
     DriverSettings,
@@ -16,7 +17,13 @@ from cpproj.driver import (
     approximate,
     check_cp_membership,
 )
-from cpproj.relaxation import LinearConstraint, ProblemSpec, map_solution, solve_relaxation
+from cpproj.relaxation import (
+    LinearConstraint,
+    ProblemSpec,
+    assemble,
+    map_solution,
+    solve_relaxation,
+)
 
 
 def test_identity_projects_to_itself():
@@ -43,7 +50,7 @@ def test_inputs_with_a_diagonal_projection_certify_at_the_dnn_relaxation(C):
     out = approximate(C)
     assert isinstance(out, Projected)
     assert out.k_used == 1
-    assert out.relaxation is None
+    assert out.relaxation.gamma == out.gamma == out.bounds[0][1]
     npt.assert_allclose(out.matrix, np.eye(2), atol=1e-5)
     scale = 1.0 + np.linalg.norm(out.matrix)
     assert np.linalg.norm(out.decomposition.reconstruct() - out.matrix) <= FACTOR_TOL * scale
@@ -77,8 +84,11 @@ def test_negative_trace_constraint_is_infeasible():
     assert isinstance(out, Infeasible)
     assert out.status == "infeasible"
     assert out.certificate.status == "primal_infeasible"
-    # the Farkas pair belongs to a moment relaxation, never to the DNN rung
-    assert out.k_used == 2
+    # CP lies inside DNN, so the DNN relaxation's Farkas pair already proves
+    # the constraints infeasible, and no moment relaxation is solved
+    assert out.k_used == 1
+    assert verify_certificate(assemble(spec, 1), out.certificate)
+    assert [e for e in out.events if e.startswith("order")] == []
 
 
 def test_constrained_projection():
@@ -133,7 +143,7 @@ def test_driver_is_deterministic():
 def test_direct_factorization_certifies_without_a_flat_truncation():
     # C4 is CP, so it is its own DNN projection in the one norm, and the
     # factorization of the DNN optimum certifies it before any moment
-    # relaxation: no relaxation solution
+    # relaxation
     C4 = np.array([
         [2.0, 1, 1, 1],
         [1, 2, 2, 1],
@@ -143,7 +153,7 @@ def test_direct_factorization_certifies_without_a_flat_truncation():
     out = approximate(ProblemSpec(C4, "one"))
     assert isinstance(out, Projected)
     assert out.k_used == 1
-    assert out.relaxation is None
+    assert out.relaxation.gamma == out.gamma
     assert out.bounds == ((1, out.gamma),)
     assert any("DNN relaxation (factorization): certified" in e for e in out.events)
     assert out.decomposition.factors.min() >= 0.0
@@ -157,7 +167,7 @@ def _order2(C):
     spec = ProblemSpec(C, "fro")
     prog, csol = solve_relaxation(spec, 2, DriverSettings().solver)
     assert csol.status == "optimal"
-    return spec, csol, map_solution(prog, csol).matrix.values
+    return spec, csol, map_solution(prog, csol).matrix
 
 
 def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
@@ -333,6 +343,28 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
     assert "Horn floor 2.000e-01" in skips[0]
     assert [k for k, _ in out.bounds] == [1, 2]
     assert out.gamma_lower == out.bounds[1][1]
+
+
+def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatch):
+    # the benchmark's layer trace rebinds these two names, so an order that
+    # reached the solver another way would drop out of its relaxation metrics
+    seen = []
+    real_assemble = cpproj.relaxation.assemble
+    real_solve = cpproj.relaxation.conic_solve
+
+    def assembling(spec, k):
+        seen.append(("assemble", k))
+        return real_assemble(spec, k)
+
+    def solving(prog, settings):
+        seen.append(("conic_solve", prog.info["k"]))
+        return real_solve(prog, settings)
+
+    monkeypatch.setattr(cpproj.relaxation, "assemble", assembling)
+    monkeypatch.setattr(cpproj.relaxation, "conic_solve", solving)
+    out = approximate(_cycle_matrix(), DriverSettings(k_max=2))
+    assert isinstance(out, Inconclusive)
+    assert seen == [("assemble", 1), ("conic_solve", 1), ("assemble", 2), ("conic_solve", 2)]
 
 
 def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):

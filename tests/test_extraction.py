@@ -182,6 +182,19 @@ def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_jump, monkeypatc
     assert verify_decomposition(X, out) <= 1e-9
 
 
+def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
+    # the same rank-2 X, with the factor rows scaled off the fit: once the
+    # jump to the 2-row floor misses, removing rows from factors that do not
+    # fit is not tried, and the input comes back as it is
+    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
+    X = F.T @ F
+    dec = _decomposition_from_factors(np.vstack([0.9 * F[0], 0.5 * F[0], F[1]]))
+    assert verify_decomposition(X, dec) > 1e-9
+    calls = _spy_on_polish(monkeypatch, miss_first=True)
+    assert sparsify_decomposition(X, dec, 1e-9) is dec
+    assert [rank for rank, _ in calls] == [2]
+
+
 def _greedy_sparsify(X, dec, tol):
     """The sparsify pass without floor or jump: drop the lightest factor
     whose removal survives a re-polish, down to one factor."""
@@ -213,7 +226,7 @@ def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
         [-0.8477403269276138, 0.06507137558352677, 0.3368524787764621],
     ])
     prog, csol = solve_relaxation(ProblemSpec(C, "fro"), 2, DriverSettings().solver)
-    X = map_solution(prog, csol).matrix.values
+    X = map_solution(prog, csol).matrix
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
     F = trace_scaled(np.random.default_rng(0).uniform(size=(6, 3)), X)
     dec = polish_decomposition(X, CpDecomposition.from_factors(F))

@@ -1,21 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import cpproj.relaxation
-from cpproj.conic import SolverSettings, _dist_outside_cone, solve as conic_solve
+from cpproj.conic import ConicSolution, SolverSettings, _dist_outside_cone, solve as conic_solve
 from cpproj.driver import DriverSettings
 from cpproj.norms import p_norm
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
     assemble,
-    assemble_dnn,
     check_weak_duality,
     lift_atomic_point,
     map_solution,
     project_dnn,
-    solve_dnn,
     solve_relaxation,
 )
 
@@ -59,7 +59,7 @@ def test_identity_is_its_own_projection():
     rs = map_solution(prog, sol)
     assert rs.status == "optimal"
     assert abs(rs.gamma) <= 1e-7
-    npt.assert_allclose(rs.matrix.values, np.eye(2), atol=1e-6)
+    npt.assert_allclose(rs.matrix, np.eye(2), atol=1e-6)
     assert check_weak_duality(rs)
 
 
@@ -137,7 +137,7 @@ def test_equality_constraint_is_enforced():
     rs = map_solution(prog, sol)
     assert rs.status == "optimal"
     assert abs(rs.gamma) <= 1e-6
-    npt.assert_allclose(np.trace(rs.matrix.values), 2.0, atol=1e-7)
+    npt.assert_allclose(np.trace(rs.matrix), 2.0, atol=1e-7)
 
 
 def test_inequality_constraint_pushes_projection():
@@ -152,14 +152,14 @@ def test_inequality_constraint_pushes_projection():
     prog, sol = solve_relaxation(spec, 2)
     rs = map_solution(prog, sol)
     assert rs.status == "optimal"
-    assert rs.matrix.values[0, 0] >= 2.0 - 1e-7
+    assert rs.matrix[0, 0] >= 2.0 - 1e-7
     npt.assert_allclose(rs.gamma, 1.0, atol=1e-5)
     assert check_weak_duality(rs)
 
 
 def test_invalid_inputs_are_rejected():
     with pytest.raises(ValueError):
-        assemble(ProblemSpec(np.eye(2)), 1)
+        assemble(ProblemSpec(np.eye(2)), 0)
     with pytest.raises(ValueError):
         ProblemSpec(np.eye(2), norm="nuclear")
     with pytest.raises(ValueError):
@@ -174,9 +174,27 @@ def test_map_solution_requires_a_point():
     prog = assemble(ProblemSpec(np.eye(2)), 2)
     sol = conic_solve(prog)
     rs = map_solution(prog, sol)
-    assert rs.tms.n == 2 and rs.tms.k == 2
-    assert rs.xtilde.size == prog.num_vars
+    assert isinstance(rs.matrix, np.ndarray) and rs.matrix.shape == (2, 2)
     assert rs.dual_objective is not None
+    blank = replace(sol, status="iteration_limit", primal=None)
+    with pytest.raises(ValueError):
+        map_solution(prog, blank)
+
+
+def test_map_solution_reads_the_same_matrix_at_orders_1_and_2():
+    # order 1 holds vech(X) in its head columns, order 2 the moment vector
+    # with vech(X) after the moments of degree <= 1
+    X = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for k in (1, 2):
+        prog = assemble(ProblemSpec(np.eye(2)), k)
+        primal = np.zeros(prog.num_vars)
+        at = 0 if k == 1 else 3
+        primal[at : at + 3] = [2.0, 0.5, 1.0]
+        primal[prog.layout["gamma"]] = 0.25
+        sol = ConicSolution("optimal", primal, None, None, None, None, {}, 0)
+        rs = map_solution(prog, sol)
+        npt.assert_array_equal(rs.matrix, X)
+        assert rs.gamma == 0.25
 
 
 def test_dnn_relaxation_of_a_plain_instance_is_the_dnn_projection():
@@ -184,13 +202,14 @@ def test_dnn_relaxation_of_a_plain_instance_is_the_dnn_projection():
     G = rng.standard_normal((4, 4))
     C = (G + G.T) / 2.0
     for norm in ("fro", "two"):
-        prog = assemble_dnn(ProblemSpec(C, norm))
+        prog, sol = solve_relaxation(ProblemSpec(C, norm), 1)
         assert [(b.kind, b.order) for b in prog.cone_blocks][-1] == ("psd", 4)
-        sol, gamma, X = solve_dnn(ProblemSpec(C, norm))
+        assert prog.eq_map.shape[0] == 0  # no moment equalities at order 1
         assert sol.status == "optimal"
+        rs = map_solution(prog, sol)
         ref_gamma, ref_X = project_dnn(C, norm)
-        assert gamma == pytest.approx(ref_gamma, abs=1e-8)
-        npt.assert_allclose(X, ref_X, atol=1e-6)
+        assert rs.gamma == pytest.approx(ref_gamma, abs=1e-8)
+        npt.assert_allclose(rs.matrix, ref_X, atol=1e-6)
 
 
 def test_dnn_relaxation_keeps_the_constraints_and_the_split():
@@ -203,28 +222,31 @@ def test_dnn_relaxation_keeps_the_constraints_and_the_split():
     )
     for norm in ("one", "inf"):
         spec = ProblemSpec(C, norm, cons)
-        prog = assemble_dnn(spec)
+        prog, sol = solve_relaxation(spec, 1)
         assert set(prog.layout) == {"vech", "gamma", "y_pos", "y_neg"}
-        sol, gamma, X = solve_dnn(spec)
         assert sol.status == "optimal"
+        rs = map_solution(prog, sol)
+        gamma, X = rs.gamma, rs.matrix
         assert max(spec.violations(X)) <= 1e-7
         assert X.min() >= -1e-8
         assert np.linalg.eigvalsh(X).min() >= -1e-8
         assert gamma == pytest.approx(p_norm(X - C, "one"), abs=1e-6)
 
 
-def test_solve_dnn_tightens_the_tolerances_and_keeps_max_iters(monkeypatch):
+def test_order_1_tightens_the_tolerances_and_keeps_max_iters(monkeypatch):
     seen = []
     real = cpproj.relaxation.conic_solve
     monkeypatch.setattr(
         cpproj.relaxation, "conic_solve", lambda prog, st: seen.append(st) or real(prog, st)
     )
     spec = ProblemSpec(np.eye(2))
-    solve_dnn(spec, SolverSettings(tol_feas=1e-7, tol_gap=1e-6, max_iters=50))
-    solve_dnn(spec, SolverSettings(tol_feas=1e-9, tol_gap=1e-10, max_iters=7))
+    solve_relaxation(spec, 1, SolverSettings(tol_feas=1e-7, tol_gap=1e-6, max_iters=50))
+    solve_relaxation(spec, 1, SolverSettings(tol_feas=1e-9, tol_gap=1e-10, max_iters=7))
+    solve_relaxation(spec, 2, SolverSettings(tol_feas=1e-7, tol_gap=1e-6, max_iters=50))
     assert [(st.tol_feas, st.tol_gap, st.max_iters) for st in seen] == [
         (1e-8, 1e-8, 50),
         (1e-9, 1e-10, 7),
+        (1e-7, 1e-6, 50),
     ]
 
 
