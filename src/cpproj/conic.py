@@ -23,14 +23,18 @@ without a certificate.  The search direction comes from a dense
 symmetric-indefinite factorization of the cone-eliminated KKT system with
 static regularization and a couple of iterative-refinement sweeps, so
 identical inputs produce identical iterates.  Work that does not change
-between iterations is done once per solve: each PSD block's sparse map is
-split into rank-one symmetric units grouped by column, and the dense
-equality border of the KKT matrix is written once.  Every PSD block in this
-package is a moment, localizing or norm matrix whose map has a few nonzeros
-per column, so each iteration builds that block's Schur complement from
+between iterations is done once per solve: each nonneg block's sparse map
+is reduced to the (entry, coefficient, row) triples of its Schur
+complement, each PSD block's map is split into rank-one symmetric units
+grouped by column, and the dense equality border of the KKT matrix is
+written once.  Each iteration then builds a nonneg block's Schur complement
+with one weighted bincount (see _NonnegMap), and a PSD block's from
 low-rank congruences and a sparse reduction, at a cost proportional to the
-map's nonzeros rather than to dense N x N congruences (see _PsdMap).  The
-step length of a PSD block reuses the Cholesky factors of its NT scaling.
+map's nonzeros rather than to dense N x N congruences: every PSD block in
+this package is a moment, localizing or norm matrix whose map has a few
+nonzeros per column (see _PsdMap).  The step length of a PSD block comes
+from the inverses of the Cholesky factors of its NT scaling, computed once
+per scaling, so each step is two matrix products and one eigvalsh.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
@@ -227,9 +230,9 @@ class _NonnegScaling:
     def e(self):
         return np.ones(self.lam.size)
 
-    def schur(self, Mb):
-        """Mb' H^{-1} Mb for the block's sparse map Mb."""
-        return (Mb.T @ Mb.multiply((1.0 / (self.w * self.w))[:, None])).toarray()
+    def schur(self, nmap: "_NonnegMap"):
+        """Mb' H^{-1} Mb = Mb' diag(1 / w^2) Mb, from the map prepared once per solve."""
+        return nmap.schur(1.0 / (self.w * self.w))
 
     def hinv_vec(self, v):
         return v / (self.w * self.w)
@@ -370,8 +373,8 @@ class _PsdScaling:
         self.lam = svec(np.diag(sig))
         G = self.Rinv.T @ self.Rinv  # (R R^T)^{-1}
         self.Ginv = G
-        self.Ls = Ls
-        self.Lz = Lz
+        self.Ls_inv = _tri_inverse(Ls)
+        self.Lz_inv = _tri_inverse(Lz)
 
     def e(self):
         return svec(np.eye(self.order))
@@ -410,15 +413,50 @@ class _PsdScaling:
 
     def max_step(self, ds, dz):
         """Largest steps along ds and dz that keep S and Z semidefinite."""
-        return self._step(self.Ls, ds), self._step(self.Lz, dz)
+        return self._step(self.Ls_inv, ds), self._step(self.Lz_inv, dz)
 
-    def _step(self, L, du):
-        # largest alpha with L L' + alpha dU still PSD, from the factor L
-        dU = smat(du, self.order)
-        A = sla.solve_triangular(L, dU, lower=True)
-        B = sla.solve_triangular(L, A.T, lower=True).T
+    def _step(self, L_inv, du):
+        # largest alpha with L L' + alpha dU still PSD, from the inverse of L
+        B = L_inv @ smat(du, self.order) @ L_inv.T
         lam_min = float(np.linalg.eigvalsh(0.5 * (B + B.T)).min())
         return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
+
+
+def _tri_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower triangular matrix."""
+    L_inv, info = lapack.dtrtri(L, lower=1)
+    if info != 0:
+        raise _Breakdown
+    return L_inv
+
+
+class _NonnegMap:
+    """The sparse map Mb of one nonneg block, prepared once per solve.
+
+    Row r of Mb adds d_r Mb[r, i] Mb[r, j] to entry (i, j) of Mb' diag(d) Mb.
+    The entry i n + j, the coefficient Mb[r, i] Mb[r, j] and the row r of
+    every such term are recorded once, so one `schur` call is a single
+    weighted bincount over them, with no sparse product or densification.
+    """
+
+    def __init__(self, Mb: sp.spmatrix):
+        Mb = sp.csr_matrix(Mb, dtype=float)
+        self.size = Mb.shape[1]
+        counts = np.diff(Mb.indptr)
+        # the counts[r]^2 ordered pairs of row r's stored entries, rows in
+        # order; the pairs are bilinear, so duplicate entries need no summing
+        pairs = counts * counts
+        self.rows = np.repeat(np.arange(counts.size), pairs)
+        t = np.arange(self.rows.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        m, start = counts[self.rows], Mb.indptr[self.rows]
+        a, b = start + t // m, start + t % m
+        self.flat = Mb.indices[a].astype(np.int64) * self.size + Mb.indices[b]
+        self.coef = Mb.data[a] * Mb.data[b]
+
+    def schur(self, d: np.ndarray) -> np.ndarray:
+        n = self.size
+        out = np.bincount(self.flat, weights=self.coef * d[self.rows], minlength=n * n)
+        return out.reshape(n, n)
 
 
 # Entries of the largest intermediate of one chunk of a PSD block's
@@ -497,7 +535,7 @@ def _make_scaling(block: ConeBlock, s, z):
 def _block_map(block: ConeBlock, Mb: sp.csr_matrix):
     """The block's rows of the cone map, in the form its `schur` takes."""
     if block.kind == "nonneg":
-        return Mb
+        return _NonnegMap(Mb)
     if block.kind == "soc":
         return Mb.toarray()
     return _PsdMap(Mb, block.order)

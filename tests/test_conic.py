@@ -11,6 +11,7 @@ from cpproj.conic import (
     ConicSolverError,
     SolverSettings,
     _dist_outside_cone,
+    _NonnegMap,
     _PsdMap,
     _PsdScaling,
     smat,
@@ -308,16 +309,16 @@ def _svec_scaled(entries, order):
     return sp.diags(scale) @ entries
 
 
-def _program_psd_block(norm, order):
-    """The cone-map rows of the order-`order` PSD block of a 3x3 DNN relaxation."""
-    G = np.random.default_rng(2).normal(size=(3, 3))
+def _program_block(norm, n, kind, order=0):
+    """The cone-map rows of the first `kind` block of that order in an n x n DNN relaxation."""
+    G = np.random.default_rng(2).normal(size=(n, n))
     prog = assemble(ProblemSpec((G + G.T) / 2.0, norm), 1)
     at = 0
     for b in prog.cone_blocks:
-        if b.kind == "psd" and b.order == order:
-            return prog.cone_map[at : at + b.size].toarray()
+        if b.kind == kind and b.order == order:
+            return prog.cone_map[at : at + b.size]
         at += b.size
-    raise AssertionError(f"no psd block of order {order}")
+    raise AssertionError(f"no {kind} block of order {order}")
 
 
 def _psd_map_case(name):
@@ -325,9 +326,9 @@ def _psd_map_case(name):
         order = 6
         return np.random.default_rng(3).normal(size=(order * (order + 1) // 2, 9)), order
     if name == "dnn block":
-        return _program_psd_block("fro", 3), 3
+        return _program_block("fro", 3, "psd", 3).toarray(), 3
     if name == "two-norm block":
-        return _program_psd_block("two", 6), 6
+        return _program_block("two", 3, "psd", 6).toarray(), 6
     if name.startswith("moment n=4 k=4"):
         blk = moment_cone_constraints(4, 4).psd_blocks[0]
     else:  # x_1 times the order-1 moment block of n=3, k=2
@@ -379,16 +380,14 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
         assert counts.max() == order  # the gamma column: 2n diagonal entries
 
 
-def _psd_step_fresh(u, du, order):
-    # the step length from a fresh Cholesky factorization of smat(u)
-    L = np.linalg.cholesky(smat(u, order))
-    A = sla.solve_triangular(L, smat(du, order), lower=True)
-    B = sla.solve_triangular(L, A.T, lower=True).T
-    lam_min = float(np.linalg.eigvalsh(0.5 * (B + B.T)).min())
+def _psd_step_reference(u, du, order):
+    # largest alpha with smat(u) + alpha smat(du) PSD, from the smallest
+    # generalized eigenvalue of the pencil (smat(du), smat(u))
+    lam_min = float(sla.eigh(smat(du, order), smat(u, order), eigvals_only=True).min())
     return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
 
-def test_psd_step_from_the_scaling_factors_matches_a_fresh_cholesky():
+def test_psd_step_from_the_scaling_factors_matches_the_generalized_eigenvalue():
     rng = np.random.default_rng(5)
     order = 7
     A, B = rng.normal(size=(2, order, order))
@@ -398,8 +397,52 @@ def test_psd_step_from_the_scaling_factors_matches_a_fresh_cholesky():
     D = rng.normal(size=(order, order))
     for d in (svec(D + D.T), -svec(D + D.T)):
         got = sc.max_step(d, -d)
-        assert got == (_psd_step_fresh(s, d, order), _psd_step_fresh(z, -d, order))
+        ref = (_psd_step_reference(s, d, order), _psd_step_reference(z, -d, order))
+        npt.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
         assert all(np.isfinite(a) and a > 0 for a in got)
     P = svec(D @ D.T)
     assert sc.max_step(P, P) == (np.inf, np.inf)
-    assert sc.max_step(-P, P) == (_psd_step_fresh(s, -P, order), np.inf)
+    got = sc.max_step(-P, P)
+    assert got[1] == np.inf
+    npt.assert_allclose(got[0], _psd_step_reference(s, -P, order), rtol=1e-10, atol=0.0)
+    assert np.isfinite(got[0]) and got[0] > 0
+
+
+def _nonneg_map_case(name):
+    rng = np.random.default_rng(8)
+    if name == "random sparse":
+        keep = np.ones(40)
+        keep[[3, 17, 30]] = 0.0  # empty rows
+        Mb = sp.csr_matrix(sp.diags(keep) @ sp.random(40, 12, density=0.2, random_state=rng))
+        Mb.eliminate_zeros()
+        return Mb
+    if name == "duplicate coordinates":
+        # rows 0 and 2 store column 1 twice
+        return sp.csr_matrix(
+            (rng.normal(size=7), [1, 1, 4, 0, 1, 3, 1], [0, 3, 3, 7]), shape=(3, 5)
+        )
+    if name == "all zero":
+        return sp.csr_matrix((6, 4))
+    return _program_block("one", 5, "nonneg")
+
+
+@pytest.mark.parametrize(
+    "name", ["random sparse", "duplicate coordinates", "all zero", "one-norm 5x5 order 1"]
+)
+def test_nonneg_map_schur_matches_the_dense_product(name):
+    Mb = _nonneg_map_case(name)
+    d = np.random.default_rng(9).uniform(0.1, 10.0, size=Mb.shape[0])
+    dense = Mb.toarray()
+    ref = dense.T @ (d[:, None] * dense)
+    nmap = _NonnegMap(Mb)
+    got = nmap.schur(d)
+    assert got.shape == (Mb.shape[1], Mb.shape[1])
+    assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    assert np.array_equal(nmap.schur(d), got)
+    counts = np.diff(Mb.indptr)
+    if name == "random sparse":
+        assert (counts == 0).sum() >= 3
+    if name == "duplicate coordinates":
+        assert not Mb.has_canonical_format
+    if name == "one-norm 5x5 order 1":
+        assert counts.max() > 2  # rows with several nonzeros

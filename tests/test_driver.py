@@ -368,15 +368,6 @@ def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatc
 
 
 def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):
-    # draw 41 of the acceptance suite's seed-7 set: its DNN optimum is a CP
-    # boundary matrix, on which bounded trf fits crawl to their evaluation
-    # cap (6,273 evaluations in all without the stall stop)
-    C = np.array([
-        [1.272591177882884, 0.6115922042386994, -0.21173324322243775, 1.371384810658078],
-        [0.6115922042386994, -0.10335341582736501, 0.0919186627761294, -1.0166193235613654],
-        [-0.21173324322243775, 0.0919186627761294, 0.39573076180964684, 0.02708085549524727],
-        [1.371384810658078, -1.0166193235613654, 0.02708085549524727, 0.7312429884948122],
-    ])
     fits = []
     fit = cpproj.extraction.least_squares
 
@@ -386,8 +377,40 @@ def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):
         return res
 
     monkeypatch.setattr(cpproj.extraction, "least_squares", counting)
+
+    # a CP boundary matrix (an order-1 optimum of rand41 below, with entries
+    # of 1e-9 and less) and a 3-row start: the bounded trf stage crawls, the
+    # stall stop ends it, and the dogbox stage finishes the fit
+    X = np.array([
+        [1.5311335573058642, 0.30432021759551786, 2.000502087103216e-09, 1.095352895037716],
+        [0.30432021759551786, 0.261833479657983, 0.048125374614484455, -2.1295285885964058e-12],
+        [2.000502087103216e-09, 0.048125374614484455, 0.4009836644513979, 4.448041534302649e-08],
+        [1.095352895037716, -2.1295285885964058e-12, 4.448041534302649e-08, 1.0259471727719016],
+    ])
+    F = np.array([
+        [2.551799985234779e-12, 0.07877397543773494, 0.6563497993525533, 3.6322049170663425e-07],
+        [1.062361216319675, 5.784917576971064e-13, 6.555146138915296e-08, 0.9953006969665481],
+        [0.6233524577137435, 0.5244943832020798, 4.415996589272223e-12, 1.3071135093180622e-12],
+    ])
+    dec = cpproj.extraction.polish_decomposition(
+        X, cpproj.extraction.CpDecomposition(F, np.ones(3), F)
+    )
+    assert fits[0][1] == -2  # trf stopped by the callback
+    assert len(fits) == 2 and sum(nfev for nfev, _ in fits) < 200
+    resid = cpproj.extraction.verify_decomposition(X, dec)
+    assert resid <= 0.1 * FACTOR_TOL * (1.0 + np.linalg.norm(X))
+
+    # draw 41 of the acceptance suite's seed-7 set: its DNN optimum is a CP
+    # boundary matrix, on which bounded trf fits crawl to their evaluation
+    # cap (6,273 evaluations in all without the stall stop)
+    C = np.array([
+        [1.272591177882884, 0.6115922042386994, -0.21173324322243775, 1.371384810658078],
+        [0.6115922042386994, -0.10335341582736501, 0.0919186627761294, -1.0166193235613654],
+        [-0.21173324322243775, 0.0919186627761294, 0.39573076180964684, 0.02708085549524727],
+        [1.371384810658078, -1.0166193235613654, 0.02708085549524727, 0.7312429884948122],
+    ])
+    fits.clear()
     out = approximate(ProblemSpec(C, "fro"))
     assert isinstance(out, Projected)
     assert out.k_used == 1
     assert sum(nfev for nfev, _ in fits) < 2000
-    assert any(status == -2 for _, status in fits)  # stopped by the callback
