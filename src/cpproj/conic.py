@@ -19,22 +19,25 @@ certificate is only reported after it has been re-verified against the raw
 program data.  Every program built in this package has an objective bounded
 below by zero (a distance bound, or a positive definite functional of a
 moment matrix), so a dual infeasible program cannot arise; one would end
-without a certificate.  The search direction comes from a dense
-symmetric-indefinite factorization of the cone-eliminated KKT system with
-static regularization and a couple of iterative-refinement sweeps, so
-identical inputs produce identical iterates.  Work that does not change
-between iterations is done once per solve: each nonneg block's sparse map
-is reduced to the (entry, coefficient, row) triples of its Schur
-complement, each PSD block's map is split into rank-one symmetric units
-grouped by column, and the dense equality border of the KKT matrix is
-written once.  Each iteration then builds a nonneg block's Schur complement
-with one weighted bincount (see _NonnegMap), and a PSD block's from
-low-rank congruences and a sparse reduction, at a cost proportional to the
-map's nonzeros rather than to dense N x N congruences: every PSD block in
-this package is a moment, localizing or norm matrix whose map has a few
-nonzeros per column (see _PsdMap).  The step length of a PSD block comes
-from the inverses of the Cholesky factors of its NT scaling, computed once
-per scaling, so each step is two matrix products and one eigvalsh.
+without a certificate.  The search direction comes from the cone-eliminated
+KKT system with static regularization, which is quasi-definite and is
+factored without pivoting by two dense Cholesky factors (see _Kkt), and a
+couple of iterative-refinement sweeps, so identical inputs produce
+identical iterates.  Work that does not change between iterations is done
+once per solve: each nonneg block's sparse map is reduced to the (entry,
+coefficient, row) triples of its Schur complement, each PSD block's map is
+split into rank-one symmetric units grouped by column, and the transposed
+equality map is stored dense.  Each iteration then builds a nonneg block's
+Schur complement with one weighted bincount (see _NonnegMap), and a PSD
+block's from low-rank congruences and a sparse reduction, at a cost
+proportional to the map's nonzeros rather than to dense N x N
+congruences: every PSD block in this package is a moment, localizing or
+norm matrix whose map has a few nonzeros per column (see _PsdMap).  The
+dtau pivot of the homogeneous embedding is taken in whichever of two
+equivalent forms has not lost its digits to cancellation.  The step
+length of a PSD block comes from the inverses of the Cholesky factors of
+its NT scaling, computed once per scaling, so each step is two matrix
+products and one eigvalsh.
 """
 from __future__ import annotations
 
@@ -286,11 +289,17 @@ class _SocScaling:
         v[0] += 1.0
         v /= math.sqrt(2.0 * (wbar[0] + 1.0))
         eta = ns / nz
-        q = s.size
-        J = np.diag(np.concatenate(([1.0], -np.ones(q - 1))))
-        self.W = math.sqrt(eta) * (2.0 * np.outer(v, v) - J)
-        jv = np.concatenate(([v[0]], -v[1:]))
-        self.Winv = (2.0 * np.outer(jv, jv) - J) / math.sqrt(eta)
+        # 2 v v' - J and its inverse 2 (Jv)(Jv)' - J, with J = diag(1, -1, ..., -1)
+        # subtracted on the diagonal only
+        sign = np.concatenate(([1.0], -np.ones(s.size - 1)))
+        diag = np.arange(s.size)
+        W = 2.0 * np.outer(v, v)
+        W[diag, diag] -= sign
+        self.W = math.sqrt(eta) * W
+        jv = sign * v
+        Winv = 2.0 * np.outer(jv, jv)
+        Winv[diag, diag] -= sign
+        self.Winv = Winv / math.sqrt(eta)
         self.Hinv = self.Winv @ self.Winv
         self.lam = self.Winv @ s
 
@@ -580,46 +589,68 @@ def _dist_outside_cone(block: ConeBlock, u: np.ndarray) -> float:
 
 
 class _Kkt:
-    """Factorization of [[K11 + eps, E'], [E, -eps]] with refinement.
+    """Factorization of the quasi-definite [[K11 + eps, E'], [E, -eps]].
 
-    The dense border E is written once per solve; `factor` writes each
-    iteration's K11 into it and hands dsytrf a fresh copy per attempt.
+    K11 = M' H^{-1} M is positive semidefinite, so for eps > 0 the matrix is
+    quasi-definite and has an LDL' factorization without pivoting (Vanderbei,
+    SIAM J. Optim. 1995).  `factor` builds it by block elimination from two
+    Cholesky factors, L L' = K11 + eps and L2 L2' = W'W + eps with
+    W = L^{-1} E', the negated Schur complement of the first block; E' is
+    stored dense once per solve.  Rounding can leave K11 a hair indefinite,
+    so a failed Cholesky retries with eps a hundred times larger.  `solve`
+    refines against the unregularized K11 and E, so eps moves the direction
+    only by what the refinement sweeps leave of it.
     """
 
     def __init__(self, E: sp.csr_matrix, n: int):
         self.n = n
         self.m = E.shape[0]
         self.E = E
-        self.full = np.zeros((n + self.m, n + self.m), order="F")
-        if self.m:
-            Ed = E.toarray()
-            self.full[n:, :n] = Ed
-            self.full[:n, n:] = Ed.T
+        self.ET = np.asfortranarray(E.T.toarray())
 
     def factor(self, K11: np.ndarray) -> None:
-        n, dim = self.n, self.full.shape[0]
         self.K11 = K11
-        self.full[:n, :n] = K11
         # absolute regularization: the NT diagonal grows like 1/mu near
         # convergence, so scaling eps by the matrix magnitude would wreck
         # the late directions that refinement is supposed to rescue
         eps = STATIC_REG
         for attempt in range(4):
-            mat = self.full.copy(order="F")
-            mat[np.arange(n), np.arange(n)] += eps
-            mat[np.arange(n, dim), np.arange(n, dim)] -= eps
-            ldu, ipiv, info = lapack.dsytrf(mat, lower=1, overwrite_a=True)
-            if info == 0:
-                self.ldu, self.ipiv = ldu, ipiv
+            if attempt:
+                eps *= 100.0
+                logger.debug("KKT Cholesky failed; raising eps to %.0e", eps)
+            if self._factor(K11, eps):
                 return
-            eps *= 100.0
         raise _Breakdown
 
-    def _raw_solve(self, rhs):
-        out, info = lapack.dsytrs(self.ldu, self.ipiv, rhs, lower=1)
+    def _factor(self, K11: np.ndarray, eps: float) -> bool:
+        mat = K11.copy(order="F")
+        diag = np.arange(self.n)
+        mat[diag, diag] += eps
+        self.L, info = lapack.dpotrf(mat, lower=1, overwrite_a=1)
+        if info != 0 or not self.m:
+            return info == 0
+        self.W, info = lapack.dtrtrs(self.L, self.ET, lower=1)
         if info != 0:
+            return False
+        S = self.W.T @ self.W
+        diag = np.arange(self.m)
+        S[diag, diag] += eps
+        self.L2, info = lapack.dpotrf(S, lower=1, overwrite_a=1)
+        return info == 0
+
+    def _raw_solve(self, rhs):
+        # u = L^{-1} r1, y = (W'W + eps)^{-1} (W'u - r2), x = L^{-T} (u - W y)
+        n = self.n
+        u, info = lapack.dtrtrs(self.L, rhs[:n], lower=1)
+        y = np.zeros(0)
+        if self.m:
+            y, info_y = lapack.dpotrs(self.L2, self.W.T @ u - rhs[n:], lower=1)
+            u = u - self.W @ y
+            info = info or info_y
+        x, info_x = lapack.dtrtrs(self.L, u, lower=1, trans=1)
+        if info or info_x:
             raise _Breakdown
-        return out
+        return np.concatenate([x, y])
 
     def _apply(self, xy):
         x, y = xy[: self.n], xy[self.n :]
@@ -763,10 +794,31 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 hinv_h[sl] = sc.hinv_vec(h[sl])
                 K11 += sc.schur(bmap)
             mh = MT @ hinv_h
-            hHh = float(h @ hinv_h)
 
             kkt.factor(K11)
             vx, vy = kkt.solve(-(c + mh), d)
+            # The pivot of dtau has two forms that agree in exact arithmetic:
+            # the bordered (mh - c)'vx - d'vy + h'H^{-1}h + kappa / tau, exact
+            # for the computed vx, vy, and ||H^{-1/2}(M vx + h)||^2 + kappa / tau,
+            # which also takes the solve's residual to be zero.  Near
+            # convergence the bordered terms grow like ||K11|| and cancel down
+            # to their rounding error, which can shrink the pivot and blow dtau
+            # up.  When the two forms differ by less than one rounding unit of
+            # the bordered terms' magnitude, the bordered sum carries no digits
+            # and the norm form is used; a wider gap is the solve's residual,
+            # which only the bordered form accounts for.
+            lin = mh - c
+            den = lin @ vx - (d @ vy if m_eq else 0.0) + h @ hinv_h + kappa / tau
+            mv = M @ vx + h
+            den_norm = kappa / tau
+            for sl, sc in zip(slices, scalings):
+                den_norm += float(mv[sl] @ sc.hinv_vec(mv[sl]))
+            magnitude = (
+                np.abs(lin) @ np.abs(vx) + np.abs(d) @ np.abs(vy)
+                + np.abs(h) @ np.abs(hinv_h) + kappa / tau
+            )
+            if abs(den - den_norm) <= np.finfo(float).eps * magnitude:
+                den = den_norm
 
             mu = (s @ z + tau * kappa) / (nu + 1)
 
@@ -782,8 +834,6 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 p1 = -eta * r1 + MT @ w1 - eta * (MT @ hr3)
                 ux, uy = kkt.solve(p1, -eta * r2)
                 p4 = -eta * r4 + h @ w1 - eta * (h @ hr3) + d_kappa / tau
-                lin = mh - c
-                den = lin @ vx - (d @ vy if m_eq else 0.0) + hHh + kappa / tau
                 num = p4 - lin @ ux + (d @ uy if m_eq else 0.0)
                 dtau = num / den if abs(den) > 1e-300 else 0.0
                 dx = ux + dtau * vx

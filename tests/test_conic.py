@@ -10,10 +10,13 @@ from cpproj.conic import (
     ConicProgram,
     ConicSolverError,
     SolverSettings,
+    _Breakdown,
+    _Kkt,
     _dist_outside_cone,
     _NonnegMap,
     _PsdMap,
     _PsdScaling,
+    _SocScaling,
     smat,
     solve,
     svec,
@@ -446,3 +449,118 @@ def test_nonneg_map_schur_matches_the_dense_product(name):
         assert not Mb.has_canonical_format
     if name == "one-norm 5x5 order 1":
         assert counts.max() > 2  # rows with several nonzeros
+
+
+def _kkt_case(name):
+    """(K11, E) of a KKT system: K11 PSD, E of full row rank, K11 PD on null(E)."""
+    rng = np.random.default_rng(12)
+    n, m = 12, 0 if name == "no equality rows" else 5
+    B = rng.normal(size=(n, n - m))
+    K11 = B @ B.T  # rank n - m: E must lift the rest
+    if name == "no equality rows":
+        K11 += 0.1 * np.eye(n)
+    E = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.5)
+    if name == "variable in no cone block":
+        K11[4, :] = K11[:, 4] = 0.0
+        E[0, 4] = 1.0
+    return K11, E
+
+
+def _assert_solves_the_regularized_system(kkt, K11, E, eps, rhs):
+    n, m = E.shape[1], E.shape[0]
+    full = np.block([[K11 + eps * np.eye(n), E.T], [E, -eps * np.eye(m)]])
+    ref = np.linalg.solve(full, rhs)
+    # the block elimination solves with K11 + eps first, so its rounding
+    # grows with that block's condition number (up to ||K11|| / eps when
+    # K11 is singular), not with the block matrix's
+    lam = np.linalg.eigvalsh(K11 + eps * np.eye(n))
+    tol = 10.0 * np.finfo(float).eps * lam[-1] / lam[0]
+    assert np.abs(kkt._raw_solve(rhs) - ref).max() <= tol * np.abs(ref).max()
+    return ref
+
+
+@pytest.mark.parametrize(
+    "name", ["no equality rows", "equality rows", "variable in no cone block"]
+)
+def test_kkt_solves_the_regularized_and_refines_to_the_unregularized_system(name):
+    K11, E = _kkt_case(name)
+    n, m = E.shape[1], E.shape[0]
+    rng = np.random.default_rng(13)
+    r1, r2 = rng.normal(size=n), rng.normal(size=m)
+    kkt = _Kkt(sp.csr_matrix(E), n)
+    kkt.factor(K11)
+    rhs = np.concatenate([r1, r2])
+    ref = _assert_solves_the_regularized_system(kkt, K11, E, cpproj.conic.STATIC_REG, rhs)
+    x, y = kkt.solve(r1, r2)
+    assert x.shape == (n,) and y.shape == (m,)
+    resid = np.concatenate([K11 @ x + E.T @ y - r1, E @ x - r2])
+    assert np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def _slightly_indefinite(lam_min, n=8, seed=14):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    lam = np.linspace(1.0, 2.0, n)
+    lam[0] = lam_min
+    return (Q * lam) @ Q.T
+
+
+def test_kkt_raises_eps_a_hundredfold_until_the_cholesky_factors(caplog):
+    K11 = _slightly_indefinite(-5e-9)
+    E = np.random.default_rng(15).normal(size=(3, 8))
+    kkt = _Kkt(sp.csr_matrix(E), 8)
+    with caplog.at_level("DEBUG", logger="cpproj.conic"):
+        kkt.factor(K11)
+    assert [r.getMessage() for r in caplog.records] == [
+        "KKT Cholesky failed; raising eps to 1e-07"
+    ]
+    rhs = np.random.default_rng(16).normal(size=11)
+    _assert_solves_the_regularized_system(kkt, K11, E, 1e-7, rhs)
+
+
+def test_kkt_breaks_down_after_four_attempts(caplog):
+    kkt = _Kkt(sp.csr_matrix(np.ones((1, 8))), 8)
+    with caplog.at_level("DEBUG", logger="cpproj.conic"), pytest.raises(_Breakdown):
+        kkt.factor(_slightly_indefinite(-1.0))
+    assert [r.getMessage()[-5:] for r in caplog.records] == ["1e-07", "1e-05", "1e-03"]
+
+
+def test_kkt_factor_and_solve_are_bit_identical_across_runs():
+    K11, E = _kkt_case("variable in no cone block")
+    rhs = np.random.default_rng(17).normal(size=E.shape[0] + E.shape[1])
+    runs = []
+    for _ in range(2):
+        kkt = _Kkt(sp.csr_matrix(E), E.shape[1])
+        kkt.factor(K11.copy())
+        runs.append(np.concatenate(kkt.solve(rhs[: E.shape[1]], rhs[E.shape[1] :])))
+    assert runs[0].tobytes() == runs[1].tobytes()
+
+
+def _soc_scaling_reference(s, z):
+    """W, W^{-1} and H^{-1} from the dense sign matrix J, as first written."""
+    ns, nz = np.sqrt(s[0] ** 2 - s[1:] @ s[1:]), np.sqrt(z[0] ** 2 - z[1:] @ z[1:])
+    sh, zh = s / ns, z / nz
+    gamma = np.sqrt((1.0 + sh @ zh) / 2.0)
+    wbar = (sh + np.concatenate(([zh[0]], -zh[1:]))) / (2.0 * gamma)
+    v = wbar.copy()
+    v[0] += 1.0
+    v /= np.sqrt(2.0 * (wbar[0] + 1.0))
+    eta = ns / nz
+    J = np.diag(np.concatenate(([1.0], -np.ones(s.size - 1))))
+    W = np.sqrt(eta) * (2.0 * np.outer(v, v) - J)
+    jv = np.concatenate(([v[0]], -v[1:]))
+    Winv = (2.0 * np.outer(jv, jv) - J) / np.sqrt(eta)
+    return W, Winv, Winv @ Winv
+
+
+def test_soc_scaling_matches_the_dense_sign_matrix_formulas():
+    rng = np.random.default_rng(18)
+    for q in (2, 3, 7):
+        for _ in range(5):
+            s, z = rng.normal(size=q), rng.normal(size=q)
+            s[0] = np.linalg.norm(s[1:]) + rng.uniform(0.01, 2.0)
+            z[0] = np.linalg.norm(z[1:]) + rng.uniform(0.01, 2.0)
+            sc = _SocScaling(s, z)
+            W, Winv, Hinv = _soc_scaling_reference(s, z)
+            assert np.array_equal(sc.W, W)
+            assert np.array_equal(sc.Winv, Winv)
+            assert np.array_equal(sc.Hinv, Hinv)
