@@ -26,12 +26,11 @@ Entry points:
   malformed program; `CpDecomposition` holds the certified factors.
 
 The layers those entry points are built from are imported from their own
-modules: monomial bookkeeping and truncated moment sequences
-(`cpproj.polybasis`), the moment-cone constraints (`cpproj.moments`), factor
-polish, sparsify and the CP distance floor (`cpproj.extraction`),
-the semidefinite reformulations of the four norms (`cpproj.norms`,
-`cpproj.relaxation`), and a self-contained homogeneous conic interior-point
-solver (`cpproj.conic`).
+modules: the monomial index and the moment-cone constraints built on it
+(`cpproj.polybasis`), factor polish, sparsify and the CP distance floor
+(`cpproj.extraction`), the semidefinite reformulations of the four norms
+(`cpproj.norms`, `cpproj.relaxation`), and a self-contained homogeneous
+conic interior-point solver (`cpproj.conic`).
 """
 from .conic import ConicSolverError, SolverSettings
 from .driver import (

@@ -152,8 +152,13 @@ CERT_TOL = 1e-6  # relative residual up to which a Farkas pair verifies
 
 @dataclass(frozen=True)
 class SolverSettings:
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
+    # moment relaxations are chronically degenerate: the interior-point
+    # engine (a quasi-definite Cholesky KKT solve with refinement) reliably
+    # reaches ~1e-7 KKT accuracy on them but can stall short of 1e-8, so the
+    # default asks for what is attainable; the order-1 (DNN) solve is the one
+    # exception, held to relaxation.DNN_TOL
+    tol_feas: float = 1e-7
+    tol_gap: float = 1e-7
     max_iters: int = 200
 
     def __post_init__(self) -> None:
@@ -230,9 +235,6 @@ class _NonnegScaling:
         self.w = np.sqrt(s / z)
         self.lam = np.sqrt(s * z)
 
-    def e(self):
-        return np.ones(self.lam.size)
-
     def schur(self, nmap: "_NonnegMap"):
         """Mb' H^{-1} Mb = Mb' diag(1 / w^2) Mb, from the map prepared once per solve."""
         return nmap.schur(1.0 / (self.w * self.w))
@@ -302,11 +304,6 @@ class _SocScaling:
         self.Winv = Winv / math.sqrt(eta)
         self.Hinv = self.Winv @ self.Winv
         self.lam = self.Winv @ s
-
-    def e(self):
-        out = np.zeros(self.lam.size)
-        out[0] = 1.0
-        return out
 
     def schur(self, Mb):
         """Mb' H^{-1} Mb for the block's dense map Mb."""
@@ -379,14 +376,10 @@ class _PsdScaling:
         self.R = Ls @ (Vt.T * isq[None, :])
         self.Rinv = (U * isq[None, :]).T @ Lz.T
         self.lam_diag = sig
-        self.lam = svec(np.diag(sig))
         G = self.Rinv.T @ self.Rinv  # (R R^T)^{-1}
         self.Ginv = G
         self.Ls_inv = _tri_inverse(Ls)
         self.Lz_inv = _tri_inverse(Lz)
-
-    def e(self):
-        return svec(np.eye(self.order))
 
     def schur(self, pmap: "_PsdMap"):
         """Mb' H^{-1} Mb for the block's map, prepared once per solve."""
@@ -680,7 +673,6 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     blocks = prog.cone_blocks
     c = prog.objective
     n = c.size
-    m_eq = E.shape[0]
     m_k = M.shape[0]
     slices = _block_slices(blocks)
     nu = sum(_cone_degree(b) for b in blocks)
@@ -691,9 +683,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     kkt = _Kkt(E, n)
 
     x = np.zeros(n)
-    y = np.zeros(m_eq)
-    s = np.concatenate([_unit_element(b) for b in blocks]) if blocks else np.zeros(0)
-    z = s.copy()
+    y = np.zeros(E.shape[0])
+    unit = np.concatenate([_unit_element(b) for b in blocks]) if blocks else np.zeros(0)
+    s = unit.copy()
+    z = unit.copy()
     tau, kappa = 1.0, 1.0
 
     norm_c = 1.0 + np.linalg.norm(c)
@@ -706,17 +699,17 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     iters_done = 0
 
     def scaled_residuals():
-        r1 = -ET @ y - MT @ z + c * tau if m_eq else -(MT @ z) + c * tau
-        r2 = E @ x - d * tau if m_eq else np.zeros(0)
+        r1 = -(ET @ y) - MT @ z + c * tau
+        r2 = E @ x - d * tau
         r3 = M @ x + h * tau - s
-        r4 = -c @ x + (d @ y if m_eq else 0.0) - h @ z - kappa
+        r4 = -c @ x + d @ y - h @ z - kappa
         pres = max(
-            np.linalg.norm(r2) / tau / norm_d if m_eq else 0.0,
+            np.linalg.norm(r2) / tau / norm_d,
             np.linalg.norm(r3) / tau / norm_h,
         )
         dres = np.linalg.norm(r1) / tau / norm_c
         pobj = c @ x / tau
-        dobj = ((d @ y if m_eq else 0.0) - h @ z) / tau
+        dobj = (d @ y - h @ z) / tau
         gap = (z @ s) / (tau * tau)
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         return r1, r2, r3, r4, pres, dres, pobj, dobj, gap, relgap
@@ -741,7 +734,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
     def try_certificate(it):
         # primal infeasibility: Farkas pair from the dual embedding variables
-        margin = (d @ y if m_eq else 0.0) - h @ z
+        margin = d @ y - h @ z
         if not margin > 1e-300:
             return None
         yy, cert = y / margin, z / margin
@@ -808,7 +801,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             # and the norm form is used; a wider gap is the solve's residual,
             # which only the bordered form accounts for.
             lin = mh - c
-            den = lin @ vx - (d @ vy if m_eq else 0.0) + h @ hinv_h + kappa / tau
+            den = lin @ vx - d @ vy + h @ hinv_h + kappa / tau
             mv = M @ vx + h
             den_norm = kappa / tau
             for sl, sc in zip(slices, scalings):
@@ -834,7 +827,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 p1 = -eta * r1 + MT @ w1 - eta * (MT @ hr3)
                 ux, uy = kkt.solve(p1, -eta * r2)
                 p4 = -eta * r4 + h @ w1 - eta * (h @ hr3) + d_kappa / tau
-                num = p4 - lin @ ux + (d @ uy if m_eq else 0.0)
+                num = p4 - lin @ ux + d @ uy
                 dtau = num / den if abs(den) > 1e-300 else 0.0
                 dx = ux + dtau * vx
                 dy = -(uy + dtau * vy)
@@ -869,7 +862,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             d_c2 = np.zeros(m_k)
             for sl, sc in zip(slices, scalings):
                 corr = sc.jordan(sc.wtinv_vec(dsa[sl]), sc.w_vec(dza[sl]))
-                d_c2[sl] = sigma * mu * sc.e() - sc.lam_sq() - corr
+                d_c2[sl] = sigma * mu * unit[sl] - sc.lam_sq() - corr
             d_kappa2 = sigma * mu - tau * kappa - dtaua * dkappaa
             dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, d_c2, d_kappa2)
 

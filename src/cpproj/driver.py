@@ -90,13 +90,7 @@ MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 class DriverSettings:
     k_max: int = 4
     start_seed: int = 0
-    # moment relaxations are chronically degenerate: the interior-point
-    # engine (a quasi-definite Cholesky KKT solve with refinement) reliably
-    # reaches ~1e-7 KKT accuracy on them but can stall a decade short of its
-    # 1e-8 default, so the driver asks for what is attainable
-    solver: SolverSettings = field(
-        default_factory=lambda: SolverSettings(tol_feas=1e-7, tol_gap=1e-7)
-    )
+    solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
         if self.k_max < K_MIN:

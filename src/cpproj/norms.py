@@ -3,16 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polybasis import SymMatrix
+from .polybasis import symmetric
 
 __all__ = ["NORM_KINDS", "p_norm"]
 
 NORM_KINDS: tuple[str, ...] = ("one", "two", "inf", "fro")
 
 
-def p_norm(A: SymMatrix | np.ndarray, p: str) -> float:
+def p_norm(A: np.ndarray, p: str) -> float:
     """Norm of a symmetric matrix: max column sum / spectral / max row sum / Frobenius."""
-    V = A.values if isinstance(A, SymMatrix) else SymMatrix(A).values
+    V = symmetric(A)
     if p not in NORM_KINDS:
         raise ValueError(f"unknown norm {p!r}; expected one of {NORM_KINDS}")
     if p == "one":

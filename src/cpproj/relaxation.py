@@ -7,7 +7,7 @@ completely positive cone is relaxed by one ladder of conic programs,
 indexed by the order k, that share the constraint, split and norm rows.
 Order 1 is the doubly nonnegative (DNN) relaxation: X entrywise
 nonnegative and PSD.  Order k >= 2 uses the moment-sequence description
-from `cpproj.moments`: X is identified with the degree-2 slice of a moment
+from `cpproj.polybasis`: X is identified with the degree-2 slice of a moment
 vector s that satisfies the sphere equalities and the PSD block conditions
 of order k.  CP lies inside every rung, so each optimal value bounds the
 projection distance from below, and from order 2 on the values grow with
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,16 +38,8 @@ from .conic import (
     SolverSettings,
     solve as conic_solve,
 )
-from .moments import moment_cone_constraints
-from .norms import NORM_KINDS, p_norm
-from .polybasis import (
-    SymMatrix,
-    matrix_of_etms,
-    moments_of_atoms,
-    vech,
-    vech_inv,
-    weighted_vech,
-)
+from .norms import NORM_KINDS
+from .polybasis import moment_cone_constraints, symmetric, vech, vech_inv, weighted_vech
 
 __all__ = [
     "LinearConstraint",
@@ -61,8 +53,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# the DNN program is small and well conditioned, so its solve is held to the
-# engine's default accuracy: at 1e-7 its X is only about sqrt(gap) accurate
+# the DNN program is small and well conditioned, so its solve is held to a
+# decade below the engine's default: at 1e-7 its X is only about sqrt(gap)
+# accurate
 DNN_TOL = 1e-8
 
 
@@ -77,7 +70,7 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.kind not in ("eq", "ineq"):
             raise ValueError(f"constraint kind must be 'eq' or 'ineq', got {self.kind!r}")
-        A = SymMatrix(np.asarray(self.matrix, dtype=float)).values
+        A = symmetric(self.matrix)
         object.__setattr__(self, "matrix", A)
         object.__setattr__(self, "rhs", float(self.rhs))
 
@@ -91,7 +84,7 @@ class ProblemSpec:
     constraints: tuple[LinearConstraint, ...] = ()
 
     def __post_init__(self) -> None:
-        C = SymMatrix(np.asarray(self.C, dtype=float)).values
+        C = symmetric(self.C)
         object.__setattr__(self, "C", C)
         if self.norm not in NORM_KINDS:
             raise ValueError(f"unknown norm {self.norm!r}")
@@ -272,10 +265,8 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         eye = sp.identity(nbar, format="coo")
         moment_eq, head_nonneg, psd_blocks = sp.coo_matrix((0, nbar)), eye, ((n, eye),)
     else:
-        system = moment_cone_constraints(n, k)
-        moment_eq = system.equality
+        moment_eq, psd_blocks = moment_cone_constraints(n, k)
         head_nonneg = sp.coo_matrix((0, moment_eq.shape[1]))
-        psd_blocks = tuple((blk.order, blk.entries) for blk in system.psd_blocks)
     L = moment_eq.shape[1]
     x_off = _x_offset(n, k)
 
@@ -366,7 +357,7 @@ def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
     x_off = _x_offset(n, int(prog.info["k"]))
     xt = sol.primal
     return RelaxationSolution(
-        matrix=vech_inv(xt[x_off : x_off + n * (n + 1) // 2]).values,
+        matrix=vech_inv(xt[x_off : x_off + n * (n + 1) // 2]),
         gamma=float(xt[prog.layout["gamma"]][0]),
         dual_objective=sol.dual_obj,
         conic=sol,
@@ -393,27 +384,6 @@ def check_weak_duality(rsol: RelaxationSolution, tol: float = 1e-7) -> bool:
     if rsol.dual_objective is None:
         return True
     return rsol.gamma >= rsol.dual_objective - tol
-
-
-def lift_atomic_point(
-    spec: ProblemSpec, k: int, atoms: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Decision vector of the order-k program evaluated at an atomic measure.
-
-    A feasibility audit and the reference that `assemble` is tested against:
-    the lift of any measure supported on the nonnegative unit sphere
-    satisfies every moment-cone row, and gamma is set to the exact distance
-    so the norm block is tight.
-    """
-    n = spec.dim
-    tms = moments_of_atoms(np.atleast_2d(atoms), np.asarray(weights, float), k, n=n)
-    X = matrix_of_etms(tms.to_etms()).values
-    gamma = p_norm(X - spec.C, spec.norm)
-    parts = [tms.s, [gamma]]
-    if spec.norm in ("one", "inf"):
-        y = vech(SymMatrix(X) - SymMatrix(spec.C))
-        parts.extend([np.clip(y, 0.0, None), np.clip(-y, 0.0, None)])
-    return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
 
 def project_dnn(

@@ -25,8 +25,7 @@ from cpproj.conic import (
     verify_certificate,
 )
 from cpproj.driver import DriverSettings, approximate
-from cpproj.moments import coordinate_spec, moment_cone_constraints, unit_spec
-from cpproj.polybasis import basis_size, monomials_up_to
+from cpproj.polybasis import moment_cone_constraints, monomial_positions, monomials_up_to
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -473,30 +472,31 @@ def test_certifying_the_size_3_draws_stays_cheap(monkeypatch):
 def _moment_identity_residual():
     """Largest deviation of the relaxation's moment-cone rows from their
     defining index formulas: each PSD block entry (a, b) of the localizer of
-    q is sum_g q_g s[alpha_a + alpha_b + g], and each equality row is the
-    sphere residual sum_i s[delta + 2 e_i] - s[delta]."""
+    the monomial x^g is s[alpha_a + alpha_b + g], and each equality row is
+    the sphere residual sum_i s[delta + 2 e_i] - s[delta]."""
     rng = np.random.default_rng(3)
     worst = 0.0
     for n, k in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        s = rng.standard_normal(basis_size(n, 2 * k))
-        big = monomials_up_to(n, 2 * k)
-        system = moment_cone_constraints(n, k)
-        specs = [unit_spec(n, k)] + [coordinate_spec(n, j, k) for j in range(n)]
-        for blk, spec in zip(system.psd_blocks, specs, strict=True):
-            rows = monomials_up_to(n, spec.half_order).exponents
+        position = monomial_positions(n, 2 * k)
+        s = rng.standard_normal(len(position))
+        equality, blocks = moment_cone_constraints(n, k)
+        # the localizer of 1 at half-order k, then of x_j at half-order k - 1
+        shifts = [((0,) * n, k)] + [(tuple(e), k - 1) for e in np.eye(n, dtype=int)]
+        for (order, entries), (g, half) in zip(blocks, shifts, strict=True):
+            rows = monomials_up_to(n, half)
+            assert order == len(rows)
             want = [
-                sum(coeff * s[big.position(tuple(rows[a] + rows[b] + np.asarray(g)))]
-                    for g, coeff in spec.poly.items())
-                for a in range(len(rows)) for b in range(a, len(rows))
+                s[position[tuple(rows[a] + rows[b] + np.asarray(g))]]
+                for a in range(order) for b in range(a, order)
             ]
-            worst = max(worst, float(np.abs(blk.entries @ s - want).max()))
-        deltas = monomials_up_to(n, 2 * (k - 1)).exponents
+            worst = max(worst, float(np.abs(entries @ s - want).max()))
+        deltas = monomials_up_to(n, 2 * (k - 1))
         want = [
-            sum(s[big.position(tuple(d + 2 * e))] for e in np.eye(n, dtype=int))
-            - s[big.position(tuple(d))]
+            sum(s[position[tuple(d + 2 * e)]] for e in np.eye(n, dtype=int))
+            - s[position[tuple(d)]]
             for d in deltas
         ]
-        worst = max(worst, float(np.abs(system.equality @ s - want).max()))
+        worst = max(worst, float(np.abs(equality @ s - want).max()))
     return worst
 
 
@@ -633,7 +633,8 @@ def test_structural_property_suites(reference_outcomes, capsys):
     conic_worst = 0.0
     for seed in range(200, 300):
         prog = _feasible_conic_program(seed)
-        sol = solve(prog)
+        # the residual checks below assume a decade below the default accuracy
+        sol = solve(prog, SolverSettings(tol_feas=1e-8, tol_gap=1e-8))
         if sol.status != "optimal":
             _check(failures, False, f"feasible program {seed} ended {sol.status}")
             continue

@@ -22,8 +22,12 @@ from cpproj.conic import (
     svec,
     verify_certificate,
 )
-from cpproj.moments import moment_cone_constraints
+from cpproj.polybasis import moment_cone_constraints
 from cpproj.relaxation import ProblemSpec, assemble
+
+
+# these checks assume the solver's accuracy of 1e-8, a decade below its default
+TIGHT = SolverSettings(tol_feas=1e-8, tol_gap=1e-8)
 
 
 def make_program(c, E, d, M, h, blocks, layout=None):
@@ -83,7 +87,7 @@ def test_lp_scalar_bound():
     # minimize x subject to x >= 1
     prog = make_program([1.0], np.zeros((0, 1)), [], [[1.0]], [-1.0],
                         [ConeBlock("nonneg", 1)])
-    sol = solve(prog)
+    sol = solve(prog, TIGHT)
     assert sol.status == "optimal"
     npt.assert_allclose(sol.primal, [1.0], atol=1e-7)
     npt.assert_allclose(sol.primal_obj, 1.0, atol=1e-7)
@@ -96,7 +100,7 @@ def test_soc_euclidean_norm():
     prog = make_program([1.0], np.zeros((0, 1)), [],
                         [[1.0], [0.0], [0.0]], [0.0, 3.0, 4.0],
                         [ConeBlock("soc", 3)])
-    sol = solve(prog)
+    sol = solve(prog, TIGHT)
     assert sol.status == "optimal"
     npt.assert_allclose(sol.primal_obj, 5.0, atol=1e-7)
     npt.assert_allclose(sol.dual_obj, 5.0, atol=1e-7)
@@ -112,7 +116,7 @@ def test_sdp_matrix_completion():
     E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     prog = make_program([1.0, 0.0, 1.0], E, [1.0, 0.9], M, [0.0, 0.0, 0.0],
                         [ConeBlock.psd(2)])
-    sol = solve(prog)
+    sol = solve(prog, TIGHT)
     assert sol.status == "optimal"
     npt.assert_allclose(sol.primal_obj, 1.81, atol=1e-6)
     npt.assert_allclose(sol.primal, [1.0, 0.9, 0.81], atol=1e-6)
@@ -208,7 +212,7 @@ def _block_slices(blocks):
 @pytest.mark.parametrize("seed", range(100))
 def test_random_feasible_programs(seed):
     prog, x0, y0, z0 = _feasible_program(seed)
-    sol = solve(prog)
+    sol = solve(prog, TIGHT)
     assert sol.status == "optimal", f"seed {seed}: {sol.status} {sol.residuals}"
     x, y, z = sol.primal, sol.dual_eq, sol.dual_cone
     d, h, c = prog.eq_rhs, prog.cone_offset, prog.objective
@@ -281,7 +285,7 @@ def test_large_psd_block():
     h = s0 - M @ x0
     c = M.T @ z0
     prog = make_program(c, np.zeros((0, n)), [], M, h, [block])
-    sol = solve(prog)
+    sol = solve(prog, TIGHT)
     assert sol.status == "optimal"
     assert max(sol.residuals["primal_feas"], sol.residuals["dual_feas"]) <= 1e-7
     assert sol.residuals["rel_gap"] <= 1e-7
@@ -333,10 +337,10 @@ def _psd_map_case(name):
     if name == "two-norm block":
         return _program_block("two", 3, "psd", 6).toarray(), 6
     if name.startswith("moment n=4 k=4"):
-        blk = moment_cone_constraints(4, 4).psd_blocks[0]
+        order, entries = moment_cone_constraints(4, 4)[1][0]
     else:  # x_1 times the order-1 moment block of n=3, k=2
-        blk = moment_cone_constraints(3, 2).psd_blocks[2]
-    return _svec_scaled(blk.entries, blk.order).toarray(), blk.order
+        order, entries = moment_cone_constraints(3, 2)[1][2]
+    return _svec_scaled(entries, order).toarray(), order
 
 
 @pytest.mark.parametrize(

@@ -266,6 +266,14 @@ def test_settings_validation():
     assert DriverSettings(k_max=2).k_max == 2
 
 
+def test_the_driver_solves_at_the_solver_default():
+    # one tolerance default: the driver adds no setting of its own, and
+    # only order 1 is held tighter, at DNN_TOL
+    assert DriverSettings().solver == SolverSettings()
+    assert SolverSettings().tol_feas == SolverSettings().tol_gap == 1e-7
+    assert cpproj.relaxation.DNN_TOL < SolverSettings().tol_gap
+
+
 @pytest.mark.parametrize("norm", ["one", "two", "inf", "fro"])
 def test_all_norms_project_cp_fixed_point(norm):
     # a CP matrix is its own projection no matter the norm

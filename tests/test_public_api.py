@@ -12,7 +12,6 @@ MODULES = (
     "cpproj.conic",
     "cpproj.driver",
     "cpproj.extraction",
-    "cpproj.moments",
     "cpproj.norms",
     "cpproj.polybasis",
     "cpproj.relaxation",
@@ -75,3 +74,52 @@ def test_every_module_export_is_used_outside_its_module():
             if not any(attr in ids for path, ids in users.items() if path != own):
                 unused.append(f"{name}.{attr}")
     assert not unused, f"exported but used by no other module: {unused}"
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, node) for every top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _loaded_names(nodes) -> set[str]:
+    """Names read in the given nodes: bare names, attributes, and names
+    imported under another name."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias) and node.asname:
+                names.add(node.name)
+    return names
+
+
+def test_every_top_level_definition_is_used():
+    # a function, class or constant that neither the package (outside its own
+    # definition) nor the benchmark reads is dead code, whether exported or
+    # not; the package's own exports are the public interface and are exempt
+    package = sorted((ROOT / "src" / "cpproj").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in package}
+    trees.update({p: ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")})
+    reads = {path: _loaded_names([tree]) for path, tree in trees.items()}
+    unused = []
+    for path in package:
+        tree = trees[path]
+        for name, node in _top_level_definitions(tree):
+            if name.startswith("__") or name in cpproj.__all__:
+                continue
+            elsewhere = any(name in names for p, names in reads.items() if p != path)
+            rest = _loaded_names(other for other in tree.body if other is not node)
+            if not elsewhere and name not in rest:
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"defined but never used: {unused}"

@@ -13,11 +13,15 @@ from cpproj.relaxation import (
     ProblemSpec,
     assemble,
     check_weak_duality,
-    lift_atomic_point,
     map_solution,
     project_dnn,
     solve_relaxation,
 )
+from moment_reference import lift_atomic_point
+
+
+# these checks assume the solver's accuracy of 1e-8, a decade below its default
+TIGHT = SolverSettings(tol_feas=1e-8, tol_gap=1e-8)
 
 
 def _block_slices(blocks):
@@ -44,7 +48,7 @@ def test_one_and_inf_agree():
     progs = {}
     sols = {}
     for kind in ("one", "inf"):
-        prog, sol = solve_relaxation(ProblemSpec(C, norm=kind), 2)
+        prog, sol = solve_relaxation(ProblemSpec(C, norm=kind), 2, TIGHT)
         progs[kind] = prog
         sols[kind] = map_solution(prog, sol)
     assert [
@@ -55,7 +59,7 @@ def test_one_and_inf_agree():
 
 
 def test_identity_is_its_own_projection():
-    prog, sol = solve_relaxation(ProblemSpec(np.eye(2), norm="fro"), 2)
+    prog, sol = solve_relaxation(ProblemSpec(np.eye(2), norm="fro"), 2, TIGHT)
     rs = map_solution(prog, sol)
     assert rs.status == "optimal"
     assert abs(rs.gamma) <= 1e-7
@@ -72,7 +76,7 @@ def test_relaxation_value_meets_reference_projection():
     npt.assert_allclose(X_dnn, np.eye(2), atol=1e-4)
     gammas = []
     for k in (2, 3):
-        prog, sol = solve_relaxation(ProblemSpec(C, norm="fro"), k)
+        prog, sol = solve_relaxation(ProblemSpec(C, norm="fro"), k, TIGHT)
         assert sol.status == "optimal"
         gammas.append(map_solution(prog, sol).gamma)
     assert gammas[0] <= gammas[1] + 1e-7  # orders tighten monotonically
@@ -149,7 +153,7 @@ def test_inequality_constraint_pushes_projection():
         norm="fro",
         constraints=(LinearConstraint(E11, 2.0, "ineq"),),
     )
-    prog, sol = solve_relaxation(spec, 2)
+    prog, sol = solve_relaxation(spec, 2, TIGHT)
     rs = map_solution(prog, sol)
     assert rs.status == "optimal"
     assert rs.matrix[0, 0] >= 2.0 - 1e-7
