@@ -40,6 +40,7 @@ import numpy as np
 
 from .conic import ConicSolverError, SolverSettings
 from .driver import (
+    K_MIN,
     DriverSettings,
     Inconclusive,
     Infeasible,
@@ -342,8 +343,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise InputError("--check always uses the Frobenius norm; drop --norm")
         if not args.check and args.norm is None:
             raise InputError("--norm is required unless --check is given")
-        if args.kmax < 2:
-            raise InputError("--kmax must be at least 2")
+        if args.kmax < K_MIN:
+            raise InputError(f"--kmax must be at least {K_MIN}")
         if args.tol is not None and not args.tol > 0.0:
             raise InputError("--tol must be positive")
         try:

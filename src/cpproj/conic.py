@@ -8,8 +8,8 @@ Programs are stored as
 
 where K is an ordered product of nonnegative / second-order / PSD blocks
 partitioning the cone image.  PSD blocks use the isometric upper triangle
-vectorization (off-diagonal entries scaled by sqrt(2)) so that block
-inner products equal plain dot products.
+vectorization of `svec_index` (off-diagonal entries scaled by sqrt(2)) so
+that block inner products equal plain dot products.
 
 The algorithm embeds the primal-dual pair in a homogeneous self-dual model,
 scales each cone block by its Nesterov-Todd point, and takes Mehrotra
@@ -58,6 +58,7 @@ __all__ = [
     "SolverSettings",
     "ConicSolverError",
     "solve",
+    "svec_index",
     "verify_certificate",
 ]
 
@@ -91,10 +92,6 @@ class ConeBlock:
         elif self.kind == "soc":
             if self.size < 2:
                 raise ConicSolverError("second-order blocks need size >= 2")
-
-    @staticmethod
-    def psd(order: int) -> "ConeBlock":
-        return ConeBlock("psd", order * (order + 1) // 2, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +135,6 @@ class ConicProgram:
             covered[sl] = True
         if not covered.all():
             raise ConicSolverError("layout does not cover every decision coordinate")
-
-    @property
-    def num_vars(self) -> int:
-        return self.objective.size
 
 
 INFEAS_THRESHOLD = 1e-8  # declare infeasibility once tau/kappa drops below
@@ -195,20 +188,24 @@ class ConicSolution:
 
 
 @lru_cache(maxsize=None)
-def _svec_index(order: int):
+def svec_index(order: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The one svec rule: read-only upper-triangle positions (row-major) of
+    an order x order matrix and their weights, 1 on the diagonal and sqrt(2)
+    off it."""
     iu = np.triu_indices(order)
     scale = np.where(iu[0] == iu[1], 1.0, math.sqrt(2.0))
-    scale.setflags(write=False)
+    for a in (*iu, scale):
+        a.setflags(write=False)
     return iu, scale
 
 
 def svec(U: np.ndarray) -> np.ndarray:
-    iu, scale = _svec_index(U.shape[0])
+    iu, scale = svec_index(U.shape[0])
     return U[iu] * scale
 
 
 def smat(v: np.ndarray, order: int) -> np.ndarray:
-    iu, scale = _svec_index(order)
+    iu, scale = svec_index(order)
     # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
     vals = v / scale + 0.0
     U = np.empty((order, order))
@@ -485,7 +482,7 @@ class _PsdMap:
     """
 
     def __init__(self, Mb: sp.spmatrix, order: int):
-        iu, _ = _svec_index(order)
+        iu, _ = svec_index(order)
         Mb = sp.csc_matrix(Mb, dtype=float)
         Mb.sum_duplicates()
         Mb.eliminate_zeros()

@@ -20,6 +20,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import least_squares
 
+from .conic import svec_index
+
 __all__ = [
     "CpDecomposition",
     "cp_distance_floor",
@@ -90,8 +92,7 @@ def polish_decomposition(
     if dec.factors.size == 0:
         return dec
     r, n = dec.factors.shape
-    iu = np.triu_indices(n)
-    wgt = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    iu, wgt = svec_index(n)
     target = X[iu] * wgt
     rows = np.arange(iu[0].size)
 

@@ -16,15 +16,21 @@ direct nonnegative factorization of the optimal matrix.
 
 The norm objective turns into standard conic epigraphs:
 
-  fro        one second-order block (gamma, sqrt-2-weighted entry residuals)
+  fro        one second-order block (gamma, svec(X - C))
   two        one PSD block [[gamma I, X - C], [X - C, gamma I]]
   one / inf  an entrywise split X - C = Y+ - Y- plus per-column sum bounds
              (the two norms coincide on symmetric matrices, so they share
              the same reformulation)
+
+Each block of rows is built whole from numpy index arrays (the vech columns
+of X, upper-triangle positions, the column incidence of the one/inf sums,
+the corner positions of the spectral block) and appended to a
+coordinate-array row builder, `_Rows`; one builder makes the equality map
+and one the cone map, each a single CSR matrix.  Every svec weight, of the
+PSD, second-order and spectral blocks alike, comes from `conic.svec_index`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -37,6 +43,7 @@ from .conic import (
     ConicSolution,
     SolverSettings,
     solve as conic_solve,
+    svec_index,
 )
 from .norms import NORM_KINDS
 from .polybasis import moment_cone_constraints, symmetric, vech, vech_inv, weighted_vech
@@ -52,7 +59,6 @@ __all__ = [
     "project_dnn",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 # the DNN program is small and well conditioned, so its solve is held to a
 # decade below the engine's default: at 1e-7 its X is only about sqrt(gap)
 # accurate
@@ -114,130 +120,24 @@ class ProblemSpec:
         return out
 
 
-def _vech_index(n: int, i: int, j: int) -> int:
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i + 1) // 2 + j
+class _Rows:
+    """Coordinate arrays of one sparse map, appended a whole block of rows at
+    a time; `rhs` is the equality right-hand side or the cone offset."""
 
+    def __init__(self) -> None:
+        index = np.zeros(0, dtype=np.int64)
+        self.parts = [(index, index, np.zeros(0), np.zeros(0))]
+        self.size = 0
 
-class _ConeRows:
-    """Accumulates cone rows as triplets plus offsets and block descriptors."""
+    def add(self, row, col, val, rhs) -> None:
+        """Append len(rhs) rows; entry t is val[t] in column col[t] of the
+        new block's row row[t]."""
+        self.parts.append((self.size + row, col, val, rhs))
+        self.size += len(rhs)
 
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.offsets: list[float] = []
-        self.blocks: list[ConeBlock] = []
-        self.at = 0
-
-    def add_row(self, cols, vals, offset=0.0):
-        for c, v in zip(cols, vals):
-            self.rows.append(self.at)
-            self.cols.append(c)
-            self.vals.append(float(v))
-        self.offsets.append(float(offset))
-        self.at += 1
-
-    def add_sparse(self, mat: sp.spmatrix, scale: Optional[np.ndarray] = None):
-        """Append the rows of `mat`, whose columns are the leading columns,
-        each row i times scale[i]."""
-        coo = mat.tocoo()
-        data = coo.data if scale is None else scale[coo.row] * coo.data
-        self.rows.extend((coo.row + self.at).tolist())
-        self.cols.extend(coo.col.tolist())
-        self.vals.extend(data.tolist())
-        self.offsets.extend([0.0] * mat.shape[0])
-        self.at += mat.shape[0]
-
-    def close_block(self, kind: str, order: int = 0):
-        start = sum(b.size for b in self.blocks)
-        size = self.at - start
-        if size > 0:
-            self.blocks.append(ConeBlock(kind, size, order))
-
-    def matrices(self):
-        mat = sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.at, self.num_vars)
-        )
-        return mat, np.asarray(self.offsets), tuple(self.blocks)
-
-
-def _columns(spec: ProblemSpec, head: str, size: int) -> tuple[dict[str, slice], int]:
-    """Column layout and count: `head` in the first `size` columns, then
-    gamma, then the split parts Y+ and Y- (vech order) for the one and inf
-    norms."""
-    nbar = spec.dim * (spec.dim + 1) // 2
-    layout = {head: slice(0, size), "gamma": slice(size, size + 1)}
-    if spec.norm not in ("one", "inf"):
-        return layout, size + 1
-    layout["y_pos"] = slice(size + 1, size + 1 + nbar)
-    layout["y_neg"] = slice(size + 1 + nbar, size + 1 + 2 * nbar)
-    return layout, size + 1 + 2 * nbar
-
-
-def _constraint_rows(
-    spec: ProblemSpec,
-    cone: _ConeRows,
-    layout: dict[str, slice],
-    x_off: int,
-    moment_eq: sp.spmatrix,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Rows every relaxation shares, with vech(X) in columns x_off + m.
-
-    Returns the equality rows and their right-hand side: `moment_eq` (rows
-    over the leading columns, right-hand side zero), the user's equalities,
-    then the one/inf split X - C = Y+ - Y-.  Appends to `cone`
-    the user's inequalities, Y+ >= 0, Y- >= 0 and the column-sum bounds
-    gamma >= sum_i (Y+ + Y-)_ij; the caller closes that nonnegative block.
-    """
-    n = spec.dim
-    nbar = n * (n + 1) // 2
-    g = layout["gamma"].start
-    split = spec.norm in ("one", "inf")
-    coo = moment_eq.tocoo()
-    rows, cols, vals = coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
-    r = moment_eq.shape[0]
-    rhs = [0.0] * r
-    for con in spec.equalities:
-        w = weighted_vech(con.matrix)
-        for m in range(nbar):
-            if w[m] != 0.0:
-                rows.append(r)
-                cols.append(x_off + m)
-                vals.append(w[m])
-        rhs.append(con.rhs)
-        r += 1
-    if split:
-        cvech = vech(spec.C)
-        yp, yn = layout["y_pos"].start, layout["y_neg"].start
-        for m in range(nbar):
-            rows.extend([r, r, r])
-            cols.extend([x_off + m, yp + m, yn + m])
-            vals.extend([1.0, -1.0, 1.0])
-            rhs.append(cvech[m])
-            r += 1
-
-    for con in spec.inequalities:
-        w = weighted_vech(con.matrix)
-        nz = np.nonzero(w)[0]
-        cone.add_row(x_off + nz, w[nz], offset=-con.rhs)
-    if split:
-        for m in range(nbar):
-            cone.add_row([yp + m], [1.0])
-        for m in range(nbar):
-            cone.add_row([yn + m], [1.0])
-        pairs = [(a, b) for a in range(n) for b in range(a, n)]
-        for j in range(n):
-            cs, vs = [g], [1.0]
-            for m, (a, b) in enumerate(pairs):
-                if j in (a, b):
-                    cs.extend([yp + m, yn + m])
-                    vs.extend([-1.0, -1.0])
-            cone.add_row(cs, vs)
-    eq = sp.csr_matrix((vals, (rows, cols)), shape=(r, cone.num_vars))
-    return eq, np.asarray(rhs, dtype=float)
+    def csr(self, width: int) -> tuple[sp.csr_matrix, np.ndarray]:
+        row, col, val, rhs = map(np.concatenate, zip(*self.parts))
+        return sp.csr_matrix((val, (row, col)), shape=(self.size, width)), rhs
 
 
 def _x_offset(n: int, k: int) -> int:
@@ -250,10 +150,12 @@ def _x_offset(n: int, k: int) -> int:
 def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     """Build the order-k conic relaxation of the projection instance.
 
-    Order 1 is the doubly nonnegative relaxation: its head columns are
-    vech(X), held entrywise nonnegative by rows at the head of the
-    nonnegative block and PSD by one order-n block.  Order k >= 2 holds the
-    moment vector of half-degree k under the sphere equalities and the
+    The columns are the head (vech(X) at order 1, the moment vector of
+    half-degree k from order 2 on), then gamma, then the split parts Y+ and
+    Y- (vech order) for the one and inf norms.  Order 1 is the doubly
+    nonnegative relaxation: vech(X) is held entrywise nonnegative by rows at
+    the head of the nonnegative block and PSD by one order-n block.  Order
+    k >= 2 holds the moment vector under the sphere equalities and the
     n + 1 moment PSD blocks.  Every order shares the constraint, split and
     norm rows, and its PSD blocks go through the same svec-scaled map.
     """
@@ -261,78 +163,94 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         raise ValueError("relaxation order must be at least 1")
     n = spec.dim
     nbar = n * (n + 1) // 2
+    iu, wgt = svec_index(n)
+    vcol = np.arange(nbar)
+    xcol = _x_offset(n, k) + vcol  # the columns of vech(X)
+    eq, cone = _Rows(), _Rows()
     if k == 1:
-        eye = sp.identity(nbar, format="coo")
-        moment_eq, head_nonneg, psd_blocks = sp.coo_matrix((0, nbar)), eye, ((n, eye),)
+        width, psd_blocks = nbar, ((n, vcol, vcol),)
+        cone.add(vcol, vcol, np.ones(nbar), np.zeros(nbar))
     else:
-        moment_eq, psd_blocks = moment_cone_constraints(n, k)
-        head_nonneg = sp.coo_matrix((0, moment_eq.shape[1]))
-    L = moment_eq.shape[1]
-    x_off = _x_offset(n, k)
+        moment_eq, moment_blocks = moment_cone_constraints(n, k)
+        width = moment_eq.shape[1]
+        coo = moment_eq.tocoo()
+        eq.add(coo.row, coo.col, coo.data, np.zeros(moment_eq.shape[0]))
+        psd_blocks = tuple((order, *entries.nonzero()) for order, entries in moment_blocks)
 
-    layout, N = _columns(spec, "vech" if k == 1 else "tms", L)
-    g = L  # gamma column
+    g = width  # gamma column
+    layout = {"vech" if k == 1 else "tms": slice(0, g), "gamma": slice(g, g + 1)}
+    split = spec.norm in ("one", "inf")
+    yp, yn = g + 1, g + 1 + nbar
+    if split:
+        layout["y_pos"], layout["y_neg"] = slice(yp, yn), slice(yn, yn + nbar)
+    N = yn + nbar if split else yp
+
+    # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block
+    for rows, cons, sign in ((eq, spec.equalities, 1.0), (cone, spec.inequalities, -1.0)):
+        W = np.array([weighted_vech(c.matrix) for c in cons]).reshape(len(cons), nbar)
+        r, m = np.nonzero(W)
+        rows.add(r, xcol[m], W[r, m], sign * np.array([c.rhs for c in cons]))
+    if split:
+        # X - C = Y+ - Y-; then Y+ >= 0 and Y- >= 0 (adjacent columns), and
+        # gamma >= sum_i (Y+ + Y-)_ij, where entry m = (a, b) enters the
+        # column sums a and b (once if a == b)
+        eq.add(
+            np.tile(vcol, 3),
+            np.concatenate([xcol, yp + vcol, yn + vcol]),
+            np.repeat([1.0, -1.0, 1.0], nbar),
+            vech(spec.C),
+        )
+        cone.add(np.arange(2 * nbar), yp + np.arange(2 * nbar), np.ones(2 * nbar), np.zeros(2 * nbar))
+        off = iu[0] != iu[1]
+        j, m = np.concatenate([iu[0], iu[1][off]]), np.concatenate([vcol, vcol[off]])
+        cone.add(
+            np.concatenate([np.arange(n), j, j]),
+            np.concatenate([np.full(n, g), yp + m, yn + m]),
+            np.concatenate([np.ones(n), np.full(2 * j.size, -1.0)]),
+            np.zeros(n),
+        )
+    blocks = [ConeBlock("nonneg", cone.size)] if cone.size else []
+
+    if spec.norm == "fro":
+        # (gamma, svec(X - C)) in the second-order cone
+        cone.add(
+            np.arange(nbar + 1),
+            np.concatenate([[g], xcol]),
+            np.concatenate([[1.0], wgt]),
+            np.concatenate([[0.0], -wgt * vech(spec.C)]),
+        )
+        blocks.append(ConeBlock("soc", nbar + 1))
+    elif spec.norm == "two":
+        # [[gamma I, X - C], [X - C, gamma I]] PSD: gamma on the diagonal,
+        # X - C in the corner rows a < n <= b, zero elsewhere
+        (a, b), wp = svec_index(2 * n)
+        diag, corner = np.flatnonzero(a == b), np.flatnonzero((a < n) & (b >= n))
+        i, j = a[corner], b[corner] - n
+        pos = np.empty((n, n), dtype=np.int64)
+        pos[iu] = pos[iu[::-1]] = vcol
+        offset = np.zeros(wp.size)
+        offset[corner] = -wp[corner] * spec.C[i, j]
+        cone.add(
+            np.concatenate([diag, corner]),
+            np.concatenate([np.full(2 * n, g), xcol[pos[i, j]]]),
+            np.concatenate([np.ones(2 * n), wp[corner]]),
+            offset,
+        )
+        blocks.append(ConeBlock("psd", wp.size, 2 * n))
+
+    for order, row, col in psd_blocks:
+        w = svec_index(order)[1]
+        cone.add(row, col, w[row], np.zeros(w.size))
+        blocks.append(ConeBlock("psd", w.size, order))
 
     objective = np.zeros(N)
     objective[g] = 1.0
-
-    cone = _ConeRows(N)
-    cone.add_sparse(head_nonneg)
-    eq_map, eq_vec = _constraint_rows(spec, cone, layout, x_off, moment_eq)
-    cone.close_block("nonneg")
-
-    if spec.norm in ("fro", "two"):
-        _append_norm_block(cone, spec.norm, spec.C, g, x_off)
-
-    for order, entries in psd_blocks:
-        scale = np.array(
-            [1.0 if a == b else _SQRT2 for a in range(order) for b in range(a, order)]
-        )
-        cone.add_sparse(entries, scale)
-        cone.close_block("psd", order=order)
-
-    cone_map, cone_offset, blocks = cone.matrices()
+    eq_map, eq_rhs = eq.csr(N)
+    cone_map, cone_offset = cone.csr(N)
+    info = {"n": n, "k": k, "norm": spec.norm}
     return ConicProgram(
-        objective=objective,
-        eq_map=eq_map,
-        eq_rhs=eq_vec,
-        cone_map=cone_map,
-        cone_offset=cone_offset,
-        cone_blocks=blocks,
-        layout=layout,
-        info={"n": n, "k": k, "norm": spec.norm},
+        objective, eq_map, eq_rhs, cone_map, cone_offset, tuple(blocks), layout, info
     )
-
-
-def _append_norm_block(
-    cone: _ConeRows, norm: str, C: np.ndarray, g: int, x_off: int
-) -> None:
-    """Append the epigraph block gamma >= ||X - C|| for norm "fro" or "two".
-
-    Column g holds gamma and columns x_off + m hold vech(X).
-    """
-    n = C.shape[0]
-    if norm == "fro":
-        cvech = vech(C)
-        cone.add_row([g], [1.0])
-        for m, (a, b) in enumerate((a, b) for a in range(n) for b in range(a, n)):
-            wgt = _SQRT2 if a != b else 1.0
-            cone.add_row([x_off + m], [wgt], offset=-wgt * cvech[m])
-        cone.close_block("soc")
-        return
-    p = 2 * n
-    for rr in range(p):
-        for cc in range(rr, p):
-            if rr == cc:
-                cone.add_row([g], [1.0])
-            elif rr < n <= cc:
-                i, j = rr, cc - n
-                cone.add_row(
-                    [x_off + _vech_index(n, i, j)], [_SQRT2], offset=-_SQRT2 * C[i, j]
-                )
-            else:
-                cone.add_row([], [])
-    cone.close_block("psd", order=p)
 
 
 @dataclass(frozen=True, eq=False)

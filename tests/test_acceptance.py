@@ -539,7 +539,8 @@ def _random_cone_blocks(rng, allow_pinned=True):
     for _ in range(rng.integers(0, 3)):
         blocks.append(ConeBlock("soc", int(rng.integers(2, 6))))
     for _ in range(rng.integers(0, 3)):
-        blocks.append(ConeBlock.psd(int(rng.integers(1, 7))))
+        order = int(rng.integers(1, 7))
+        blocks.append(ConeBlock("psd", order * (order + 1) // 2, order))
     if not pinned and not blocks:
         blocks.append(ConeBlock("nonneg", 2))
     return pinned, blocks

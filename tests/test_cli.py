@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from cpproj.cli import InputError, load_problem, render_json, run
-from cpproj.driver import DriverSettings
+from cpproj.driver import K_MIN, DriverSettings
 from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 
 CP2 = [[2.0, 1.0], [1.0, 2.0]]
@@ -213,6 +213,16 @@ def test_check_mode_rejects_constraints(tmp_path, capsys):
     code, _, err = run_cli(["--check", path], capsys)
     assert code == 1
     assert "constraints" in err
+
+
+def test_kmax_below_the_driver_floor_is_a_usage_error(tmp_path, capsys):
+    path = write_problem(tmp_path, {"n": 2, "C": CP2})
+    code, out, err = run_cli(["--norm", "fro", "--kmax", str(K_MIN - 1), path], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"--kmax must be at least {K_MIN}" in err
+    with pytest.raises(ValueError):
+        DriverSettings(k_max=K_MIN - 1)
 
 
 def test_missing_file_is_a_usage_error(capsys):

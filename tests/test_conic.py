@@ -63,7 +63,7 @@ def test_cone_block_validation():
         ConeBlock("psd", 5, 2)
     with pytest.raises(ConicSolverError):
         ConeBlock("spd", 3)
-    assert ConeBlock.psd(4).size == 10
+    assert ConeBlock("psd", 10, 4).order == 4
 
 
 def test_program_validation():
@@ -115,7 +115,7 @@ def test_sdp_matrix_completion():
     M = np.array([[1.0, 0.0, 0.0], [0.0, rt2, 0.0], [0.0, 0.0, 1.0]])
     E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     prog = make_program([1.0, 0.0, 1.0], E, [1.0, 0.9], M, [0.0, 0.0, 0.0],
-                        [ConeBlock.psd(2)])
+                        [_psd(2)])
     sol = solve(prog, TIGHT)
     assert sol.status == "optimal"
     npt.assert_allclose(sol.primal_obj, 1.81, atol=1e-6)
@@ -145,6 +145,10 @@ def test_infeasible_bounds_yield_verified_certificate():
     npt.assert_allclose(prog.cone_map.T @ z, [0.0], atol=1e-6)
 
 
+def _psd(order):
+    return ConeBlock("psd", order * (order + 1) // 2, order)
+
+
 def _interior_point(kind, size, order, rng, dual=False):
     if kind == "nonneg":
         return rng.uniform(0.5, 2.0, size=size)
@@ -166,7 +170,7 @@ def _random_blocks(rng, allow_pinned=True):
     for _ in range(rng.integers(0, 3)):
         blocks.append(ConeBlock("soc", int(rng.integers(2, 6))))
     for _ in range(rng.integers(0, 3)):
-        blocks.append(ConeBlock.psd(int(rng.integers(1, 7))))
+        blocks.append(_psd(int(rng.integers(1, 7))))
     if not pinned and not blocks:
         blocks.append(ConeBlock("nonneg", 2))
     return pinned, blocks
@@ -274,7 +278,7 @@ def test_random_infeasible_programs(seed):
 def test_large_psd_block():
     rng = np.random.default_rng(42)
     order = 25
-    block = ConeBlock.psd(order)
+    block = _psd(order)
     n = 10
     M = rng.normal(size=(block.size, n))
     x0 = rng.normal(size=n)

@@ -76,50 +76,61 @@ def test_every_module_export_is_used_outside_its_module():
     assert not unused, f"exported but used by no other module: {unused}"
 
 
-def _top_level_definitions(tree: ast.Module):
-    """(name, node) for every top-level function, class and constant."""
+def _definitions(tree: ast.Module, module):
+    """(label, name, node) for every top-level function, class and constant,
+    and every method and property of a top-level class except those that
+    override a base class's attribute (the base class calls them)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node
+                    yield target.id, target.id, node
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield node.target.id, node
+            yield node.target.id, node.target.id, node
+        if isinstance(node, ast.ClassDef):
+            bases = getattr(module, node.name).__mro__[1:]
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not any(
+                    hasattr(base, member.name) for base in bases
+                ):
+                    yield f"{node.name}.{member.name}", member.name, member
 
 
 def _loaded_names(nodes) -> set[str]:
-    """Names read in the given nodes: bare names, attributes, and names
+    """Names read among the given nodes: bare names, attributes, and names
     imported under another name."""
     names = set()
-    for root in nodes:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias) and node.asname:
-                names.add(node.name)
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias) and node.asname:
+            names.add(node.name)
     return names
 
 
 def test_every_top_level_definition_is_used():
-    # a function, class or constant that neither the package (outside its own
-    # definition) nor the benchmark reads is dead code, whether exported or
-    # not; the package's own exports are the public interface and are exempt
+    # a function, class, constant, method or property that neither the
+    # package (outside its own definition) nor the benchmark reads is dead
+    # code, whether exported or not; the package's own exports are the
+    # public interface and are exempt, and so are dunder names
     package = sorted((ROOT / "src" / "cpproj").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in package}
     trees.update({p: ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")})
-    reads = {path: _loaded_names([tree]) for path, tree in trees.items()}
+    reads = {path: _loaded_names(ast.walk(tree)) for path, tree in trees.items()}
     unused = []
     for path in package:
         tree = trees[path]
-        for name, node in _top_level_definitions(tree):
-            if name.startswith("__") or name in cpproj.__all__:
+        module = importlib.import_module("cpproj" if path.stem == "__init__" else f"cpproj.{path.stem}")
+        for label, name, node in _definitions(tree, module):
+            if name.startswith("__") or label in cpproj.__all__:
                 continue
             elsewhere = any(name in names for p, names in reads.items() if p != path)
-            rest = _loaded_names(other for other in tree.body if other is not node)
+            inside = {id(x) for x in ast.walk(node)}
+            rest = _loaded_names(x for x in ast.walk(tree) if id(x) not in inside)
             if not elsewhere and name not in rest:
-                unused.append(f"{path.stem}.{name}")
+                unused.append(f"{path.stem}.{label}")
     assert not unused, f"defined but never used: {unused}"

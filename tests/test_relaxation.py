@@ -5,9 +5,16 @@ import numpy.testing as npt
 import pytest
 
 import cpproj.relaxation
-from cpproj.conic import ConicSolution, SolverSettings, _dist_outside_cone, solve as conic_solve
+from cpproj.conic import (
+    ConicSolution,
+    SolverSettings,
+    _dist_outside_cone,
+    smat,
+    solve as conic_solve,
+)
 from cpproj.driver import DriverSettings
 from cpproj.norms import p_norm
+from cpproj.polybasis import vech, vech_inv
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -34,7 +41,7 @@ def _block_slices(blocks):
 
 def test_frobenius_assembly_sizes():
     prog = assemble(ProblemSpec(np.eye(2), norm="fro"), 2)
-    assert prog.num_vars == 16  # 15 moments + gamma
+    assert prog.objective.size == 16  # 15 moments + gamma
     assert prog.eq_map.shape[0] == 6  # one sphere row per monomial of degree <= 2
     kinds = [(b.kind, b.order) for b in prog.cone_blocks]
     assert kinds == [("soc", 0), ("psd", 6), ("psd", 3), ("psd", 3)]
@@ -119,7 +126,7 @@ def test_lifted_atomic_measures_are_feasible(norm):
     )
     prog = assemble(spec, k)
     xt = lift_atomic_point(spec, k, atoms, weights)
-    assert xt.size == prog.num_vars
+    assert xt.size == prog.objective.size
     resid = prog.eq_map @ xt - prog.eq_rhs
     assert np.abs(resid).max() <= 1e-9
     img = prog.cone_map @ xt + prog.cone_offset
@@ -128,6 +135,53 @@ def test_lifted_atomic_measures_are_feasible(norm):
     assert xt[prog.layout["gamma"].start] == pytest.approx(
         p_norm(X - spec.C, norm), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("norm", ["fro", "two", "one", "inf"])
+def test_cone_image_is_the_exact_norm_encoding(norm, k):
+    # at an arbitrary point, feasible or not, the rows evaluate to the
+    # encoding itself: the nonneg block, then the norm block (fro, two), and
+    # for one/inf the split equalities after the user's equality
+    rng = np.random.default_rng(8)
+    n = 3
+    G = rng.standard_normal((n, n))
+    A = np.ones((n, n))
+    spec = ProblemSpec(
+        (G + G.T) / 2.0,
+        norm,
+        (LinearConstraint(np.eye(n), 2.0, "eq"), LinearConstraint(A, -1.0, "ineq")),
+    )
+    prog = assemble(spec, k)
+    v = rng.standard_normal(prog.objective.size)
+    rs = map_solution(prog, ConicSolution("optimal", v, None, None, None, None, {}, 0))
+    X, gamma, D = rs.matrix, rs.gamma, rs.matrix - spec.C
+    img = prog.cone_map @ v + prog.cone_offset
+    blocks = list(zip(prog.cone_blocks, _block_slices(prog.cone_blocks)))
+    iu = np.triu_indices(n)
+    weight = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    nonneg = [vech(X)] if k == 1 else []
+    nonneg.append([np.sum(A * X) + 1.0])
+    eq_res = prog.eq_map @ v - prog.eq_rhs
+    if norm in ("one", "inf"):
+        Yp, Yn = vech_inv(v[prog.layout["y_pos"]]), vech_inv(v[prog.layout["y_neg"]])
+        nbar = iu[0].size
+        npt.assert_allclose(eq_res[-nbar:], vech(D - (Yp - Yn)), rtol=0, atol=1e-12)
+        npt.assert_allclose(eq_res[-nbar - 1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
+        nonneg += [vech(Yp), vech(Yn), gamma - (Yp + Yn).sum(axis=0)]
+        assert all(b.kind == "psd" and b.order != 2 * n for b, _ in blocks[1:])
+    (head, sl), norm_block = blocks[0], blocks[1]
+    assert head.kind == "nonneg"
+    npt.assert_allclose(img[sl], np.concatenate(nonneg), rtol=0, atol=1e-12)
+    block, sl = norm_block
+    if norm == "fro":
+        assert block.kind == "soc"
+        want = np.concatenate([[gamma], D[iu] * weight])
+        npt.assert_allclose(img[sl], want, rtol=0, atol=1e-12)
+    elif norm == "two":
+        assert (block.kind, block.order) == ("psd", 2 * n)
+        want = np.block([[gamma * np.eye(n), D], [D, gamma * np.eye(n)]])
+        npt.assert_allclose(smat(img[sl], 2 * n), want, rtol=0, atol=1e-12)
 
 
 def test_equality_constraint_is_enforced():
@@ -191,7 +245,7 @@ def test_map_solution_reads_the_same_matrix_at_orders_1_and_2():
     X = np.array([[2.0, 0.5], [0.5, 1.0]])
     for k in (1, 2):
         prog = assemble(ProblemSpec(np.eye(2)), k)
-        primal = np.zeros(prog.num_vars)
+        primal = np.zeros(prog.objective.size)
         at = 0 if k == 1 else 3
         primal[at : at + 3] = [2.0, 0.5, 1.0]
         primal[prog.layout["gamma"]] = 0.25
