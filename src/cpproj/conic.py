@@ -26,18 +26,21 @@ couple of iterative-refinement sweeps, so identical inputs produce
 identical iterates.  Work that does not change between iterations is done
 once per solve: each nonneg block's sparse map is reduced to the (entry,
 coefficient, row) triples of its Schur complement, each PSD block's map is
-split into rank-one symmetric units grouped by column, and the transposed
-equality map is stored dense.  Each iteration then builds a nonneg block's
-Schur complement with one weighted bincount (see _NonnegMap), and a PSD
-block's from low-rank congruences and a sparse reduction, at a cost
-proportional to the map's nonzeros rather than to dense N x N
-congruences: every PSD block in this package is a moment, localizing or
-norm matrix whose map has a few nonzeros per column (see _PsdMap).  The
-dtau pivot of the homogeneous embedding is taken in whichever of two
-equivalent forms has not lost its digits to cancellation.  The step
-length of a PSD block comes from the inverses of the Cholesky factors of
-its NT scaling, computed once per scaling, so each step is two matrix
-products and one eigvalsh.
+split into rank-one symmetric units grouped by column, and the equality and
+cone maps are transposed once, the transposed equality map also stored
+dense.  All four maps then act as gather-and-bincount products (see _CsrOp)
+that are bitwise SciPy's, so the loop transposes nothing and dispatches no
+sparse mat-vec; svec and smat are gathers through index arrays cached per
+order.  Each iteration builds a nonneg block's Schur complement with one
+weighted bincount (see _NonnegMap), and a PSD block's from low-rank
+congruences and a sparse reduction, at a cost proportional to the map's
+nonzeros rather than to dense N x N congruences: every PSD block in this
+package is a moment, localizing or norm matrix whose map has a few
+nonzeros per column (see _PsdMap).  The dtau pivot of the homogeneous
+embedding is taken in whichever of two equivalent forms has not lost its
+digits to cancellation.  The step length of a PSD block comes from the
+inverses of the Cholesky factors of its NT scaling, computed once per
+scaling, so each step is two matrix products and one eigvalsh.
 """
 from __future__ import annotations
 
@@ -199,19 +202,29 @@ def svec_index(order: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return iu, scale
 
 
+@lru_cache(maxsize=None)
+def _svec_gather(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """svec_index as gathers: the flat position of each upper-triangle entry,
+    the svec position of every entry of an order x order matrix, and the
+    weights."""
+    iu, scale = svec_index(order)
+    flat = iu[0] * order + iu[1]
+    pos = np.empty((order, order), dtype=np.intp)
+    pos[iu] = pos[iu[1], iu[0]] = np.arange(iu[0].size)
+    for a in (flat, pos):
+        a.setflags(write=False)
+    return flat, pos, scale
+
+
 def svec(U: np.ndarray) -> np.ndarray:
-    iu, scale = svec_index(U.shape[0])
-    return U[iu] * scale
+    flat, _, scale = _svec_gather(U.shape[0])
+    return U.take(flat) * scale
 
 
 def smat(v: np.ndarray, order: int) -> np.ndarray:
-    iu, scale = svec_index(order)
+    _, pos, scale = _svec_gather(order)
     # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
-    vals = v / scale + 0.0
-    U = np.empty((order, order))
-    U[iu] = vals
-    U[iu[1], iu[0]] = vals
-    return U
+    return (v / scale + 0.0).take(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +286,28 @@ def _soc_det(u):
     return u[0] * u[0] - u[1:] @ u[1:]
 
 
+@lru_cache(maxsize=None)
+def _soc_sign(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal (1, -1, ..., -1) of J and its index, read-only."""
+    sign = np.full(size, -1.0)
+    sign[0] = 1.0
+    diag = np.arange(size)
+    for a in (sign, diag):
+        a.setflags(write=False)
+    return sign, diag
+
+
 class _SocScaling:
     def __init__(self, s, z):
         ds, dz = _soc_det(s), _soc_det(z)
         if ds <= 0 or dz <= 0 or s[0] <= 0 or z[0] <= 0:
             raise _Breakdown
         self.s, self.z = s, z
+        sign, diag = _soc_sign(s.size)
         ns, nz = math.sqrt(ds), math.sqrt(dz)
         sh, zh = s / ns, z / nz
         gamma = math.sqrt((1.0 + sh @ zh) / 2.0)
-        wbar = (sh + np.concatenate(([zh[0]], -zh[1:]))) / (2.0 * gamma)
+        wbar = (sh + sign * zh) / (2.0 * gamma)
         # Jordan square root of wbar (its determinant is 1 by construction)
         v = wbar.copy()
         v[0] += 1.0
@@ -290,8 +315,6 @@ class _SocScaling:
         eta = ns / nz
         # 2 v v' - J and its inverse 2 (Jv)(Jv)' - J, with J = diag(1, -1, ..., -1)
         # subtracted on the diagonal only
-        sign = np.concatenate(([1.0], -np.ones(s.size - 1)))
-        diag = np.arange(s.size)
         W = 2.0 * np.outer(v, v)
         W[diag, diag] -= sign
         self.W = math.sqrt(eta) * W
@@ -482,14 +505,14 @@ class _PsdMap:
     """
 
     def __init__(self, Mb: sp.spmatrix, order: int):
-        iu, _ = svec_index(order)
+        iu, scale = svec_index(order)
         Mb = sp.csc_matrix(Mb, dtype=float)
         Mb.sum_duplicates()
         Mb.eliminate_zeros()
         self.order = order
         self.size = Mb.shape[1]
         a, b = iu[0][Mb.indices], iu[1][Mb.indices]
-        c = Mb.data / np.where(a == b, 2.0, math.sqrt(2.0))
+        c = Mb.data / (scale[Mb.indices] * np.where(a == b, 2.0, 1.0))
         counts = np.diff(Mb.indptr)
         cols = np.repeat(np.arange(self.size), counts)
         # coo sums the two halves of a diagonal unit into one entry
@@ -578,6 +601,27 @@ def _dist_outside_cone(block: ConeBlock, u: np.ndarray) -> float:
 # the interior-point loop
 
 
+class _CsrOp:
+    """A CSR matrix A prepared once per solve for products `A @ x`.
+
+    The product is one gather, one multiply and one weighted bincount over
+    the stored entries in row order.  bincount adds each output from 0.0 in
+    stored order, as SciPy's csr_matvec does, so the result is bitwise
+    SciPy's `A @ x`, without its dispatch.
+    """
+
+    def __init__(self, A: sp.csr_matrix):
+        self.m = A.shape[0]
+        self.rows = np.repeat(np.arange(self.m), np.diff(A.indptr))
+        self.cols = A.indices
+        self.data = A.data
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.bincount(self.rows, weights=self.data * x.take(self.cols), minlength=self.m)
+        # bincount of no entries returns integer zeros
+        return out.astype(float, copy=False)
+
+
 class _Kkt:
     """Factorization of the quasi-definite [[K11 + eps, E'], [E, -eps]].
 
@@ -585,18 +629,20 @@ class _Kkt:
     quasi-definite and has an LDL' factorization without pivoting (Vanderbei,
     SIAM J. Optim. 1995).  `factor` builds it by block elimination from two
     Cholesky factors, L L' = K11 + eps and L2 L2' = W'W + eps with
-    W = L^{-1} E', the negated Schur complement of the first block; E' is
-    stored dense once per solve.  Rounding can leave K11 a hair indefinite,
-    so a failed Cholesky retries with eps a hundred times larger.  `solve`
-    refines against the unregularized K11 and E, so eps moves the direction
-    only by what the refinement sweeps leave of it.
+    W = L^{-1} E', the negated Schur complement of the first block.  E' is
+    transposed once per solve, and stored both dense and as a _CsrOp beside
+    E's.  Rounding can leave K11 a hair indefinite, so a failed Cholesky
+    retries with eps a hundred times larger.  `solve` refines against the
+    unregularized K11 and E, so eps moves the direction only by what the
+    refinement sweeps leave of it.
     """
 
     def __init__(self, E: sp.csr_matrix, n: int):
         self.n = n
         self.m = E.shape[0]
-        self.E = E
-        self.ET = np.asfortranarray(E.T.toarray())
+        ET = E.T.tocsr()
+        self.E, self.ET = _CsrOp(E), _CsrOp(ET)
+        self.ET_dense = np.asfortranarray(ET.toarray())
 
     def factor(self, K11: np.ndarray) -> None:
         self.K11 = K11
@@ -619,7 +665,7 @@ class _Kkt:
         self.L, info = lapack.dpotrf(mat, lower=1, overwrite_a=1)
         if info != 0 or not self.m:
             return info == 0
-        self.W, info = lapack.dtrtrs(self.L, self.ET, lower=1)
+        self.W, info = lapack.dtrtrs(self.L, self.ET_dense, lower=1)
         if info != 0:
             return False
         S = self.W.T @ self.W
@@ -646,7 +692,7 @@ class _Kkt:
         x, y = xy[: self.n], xy[self.n :]
         top = self.K11 @ x
         if self.m:
-            top = top + self.E.T @ y
+            top = top + self.ET @ y
             bot = self.E @ x
             return np.concatenate([top, bot])
         return top
@@ -674,13 +720,14 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     slices = _block_slices(blocks)
     nu = sum(_cone_degree(b) for b in blocks)
 
-    ET = E.T.tocsr()
-    MT = M.T.tocsr()
     block_maps = [_block_map(b, M[sl]) for b, sl in zip(blocks, slices)]
     kkt = _Kkt(E, n)
+    # from here on the four maps are _CsrOp products, each transposed once
+    E, ET = kkt.E, kkt.ET
+    M, MT = _CsrOp(M), _CsrOp(M.T.tocsr())
 
     x = np.zeros(n)
-    y = np.zeros(E.shape[0])
+    y = np.zeros(kkt.m)
     unit = np.concatenate([_unit_element(b) for b in blocks]) if blocks else np.zeros(0)
     s = unit.copy()
     z = unit.copy()
@@ -812,18 +859,21 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
             mu = (s @ z + tau * kappa) / (nu + 1)
 
+            # the parts of both directions that depend on the iterate only
+            hr3 = np.zeros(m_k)
+            lam_sq = np.zeros(m_k)
+            for sl, sc in zip(slices, scalings):
+                hr3[sl] = sc.hinv_vec(r3[sl])
+                lam_sq[sl] = sc.lam_sq()
+            mt_hr3, h_hr3 = MT @ hr3, h @ hr3
+
             def direction(eta, d_c, d_kappa):
-                g = np.zeros(m_k)
                 w1 = np.zeros(m_k)
-                hr3 = np.zeros(m_k)
                 for sl, sc in zip(slices, scalings):
-                    gb = sc.lam_solve(d_c[sl])
-                    g[sl] = gb
-                    w1[sl] = sc.winv_vec(gb)
-                    hr3[sl] = sc.hinv_vec(r3[sl])
-                p1 = -eta * r1 + MT @ w1 - eta * (MT @ hr3)
+                    w1[sl] = sc.winv_vec(sc.lam_solve(d_c[sl]))
+                p1 = -eta * r1 + MT @ w1 - eta * mt_hr3
                 ux, uy = kkt.solve(p1, -eta * r2)
-                p4 = -eta * r4 + h @ w1 - eta * (h @ hr3) + d_kappa / tau
+                p4 = -eta * r4 + h @ w1 - eta * h_hr3 + d_kappa / tau
                 num = p4 - lin @ ux + d @ uy
                 dtau = num / den if abs(den) > 1e-300 else 0.0
                 dx = ux + dtau * vx
@@ -846,8 +896,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 return alpha
 
             # predictor
-            d_c = np.concatenate([-sc.lam_sq() for sc in scalings]) if blocks else np.zeros(0)
-            dxa, dya, dza, dsa, dtaua, dkappaa = direction(1.0, d_c, -tau * kappa)
+            dxa, dya, dza, dsa, dtaua, dkappaa = direction(1.0, -lam_sq, -tau * kappa)
             alpha_aff = min(1.0, max_step(dza, dsa, dtaua, dkappaa))
             mu_aff = (
                 (s + alpha_aff * dsa) @ (z + alpha_aff * dza)
@@ -859,7 +908,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             d_c2 = np.zeros(m_k)
             for sl, sc in zip(slices, scalings):
                 corr = sc.jordan(sc.wtinv_vec(dsa[sl]), sc.w_vec(dza[sl]))
-                d_c2[sl] = sigma * mu * unit[sl] - sc.lam_sq() - corr
+                d_c2[sl] = sigma * mu * unit[sl] - lam_sq[sl] - corr
             d_kappa2 = sigma * mu - tau * kappa - dtaua * dkappaa
             dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, d_c2, d_kappa2)
 

@@ -11,6 +11,7 @@ from cpproj.conic import (
     ConicSolverError,
     SolverSettings,
     _Breakdown,
+    _CsrOp,
     _Kkt,
     _dist_outside_cone,
     _NonnegMap,
@@ -20,10 +21,12 @@ from cpproj.conic import (
     smat,
     solve,
     svec,
+    svec_index,
     verify_certificate,
 )
 from cpproj.polybasis import moment_cone_constraints
 from cpproj.relaxation import ProblemSpec, assemble
+from test_acceptance import REFERENCE_INSTANCES
 
 
 # these checks assume the solver's accuracy of 1e-8, a decade below its default
@@ -572,3 +575,107 @@ def test_soc_scaling_matches_the_dense_sign_matrix_formulas():
             assert np.array_equal(sc.W, W)
             assert np.array_equal(sc.Winv, Winv)
             assert np.array_equal(sc.Hinv, Hinv)
+
+
+def _csr_op_case(name):
+    rng = np.random.default_rng(19)
+    if name.startswith("random"):
+        A = sp.random(30, 17, density=0.3, random_state=rng, format="csr")
+    elif name == "empty rows":
+        A = sp.random(25, 9, density=0.25, random_state=rng, format="csr")
+        A = sp.csr_matrix(sp.diags((np.arange(25) % 4 != 0).astype(float)) @ A)
+        A.eliminate_zeros()
+        assert (np.diff(A.indptr) == 0).sum() >= 6
+    elif name == "no rows":
+        A = sp.csr_matrix((0, 7))
+    else:  # "zero column"
+        A = sp.random(12, 8, density=0.5, random_state=rng, format="csc").tolil()
+        A[:, 3] = 0.0
+        A = sp.csr_matrix(A)
+        assert 3 not in A.indices
+    if name == "random, transposed":
+        A = A.T.tocsr()
+    return A
+
+
+@pytest.mark.parametrize(
+    "name", ["random", "random, transposed", "empty rows", "no rows", "zero column"]
+)
+def test_csr_op_is_bitwise_scipys_product(name):
+    A = _csr_op_case(name)
+    rng = np.random.default_rng(20)
+    op = _CsrOp(A)
+    for x in (rng.normal(size=A.shape[1]), np.zeros(A.shape[1]), -np.zeros(A.shape[1])):
+        ref = A @ x
+        got = op @ x
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    # the transpose stored once is bitwise SciPy's transposed (CSC) product
+    y = rng.normal(size=A.shape[0])
+    assert (_CsrOp(A.T.tocsr()) @ y).tobytes() == (A.T @ y).tobytes()
+
+
+def _smat_reference(v, order):
+    """smat by assigning both triangles."""
+    iu, scale = svec_index(order)
+    vals = v / scale + 0.0
+    U = np.empty((order, order))
+    U[iu] = vals
+    U[iu[1], iu[0]] = vals
+    return U
+
+
+def test_gather_smat_and_svec_match_the_triangle_assignment():
+    rng = np.random.default_rng(21)
+    for order in range(1, 9):
+        iu, scale = svec_index(order)
+        v = rng.normal(size=iu[0].size)
+        v[::3] = -0.0
+        U = _smat_reference(v, order)
+        got = smat(v, order)
+        assert got.shape == (order, order)
+        assert got.tobytes() == U.tobytes()
+        # the -0.0 entries come out +0.0
+        zeros = got == 0.0
+        assert zeros.any() and not np.signbit(got[zeros]).any()
+        A = rng.normal(size=(order, order))
+        A[0, -1] = A[-1, 0] = -0.0
+        assert svec(A).tobytes() == (A[iu] * scale).tobytes()
+        # a transposed (non-contiguous) matrix reads the same upper triangle
+        assert svec(A.T).tobytes() == (A.T[iu] * scale).tobytes()
+
+
+class _SparseCalls:
+    """Counts SciPy sparse transposes and sparse-times-vector products."""
+
+    def __init__(self, monkeypatch):
+        self.transposes = self.matvecs = 0
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            transpose, matmul = cls.transpose, cls.__matmul__
+
+            def counted_transpose(A, *args, _f=transpose, **kw):
+                self.transposes += 1
+                return _f(A, *args, **kw)
+
+            def counted_matmul(A, other, _f=matmul):
+                self.matvecs += np.ndim(other) == 1
+                return _f(A, other)
+
+            monkeypatch.setattr(cls, "transpose", counted_transpose)
+            monkeypatch.setattr(cls, "__matmul__", counted_matmul)
+
+
+def test_the_iteration_makes_no_sparse_transpose_or_matvec(monkeypatch):
+    prog = assemble(REFERENCE_INSTANCES["fro-c2"], 1)
+    assert prog.eq_map.shape[0] == 3
+    counts = {}
+    for max_iters in (1, 6, 200):
+        with monkeypatch.context() as mp:
+            calls = _SparseCalls(mp)
+            sol = solve(prog, SolverSettings(max_iters=max_iters))
+        counts[max_iters] = (sol.iterations, calls.transposes, calls.matvecs)
+    assert counts[1][0] == 1 and counts[6][0] == 6 and counts[200][0] > 6, counts
+    # the two stopped solves differ only in their iteration count; the
+    # converged one skips their closing certificate check
+    assert counts[6][1:] == counts[1][1:], counts
+    assert all(a <= b for a, b in zip(counts[200][1:], counts[1][1:])), counts
