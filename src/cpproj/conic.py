@@ -782,17 +782,19 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
         if not margin > 1e-300:
             return None
         yy, cert = y / margin, z / margin
-        cand = ConicSolution(
+        res = _certificate_residuals(prog, yy, cert, ET, MT, CERT_TOL)
+        if res is None:
+            return None
+        return ConicSolution(
             status="primal_infeasible",
             primal=None,
             dual_eq=yy,
             dual_cone=cert,
             primal_obj=None,
             dual_obj=None,
-            residuals=_certificate_residuals(prog, yy, cert),
+            residuals=res,
             iterations=it,
         )
-        return cand if verify_certificate(prog, cand) else None
 
     tiny_steps = 0
 
@@ -940,17 +942,21 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 # certificate verification against the raw data
 
 
-def _certificate_residuals(prog: ConicProgram, y, z) -> dict[str, float]:
-    adj = prog.eq_map.T @ y + prog.cone_map.T @ z
+def _certificate_residuals(prog: ConicProgram, y, z, ET, MT, tol) -> Optional[dict]:
+    """The Farkas residuals of (y, z) when each is within tol relative to the
+    pair's largest entry, else None; ET and MT apply the transposed maps."""
+    adj = ET @ y + MT @ z
     margin = prog.eq_rhs @ y - prog.cone_offset @ z
     dist = 0.0
     for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks)):
         dist = max(dist, _dist_outside_cone(b, z[sl]))
-    return {
+    res = {
         "adjoint": float(np.abs(adj).max(initial=0.0)),
         "cone_distance": float(dist),
         "margin_error": float(abs(margin - 1.0)),
     }
+    scale = max(1.0, float(np.abs(y).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
+    return res if all(v <= tol * scale for v in res.values()) else None
 
 
 def verify_certificate(
@@ -959,14 +965,5 @@ def verify_certificate(
     """Recompute the Farkas conditions of a primal infeasibility certificate."""
     if sol.status != "primal_infeasible" or sol.dual_eq is None or sol.dual_cone is None:
         return False
-    res = _certificate_residuals(prog, sol.dual_eq, sol.dual_cone)
-    scale = max(
-        1.0,
-        float(np.abs(sol.dual_eq).max(initial=0.0)),
-        float(np.abs(sol.dual_cone).max(initial=0.0)),
-    )
-    return (
-        res["adjoint"] <= tol * scale
-        and res["cone_distance"] <= tol * scale
-        and res["margin_error"] <= tol * scale
-    )
+    y, z = sol.dual_eq, sol.dual_cone
+    return _certificate_residuals(prog, y, z, prog.eq_map.T, prog.cone_map.T, tol) is not None

@@ -7,8 +7,8 @@ n <= 4), so each order either gives a lower bound on the distance or, for
 incompatible constraints, a verified Farkas certificate that ends the run.
 Every order's optimal matrix goes through one certification: the driver
 fits nonnegative factors to the matrix directly, from its PSD square root
-clipped at zero and, only when that misses, from seeded random rows,
-polishes and sparsifies them, and accepts them only if their residual is
+clipped at zero and, only when that misses, from seeded random rows, first
+at the Eckart-Young row floor, and accepts them only if their residual is
 within FACTOR_TOL and the matrix meets the constraints.  A candidate matrix
 whose provable distance from the CP cone (`cp_distance_floor`) already
 exceeds the residual budget skips polish and sparsify altogether.
@@ -196,10 +196,8 @@ def _factorize(
     stalled iterate is only that accurate, so a tighter fit would hold X to
     more than the solve could deliver.  When `cp_distance_floor` proves that
     no nonnegative factorization can come within that budget, polish and
-    sparsify are skipped and the event names the gate.  Sparsify runs on
-    each start even when its polish misses the budget: its jump to the row
-    floor re-polishes from fewer rows and is part of the search for a
-    certificate.  The event says when the atom count is the fewest that can
+    sparsify are skipped and the event names the gate.  Each start is fit
+    by `_fit`.  The event says when the atom count is the fewest that can
     fit X at all (`row_floor`).
     """
     tag = f"{tag} (factorization)"
@@ -240,9 +238,20 @@ def _factorize(
 
 
 def _fit(X: np.ndarray, F: np.ndarray, budget: float) -> tuple[CpDecomposition, float]:
-    """Polish and sparsify the start rows F against X; the factors and their residual."""
-    dec = polish_decomposition(X, CpDecomposition.from_factors(F))
-    dec = sparsify_decomposition(X, dec, budget)
+    """Fit the start rows F to X; the factors and their residual.
+
+    The one jump polishes the `row_floor` heaviest rows, rescaled to the
+    trace of X: no fewer rows can fit.  Only a miss there polishes the whole
+    start and sparsifies it."""
+    start = CpDecomposition.from_factors(F)
+    least = row_floor(X, budget)
+    if start.rank > least:
+        heavy = start.factors[np.argsort(start.weights)[-least:]]
+        jump = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(heavy, X)))
+        resid = verify_decomposition(X, jump)
+        if resid <= budget:
+            return jump, resid
+    dec = sparsify_decomposition(X, polish_decomposition(X, start), budget)
     return dec, verify_decomposition(X, dec)
 
 

@@ -2,9 +2,11 @@
 
 A matrix X is certified completely positive by nonnegative factor rows F
 with F^T F = X up to a residual budget.  `root_start` gives the first rows
-to try (the clipped PSD square root of X), `polish_decomposition` fits the
-factors by bound-constrained least squares, `sparsify_decomposition` drops
-rows down to the Eckart-Young floor (`row_floor`) while the fit holds, and
+to try (the clipped PSD square root of X).  The caller first polishes, by
+bound-constrained least squares (`polish_decomposition`), the start's
+`row_floor` heaviest rows (the Eckart-Young floor) rescaled by
+`trace_scaled`; only if that misses, the whole start, which
+`sparsify_decomposition` then thins greedily while the fit holds.
 `verify_decomposition` measures the residual that the caller gates on.
 `cp_distance_floor` gives a provable lower bound on that residual over all
 nonnegative factorizations, so a matrix that no factorization can fit is
@@ -220,25 +222,17 @@ def sparsify_decomposition(
 
     A polished factorization often carries more rows than X needs (the n
     rows of the square root of a rank-deficient X, duplicated directions,
-    mass that other rows can absorb).  No factorization with fewer rows than
-    `row_floor(X, tol)` can pass, so the search first jumps there: one
-    polish from the heaviest rows, rescaled to the trace of X.  If that fits,
-    its count is the fewest possible (the Eckart-Young minimum).  Otherwise,
-    if the input itself fits, the greedy pass runs from it: each pass
+    mass that other rows can absorb).  From a fitting input, each pass
     tentatively removes the lightest factor whose removal survives a
-    re-polish, down to the floor, so the result is a locally minimal
-    certificate.  `tol` is the absolute Frobenius residual budget; the input
-    is returned unchanged when it is already at the floor, when it does not
-    fit, or when no removal fits.
+    re-polish, never below `row_floor(X, tol)` (no fewer rows can pass), so
+    the result is a locally minimal certificate; the jump to that floor is
+    the caller's, before its full polish.  `tol` is the absolute Frobenius
+    residual budget; the input is returned unchanged when it does not fit,
+    when it is already at the floor, or when no removal fits.
     """
-    least = row_floor(X, tol)
-    if dec.rank > least:
-        heavy = dec.factors[np.argsort(dec.weights)[-least:]]
-        jump = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(heavy, X)))
-        if verify_decomposition(X, jump) <= tol:
-            return jump
     if verify_decomposition(X, dec) > tol:
         return dec
+    least = row_floor(X, tol)
     cur = dec
     shrunk = True
     while shrunk and cur.rank > least:

@@ -17,6 +17,7 @@ from cpproj.driver import (
     approximate,
     check_cp_membership,
 )
+from cpproj.extraction import CpDecomposition, root_start, row_floor
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -192,36 +193,49 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
     assert any("order 2 (factorization): entrywise floor" in e for e in events)
 
 
-def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
+def _recording_polish(monkeypatch):
+    """Record the row count of every start the driver polishes, and of every
+    input it hands to sparsify (as ("sparsify", rows))."""
+    calls = []
+    polish, sparsify = cpproj.driver.polish_decomposition, cpproj.driver.sparsify_decomposition
+
+    def polishing(X, dec):
+        calls.append(dec.rank)
+        return polish(X, dec)
+
+    def sparsifying(X, dec, tol):
+        calls.append(("sparsify", dec.rank))
+        return sparsify(X, dec, tol)
+
+    monkeypatch.setattr(cpproj.driver, "polish_decomposition", polishing)
+    monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", sparsifying)
+    return calls
+
+
+def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
     # draw 15 of the acceptance suite's seed-7 set, at order 2 (the driver
-    # certifies this draw at the DNN relaxation).  The polished square-root
-    # start fits, so the driver's own polish is made to hand its 4 clipped
-    # root rows back unpolished: they miss the factorization budget about
-    # tenfold, and only the re-polish from fewer rows inside sparsify
-    # certifies the matrix
+    # certifies this draw at the DNN relaxation).  Its 4 clipped root rows
+    # miss the factorization budget more than threefold unpolished; one
+    # polish of the 2 heaviest of them, the Eckart-Young row floor,
+    # certifies the matrix, and the 4 rows are never polished or sparsified
     C = np.array([
         [-0.1666548508803217, -0.5165536597357838, -1.3212621748156361, 0.4308736801067756],
         [-0.5165536597357838, 0.40652853663281385, -0.9379684042419925, -0.15915143320922082],
         [-1.3212621748156361, -0.9379684042419925, 0.19540791774940214, 0.6210931852725784],
         [0.4308736801067756, -0.15915143320922082, 0.6210931852725784, -1.3927890458668095],
     ])
-    starts = []
-    sparsify = cpproj.driver.sparsify_decomposition
-
-    def recording(X, dec, tol):
-        starts.append((dec.rank, np.linalg.norm(dec.reconstruct() - X), tol))
-        return sparsify(X, dec, tol)
-
-    monkeypatch.setattr(cpproj.driver, "polish_decomposition", lambda X, dec: dec)
-    monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", recording)
     spec, csol, X = _order2(C)
+    root = CpDecomposition.from_factors(root_start(X))
+    budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    assert root.rank == 4
+    assert np.linalg.norm(root.reconstruct() - X) > 3.0 * budget
+    assert row_floor(X, budget) == 2
+    calls = _recording_polish(monkeypatch)
     events = []
     dec = _factorize(X, csol, spec, DriverSettings(), events.append, "order 2")
     assert dec is not None
     assert dec.rank == 2
-    (rank, resid, budget), = starts
-    assert rank == 4
-    assert resid > 3.0 * budget
+    assert calls == [2]
     assert any(
         "order 2 (factorization): certified from the square-root start with 2 atoms "
         "(the Eckart-Young minimum)" in e
@@ -230,11 +244,9 @@ def test_sparsify_rescues_a_factorization_start_that_misses_the_budget(monkeypat
     assert not any("misses" in e for e in events)
 
 
-def test_a_missed_square_root_start_falls_back_to_random_rows():
-    # draw 35 of a seeded loop over n = 3..6, every norm, half of the draws
-    # shifted by a multiple of the all-ones matrix: its 5x5 one-norm DNN
-    # optimum has a square root whose clipped part misses the budget, and
-    # the 15 seeded random rows certify it at the Eckart-Young minimum
+def _draw_35():
+    """Draw 35 of a seeded loop over n = 3..6, every norm, half of the
+    draws shifted by a multiple of the all-ones matrix: a 5x5 one-norm case."""
     rng = np.random.default_rng(123)
     for _ in range(36):
         n = int(rng.integers(3, 7))
@@ -244,18 +256,61 @@ def test_a_missed_square_root_start_falls_back_to_random_rows():
         if rng.random() < 0.5:
             C += rng.uniform(0, 2) * np.ones((n, n))
     assert (n, norm) == (5, "one")
+    return C, norm
+
+
+def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeypatch):
+    # the clipped square root of draw 35's DNN optimum misses the budget
+    # with all 5 rows polished, but its 4 heaviest rows, the row floor, fit
+    # in one polish: the jump comes first, so no random start is needed
+    calls = _recording_polish(monkeypatch)
+    C, norm = _draw_35()
     out = approximate(ProblemSpec(C, norm))
     assert isinstance(out, Projected)
     assert out.k_used == 1
     assert out.decomposition.rank == 4
     assert out.gamma == pytest.approx(1.6287910457500272, rel=1e-9)
+    assert calls == [4]
+    assert not any("misses" in e for e in out.events)
+    assert any(
+        "DNN relaxation (factorization): certified from the square-root start with 4 atoms "
+        "(the Eckart-Young minimum)" in e
+        for e in out.events
+    )
+
+
+def test_a_missed_square_root_start_falls_back_to_random_rows(monkeypatch):
+    # a CP matrix whose graph is the triangle-free K_{2,3}: the support of
+    # every nonnegative factor row is a clique, an edge or a vertex, and
+    # each of the 6 edges needs its own row, so its cp-rank is 6 while its
+    # order and row floor are 5.  No 5 rows fit: the square-root start
+    # misses, and so does the jump from the 15 seeded random rows; only
+    # their full polish fits, and the greedy pass drops them to 6
+    B = np.zeros((6, 5))
+    for row, (a, b, u, v) in enumerate(
+        [(0, 2, 1, 2), (0, 3, 2, 1), (0, 4, 1, 1), (1, 2, 2, 2), (1, 3, 1, 3), (1, 4, 3, 1)]
+    ):
+        B[row, a], B[row, b] = u, v
+    C = B.T @ B
+    calls = _recording_polish(monkeypatch)
+    out = approximate(ProblemSpec(C, "one"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert abs(out.gamma) <= 1e-8
+    assert out.decomposition.rank == 6
+    budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
+    assert row_floor(out.matrix, budget) == 5
+    # the root start sits at the floor, so it is polished whole with no
+    # jump; the random start jumps to 5 rows, misses, and its 15 rows are
+    # polished and sparsified
+    assert calls == [5, ("sparsify", 5), 5, 15, ("sparsify", 15)]
     miss, = [e for e in out.events if "misses" in e]
     assert miss.startswith(
         "DNN relaxation (factorization): the square-root start misses with factor residual"
     )
     assert miss.endswith("trying 15 random rows")
     assert any(
-        "DNN relaxation (factorization): certified from the random start with 4 atoms" in e
+        "DNN relaxation (factorization): certified from the random start with 6 atoms," in e
         for e in out.events
     )
 

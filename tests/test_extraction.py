@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cpproj.driver
 import cpproj.extraction
-from cpproj.driver import FACTOR_TOL, DriverSettings
+from cpproj.driver import FACTOR_TOL, DriverSettings, _fit
 from cpproj.extraction import (
     CpDecomposition,
     _horn_cuts,
@@ -106,21 +107,23 @@ C5 = np.array([
 ])
 
 
-def _spy_on_polish(monkeypatch, miss_first=False):
-    """Record (row count, result) of every polish that sparsify starts.
+def _spy_on_polish(monkeypatch, module=cpproj.extraction, miss_first=False):
+    """Record (row count, result) of every polish called through `module`:
+    sparsify's removal trials in cpproj.extraction, the driver's fits in
+    cpproj.driver.
 
     With `miss_first`, the first polish hands its start back unpolished, so
-    a jump to the row floor misses and the greedy pass has to run.
+    it misses and the search has to go on.
     """
     calls = []
-    polish = cpproj.extraction.polish_decomposition
+    polish = module.polish_decomposition
 
     def spy(X, dec):
         out = dec if miss_first and not calls else polish(X, dec)
         calls.append((dec.rank, out))
         return out
 
-    monkeypatch.setattr(cpproj.extraction, "polish_decomposition", spy)
+    monkeypatch.setattr(module, "polish_decomposition", spy)
     return calls
 
 
@@ -128,13 +131,16 @@ def _spy_on_polish(monkeypatch, miss_first=False):
 def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypatch):
     # the driver's fallback factorization start: n(n+1)/2 uniform rows whose
     # reconstruction has the trace of the target; C5 is nonsingular, so no
-    # fewer than 5 factors rebuild it, and sparsify jumps there in one polish
+    # fewer than 5 factors rebuild it, and the fit jumps there in one polish
+    # of the 5 heaviest rows, before any polish of all 15
     F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
-    dec = polish_decomposition(C5, CpDecomposition.from_factors(F))
-    calls = _spy_on_polish(monkeypatch)
-    out = sparsify_decomposition(C5, dec, 1e-8)
-    assert [rank for rank, _ in calls] == [5]
+    driver_calls = _spy_on_polish(monkeypatch, cpproj.driver)
+    sparsify_calls = _spy_on_polish(monkeypatch)
+    out, resid = _fit(C5, F, 1e-8)
+    assert [rank for rank, _ in driver_calls] == [5]
+    assert sparsify_calls == []
     assert out.rank == 5
+    assert resid == verify_decomposition(C5, out)
     assert out.factors.min() >= 0.0
     assert verify_decomposition(C5, out) <= 1e-8
 
@@ -168,36 +174,38 @@ def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
     assert row_floor(np.zeros((3, 3)), 1e-9) == 1
 
 
-@pytest.mark.parametrize("miss_jump", [False, True])
-def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_jump, monkeypatch):
+@pytest.mark.parametrize("miss_first", [False, True])
+def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_first, monkeypatch):
     # a rank-2 X of order 3, so no single row rebuilds it within 1e-9; the
-    # first factor is split in two, the lighter part the lightest row
+    # first factor is split in two, the lighter part the lightest row.
+    # Removing it fits; when that first trial is made to miss, the next
+    # removal is tried, and no trial ever drops to 1 row
     F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
     X = F.T @ F
     dec = _decomposition_from_factors(np.vstack([0.9 * F[0], np.sqrt(0.19) * F[0], F[1]]))
-    calls = _spy_on_polish(monkeypatch, miss_first=miss_jump)
+    calls = _spy_on_polish(monkeypatch, miss_first=miss_first)
     out = sparsify_decomposition(X, dec, 1e-9)
-    assert [rank for rank, _ in calls] == ([2, 2] if miss_jump else [2])
+    assert [rank for rank, _ in calls] == ([2, 2] if miss_first else [2])
     assert out.rank == 2
     assert verify_decomposition(X, out) <= 1e-9
 
 
 def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
-    # the same rank-2 X, with the factor rows scaled off the fit: once the
-    # jump to the 2-row floor misses, removing rows from factors that do not
-    # fit is not tried, and the input comes back as it is
+    # the same rank-2 X, with the factor rows scaled off the fit: removing
+    # rows from factors that do not fit is not tried, no polish runs, and
+    # the input comes back as it is
     F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
     X = F.T @ F
     dec = _decomposition_from_factors(np.vstack([0.9 * F[0], 0.5 * F[0], F[1]]))
     assert verify_decomposition(X, dec) > 1e-9
-    calls = _spy_on_polish(monkeypatch, miss_first=True)
+    calls = _spy_on_polish(monkeypatch)
     assert sparsify_decomposition(X, dec, 1e-9) is dec
-    assert [rank for rank, _ in calls] == [2]
+    assert calls == []
 
 
 def _greedy_sparsify(X, dec, tol):
-    """The sparsify pass without floor or jump: drop the lightest factor
-    whose removal survives a re-polish, down to one factor."""
+    """The sparsify pass without its floor: drop the lightest factor whose
+    removal survives a re-polish, down to one factor."""
     cur = dec
     shrunk = True
     while shrunk and cur.rank > 1:
@@ -218,8 +226,9 @@ def _greedy_sparsify(X, dec, tol):
 
 def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     # the order-2 X of draw 46 of the acceptance suite's seed-7 set is not
-    # CP, so the jump to its 3-row floor misses the factorization budget;
-    # sparsify must then return the greedy pass's result, bit for bit
+    # CP, so the fit's jump to its 3-row floor misses the factorization
+    # budget; the fit must then return the greedy pass's result from the
+    # polished start, bit for bit
     C = np.array([
         [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
         [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
@@ -232,11 +241,12 @@ def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     dec = polish_decomposition(X, CpDecomposition.from_factors(F))
     want = _greedy_sparsify(X, dec, tol)
 
-    calls = _spy_on_polish(monkeypatch)
-    got = sparsify_decomposition(X, dec, tol)
-    jump_rows, jump = calls[0]
+    calls = _spy_on_polish(monkeypatch, cpproj.driver)
+    got, _ = _fit(X, F, tol)
+    (jump_rows, jump), (start_rows, _) = calls
     assert jump_rows == row_floor(X, tol) == 3
     assert verify_decomposition(X, jump) > tol
+    assert start_rows == 6
     assert got.rank == want.rank > 3
     for field in ("atoms", "weights", "factors"):
         assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import cpproj
@@ -77,9 +78,10 @@ def test_every_module_export_is_used_outside_its_module():
 
 
 def _definitions(tree: ast.Module, module):
-    """(label, name, node) for every top-level function, class and constant,
-    and every method and property of a top-level class except those that
-    override a base class's attribute (the base class calls them)."""
+    """(label, key, node) for every top-level function, class and constant,
+    keyed by name, and every method and property of a top-level class
+    except those that override a base class's attribute (the base class
+    calls them), keyed by (class, name)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
@@ -90,47 +92,101 @@ def _definitions(tree: ast.Module, module):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id, node.target.id, node
         if isinstance(node, ast.ClassDef):
-            bases = getattr(module, node.name).__mro__[1:]
+            cls = getattr(module, node.name)
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not any(
-                    hasattr(base, member.name) for base in bases
+                    hasattr(base, member.name) for base in cls.__mro__[1:]
                 ):
-                    yield f"{node.name}.{member.name}", member.name, member
+                    yield f"{node.name}.{member.name}", (cls, member.name), member
 
 
-def _loaded_names(nodes) -> set[str]:
-    """Names read among the given nodes: bare names, attributes, and names
-    imported under another name."""
-    names = set()
-    for node in nodes:
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+def _owner(cls: type, name: str):
+    """The class in cls's MRO that defines `name`, or cls when none does."""
+    return next((c for c in cls.__mro__ if name in vars(c)), cls)
+
+
+def _reads(tree: ast.Module, module) -> list[tuple[ast.AST, object]]:
+    """(node, key) for every name read in the tree.
+
+    A `self.<name>` read inside a top-level class of `module` is keyed by
+    (the class that defines name, name), so it uses only that method; with
+    no module (a file outside the package) such reads key by (None, name)
+    and use no package method.  Every other read is keyed by its bare name:
+    bare names, other attributes, and names imported under another name.
+    """
+    resolved = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(module, node.name) if module is not None else None
+            for x in ast.walk(node):
+                if (
+                    isinstance(x, ast.Attribute)
+                    and isinstance(x.value, ast.Name)
+                    and x.value.id == "self"
+                ):
+                    resolved[id(x)] = (None if cls is None else _owner(cls, x.attr), x.attr)
+    reads = []
+    for node in ast.walk(tree):
+        if id(node) in resolved:
+            reads.append((node, resolved[id(node)]))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node, node.id))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            reads.append((node, node.attr))
         elif isinstance(node, ast.alias) and node.asname:
-            names.add(node.name)
-    return names
+            reads.append((node, node.name))
+    return reads
 
 
 def test_every_top_level_definition_is_used():
     # a function, class, constant, method or property that neither the
     # package (outside its own definition) nor the benchmark reads is dead
     # code, whether exported or not; the package's own exports are the
-    # public interface and are exempt, and so are dunder names
+    # public interface and are exempt, and so are dunder names.  A method
+    # read as `self.<name>` counts only for the class that name resolves to
     package = sorted((ROOT / "src" / "cpproj").glob("*.py"))
+    modules = {
+        path: importlib.import_module("cpproj" if path.stem == "__init__" else f"cpproj.{path.stem}")
+        for path in package
+    }
     trees = {path: ast.parse(path.read_text()) for path in package}
     trees.update({p: ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")})
-    reads = {path: _loaded_names(ast.walk(tree)) for path, tree in trees.items()}
+    reads = {path: _reads(tree, modules.get(path)) for path, tree in trees.items()}
+    keys = {path: {key for _, key in found} for path, found in reads.items()}
     unused = []
     for path in package:
-        tree = trees[path]
-        module = importlib.import_module("cpproj" if path.stem == "__init__" else f"cpproj.{path.stem}")
-        for label, name, node in _definitions(tree, module):
+        for label, key, node in _definitions(trees[path], modules[path]):
+            name = key if isinstance(key, str) else key[1]
             if name.startswith("__") or label in cpproj.__all__:
                 continue
-            elsewhere = any(name in names for p, names in reads.items() if p != path)
+            wanted = {key, name}
+            elsewhere = any(wanted & found for p, found in keys.items() if p != path)
             inside = {id(x) for x in ast.walk(node)}
-            rest = _loaded_names(x for x in ast.walk(tree) if id(x) not in inside)
-            if not elsewhere and name not in rest:
+            rest = {k for x, k in reads[path] if id(x) not in inside}
+            if not elsewhere and not wanted & rest:
                 unused.append(f"{path.stem}.{label}")
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_a_self_read_uses_only_the_method_it_resolves_to():
+    # two classes with a method of the same name: A reads its own through
+    # self, so B's finds no user even though the name is read
+    source = """
+class A:
+    def run(self):
+        return self.step()
+
+    def step(self):
+        return 1
+
+class B:
+    def step(self):
+        return 2
+"""
+    module = types.ModuleType("classes")
+    exec(source, module.__dict__)
+    tree = ast.parse(source)
+    keys = {k for _, k in _reads(tree, module)}
+    defined = {label: key for label, key, _ in _definitions(tree, module)}
+    assert defined["A.step"] in keys
+    assert defined["B.step"] not in keys and "step" not in keys
