@@ -197,8 +197,8 @@ def _factorize(
     more than the solve could deliver.  When `cp_distance_floor` proves that
     no nonnegative factorization can come within that budget, polish and
     sparsify are skipped and the event names the gate.  Each start is fit
-    by `_fit`.  The event says when the atom count is the fewest that can
-    fit X at all (`row_floor`).
+    by `_fit` from one `row_floor(X, budget)`; the event says when the atom
+    count is that floor, the fewest that can fit X at all.
     """
     tag = f"{tag} (factorization)"
     level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
@@ -210,8 +210,9 @@ def _factorize(
             f"({floor / budget:.3g} times); polish skipped"
         )
         return None
+    least = row_floor(X, budget)
     start = "square-root"
-    dec, resid = _fit(X, root_start(X), budget)
+    dec, resid = _fit(X, root_start(X), budget, least)
     if resid > budget:
         n = X.shape[0]
         rows = n * (n + 1) // 2
@@ -221,7 +222,7 @@ def _factorize(
         )
         start = "random"
         F = np.random.default_rng(st.start_seed).uniform(size=(rows, n))
-        dec, resid = _fit(X, trace_scaled(F, X), budget)
+        dec, resid = _fit(X, trace_scaled(F, X), budget, least)
     if resid > budget:
         note(f"{tag}: factor residual {resid:.3e} exceeds {budget:.3e}")
         return None
@@ -229,7 +230,7 @@ def _factorize(
     if bad is not None:
         note(f"{tag}: {bad}")
         return None
-    minimum = " (the Eckart-Young minimum)" if dec.rank == row_floor(X, budget) else ""
+    minimum = " (the Eckart-Young minimum)" if dec.rank == least else ""
     note(
         f"{tag}: certified from the {start} start with {dec.rank} atoms{minimum}, "
         f"factor residual {resid:.3e}"
@@ -237,21 +238,22 @@ def _factorize(
     return dec
 
 
-def _fit(X: np.ndarray, F: np.ndarray, budget: float) -> tuple[CpDecomposition, float]:
+def _fit(
+    X: np.ndarray, F: np.ndarray, budget: float, least: int
+) -> tuple[CpDecomposition, float]:
     """Fit the start rows F to X; the factors and their residual.
 
-    The one jump polishes the `row_floor` heaviest rows, rescaled to the
-    trace of X: no fewer rows can fit.  Only a miss there polishes the whole
-    start and sparsifies it."""
+    The one jump polishes the `least` heaviest rows, rescaled to the trace
+    of X: by `row_floor(X, budget)`, no fewer rows can fit.  Only a miss
+    there polishes the whole start and sparsifies it."""
     start = CpDecomposition.from_factors(F)
-    least = row_floor(X, budget)
     if start.rank > least:
         heavy = start.factors[np.argsort(start.weights)[-least:]]
         jump = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(heavy, X)))
         resid = verify_decomposition(X, jump)
         if resid <= budget:
             return jump, resid
-    dec = sparsify_decomposition(X, polish_decomposition(X, start), budget)
+    dec = sparsify_decomposition(X, polish_decomposition(X, start), budget, least)
     return dec, verify_decomposition(X, dec)
 
 

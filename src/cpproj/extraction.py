@@ -44,8 +44,6 @@ STALL_ITERS = 50  # a polish stage stops once its cost has not halved over this 
 class CpDecomposition:
     """X = sum of outer products of the (entrywise nonnegative) factor rows."""
 
-    atoms: np.ndarray
-    weights: np.ndarray
     factors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
@@ -55,20 +53,24 @@ class CpDecomposition:
     def rank(self) -> int:
         return self.factors.shape[0]
 
+    @property
+    def atoms(self) -> np.ndarray:
+        return self.factors / np.linalg.norm(self.factors, axis=1)[:, None]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.linalg.norm(self.factors, axis=1) ** 2
+
     @classmethod
     def from_factors(cls, F: np.ndarray) -> "CpDecomposition":
-        """Split nonnegative factor rows into unit atoms and weights.
+        """Nonnegative factor rows in canonical order.
 
         Rows whose mass has collapsed are dropped, and the rest are sorted
         lexicographically by atom, so the result does not depend on the row
         order of F.
         """
-        norms = np.linalg.norm(F, axis=1)
-        keep = norms > 1e-12
-        F, norms = F[keep], norms[keep]
-        atoms = F / norms[:, None]
-        order = np.lexsort(atoms.T[::-1])
-        return cls(atoms[order], (norms**2)[order], F[order])
+        F = F[np.linalg.norm(F, axis=1) > 1e-12]
+        return cls(F[np.lexsort(cls(F).atoms.T[::-1])])
 
 
 def polish_decomposition(
@@ -216,7 +218,7 @@ def row_floor(X: np.ndarray, tol: float) -> int:
 
 
 def sparsify_decomposition(
-    X: np.ndarray, dec: CpDecomposition, tol: float
+    X: np.ndarray, dec: CpDecomposition, tol: float, least: int
 ) -> CpDecomposition:
     """Drop factors while the rest still reconstructs X within tol.
 
@@ -224,26 +226,20 @@ def sparsify_decomposition(
     rows of the square root of a rank-deficient X, duplicated directions,
     mass that other rows can absorb).  From a fitting input, each pass
     tentatively removes the lightest factor whose removal survives a
-    re-polish, never below `row_floor(X, tol)` (no fewer rows can pass), so
-    the result is a locally minimal certificate; the jump to that floor is
-    the caller's, before its full polish.  `tol` is the absolute Frobenius
+    re-polish, never below `least` rows (the caller's `row_floor(X, tol)`:
+    no fewer rows can pass), so the result is a locally minimal certificate;
+    the jump to that floor is the caller's.  `tol` is the absolute Frobenius
     residual budget; the input is returned unchanged when it does not fit,
     when it is already at the floor, or when no removal fits.
     """
     if verify_decomposition(X, dec) > tol:
         return dec
-    least = row_floor(X, tol)
     cur = dec
     shrunk = True
     while shrunk and cur.rank > least:
         shrunk = False
         for idx in np.argsort(cur.weights):
-            trial = CpDecomposition(
-                np.delete(cur.atoms, idx, axis=0),
-                np.delete(cur.weights, idx),
-                np.delete(cur.factors, idx, axis=0),
-            )
-            trial = polish_decomposition(X, trial)
+            trial = polish_decomposition(X, CpDecomposition(np.delete(cur.factors, idx, axis=0)))
             if verify_decomposition(X, trial) <= tol:
                 cur = trial
                 shrunk = True

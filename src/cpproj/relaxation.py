@@ -4,7 +4,7 @@ An instance asks for the matrix nearest to C, in one of the matrix norms
 handled by `cpproj.norms`, among completely positive matrices satisfying
 affine trace constraints <A_i, X> = b_i or >= b_i.  Membership of X in the
 completely positive cone is relaxed by one ladder of conic programs,
-indexed by the order k, that share the constraint, split and norm rows.
+indexed by the order k, that share the constraint and norm rows.
 Order 1 is the doubly nonnegative (DNN) relaxation: X entrywise
 nonnegative and PSD.  Order k >= 2 uses the moment-sequence description
 from `cpproj.polybasis`: X is identified with the degree-2 slice of a moment
@@ -18,9 +18,9 @@ The norm objective turns into standard conic epigraphs:
 
   fro        one second-order block (gamma, svec(X - C))
   two        one PSD block [[gamma I, X - C], [X - C, gamma I]]
-  one / inf  an entrywise split X - C = Y+ - Y- plus per-column sum bounds
-             (the two norms coincide on symmetric matrices, so they share
-             the same reformulation)
+  one / inf  a symmetric bound T >= |X - C| entrywise and gamma >= sum_i T_ij
+             for every column j (the two norms coincide on symmetric
+             matrices, so they share the same reformulation)
 
 Each block of rows is built whole from numpy index arrays (the vech columns
 of X, upper-triangle positions, the column incidence of the one/inf sums,
@@ -151,13 +151,13 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     """Build the order-k conic relaxation of the projection instance.
 
     The columns are the head (vech(X) at order 1, the moment vector of
-    half-degree k from order 2 on), then gamma, then the split parts Y+ and
-    Y- (vech order) for the one and inf norms.  Order 1 is the doubly
+    half-degree k from order 2 on), then gamma, then for the one and inf
+    norms the bound T on |X - C| (vech order).  Order 1 is the doubly
     nonnegative relaxation: vech(X) is held entrywise nonnegative by rows at
     the head of the nonnegative block and PSD by one order-n block.  Order
     k >= 2 holds the moment vector under the sphere equalities and the
-    n + 1 moment PSD blocks.  Every order shares the constraint, split and
-    norm rows, and its PSD blocks go through the same svec-scaled map.
+    n + 1 moment PSD blocks.  Every order shares the constraint and norm
+    rows, and its PSD blocks go through the same svec-scaled map.
     """
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
@@ -179,34 +179,33 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
 
     g = width  # gamma column
     layout = {"vech" if k == 1 else "tms": slice(0, g), "gamma": slice(g, g + 1)}
-    split = spec.norm in ("one", "inf")
-    yp, yn = g + 1, g + 1 + nbar
-    if split:
-        layout["y_pos"], layout["y_neg"] = slice(yp, yn), slice(yn, yn + nbar)
-    N = yn + nbar if split else yp
+    bound = spec.norm in ("one", "inf")
+    t = g + 1  # the columns of vech(T), the entrywise bound on |X - C|
+    if bound:
+        layout["abs"] = slice(t, t + nbar)
+    N = t + nbar if bound else t
 
     # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block
     for rows, cons, sign in ((eq, spec.equalities, 1.0), (cone, spec.inequalities, -1.0)):
         W = np.array([weighted_vech(c.matrix) for c in cons]).reshape(len(cons), nbar)
         r, m = np.nonzero(W)
         rows.add(r, xcol[m], W[r, m], sign * np.array([c.rhs for c in cons]))
-    if split:
-        # X - C = Y+ - Y-; then Y+ >= 0 and Y- >= 0 (adjacent columns), and
-        # gamma >= sum_i (Y+ + Y-)_ij, where entry m = (a, b) enters the
-        # column sums a and b (once if a == b)
-        eq.add(
-            np.tile(vcol, 3),
-            np.concatenate([xcol, yp + vcol, yn + vcol]),
-            np.repeat([1.0, -1.0, 1.0], nbar),
-            vech(spec.C),
+    if bound:
+        # T - (X - C) >= 0 and T + (X - C) >= 0, then gamma >= sum_i T_ij,
+        # where entry m = (a, b) enters the column sums a and b (once if a == b)
+        c = vech(spec.C)
+        cone.add(
+            np.tile(np.arange(2 * nbar), 2),
+            np.concatenate([t + np.tile(vcol, 2), np.tile(xcol, 2)]),
+            np.concatenate([np.ones(2 * nbar), np.repeat([-1.0, 1.0], nbar)]),
+            np.concatenate([c, -c]),
         )
-        cone.add(np.arange(2 * nbar), yp + np.arange(2 * nbar), np.ones(2 * nbar), np.zeros(2 * nbar))
         off = iu[0] != iu[1]
         j, m = np.concatenate([iu[0], iu[1][off]]), np.concatenate([vcol, vcol[off]])
         cone.add(
-            np.concatenate([np.arange(n), j, j]),
-            np.concatenate([np.full(n, g), yp + m, yn + m]),
-            np.concatenate([np.ones(n), np.full(2 * j.size, -1.0)]),
+            np.concatenate([np.arange(n), j]),
+            np.concatenate([np.full(n, g), t + m]),
+            np.concatenate([np.ones(n), np.full(j.size, -1.0)]),
             np.zeros(n),
         )
     blocks = [ConeBlock("nonneg", cone.size)] if cone.size else []

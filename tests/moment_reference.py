@@ -32,12 +32,12 @@ def lift_atomic_point(spec, k: int, atoms, weights) -> np.ndarray:
 
     The lift of any measure supported on the nonnegative unit sphere
     satisfies every moment-cone row, and gamma is set to the exact distance
-    so the norm block is tight.
+    so the norm block is tight; for the one and inf norms the bound T is
+    |X - C| itself.
     """
     s = moments_of_atoms(atoms, weights, k)
     X = vech_inv(degree2_slice(s, spec.dim))
     parts = [s, [p_norm(X - spec.C, spec.norm)]]
     if spec.norm in ("one", "inf"):
-        y = vech(X - spec.C)
-        parts.extend([np.clip(y, 0.0, None), np.clip(-y, 0.0, None)])
+        parts.append(np.abs(vech(X - spec.C)))
     return np.concatenate([np.asarray(p, dtype=float) for p in parts])

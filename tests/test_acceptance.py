@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cpproj.conic
 import cpproj.extraction
 from cpproj.conic import (
     ConeBlock,
@@ -487,6 +488,23 @@ def test_the_row_floor_jump_keeps_the_reference_polish_cheap(monkeypatch):
         out = approximate(REFERENCE_INSTANCES[name], DriverSettings(k_max=4))
         assert out.status == "projected", name
     assert sum(nfev) <= 120
+
+
+def test_one_c4_order_3_does_not_hang_on_the_kkt_regularization(monkeypatch):
+    """one-c4's order-3 relaxation, with the absolute KKT regularization
+    scaled by 0.7 to 1.5, ends optimal at the unscaled gamma (within 8.4e-9
+    relative at 1 and 2 BLAS threads).  The split one-norm encoding
+    X - C = Y+ - Y- ended it `iteration_limit` at 0.9 on 2 BLAS threads."""
+    spec, solver = REFERENCE_INSTANCES["one-c4"], DriverSettings().solver
+    prog, sol = solve_relaxation(spec, 3, solver)
+    assert sol.status == "optimal"
+    gamma = map_solution(prog, sol).gamma
+    base = cpproj.conic.STATIC_REG
+    for factor in (0.7, 0.9, 1.1, 1.5):
+        monkeypatch.setattr(cpproj.conic, "STATIC_REG", base * factor)
+        prog, sol = solve_relaxation(spec, 3, solver)
+        assert sol.status == "optimal", factor
+        assert abs(map_solution(prog, sol).gamma - gamma) <= 1e-7 * (1.0 + gamma), factor
 
 
 def _moment_identity_residual():

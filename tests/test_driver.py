@@ -203,9 +203,9 @@ def _recording_polish(monkeypatch):
         calls.append(dec.rank)
         return polish(X, dec)
 
-    def sparsifying(X, dec, tol):
+    def sparsifying(X, dec, tol, least):
         calls.append(("sparsify", dec.rank))
-        return sparsify(X, dec, tol)
+        return sparsify(X, dec, tol, least)
 
     monkeypatch.setattr(cpproj.driver, "polish_decomposition", polishing)
     monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", sparsifying)
@@ -456,7 +456,7 @@ def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):
         [0.6233524577137435, 0.5244943832020798, 4.415996589272223e-12, 1.3071135093180622e-12],
     ])
     dec = cpproj.extraction.polish_decomposition(
-        X, cpproj.extraction.CpDecomposition(F, np.ones(3), F)
+        X, cpproj.extraction.CpDecomposition(F)
     )
     assert fits[0][1] == -2  # trf stopped by the callback
     assert len(fits) == 2 and sum(nfev for nfev, _ in fits) < 200

@@ -21,14 +21,9 @@ from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 
 def test_verify_decomposition_rejects_negative_factors():
     dec = CpDecomposition.from_factors(np.array([[0.6, 0.8]]))
-    bad = CpDecomposition(dec.atoms, dec.weights, -dec.factors)
+    bad = CpDecomposition(-dec.factors)
     with pytest.raises(ValueError):
         verify_decomposition(np.eye(2), bad)
-
-
-def _decomposition_from_factors(F):
-    norms = np.linalg.norm(F, axis=1)
-    return CpDecomposition(F / norms[:, None], norms**2, F)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -38,7 +33,7 @@ def test_polish_repairs_perturbed_factors(seed):
     F = np.abs(rng.normal(size=(r, n))) + 0.05
     X = F.T @ F
     noisy = np.clip(F + 1e-3 * rng.normal(size=F.shape), 0.0, None)
-    dec = polish_decomposition(X, _decomposition_from_factors(noisy))
+    dec = polish_decomposition(X, CpDecomposition(noisy))
     assert dec.factors.min() >= 0.0
     assert verify_decomposition(X, dec) <= 1e-8 * (1 + np.linalg.norm(X))
     npt.assert_allclose(
@@ -72,7 +67,7 @@ def test_polish_takes_factor_entries_of_the_identity_onto_the_bound(monkeypatch)
 
 
 def test_polish_keeps_empty_decomposition():
-    empty = CpDecomposition(np.empty((0, 3)), np.empty(0), np.empty((0, 3)))
+    empty = CpDecomposition(np.empty((0, 3)))
     out = polish_decomposition(np.zeros((3, 3)), empty)
     assert out.rank == 0
 
@@ -83,17 +78,18 @@ def test_sparsify_removes_redundant_duplicate_atom():
     # split the first factor into two identical half-weight copies
     c = 1.0 / np.sqrt(2.0)
     padded = np.vstack([c * F[0], c * F[0], F[1]])
-    dec = polish_decomposition(X, _decomposition_from_factors(padded))
-    out = sparsify_decomposition(X, dec, 1e-8 * (1 + np.linalg.norm(X)))
+    dec = polish_decomposition(X, CpDecomposition(padded))
+    tol = 1e-8 * (1 + np.linalg.norm(X))
+    out = sparsify_decomposition(X, dec, tol, row_floor(X, tol))
     assert out.rank == 2
-    assert verify_decomposition(X, out) <= 1e-8 * (1 + np.linalg.norm(X))
+    assert verify_decomposition(X, out) <= tol
 
 
 def test_sparsify_keeps_minimal_decomposition():
     F = np.array([[2.0, 0.0], [1.0, 1.5]])
     X = F.T @ F
-    dec = _decomposition_from_factors(F)
-    out = sparsify_decomposition(X, dec, 1e-9)
+    dec = CpDecomposition(F)
+    out = sparsify_decomposition(X, dec, 1e-9, row_floor(X, 1e-9))
     assert out.rank == 2
     npt.assert_allclose(out.reconstruct(), X, atol=1e-12)
 
@@ -136,7 +132,7 @@ def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypat
     F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
     driver_calls = _spy_on_polish(monkeypatch, cpproj.driver)
     sparsify_calls = _spy_on_polish(monkeypatch)
-    out, resid = _fit(C5, F, 1e-8)
+    out, resid = _fit(C5, F, 1e-8, row_floor(C5, 1e-8))
     assert [rank for rank, _ in driver_calls] == [5]
     assert sparsify_calls == []
     assert out.rank == 5
@@ -182,9 +178,9 @@ def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_first, monkeypat
     # removal is tried, and no trial ever drops to 1 row
     F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
     X = F.T @ F
-    dec = _decomposition_from_factors(np.vstack([0.9 * F[0], np.sqrt(0.19) * F[0], F[1]]))
+    dec = CpDecomposition(np.vstack([0.9 * F[0], np.sqrt(0.19) * F[0], F[1]]))
     calls = _spy_on_polish(monkeypatch, miss_first=miss_first)
-    out = sparsify_decomposition(X, dec, 1e-9)
+    out = sparsify_decomposition(X, dec, 1e-9, row_floor(X, 1e-9))
     assert [rank for rank, _ in calls] == ([2, 2] if miss_first else [2])
     assert out.rank == 2
     assert verify_decomposition(X, out) <= 1e-9
@@ -196,10 +192,10 @@ def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
     # the input comes back as it is
     F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
     X = F.T @ F
-    dec = _decomposition_from_factors(np.vstack([0.9 * F[0], 0.5 * F[0], F[1]]))
+    dec = CpDecomposition(np.vstack([0.9 * F[0], 0.5 * F[0], F[1]]))
     assert verify_decomposition(X, dec) > 1e-9
     calls = _spy_on_polish(monkeypatch)
-    assert sparsify_decomposition(X, dec, 1e-9) is dec
+    assert sparsify_decomposition(X, dec, 1e-9, row_floor(X, 1e-9)) is dec
     assert calls == []
 
 
@@ -211,12 +207,7 @@ def _greedy_sparsify(X, dec, tol):
     while shrunk and cur.rank > 1:
         shrunk = False
         for idx in np.argsort(cur.weights):
-            trial = CpDecomposition(
-                np.delete(cur.atoms, idx, axis=0),
-                np.delete(cur.weights, idx),
-                np.delete(cur.factors, idx, axis=0),
-            )
-            trial = polish_decomposition(X, trial)
+            trial = polish_decomposition(X, CpDecomposition(np.delete(cur.factors, idx, axis=0)))
             if verify_decomposition(X, trial) <= tol:
                 cur = trial
                 shrunk = True
@@ -242,7 +233,7 @@ def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     want = _greedy_sparsify(X, dec, tol)
 
     calls = _spy_on_polish(monkeypatch, cpproj.driver)
-    got, _ = _fit(X, F, tol)
+    got, _ = _fit(X, F, tol, row_floor(X, tol))
     (jump_rows, jump), (start_rows, _) = calls
     assert jump_rows == row_floor(X, tol) == 3
     assert verify_decomposition(X, jump) > tol

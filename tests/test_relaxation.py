@@ -14,7 +14,7 @@ from cpproj.conic import (
 )
 from cpproj.driver import DriverSettings
 from cpproj.norms import p_norm
-from cpproj.polybasis import vech, vech_inv
+from cpproj.polybasis import moment_cone_constraints, vech, vech_inv
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -141,8 +141,10 @@ def test_lifted_atomic_measures_are_feasible(norm):
 @pytest.mark.parametrize("norm", ["fro", "two", "one", "inf"])
 def test_cone_image_is_the_exact_norm_encoding(norm, k):
     # at an arbitrary point, feasible or not, the rows evaluate to the
-    # encoding itself: the nonneg block, then the norm block (fro, two), and
-    # for one/inf the split equalities after the user's equality
+    # encoding itself: the nonneg block (for one/inf with the bound rows
+    # T - (X - C), T + (X - C) and the column sums), then the norm block (fro,
+    # two); the only equality rows are the sphere rows (k >= 2) and the
+    # user's
     rng = np.random.default_rng(8)
     n = 3
     G = rng.standard_normal((n, n))
@@ -163,12 +165,13 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     nonneg = [vech(X)] if k == 1 else []
     nonneg.append([np.sum(A * X) + 1.0])
     eq_res = prog.eq_map @ v - prog.eq_rhs
+    sphere = 0 if k == 1 else moment_cone_constraints(n, k)[0].shape[0]
+    assert eq_res.size == sphere + 1
+    assert prog.eq_map[:, prog.layout["gamma"].start :].nnz == 0
+    npt.assert_allclose(eq_res[-1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
     if norm in ("one", "inf"):
-        Yp, Yn = vech_inv(v[prog.layout["y_pos"]]), vech_inv(v[prog.layout["y_neg"]])
-        nbar = iu[0].size
-        npt.assert_allclose(eq_res[-nbar:], vech(D - (Yp - Yn)), rtol=0, atol=1e-12)
-        npt.assert_allclose(eq_res[-nbar - 1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
-        nonneg += [vech(Yp), vech(Yn), gamma - (Yp + Yn).sum(axis=0)]
+        T = vech_inv(v[prog.layout["abs"]])
+        nonneg += [vech(T - D), vech(T + D), gamma - T.sum(axis=0)]
         assert all(b.kind == "psd" and b.order != 2 * n for b, _ in blocks[1:])
     (head, sl), norm_block = blocks[0], blocks[1]
     assert head.kind == "nonneg"
@@ -270,7 +273,7 @@ def test_dnn_relaxation_of_a_plain_instance_is_the_dnn_projection():
         npt.assert_allclose(rs.matrix, ref_X, atol=1e-6)
 
 
-def test_dnn_relaxation_keeps_the_constraints_and_the_split():
+def test_dnn_relaxation_keeps_the_constraints_and_the_abs_bound():
     rng = np.random.default_rng(5)
     G = rng.standard_normal((3, 3))
     C = (G + G.T) / 2.0
@@ -281,7 +284,7 @@ def test_dnn_relaxation_keeps_the_constraints_and_the_split():
     for norm in ("one", "inf"):
         spec = ProblemSpec(C, norm, cons)
         prog, sol = solve_relaxation(spec, 1)
-        assert set(prog.layout) == {"vech", "gamma", "y_pos", "y_neg"}
+        assert set(prog.layout) == {"vech", "gamma", "abs"}
         assert sol.status == "optimal"
         rs = map_solution(prog, sol)
         gamma, X = rs.gamma, rs.matrix
