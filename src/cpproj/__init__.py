@@ -21,7 +21,8 @@ Entry points:
   and returns a `MembershipResult`.
 - `ProblemSpec` / `LinearConstraint` describe the instance; `DriverSettings`
   sets the highest relaxation order, the seed of the factorization start
-  and the `SolverSettings` of the conic solver.
+  and the `SolverSettings(tol)` of the conic solver, its one stopping
+  tolerance.
 - `SolverFailure` and `ConicSolverError` report a solver breakdown or a
   malformed program; `CpDecomposition` holds the certified factors.
 

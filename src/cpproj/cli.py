@@ -50,7 +50,7 @@ from .driver import (
     check_cp_membership,
 )
 from .extraction import CpDecomposition
-from .norms import p_norm
+from .norms import NORM_KINDS, p_norm
 from .relaxation import LinearConstraint, ProblemSpec
 
 __all__ = ["main", "run"]
@@ -76,6 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = DriverSettings()
     p = _Parser(
         prog="cpproj",
         description="Project a symmetric matrix onto the completely positive "
@@ -84,15 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="path to the JSON problem file")
     p.add_argument(
         "--norm",
-        choices=("one", "two", "inf", "fro"),
+        choices=NORM_KINDS,
         help="projection norm (required unless --check)",
     )
-    p.add_argument("--kmax", type=int, default=4, help="largest relaxation order (default 4)")
+    p.add_argument(
+        "--kmax",
+        type=int,
+        default=defaults.k_max,
+        help=f"largest relaxation order (default {defaults.k_max})",
+    )
     p.add_argument(
         "--tol",
         type=float,
-        help="conic solver tolerance (default: the driver's, "
-        f"{DriverSettings().solver.tol_feas:g})",
+        help="conic solver tolerance on the residuals and the relative gap "
+        f"(default: the driver's, {defaults.solver.tol:g})",
     )
     p.add_argument(
         "--check",
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=0,
+        default=defaults.start_seed,
         help="seed of the random rows the factorization falls back to "
         "when its square-root start misses",
     )
@@ -363,7 +369,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     settings = DriverSettings(k_max=args.kmax, start_seed=args.seed)
     if args.tol is not None:
-        settings = replace(settings, solver=SolverSettings(tol_feas=args.tol, tol_gap=args.tol))
+        settings = replace(settings, solver=SolverSettings(args.tol))
     try:
         if args.check:
             result = check_cp_membership(C, settings=settings)

@@ -13,13 +13,15 @@ that block inner products equal plain dot products.
 
 The algorithm embeds the primal-dual pair in a homogeneous self-dual model,
 scales each cone block by its Nesterov-Todd point, and takes Mehrotra
-predictor-corrector steps with a 0.99 fraction-to-boundary rule.  Primal
-infeasibility surfaces as a convergence mode of the embedding; a Farkas
-certificate is only reported after it has been re-verified against the raw
-program data.  Every program built in this package has an objective bounded
-below by zero (a distance bound, or a positive definite functional of a
-moment matrix), so a dual infeasible program cannot arise; one would end
-without a certificate.  The search direction comes from the cone-eliminated
+predictor-corrector steps with a 0.99 fraction-to-boundary rule, until the
+scaled residuals and relative gap are all within `SolverSettings.tol` or
+MAX_ITERS iterations have run.  Primal infeasibility surfaces as a
+convergence mode of the embedding; a Farkas certificate is only reported
+after it has been re-verified against the raw program data.
+Every program built in this package has an objective bounded below by zero
+(a distance bound, or a positive definite functional of a moment matrix),
+so a dual infeasible program cannot arise; one would end without a
+certificate.  The search direction comes from the cone-eliminated
 KKT system with static regularization, which is quasi-definite and is
 factored without pivoting by two dense Cholesky factors (see _Kkt), and a
 couple of iterative-refinement sweeps, so identical inputs produce
@@ -144,24 +146,21 @@ INFEAS_THRESHOLD = 1e-8  # declare infeasibility once tau/kappa drops below
 STATIC_REG = 1e-9  # absolute KKT regularization; see _Kkt
 REFINE_STEPS = 2  # iterative-refinement sweeps per KKT solve
 CERT_TOL = 1e-6  # relative residual up to which a Farkas pair verifies
+MAX_ITERS = 200  # interior-point iterations before a solve ends "iteration_limit"
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    # moment relaxations are chronically degenerate: the interior-point
-    # engine (a quasi-definite Cholesky KKT solve with refinement) reliably
-    # reaches ~1e-7 KKT accuracy on them but can stall short of 1e-8, so the
-    # default asks for what is attainable; the order-1 (DNN) solve is the one
-    # exception, held to relaxation.DNN_TOL
-    tol_feas: float = 1e-7
-    tol_gap: float = 1e-7
-    max_iters: int = 200
+    # one bound on the scaled primal and dual residuals and the relative gap.
+    # Moment relaxations are chronically degenerate: the interior-point engine
+    # (a quasi-definite Cholesky KKT solve with refinement) reliably reaches
+    # ~1e-7 on them but can stall short of 1e-8, so the default asks for what
+    # is attainable; the order-1 (DNN) solve is held to relaxation.DNN_TOL
+    tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if min(self.tol_feas, self.tol_gap) <= 0:
-            raise ConicSolverError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ConicSolverError("need at least one iteration")
+        if self.tol <= 0:
+            raise ConicSolverError("the tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -782,7 +781,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
         if not margin > 1e-300:
             return None
         yy, cert = y / margin, z / margin
-        res = _certificate_residuals(prog, yy, cert, ET, MT, CERT_TOL)
+        res = _certificate_residuals(prog, yy, cert, ET, MT)
         if res is None:
             return None
         return ConicSolution(
@@ -798,7 +797,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
     tiny_steps = 0
 
-    for it in range(st.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         iters_done = it
         r1, r2, r3, r4, pres, dres, pobj, dobj, gap, relgap = scaled_residuals()
         logger.debug(
@@ -811,7 +810,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             best_score = score
             best = (measures, x.copy(), y.copy(), z.copy(), tau)
 
-        if pres <= st.tol_feas and dres <= st.tol_feas and relgap <= st.tol_gap:
+        if pres <= st.tol and dres <= st.tol and relgap <= st.tol:
             return pack_point("optimal", it, measures, x, y, z, tau)
         if kappa > 0 and tau / kappa < INFEAS_THRESHOLD:
             cert = try_certificate(it)
@@ -819,7 +818,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 return cert
             status = "ill_posed"
             break
-        if it == st.max_iters or tiny_steps >= 3:
+        if it == MAX_ITERS or tiny_steps >= 3:
             status = "iteration_limit"
             break
 
@@ -942,9 +941,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 # certificate verification against the raw data
 
 
-def _certificate_residuals(prog: ConicProgram, y, z, ET, MT, tol) -> Optional[dict]:
-    """The Farkas residuals of (y, z) when each is within tol relative to the
-    pair's largest entry, else None; ET and MT apply the transposed maps."""
+def _certificate_residuals(prog: ConicProgram, y, z, ET, MT) -> Optional[dict]:
+    """The Farkas residuals of (y, z) when each is within CERT_TOL relative
+    to the pair's largest entry, else None; ET and MT apply the transposed
+    maps."""
     adj = ET @ y + MT @ z
     margin = prog.eq_rhs @ y - prog.cone_offset @ z
     dist = 0.0
@@ -956,14 +956,12 @@ def _certificate_residuals(prog: ConicProgram, y, z, ET, MT, tol) -> Optional[di
         "margin_error": float(abs(margin - 1.0)),
     }
     scale = max(1.0, float(np.abs(y).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
-    return res if all(v <= tol * scale for v in res.values()) else None
+    return res if all(v <= CERT_TOL * scale for v in res.values()) else None
 
 
-def verify_certificate(
-    prog: ConicProgram, sol: ConicSolution, tol: float = CERT_TOL
-) -> bool:
+def verify_certificate(prog: ConicProgram, sol: ConicSolution) -> bool:
     """Recompute the Farkas conditions of a primal infeasibility certificate."""
     if sol.status != "primal_infeasible" or sol.dual_eq is None or sol.dual_cone is None:
         return False
     y, z = sol.dual_eq, sol.dual_cone
-    return _certificate_residuals(prog, y, z, prog.eq_map.T, prog.cone_map.T, tol) is not None
+    return _certificate_residuals(prog, y, z, prog.eq_map.T, prog.cone_map.T) is not None

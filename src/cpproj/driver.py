@@ -68,13 +68,9 @@ logger = logging.getLogger(__name__)
 class SolverFailure(RuntimeError):
     """The conic solve broke down before the algorithm could decide."""
 
-    def __init__(self, message: str, solution: Optional[ConicSolution] = None):
-        super().__init__(message)
-        self.solution = solution
-
 
 K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one moment order
-# residual multiplier (on top of the solver tolerances) up to which a stalled
+# residual multiplier (on top of the solver tolerance) up to which a stalled
 # iterate is still offered to the factorization; its objective is never
 # recorded as a distance bound in that band
 STALL_SLACK = 100.0
@@ -161,9 +157,9 @@ def _usable_solution(csol, solver: SolverSettings, slack: float = 10.0) -> bool:
     res = csol.residuals
     far = float("inf")
     return (
-        res.get("primal_feas", far) <= slack * solver.tol_feas
-        and res.get("dual_feas", far) <= slack * solver.tol_feas
-        and res.get("rel_gap", far) <= slack * solver.tol_gap
+        res.get("primal_feas", far) <= slack * solver.tol
+        and res.get("dual_feas", far) <= slack * solver.tol
+        and res.get("rel_gap", far) <= slack * solver.tol
     )
 
 
@@ -184,7 +180,7 @@ def _factorize(
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    The first start is `root_start(X)`, the n rows of the PSD square root
+    The first start is `root_start`, the n rows of the PSD square root
     of X clipped at zero: an exact factorization wherever the root is
     nonnegative, and close to one elsewhere.  Only when its fit misses the
     budget (an event gives its residual) does a second start run: n(n+1)/2
@@ -197,22 +193,24 @@ def _factorize(
     more than the solve could deliver.  When `cp_distance_floor` proves that
     no nonnegative factorization can come within that budget, polish and
     sparsify are skipped and the event names the gate.  Each start is fit
-    by `_fit` from one `row_floor(X, budget)`; the event says when the atom
-    count is that floor, the fewest that can fit X at all.
+    by `_fit` from one `row_floor(lam, budget)`; the event says when the atom
+    count is that floor, the fewest that can fit X at all.  The gate, the
+    floor and the square-root start share one `eigh(X)`.
     """
     tag = f"{tag} (factorization)"
     level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
     budget = max(FACTOR_TOL, 10.0 * level) * (1.0 + float(np.linalg.norm(X)))
-    floor, gate = cp_distance_floor(X)
+    lam, V = np.linalg.eigh(X)
+    floor, gate = cp_distance_floor(X, lam)
     if floor > budget:
         note(
             f"{tag}: {gate} floor {floor:.3e} exceeds the factor budget {budget:.3e} "
             f"({floor / budget:.3g} times); polish skipped"
         )
         return None
-    least = row_floor(X, budget)
+    least = row_floor(lam, budget)
     start = "square-root"
-    dec, resid = _fit(X, root_start(X), budget, least)
+    dec, resid = _fit(X, root_start(lam, V), budget, least)
     if resid > budget:
         n = X.shape[0]
         rows = n * (n + 1) // 2
@@ -244,7 +242,7 @@ def _fit(
     """Fit the start rows F to X; the factors and their residual.
 
     The one jump polishes the `least` heaviest rows, rescaled to the trace
-    of X: by `row_floor(X, budget)`, no fewer rows can fit.  Only a miss
+    of X: by `row_floor`, no fewer rows can fit.  Only a miss
     there polishes the whole start and sparsifies it."""
     start = CpDecomposition.from_factors(F)
     if start.rank > least:
@@ -289,8 +287,7 @@ def approximate(
                 if not bounds:
                     raise SolverFailure(
                         f"relaxation order {k} ended with status {csol.status!r} "
-                        f"(residuals {csol.residuals})",
-                        csol,
+                        f"(residuals {csol.residuals})"
                     )
                 # orders already solved still bound the distance; report those
                 # instead of discarding them over a breakdown higher up
@@ -348,20 +345,18 @@ class MembershipResult:
 
 
 def check_cp_membership(
-    C: np.ndarray,
-    norm: str = "fro",
-    settings: DriverSettings | None = None,
+    C: np.ndarray, settings: DriverSettings | None = None
 ) -> MembershipResult:
     """Decide membership of C in the completely positive cone.
 
-    Projects C (no constraints, Frobenius norm unless overridden) onto the
-    cone: distance zero means C is completely positive and the certified
-    factors decompose C itself; a positive certified distance, or a positive
-    lower bound from an exhausted hierarchy, rules membership out.  Any norm
-    answers the yes/no question; the default is the numerically gentlest.
+    Projects C (no constraints, Frobenius norm) onto the cone: distance zero
+    means C is completely positive and the certified factors decompose C
+    itself; a positive certified distance, or a positive lower bound from an
+    exhausted hierarchy, rules membership out.  Any norm would answer the
+    yes/no question; the Frobenius norm is the numerically gentlest.
     """
     C = np.asarray(C, dtype=float)
-    outcome = approximate(ProblemSpec(C, norm=norm), settings)
+    outcome = approximate(ProblemSpec(C), settings)
     scale = max(1.0, float(np.linalg.norm(C)))
     if isinstance(outcome, Projected):
         if outcome.gamma <= MEMBERSHIP_TOL * scale:

@@ -166,17 +166,18 @@ def _horn_cuts(n: int) -> np.ndarray:
     return cuts
 
 
-def cp_distance_floor(X: np.ndarray) -> tuple[float, str]:
+def cp_distance_floor(X: np.ndarray, lam: np.ndarray) -> tuple[float, str]:
     """A lower bound on ||F^T F - X||_F over all nonnegative F, and its gate.
 
     Every F^T F is entrywise nonnegative, PSD and has <H, F^T F> >= 0 for
     each copositive H, so it lies at least ||min(X, 0)||_F ("entrywise"),
-    ||min(lambda(X), 0)||_2 ("eigenvalue") and -<H, X> / ||H||_F ("Horn")
-    away from X.  Returns the largest of these with the name of its gate.
+    ||min(lam, 0)||_2 ("eigenvalue", with lam the eigenvalues of X) and
+    -<H, X> / ||H||_F ("Horn") away from X.  Returns the largest of these
+    with the name of its gate.
     """
     floors = {
         "entrywise": float(np.linalg.norm(np.minimum(X, 0.0))),
-        "eigenvalue": float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(X), 0.0))),
+        "eigenvalue": float(np.linalg.norm(np.minimum(lam, 0.0))),
     }
     cuts = _horn_cuts(X.shape[0])
     if cuts.size:
@@ -186,16 +187,15 @@ def cp_distance_floor(X: np.ndarray) -> tuple[float, str]:
     return floors[gate], gate
 
 
-def root_start(X: np.ndarray) -> np.ndarray:
-    """The PSD square root of X, clipped at zero: n factor rows near a fit.
+def root_start(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The PSD square root of X = V diag(lam) V^T, clipped at zero: n factor
+    rows near a fit.
 
-    With X = V diag(lam) V^T, the symmetric root R = V diag(sqrt(max(lam, 0))) V^T
-    satisfies R^T R = X for any PSD X, so where R is already nonnegative it
-    is a certificate by itself, and elsewhere its clipped part is a start
-    close to the answer (Groetzner & Duer's factorization method starts from
-    any such R).
+    The symmetric root R = V diag(sqrt(max(lam, 0))) V^T satisfies R^T R = X
+    for any PSD X, so where R is already nonnegative it is a certificate by
+    itself, and elsewhere its clipped part is a start close to the answer
+    (Groetzner & Duer's factorization method starts from any such R).
     """
-    lam, V = np.linalg.eigh(X)
     return np.maximum((V * np.sqrt(np.maximum(lam, 0.0))) @ V.T, 0.0)
 
 
@@ -204,14 +204,15 @@ def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
     return F * (np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F))
 
 
-def row_floor(X: np.ndarray, tol: float) -> int:
-    """Fewest factor rows (at least 1) whose reconstruction can lie within tol of X.
+def row_floor(lam: np.ndarray, tol: float) -> int:
+    """Fewest factor rows (at least 1) whose reconstruction can lie within
+    tol of the matrix X with eigenvalues lam.
 
     By Eckart-Young, any k rows leave a Frobenius residual of at least the
     norm of the n - k eigenvalues of X smallest in absolute value, so fewer
     rows than the smallest k whose tail is at most `tol` cannot pass the gate.
     """
-    lam = np.sort(np.abs(np.linalg.eigvalsh(X)))
+    lam = np.sort(np.abs(lam))
     tails = np.sqrt(np.concatenate(([0.0], np.cumsum(lam**2))))
     dropped = int(np.searchsorted(tails, tol, side="right")) - 1
     return max(1, lam.size - dropped)
@@ -226,7 +227,7 @@ def sparsify_decomposition(
     rows of the square root of a rank-deficient X, duplicated directions,
     mass that other rows can absorb).  From a fitting input, each pass
     tentatively removes the lightest factor whose removal survives a
-    re-polish, never below `least` rows (the caller's `row_floor(X, tol)`:
+    re-polish, never below `least` rows (the caller's `row_floor`:
     no fewer rows can pass), so the result is a locally minimal certificate;
     the jump to that floor is the caller's.  `tol` is the absolute Frobenius
     residual budget; the input is returned unchanged when it does not fit,

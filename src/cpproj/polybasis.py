@@ -25,6 +25,8 @@ from typing import Iterator, Mapping
 import numpy as np
 import scipy.sparse as sp
 
+from .conic import _svec_gather
+
 __all__ = [
     "moment_cone_constraints",
     "symmetric",
@@ -116,11 +118,11 @@ def moment_cone_constraints(
     return equality, tuple(blocks)
 
 
-def symmetric(values, tol: float = 1e-12) -> np.ndarray:
+def symmetric(values) -> np.ndarray:
     """A read-only copy of a real symmetric matrix, exactly symmetric.
 
     The lower triangle is mirrored from the upper one, so out[i, j] ==
-    out[j, i] holds bitwise.  Input asymmetry beyond `tol` (relative to the
+    out[j, i] holds bitwise.  Input asymmetry beyond 1e-12 (relative to the
     largest entry, or absolute below 1) is rejected rather than silently
     averaged away.
     """
@@ -128,7 +130,7 @@ def symmetric(values, tol: float = 1e-12) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     skew = np.abs(arr - arr.T).max(initial=0.0)
-    if skew > tol * max(1.0, np.abs(arr).max(initial=0.0)):
+    if skew > 1e-12 * max(1.0, np.abs(arr).max(initial=0.0)):
         raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
     exact = np.triu(arr) + np.triu(arr, k=1).T
     exact.setflags(write=False)
@@ -136,8 +138,9 @@ def symmetric(values, tol: float = 1e-12) -> np.ndarray:
 
 
 def vech(A: np.ndarray) -> np.ndarray:
-    """Row-major upper-triangle vector (A11, A12, ..., A1n, A22, ..., Ann)."""
-    return A[np.triu_indices(A.shape[0])]
+    """Row-major upper-triangle vector (A11, A12, ..., A1n, A22, ..., Ann),
+    gathered through the index arrays that svec caches per order."""
+    return A.take(_svec_gather(A.shape[0])[0])
 
 
 def vech_inv(v: np.ndarray) -> np.ndarray:
@@ -147,9 +150,8 @@ def vech_inv(v: np.ndarray) -> np.ndarray:
     n = int(round((math.isqrt(8 * v.size + 1) - 1) / 2))
     if n * (n + 1) // 2 != v.size:
         raise ValueError(f"length {v.size} is not a triangular number")
-    out = np.zeros((n, n))
-    out[np.triu_indices(n)] = v
-    out = out + np.triu(out, k=1).T
+    # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
+    out = (v + 0.0).take(_svec_gather(n)[1])
     out.setflags(write=False)
     return out
 
@@ -158,6 +160,5 @@ def weighted_vech(A: np.ndarray) -> np.ndarray:
     """vech with off-diagonal entries doubled, so that
     weighted_vech(A) . vech(X) equals the trace inner product <A, X>."""
     w = vech(A)
-    iu, ju = np.triu_indices(A.shape[0])
-    w[iu != ju] *= 2.0
+    w[_svec_gather(A.shape[0])[2] != 1.0] *= 2.0
     return w

@@ -42,6 +42,7 @@ from .conic import (
     ConicProgram,
     ConicSolution,
     SolverSettings,
+    _svec_gather,
     solve as conic_solve,
     svec_index,
 )
@@ -63,6 +64,7 @@ __all__ = [
 # decade below the engine's default: at 1e-7 its X is only about sqrt(gap)
 # accurate
 DNN_TOL = 1e-8
+WEAK_DUALITY_TOL = 1e-7  # absolute slack of the primal bound below the dual objective
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +227,7 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         (a, b), wp = svec_index(2 * n)
         diag, corner = np.flatnonzero(a == b), np.flatnonzero((a < n) & (b >= n))
         i, j = a[corner], b[corner] - n
-        pos = np.empty((n, n), dtype=np.int64)
-        pos[iu] = pos[iu[::-1]] = vcol
+        pos = _svec_gather(n)[1]  # the vech position of each entry (i, j)
         offset = np.zeros(wp.size)
         offset[corner] = -wp[corner] * spec.C[i, j]
         cone.add(
@@ -286,28 +287,23 @@ def solve_relaxation(
 ) -> tuple[ConicProgram, ConicSolution]:
     """Assemble and solve one order; returns (program, conic solution).
 
-    At order 1 both tolerances are tightened to at most DNN_TOL and
-    `max_iters` is kept.
+    At order 1 the tolerance is tightened to at most DNN_TOL.
     """
     st = settings or SolverSettings()
     if k == 1:
-        st = replace(st, tol_feas=min(st.tol_feas, DNN_TOL), tol_gap=min(st.tol_gap, DNN_TOL))
+        st = replace(st, tol=min(st.tol, DNN_TOL))
     prog = assemble(spec, k)
     return prog, conic_solve(prog, st)
 
 
-def check_weak_duality(rsol: RelaxationSolution, tol: float = 1e-7) -> bool:
+def check_weak_duality(rsol: RelaxationSolution) -> bool:
     """The primal distance bound should never undercut the dual objective."""
     if rsol.dual_objective is None:
         return True
-    return rsol.gamma >= rsol.dual_objective - tol
+    return rsol.gamma >= rsol.dual_objective - WEAK_DUALITY_TOL
 
 
-def project_dnn(
-    C: np.ndarray,
-    norm: str = "fro",
-    settings: SolverSettings | None = None,
-) -> tuple[float, np.ndarray]:
+def project_dnn(C: np.ndarray, norm: str = "fro") -> tuple[float, np.ndarray]:
     """Project C onto the doubly nonnegative cone (PSD with no negative
     entries) in the Frobenius or spectral norm; returns (distance, matrix).
 
@@ -318,7 +314,7 @@ def project_dnn(
     """
     if norm not in ("fro", "two"):
         raise ValueError("reference projection supports norms 'fro' and 'two'")
-    prog, sol = solve_relaxation(ProblemSpec(C, norm), 1, settings)
+    prog, sol = solve_relaxation(ProblemSpec(C, norm), 1)
     if sol.status != "optimal":
         raise RuntimeError(f"reference projection did not converge: {sol.status}")
     rsol = map_solution(prog, sol)

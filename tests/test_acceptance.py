@@ -673,7 +673,7 @@ def test_structural_property_suites(reference_outcomes, capsys):
     for seed in range(200, 300):
         prog = _feasible_conic_program(seed)
         # the residual checks below assume a decade below the default accuracy
-        sol = solve(prog, SolverSettings(tol_feas=1e-8, tol_gap=1e-8))
+        sol = solve(prog, SolverSettings(tol=1e-8))
         if sol.status != "optimal":
             _check(failures, False, f"feasible program {seed} ended {sol.status}")
             continue
@@ -693,7 +693,7 @@ def test_structural_property_suites(reference_outcomes, capsys):
     # may stop at order 1, the DNN relaxation), and orders 2 and 3
     # of the instances in BOUND_STEP_INSTANCES however early the driver
     # certified them, so the monotonicity check always has steps to compare
-    st = SolverSettings(tol_feas=1e-7, tol_gap=1e-7)
+    st = SolverSettings(tol=1e-7)
     steps = 0
     optimal_solves = 0
     skipped = []
@@ -714,10 +714,10 @@ def test_structural_property_suites(reference_outcomes, capsys):
                    f"{name} k={k}: gamma {rsol.gamma} undercuts dual {rsol.dual_objective}")
             optimal_solves += 1
             bd.append(rsol.gamma)
-        # each gamma is known only to the solve's relative gap, tol_gap
+        # each gamma is known only to the solve's relative gap, tol
         # times max(1, |pobj|, |dobj|), so a step may drop by that much
         for lo, hi in zip(bd, bd[1:]):
-            _check(failures, hi >= lo - st.tol_gap * max(1.0, abs(lo)),
+            _check(failures, hi >= lo - st.tol * max(1.0, abs(lo)),
                    f"{name}: distance bound dropped {lo:.8f} -> {hi:.8f}")
             steps += 1
     _check(failures, optimal_solves > 0, "no optimal relaxation solves exercised")

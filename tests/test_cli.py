@@ -286,7 +286,7 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 
 def test_tol_defaults_to_the_driver_solver_tolerance(tmp_path, capsys):
     path = write_problem(tmp_path, TWO_C4)
-    tol = DriverSettings().solver.tol_feas
+    tol = DriverSettings().solver.tol
     code, default_out, _ = run_cli(["--norm", "two", path], capsys)
     assert code == 0
     _, explicit_out, _ = run_cli(["--norm", "two", path, "--tol", repr(tol)], capsys)

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cpproj.conic
 import cpproj.driver
 import cpproj.extraction
 import cpproj.relaxation
 from cpproj.conic import SolverSettings, verify_certificate
 from cpproj.driver import (
     FACTOR_TOL,
+    STALL_SLACK,
     DriverSettings,
     Inconclusive,
     Infeasible,
@@ -108,10 +112,10 @@ def test_constrained_projection():
     assert out.matrix[0, 0] >= 2.0 - 1e-6
 
 
-def test_solver_failure_is_raised_not_hidden():
-    settings = DriverSettings(solver=SolverSettings(max_iters=2))
+def test_solver_failure_is_raised_not_hidden(monkeypatch):
+    monkeypatch.setattr(cpproj.conic, "MAX_ITERS", 2)
     with pytest.raises(SolverFailure):
-        approximate(np.eye(3), settings)
+        approximate(np.eye(3))
 
 
 def test_membership_of_cp_matrix():
@@ -225,11 +229,11 @@ def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget
         [0.4308736801067756, -0.15915143320922082, 0.6210931852725784, -1.3927890458668095],
     ])
     spec, csol, X = _order2(C)
-    root = CpDecomposition.from_factors(root_start(X))
+    root = CpDecomposition.from_factors(root_start(*np.linalg.eigh(X)))
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
     assert root.rank == 4
     assert np.linalg.norm(root.reconstruct() - X) > 3.0 * budget
-    assert row_floor(X, budget) == 2
+    assert row_floor(np.linalg.eigvalsh(X), budget) == 2
     calls = _recording_polish(monkeypatch)
     events = []
     dec = _factorize(X, csol, spec, DriverSettings(), events.append, "order 2")
@@ -299,7 +303,7 @@ def test_a_missed_square_root_start_falls_back_to_random_rows(monkeypatch):
     assert abs(out.gamma) <= 1e-8
     assert out.decomposition.rank == 6
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
-    assert row_floor(out.matrix, budget) == 5
+    assert row_floor(np.linalg.eigvalsh(out.matrix), budget) == 5
     # the root start sits at the floor, so it is polished whole with no
     # jump; the random start jumps to 5 rows, misses, and its 15 rows are
     # polished and sparsified
@@ -325,8 +329,8 @@ def test_the_driver_solves_at_the_solver_default():
     # one tolerance default: the driver adds no setting of its own, and
     # only order 1 is held tighter, at DNN_TOL
     assert DriverSettings().solver == SolverSettings()
-    assert SolverSettings().tol_feas == SolverSettings().tol_gap == 1e-7
-    assert cpproj.relaxation.DNN_TOL < SolverSettings().tol_gap
+    assert SolverSettings().tol == 1e-7
+    assert cpproj.relaxation.DNN_TOL < SolverSettings().tol
 
 
 @pytest.mark.parametrize("norm", ["one", "two", "inf", "fro"])
@@ -406,6 +410,53 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
     assert "Horn floor 2.000e-01" in skips[0]
     assert [k for k, _ in out.bounds] == [1, 2]
     assert out.gamma_lower == out.bounds[1][1]
+
+
+@pytest.mark.parametrize(
+    "C, order, scale",
+    [(np.array([[2.0, 1.0], [1.0, 2.0]]), 1, 5.0),
+     (np.array([[2.0, 1.0], [1.0, 2.0]]), 1, 50.0),
+     (_cycle_matrix(), 2, 1000.0)],
+    ids=["bound", "estimate", "stop"],
+)
+def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkeypatch):
+    # the order's real solve, handed back as "iteration_limit" with every
+    # residual at scale times the tolerance.  Within 10 times, its objective
+    # still bounds the distance; within STALL_SLACK (100) times, it is only a
+    # certification candidate; either way the factor budget widens to 10
+    # times the residual level.  Beyond that, the hierarchy stops and keeps
+    # the bounds of the orders below
+    level = scale * DriverSettings().solver.tol
+    solve, floor = cpproj.driver.solve_relaxation, cpproj.driver.row_floor
+    budgets = []
+
+    def stalled(spec, k, settings):
+        prog, csol = solve(spec, k, settings)
+        if k == order:
+            residuals = {**csol.residuals, "primal_feas": level, "dual_feas": level, "rel_gap": level}
+            csol = replace(csol, status="iteration_limit", residuals=residuals)
+        return prog, csol
+
+    def recording(lam, budget):
+        budgets.append(budget)
+        return floor(lam, budget)
+
+    monkeypatch.setattr(cpproj.driver, "solve_relaxation", stalled)
+    monkeypatch.setattr(cpproj.driver, "row_floor", recording)
+    out = approximate(ProblemSpec(C, "fro"))
+    tag = "DNN relaxation" if order == 1 else f"order {order}"
+    orders = [k for k, _ in out.bounds]
+    if scale < STALL_SLACK:
+        assert f"{tag}: accepting a reduced-accuracy iterate (rel_gap {level:.3e})" in out.events
+        assert isinstance(out, Projected) and out.k_used == order
+        assert budgets == [pytest.approx(10.0 * level * (1.0 + np.linalg.norm(out.matrix)))]
+        estimate = f"{tag}: distance estimate {out.gamma:.10g} at reduced accuracy"
+        assert (estimate in out.events) == (order not in orders) == (scale > 10.0)
+    else:
+        stop = f"{tag}: solver stalled with status 'iteration_limit'; stopping the hierarchy"
+        assert stop in out.events
+        assert isinstance(out, Inconclusive) and out.k_last == order
+        assert orders == [1]
 
 
 def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatch):

@@ -80,7 +80,7 @@ def test_sparsify_removes_redundant_duplicate_atom():
     padded = np.vstack([c * F[0], c * F[0], F[1]])
     dec = polish_decomposition(X, CpDecomposition(padded))
     tol = 1e-8 * (1 + np.linalg.norm(X))
-    out = sparsify_decomposition(X, dec, tol, row_floor(X, tol))
+    out = sparsify_decomposition(X, dec, tol, row_floor(np.linalg.eigvalsh(X), tol))
     assert out.rank == 2
     assert verify_decomposition(X, out) <= tol
 
@@ -89,7 +89,7 @@ def test_sparsify_keeps_minimal_decomposition():
     F = np.array([[2.0, 0.0], [1.0, 1.5]])
     X = F.T @ F
     dec = CpDecomposition(F)
-    out = sparsify_decomposition(X, dec, 1e-9, row_floor(X, 1e-9))
+    out = sparsify_decomposition(X, dec, 1e-9, row_floor(np.linalg.eigvalsh(X), 1e-9))
     assert out.rank == 2
     npt.assert_allclose(out.reconstruct(), X, atol=1e-12)
 
@@ -132,7 +132,7 @@ def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypat
     F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
     driver_calls = _spy_on_polish(monkeypatch, cpproj.driver)
     sparsify_calls = _spy_on_polish(monkeypatch)
-    out, resid = _fit(C5, F, 1e-8, row_floor(C5, 1e-8))
+    out, resid = _fit(C5, F, 1e-8, row_floor(np.linalg.eigvalsh(C5), 1e-8))
     assert [rank for rank, _ in driver_calls] == [5]
     assert sparsify_calls == []
     assert out.rank == 5
@@ -147,12 +147,13 @@ def test_root_start_is_nonnegative_and_exact_for_a_nonnegative_root():
     B = np.random.default_rng(4).uniform(size=(5, 3))
     R = B @ B.T
     X = R @ R
-    F = root_start(X)
+    F = root_start(*np.linalg.eigh(X))
     assert F.shape == (5, 5)
     assert F.min() >= 0.0
     npt.assert_allclose(F.T @ F, X, rtol=0.0, atol=1e-12 * np.linalg.norm(X))
     # a CP matrix whose square root has negative entries: they are clipped
-    F = root_start(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]))
+    X = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    F = root_start(*np.linalg.eigh(X))
     assert F.min() == 0.0
     assert F[0, 2] == F[2, 0] == 0.0
 
@@ -163,11 +164,12 @@ def test_trace_scaled_matches_the_trace_of_the_target():
 
 
 def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
-    X = np.diag([3.0, 2.0, 0.5])
-    assert row_floor(X, 0.5) == 2
-    assert row_floor(X, np.nextafter(0.5, 0.0)) == 3
-    assert row_floor(X, np.sqrt(0.5**2 + 2.0**2)) == 1
-    assert row_floor(np.zeros((3, 3)), 1e-9) == 1
+    # eigenvalues are ranked by magnitude, so -0.5 is the smallest
+    lam = np.array([3.0, 2.0, -0.5])
+    assert row_floor(lam, 0.5) == 2
+    assert row_floor(lam, np.nextafter(0.5, 0.0)) == 3
+    assert row_floor(lam, np.sqrt(0.5**2 + 2.0**2)) == 1
+    assert row_floor(np.zeros(3), 1e-9) == 1
 
 
 @pytest.mark.parametrize("miss_first", [False, True])
@@ -180,7 +182,7 @@ def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_first, monkeypat
     X = F.T @ F
     dec = CpDecomposition(np.vstack([0.9 * F[0], np.sqrt(0.19) * F[0], F[1]]))
     calls = _spy_on_polish(monkeypatch, miss_first=miss_first)
-    out = sparsify_decomposition(X, dec, 1e-9, row_floor(X, 1e-9))
+    out = sparsify_decomposition(X, dec, 1e-9, row_floor(np.linalg.eigvalsh(X), 1e-9))
     assert [rank for rank, _ in calls] == ([2, 2] if miss_first else [2])
     assert out.rank == 2
     assert verify_decomposition(X, out) <= 1e-9
@@ -195,7 +197,7 @@ def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
     dec = CpDecomposition(np.vstack([0.9 * F[0], 0.5 * F[0], F[1]]))
     assert verify_decomposition(X, dec) > 1e-9
     calls = _spy_on_polish(monkeypatch)
-    assert sparsify_decomposition(X, dec, 1e-9, row_floor(X, 1e-9)) is dec
+    assert sparsify_decomposition(X, dec, 1e-9, row_floor(np.linalg.eigvalsh(X), 1e-9)) is dec
     assert calls == []
 
 
@@ -233,9 +235,9 @@ def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     want = _greedy_sparsify(X, dec, tol)
 
     calls = _spy_on_polish(monkeypatch, cpproj.driver)
-    got, _ = _fit(X, F, tol, row_floor(X, tol))
+    got, _ = _fit(X, F, tol, row_floor(np.linalg.eigvalsh(X), tol))
     (jump_rows, jump), (start_rows, _) = calls
-    assert jump_rows == row_floor(X, tol) == 3
+    assert jump_rows == row_floor(np.linalg.eigvalsh(X), tol) == 3
     assert verify_decomposition(X, jump) > tol
     assert start_rows == 6
     assert got.rank == want.rank > 3
@@ -268,13 +270,15 @@ def test_cp_distance_floor_names_the_gate_that_gives_it():
     cycle = 1.8 * np.eye(5)
     for i in range(5):
         cycle[i, (i + 1) % 5] = cycle[(i + 1) % 5, i] = 1.0
-    bound, gate = cp_distance_floor(cycle)
+    bound, gate = cp_distance_floor(cycle, np.linalg.eigvalsh(cycle))
     assert gate == "Horn"
     assert bound == pytest.approx(0.2, abs=1e-15)
-    assert cp_distance_floor(np.array([[1.0, -0.5], [-0.5, 1.0]])) == (
+    X = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    assert cp_distance_floor(X, np.linalg.eigvalsh(X)) == (
         pytest.approx(np.sqrt(0.5), abs=1e-15), "entrywise"
     )
-    bound, gate = cp_distance_floor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    X = np.array([[1.0, 2.0], [2.0, 1.0]])
+    bound, gate = cp_distance_floor(X, np.linalg.eigvalsh(X))
     assert gate == "eigenvalue"
     assert bound == pytest.approx(1.0, abs=1e-12)
 
@@ -286,5 +290,5 @@ def test_cp_distance_floor_never_exceeds_a_factorization_residual(n):
         F = rng.uniform(size=(rng.integers(1, 2 * n), n)) * (rng.uniform(size=(1, n)) > 0.3)
         E = rng.standard_normal((n, n))
         X = F.T @ F + rng.uniform(0.0, 2.0) * (E + E.T)
-        bound, _ = cp_distance_floor(X)
+        bound, _ = cp_distance_floor(X, np.linalg.eigvalsh(X))
         assert bound <= np.linalg.norm(F.T @ F - X) * (1.0 + 1e-12)

@@ -190,3 +190,81 @@ class B:
     defined = {label: key for label, key, _ in _definitions(tree, module)}
     assert defined["A.step"] in keys
     assert defined["B.step"] not in keys and "step" not in keys
+
+
+def _defaults(tree: ast.Module, module: str):
+    """(label, callee, position, name, field) for every parameter with a
+    default and every dataclass field with a default (`field` True).
+    `callee` is the name a call uses: the function's, or the class's for
+    `__init__` and dataclass fields; `position` counts the call's own
+    arguments, so a method's `self` is not one of them (None for
+    keyword-only parameters)."""
+    methods = {
+        id(member): node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            cls = methods.get(id(node))
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            callee = cls.name if cls is not None and node.name == "__init__" else node.name
+            args = node.args.posonlyargs + node.args.args
+            owner = f"{cls.name}." if cls is not None else ""
+            for i, arg in enumerate(args[len(args) - len(node.args.defaults):]):
+                position = len(args) - len(node.args.defaults) + i - bound
+                yield f"{module}.{owner}{node.name}({arg.arg})", callee, position, arg.arg, False
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield f"{module}.{owner}{node.name}({arg.arg})", callee, None, arg.arg, False
+        elif isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            fields = [
+                member for member in node.body
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+            ]
+            for position, member in enumerate(fields):
+                if member.value is not None:
+                    name = member.target.id
+                    yield f"{module}.{node.name}.{name}", node.name, position, name, True
+
+
+def _passes(tree: ast.Module):
+    """(callee, positional count, keywords) for every call in the tree; a
+    `*args` passes every position and a `**kwargs` every keyword ("*")."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {kw.arg or "*" for kw in node.keywords}
+        yield callee, float("inf") if starred else len(node.args), keywords
+
+
+def test_every_default_is_overridden_by_some_caller():
+    # a parameter or dataclass field with a default that no call in the
+    # package or the benchmark ever passes is a setting nobody sets: its
+    # default is a constant.  A pass counts by position, by keyword, or by a
+    # `replace` keyword (dataclass fields); names match by bare name
+    package = sorted((ROOT / "src" / "cpproj").glob("*.py"))
+    sources = [*package, *sorted((ROOT / "perfbench").glob("*.py"))]
+    calls = [c for path in sources for c in _passes(ast.parse(path.read_text()))]
+    replaced = {kw for callee, _, kws in calls if callee == "replace" for kw in kws}
+    unset = []
+    for path in package:
+        for label, callee, position, name, field in _defaults(
+            ast.parse(path.read_text()), path.stem
+        ):
+            if field and name in replaced:
+                continue
+            if not any(
+                c == callee and ((position is not None and npos > position) or kws & {name, "*"})
+                for c, npos, kws in calls
+            ):
+                unset.append(label)
+    assert not unset, f"defaults that no caller overrides: {unset}"

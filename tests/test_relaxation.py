@@ -28,7 +28,7 @@ from moment_reference import lift_atomic_point
 
 
 # these checks assume the solver's accuracy of 1e-8, a decade below its default
-TIGHT = SolverSettings(tol_feas=1e-8, tol_gap=1e-8)
+TIGHT = SolverSettings(tol=1e-8)
 
 
 def _block_slices(blocks):
@@ -294,21 +294,18 @@ def test_dnn_relaxation_keeps_the_constraints_and_the_abs_bound():
         assert gamma == pytest.approx(p_norm(X - C, "one"), abs=1e-6)
 
 
-def test_order_1_tightens_the_tolerances_and_keeps_max_iters(monkeypatch):
+def test_order_1_tightens_the_tolerance(monkeypatch):
     seen = []
     real = cpproj.relaxation.conic_solve
     monkeypatch.setattr(
         cpproj.relaxation, "conic_solve", lambda prog, st: seen.append(st) or real(prog, st)
     )
     spec = ProblemSpec(np.eye(2))
-    solve_relaxation(spec, 1, SolverSettings(tol_feas=1e-7, tol_gap=1e-6, max_iters=50))
-    solve_relaxation(spec, 1, SolverSettings(tol_feas=1e-9, tol_gap=1e-10, max_iters=7))
-    solve_relaxation(spec, 2, SolverSettings(tol_feas=1e-7, tol_gap=1e-6, max_iters=50))
-    assert [(st.tol_feas, st.tol_gap, st.max_iters) for st in seen] == [
-        (1e-8, 1e-8, 50),
-        (1e-9, 1e-10, 7),
-        (1e-7, 1e-6, 50),
-    ]
+    solve_relaxation(spec, 1, SolverSettings(tol=1e-6))
+    solve_relaxation(spec, 1, SolverSettings(tol=1e-9))
+    solve_relaxation(spec, 2, SolverSettings(tol=1e-6))
+    solve_relaxation(spec, 1)
+    assert [st.tol for st in seen] == [1e-8, 1e-9, 1e-6, 1e-8]
 
 
 def test_relabeling_leaves_the_order4_probe_solve_unchanged():
