@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=defaults.start_seed,
         help="seed of the random rows the factorization falls back to "
-        "when its square-root start misses",
+        "when its rotated square-root start misses",
     )
     p.add_argument(
         "--log",

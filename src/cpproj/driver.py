@@ -6,12 +6,14 @@ the moment relaxations.  CP lies inside every order (and equals DNN for
 n <= 4), so each order either gives a lower bound on the distance or, for
 incompatible constraints, a verified Farkas certificate that ends the run.
 Every order's optimal matrix goes through one certification: the driver
-fits nonnegative factors to the matrix directly, from its PSD square root
-clipped at zero and, only when that misses, from seeded random rows, first
-at the Eckart-Young row floor, and accepts them only if their residual is
-within FACTOR_TOL and the matrix meets the constraints.  A candidate matrix
-whose provable distance from the CP cone (`cp_distance_floor`) already
-exceeds the residual budget skips polish and sparsify altogether.
+fits nonnegative factors to the matrix directly and accepts them only if
+their residual is within FACTOR_TOL and the matrix meets the constraints.
+Each fit first rotates the matrix's Eckart-Young factor at the row floor
+toward a start (the PSD square root clipped at zero and, only when that
+misses, seeded random rows) and clips it at zero; a polish runs only when
+that rotation misses.  A candidate matrix whose provable distance from the
+CP cone (`cp_distance_floor`) already exceeds the residual budget skips
+the fit altogether.
 
 Three outcomes are possible:
 
@@ -37,8 +39,10 @@ from .conic import ConicSolution, SolverSettings
 from .extraction import (
     CpDecomposition,
     cp_distance_floor,
+    floor_factor,
     polish_decomposition,
     root_start,
+    rotate_toward,
     row_floor,
     sparsify_decomposition,
     trace_scaled,
@@ -180,22 +184,23 @@ def _factorize(
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    The first start is `root_start`, the n rows of the PSD square root
-    of X clipped at zero: an exact factorization wherever the root is
-    nonnegative, and close to one elsewhere.  Only when its fit misses the
-    budget (an event gives its residual) does a second start run: n(n+1)/2
-    rows of a seeded uniform draw, more than the cp-rank of any completely
-    positive matrix of order n (Barioli & Berman, 2003), scaled so that its
-    reconstruction has the trace of X.  The certification event names the
-    start that won.  The fit must reach FACTOR_TOL relative to 1 + ||X||,
-    or ten times the worst residual of the solve when that is larger: a
-    stalled iterate is only that accurate, so a tighter fit would hold X to
-    more than the solve could deliver.  When `cp_distance_floor` proves that
-    no nonnegative factorization can come within that budget, polish and
-    sparsify are skipped and the event names the gate.  Each start is fit
-    by `_fit` from one `row_floor(lam, budget)`; the event says when the atom
-    count is that floor, the fewest that can fit X at all.  The gate, the
-    floor and the square-root start share one `eigh(X)`.
+    The fit must reach FACTOR_TOL relative to 1 + ||X||, or ten times the
+    worst residual of the solve when that is larger: a stalled iterate is
+    only that accurate, so a tighter fit would hold X to more than the solve
+    could deliver.  When `cp_distance_floor` proves that no nonnegative
+    factorization can come within that budget, no fit is tried and the
+    event names the gate.  Otherwise `_fit` rotates the Eckart-Young factor
+    of X at its `row_floor` count toward the heaviest rows of a start.  The
+    first start is `root_start`, the PSD square root of X clipped at zero.
+    Only when its fit misses the budget (an event gives its residual) does a
+    second start run: n(n+1)/2 rows of a seeded uniform draw, more than the
+    cp-rank of any completely positive matrix of order n (Barioli & Berman,
+    2003), scaled so that its reconstruction has the trace of X.  Its heavy
+    rows seed a different rotation, and its full polish can reach factor
+    counts above the floor.  The certification event names the start that
+    won, the polish that ran, and whether the atom count is the floor.  The
+    gate, the floor, the Eckart-Young factor and the square-root start share
+    one `eigh(X)`.
     """
     tag = f"{tag} (factorization)"
     level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
@@ -208,19 +213,22 @@ def _factorize(
             f"({floor / budget:.3g} times); polish skipped"
         )
         return None
-    least = row_floor(lam, budget)
-    start = "square-root"
-    dec, resid = _fit(X, root_start(lam, V), budget, least)
+    # every row adds its squared norm to the trace of F^T F, so a matrix
+    # without a positive trace gets the empty factorization as its floor
+    least = row_floor(lam, budget) if lam.sum() > 0.0 else 0
+    B = floor_factor(lam, V, least)
+    start = "rotated square-root"
+    dec, resid, how = _fit(X, root_start(lam, V), budget, B, note, f"{tag}: the {start} start")
     if resid > budget:
         n = X.shape[0]
         rows = n * (n + 1) // 2
         note(
-            f"{tag}: the square-root start misses with factor residual {resid:.3e} "
+            f"{tag}: the {start} start misses ({how}) with factor residual {resid:.3e} "
             f"against {budget:.3e}; trying {rows} random rows"
         )
         start = "random"
         F = np.random.default_rng(st.start_seed).uniform(size=(rows, n))
-        dec, resid = _fit(X, trace_scaled(F, X), budget, least)
+        dec, resid, how = _fit(X, trace_scaled(F, X), budget, B, note, f"{tag}: the {start} start")
     if resid > budget:
         note(f"{tag}: factor residual {resid:.3e} exceeds {budget:.3e}")
         return None
@@ -230,29 +238,51 @@ def _factorize(
         return None
     minimum = " (the Eckart-Young minimum)" if dec.rank == least else ""
     note(
-        f"{tag}: certified from the {start} start with {dec.rank} atoms{minimum}, "
+        f"{tag}: certified from the {start} start ({how}) with {dec.rank} atoms{minimum}, "
         f"factor residual {resid:.3e}"
     )
     return dec
 
 
 def _fit(
-    X: np.ndarray, F: np.ndarray, budget: float, least: int
-) -> tuple[CpDecomposition, float]:
-    """Fit the start rows F to X; the factors and their residual.
+    X: np.ndarray,
+    F: np.ndarray,
+    budget: float,
+    B: np.ndarray,
+    note: Callable[[str], None],
+    label: str,
+) -> tuple[CpDecomposition, float, str]:
+    """Fit the start rows F to X; the factors, their residual and the
+    polish that reached them.
 
-    The one jump polishes the `least` heaviest rows, rescaled to the trace
-    of X: by `row_floor`, no fewer rows can fit.  Only a miss
-    there polishes the whole start and sparsifies it."""
-    start = CpDecomposition.from_factors(F)
-    if start.rank > least:
-        heavy = start.factors[np.argsort(start.weights)[-least:]]
-        jump = polish_decomposition(X, CpDecomposition.from_factors(trace_scaled(heavy, X)))
-        resid = verify_decomposition(X, jump)
-        if resid <= budget:
-            return jump, resid
-    dec = sparsify_decomposition(X, polish_decomposition(X, start), budget, least)
-    return dec, verify_decomposition(X, dec)
+    Every exact factorization of B^T B with as many rows as the
+    Eckart-Young factor B (`floor_factor`) is Q B for an orthogonal Q
+    (Groetzner & Duer), so the fit first rotates B toward the heaviest rows
+    of F (`rotate_toward`) and clips the result at zero.  Where that fits
+    the budget, it certifies without a polish.  A miss is polished by the
+    bound-snapping `dogbox` stage alone, and only a miss there polishes the
+    whole start (`trf`, then `dogbox`) and sparsifies it, never below B's
+    row count.  Each miss leaves an event, under `label`, with its residual
+    against the budget."""
+    dec = CpDecomposition.from_factors(np.maximum(rotate_toward(B, F), 0.0))
+    resid = verify_decomposition(X, dec)
+    if resid <= budget:
+        return dec, resid, "no polish"
+    note(
+        f"{label} misses (no polish) with factor residual {resid:.3e} "
+        f"against {budget:.3e}; polishing it by dogbox"
+    )
+    dec = polish_decomposition(X, dec, ("dogbox",))
+    resid = verify_decomposition(X, dec)
+    if resid <= budget:
+        return dec, resid, "one dogbox polish"
+    note(
+        f"{label} misses (one dogbox polish) with factor residual {resid:.3e} "
+        f"against {budget:.3e}; polishing all {F.shape[0]} start rows"
+    )
+    full = polish_decomposition(X, CpDecomposition.from_factors(F))
+    dec = sparsify_decomposition(X, full, budget, B.shape[0])
+    return dec, verify_decomposition(X, dec), "full polish and sparsify"
 
 
 def approximate(

@@ -1,12 +1,14 @@
 """Nonnegative factorizations of a candidate matrix, and their gates.
 
 A matrix X is certified completely positive by nonnegative factor rows F
-with F^T F = X up to a residual budget.  `root_start` gives the first rows
-to try (the clipped PSD square root of X).  The caller first polishes, by
-bound-constrained least squares (`polish_decomposition`), the start's
-`row_floor` heaviest rows (the Eckart-Young floor) rescaled by
-`trace_scaled`; only if that misses, the whole start, which
-`sparsify_decomposition` then thins greedily while the fit holds.
+with F^T F = X up to a residual budget.  The caller takes the Eckart-Young
+factor of X at its `row_floor` count (`floor_factor`), rotates it toward
+the heaviest rows of a start (`root_start`, the clipped PSD square root of
+X, or seeded rows rescaled by `trace_scaled`) with `rotate_toward`, and
+clips it at zero.  Only a rotation that misses is polished by
+bound-constrained least squares (`polish_decomposition`), first by its
+`dogbox` stage alone; only if that misses too, the whole start, which
+`sparsify_decomposition` then thins while the fit holds.
 `verify_decomposition` measures the residual that the caller gates on.
 `cp_distance_floor` gives a provable lower bound on that residual over all
 nonnegative factorizations, so a matrix that no factorization can fit is
@@ -27,8 +29,10 @@ from .conic import svec_index
 __all__ = [
     "CpDecomposition",
     "cp_distance_floor",
+    "floor_factor",
     "polish_decomposition",
     "root_start",
+    "rotate_toward",
     "row_floor",
     "sparsify_decomposition",
     "trace_scaled",
@@ -74,17 +78,19 @@ class CpDecomposition:
 
 
 def polish_decomposition(
-    X: np.ndarray, dec: CpDecomposition
+    X: np.ndarray, dec: CpDecomposition, stages: tuple[str, ...] = ("trf", "dogbox")
 ) -> CpDecomposition:
     """Locally refine the factors so their outer-product sum matches X.
 
-    Bound-constrained least squares on the factor matrix, in two stages
-    under the same bounds, tolerances and stall stop.  The interior
-    trust-region stage (`trf`) does the bulk of the fit but never quite
-    reaches the bound, so factor entries that must vanish stall a little
-    above zero (on the identity, at a residual of 3e-5).  The dogleg stage
-    (`dogbox`), started from its result, steps onto the bound and finishes
-    such fits to rounding level.  The factor count never grows, entries stay
+    Bound-constrained least squares on the factor matrix, by default in
+    two stages under the same bounds, tolerances and stall stop.  The
+    interior trust-region stage (`trf`) does the bulk of the fit but never
+    quite reaches the bound, so factor entries that must vanish stall a
+    little above zero (on the identity, at a residual of 3e-5).  The dogleg
+    stage (`dogbox`), started from its result, steps onto the bound and
+    finishes such fits to rounding level; a start already near a fit, such
+    as a clipped rotation of the Eckart-Young factor, needs that stage
+    alone (`stages=("dogbox",)`).  The factor count never grows, entries stay
     nonnegative by the bound constraint, and rows whose mass collapses are
     dropped.  A stage whose cost has not halved over the last STALL_ITERS
     iterations stops where it is: on boundary matrices the bounded steps can
@@ -120,7 +126,7 @@ def polish_decomposition(
             raise StopIteration
 
     z = np.clip(dec.factors.ravel(), 0.0, None)
-    for method in ("trf", "dogbox"):
+    for method in stages:
         costs.clear()
         try:
             z = least_squares(
@@ -199,6 +205,31 @@ def root_start(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.maximum((V * np.sqrt(np.maximum(lam, 0.0))) @ V.T, 0.0)
 
 
+def floor_factor(lam: np.ndarray, V: np.ndarray, rows: int) -> np.ndarray:
+    """B = sqrt(Lambda_r) V_r^T over the r = `rows` largest eigenpairs of
+    X = V diag(lam) V^T (ascending lam, as `eigh` returns them), negative
+    eigenvalues read as zero.
+
+    B^T B is the best rank-r approximation of X (Eckart-Young), and every
+    exact rank-r factorization of it is Q B for an orthogonal Q.
+    """
+    keep = slice(lam.size - rows, lam.size)
+    return (V[:, keep] * np.sqrt(np.maximum(lam[keep], 0.0))).T
+
+
+def rotate_toward(B: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Q B for the orthogonal Q that brings B nearest the heaviest rows of F.
+
+    H is the B.shape[0] heaviest rows of F (which must have at least that
+    many), and Q = polar(H B^T) minimizes ||Q B - H||_F (orthogonal
+    Procrustes).  Q leaves (Q B)^T (Q B) = B^T B, so where Q B is
+    nonnegative it is a factorization as exact as B (Groetzner & Duer).
+    """
+    H = F[np.argsort(np.einsum("ij,ij->i", F, F))[F.shape[0] - B.shape[0]:]]
+    U, _, Wt = np.linalg.svd(H @ B.T)
+    return (U @ Wt) @ B
+
+
 def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
     """F rescaled so that its reconstruction F^T F has the trace of X."""
     return F * (np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F))
@@ -226,21 +257,27 @@ def sparsify_decomposition(
     A polished factorization often carries more rows than X needs (the n
     rows of the square root of a rank-deficient X, duplicated directions,
     mass that other rows can absorb).  From a fitting input, each pass
-    tentatively removes the lightest factor whose removal survives a
-    re-polish, never below `least` rows (the caller's `row_floor`:
-    no fewer rows can pass), so the result is a locally minimal certificate;
-    the jump to that floor is the caller's.  `tol` is the absolute Frobenius
-    residual budget; the input is returned unchanged when it does not fit,
-    when it is already at the floor, or when no removal fits.
+    first tries to drop, with one re-polish, the lightest rows down to the
+    midpoint between the current count and `least` (the caller's
+    `row_floor`: no fewer rows can pass), and on a miss removes the lightest
+    single factor whose removal survives a re-polish.  No trial goes below
+    `least` rows, and the result is a locally minimal certificate.  `tol` is
+    the absolute Frobenius residual budget; the input is returned unchanged
+    when it does not fit, when it is already at the floor, or when no
+    removal fits.
     """
     if verify_decomposition(X, dec) > tol:
         return dec
     cur = dec
     shrunk = True
     while shrunk and cur.rank > least:
+        order = np.argsort(cur.weights)
+        cut = cur.rank - (least + cur.rank) // 2  # down to the midpoint row count
+        trials = [order[:cut]] if cut > 1 else []
+        trials += [order[i:i + 1] for i in range(cur.rank)]
         shrunk = False
-        for idx in np.argsort(cur.weights):
-            trial = polish_decomposition(X, CpDecomposition(np.delete(cur.factors, idx, axis=0)))
+        for drop in trials:
+            trial = polish_decomposition(X, CpDecomposition(np.delete(cur.factors, drop, axis=0)))
             if verify_decomposition(X, trial) <= tol:
                 cur = trial
                 shrunk = True

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -198,14 +199,16 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
 
 
 def _recording_polish(monkeypatch):
-    """Record the row count of every start the driver polishes, and of every
-    input it hands to sparsify (as ("sparsify", rows))."""
+    """Record every polish the driver runs, as (rows, "dogbox") for the
+    dogbox-only polish of a rotated start and (rows, "full") for the full
+    polish of a start, and every input it hands to sparsify, as
+    ("sparsify", rows)."""
     calls = []
     polish, sparsify = cpproj.driver.polish_decomposition, cpproj.driver.sparsify_decomposition
 
-    def polishing(X, dec):
-        calls.append(dec.rank)
-        return polish(X, dec)
+    def polishing(X, dec, *stages):
+        calls.append((dec.rank, "dogbox" if stages == (("dogbox",),) else "full"))
+        return polish(X, dec, *stages)
 
     def sparsifying(X, dec, tol, least):
         calls.append(("sparsify", dec.rank))
@@ -216,19 +219,23 @@ def _recording_polish(monkeypatch):
     return calls
 
 
-def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
-    # draw 15 of the acceptance suite's seed-7 set, at order 2 (the driver
-    # certifies this draw at the DNN relaxation).  Its 4 clipped root rows
-    # miss the factorization budget more than threefold unpolished; one
-    # polish of the 2 heaviest of them, the Eckart-Young row floor,
-    # certifies the matrix, and the 4 rows are never polished or sparsified
-    C = np.array([
+def _draw_15():
+    """Draw 15 of the acceptance suite's seed-7 set."""
+    return np.array([
         [-0.1666548508803217, -0.5165536597357838, -1.3212621748156361, 0.4308736801067756],
         [-0.5165536597357838, 0.40652853663281385, -0.9379684042419925, -0.15915143320922082],
         [-1.3212621748156361, -0.9379684042419925, 0.19540791774940214, 0.6210931852725784],
         [0.4308736801067756, -0.15915143320922082, 0.6210931852725784, -1.3927890458668095],
     ])
-    spec, csol, X = _order2(C)
+
+
+def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget(monkeypatch):
+    # draw 15 at order 2 (the driver certifies this draw at the DNN
+    # relaxation).  Its 4 clipped root rows miss the factorization budget
+    # more than threefold unpolished; the Eckart-Young factor at the row
+    # floor of 2, rotated toward the 2 heaviest of them and clipped,
+    # certifies the matrix with no polish at all
+    spec, csol, X = _order2(_draw_15())
     root = CpDecomposition.from_factors(root_start(*np.linalg.eigh(X)))
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
     assert root.rank == 4
@@ -239,13 +246,67 @@ def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget
     dec = _factorize(X, csol, spec, DriverSettings(), events.append, "order 2")
     assert dec is not None
     assert dec.rank == 2
-    assert calls == [2]
+    assert calls == []
     assert any(
-        "order 2 (factorization): certified from the square-root start with 2 atoms "
-        "(the Eckart-Young minimum)" in e
+        "order 2 (factorization): certified from the rotated square-root start (no polish) "
+        "with 2 atoms (the Eckart-Young minimum)" in e
         for e in events
     )
     assert not any("misses" in e for e in events)
+
+
+def test_draw_15_certifies_at_its_floor_without_a_least_squares_call(monkeypatch):
+    # at the DNN relaxation too, where the driver certifies draw 15, the
+    # clipped root misses the budget threefold while its rotated
+    # Eckart-Young factor fits at the floor of 2 atoms: no least_squares
+    # call runs, so fits that would fail do not matter
+    calls = _failing_fits(monkeypatch)
+    out = approximate(ProblemSpec(_draw_15(), "fro"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    X = out.matrix
+    budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    root = CpDecomposition.from_factors(root_start(*np.linalg.eigh(X)))
+    assert np.linalg.norm(root.reconstruct() - X) > 3.0 * budget
+    assert row_floor(np.linalg.eigvalsh(X), budget) == out.decomposition.rank == 2
+    assert calls == []
+    assert any(
+        "DNN relaxation (factorization): certified from the rotated square-root start "
+        "(no polish) with 2 atoms (the Eckart-Young minimum)" in e
+        for e in out.events
+    )
+
+
+@pytest.mark.parametrize("draw", [22, 42])
+def test_a_rotated_start_that_misses_certifies_after_one_dogbox_polish(draw, monkeypatch):
+    # draws 22 and 42 of the acceptance suite's seed-7 set (both 3x3): the
+    # clipped rotation misses the budget, its event gives the residual, and
+    # one dogbox polish of its 2 rows certifies, with no full polish and
+    # no sparsify pass
+    rng = np.random.default_rng(7)
+    for _ in range(draw + 1):
+        n = int(rng.integers(3, 5))
+        G = rng.standard_normal((n, n))
+    calls = _recording_polish(monkeypatch)
+    out = approximate(ProblemSpec((G + G.T) / 2.0, "fro"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert out.decomposition.rank == 2
+    assert calls == [(2, "dogbox")]
+    miss, = [e for e in out.events if "misses" in e]
+    assert miss.startswith(
+        "DNN relaxation (factorization): the rotated square-root start misses (no polish) "
+        "with factor residual"
+    )
+    assert miss.endswith("polishing it by dogbox")
+    resid, budget = map(float, re.search(r"residual (\S+) against (\S+);", miss).groups())
+    assert budget == pytest.approx(FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix)), rel=1e-3)
+    assert resid > budget
+    assert any(
+        "certified from the rotated square-root start (one dogbox polish) with 2 atoms "
+        "(the Eckart-Young minimum)" in e
+        for e in out.events
+    )
 
 
 def _draw_35():
@@ -265,8 +326,9 @@ def _draw_35():
 
 def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeypatch):
     # the clipped square root of draw 35's DNN optimum misses the budget
-    # with all 5 rows polished, but its 4 heaviest rows, the row floor, fit
-    # in one polish: the jump comes first, so no random start is needed
+    # with all 5 rows polished, but the Eckart-Young factor at its row floor
+    # of 4, rotated toward the heaviest root rows, fits after one dogbox
+    # polish: the rotation comes first, so no random start is needed
     calls = _recording_polish(monkeypatch)
     C, norm = _draw_35()
     out = approximate(ProblemSpec(C, norm))
@@ -274,11 +336,11 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
     assert out.k_used == 1
     assert out.decomposition.rank == 4
     assert out.gamma == pytest.approx(1.6287910457500272, rel=1e-9)
-    assert calls == [4]
-    assert not any("misses" in e for e in out.events)
+    assert calls == [(4, "dogbox")]
+    assert not any("random" in e for e in out.events)
     assert any(
-        "DNN relaxation (factorization): certified from the square-root start with 4 atoms "
-        "(the Eckart-Young minimum)" in e
+        "DNN relaxation (factorization): certified from the rotated square-root start "
+        "(one dogbox polish) with 4 atoms (the Eckart-Young minimum)" in e
         for e in out.events
     )
 
@@ -287,9 +349,9 @@ def test_a_missed_square_root_start_falls_back_to_random_rows(monkeypatch):
     # a CP matrix whose graph is the triangle-free K_{2,3}: the support of
     # every nonnegative factor row is a clique, an edge or a vertex, and
     # each of the 6 edges needs its own row, so its cp-rank is 6 while its
-    # order and row floor are 5.  No 5 rows fit: the square-root start
-    # misses, and so does the jump from the 15 seeded random rows; only
-    # their full polish fits, and the greedy pass drops them to 6
+    # order and row floor are 5.  No 5 rows fit: the rotated square-root
+    # start misses, and so does the rotation seeded by the 15 random rows;
+    # only their full polish fits, and the sparsify pass drops them to 6
     B = np.zeros((6, 5))
     for row, (a, b, u, v) in enumerate(
         [(0, 2, 1, 2), (0, 3, 2, 1), (0, 4, 1, 1), (1, 2, 2, 2), (1, 3, 1, 3), (1, 4, 3, 1)]
@@ -304,17 +366,21 @@ def test_a_missed_square_root_start_falls_back_to_random_rows(monkeypatch):
     assert out.decomposition.rank == 6
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
     assert row_floor(np.linalg.eigvalsh(out.matrix), budget) == 5
-    # the root start sits at the floor, so it is polished whole with no
-    # jump; the random start jumps to 5 rows, misses, and its 15 rows are
-    # polished and sparsified
-    assert calls == [5, ("sparsify", 5), 5, 15, ("sparsify", 15)]
-    miss, = [e for e in out.events if "misses" in e]
-    assert miss.startswith(
-        "DNN relaxation (factorization): the square-root start misses with factor residual"
+    # each start's 5-row rotation is polished by dogbox and misses; then
+    # the start's own rows are polished in full and handed to sparsify
+    assert calls == [
+        (5, "dogbox"), (5, "full"), ("sparsify", 5),
+        (5, "dogbox"), (15, "full"), ("sparsify", 15),
+    ]
+    misses = [e for e in out.events if "misses" in e]
+    assert [e.split(" misses ")[0] for e in misses] == (
+        ["DNN relaxation (factorization): the rotated square-root start"] * 3
+        + ["DNN relaxation (factorization): the random start"] * 2
     )
-    assert miss.endswith("trying 15 random rows")
+    assert misses[2].endswith("trying 15 random rows")
     assert any(
-        "DNN relaxation (factorization): certified from the random start with 6 atoms," in e
+        "DNN relaxation (factorization): certified from the random start "
+        "(full polish and sparsify) with 6 atoms," in e
         for e in out.events
     )
 
@@ -379,14 +445,16 @@ def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
 
 def test_a_nonnegative_square_root_certifies_without_a_fit(monkeypatch):
     # every 2x2 DNN matrix has a nonnegative square root, which is already
-    # an exact factorization, so failing fits do not matter
+    # an exact factorization; so is its rotated Eckart-Young factor, and no
+    # least_squares call runs, so fits that would fail do not matter
     calls = _failing_fits(monkeypatch)
     out = approximate(np.array([[2.0, 1.0], [1.0, 2.0]]), DriverSettings(k_max=2))
     assert isinstance(out, Projected)
     assert out.k_used == 1
-    assert calls
+    assert calls == []
     assert any(
-        "DNN relaxation (factorization): certified from the square-root start" in e
+        "DNN relaxation (factorization): certified from the rotated square-root start "
+        "(no polish)" in e
         for e in out.events
     )
 

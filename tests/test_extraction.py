@@ -9,8 +9,10 @@ from cpproj.extraction import (
     CpDecomposition,
     _horn_cuts,
     cp_distance_floor,
+    floor_factor,
     polish_decomposition,
     root_start,
+    rotate_toward,
     row_floor,
     sparsify_decomposition,
     trace_scaled,
@@ -106,7 +108,8 @@ C5 = np.array([
 def _spy_on_polish(monkeypatch, module=cpproj.extraction, miss_first=False):
     """Record (row count, result) of every polish called through `module`:
     sparsify's removal trials in cpproj.extraction, the driver's fits in
-    cpproj.driver.
+    cpproj.driver.  A dogbox-only polish records its row count as
+    ("dogbox", rows).
 
     With `miss_first`, the first polish hands its start back unpolished, so
     it misses and the search has to go on.
@@ -114,9 +117,9 @@ def _spy_on_polish(monkeypatch, module=cpproj.extraction, miss_first=False):
     calls = []
     polish = module.polish_decomposition
 
-    def spy(X, dec):
-        out = dec if miss_first and not calls else polish(X, dec)
-        calls.append((dec.rank, out))
+    def spy(X, dec, *stages):
+        out = dec if miss_first and not calls else polish(X, dec, *stages)
+        calls.append((("dogbox", dec.rank) if stages else dec.rank, out))
         return out
 
     monkeypatch.setattr(module, "polish_decomposition", spy)
@@ -127,18 +130,50 @@ def _spy_on_polish(monkeypatch, module=cpproj.extraction, miss_first=False):
 def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypatch):
     # the driver's fallback factorization start: n(n+1)/2 uniform rows whose
     # reconstruction has the trace of the target; C5 is nonsingular, so no
-    # fewer than 5 factors rebuild it, and the fit jumps there in one polish
-    # of the 5 heaviest rows, before any polish of all 15
+    # fewer than 5 factors rebuild it.  Its Eckart-Young factor, rotated
+    # toward the 5 heaviest rows and clipped, misses; one dogbox polish of
+    # those 5 rows fits, before any polish of all 15 or any sparsify trial
     F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
     driver_calls = _spy_on_polish(monkeypatch, cpproj.driver)
     sparsify_calls = _spy_on_polish(monkeypatch)
-    out, resid = _fit(C5, F, 1e-8, row_floor(np.linalg.eigvalsh(C5), 1e-8))
-    assert [rank for rank, _ in driver_calls] == [5]
+    lam, V = np.linalg.eigh(C5)
+    least = row_floor(lam, 1e-8)
+    events = []
+    out, resid, how = _fit(C5, F, 1e-8, floor_factor(lam, V, least), events.append, "C5")
+    assert [rank for rank, _ in driver_calls] == [("dogbox", 5)]
     assert sparsify_calls == []
+    assert how == "one dogbox polish"
+    miss, = events
+    assert miss.startswith("C5 misses (no polish) with factor residual")
     assert out.rank == 5
     assert resid == verify_decomposition(C5, out)
     assert out.factors.min() >= 0.0
     assert verify_decomposition(C5, out) <= 1e-8
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (4, 2), (5, 3), (5, 5), (6, 4)])
+def test_the_rotated_floor_factor_is_an_exact_eckart_young_factor(n, r):
+    # for a CP matrix X = G^T G of rank r and each k <= r, the rotation Q B
+    # of the floor factor B at k rows keeps (Q B)^T (Q B) = B^T B, the
+    # rank-k truncation of X (X itself at k = r), to rounding, whatever rows
+    # F seed the rotation; and Q B lies no farther from the k heaviest rows
+    # of F than B does
+    rng = np.random.default_rng(10 * n + r)
+    X = (G := rng.uniform(size=(r, n))).T @ G
+    lam, V = np.linalg.eigh(X)
+    U, sig, Wt = np.linalg.svd(X)
+    atol = 1e-13 * np.linalg.norm(X)
+    npt.assert_allclose((U[:, :r] * sig[:r]) @ Wt[:r], X, rtol=0.0, atol=atol)
+    for k in range(1, r + 1):
+        B = floor_factor(lam, V, k)
+        assert B.shape == (k, n)
+        truncation = (U[:, :k] * sig[:k]) @ Wt[:k]
+        for _ in range(5):
+            F = rng.uniform(size=(n * (n + 1) // 2, n))
+            QB = rotate_toward(B, F)
+            npt.assert_allclose(QB.T @ QB, truncation, rtol=0.0, atol=atol)
+            H = F[np.argsort(np.sum(F**2, axis=1))[-k:]]
+            assert np.linalg.norm(QB - H) <= np.linalg.norm(B - H) + 1e-12
 
 
 def test_root_start_is_nonnegative_and_exact_for_a_nonnegative_root():
@@ -188,6 +223,25 @@ def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_first, monkeypat
     assert verify_decomposition(X, out) <= 1e-9
 
 
+@pytest.mark.parametrize("miss_first", [False, True])
+def test_sparsify_tries_the_midpoint_row_count_first(miss_first, monkeypatch):
+    # the same rank-2 X, with each of its 2 factor rows split into 4
+    # parallel parts: 8 rows over a floor of 2, at a budget of 1e-6 (a
+    # polish of parallel rows stalls near 1e-7).  Each pass first drops the
+    # lightest rows down to the midpoint count in one polish (8 -> 5 -> 3),
+    # then a single row (3 -> 2); when the first midpoint trial is made to
+    # miss, that pass falls back to removing the lightest single row (8 -> 7)
+    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
+    X = F.T @ F
+    parts = np.sqrt(np.array([0.4, 0.3, 0.2, 0.1]))[:, None]
+    dec = CpDecomposition(np.vstack([parts * F[0], parts * F[1]]))
+    calls = _spy_on_polish(monkeypatch, miss_first=miss_first)
+    out = sparsify_decomposition(X, dec, 1e-6, row_floor(np.linalg.eigvalsh(X), 1e-6))
+    assert [rank for rank, _ in calls] == ([5, 7, 4, 3, 2] if miss_first else [5, 3, 2])
+    assert out.rank == 2
+    assert verify_decomposition(X, out) <= 1e-6
+
+
 def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
     # the same rank-2 X, with the factor rows scaled off the fit: removing
     # rows from factors that do not fit is not tried, no polish runs, and
@@ -201,27 +255,11 @@ def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
     assert calls == []
 
 
-def _greedy_sparsify(X, dec, tol):
-    """The sparsify pass without its floor: drop the lightest factor whose
-    removal survives a re-polish, down to one factor."""
-    cur = dec
-    shrunk = True
-    while shrunk and cur.rank > 1:
-        shrunk = False
-        for idx in np.argsort(cur.weights):
-            trial = polish_decomposition(X, CpDecomposition(np.delete(cur.factors, idx, axis=0)))
-            if verify_decomposition(X, trial) <= tol:
-                cur = trial
-                shrunk = True
-                break
-    return cur
-
-
 def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     # the order-2 X of draw 46 of the acceptance suite's seed-7 set is not
-    # CP, so the fit's jump to its 3-row floor misses the factorization
-    # budget; the fit must then return the greedy pass's result from the
-    # polished start, bit for bit
+    # CP, so the rotated floor factor at its 3 rows misses the factorization
+    # budget, unpolished and after one dogbox polish; the fit must then
+    # return the sparsify pass's result from the polished start, bit for bit
     C = np.array([
         [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
         [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
@@ -230,16 +268,23 @@ def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     prog, csol = solve_relaxation(ProblemSpec(C, "fro"), 2, DriverSettings().solver)
     X = map_solution(prog, csol).matrix
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    lam, V = np.linalg.eigh(X)
+    least = row_floor(lam, tol)
     F = trace_scaled(np.random.default_rng(0).uniform(size=(6, 3)), X)
     dec = polish_decomposition(X, CpDecomposition.from_factors(F))
-    want = _greedy_sparsify(X, dec, tol)
+    want = sparsify_decomposition(X, dec, tol, least)
 
     calls = _spy_on_polish(monkeypatch, cpproj.driver)
-    got, _ = _fit(X, F, tol, row_floor(np.linalg.eigvalsh(X), tol))
+    events = []
+    got, _, how = _fit(X, F, tol, floor_factor(lam, V, least), events.append, "draw 46")
     (jump_rows, jump), (start_rows, _) = calls
-    assert jump_rows == row_floor(np.linalg.eigvalsh(X), tol) == 3
+    assert jump_rows == ("dogbox", least) and least == 3
     assert verify_decomposition(X, jump) > tol
     assert start_rows == 6
+    assert how == "full polish and sparsify"
+    assert [e.split(" with ")[0] for e in events] == [
+        "draw 46 misses (no polish)", "draw 46 misses (one dogbox polish)"
+    ]
     assert got.rank == want.rank > 3
     for field in ("atoms", "weights", "factors"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
