@@ -33,14 +33,18 @@ cone maps are transposed once, the transposed equality map also stored
 dense.  All four maps then act as gather-and-bincount products (see _CsrOp)
 that are bitwise SciPy's, so the loop transposes nothing and dispatches no
 sparse mat-vec; svec and smat are gathers through index arrays cached per
-order.  Each iteration builds a nonneg block's Schur complement with one
-weighted bincount (see _NonnegMap), and a PSD block's from low-rank
-congruences and a sparse reduction, at a cost proportional to the map's
-nonzeros rather than to dense N x N congruences: every PSD block in this
-package is a moment, localizing or norm matrix whose map has a few
-nonzeros per column (see _PsdMap).  The dtau pivot of the homogeneous
-embedding is taken in whichever of two equivalent forms has not lost its
-digits to cancellation.  The step length of a PSD block comes from the
+order.  Each iteration builds K11 = M' H^{-1} M in one Fortran-ordered
+buffer, into which every block adds its Schur complement in place, over
+only the columns its map touches: a nonneg block with one weighted bincount
+(see _NonnegMap), a second-order block as a dense product over its touched
+columns, and a PSD block from low-rank congruences and a sparse reduction,
+column block by column block, at a cost proportional to the map's nonzeros
+rather than to dense N x N congruences: every PSD block in this package is
+a moment, localizing or norm matrix whose map has a few nonzeros per column
+(see _PsdMap).  Every entry of K11 is the same sum, in the same block
+order, as a sum of per-block dense matrices would be.  The dtau pivot of
+the homogeneous embedding is taken in whichever of two equivalent forms has
+not lost its digits to cancellation.  The step length of a PSD block comes from the
 inverses of the Cholesky factors of its NT scaling, computed once per
 scaling, so each step is two matrix products and one eigvalsh.
 """
@@ -244,9 +248,10 @@ class _NonnegScaling:
         self.w = np.sqrt(s / z)
         self.lam = np.sqrt(s * z)
 
-    def schur(self, nmap: "_NonnegMap"):
-        """Mb' H^{-1} Mb = Mb' diag(1 / w^2) Mb, from the map prepared once per solve."""
-        return nmap.schur(1.0 / (self.w * self.w))
+    def schur(self, nmap: "_NonnegMap", out: np.ndarray) -> None:
+        """Add Mb' H^{-1} Mb = Mb' diag(1 / w^2) Mb into out, from the map
+        prepared once per solve."""
+        nmap.schur(1.0 / (self.w * self.w), out)
 
     def hinv_vec(self, v):
         return v / (self.w * self.w)
@@ -324,9 +329,14 @@ class _SocScaling:
         self.Hinv = self.Winv @ self.Winv
         self.lam = self.Winv @ s
 
-    def schur(self, Mb):
-        """Mb' H^{-1} Mb for the block's dense map Mb."""
-        return Mb.T @ (self.Hinv @ Mb)
+    def schur(self, soc_map: tuple, out: np.ndarray) -> None:
+        """Add Mb' H^{-1} Mb into out over the columns the block's map touches.
+
+        `soc_map` is the (index, dense columns Mu) pair of `_block_map`; the
+        index is `...` when every column is touched, so a program whose
+        block touches them all makes a plain whole-array add."""
+        cols, Mu = soc_map
+        out[cols] += Mu.T @ (self.Hinv @ Mu)
 
     def hinv_vec(self, v):
         return self.Hinv @ v
@@ -400,9 +410,9 @@ class _PsdScaling:
         self.Ls_inv = _tri_inverse(Ls)
         self.Lz_inv = _tri_inverse(Lz)
 
-    def schur(self, pmap: "_PsdMap"):
-        """Mb' H^{-1} Mb for the block's map, prepared once per solve."""
-        return pmap.schur(self.Ginv)
+    def schur(self, pmap: "_PsdMap", out: np.ndarray) -> None:
+        """Add Mb' H^{-1} Mb into out, from the map prepared once per solve."""
+        pmap.schur(self.Ginv, out)
 
     def _congr(self, v, L, Rm):
         return svec(L @ smat(v, self.order) @ Rm)
@@ -471,18 +481,25 @@ class _NonnegMap:
         t = np.arange(self.rows.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
         m, start = counts[self.rows], Mb.indptr[self.rows]
         a, b = start + t // m, start + t % m
-        self.flat = Mb.indices[a].astype(np.int64) * self.size + Mb.indices[b]
+        # the column-major position of entry (i, j), so the sum reads as a
+        # Fortran-ordered matrix
+        self.flat = Mb.indices[b].astype(np.int64) * self.size + Mb.indices[a]
         self.coef = Mb.data[a] * Mb.data[b]
 
-    def schur(self, d: np.ndarray) -> np.ndarray:
+    def schur(self, d: np.ndarray, out: np.ndarray) -> None:
+        """Add Mb' diag(d) Mb into the n x n matrix out."""
         n = self.size
-        out = np.bincount(self.flat, weights=self.coef * d[self.rows], minlength=n * n)
-        return out.reshape(n, n)
+        total = np.bincount(self.flat, weights=self.coef * d[self.rows], minlength=n * n)
+        out += total.reshape((n, n), order="F")
 
 
 # Entries of the largest intermediate of one chunk of a PSD block's
-# Schur-complement build (4 MB); bounds the build's peak memory.
-PSD_CHUNK_ENTRIES = 1 << 19
+# Schur-complement build (1 MB, twice that with its transposed copy); bounds
+# the build's peak memory.  A sweep of 2^15 ... 2^19 over the 4x4 order-4
+# Frobenius relaxation (2-core x86-64 host, 2 MB L2 per core, 1 BLAS thread)
+# built its K11 in 11.3, 9.6, 9.2, 11.3 and 15.2 ms: smaller chunks pay
+# more calls, larger ones fall out of cache.
+PSD_CHUNK_ENTRIES = 1 << 17
 
 
 class _PsdMap:
@@ -500,7 +517,10 @@ class _PsdMap:
     chunks whose intermediates hold at most PSD_CHUNK_ENTRIES entries.  One
     `schur` call costs N^2 nnz(Mb) for the products and nnz(Q) per used
     column for the reduction, where dense congruences cost 2 N^3 per used
-    column and a dense product with Mb' on top; unused columns stay zero.
+    column and a dense product with Mb' on top.  It adds each chunk's
+    reduction into the chunk's columns of the caller's K11 (through a view
+    when they are a run), with no per-block temporary, and leaves unused
+    columns as they were.
     """
 
     def __init__(self, Mb: sp.spmatrix, order: int):
@@ -531,16 +551,21 @@ class _PsdMap:
             for at in range(0, group.size, size):
                 part = group[at : at + size]
                 nz = Mb.indptr[part][:, None] + np.arange(m)
+                if part[-1] - part[0] == part.size - 1:  # a run of columns: add through a view
+                    part = slice(part[0], part[-1] + 1)
                 self.chunks.append((part, a[nz], b[nz], c[nz]))
 
-    def schur(self, G: np.ndarray) -> np.ndarray:
+    def schur(self, G: np.ndarray, out: np.ndarray) -> None:
+        """Add Mb' [svec(G smat(Mb[:, j]) G)]_j into out, column block by
+        column block; a Fortran-ordered out takes each as contiguous columns."""
         N = self.order
-        out = np.zeros((self.size, self.size))
         for part, a, b, c in self.chunks:
             X = (G[:, a].transpose(1, 0, 2) * c[:, None, :]) @ G[b]
             # the reduction reads each vec(X_j) as a column
-            out[:, part] = self.Q @ np.ascontiguousarray(X.reshape(part.size, N * N).T)
-        return out
+            R = self.Q @ np.ascontiguousarray(X.reshape(a.shape[0], N * N).T)
+            # R comes out C-ordered; its Fortran copy adds faster than a
+            # strided read of it (by about 1 ms a build on the 4x4 order-4 probe)
+            out[:, part] += np.asfortranarray(R)
 
 
 def _make_scaling(block: ConeBlock, s, z):
@@ -558,7 +583,9 @@ def _block_map(block: ConeBlock, Mb: sp.csr_matrix):
     if block.kind == "nonneg":
         return _NonnegMap(Mb)
     if block.kind == "soc":
-        return Mb.toarray()
+        cols = np.flatnonzero(Mb.getnnz(axis=0))
+        Mu = Mb[:, cols].toarray()
+        return (... if cols.size == Mb.shape[1] else np.ix_(cols, cols)), Mu
     return _PsdMap(Mb, block.order)
 
 
@@ -633,7 +660,9 @@ class _Kkt:
     E's.  Rounding can leave K11 a hair indefinite, so a failed Cholesky
     retries with eps a hundred times larger.  `solve` refines against the
     unregularized K11 and E, so eps moves the direction only by what the
-    refinement sweeps leave of it.
+    refinement sweeps leave of it.  K11 may come in either layout: the
+    Cholesky factor is taken of a Fortran-ordered copy and the refinement
+    product of a C-ordered one, so both give the same bits.
     """
 
     def __init__(self, E: sp.csr_matrix, n: int):
@@ -644,7 +673,9 @@ class _Kkt:
         self.ET_dense = np.asfortranarray(ET.toarray())
 
     def factor(self, K11: np.ndarray) -> None:
-        self.K11 = K11
+        # refinement multiplies by a C-ordered copy whatever K11's layout, as
+        # the BLAS kernel of K11 @ x, and so its rounding, depends on it
+        self.K11 = np.ascontiguousarray(K11)
         # absolute regularization: the NT diagonal grows like 1/mu near
         # convergence, so scaling eps by the matrix magnitude would wreck
         # the late directions that refinement is supposed to rescue
@@ -825,12 +856,12 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
         try:
             scalings = [_make_scaling(b, s[sl], z[sl]) for b, sl in zip(blocks, slices)]
 
-            # K11 = M' H^{-1} M assembled blockwise
-            K11 = np.zeros((n, n))
+            # K11 = M' H^{-1} M, each block adding its part in place
+            K11 = np.zeros((n, n), order="F")
             hinv_h = np.zeros(m_k)
             for sl, sc, bmap in zip(slices, scalings, block_maps):
                 hinv_h[sl] = sc.hinv_vec(h[sl])
-                K11 += sc.schur(bmap)
+                sc.schur(bmap, K11)
             mh = MT @ hinv_h
 
             kkt.factor(K11)

@@ -236,17 +236,19 @@ def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def row_floor(lam: np.ndarray, tol: float) -> int:
-    """Fewest factor rows (at least 1) whose reconstruction can lie within
-    tol of the matrix X with eigenvalues lam.
+    """Fewest factor rows whose reconstruction can lie within tol of the
+    matrix X with eigenvalues lam.
 
     By Eckart-Young, any k rows leave a Frobenius residual of at least the
     norm of the n - k eigenvalues of X smallest in absolute value, so fewer
     rows than the smallest k whose tail is at most `tol` cannot pass the gate.
+    When ||X||_F itself is at most `tol` that is 0: the empty factorization
+    fits.
     """
     lam = np.sort(np.abs(lam))
     tails = np.sqrt(np.concatenate(([0.0], np.cumsum(lam**2))))
     dropped = int(np.searchsorted(tails, tol, side="right")) - 1
-    return max(1, lam.size - dropped)
+    return lam.size - dropped
 
 
 def sparsify_decomposition(

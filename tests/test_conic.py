@@ -18,6 +18,8 @@ from cpproj.conic import (
     _PsdMap,
     _PsdScaling,
     _SocScaling,
+    _block_map,
+    _block_slices,
     smat,
     solve,
     svec,
@@ -358,6 +360,12 @@ def _psd_map_case(name):
     return _svec_scaled(entries, order).toarray(), order
 
 
+def _schur_into_zeros(bmap, weights, n):
+    out = np.zeros((n, n), order="F")
+    bmap.schur(weights, out)
+    return out
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -380,16 +388,30 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     pmap = _PsdMap(sp.csr_matrix(Mb), order)
     # reference: one dense congruence per column of Mb
     ref = Mb.T @ np.array([svec(G @ smat(Mb[:, v], order) @ G) for v in range(Mb.shape[1])]).T
-    got = pmap.schur(G)
+    got = _schur_into_zeros(pmap, G, Mb.shape[1])
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.array_equal(pmap.schur(G), got)
+    assert np.array_equal(_schur_into_zeros(pmap, G, Mb.shape[1]), got)
     counts = np.count_nonzero(Mb, axis=0)
     used = np.flatnonzero(counts)
-    assert sorted(np.concatenate([part for part, *_ in pmap.chunks])) == list(used)
+    # adding into a nonzero buffer adds the same sums, and leaves the columns
+    # the map does not touch as they were
+    base = np.asfortranarray(rng.normal(size=got.shape))
+    out = base.copy(order="F")
+    pmap.schur(G, out)
+    assert np.array_equal(out, base + got)
+    unused = np.flatnonzero(counts == 0)
+    assert np.array_equal(out[:, unused], base[:, unused])
+    # a chunk's columns are an index array, or a slice when they are a run
+    parts = [np.arange(Mb.shape[1])[part] for part, *_ in pmap.chunks]
+    assert sorted(np.concatenate(parts)) == list(used)
     assert all(
         part.size * order * max(order, a.shape[1]) <= cpproj.conic.PSD_CHUNK_ENTRIES
         or part.size == 1
-        for part, a, *_ in pmap.chunks
+        for part, (_, a, *_) in zip(parts, pmap.chunks)
+    )
+    assert all(
+        isinstance(part, slice) == (np.ptp(cols) == cols.size - 1)
+        for cols, (part, *_) in zip(parts, pmap.chunks)
     )
     if name == "moment n=4 k=4":
         assert used.size == 495 and used.size > cpproj.conic.PSD_CHUNK_ENTRIES // order**2
@@ -457,10 +479,14 @@ def test_nonneg_map_schur_matches_the_dense_product(name):
     dense = Mb.toarray()
     ref = dense.T @ (d[:, None] * dense)
     nmap = _NonnegMap(Mb)
-    got = nmap.schur(d)
-    assert got.shape == (Mb.shape[1], Mb.shape[1])
+    got = _schur_into_zeros(nmap, d, Mb.shape[1])
     assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
-    assert np.array_equal(nmap.schur(d), got)
+    assert np.array_equal(_schur_into_zeros(nmap, d, Mb.shape[1]), got)
+    # the add is by entry, whatever the buffer's layout
+    base = np.random.default_rng(10).normal(size=got.shape)
+    for out in (base.copy(order="C"), base.copy(order="F")):
+        nmap.schur(d, out)
+        assert np.array_equal(out, base + got)
     counts = np.diff(Mb.indptr)
     if name == "random sparse":
         assert (counts == 0).sum() >= 3
@@ -552,6 +578,61 @@ def test_kkt_factor_and_solve_are_bit_identical_across_runs():
         kkt.factor(K11.copy())
         runs.append(np.concatenate(kkt.solve(rhs[: E.shape[1]], rhs[E.shape[1] :])))
     assert runs[0].tobytes() == runs[1].tobytes()
+
+
+@pytest.mark.parametrize("orders", [(3, 2), (3, 1)])
+def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
+    n, k = orders
+    G = np.random.default_rng(2).normal(size=(n, n))
+    prog = assemble(ProblemSpec((G + G.T) / 2.0, "fro"), k)
+    (at, block), = [
+        (sl, b) for sl, b in zip(_block_slices(prog.cone_blocks), prog.cone_blocks)
+        if b.kind == "soc"
+    ]
+    Mb = prog.cone_map[at]
+    rng = np.random.default_rng(21)
+    s, z = rng.normal(size=(2, block.size))
+    s[0] = np.linalg.norm(s[1:]) + 0.5
+    z[0] = np.linalg.norm(z[1:]) + 0.5
+    sc = _SocScaling(s, z)
+    dense = Mb.toarray()
+    full = dense.T @ (sc.Hinv @ dense)
+    touched = np.flatnonzero(np.abs(dense).sum(axis=0))
+    if k == 1:  # the order-1 block touches every column: a whole-array add
+        assert touched.size == prog.objective.size
+    else:
+        assert touched.size == n * (n + 1) // 2 + 1 < prog.objective.size // 4
+    base = np.asfortranarray(rng.normal(size=full.shape))
+    out = base.copy(order="F")
+    sc.schur(_block_map(block, Mb), out)
+    part = np.ix_(touched, touched)
+    rest = np.ones(full.shape, dtype=bool)
+    rest[part] = False
+    # the same sums over the block's rows, whatever columns the product spans
+    assert np.abs(out[part] - (base[part] + full[part])).max() <= 4 * np.finfo(float).eps * (
+        np.abs(base[part]).max() + np.abs(full[part]).max()
+    )
+    assert np.array_equal(out[rest], base[rest])
+    assert not full[rest].any()
+
+
+@pytest.mark.parametrize("lam_min", [None, -5e-9])
+def test_kkt_factor_and_solve_are_bit_identical_for_either_layout_of_k11(lam_min):
+    # a C-ordered K11 and a Fortran-ordered one of the same values give the
+    # same factors and the same refined solution, first try or retried
+    if lam_min is None:
+        K11, E = _kkt_case("equality rows")
+    else:
+        K11, E = _slightly_indefinite(lam_min), np.random.default_rng(15).normal(size=(3, 8))
+    n = E.shape[1]
+    rhs = np.random.default_rng(22).normal(size=E.shape[0] + n)
+    runs = []
+    for K in (np.ascontiguousarray(K11), np.asfortranarray(K11)):
+        kkt = _Kkt(sp.csr_matrix(E), n)
+        kkt.factor(K)
+        sol = np.concatenate(kkt.solve(rhs[:n], rhs[n:]))
+        runs.append((kkt.L.tobytes(), kkt.L2.tobytes(), sol.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def _soc_scaling_reference(s, z):

@@ -309,6 +309,30 @@ def test_a_rotated_start_that_misses_certifies_after_one_dogbox_polish(draw, mon
     )
 
 
+def test_a_matrix_whose_norm_fits_the_budget_certifies_with_no_atoms(monkeypatch):
+    # draw 1 of the seed-7 set (4x4) projects to an X of norm 1.2e-8 with a
+    # positive trace: the empty factorization is within the budget of 1e-6,
+    # so the Eckart-Young floor is 0 rows and no atom is certified
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        n = int(rng.integers(3, 5))
+        G = rng.standard_normal((n, n))
+    calls = _recording_polish(monkeypatch)
+    out = approximate(ProblemSpec((G + G.T) / 2.0, "fro"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    lam = np.linalg.eigvalsh(out.matrix)
+    budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
+    assert lam.sum() > 0.0 and np.linalg.norm(out.matrix) <= budget / 10
+    assert row_floor(lam, budget) == 0
+    assert out.decomposition.factors.shape == (0, n)
+    assert calls == []
+    assert out.events[-1].startswith(
+        "DNN relaxation (factorization): certified from the rotated square-root start "
+        "(no polish) with 0 atoms (the Eckart-Young minimum)"
+    )
+
+
 def _draw_35():
     """Draw 35 of a seeded loop over n = 3..6, every norm, half of the
     draws shifted by a multiple of the all-ones matrix: a 5x5 one-norm case."""

@@ -204,7 +204,10 @@ def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
     assert row_floor(lam, 0.5) == 2
     assert row_floor(lam, np.nextafter(0.5, 0.0)) == 3
     assert row_floor(lam, np.sqrt(0.5**2 + 2.0**2)) == 1
-    assert row_floor(np.zeros(3), 1e-9) == 1
+    # a spectrum whose whole norm fits needs no row: the empty factorization
+    assert row_floor(lam, np.sqrt(0.5**2 + 2.0**2 + 3.0**2)) == 0
+    assert row_floor(lam, np.nextafter(np.sqrt(0.5**2 + 2.0**2 + 3.0**2), 0.0)) == 1
+    assert row_floor(np.zeros(3), 1e-9) == 0
 
 
 @pytest.mark.parametrize("miss_first", [False, True])
