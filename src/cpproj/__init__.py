@@ -20,18 +20,17 @@ Entry points:
 - `check_cp_membership(C)` decides whether C itself is completely positive
   and returns a `MembershipResult`.
 - `ProblemSpec` / `LinearConstraint` describe the instance; `DriverSettings`
-  sets the highest relaxation order, the seed of the factorization start
-  and the `SolverSettings(tol)` of the conic solver, its one stopping
-  tolerance.
+  sets the highest relaxation order and the `SolverSettings(tol)` of the
+  conic solver, its one stopping tolerance.
 - `SolverFailure` and `ConicSolverError` report a solver breakdown or a
   malformed program; `CpDecomposition` holds the certified factors.
 
 The layers those entry points are built from are imported from their own
 modules: the monomial index and the moment-cone constraints built on it
-(`cpproj.polybasis`), factor polish, sparsify and the CP distance floor
-(`cpproj.extraction`), the semidefinite reformulations of the four norms
-(`cpproj.norms`, `cpproj.relaxation`), and a self-contained homogeneous
-conic interior-point solver (`cpproj.conic`).
+(`cpproj.polybasis`), the factorization starts, factor polish and the CP
+distance floor (`cpproj.extraction`), the semidefinite reformulations of
+the four norms (`cpproj.norms`, `cpproj.relaxation`), and a self-contained
+homogeneous conic interior-point solver (`cpproj.conic`).
 """
 from .conic import ConicSolverError, SolverSettings
 from .driver import (

@@ -107,13 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(Frobenius norm, constraints must be absent or empty)",
     )
     p.add_argument(
-        "--seed",
-        type=int,
-        default=defaults.start_seed,
-        help="seed of the random rows the factorization falls back to "
-        "when its rotated square-root start misses",
-    )
-    p.add_argument(
         "--log",
         choices=("none", "summary", "trace"),
         default="none",
@@ -367,7 +360,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cpproj: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    settings = DriverSettings(k_max=args.kmax, start_seed=args.seed)
+    settings = DriverSettings(k_max=args.kmax)
     if args.tol is not None:
         settings = replace(settings, solver=SolverSettings(args.tol))
     try:

@@ -8,12 +8,13 @@ incompatible constraints, a verified Farkas certificate that ends the run.
 Every order's optimal matrix goes through one certification: the driver
 fits nonnegative factors to the matrix directly and accepts them only if
 their residual is within FACTOR_TOL and the matrix meets the constraints.
-Each fit first rotates the matrix's Eckart-Young factor at the row floor
-toward a start (the PSD square root clipped at zero and, only when that
-misses, seeded random rows) and clips it at zero; a polish runs only when
-that rotation misses.  A candidate matrix whose provable distance from the
-CP cone (`cp_distance_floor`) already exceeds the residual budget skips
-the fit altogether.
+Each fit is one chain of starts that stops at the first fit within the
+budget: the matrix's Eckart-Young factor at the row floor, rotated toward
+the PSD square root clipped at zero and clipped itself, then its dogbox
+polish, then one row per maximal clique of the matrix's graph and last the
+clipped square root, each polished in full.  A candidate matrix whose
+provable distance from the CP cone (`cp_distance_floor`) already exceeds
+the residual budget skips the fit altogether.
 
 Three outcomes are possible:
 
@@ -38,14 +39,13 @@ import numpy as np
 from .conic import ConicSolution, SolverSettings
 from .extraction import (
     CpDecomposition,
+    clique_start,
     cp_distance_floor,
     floor_factor,
     polish_decomposition,
     root_start,
     rotate_toward,
     row_floor,
-    sparsify_decomposition,
-    trace_scaled,
     verify_decomposition,
 )
 from .relaxation import (
@@ -89,7 +89,6 @@ MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 @dataclass(frozen=True)
 class DriverSettings:
     k_max: int = 4
-    start_seed: int = 0
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
@@ -178,7 +177,6 @@ def _factorize(
     X: np.ndarray,
     csol: ConicSolution,
     spec: ProblemSpec,
-    st: DriverSettings,
     note: Callable[[str], None],
     tag: str,
 ) -> Optional[CpDecomposition]:
@@ -189,18 +187,11 @@ def _factorize(
     only that accurate, so a tighter fit would hold X to more than the solve
     could deliver.  When `cp_distance_floor` proves that no nonnegative
     factorization can come within that budget, no fit is tried and the
-    event names the gate.  Otherwise `_fit` rotates the Eckart-Young factor
-    of X at its `row_floor` count toward the heaviest rows of a start.  The
-    first start is `root_start`, the PSD square root of X clipped at zero.
-    Only when its fit misses the budget (an event gives its residual) does a
-    second start run: n(n+1)/2 rows of a seeded uniform draw, more than the
-    cp-rank of any completely positive matrix of order n (Barioli & Berman,
-    2003), scaled so that its reconstruction has the trace of X.  Its heavy
-    rows seed a different rotation, and its full polish can reach factor
-    counts above the floor.  The certification event names the start that
-    won, the polish that ran, and whether the atom count is the floor.  The
-    gate, the floor, the Eckart-Young factor and the square-root start share
-    one `eigh(X)`.
+    event names the gate.  Otherwise `_fit` runs its chain of starts from
+    the `row_floor` count.  The certification event names the start that
+    won, the polish that ran, whether the atom count is the floor, and the
+    residual against the budget.  The gate, the floor and the fit share one
+    `eigh(X)`.
     """
     tag = f"{tag} (factorization)"
     level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
@@ -216,19 +207,7 @@ def _factorize(
     # every row adds its squared norm to the trace of F^T F, so a matrix
     # without a positive trace gets the empty factorization as its floor
     least = row_floor(lam, budget) if lam.sum() > 0.0 else 0
-    B = floor_factor(lam, V, least)
-    start = "rotated square-root"
-    dec, resid, how = _fit(X, root_start(lam, V), budget, B, note, f"{tag}: the {start} start")
-    if resid > budget:
-        n = X.shape[0]
-        rows = n * (n + 1) // 2
-        note(
-            f"{tag}: the {start} start misses ({how}) with factor residual {resid:.3e} "
-            f"against {budget:.3e}; trying {rows} random rows"
-        )
-        start = "random"
-        F = np.random.default_rng(st.start_seed).uniform(size=(rows, n))
-        dec, resid, how = _fit(X, trace_scaled(F, X), budget, B, note, f"{tag}: the {start} start")
+    dec, resid, source = _fit(X, lam, V, least, budget, note, tag)
     if resid > budget:
         note(f"{tag}: factor residual {resid:.3e} exceeds {budget:.3e}")
         return None
@@ -238,51 +217,71 @@ def _factorize(
         return None
     minimum = " (the Eckart-Young minimum)" if dec.rank == least else ""
     note(
-        f"{tag}: certified from the {start} start ({how}) with {dec.rank} atoms{minimum}, "
-        f"factor residual {resid:.3e}"
+        f"{tag}: certified from {source} with {dec.rank} atoms{minimum}, "
+        f"factor residual {resid:.3e} against {budget:.3e}"
     )
     return dec
 
 
 def _fit(
     X: np.ndarray,
-    F: np.ndarray,
+    lam: np.ndarray,
+    V: np.ndarray,
+    least: int,
     budget: float,
-    B: np.ndarray,
     note: Callable[[str], None],
-    label: str,
+    tag: str,
 ) -> tuple[CpDecomposition, float, str]:
-    """Fit the start rows F to X; the factors, their residual and the
-    polish that reached them.
+    """Fit nonnegative factors to X = V diag(lam) V^T by one chain of starts;
+    the first factors within the budget (the last step's if none is), their
+    residual, and the start and polish that reached them.
 
-    Every exact factorization of B^T B with as many rows as the
-    Eckart-Young factor B (`floor_factor`) is Q B for an orthogonal Q
-    (Groetzner & Duer), so the fit first rotates B toward the heaviest rows
-    of F (`rotate_toward`) and clips the result at zero.  Where that fits
-    the budget, it certifies without a polish.  A miss is polished by the
-    bound-snapping `dogbox` stage alone, and only a miss there polishes the
-    whole start (`trf`, then `dogbox`) and sparsifies it, never below B's
-    row count.  Each miss leaves an event, under `label`, with its residual
-    against the budget."""
-    dec = CpDecomposition.from_factors(np.maximum(rotate_toward(B, F), 0.0))
-    resid = verify_decomposition(X, dec)
-    if resid <= budget:
-        return dec, resid, "no polish"
-    note(
-        f"{label} misses (no polish) with factor residual {resid:.3e} "
-        f"against {budget:.3e}; polishing it by dogbox"
+    1. Every exact factorization of B^T B with as many rows as the
+       Eckart-Young factor B at `least` rows (`floor_factor`) is Q B for an
+       orthogonal Q (Groetzner & Duer), so the chain first rotates B toward
+       the heaviest rows of the clipped square root (`root_start`,
+       `rotate_toward`) and clips the result at zero.
+    2. A miss is polished by the bound-snapping `dogbox` stage alone.
+    3. Then the rows of `clique_start` are polished in full (`trf`, then
+       `dogbox`).  They are skipped when fewer than `least`: by Eckart-Young
+       they cannot fit.
+    4. Last, the n rows of the clipped square root are polished in full.
+
+    Each miss but the last leaves an event, under `tag`, with its residual
+    against the budget and the step that follows."""
+    root = root_start(lam, V)
+    cliques = clique_start(X, budget)
+    full = ("trf", "dogbox")
+    dec = CpDecomposition.from_factors(
+        np.maximum(rotate_toward(floor_factor(lam, V, least), root), 0.0)
     )
-    dec = polish_decomposition(X, dec, ("dogbox",))
-    resid = verify_decomposition(X, dec)
-    if resid <= budget:
-        return dec, resid, "one dogbox polish"
-    note(
-        f"{label} misses (one dogbox polish) with factor residual {resid:.3e} "
-        f"against {budget:.3e}; polishing all {F.shape[0]} start rows"
-    )
-    full = polish_decomposition(X, CpDecomposition.from_factors(F))
-    dec = sparsify_decomposition(X, full, budget, B.shape[0])
-    return dec, verify_decomposition(X, dec), "full polish and sparsify"
+    # each step after the first: its start and polish, the words of the miss
+    # event that hand over to it, its start rows and its polish stages
+    steps = [
+        ("rotated square-root", "one dogbox polish", "polishing it by dogbox", dec, ("dogbox",))
+    ]
+    m, n = cliques.shape
+    last = f"polishing all {n} square-root rows"
+    if m >= least:
+        steps.append((
+            "clique", "full polish", f"polishing {m} clique rows",
+            CpDecomposition.from_factors(cliques), full,
+        ))
+    else:
+        last = f"the clique start's row count {m} is below the floor of {least}; {last}"
+    steps.append(("square-root", "full polish", last, CpDecomposition.from_factors(root), full))
+    start, how = "rotated square-root", "no polish"
+    for next_start, next_how, action, rows, stages in steps:
+        resid = verify_decomposition(X, dec)
+        if resid <= budget:
+            return dec, resid, f"the {start} start ({how})"
+        note(
+            f"{tag}: the {start} start misses ({how}) with factor residual {resid:.3e} "
+            f"against {budget:.3e}; {action}"
+        )
+        start, how = next_start, next_how
+        dec = polish_decomposition(X, rows, stages)
+    return dec, verify_decomposition(X, dec), f"the {start} start ({how})"
 
 
 def approximate(
@@ -338,7 +337,7 @@ def approximate(
             # objective is not trusted as a distance bound
             note(f"{tag}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
 
-        dec = _factorize(rsol.matrix, csol, spec, st, note, tag)
+        dec = _factorize(rsol.matrix, csol, spec, note, tag)
         if dec is not None:
             return Projected(
                 matrix=rsol.matrix,

@@ -3,16 +3,15 @@
 A matrix X is certified completely positive by nonnegative factor rows F
 with F^T F = X up to a residual budget.  The caller takes the Eckart-Young
 factor of X at its `row_floor` count (`floor_factor`), rotates it toward
-the heaviest rows of a start (`root_start`, the clipped PSD square root of
-X, or seeded rows rescaled by `trace_scaled`) with `rotate_toward`, and
-clips it at zero.  Only a rotation that misses is polished by
-bound-constrained least squares (`polish_decomposition`), first by its
-`dogbox` stage alone; only if that misses too, the whole start, which
-`sparsify_decomposition` then thins while the fit holds.
-`verify_decomposition` measures the residual that the caller gates on.
-`cp_distance_floor` gives a provable lower bound on that residual over all
-nonnegative factorizations, so a matrix that no factorization can fit is
-rejected without a polish.
+the heaviest rows of `root_start`, the clipped PSD square root of X, with
+`rotate_toward`, and clips it at zero.  Only a rotation that misses is
+polished by bound-constrained least squares (`polish_decomposition`),
+first by its `dogbox` stage alone; only if that misses too are whole
+starts polished: `clique_start`, one row per maximal clique of the graph of
+X, and then the square root's rows.  `verify_decomposition` measures the
+residual that the caller gates on.  `cp_distance_floor` gives a provable
+lower bound on that residual over all nonnegative factorizations, so a
+matrix that no factorization can fit is rejected without a polish.
 """
 from __future__ import annotations
 
@@ -28,14 +27,13 @@ from .conic import svec_index
 
 __all__ = [
     "CpDecomposition",
+    "clique_start",
     "cp_distance_floor",
     "floor_factor",
     "polish_decomposition",
     "root_start",
     "rotate_toward",
     "row_floor",
-    "sparsify_decomposition",
-    "trace_scaled",
     "verify_decomposition",
 ]
 
@@ -205,6 +203,38 @@ def root_start(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.maximum((V * np.sqrt(np.maximum(lam, 0.0))) @ V.T, 0.0)
 
 
+def clique_start(X: np.ndarray, tol: float) -> np.ndarray:
+    """One factor row per maximal clique K of the graph {(i, j): i != j,
+    X_ij > tol}, holding sqrt(X_ii / c_i) on K and zero elsewhere, where c_i
+    counts the maximal cliques that contain i.
+
+    The support of every nonnegative factor row of X is a clique of its
+    graph (Groetzner & Duer), and when that graph is connected,
+    triangle-free and not a tree, the cp-rank of X is its edge count
+    (Berman & Shaked-Monderer, 2003), so these rows can reach factor counts
+    above n.  Their reconstruction has the diagonal of X.  The cliques come
+    from Bron-Kerbosch with a pivot.
+    """
+    n = X.shape[0]
+    near = [set(np.flatnonzero(X[i] > tol).tolist()) - {i} for i in range(n)]
+    cliques: list[list[int]] = []
+
+    def extend(clique: set, todo: set, done: set) -> None:
+        if not todo and not done:
+            cliques.append(sorted(clique))
+            return
+        pivot = max(todo | done, key=lambda u: len(near[u] & todo))
+        for v in todo - near[pivot]:
+            extend(clique | {v}, todo & near[v], done & near[v])
+            todo, done = todo - {v}, done | {v}
+
+    extend(set(), set(range(n)), set())
+    F = np.zeros((len(cliques), n))
+    for row, members in enumerate(cliques):
+        F[row, members] = 1.0
+    return F * np.sqrt(np.maximum(np.diag(X), 0.0) / F.sum(axis=0))
+
+
 def floor_factor(lam: np.ndarray, V: np.ndarray, rows: int) -> np.ndarray:
     """B = sqrt(Lambda_r) V_r^T over the r = `rows` largest eigenpairs of
     X = V diag(lam) V^T (ascending lam, as `eigh` returns them), negative
@@ -230,11 +260,6 @@ def rotate_toward(B: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (U @ Wt) @ B
 
 
-def trace_scaled(F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """F rescaled so that its reconstruction F^T F has the trace of X."""
-    return F * (np.sqrt(max(float(np.trace(X)), 0.0)) / np.linalg.norm(F))
-
-
 def row_floor(lam: np.ndarray, tol: float) -> int:
     """Fewest factor rows whose reconstruction can lie within tol of the
     matrix X with eigenvalues lam.
@@ -249,42 +274,6 @@ def row_floor(lam: np.ndarray, tol: float) -> int:
     tails = np.sqrt(np.concatenate(([0.0], np.cumsum(lam**2))))
     dropped = int(np.searchsorted(tails, tol, side="right")) - 1
     return lam.size - dropped
-
-
-def sparsify_decomposition(
-    X: np.ndarray, dec: CpDecomposition, tol: float, least: int
-) -> CpDecomposition:
-    """Drop factors while the rest still reconstructs X within tol.
-
-    A polished factorization often carries more rows than X needs (the n
-    rows of the square root of a rank-deficient X, duplicated directions,
-    mass that other rows can absorb).  From a fitting input, each pass
-    first tries to drop, with one re-polish, the lightest rows down to the
-    midpoint between the current count and `least` (the caller's
-    `row_floor`: no fewer rows can pass), and on a miss removes the lightest
-    single factor whose removal survives a re-polish.  No trial goes below
-    `least` rows, and the result is a locally minimal certificate.  `tol` is
-    the absolute Frobenius residual budget; the input is returned unchanged
-    when it does not fit, when it is already at the floor, or when no
-    removal fits.
-    """
-    if verify_decomposition(X, dec) > tol:
-        return dec
-    cur = dec
-    shrunk = True
-    while shrunk and cur.rank > least:
-        order = np.argsort(cur.weights)
-        cut = cur.rank - (least + cur.rank) // 2  # down to the midpoint row count
-        trials = [order[:cut]] if cut > 1 else []
-        trials += [order[i:i + 1] for i in range(cur.rank)]
-        shrunk = False
-        for drop in trials:
-            trial = polish_decomposition(X, CpDecomposition(np.delete(cur.factors, drop, axis=0)))
-            if verify_decomposition(X, trial) <= tol:
-                cur = trial
-                shrunk = True
-                break
-    return cur
 
 
 def verify_decomposition(X: np.ndarray, dec: CpDecomposition) -> float:

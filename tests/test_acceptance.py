@@ -25,7 +25,8 @@ from cpproj.conic import (
     solve,
     verify_certificate,
 )
-from cpproj.driver import DriverSettings, approximate
+from cpproj.driver import FACTOR_TOL, DriverSettings, approximate
+from cpproj.norms import p_norm
 from cpproj.polybasis import moment_cone_constraints, monomial_positions, monomials_up_to
 from cpproj.relaxation import (
     LinearConstraint,
@@ -54,6 +55,19 @@ S4 = np.array([
     [-1, 2, -2, 2],
     [1, -2, 3, -3],
     [-1, 2, -3, 4],
+])
+
+# B^T B for the rows (1, 0, 2, 0, 0), (2, 0, 0, 1, 0), (1, 0, 0, 0, 1),
+# (0, 2, 2, 0, 0), (0, 1, 0, 3, 0) and (0, 3, 0, 0, 1): a CP matrix whose
+# graph is the triangle-free K_{2,3}, parts {0, 1} and {2, 3, 4}.  Every
+# nonnegative factor row lies on a clique, an edge or a vertex, and each of
+# the 6 edges needs its own row, so its cp-rank is 6 while its order is 5
+K23 = np.array([
+    [6.0, 0, 2, 2, 1],
+    [0, 14, 4, 3, 3],
+    [2, 4, 8, 0, 0],
+    [2, 3, 0, 10, 0],
+    [1, 3, 0, 0, 2],
 ])
 
 # a known optimizer of the constrained one-norm instance on C4; the test
@@ -450,6 +464,44 @@ def test_rand45_is_certified_at_the_dnn_relaxation():
     assert abs(out.gamma - _dykstra_dnn_distance(C)[0]) <= 1e-6
 
 
+def _rng21_draw_7():
+    """Draw 7 of `default_rng(21)` with n = 3 + i % 2: a 4x4 matrix whose
+    one-norm optimum has the 4-cycle as its graph."""
+    rng = np.random.default_rng(21)
+    for i in range(8):
+        n = 3 + i % 2
+        G = rng.standard_normal((n, n))
+    return (G + G.T) / 2.0
+
+
+def test_rng21_draw_7_is_certified_with_at_most_four_atoms(capsys):
+    """For n <= 4 the CP cone equals the DNN cone, so an inconclusive answer
+    is a defect.  The graph of this draw's optimum is the triangle-free
+    4-cycle, whose cp-rank is its 4 edges while the matrix has rank 3: no
+    rotation of the 3-row Eckart-Young factor fits, and the clique start's
+    4 rows do.  That fit lands near the budget at order 1, so the order is
+    not pinned; the certificate is rechecked from the factors alone."""
+    C = _rng21_draw_7()
+    out = approximate(ProblemSpec(C, "one"), DriverSettings(k_max=3))
+    failures = []
+    detail = f"status {out.status}"
+    _check(failures, out.status == "projected", f"status {out.status}")
+    if out.status == "projected":
+        F, X = out.decomposition.factors, out.matrix
+        recon = float(np.linalg.norm(F.T @ F - X))
+        budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+        dist = p_norm(F.T @ F - C, "one")
+        _check(failures, out.k_used <= 3, f"certified only at k={out.k_used}")
+        _check(failures, F.shape[0] <= 4, f"{F.shape[0]} atoms > 4")
+        _check(failures, F.min() >= 0.0, f"negative factor entry {F.min():.2e}")
+        _check(failures, recon <= budget, f"factor residual {recon:.2e} > {budget:.2e}")
+        _check(failures, abs(dist - out.gamma) <= 1e-4,
+               f"factors' distance {dist:.8f} vs gamma {out.gamma:.8f}")
+        detail = (f"k={out.k_used}, {F.shape[0]} atoms, factor residual {recon:.2e} "
+                  f"of {budget:.2e}, gamma {out.gamma:.6f}")
+    _verdict(capsys, "rng21 draw 7 (the 4-cycle)", failures, detail)
+
+
 def _counting_fits(monkeypatch):
     """Record the evaluation count of every least_squares call."""
     nfev = []
@@ -492,6 +544,20 @@ def test_the_row_floor_jump_keeps_the_reference_polish_cheap(monkeypatch):
         assert out.status == "projected", name
     assert len(nfev) <= 2
     assert sum(nfev) <= 8
+
+
+@pytest.mark.parametrize("name", ["K23", "rng21-7"])
+def test_the_clique_start_keeps_triangle_free_graphs_cheap(name, monkeypatch):
+    """An effort guard on the clique start: K_{2,3} and rng21 draw 7 each
+    certify in at most 3 least_squares calls, a dogbox polish of the
+    rotation that missed and the trf and dogbox stages from the clique rows.
+    The random-row fallback took 28 calls for K_{2,3} and 12 for a draw 7
+    that stayed inconclusive."""
+    C = K23 if name == "K23" else _rng21_draw_7()
+    nfev = _counting_fits(monkeypatch)
+    out = approximate(ProblemSpec(C, "one"), DriverSettings(k_max=3))
+    assert out.status == "projected"
+    assert len(nfev) <= 3
 
 
 def test_one_c4_order_3_does_not_hang_on_the_kkt_regularization(monkeypatch):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -336,11 +338,17 @@ def test_log_trace_prints_events(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the subprocess finds the package through the source tree next to
+    # this file, whether or not it is installed or on the caller's path
     path = write_problem(tmp_path, {"n": 2, "C": CP2})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
     proc = subprocess.run(
         [sys.executable, "-m", "cpproj", "--norm", "fro", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "projected"

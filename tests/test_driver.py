@@ -30,6 +30,7 @@ from cpproj.relaxation import (
     map_solution,
     solve_relaxation,
 )
+from test_acceptance import K23
 
 
 def test_identity_projects_to_itself():
@@ -193,7 +194,7 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
     ])
     spec, csol, X = _order2(C)
     events = []
-    assert _factorize(X, csol, spec, DriverSettings(), events.append, "order 2") is None
+    assert _factorize(X, csol, spec, events.append, "order 2") is None
     assert [e for e in events if "certified" in e] == []
     assert any("order 2 (factorization): entrywise floor" in e for e in events)
 
@@ -201,21 +202,15 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
 def _recording_polish(monkeypatch):
     """Record every polish the driver runs, as (rows, "dogbox") for the
     dogbox-only polish of a rotated start and (rows, "full") for the full
-    polish of a start, and every input it hands to sparsify, as
-    ("sparsify", rows)."""
+    polish of a start."""
     calls = []
-    polish, sparsify = cpproj.driver.polish_decomposition, cpproj.driver.sparsify_decomposition
+    polish = cpproj.driver.polish_decomposition
 
-    def polishing(X, dec, *stages):
-        calls.append((dec.rank, "dogbox" if stages == (("dogbox",),) else "full"))
-        return polish(X, dec, *stages)
-
-    def sparsifying(X, dec, tol, least):
-        calls.append(("sparsify", dec.rank))
-        return sparsify(X, dec, tol, least)
+    def polishing(X, dec, stages):
+        calls.append((dec.rank, "dogbox" if stages == ("dogbox",) else "full"))
+        return polish(X, dec, stages)
 
     monkeypatch.setattr(cpproj.driver, "polish_decomposition", polishing)
-    monkeypatch.setattr(cpproj.driver, "sparsify_decomposition", sparsifying)
     return calls
 
 
@@ -243,7 +238,7 @@ def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget
     assert row_floor(np.linalg.eigvalsh(X), budget) == 2
     calls = _recording_polish(monkeypatch)
     events = []
-    dec = _factorize(X, csol, spec, DriverSettings(), events.append, "order 2")
+    dec = _factorize(X, csol, spec, events.append, "order 2")
     assert dec is not None
     assert dec.rank == 2
     assert calls == []
@@ -281,8 +276,7 @@ def test_draw_15_certifies_at_its_floor_without_a_least_squares_call(monkeypatch
 def test_a_rotated_start_that_misses_certifies_after_one_dogbox_polish(draw, monkeypatch):
     # draws 22 and 42 of the acceptance suite's seed-7 set (both 3x3): the
     # clipped rotation misses the budget, its event gives the residual, and
-    # one dogbox polish of its 2 rows certifies, with no full polish and
-    # no sparsify pass
+    # one dogbox polish of its 2 rows certifies, with no full polish
     rng = np.random.default_rng(7)
     for _ in range(draw + 1):
         n = int(rng.integers(3, 5))
@@ -352,7 +346,7 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
     # the clipped square root of draw 35's DNN optimum misses the budget
     # with all 5 rows polished, but the Eckart-Young factor at its row floor
     # of 4, rotated toward the heaviest root rows, fits after one dogbox
-    # polish: the rotation comes first, so no random start is needed
+    # polish: the rotation comes first, so no later start is needed
     calls = _recording_polish(monkeypatch)
     C, norm = _draw_35()
     out = approximate(ProblemSpec(C, norm))
@@ -361,7 +355,7 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
     assert out.decomposition.rank == 4
     assert out.gamma == pytest.approx(1.6287910457500272, rel=1e-9)
     assert calls == [(4, "dogbox")]
-    assert not any("random" in e for e in out.events)
+    assert not any("clique" in e for e in out.events)
     assert any(
         "DNN relaxation (factorization): certified from the rotated square-root start "
         "(one dogbox polish) with 4 atoms (the Eckart-Young minimum)" in e
@@ -369,19 +363,12 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
     )
 
 
-def test_a_missed_square_root_start_falls_back_to_random_rows(monkeypatch):
-    # a CP matrix whose graph is the triangle-free K_{2,3}: the support of
-    # every nonnegative factor row is a clique, an edge or a vertex, and
-    # each of the 6 edges needs its own row, so its cp-rank is 6 while its
-    # order and row floor are 5.  No 5 rows fit: the rotated square-root
-    # start misses, and so does the rotation seeded by the 15 random rows;
-    # only their full polish fits, and the sparsify pass drops them to 6
-    B = np.zeros((6, 5))
-    for row, (a, b, u, v) in enumerate(
-        [(0, 2, 1, 2), (0, 3, 2, 1), (0, 4, 1, 1), (1, 2, 2, 2), (1, 3, 1, 3), (1, 4, 3, 1)]
-    ):
-        B[row, a], B[row, b] = u, v
-    C = B.T @ B
+def test_a_missed_square_root_start_certifies_k23_from_its_clique_rows(monkeypatch):
+    # K_{2,3}'s cp-rank is 6, while its order and row floor are 5.  No 5
+    # rows fit: the rotated square-root start misses, unpolished and after
+    # one dogbox polish; the clique start, one row on each edge, fits after
+    # its full polish
+    C = K23
     calls = _recording_polish(monkeypatch)
     out = approximate(ProblemSpec(C, "one"))
     assert isinstance(out, Projected)
@@ -390,21 +377,16 @@ def test_a_missed_square_root_start_falls_back_to_random_rows(monkeypatch):
     assert out.decomposition.rank == 6
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
     assert row_floor(np.linalg.eigvalsh(out.matrix), budget) == 5
-    # each start's 5-row rotation is polished by dogbox and misses; then
-    # the start's own rows are polished in full and handed to sparsify
-    assert calls == [
-        (5, "dogbox"), (5, "full"), ("sparsify", 5),
-        (5, "dogbox"), (15, "full"), ("sparsify", 15),
-    ]
+    assert calls == [(5, "dogbox"), (6, "full")]
     misses = [e for e in out.events if "misses" in e]
-    assert [e.split(" misses ")[0] for e in misses] == (
-        ["DNN relaxation (factorization): the rotated square-root start"] * 3
-        + ["DNN relaxation (factorization): the random start"] * 2
-    )
-    assert misses[2].endswith("trying 15 random rows")
+    assert [e.split(" with ")[0] for e in misses] == [
+        "DNN relaxation (factorization): the rotated square-root start misses (no polish)",
+        "DNN relaxation (factorization): the rotated square-root start misses (one dogbox polish)",
+    ]
+    assert misses[1].endswith("polishing 6 clique rows")
     assert any(
-        "DNN relaxation (factorization): certified from the random start "
-        "(full polish and sparsify) with 6 atoms," in e
+        "DNN relaxation (factorization): certified from the clique start "
+        "(full polish) with 6 atoms, factor residual" in e
         for e in out.events
     )
 
@@ -456,11 +438,14 @@ def _failing_fits(monkeypatch):
 
 def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
     # the polish then hands back its start, which the residual gate judges,
-    # and approximate returns an outcome instead of raising.  This CP matrix
-    # has a square root with entries of -0.21, so neither its clipped root
-    # nor the random rows fit unpolished
+    # and approximate returns an outcome instead of raising.  This rank-2 CP
+    # matrix has no zero entry, so its single clique row is skipped, and
+    # its square root has negative entries, so neither the clipped root nor
+    # its rotation fits unpolished
     calls = _failing_fits(monkeypatch)
-    C = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
+    C = F.T @ F
+    assert root_start(*np.linalg.eigh(C)).min() == 0.0
     out = approximate(C, DriverSettings(k_max=2))
     assert isinstance(out, Inconclusive)
     assert calls

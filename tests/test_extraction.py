@@ -8,17 +8,17 @@ from cpproj.driver import FACTOR_TOL, DriverSettings, _fit
 from cpproj.extraction import (
     CpDecomposition,
     _horn_cuts,
+    clique_start,
     cp_distance_floor,
     floor_factor,
     polish_decomposition,
     root_start,
     rotate_toward,
     row_floor,
-    sparsify_decomposition,
-    trace_scaled,
     verify_decomposition,
 )
 from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
+from test_acceptance import K23
 
 
 def test_verify_decomposition_rejects_negative_factors():
@@ -44,7 +44,7 @@ def test_polish_repairs_perturbed_factors(seed):
 
 
 def test_polish_takes_factor_entries_of_the_identity_onto_the_bound(monkeypatch):
-    # the driver's factorization start for I2: the trf stage stalls with an
+    # 3 uniform rows scaled to the trace of I2: the trf stage stalls with an
     # entry that must vanish still a little above zero, at a residual of
     # 3.4e-5, beyond the 2.4e-6 budget; the dogbox stage from there steps
     # onto the bound and ends at 6.5e-10, where its gradient test stops it
@@ -59,7 +59,8 @@ def test_polish_takes_factor_entries_of_the_identity_onto_the_bound(monkeypatch)
         return res
 
     monkeypatch.setattr(cpproj.extraction, "least_squares", recording)
-    F = trace_scaled(np.random.default_rng(0).uniform(size=(3, 2)), X)
+    F = np.random.default_rng(0).uniform(size=(3, 2))
+    F *= np.sqrt(np.trace(X)) / np.linalg.norm(F)
     dec = polish_decomposition(X, CpDecomposition.from_factors(F))
     (first, trf_resid), (second, _) = stages
     assert (first, second) == ("trf", "dogbox")
@@ -74,81 +75,24 @@ def test_polish_keeps_empty_decomposition():
     assert out.rank == 0
 
 
-def test_sparsify_removes_redundant_duplicate_atom():
-    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
-    X = F.T @ F
-    # split the first factor into two identical half-weight copies
-    c = 1.0 / np.sqrt(2.0)
-    padded = np.vstack([c * F[0], c * F[0], F[1]])
-    dec = polish_decomposition(X, CpDecomposition(padded))
-    tol = 1e-8 * (1 + np.linalg.norm(X))
-    out = sparsify_decomposition(X, dec, tol, row_floor(np.linalg.eigvalsh(X), tol))
-    assert out.rank == 2
-    assert verify_decomposition(X, out) <= tol
-
-
-def test_sparsify_keeps_minimal_decomposition():
-    F = np.array([[2.0, 0.0], [1.0, 1.5]])
-    X = F.T @ F
-    dec = CpDecomposition(F)
-    out = sparsify_decomposition(X, dec, 1e-9, row_floor(np.linalg.eigvalsh(X), 1e-9))
-    assert out.rank == 2
-    npt.assert_allclose(out.reconstruct(), X, atol=1e-12)
-
-
-C5 = np.array([
-    [2.0, 1, 1, 1, 2],
-    [1, 2, 2, 1, 1],
-    [1, 2, 6, 5, 1],
-    [1, 1, 5, 6, 2],
-    [2, 1, 1, 2, 3],
-])
-
-
-def _spy_on_polish(monkeypatch, module=cpproj.extraction, miss_first=False):
-    """Record (row count, result) of every polish called through `module`:
-    sparsify's removal trials in cpproj.extraction, the driver's fits in
-    cpproj.driver.  A dogbox-only polish records its row count as
+def _spy_on_polish(monkeypatch, miss=False):
+    """Record (row count, result) of every polish that the driver's
+    factorization chain runs; a dogbox-only polish records its row count as
     ("dogbox", rows).
 
-    With `miss_first`, the first polish hands its start back unpolished, so
-    it misses and the search has to go on.
+    With `miss`, every polish hands its start back unpolished, as a failed
+    fit does, so the chain has to go on.
     """
     calls = []
-    polish = module.polish_decomposition
+    polish = cpproj.driver.polish_decomposition
 
-    def spy(X, dec, *stages):
-        out = dec if miss_first and not calls else polish(X, dec, *stages)
-        calls.append((("dogbox", dec.rank) if stages else dec.rank, out))
+    def spy(X, dec, stages):
+        out = dec if miss else polish(X, dec, stages)
+        calls.append((("dogbox", dec.rank) if stages == ("dogbox",) else dec.rank, out))
         return out
 
-    monkeypatch.setattr(module, "polish_decomposition", spy)
+    monkeypatch.setattr(cpproj.driver, "polish_decomposition", spy)
     return calls
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_polish_and_sparsify_factor_a_cp_matrix_from_random_rows(seed, monkeypatch):
-    # the driver's fallback factorization start: n(n+1)/2 uniform rows whose
-    # reconstruction has the trace of the target; C5 is nonsingular, so no
-    # fewer than 5 factors rebuild it.  Its Eckart-Young factor, rotated
-    # toward the 5 heaviest rows and clipped, misses; one dogbox polish of
-    # those 5 rows fits, before any polish of all 15 or any sparsify trial
-    F = trace_scaled(np.random.default_rng(seed).uniform(size=(15, 5)), C5)
-    driver_calls = _spy_on_polish(monkeypatch, cpproj.driver)
-    sparsify_calls = _spy_on_polish(monkeypatch)
-    lam, V = np.linalg.eigh(C5)
-    least = row_floor(lam, 1e-8)
-    events = []
-    out, resid, how = _fit(C5, F, 1e-8, floor_factor(lam, V, least), events.append, "C5")
-    assert [rank for rank, _ in driver_calls] == [("dogbox", 5)]
-    assert sparsify_calls == []
-    assert how == "one dogbox polish"
-    miss, = events
-    assert miss.startswith("C5 misses (no polish) with factor residual")
-    assert out.rank == 5
-    assert resid == verify_decomposition(C5, out)
-    assert out.factors.min() >= 0.0
-    assert verify_decomposition(C5, out) <= 1e-8
 
 
 @pytest.mark.parametrize("n, r", [(3, 1), (4, 2), (5, 3), (5, 5), (6, 4)])
@@ -193,11 +137,6 @@ def test_root_start_is_nonnegative_and_exact_for_a_nonnegative_root():
     assert F[0, 2] == F[2, 0] == 0.0
 
 
-def test_trace_scaled_matches_the_trace_of_the_target():
-    F = trace_scaled(np.random.default_rng(1).uniform(size=(6, 3)), np.diag([1.0, 2.0, 4.0]))
-    npt.assert_allclose(np.sum(F**2), 7.0)
-
-
 def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
     # eigenvalues are ranked by magnitude, so -0.5 is the smallest
     lam = np.array([3.0, 2.0, -0.5])
@@ -210,59 +149,13 @@ def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
     assert row_floor(np.zeros(3), 1e-9) == 0
 
 
-@pytest.mark.parametrize("miss_first", [False, True])
-def test_sparsify_never_polishes_fewer_rows_than_the_floor(miss_first, monkeypatch):
-    # a rank-2 X of order 3, so no single row rebuilds it within 1e-9; the
-    # first factor is split in two, the lighter part the lightest row.
-    # Removing it fits; when that first trial is made to miss, the next
-    # removal is tried, and no trial ever drops to 1 row
-    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
-    X = F.T @ F
-    dec = CpDecomposition(np.vstack([0.9 * F[0], np.sqrt(0.19) * F[0], F[1]]))
-    calls = _spy_on_polish(monkeypatch, miss_first=miss_first)
-    out = sparsify_decomposition(X, dec, 1e-9, row_floor(np.linalg.eigvalsh(X), 1e-9))
-    assert [rank for rank, _ in calls] == ([2, 2] if miss_first else [2])
-    assert out.rank == 2
-    assert verify_decomposition(X, out) <= 1e-9
-
-
-@pytest.mark.parametrize("miss_first", [False, True])
-def test_sparsify_tries_the_midpoint_row_count_first(miss_first, monkeypatch):
-    # the same rank-2 X, with each of its 2 factor rows split into 4
-    # parallel parts: 8 rows over a floor of 2, at a budget of 1e-6 (a
-    # polish of parallel rows stalls near 1e-7).  Each pass first drops the
-    # lightest rows down to the midpoint count in one polish (8 -> 5 -> 3),
-    # then a single row (3 -> 2); when the first midpoint trial is made to
-    # miss, that pass falls back to removing the lightest single row (8 -> 7)
-    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
-    X = F.T @ F
-    parts = np.sqrt(np.array([0.4, 0.3, 0.2, 0.1]))[:, None]
-    dec = CpDecomposition(np.vstack([parts * F[0], parts * F[1]]))
-    calls = _spy_on_polish(monkeypatch, miss_first=miss_first)
-    out = sparsify_decomposition(X, dec, 1e-6, row_floor(np.linalg.eigvalsh(X), 1e-6))
-    assert [rank for rank, _ in calls] == ([5, 7, 4, 3, 2] if miss_first else [5, 3, 2])
-    assert out.rank == 2
-    assert verify_decomposition(X, out) <= 1e-6
-
-
-def test_sparsify_tries_no_removal_from_an_input_that_misses(monkeypatch):
-    # the same rank-2 X, with the factor rows scaled off the fit: removing
-    # rows from factors that do not fit is not tried, no polish runs, and
-    # the input comes back as it is
-    F = np.array([[1.0, 2.0, 0.5], [0.3, 0.1, 1.2]])
-    X = F.T @ F
-    dec = CpDecomposition(np.vstack([0.9 * F[0], 0.5 * F[0], F[1]]))
-    assert verify_decomposition(X, dec) > 1e-9
-    calls = _spy_on_polish(monkeypatch)
-    assert sparsify_decomposition(X, dec, 1e-9, row_floor(np.linalg.eigvalsh(X), 1e-9)) is dec
-    assert calls == []
-
-
-def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
+def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     # the order-2 X of draw 46 of the acceptance suite's seed-7 set is not
     # CP, so the rotated floor factor at its 3 rows misses the factorization
-    # budget, unpolished and after one dogbox polish; the fit must then
-    # return the sparsify pass's result from the polished start, bit for bit
+    # budget, unpolished and after one dogbox polish.  Its graph is the path
+    # 0 - 1 - 2, whose 2 clique rows cannot fit 3 rows' worth of spectrum,
+    # so the chain skips them and ends with the full polish of the square
+    # root, returned bit for bit
     C = np.array([
         [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
         [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
@@ -273,24 +166,71 @@ def test_a_missed_jump_leaves_the_greedy_result_unchanged(monkeypatch):
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
     lam, V = np.linalg.eigh(X)
     least = row_floor(lam, tol)
-    F = trace_scaled(np.random.default_rng(0).uniform(size=(6, 3)), X)
-    dec = polish_decomposition(X, CpDecomposition.from_factors(F))
-    want = sparsify_decomposition(X, dec, tol, least)
+    assert clique_start(X, tol).shape == (2, 3)
+    want = polish_decomposition(X, CpDecomposition.from_factors(root_start(lam, V)))
 
-    calls = _spy_on_polish(monkeypatch, cpproj.driver)
+    calls = _spy_on_polish(monkeypatch)
     events = []
-    got, _, how = _fit(X, F, tol, floor_factor(lam, V, least), events.append, "draw 46")
-    (jump_rows, jump), (start_rows, _) = calls
+    got, resid, how = _fit(X, lam, V, least, tol, events.append, "draw 46")
+    (jump_rows, jump), (root_rows, _) = calls
     assert jump_rows == ("dogbox", least) and least == 3
     assert verify_decomposition(X, jump) > tol
-    assert start_rows == 6
-    assert how == "full polish and sparsify"
+    assert root_rows == 3
+    assert how == "the square-root start (full polish)"
+    assert resid == verify_decomposition(X, got) > tol
     assert [e.split(" with ")[0] for e in events] == [
-        "draw 46 misses (no polish)", "draw 46 misses (one dogbox polish)"
+        "draw 46: the rotated square-root start misses (no polish)",
+        "draw 46: the rotated square-root start misses (one dogbox polish)",
     ]
-    assert got.rank == want.rank > 3
+    assert events[1].endswith(
+        "the clique start's row count 2 is below the floor of 3; polishing all 3 square-root rows"
+    )
     for field in ("atoms", "weights", "factors"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_the_clique_start_of_k23_has_one_row_on_each_edge():
+    # every maximal clique of a triangle-free graph is an edge; each vertex
+    # lies on c_i of them and gets sqrt(X_ii / c_i) on each, so the rows
+    # rebuild the diagonal
+    X = K23
+    F = clique_start(X, 1e-6)
+    assert F.shape == (6, 5)
+    supports = {tuple(np.flatnonzero(row)) for row in F}
+    assert supports == {(a, b) for a in (0, 1) for b in (2, 3, 4)}
+    npt.assert_allclose(np.diag(F.T @ F), np.diag(X), rtol=1e-15)
+
+
+def test_the_clique_start_of_a_path_is_its_exact_factorization():
+    # the path 0 - 1 - 2 has the cliques {0, 1} and {1, 2}; vertex 1 lies on
+    # both, so each row holds sqrt(2 / 2) = 1 there
+    X = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    F = clique_start(X, 1e-6)
+    assert sorted(map(tuple, F)) == [(0.0, 1.0, 1.0), (1.0, 1.0, 0.0)]
+    npt.assert_array_equal(F.T @ F, X)
+
+
+def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monkeypatch):
+    # a rank-2 CP matrix with no zero entry: its graph is complete, so the
+    # clique start is a single row, and by Eckart-Young no single row fits
+    # a floor of 2.  With every polish made to miss, the chain goes from the
+    # dogbox polish of the 2 rotated rows straight to the 3 square-root rows
+    F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
+    X = F.T @ F
+    tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    npt.assert_array_equal(clique_start(X, tol), np.sqrt(np.diag(X))[None, :])
+    lam, V = np.linalg.eigh(X)
+    least = row_floor(lam, tol)
+    calls = _spy_on_polish(monkeypatch, miss=True)
+    events = []
+    _, resid, how = _fit(X, lam, V, least, tol, events.append, "dense")
+    assert least == 2
+    assert [rows for rows, _ in calls] == [("dogbox", 2), 3]
+    assert how == "the square-root start (full polish)"
+    assert resid > tol
+    assert events[1].endswith(
+        "the clique start's row count 1 is below the floor of 2; polishing all 3 square-root rows"
+    )
 
 
 def test_from_factors_drops_empty_rows_and_normalizes_atoms():
