@@ -8,13 +8,11 @@ incompatible constraints, a verified Farkas certificate that ends the run.
 Every order's optimal matrix goes through one certification: the driver
 fits nonnegative factors to the matrix directly and accepts them only if
 their residual is within FACTOR_TOL and the matrix meets the constraints.
-Each fit is one chain of starts that stops at the first fit within the
-budget: the matrix's Eckart-Young factor at the row floor, rotated toward
-the PSD square root clipped at zero and clipped itself, then its dogbox
-polish, then one row per maximal clique of the matrix's graph and last the
-clipped square root, each polished in full.  A candidate matrix whose
-provable distance from the CP cone (`cp_distance_floor`) already exceeds
-the residual budget skips the fit altogether.
+Each fit is one chain of starts (`_fit`), from the rotated Eckart-Young
+factor to whole starts polished in full, that stops at the first fit
+within the budget.  A candidate matrix whose provable distance from the CP
+cone (`cp_distance_floor`) already exceeds the residual budget skips the
+fit altogether.
 
 Three outcomes are possible:
 
@@ -41,6 +39,7 @@ from .extraction import (
     CpDecomposition,
     clique_start,
     cp_distance_floor,
+    edge_start,
     floor_factor,
     polish_decomposition,
     root_start,
@@ -242,46 +241,47 @@ def _fit(
        the heaviest rows of the clipped square root (`root_start`,
        `rotate_toward`) and clips the result at zero.
     2. A miss is polished by the bound-snapping `dogbox` stage alone.
-    3. Then the rows of `clique_start` are polished in full (`trf`, then
-       `dogbox`).  They are skipped when fewer than `least`: by Eckart-Young
-       they cannot fit.
-    4. Last, the n rows of the clipped square root are polished in full.
+    3. Then whole starts, each built only once the step before has missed,
+       are polished in full (`trf`, then `dogbox`): `clique_start`, the n
+       rows of the clipped square root, and `edge_start`, whose up to
+       n(n+1)/2 rows leave room for a cp-rank above n.  A start with fewer
+       rows than `least` is skipped: by Eckart-Young it cannot fit.
 
     Each miss but the last leaves an event, under `tag`, with its residual
     against the budget and the step that follows."""
+
+    def missed(resid: float, start: str, how: str, then: str) -> None:
+        note(
+            f"{tag}: the {start} start misses ({how}) with factor residual {resid:.3e} "
+            f"against {budget:.3e}; {then}"
+        )
+
     root = root_start(lam, V)
-    cliques = clique_start(X, budget)
-    full = ("trf", "dogbox")
     dec = CpDecomposition.from_factors(
         np.maximum(rotate_toward(floor_factor(lam, V, least), root), 0.0)
     )
-    # each step after the first: its start and polish, the words of the miss
-    # event that hand over to it, its start rows and its polish stages
-    steps = [
-        ("rotated square-root", "one dogbox polish", "polishing it by dogbox", dec, ("dogbox",))
-    ]
-    m, n = cliques.shape
-    last = f"polishing all {n} square-root rows"
-    if m >= least:
-        steps.append((
-            "clique", "full polish", f"polishing {m} clique rows",
-            CpDecomposition.from_factors(cliques), full,
-        ))
-    else:
-        last = f"the clique start's row count {m} is below the floor of {least}; {last}"
-    steps.append(("square-root", "full polish", last, CpDecomposition.from_factors(root), full))
-    start, how = "rotated square-root", "no polish"
-    for next_start, next_how, action, rows, stages in steps:
-        resid = verify_decomposition(X, dec)
+    start, how, skipped = "rotated square-root", "no polish", ""
+    resid = verify_decomposition(X, dec)
+    if resid > budget:
+        missed(resid, start, how, "polishing it by dogbox")
+        dec = polish_decomposition(X, dec, ("dogbox",))
+        resid, how = verify_decomposition(X, dec), "one dogbox polish"
+    for name, build in (
+        ("clique", lambda: clique_start(X, budget)),
+        ("square-root", lambda: root),
+        ("edge", lambda: edge_start(X, budget)),
+    ):
         if resid <= budget:
-            return dec, resid, f"the {start} start ({how})"
-        note(
-            f"{tag}: the {start} start misses ({how}) with factor residual {resid:.3e} "
-            f"against {budget:.3e}; {action}"
-        )
-        start, how = next_start, next_how
-        dec = polish_decomposition(X, rows, stages)
-    return dec, verify_decomposition(X, dec), f"the {start} start ({how})"
+            break
+        rows = CpDecomposition.from_factors(build())
+        if rows.rank < least:
+            skipped += f"the {name} start's row count {rows.rank} is below the floor of {least}; "
+            continue
+        missed(resid, start, how, f"{skipped}polishing {rows.rank} {name} rows")
+        dec = polish_decomposition(X, rows)
+        resid = verify_decomposition(X, dec)
+        start, how, skipped = name, "full polish", ""
+    return dec, resid, f"the {start} start ({how})"
 
 
 def approximate(

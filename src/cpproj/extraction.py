@@ -8,10 +8,11 @@ the heaviest rows of `root_start`, the clipped PSD square root of X, with
 polished by bound-constrained least squares (`polish_decomposition`),
 first by its `dogbox` stage alone; only if that misses too are whole
 starts polished: `clique_start`, one row per maximal clique of the graph of
-X, and then the square root's rows.  `verify_decomposition` measures the
-residual that the caller gates on.  `cp_distance_floor` gives a provable
-lower bound on that residual over all nonnegative factorizations, so a
-matrix that no factorization can fit is rejected without a polish.
+X, the square root's rows, and `edge_start`, one row per edge of that
+graph and per vertex.  `verify_decomposition` measures the residual that
+the caller gates on.  `cp_distance_floor` gives a provable lower bound on
+that residual over all nonnegative factorizations, so a matrix that no
+factorization can fit is rejected without a polish.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ __all__ = [
     "CpDecomposition",
     "clique_start",
     "cp_distance_floor",
+    "edge_start",
     "floor_factor",
     "polish_decomposition",
     "root_start",
@@ -233,6 +235,23 @@ def clique_start(X: np.ndarray, tol: float) -> np.ndarray:
     for row, members in enumerate(cliques):
         F[row, members] = 1.0
     return F * np.sqrt(np.maximum(np.diag(X), 0.0) / F.sum(axis=0))
+
+
+def edge_start(X: np.ndarray, tol: float) -> np.ndarray:
+    """One factor row per edge {i, j} of the graph {(i, j): i != j,
+    X_ij > tol}, holding sqrt(X_ij) on i and j, and one per vertex i holding
+    sqrt(max(X_ii - sum_j X_ij, 0)) over its edges; empty rows are dropped.
+
+    These at most n(n+1)/2 rows, as many as any CP matrix needs (Hannah &
+    Laffey, 1983), lie on cliques too, and they factor a diagonally dominant
+    X exactly (Kaykobad, 1987).
+    """
+    E = np.triu(np.sqrt(np.where(X > tol, X, 0.0)), 1)
+    i, j = np.nonzero(E)
+    spare = np.diag(X) - (E**2).sum(axis=0) - (E**2).sum(axis=1)
+    I = np.eye(X.shape[0])
+    F = np.vstack([(I[i] + I[j]) * E[i, j][:, None], I * np.sqrt(np.maximum(spare, 0.0))])
+    return F[F.any(axis=1)]
 
 
 def floor_factor(lam: np.ndarray, V: np.ndarray, rows: int) -> np.ndarray:

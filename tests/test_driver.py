@@ -206,9 +206,9 @@ def _recording_polish(monkeypatch):
     calls = []
     polish = cpproj.driver.polish_decomposition
 
-    def polishing(X, dec, stages):
-        calls.append((dec.rank, "dogbox" if stages == ("dogbox",) else "full"))
-        return polish(X, dec, stages)
+    def polishing(X, dec, *stages):
+        calls.append((dec.rank, "dogbox" if stages == (("dogbox",),) else "full"))
+        return polish(X, dec, *stages)
 
     monkeypatch.setattr(cpproj.driver, "polish_decomposition", polishing)
     return calls
@@ -391,6 +391,31 @@ def test_a_missed_square_root_start_certifies_k23_from_its_clique_rows(monkeypat
     )
 
 
+def test_a_dense_matrix_above_its_order_in_cp_rank_certifies_from_its_edge_rows(monkeypatch):
+    # K_{2,3} + 1e-3 J is CP, and its cp-rank is above its order 5: the
+    # matrices of cp-rank at most 5 form a closed set that misses K_{2,3}.
+    # Its graph is complete, so the single clique row is skipped under the
+    # floor of 5, and the 5 square-root rows miss after their full polish;
+    # the 14 edge rows, one per pair and one per diagonal surplus, fit
+    C = K23 + 1e-3
+    calls = _recording_polish(monkeypatch)
+    out = approximate(ProblemSpec(C, "one"))
+    assert isinstance(out, Projected)
+    assert out.k_used == 1
+    assert abs(out.gamma) <= 1e-8
+    assert 5 < out.decomposition.rank <= 15
+    assert calls == [(5, "dogbox"), (5, "full"), (14, "full")]
+    misses = [e for e in out.events if "misses" in e]
+    assert misses[1].endswith(
+        "the clique start's row count 1 is below the floor of 5; polishing 5 square-root rows"
+    )
+    assert misses[2].endswith("polishing 14 edge rows")
+    assert any(
+        "DNN relaxation (factorization): certified from the edge start (full polish)" in e
+        for e in out.events
+    )
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         DriverSettings(k_max=1)
@@ -439,9 +464,9 @@ def _failing_fits(monkeypatch):
 def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
     # the polish then hands back its start, which the residual gate judges,
     # and approximate returns an outcome instead of raising.  This rank-2 CP
-    # matrix has no zero entry, so its single clique row is skipped, and
-    # its square root has negative entries, so neither the clipped root nor
-    # its rotation fits unpolished
+    # matrix has no zero entry, so its single clique row is skipped, its
+    # square root has negative entries, so neither the clipped root nor its
+    # rotation fits unpolished, and its edge rows overshoot its diagonal
     calls = _failing_fits(monkeypatch)
     F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
     C = F.T @ F

@@ -10,6 +10,7 @@ from cpproj.extraction import (
     _horn_cuts,
     clique_start,
     cp_distance_floor,
+    edge_start,
     floor_factor,
     polish_decomposition,
     root_start,
@@ -86,9 +87,9 @@ def _spy_on_polish(monkeypatch, miss=False):
     calls = []
     polish = cpproj.driver.polish_decomposition
 
-    def spy(X, dec, stages):
-        out = dec if miss else polish(X, dec, stages)
-        calls.append((("dogbox", dec.rank) if stages == ("dogbox",) else dec.rank, out))
+    def spy(X, dec, *stages):
+        out = dec if miss else polish(X, dec, *stages)
+        calls.append((("dogbox", dec.rank) if stages == (("dogbox",),) else dec.rank, out))
         return out
 
     monkeypatch.setattr(cpproj.driver, "polish_decomposition", spy)
@@ -154,8 +155,8 @@ def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     # CP, so the rotated floor factor at its 3 rows misses the factorization
     # budget, unpolished and after one dogbox polish.  Its graph is the path
     # 0 - 1 - 2, whose 2 clique rows cannot fit 3 rows' worth of spectrum,
-    # so the chain skips them and ends with the full polish of the square
-    # root, returned bit for bit
+    # so the chain skips them, polishes the 3 square-root rows in full and
+    # ends with the full polish of the 5 edge rows, returned bit for bit
     C = np.array([
         [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
         [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
@@ -167,24 +168,28 @@ def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     lam, V = np.linalg.eigh(X)
     least = row_floor(lam, tol)
     assert clique_start(X, tol).shape == (2, 3)
-    want = polish_decomposition(X, CpDecomposition.from_factors(root_start(lam, V)))
+    want = polish_decomposition(X, CpDecomposition.from_factors(edge_start(X, tol)))
 
     calls = _spy_on_polish(monkeypatch)
     events = []
     got, resid, how = _fit(X, lam, V, least, tol, events.append, "draw 46")
-    (jump_rows, jump), (root_rows, _) = calls
+    (jump_rows, jump), (root_rows, root), (edge_rows, _) = calls
     assert jump_rows == ("dogbox", least) and least == 3
     assert verify_decomposition(X, jump) > tol
     assert root_rows == 3
-    assert how == "the square-root start (full polish)"
+    assert verify_decomposition(X, root) > tol
+    assert edge_rows == 5
+    assert how == "the edge start (full polish)"
     assert resid == verify_decomposition(X, got) > tol
     assert [e.split(" with ")[0] for e in events] == [
         "draw 46: the rotated square-root start misses (no polish)",
         "draw 46: the rotated square-root start misses (one dogbox polish)",
+        "draw 46: the square-root start misses (full polish)",
     ]
     assert events[1].endswith(
-        "the clique start's row count 2 is below the floor of 3; polishing all 3 square-root rows"
+        "the clique start's row count 2 is below the floor of 3; polishing 3 square-root rows"
     )
+    assert events[2].endswith("polishing 5 edge rows")
     for field in ("atoms", "weights", "factors"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -214,7 +219,8 @@ def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monke
     # a rank-2 CP matrix with no zero entry: its graph is complete, so the
     # clique start is a single row, and by Eckart-Young no single row fits
     # a floor of 2.  With every polish made to miss, the chain goes from the
-    # dogbox polish of the 2 rotated rows straight to the 3 square-root rows
+    # dogbox polish of the 2 rotated rows straight to the 3 square-root rows,
+    # and then to the 3 edge rows
     F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
     X = F.T @ F
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
@@ -225,12 +231,42 @@ def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monke
     events = []
     _, resid, how = _fit(X, lam, V, least, tol, events.append, "dense")
     assert least == 2
-    assert [rows for rows, _ in calls] == [("dogbox", 2), 3]
-    assert how == "the square-root start (full polish)"
+    assert [rows for rows, _ in calls] == [("dogbox", 2), 3, 3]
+    assert how == "the edge start (full polish)"
     assert resid > tol
     assert events[1].endswith(
-        "the clique start's row count 1 is below the floor of 2; polishing all 3 square-root rows"
+        "the clique start's row count 1 is below the floor of 2; polishing 3 square-root rows"
     )
+    assert events[2].endswith("polishing 3 edge rows")
+
+
+def test_the_edge_start_of_a_dominant_matrix_is_its_factorization():
+    # a nonnegative diagonally dominant matrix: one row per positive
+    # off-diagonal entry and one per positive diagonal surplus (only vertex
+    # 0 has one), an exact factorization
+    X = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 2.0]])
+    F = edge_start(X, 1e-6)
+    assert sorted(map(tuple, F)) == [
+        (0.0, np.sqrt(2.0), np.sqrt(2.0)),
+        (1.0, 1.0, 0.0),
+        (np.sqrt(3.0), 0.0, 0.0),
+    ]
+    npt.assert_allclose(F.T @ F, X, rtol=1e-15)
+
+
+def test_the_edge_start_of_a_dense_k23_has_a_row_on_every_pair():
+    # K_{2,3} + 1e-3 J has a complete graph, so its 10 pairs each get a row;
+    # the diagonal surplus of the vertices 0 to 3 gives 4 more, and vertex 4,
+    # whose entries outweigh its diagonal, none.  With 14 of at most
+    # n(n+1)/2 = 15 rows, the start leaves room above the order 5
+    X = K23 + 1e-3
+    F = edge_start(X, 1e-6)
+    assert F.shape == (14, 5)
+    assert {tuple(np.flatnonzero(row)) for row in F[F.astype(bool).sum(axis=1) == 2]} == {
+        (i, j) for i in range(5) for j in range(i + 1, 5)
+    }
+    off = ~np.eye(5, dtype=bool)
+    npt.assert_allclose((F.T @ F)[off], X[off], rtol=1e-14)
 
 
 def test_from_factors_drops_empty_rows_and_normalizes_atoms():
