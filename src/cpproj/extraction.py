@@ -13,6 +13,9 @@ graph and per vertex.  `verify_decomposition` measures the residual that
 the caller gates on.  `cp_distance_floor` gives a provable lower bound on
 that residual over all nonnegative factorizations, so a matrix that no
 factorization can fit is rejected without a polish.
+
+scipy.optimize loads on the first polish, not on import: most fits never
+polish, and its import is over a third of the package's import time.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .conic import svec_index
 
@@ -77,6 +79,13 @@ class CpDecomposition:
         return cls(F[np.lexsort(cls(F).atoms.T[::-1])])
 
 
+def least_squares(*args, **kwargs):
+    """`scipy.optimize.least_squares`, imported on its first call."""
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
+
+
 def polish_decomposition(
     X: np.ndarray, dec: CpDecomposition, stages: tuple[str, ...] = ("trf", "dogbox")
 ) -> CpDecomposition:
@@ -97,7 +106,8 @@ def polish_decomposition(
     crawl for thousands of evaluations without reaching the gate.  Any
     factor set this returns is validated by the caller through
     `verify_decomposition`, so a polish that stalls in a poor local minimum
-    is caught there rather than here.
+    is caught there rather than here.  The first polish of a process loads
+    scipy.optimize (`least_squares`).
     """
     if dec.factors.size == 0:
         return dec

@@ -337,21 +337,54 @@ def test_log_trace_prints_events(tmp_path, capsys):
     assert "cpproj: DNN relaxation: solver finished optimal" in err
 
 
-def test_module_entry_point(tmp_path):
-    # the subprocess finds the package through the source tree next to
-    # this file, whether or not it is installed or on the caller's path
-    path = write_problem(tmp_path, {"n": 2, "C": CP2})
+def run_python(args):
+    """Run a fresh Python process that imports cpproj from the source tree.
+
+    The subprocess finds the package through the source tree next to this
+    file, whether or not it is installed or on the caller's path.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_list = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cpproj", "--norm", "fro", path],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    path = write_problem(tmp_path, {"n": 2, "C": CP2})
+    proc = run_python(["-m", "cpproj", "--norm", "fro", path])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "projected"
+
+
+def loads_optimize(code):
+    """Whether scipy.optimize is loaded after `code` runs in a fresh process."""
+    proc = run_python(["-c", code + "\nimport sys; print('scipy.optimize' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    assert not loads_optimize("import cpproj, cpproj.cli")
+
+
+def test_a_projection_that_needs_no_polish_does_not_load_scipy_optimize(tmp_path):
+    # CP2 certifies from its rotated Eckart-Young factor, without a polish
+    path = write_problem(tmp_path, {"n": 2, "C": CP2})
+    out = tmp_path / "out.json"
+    argv = [path, "--norm", "fro", "--output", str(out)]
+    assert not loads_optimize(f"import cpproj.cli; assert cpproj.cli.run({argv!r}) == 0")
+    assert json.loads(out.read_text())["status"] == "projected"
+
+
+def test_the_first_polish_loads_scipy_optimize():
+    code = (
+        "import numpy as np\n"
+        "from cpproj.extraction import *\n"
+        "start = CpDecomposition(np.array([[0.9, 0.1], [0.1, 0.9]]))\n"
+        "dec = polish_decomposition(np.eye(2), start)\n"
+        "assert verify_decomposition(np.eye(2), dec) <= 1e-10"
+    )
+    assert loads_optimize(code)
 
 
 def test_load_problem_accepts_missing_constraints_key():
