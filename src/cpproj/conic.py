@@ -105,7 +105,11 @@ class ConeBlock:
 
 @dataclass(frozen=True, eq=False)
 class ConicProgram:
-    """Immutable conic program data; see the module docstring for semantics."""
+    """Immutable conic program data; see the module docstring for semantics.
+
+    `info` is the caller's metadata about the program, such as where its
+    variables sit among the columns; the solver never reads it.
+    """
 
     objective: np.ndarray
     eq_map: sp.csr_matrix
@@ -113,7 +117,6 @@ class ConicProgram:
     cone_map: sp.csr_matrix
     cone_offset: np.ndarray
     cone_blocks: tuple[ConeBlock, ...]
-    layout: Mapping[str, slice]
     info: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -136,14 +139,6 @@ class ConicProgram:
             raise ConicSolverError("cone offset has the wrong length")
         if sum(b.size for b in self.cone_blocks) != cm.shape[0]:
             raise ConicSolverError("cone blocks do not partition the cone image")
-        covered = np.zeros(n, dtype=bool)
-        for name, sl in self.layout.items():
-            picked = covered[sl]
-            if picked.any():
-                raise ConicSolverError(f"layout slice {name!r} overlaps another slice")
-            covered[sl] = True
-        if not covered.all():
-            raise ConicSolverError("layout does not cover every decision coordinate")
 
 
 INFEAS_THRESHOLD = 1e-8  # declare infeasibility once tau/kappa drops below

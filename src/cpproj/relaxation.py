@@ -28,11 +28,13 @@ the corner positions of the spectral block) and appended to a
 coordinate-array row builder, `_Rows`; one builder makes the equality map
 and one the cone map, each a single CSR matrix.  Every svec weight, of the
 PSD, second-order and spectral blocks alike, comes from `conic.svec_index`.
+The relaxation alone knows its columns: `assemble` records where vech(X)
+and gamma sit in the program's `info`, which the solver never reads, and
+`map_solution` reads them back from there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,19 +144,14 @@ class _Rows:
         return sp.csr_matrix((val, (row, col)), shape=(self.size, width)), rhs
 
 
-def _x_offset(n: int, k: int) -> int:
-    """Column of vech(X) in the order-k program: the degree-2 moments follow
-    the n + 1 moments of degree <= 1 at order k >= 2, and are the whole head
-    at order 1."""
-    return 0 if k == 1 else 1 + n
-
-
 def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     """Build the order-k conic relaxation of the projection instance.
 
     The columns are the head (vech(X) at order 1, the moment vector of
     half-degree k from order 2 on), then gamma, then for the one and inf
-    norms the bound T on |X - C| (vech order).  Order 1 is the doubly
+    norms the bound T on |X - C| (vech order).  `info` records the columns
+    of vech(X) under "X" and the column of gamma under "gamma", for
+    `map_solution`.  Order 1 is the doubly
     nonnegative relaxation: vech(X) is held entrywise nonnegative by rows at
     the head of the nonnegative block and PSD by one order-n block.  Order
     k >= 2 holds the moment vector under the sphere equalities and the
@@ -167,12 +164,13 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     nbar = n * (n + 1) // 2
     iu, wgt = svec_index(n)
     vcol = np.arange(nbar)
-    xcol = _x_offset(n, k) + vcol  # the columns of vech(X)
     eq, cone = _Rows(), _Rows()
     if k == 1:
+        xcol = vcol  # vech(X) is the whole head
         width, psd_blocks = nbar, ((n, vcol, vcol),)
         cone.add(vcol, vcol, np.ones(nbar), np.zeros(nbar))
     else:
+        xcol = 1 + n + vcol  # the degree-2 moments follow the n + 1 of degree <= 1
         moment_eq, moment_blocks = moment_cone_constraints(n, k)
         width = moment_eq.shape[1]
         coo = moment_eq.tocoo()
@@ -180,11 +178,8 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         psd_blocks = tuple((order, *entries.nonzero()) for order, entries in moment_blocks)
 
     g = width  # gamma column
-    layout = {"vech" if k == 1 else "tms": slice(0, g), "gamma": slice(g, g + 1)}
     bound = spec.norm in ("one", "inf")
     t = g + 1  # the columns of vech(T), the entrywise bound on |X - C|
-    if bound:
-        layout["abs"] = slice(t, t + nbar)
     N = t + nbar if bound else t
 
     # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block
@@ -247,9 +242,8 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     objective[g] = 1.0
     eq_map, eq_rhs = eq.csr(N)
     cone_map, cone_offset = cone.csr(N)
-    info = {"n": n, "k": k, "norm": spec.norm}
     return ConicProgram(
-        objective, eq_map, eq_rhs, cone_map, cone_offset, tuple(blocks), layout, info
+        objective, eq_map, eq_rhs, cone_map, cone_offset, tuple(blocks), {"X": xcol, "gamma": g}
     )
 
 
@@ -259,26 +253,16 @@ class RelaxationSolution:
 
     matrix: np.ndarray
     gamma: float
-    dual_objective: Optional[float]
     conic: ConicSolution
-
-    @property
-    def status(self) -> str:
-        return self.conic.status
 
 
 def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
     """Read the matrix X and the distance gamma off a conic solution."""
     if sol.primal is None:
         raise ValueError(f"solution with status {sol.status!r} carries no point")
-    n = int(prog.info["n"])
-    x_off = _x_offset(n, int(prog.info["k"]))
     xt = sol.primal
     return RelaxationSolution(
-        matrix=vech_inv(xt[x_off : x_off + n * (n + 1) // 2]),
-        gamma=float(xt[prog.layout["gamma"]][0]),
-        dual_objective=sol.dual_obj,
-        conic=sol,
+        matrix=vech_inv(xt[prog.info["X"]]), gamma=float(xt[prog.info["gamma"]]), conic=sol
     )
 
 
@@ -298,9 +282,8 @@ def solve_relaxation(
 
 def check_weak_duality(rsol: RelaxationSolution) -> bool:
     """The primal distance bound should never undercut the dual objective."""
-    if rsol.dual_objective is None:
-        return True
-    return rsol.gamma >= rsol.dual_objective - WEAK_DUALITY_TOL
+    dual = rsol.conic.dual_obj
+    return dual is None or rsol.gamma >= dual - WEAK_DUALITY_TOL
 
 
 def project_dnn(C: np.ndarray, norm: str = "fro") -> tuple[float, np.ndarray]:

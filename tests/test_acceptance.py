@@ -627,7 +627,6 @@ def _make_conic_program(c, E, d, M, h, blocks):
         cone_map=sp.csr_matrix(np.atleast_2d(M).reshape(len(h), c.size)),
         cone_offset=np.asarray(h, dtype=float),
         cone_blocks=tuple(blocks),
-        layout={"v": slice(0, c.size)},
     )
 
 
@@ -791,7 +790,7 @@ def test_structural_property_suites(reference_outcomes, capsys):
                 continue
             rsol = map_solution(prog, csol)
             _check(failures, check_weak_duality(rsol),
-                   f"{name} k={k}: gamma {rsol.gamma} undercuts dual {rsol.dual_objective}")
+                   f"{name} k={k}: gamma {rsol.gamma} undercuts dual {rsol.conic.dual_obj}")
             optimal_solves += 1
             bd.append(rsol.gamma)
         # each gamma is known only to the solve's relative gap, tol

@@ -35,10 +35,8 @@ from test_acceptance import REFERENCE_INSTANCES
 TIGHT = SolverSettings(tol=1e-8)
 
 
-def make_program(c, E, d, M, h, blocks, layout=None):
+def make_program(c, E, d, M, h, blocks):
     c = np.asarray(c, dtype=float)
-    if layout is None:
-        layout = {"v": slice(0, c.size)}
     return ConicProgram(
         objective=c,
         eq_map=sp.csr_matrix(np.atleast_2d(E).reshape(len(d), c.size)),
@@ -46,7 +44,6 @@ def make_program(c, E, d, M, h, blocks, layout=None):
         cone_map=sp.csr_matrix(np.atleast_2d(M).reshape(len(h), c.size)),
         cone_offset=np.asarray(h, dtype=float),
         cone_blocks=tuple(blocks),
-        layout=layout,
     )
 
 
@@ -80,12 +77,7 @@ def test_program_validation():
             cone_map=sp.csr_matrix([[1.0]]),
             cone_offset=np.zeros(1),
             cone_blocks=(ConeBlock("nonneg", 2),),
-            layout={"v": slice(0, 1)},
         )
-    with pytest.raises(ConicSolverError):
-        make_program([1.0, 0.0], np.zeros((0, 2)), [], [[1.0, 0.0]], [0.0],
-                     [ConeBlock("nonneg", 1)],
-                     layout={"a": slice(0, 2), "b": slice(1, 2)})
 
 
 def test_lp_scalar_bound():

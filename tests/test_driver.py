@@ -564,16 +564,18 @@ def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkey
 def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatch):
     # the benchmark's layer trace rebinds these two names, so an order that
     # reached the solver another way would drop out of its relaxation metrics
-    seen = []
+    seen, order_of = [], {}
     real_assemble = cpproj.relaxation.assemble
     real_solve = cpproj.relaxation.conic_solve
 
     def assembling(spec, k):
         seen.append(("assemble", k))
-        return real_assemble(spec, k)
+        prog = real_assemble(spec, k)
+        order_of[prog] = k
+        return prog
 
     def solving(prog, settings):
-        seen.append(("conic_solve", prog.info["k"]))
+        seen.append(("conic_solve", order_of[prog]))
         return real_solve(prog, settings)
 
     monkeypatch.setattr(cpproj.relaxation, "assemble", assembling)

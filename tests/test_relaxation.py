@@ -46,8 +46,9 @@ def test_frobenius_assembly_sizes():
     kinds = [(b.kind, b.order) for b in prog.cone_blocks]
     assert kinds == [("soc", 0), ("psd", 6), ("psd", 3), ("psd", 3)]
     assert prog.cone_blocks[0].size == 4  # gamma plus three weighted entries
-    assert prog.layout["tms"] == slice(0, 15)
-    assert prog.info["norm"] == "fro"
+    # vech(X) follows the moments of degree <= 1; gamma follows the moments
+    npt.assert_array_equal(prog.info["X"], [3, 4, 5])
+    assert prog.info["gamma"] == 15
 
 
 def test_one_and_inf_agree():
@@ -68,7 +69,7 @@ def test_one_and_inf_agree():
 def test_identity_is_its_own_projection():
     prog, sol = solve_relaxation(ProblemSpec(np.eye(2), norm="fro"), 2, TIGHT)
     rs = map_solution(prog, sol)
-    assert rs.status == "optimal"
+    assert rs.conic.status == "optimal"
     assert abs(rs.gamma) <= 1e-7
     npt.assert_allclose(rs.matrix, np.eye(2), atol=1e-6)
     assert check_weak_duality(rs)
@@ -132,7 +133,7 @@ def test_lifted_atomic_measures_are_feasible(norm):
     img = prog.cone_map @ xt + prog.cone_offset
     for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks)):
         assert _dist_outside_cone(b, img[sl]) <= 1e-9
-    assert xt[prog.layout["gamma"].start] == pytest.approx(
+    assert xt[prog.info["gamma"]] == pytest.approx(
         p_norm(X - spec.C, norm), abs=1e-12
     )
 
@@ -167,10 +168,11 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     eq_res = prog.eq_map @ v - prog.eq_rhs
     sphere = 0 if k == 1 else moment_cone_constraints(n, k)[0].shape[0]
     assert eq_res.size == sphere + 1
-    assert prog.eq_map[:, prog.layout["gamma"].start :].nnz == 0
+    assert prog.eq_map[:, prog.info["gamma"] :].nnz == 0
     npt.assert_allclose(eq_res[-1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
     if norm in ("one", "inf"):
-        T = vech_inv(v[prog.layout["abs"]])
+        t = prog.info["gamma"] + 1  # vech(T) follows gamma
+        T = vech_inv(v[t : t + iu[0].size])
         nonneg += [vech(T - D), vech(T + D), gamma - T.sum(axis=0)]
         assert all(b.kind == "psd" and b.order != 2 * n for b, _ in blocks[1:])
     (head, sl), norm_block = blocks[0], blocks[1]
@@ -196,7 +198,7 @@ def test_equality_constraint_is_enforced():
     )
     prog, sol = solve_relaxation(spec, 2)
     rs = map_solution(prog, sol)
-    assert rs.status == "optimal"
+    assert rs.conic.status == "optimal"
     assert abs(rs.gamma) <= 1e-6
     npt.assert_allclose(np.trace(rs.matrix), 2.0, atol=1e-7)
 
@@ -212,7 +214,7 @@ def test_inequality_constraint_pushes_projection():
     )
     prog, sol = solve_relaxation(spec, 2, TIGHT)
     rs = map_solution(prog, sol)
-    assert rs.status == "optimal"
+    assert rs.conic.status == "optimal"
     assert rs.matrix[0, 0] >= 2.0 - 1e-7
     npt.assert_allclose(rs.gamma, 1.0, atol=1e-5)
     assert check_weak_duality(rs)
@@ -236,7 +238,7 @@ def test_map_solution_requires_a_point():
     sol = conic_solve(prog)
     rs = map_solution(prog, sol)
     assert isinstance(rs.matrix, np.ndarray) and rs.matrix.shape == (2, 2)
-    assert rs.dual_objective is not None
+    assert rs.conic.dual_obj is not None
     blank = replace(sol, status="iteration_limit", primal=None)
     with pytest.raises(ValueError):
         map_solution(prog, blank)
@@ -251,7 +253,7 @@ def test_map_solution_reads_the_same_matrix_at_orders_1_and_2():
         primal = np.zeros(prog.objective.size)
         at = 0 if k == 1 else 3
         primal[at : at + 3] = [2.0, 0.5, 1.0]
-        primal[prog.layout["gamma"]] = 0.25
+        primal[prog.info["gamma"]] = 0.25
         sol = ConicSolution("optimal", primal, None, None, None, None, {}, 0)
         rs = map_solution(prog, sol)
         npt.assert_array_equal(rs.matrix, X)
@@ -284,7 +286,8 @@ def test_dnn_relaxation_keeps_the_constraints_and_the_abs_bound():
     for norm in ("one", "inf"):
         spec = ProblemSpec(C, norm, cons)
         prog, sol = solve_relaxation(spec, 1)
-        assert set(prog.layout) == {"vech", "gamma", "abs"}
+        # vech(X), gamma, then vech(T)
+        assert (prog.info["gamma"], prog.objective.size) == (6, 13)
         assert sol.status == "optimal"
         rs = map_solution(prog, sol)
         gamma, X = rs.gamma, rs.matrix
