@@ -42,7 +42,9 @@ column block by column block, at a cost proportional to the map's nonzeros
 rather than to dense N x N congruences: every PSD block in this package is
 a moment, localizing or norm matrix whose map has a few nonzeros per column
 (see _PsdMap).  Every entry of K11 is the same sum, in the same block
-order, as a sum of per-block dense matrices would be.  The dtau pivot of
+order, as a sum of per-block dense matrices would be.  That buffer is the
+iteration's one K11: the refinement reads it in place, and only the
+Cholesky factorization copies it, once per attempt.  The dtau pivot of
 the homogeneous embedding is taken in whichever of two equivalent forms has
 not lost its digits to cancellation.  The step length of a PSD block comes from the
 inverses of the Cholesky factors of its NT scaling, computed once per
@@ -655,9 +657,9 @@ class _Kkt:
     E's.  Rounding can leave K11 a hair indefinite, so a failed Cholesky
     retries with eps a hundred times larger.  `solve` refines against the
     unregularized K11 and E, so eps moves the direction only by what the
-    refinement sweeps leave of it.  K11 may come in either layout: the
-    Cholesky factor is taken of a Fortran-ordered copy and the refinement
-    product of a C-ordered one, so both give the same bits.
+    refinement sweeps leave of it.  `factor` keeps a reference to the
+    caller's K11, which it must not change before the last `solve`, and
+    writes only to its per-attempt copy, which `dpotrf` factors in place.
     """
 
     def __init__(self, E: sp.csr_matrix, n: int):
@@ -668,9 +670,7 @@ class _Kkt:
         self.ET_dense = np.asfortranarray(ET.toarray())
 
     def factor(self, K11: np.ndarray) -> None:
-        # refinement multiplies by a C-ordered copy whatever K11's layout, as
-        # the BLAS kernel of K11 @ x, and so its rounding, depends on it
-        self.K11 = np.ascontiguousarray(K11)
+        self.K11 = K11
         # absolute regularization: the NT diagonal grows like 1/mu near
         # convergence, so scaling eps by the matrix magnitude would wreck
         # the late directions that refinement is supposed to rescue

@@ -608,23 +608,29 @@ def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
     assert not full[rest].any()
 
 
-@pytest.mark.parametrize("lam_min", [None, -5e-9])
-def test_kkt_factor_and_solve_are_bit_identical_for_either_layout_of_k11(lam_min):
-    # a C-ordered K11 and a Fortran-ordered one of the same values give the
-    # same factors and the same refined solution, first try or retried
-    if lam_min is None:
-        K11, E = _kkt_case("equality rows")
+@pytest.mark.parametrize("attempt", ["first try", "retry"])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_kkt_factor_leaves_the_callers_k11_unchanged_and_solves_against_it(order, attempt):
+    # factor keeps a reference to K11 for the refinement and writes only to
+    # its own copy, so a K11 of either layout comes back bit for bit, on the
+    # first try and after a retry, and solve meets the system it holds
+    if attempt == "first try":
+        (K11, E), eps = _kkt_case("equality rows"), cpproj.conic.STATIC_REG
     else:
-        K11, E = _slightly_indefinite(lam_min), np.random.default_rng(15).normal(size=(3, 8))
+        K11, E = _slightly_indefinite(-5e-9), np.random.default_rng(15).normal(size=(3, 8))
+        eps = 1e-7
     n = E.shape[1]
+    K = np.array(K11, order=order)
+    kept = K.copy(order=order)
     rhs = np.random.default_rng(22).normal(size=E.shape[0] + n)
-    runs = []
-    for K in (np.ascontiguousarray(K11), np.asfortranarray(K11)):
-        kkt = _Kkt(sp.csr_matrix(E), n)
-        kkt.factor(K)
-        sol = np.concatenate(kkt.solve(rhs[:n], rhs[n:]))
-        runs.append((kkt.L.tobytes(), kkt.L2.tobytes(), sol.tobytes()))
-    assert runs[0] == runs[1]
+    kkt = _Kkt(sp.csr_matrix(E), n)
+    kkt.factor(K)
+    assert K.tobytes(order="A") == kept.tobytes(order="A")
+    ref = _assert_solves_the_regularized_system(kkt, K11, E, eps, rhs)
+    x, y = kkt.solve(rhs[:n], rhs[n:])
+    assert K.tobytes(order="A") == kept.tobytes(order="A")
+    resid = np.concatenate([K11 @ x + E.T @ y - rhs[:n], E @ x - rhs[n:]])
+    assert np.abs(resid).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 def _soc_scaling_reference(s, z):
