@@ -49,7 +49,7 @@ from .driver import (
     approximate,
     check_cp_membership,
 )
-from .extraction import CpDecomposition
+from .extraction import CpDecomposition, verify_decomposition
 from .norms import NORM_KINDS, p_norm
 from .relaxation import LinearConstraint, ProblemSpec
 
@@ -237,7 +237,7 @@ def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
         X = outcome.matrix
         dec = outcome.decomposition
         residuals = {
-            "reconstruction": float(np.linalg.norm(dec.reconstruct() - X)),
+            "reconstruction": verify_decomposition(X, dec),
             "constraint_violation": max((0.0, *spec.violations(X))),
             "distance_gap": abs(p_norm(X - spec.C, spec.norm) - outcome.gamma),
         }
@@ -291,8 +291,8 @@ def _membership_doc(result) -> tuple[dict, int]:
         "residuals": {},
     }
     if result.decomposition is not None and isinstance(outcome, Projected):
-        doc["residuals"]["reconstruction"] = float(
-            np.linalg.norm(result.decomposition.reconstruct() - outcome.matrix)
+        doc["residuals"]["reconstruction"] = verify_decomposition(
+            outcome.matrix, result.decomposition
         )
     code = EXIT_PROJECTED if result.is_cp is not None else EXIT_INCONCLUSIVE
     return doc, code

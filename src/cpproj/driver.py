@@ -128,7 +128,12 @@ class Infeasible:
 
 @dataclass(frozen=True, eq=False)
 class Inconclusive:
-    """No certificate up to k_max; gamma_lower still bounds the distance."""
+    """No certificate up to k_max; gamma_lower still bounds the distance.
+
+    `relaxation` is the solution of the last order that gave one, and
+    `k_last` is that order: a stall that stops the hierarchy is named in
+    the events, not here.
+    """
 
     gamma_lower: Optional[float]
     k_last: int
@@ -298,7 +303,7 @@ def approximate(
         logger.info(msg)
 
     gamma_lower: Optional[float] = None
-    last_rsol: Optional[RelaxationSolution] = None
+    k_last, last_rsol = 0, None
     bounds: list[tuple[int, float]] = []
 
     for k in range(1, st.k_max + 1):
@@ -327,7 +332,7 @@ def approximate(
                 f"(rel_gap {csol.residuals.get('rel_gap', float('nan')):.3e})"
             )
         rsol = map_solution(prog, csol)
-        last_rsol = rsol
+        k_last, last_rsol = k, rsol
         if near_optimal:
             gamma_lower = rsol.gamma if gamma_lower is None else max(gamma_lower, rsol.gamma)
             bounds.append((k, rsol.gamma))
@@ -352,7 +357,7 @@ def approximate(
 
     return Inconclusive(
         gamma_lower=gamma_lower,
-        k_last=k,
+        k_last=k_last,
         relaxation=last_rsol,
         events=tuple(events),
         bounds=tuple(bounds),

@@ -1,0 +1,90 @@
+"""Compare two outcome digests written by `pytest --outcome-digest=PATH`.
+
+    python tests/compare_digests.py A.json B.json
+
+pairs the records of each test in call order, `conic.solve` with
+`conic.solve` and `driver.approximate` with `driver.approximate`, and
+prints
+
+  - the solves whose bits changed (any of `primal`, `dual_eq`, `dual_cone`),
+  - the solves whose status or iteration count changed,
+  - the outcomes whose status, order k or atom count changed,
+  - the largest move of gamma over the paired outcomes, relative to
+    max(1, |gamma|) as the solver's relative gap is,
+
+then the tests whose record counts differ.  It exits 1 when any solve or
+outcome status, k or atom count differs or a test's record count does,
+and 0 otherwise; changed bits, iteration counts and gammas only print.
+"""
+from __future__ import annotations
+
+import json
+import sys
+
+SOLVE, OUTCOME = "conic.solve", "driver.approximate"
+HASHES = ("primal", "dual_eq", "dual_cone")
+
+
+def _calls(records: list[dict], call: str) -> list[dict]:
+    return [r for r in records if r["call"] == call]
+
+
+def _gamma(record: dict) -> float | None:
+    return None if record["gamma"] == "None" else float(record["gamma"])
+
+
+def compare(a: dict, b: dict) -> tuple[list[str], bool]:
+    """The report's lines, and whether a status, k, atom count or record
+    count differs."""
+    bits, iters, outcomes, counts = [], [], [], []
+    nbits, worst, worst_at, status_moved = 0, 0.0, None, False
+    for test in sorted(a.keys() & b.keys()):
+        solves = list(zip(_calls(a[test], SOLVE), _calls(b[test], SOLVE)))
+        results = list(zip(_calls(a[test], OUTCOME), _calls(b[test], OUTCOME)))
+        for call in (SOLVE, OUTCOME):
+            na, nb = len(_calls(a[test], call)), len(_calls(b[test], call))
+            if na != nb:
+                counts.append(f"  {test}: {na} -> {nb} {call} records")
+        moved = [i for i, (x, y) in enumerate(solves) if any(x[h] != y[h] for h in HASHES)]
+        if moved:
+            nbits += len(moved)
+            bits.append(f"  {test}: {len(moved)} of {len(solves)} (#{', #'.join(map(str, moved))})")
+        for i, (x, y) in enumerate(solves):
+            status_moved |= x["status"] != y["status"]
+            if (x["status"], x["iterations"]) != (y["status"], y["iterations"]):
+                iters.append(
+                    f"  {test} #{i}: {x['status']} {x['iterations']} -> {y['status']} {y['iterations']}"
+                )
+        for i, (x, y) in enumerate(results):
+            if any(x[key] != y[key] for key in ("status", "k", "atoms")):
+                outcomes.append(
+                    f"  {test} #{i}: {x['status']} k={x['k']} atoms={x['atoms']} -> "
+                    f"{y['status']} k={y['k']} atoms={y['atoms']}"
+                )
+            ga, gb = _gamma(x), _gamma(y)
+            if ga is not None and gb is not None and abs(ga - gb) / max(1.0, abs(ga)) > worst:
+                worst, worst_at = abs(ga - gb) / max(1.0, abs(ga)), f"{test} #{i}"
+    only = [f"  {t}: only in {'A' if t in a else 'B'}" for t in sorted(a.keys() ^ b.keys())]
+    lines = [
+        f"solves with changed bits: {nbits}", *bits,
+        f"solves with changed status or iterations: {len(iters)}", *iters,
+        f"outcomes with changed status, k or atoms: {len(outcomes)}", *outcomes,
+        f"largest relative gamma move: {worst:.3g}" + (f" ({worst_at})" if worst_at else ""),
+        f"tests with changed record counts: {len(counts)}", *counts,
+        f"tests in one digest only: {len(only)}", *only,
+    ]
+    return lines, bool(outcomes or counts or status_moved)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_digests.py A.json B.json", file=sys.stderr)
+        return 2
+    with open(argv[0]) as fa, open(argv[1]) as fb:
+        lines, differs = compare(json.load(fa), json.load(fb))
+    print("\n".join(lines))
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,9 @@ writes, for every test, each `conic.solve` call (status, iterations and the
 SHA-256 of the bytes of `primal`, `dual_eq` and `dual_cone`) and each
 `driver.approximate` call (status, order, repr of gamma and atom count), in
 call order, to a JSON file.  Two trees' digests compare every solve bitwise
-and every outcome exactly.  Without the option nothing is wrapped.  Give
+and every outcome exactly: `python tests/compare_digests.py A.json B.json`
+lists what moved and exits 1 when a status, order or atom count did.
+Without the option nothing is wrapped.  Give
 the path with `=`: pytest reads a separate argument that names an existing
 file as a test path when it picks its root directory.
 """

@@ -1,0 +1,52 @@
+import json
+
+from compare_digests import main
+
+
+def _solve(status, iterations, primal):
+    return {"call": "conic.solve", "status": status, "iterations": iterations,
+            "primal": primal, "dual_eq": "y", "dual_cone": "z"}
+
+
+def _outcome(status, k, gamma, atoms):
+    return {"call": "driver.approximate", "status": status, "k": k,
+            "gamma": repr(gamma), "atoms": atoms}
+
+
+def _run(tmp_path, capsys, a, b):
+    paths = []
+    for name, digest in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(json.dumps(digest))
+        paths.append(str(tmp_path / name))
+    code = main(paths)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_moved_bits_iterations_and_gamma_print_but_pass(tmp_path, capsys):
+    a = {"t::one": [_solve("optimal", 9, "p"), _outcome("projected", 1, 2.0, 3)],
+         "t::two": [_solve("optimal", 12, "q"), _outcome("inconclusive", 2, None, None)]}
+    b = {"t::one": [_solve("optimal", 8, "p2"), _outcome("projected", 1, 2.0 + 4e-10, 3)],
+         "t::two": [_solve("optimal", 12, "q"), _outcome("inconclusive", 2, None, None)]}
+    code, out = _run(tmp_path, capsys, a, b)
+    assert code == 0
+    assert out[:4] == [
+        "solves with changed bits: 1",
+        "  t::one: 1 of 1 (#0)",
+        "solves with changed status or iterations: 1",
+        "  t::one #0: optimal 9 -> optimal 8",
+    ]
+    assert "outcomes with changed status, k or atoms: 0" in out
+    assert "largest relative gamma move: 2e-10 (t::one #0)" in out
+
+
+def test_a_changed_status_order_or_atom_count_fails(tmp_path, capsys):
+    a = {"t::one": [_outcome("projected", 1, 0.5, 3)], "t::two": [_outcome("projected", 2, 0.5, 3)]}
+    for changed in (_outcome("inconclusive", 1, 0.5, None), _outcome("projected", 2, 0.5, 3),
+                    _outcome("projected", 1, 0.5, 4)):
+        code, out = _run(tmp_path, capsys, a, {**a, "t::one": [changed]})
+        assert code == 1
+        assert "outcomes with changed status, k or atoms: 1" in out
+    code, out = _run(tmp_path, capsys, {"t::s": [_solve("optimal", 9, "p")]},
+                     {"t::s": [_solve("iteration_limit", 9, "p")]})
+    assert code == 1
+    assert "  t::s #0: optimal 9 -> iteration_limit 9" in out

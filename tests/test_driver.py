@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cpproj.cli
 import cpproj.conic
 import cpproj.driver
 import cpproj.extraction
@@ -526,14 +527,16 @@ def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkey
     # residual at scale times the tolerance.  Within 10 times, its objective
     # still bounds the distance; within STALL_SLACK (100) times, it is only a
     # certification candidate; either way the factor budget widens to 10
-    # times the residual level.  Beyond that, the hierarchy stops and keeps
-    # the bounds of the orders below
+    # times the residual level.  Beyond that, the hierarchy stops, keeps
+    # the bounds of the orders below and reports the last of them, whose X
+    # the CLI prints under its k_used
     level = scale * DriverSettings().solver.tol
     solve, floor = cpproj.driver.solve_relaxation, cpproj.driver.row_floor
-    budgets = []
+    budgets, matrices = [], {}
 
     def stalled(spec, k, settings):
         prog, csol = solve(spec, k, settings)
+        matrices[k] = map_solution(prog, csol).matrix
         if k == order:
             residuals = {**csol.residuals, "primal_feas": level, "dual_feas": level, "rel_gap": level}
             csol = replace(csol, status="iteration_limit", residuals=residuals)
@@ -545,7 +548,8 @@ def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkey
 
     monkeypatch.setattr(cpproj.driver, "solve_relaxation", stalled)
     monkeypatch.setattr(cpproj.driver, "row_floor", recording)
-    out = approximate(ProblemSpec(C, "fro"))
+    spec = ProblemSpec(C, "fro")
+    out = approximate(spec)
     tag = "DNN relaxation" if order == 1 else f"order {order}"
     orders = [k for k, _ in out.bounds]
     if scale < STALL_SLACK:
@@ -557,8 +561,11 @@ def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkey
     else:
         stop = f"{tag}: solver stalled with status 'iteration_limit'; stopping the hierarchy"
         assert stop in out.events
-        assert isinstance(out, Inconclusive) and out.k_last == order
+        assert isinstance(out, Inconclusive) and out.k_last == order - 1
         assert orders == [1]
+        doc, _ = cpproj.cli._outcome_doc(out, spec)
+        assert doc["k_used"] == order - 1
+        assert doc["X"] == matrices[order - 1].tolist() != matrices[order].tolist()
 
 
 def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatch):
