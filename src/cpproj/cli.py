@@ -281,19 +281,17 @@ def _outcome_doc(outcome, spec: ProblemSpec) -> tuple[dict, int]:
 
 
 def _membership_doc(result) -> tuple[dict, int]:
-    outcome = result.outcome
+    outcome, dec = result.outcome, result.decomposition
     doc = {
         "status": "checked" if result.is_cp is not None else "inconclusive",
         "is_cp": result.is_cp,
         "distance": result.distance,
-        "decomposition": _decomposition_doc(result.decomposition),
+        "decomposition": _decomposition_doc(dec),
         "k_used": outcome.k_used if isinstance(outcome, Projected) else outcome.k_last,
         "residuals": {},
     }
-    if result.decomposition is not None and isinstance(outcome, Projected):
-        doc["residuals"]["reconstruction"] = verify_decomposition(
-            outcome.matrix, result.decomposition
-        )
+    if dec is not None and isinstance(outcome, Projected):
+        doc["residuals"]["reconstruction"] = verify_decomposition(outcome.matrix, dec)
     code = EXIT_PROJECTED if result.is_cp is not None else EXIT_INCONCLUSIVE
     return doc, code
 

@@ -42,11 +42,10 @@ column block by column block, at a cost proportional to the map's nonzeros
 rather than to dense N x N congruences: every PSD block in this package is
 a moment, localizing or norm matrix whose map has a few nonzeros per column
 (see _PsdMap).  Every entry of K11 is the same sum, in the same block
-order, as a sum of per-block dense matrices would be.  That buffer is the
-iteration's one K11: the refinement reads it in place, and only the
-Cholesky factorization copies it, once per attempt.  The dtau pivot of
-the homogeneous embedding is taken in whichever of two equivalent forms has
-not lost its digits to cancellation.  The step length of a PSD block comes from the
+order, as a sum of per-block dense matrices would be, and it is the
+iteration's only K11 (see _Kkt).  The dtau pivot of the homogeneous
+embedding is taken in whichever of two equivalent forms has not lost its
+digits to cancellation.  The step length of a PSD block comes from the
 inverses of the Cholesky factors of its NT scaling, computed once per
 scaling, so each step is two matrix products and one eigvalsh.
 """
@@ -108,10 +107,7 @@ class ConeBlock:
 @dataclass(frozen=True, eq=False)
 class ConicProgram:
     """Immutable conic program data; see the module docstring for semantics.
-
-    `info` is the caller's metadata about the program, such as where its
-    variables sit among the columns; the solver never reads it.
-    """
+    `info` is the caller's metadata, which the solver never reads."""
 
     objective: np.ndarray
     eq_map: sp.csr_matrix

@@ -128,12 +128,8 @@ class Infeasible:
 
 @dataclass(frozen=True, eq=False)
 class Inconclusive:
-    """No certificate up to k_max; gamma_lower still bounds the distance.
-
-    `relaxation` is the solution of the last order that gave one, and
-    `k_last` is that order: a stall that stops the hierarchy is named in
-    the events, not here.
-    """
+    """No certificate up to k_max; gamma_lower still bounds the distance, and
+    `relaxation` is the solution of order `k_last`, the last one solved."""
 
     gamma_lower: Optional[float]
     k_last: int

@@ -28,9 +28,8 @@ the corner positions of the spectral block) and appended to a
 coordinate-array row builder, `_Rows`; one builder makes the equality map
 and one the cone map, each a single CSR matrix.  Every svec weight, of the
 PSD, second-order and spectral blocks alike, comes from `conic.svec_index`.
-The relaxation alone knows its columns: `assemble` records where vech(X)
-and gamma sit in the program's `info`, which the solver never reads, and
-`map_solution` reads them back from there.
+`assemble` records the columns of vech(X) and gamma in the program's `info`
+("X", "gamma"), which the solver never reads, for `map_solution`.
 """
 from __future__ import annotations
 
@@ -149,9 +148,7 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
 
     The columns are the head (vech(X) at order 1, the moment vector of
     half-degree k from order 2 on), then gamma, then for the one and inf
-    norms the bound T on |X - C| (vech order).  `info` records the columns
-    of vech(X) under "X" and the column of gamma under "gamma", for
-    `map_solution`.  Order 1 is the doubly
+    norms the bound T on |X - C| (vech order).  Order 1 is the doubly
     nonnegative relaxation: vech(X) is held entrywise nonnegative by rows at
     the head of the nonnegative block and PSD by one order-n block.  Order
     k >= 2 holds the moment vector under the sphere equalities and the
@@ -261,9 +258,7 @@ def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
     if sol.primal is None:
         raise ValueError(f"solution with status {sol.status!r} carries no point")
     xt = sol.primal
-    return RelaxationSolution(
-        matrix=vech_inv(xt[prog.info["X"]]), gamma=float(xt[prog.info["gamma"]]), conic=sol
-    )
+    return RelaxationSolution(vech_inv(xt[prog.info["X"]]), float(xt[prog.info["gamma"]]), sol)
 
 
 def solve_relaxation(

@@ -608,13 +608,13 @@ def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
     assert not full[rest].any()
 
 
-@pytest.mark.parametrize("attempt", ["first try", "retry"])
+@pytest.mark.parametrize("attempt", ["first", "retry"])
 @pytest.mark.parametrize("order", ["F", "C"])
 def test_kkt_factor_leaves_the_callers_k11_unchanged_and_solves_against_it(order, attempt):
     # factor keeps a reference to K11 for the refinement and writes only to
     # its own copy, so a K11 of either layout comes back bit for bit, on the
     # first try and after a retry, and solve meets the system it holds
-    if attempt == "first try":
+    if attempt == "first":
         (K11, E), eps = _kkt_case("equality rows"), cpproj.conic.STATIC_REG
     else:
         K11, E = _slightly_indefinite(-5e-9), np.random.default_rng(15).normal(size=(3, 8))
