@@ -654,8 +654,8 @@ class _Kkt:
     retries with eps a hundred times larger.  `solve` refines against the
     unregularized K11 and E, so eps moves the direction only by what the
     refinement sweeps leave of it.  `factor` keeps a reference to the
-    caller's K11, which it must not change before the last `solve`, and
-    writes only to its per-attempt copy, which `dpotrf` factors in place.
+    caller's K11, which must not change before the last `solve`, and writes
+    only to its per-attempt copy, which `dpotrf` factors in place.
     """
 
     def __init__(self, E: sp.csr_matrix, n: int):
