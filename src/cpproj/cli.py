@@ -22,7 +22,8 @@ The problem file looks like
     }
 
 with "kind" either "eq" (<A, X> = b) or "ge" (<A, X> >= b); "constraints"
-may be omitted.  C and every A must be symmetric to within 1e-12.  All
+may be omitted.  C and every A must be symmetric to within 1e-12 relative
+to their largest entry (absolute below 1), as `ProblemSpec` requires.  All
 numbers in the result are printed with 12 significant digits, and the same
 input with the same flags always produces byte-identical output.
 """
@@ -51,6 +52,7 @@ from .driver import (
 )
 from .extraction import CpDecomposition, verify_decomposition
 from .norms import NORM_KINDS, p_norm
+from .polybasis import symmetric
 from .relaxation import LinearConstraint, ProblemSpec
 
 __all__ = ["main", "run"]
@@ -60,8 +62,6 @@ EXIT_INFEASIBLE = 10
 EXIT_INCONCLUSIVE = 20
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-
-SYMMETRY_TOL = 1e-12
 
 
 class InputError(ValueError):
@@ -134,9 +134,10 @@ def _matrix_field(value: object, where: str, n: int) -> np.ndarray:
                 raise InputError(f"{where}[{i}][{j}]: must be finite")
         rows.append([float(entry) for entry in row])
     M = np.array(rows, dtype=float)
-    skew = float(np.abs(M - M.T).max(initial=0.0))
-    if skew > SYMMETRY_TOL:
-        raise InputError(f"{where}: not symmetric (|M - M^T| reaches {skew:.3e})")
+    try:
+        symmetric(M)
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
     return M
 
 

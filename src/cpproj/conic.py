@@ -28,12 +28,12 @@ couple of iterative-refinement sweeps, so identical inputs produce
 identical iterates.  Work that does not change between iterations is done
 once per solve: each nonneg block's sparse map is reduced to the (entry,
 coefficient, row) triples of its Schur complement, each PSD block's map is
-split into rank-one symmetric units grouped by column, and the equality and
-cone maps are transposed once, the transposed equality map also stored
-dense.  All four maps then act as gather-and-bincount products (see _CsrOp)
-that are bitwise SciPy's, so the loop transposes nothing and dispatches no
-sparse mat-vec; svec and smat are gathers through index arrays cached per
-order.  Each iteration builds K11 = M' H^{-1} M in one Fortran-ordered
+split into rank-one symmetric units grouped by column, and the transposed
+equality map is stored dense.  The equality and cone maps and their
+transposes act as gather-and-bincount products over each map's stored
+entries (see _CsrOp) that are bitwise SciPy's, so no sparse transpose is
+made and no sparse mat-vec dispatched; svec and smat are gathers through
+index arrays cached per order.  Each iteration builds K11 = M' H^{-1} M in one Fortran-ordered
 buffer, into which every block adds its Schur complement in place, over
 only the columns its map touches: a nonneg block with one weighted bincount
 (see _NonnegMap), a second-order block as a dense product over its touched
@@ -566,9 +566,7 @@ def _make_scaling(block: ConeBlock, s, z):
         return _NonnegScaling(s, z)
     if block.kind == "soc":
         return _SocScaling(s, z)
-    if block.kind == "psd":
-        return _PsdScaling(s, z, block.order)
-    raise ConicSolverError(f"no scaling for kind {block.kind!r}")
+    return _PsdScaling(s, z, block.order)
 
 
 def _block_map(block: ConeBlock, Mb: sp.csr_matrix):
@@ -589,9 +587,7 @@ def _unit_element(block: ConeBlock) -> np.ndarray:
         e = np.zeros(block.size)
         e[0] = 1.0
         return e
-    if block.kind == "psd":
-        return svec(np.eye(block.order))
-    raise ConicSolverError(f"no unit element for kind {block.kind!r}")
+    return svec(np.eye(block.order))
 
 
 def _cone_degree(block: ConeBlock) -> int:
@@ -621,24 +617,39 @@ def _dist_outside_cone(block: ConeBlock, u: np.ndarray) -> float:
 
 
 class _CsrOp:
-    """A CSR matrix A prepared once per solve for products `A @ x`.
+    """A CSR matrix A prepared once per solve for products `A @ x` and
+    `A.rmatvec(y)` = A' y, both over A's stored (row, column, value) triples.
 
-    The product is one gather, one multiply and one weighted bincount over
-    the stored entries in row order.  bincount adds each output from 0.0 in
-    stored order, as SciPy's csr_matvec does, so the result is bitwise
-    SciPy's `A @ x`, without its dispatch.
+    Each product is one gather, one multiply and one weighted bincount over
+    the triples in stored (row) order.  bincount adds each output from 0.0
+    in stored order, as SciPy's csr_matvec does on A and on the CSR copy of
+    A', so both results are bitwise SciPy's, without a transposed copy or
+    SciPy's dispatch.
     """
 
     def __init__(self, A: sp.csr_matrix):
-        self.m = A.shape[0]
-        self.rows = np.repeat(np.arange(self.m), np.diff(A.indptr))
+        self.shape = A.shape
+        self.rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         self.cols = A.indices
         self.data = A.data
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.bincount(self.rows, weights=self.data * x.take(self.cols), minlength=self.m)
+        return self._sum(self.rows, self.cols, x, self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self._sum(self.cols, self.rows, y, self.shape[1])
+
+    def _sum(self, out, at, x, size):
+        total = np.bincount(out, weights=self.data * x.take(at), minlength=size)
         # bincount of no entries returns integer zeros
-        return out.astype(float, copy=False)
+        return total.astype(float, copy=False)
+
+    def dense_t(self) -> np.ndarray:
+        """A' as a Fortran-ordered dense array, duplicates summed in stored
+        order as `toarray` sums them."""
+        out = np.zeros(self.shape[::-1], order="F")
+        np.add.at(out, (self.cols, self.rows), self.data)
+        return out
 
 
 class _Kkt:
@@ -648,9 +659,9 @@ class _Kkt:
     quasi-definite and has an LDL' factorization without pivoting (Vanderbei,
     SIAM J. Optim. 1995).  `factor` builds it by block elimination from two
     Cholesky factors, L L' = K11 + eps and L2 L2' = W'W + eps with
-    W = L^{-1} E', the negated Schur complement of the first block.  E' is
-    transposed once per solve, and stored both dense and as a _CsrOp beside
-    E's.  Rounding can leave K11 a hair indefinite, so a failed Cholesky
+    W = L^{-1} E', the negated Schur complement of the first block.  E is
+    kept as a _CsrOp, which also applies E', and E' is stored dense once per
+    solve.  Rounding can leave K11 a hair indefinite, so a failed Cholesky
     retries with eps a hundred times larger.  `solve` refines against the
     unregularized K11 and E, so eps moves the direction only by what the
     refinement sweeps leave of it.  `factor` keeps a reference to the
@@ -661,9 +672,8 @@ class _Kkt:
     def __init__(self, E: sp.csr_matrix, n: int):
         self.n = n
         self.m = E.shape[0]
-        ET = E.T.tocsr()
-        self.E, self.ET = _CsrOp(E), _CsrOp(ET)
-        self.ET_dense = np.asfortranarray(ET.toarray())
+        self.E = _CsrOp(E)
+        self.ET_dense = self.E.dense_t()
 
     def factor(self, K11: np.ndarray) -> None:
         self.K11 = K11
@@ -713,7 +723,7 @@ class _Kkt:
         x, y = xy[: self.n], xy[self.n :]
         top = self.K11 @ x
         if self.m:
-            top = top + self.ET @ y
+            top = top + self.E.rmatvec(y)
             bot = self.E @ x
             return np.concatenate([top, bot])
         return top
@@ -743,9 +753,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 
     block_maps = [_block_map(b, M[sl]) for b, sl in zip(blocks, slices)]
     kkt = _Kkt(E, n)
-    # from here on the four maps are _CsrOp products, each transposed once
-    E, ET = kkt.E, kkt.ET
-    M, MT = _CsrOp(M), _CsrOp(M.T.tocsr())
+    # from here on both maps and their transposes are _CsrOp products
+    E, M = kkt.E, _CsrOp(M)
 
     x = np.zeros(n)
     y = np.zeros(kkt.m)
@@ -764,7 +773,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     iters_done = 0
 
     def scaled_residuals():
-        r1 = -(ET @ y) - MT @ z + c * tau
+        r1 = -E.rmatvec(y) - M.rmatvec(z) + c * tau
         r2 = E @ x - d * tau
         r3 = M @ x + h * tau - s
         r4 = -c @ x + d @ y - h @ z - kappa
@@ -803,7 +812,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
         if not margin > 1e-300:
             return None
         yy, cert = y / margin, z / margin
-        res = _certificate_residuals(prog, yy, cert, ET, MT)
+        res = _certificate_residuals(prog, yy, cert, E.rmatvec(yy) + M.rmatvec(cert))
         if res is None:
             return None
         return ConicSolution(
@@ -853,7 +862,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             for sl, sc, bmap in zip(slices, scalings, block_maps):
                 hinv_h[sl] = sc.hinv_vec(h[sl])
                 sc.schur(bmap, K11)
-            mh = MT @ hinv_h
+            mh = M.rmatvec(hinv_h)
 
             kkt.factor(K11)
             vx, vy = kkt.solve(-(c + mh), d)
@@ -888,13 +897,13 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             for sl, sc in zip(slices, scalings):
                 hr3[sl] = sc.hinv_vec(r3[sl])
                 lam_sq[sl] = sc.lam_sq()
-            mt_hr3, h_hr3 = MT @ hr3, h @ hr3
+            mt_hr3, h_hr3 = M.rmatvec(hr3), h @ hr3
 
             def direction(eta, d_c, d_kappa):
                 w1 = np.zeros(m_k)
                 for sl, sc in zip(slices, scalings):
                     w1[sl] = sc.winv_vec(sc.lam_solve(d_c[sl]))
-                p1 = -eta * r1 + MT @ w1 - eta * mt_hr3
+                p1 = -eta * r1 + M.rmatvec(w1) - eta * mt_hr3
                 ux, uy = kkt.solve(p1, -eta * r2)
                 p4 = -eta * r4 + h @ w1 - eta * h_hr3 + d_kappa / tau
                 num = p4 - lin @ ux + d @ uy
@@ -963,11 +972,9 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
 # certificate verification against the raw data
 
 
-def _certificate_residuals(prog: ConicProgram, y, z, ET, MT) -> Optional[dict]:
-    """The Farkas residuals of (y, z) when each is within CERT_TOL relative
-    to the pair's largest entry, else None; ET and MT apply the transposed
-    maps."""
-    adj = ET @ y + MT @ z
+def _certificate_residuals(prog: ConicProgram, y, z, adj) -> Optional[dict]:
+    """The Farkas residuals of (y, z), whose adjoint E' y + M' z is adj, when
+    each is within CERT_TOL relative to the pair's largest entry, else None."""
     margin = prog.eq_rhs @ y - prog.cone_offset @ z
     dist = 0.0
     for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks)):
@@ -986,4 +993,5 @@ def verify_certificate(prog: ConicProgram, sol: ConicSolution) -> bool:
     if sol.status != "primal_infeasible" or sol.dual_eq is None or sol.dual_cone is None:
         return False
     y, z = sol.dual_eq, sol.dual_cone
-    return _certificate_residuals(prog, y, z, prog.eq_map.T, prog.cone_map.T) is not None
+    adj = _CsrOp(prog.eq_map).rmatvec(y) + _CsrOp(prog.cone_map).rmatvec(z)
+    return _certificate_residuals(prog, y, z, adj) is not None

@@ -121,20 +121,18 @@ def moment_cone_constraints(
 def symmetric(values) -> np.ndarray:
     """A read-only copy of a real symmetric matrix, exactly symmetric.
 
-    The lower triangle is mirrored from the upper one, so out[i, j] ==
-    out[j, i] holds bitwise.  Input asymmetry beyond 1e-12 (relative to the
+    The lower triangle is mirrored from the upper one by
+    `vech_inv(vech(.))`, so out[i, j] == out[j, i] holds bitwise.  Input asymmetry beyond 1e-12 (relative to the
     largest entry, or absolute below 1) is rejected rather than silently
     averaged away.
     """
-    arr = np.array(values, dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     skew = np.abs(arr - arr.T).max(initial=0.0)
     if skew > 1e-12 * max(1.0, np.abs(arr).max(initial=0.0)):
         raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
-    exact = np.triu(arr) + np.triu(arr, k=1).T
-    exact.setflags(write=False)
-    return exact
+    return vech_inv(vech(arr))
 
 
 def vech(A: np.ndarray) -> np.ndarray:

@@ -248,6 +248,21 @@ def test_asymmetric_matrix_is_rejected(tmp_path, capsys):
     assert "not symmetric" in err
 
 
+def test_rounding_asymmetry_is_judged_relative_to_the_entries():
+    # an asymmetry of 1e-11 on entries near 1e3 is 1e-14 relative: the CLI
+    # accepts it, as ProblemSpec does
+    C = [[1000.0, 999.0], [999.0 + 1e-11, 1001.0]]
+    assert C[1][0] != C[0][1]
+    A = [[1.0, 0.0], [0.0, 1.0]]
+    doc = {"n": 2, "C": C, "constraints": [{"A": A, "b": 2000.0, "kind": "ge"}]}
+    C_in, constraints = load_problem(json.dumps(doc))
+    npt.assert_array_equal(C_in, C)
+    ProblemSpec(C_in, "fro", constraints)
+    doc["constraints"][0]["A"] = [[1.0, 1e-11], [0.0, 1.0]]
+    with pytest.raises(InputError, match=r"constraints\[0\]\.A: .*not symmetric"):
+        load_problem(json.dumps(doc))
+
+
 def test_bad_constraint_kind_names_the_field(tmp_path, capsys):
     doc = {
         "n": 2,

@@ -270,12 +270,11 @@ def test_random_infeasible_programs(seed):
     assert verify_certificate(prog, sol)
     margin = prog.eq_rhs @ sol.dual_eq - prog.cone_offset @ sol.dual_cone
     npt.assert_allclose(margin, 1.0, atol=1e-6)
-    # the solve judges the pair once, through the transposes it prepared;
-    # they are bitwise SciPy's, so it reports exactly the residuals that
-    # verify_certificate recomputes from the raw data
-    raw = cpproj.conic._certificate_residuals(
-        prog, sol.dual_eq, sol.dual_cone, prog.eq_map.T, prog.cone_map.T
-    )
+    # the solve judges the pair once, through its _CsrOp transposed
+    # products; they are bitwise SciPy's, so it reports exactly the
+    # residuals of the adjoint recomputed from the raw data
+    adj = prog.eq_map.T @ sol.dual_eq + prog.cone_map.T @ sol.dual_cone
+    raw = cpproj.conic._certificate_residuals(prog, sol.dual_eq, sol.dual_cone, adj)
     assert sol.residuals == raw
 
 
@@ -675,6 +674,11 @@ def _csr_op_case(name):
         assert (np.diff(A.indptr) == 0).sum() >= 6
     elif name == "no rows":
         A = sp.csr_matrix((0, 7))
+    elif name == "duplicates":
+        # stored, unsummed duplicates, three of them in one entry
+        indices = np.array([2, 5, 2, 0, 0, 0, 4, 1])
+        A = sp.csr_matrix((rng.normal(size=8), indices, [0, 3, 6, 6, 8]), shape=(4, 6))
+        assert not A.has_canonical_format
     else:  # "zero column"
         A = sp.random(12, 8, density=0.5, random_state=rng, format="csc").tolil()
         A[:, 3] = 0.0
@@ -686,7 +690,7 @@ def _csr_op_case(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["random", "random, transposed", "empty rows", "no rows", "zero column"]
+    "name", ["random", "random, transposed", "empty rows", "no rows", "zero column", "duplicates"]
 )
 def test_csr_op_is_bitwise_scipys_product(name):
     A = _csr_op_case(name)
@@ -697,9 +701,16 @@ def test_csr_op_is_bitwise_scipys_product(name):
         got = op @ x
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-    # the transpose stored once is bitwise SciPy's transposed (CSC) product
-    y = rng.normal(size=A.shape[0])
-    assert (_CsrOp(A.T.tocsr()) @ y).tobytes() == (A.T @ y).tobytes()
+    # the transposed product over the same triples is bitwise SciPy's, on
+    # the CSR copy of A' and on the CSC view A.T, and the dense A' is toarray's
+    for y in (rng.normal(size=A.shape[0]), np.zeros(A.shape[0]), -np.zeros(A.shape[0])):
+        got = op.rmatvec(y)
+        ref = A.T.tocsr() @ y
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes() == (A.T @ y).tobytes()
+    dense = op.dense_t()
+    assert dense.flags.f_contiguous
+    assert dense.tobytes(order="F") == np.asfortranarray(A.T.tocsr().toarray()).tobytes(order="F")
 
 
 def _smat_reference(v, order):
@@ -763,7 +774,7 @@ def test_the_iteration_makes_no_sparse_transpose_or_matvec(monkeypatch):
             sol = solve(prog)
         counts[max_iters] = (sol.iterations, calls.transposes, calls.matvecs)
     assert counts[1][0] == 1 and counts[6][0] == 6 and counts[200][0] > 6, counts
-    # the two transposes of E and M made once to prepare the solve, and
-    # nothing else: the stopped solves' closing certificate check applies
-    # those prepared transposes, like every iteration
-    assert counts[1][1:] == counts[6][1:] == counts[200][1:] == (2, 0), counts
+    # no transpose even to prepare the solve: every product with E, M or
+    # their transposes, the stopped solves' closing certificate check
+    # included, is a _CsrOp product
+    assert counts[1][1:] == counts[6][1:] == counts[200][1:] == (0, 0), counts

@@ -62,6 +62,17 @@ def test_sym_matrix_exact_symmetry_and_rejection():
         S[0, 0] = 5.0
 
 
+def test_symmetric_mirrors_the_upper_triangle_bitwise():
+    rng = np.random.default_rng(24)
+    for order in range(1, 9):
+        for _ in range(25):
+            A = rng.normal(size=(order, order))
+            A[rng.random((order, order)) < 0.3] = -0.0
+            A = np.triu(A) + np.triu(A, k=1).T
+            ref = np.triu(A) + np.triu(A, k=1).T
+            assert symmetric(A).tobytes() == ref.tobytes()
+
+
 def test_vech_round_trip():
     rng = np.random.default_rng(3)
     for n in (1, 2, 5):
