@@ -33,21 +33,25 @@ equality map is stored dense.  The equality and cone maps and their
 transposes act as gather-and-bincount products over each map's stored
 entries (see _CsrOp) that are bitwise SciPy's, so no sparse transpose is
 made and no sparse mat-vec dispatched; svec and smat are gathers through
-index arrays cached per order.  Each iteration builds K11 = M' H^{-1} M in one Fortran-ordered
-buffer, into which every block adds its Schur complement in place, over
-only the columns its map touches: a nonneg block with one weighted bincount
-(see _NonnegMap), a second-order block as a dense product over its touched
-columns, and a PSD block from low-rank congruences and a sparse reduction,
-column block by column block, at a cost proportional to the map's nonzeros
-rather than to dense N x N congruences: every PSD block in this package is
-a moment, localizing or norm matrix whose map has a few nonzeros per column
-(see _PsdMap).  Every entry of K11 is the same sum, in the same block
-order, as a sum of per-block dense matrices would be, and it is the
-iteration's only K11 (see _Kkt).  The dtau pivot of the homogeneous
-embedding is taken in whichever of two equivalent forms has not lost its
-digits to cancellation.  The step length of a PSD block comes from the
-inverses of the Cholesky factors of its NT scaling, computed once per
-scaling, so each step is two matrix products and one eigvalsh.
+index arrays cached per order.  Each iteration builds K11 = M' H^{-1} M in
+one Fortran-ordered buffer, into which every block adds its Schur
+complement in place, over only the columns its map touches: a nonneg block
+with one weighted bincount (see _NonnegMap), a second-order block as a
+dense product over its touched columns, and a PSD block from low-rank
+congruences and a sparse reduction, column block by column block, at a
+cost proportional to the map's nonzeros rather than to dense N x N
+congruences: every PSD block in this package is a moment, localizing or
+norm matrix whose map has a few nonzeros per column (see _PsdMap).  Every
+entry of K11 is the same sum, in the same block order, as a sum of
+per-block dense matrices would be, and it is the iteration's only K11 (see
+_Kkt).  The dtau pivot of the homogeneous embedding is taken in whichever
+of two equivalent forms has not lost its digits to cancellation.  Both
+step lengths are measured against the NT point lam = W^{-T} s = W z, as in
+CVXOPT's cone solvers: `direction` returns the scaled pair W^{-T} ds, W dz,
+which the corrector's Jordan term reuses, and each block's one `step`
+finds the largest alpha keeping lam + alpha d in its cone (a ratio test, a
+quadratic root, or one eigvalsh of Lambda^{-1/2} D Lambda^{-1/2} for the
+diagonal Lambda of a PSD block).
 """
 from __future__ import annotations
 
@@ -237,7 +241,6 @@ class _NonnegScaling:
     def __init__(self, s, z):
         if s.min(initial=np.inf) <= 0 or z.min(initial=np.inf) <= 0:
             raise _Breakdown
-        self.s, self.z = s, z
         self.w = np.sqrt(s / z)
         self.lam = np.sqrt(s * z)
 
@@ -267,16 +270,10 @@ class _NonnegScaling:
     def jordan(self, a, b):
         return a * b
 
-    def max_step(self, ds, dz):
-        """Largest steps along ds and dz that keep s and z in the cone."""
-        return self._step(self.s, ds), self._step(self.z, dz)
-
-    @staticmethod
-    def _step(u, du):
-        neg = du < 0
-        if not neg.any():
-            return np.inf
-        return float(np.min(-u[neg] / du[neg]))
+    def step(self, d):
+        """Largest alpha with lam + alpha d in the cone: a ratio test."""
+        neg = d < 0
+        return float(np.min(-self.lam[neg] / d[neg])) if neg.any() else np.inf
 
 
 def _soc_det(u):
@@ -299,7 +296,6 @@ class _SocScaling:
         ds, dz = _soc_det(s), _soc_det(z)
         if ds <= 0 or dz <= 0 or s[0] <= 0 or z[0] <= 0:
             raise _Breakdown
-        self.s, self.z = s, z
         sign, diag = _soc_sign(s.size)
         ns, nz = math.sqrt(ds), math.sqrt(dz)
         sh, zh = s / ns, z / nz
@@ -358,16 +354,13 @@ class _SocScaling:
     def jordan(self, a, b):
         return np.concatenate(([a @ b], a[0] * b[1:] + b[0] * a[1:]))
 
-    def max_step(self, ds, dz):
-        """Largest steps along ds and dz that keep s and z in the cone."""
-        return self._step(self.s, ds), self._step(self.z, dz)
-
-    @staticmethod
-    def _step(u, du):
-        # first positive root of det(u + alpha du) = 0, if any
-        a = _soc_det(du)
-        b = 2.0 * (u[0] * du[0] - u[1:] @ du[1:])
-        c0 = _soc_det(u)
+    def step(self, d):
+        """Largest alpha with lam + alpha d in the cone: the first positive
+        root of det(lam + alpha d) = 0, if any."""
+        lam = self.lam
+        a = _soc_det(d)
+        b = 2.0 * (lam[0] * d[0] - lam[1:] @ d[1:])
+        c0 = _soc_det(lam)
         roots = []
         if abs(a) < 1e-300:
             if b < 0:
@@ -398,10 +391,10 @@ class _PsdScaling:
         self.R = Ls @ (Vt.T * isq[None, :])
         self.Rinv = (U * isq[None, :]).T @ Lz.T
         self.lam_diag = sig
+        # entry (i, j) of Lambda^{-1/2} D Lambda^{-1/2} is D[i, j] times this
+        self.lam_isqrt2 = np.outer(isq, isq)
         G = self.Rinv.T @ self.Rinv  # (R R^T)^{-1}
         self.Ginv = G
-        self.Ls_inv = _tri_inverse(Ls)
-        self.Lz_inv = _tri_inverse(Lz)
 
     def schur(self, pmap: "_PsdMap", out: np.ndarray) -> None:
         """Add Mb' H^{-1} Mb into out, from the map prepared once per solve."""
@@ -435,23 +428,11 @@ class _PsdScaling:
         B = smat(b, self.order)
         return svec(0.5 * (A @ B + B @ A))
 
-    def max_step(self, ds, dz):
-        """Largest steps along ds and dz that keep S and Z semidefinite."""
-        return self._step(self.Ls_inv, ds), self._step(self.Lz_inv, dz)
-
-    def _step(self, L_inv, du):
-        # largest alpha with L L' + alpha dU still PSD, from the inverse of L
-        B = L_inv @ smat(du, self.order) @ L_inv.T
-        lam_min = float(np.linalg.eigvalsh(0.5 * (B + B.T)).min())
+    def step(self, d):
+        """Largest alpha with Lambda + alpha smat(d) PSD, from the smallest
+        eigenvalue of Lambda^{-1/2} smat(d) Lambda^{-1/2}."""
+        lam_min = float(np.linalg.eigvalsh(smat(d, self.order) * self.lam_isqrt2)[0])
         return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
-
-
-def _tri_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower triangular matrix."""
-    L_inv, info = lapack.dtrtri(L, lower=1)
-    if info != 0:
-        raise _Breakdown
-    return L_inv
 
 
 class _NonnegMap:
@@ -911,16 +892,21 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 dx = ux + dtau * vx
                 dy = -(uy + dtau * vy)
                 ds = M @ dx + h * dtau + eta * r3
-                dz = np.zeros(m_k)
+                # and the scaled pair W^{-T} ds, W dz, measured against lam
+                dz, ds_t, dz_t = np.zeros(m_k), np.zeros(m_k), np.zeros(m_k)
                 for sl, sc in zip(slices, scalings):
                     dz[sl] = w1[sl] - sc.hinv_vec(ds[sl])
+                    ds_t[sl] = sc.wtinv_vec(ds[sl])
+                    dz_t[sl] = sc.w_vec(dz[sl])
                 dkappa = (d_kappa - kappa * dtau) / tau
-                return dx, dy, dz, ds, dtau, dkappa
+                return dx, dy, dz, ds, dtau, dkappa, ds_t, dz_t
 
-            def max_step(dz, ds, dtau, dkappa):
+            def max_step(ds_t, dz_t, dtau, dkappa):
+                # s + alpha ds and z + alpha dz stay in the cone exactly when
+                # lam + alpha ds_t and lam + alpha dz_t do
                 alpha = np.inf
                 for sl, sc in zip(slices, scalings):
-                    alpha = min(alpha, *sc.max_step(ds[sl], dz[sl]))
+                    alpha = min(alpha, sc.step(ds_t[sl]), sc.step(dz_t[sl]))
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
                 if dkappa < 0:
@@ -928,8 +914,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 return alpha
 
             # predictor
-            dxa, dya, dza, dsa, dtaua, dkappaa = direction(1.0, -lam_sq, -tau * kappa)
-            alpha_aff = min(1.0, max_step(dza, dsa, dtaua, dkappaa))
+            _, _, dza, dsa, dtaua, dkappaa, dsa_t, dza_t = direction(1.0, -lam_sq, -tau * kappa)
+            alpha_aff = min(1.0, max_step(dsa_t, dza_t, dtaua, dkappaa))
             mu_aff = (
                 (s + alpha_aff * dsa) @ (z + alpha_aff * dza)
                 + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)
@@ -939,12 +925,12 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             # corrector
             d_c2 = np.zeros(m_k)
             for sl, sc in zip(slices, scalings):
-                corr = sc.jordan(sc.wtinv_vec(dsa[sl]), sc.w_vec(dza[sl]))
+                corr = sc.jordan(dsa_t[sl], dza_t[sl])
                 d_c2[sl] = sigma * mu * unit[sl] - lam_sq[sl] - corr
             d_kappa2 = sigma * mu - tau * kappa - dtaua * dkappaa
-            dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, d_c2, d_kappa2)
+            dx, dy, dz, ds, dtau, dkappa, ds_t, dz_t = direction(1.0 - sigma, d_c2, d_kappa2)
 
-            alpha = min(1.0, 0.99 * max_step(dz, ds, dtau, dkappa))
+            alpha = min(1.0, 0.99 * max_step(ds_t, dz_t, dtau, dkappa))
             if alpha < 1e-8:
                 tiny_steps += 1
             else:

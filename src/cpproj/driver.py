@@ -173,6 +173,14 @@ def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
     return None
 
 
+def _factor_budget(X: np.ndarray, csol: ConicSolution) -> float:
+    """The residual up to which factors of X certify it: FACTOR_TOL, or ten
+    times the solve's worst residual when that is larger, relative to
+    1 + ||X||."""
+    level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
+    return max(FACTOR_TOL, 10.0 * level) * (1.0 + float(np.linalg.norm(X)))
+
+
 def _factorize(
     X: np.ndarray,
     csol: ConicSolution,
@@ -182,20 +190,18 @@ def _factorize(
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    The fit must reach FACTOR_TOL relative to 1 + ||X||, or ten times the
-    worst residual of the solve when that is larger: a stalled iterate is
-    only that accurate, so a tighter fit would hold X to more than the solve
-    could deliver.  When `cp_distance_floor` proves that no nonnegative
-    factorization can come within that budget, no fit is tried and the
-    event names the gate.  Otherwise `_fit` runs its chain of starts from
+    The fit must reach `_factor_budget`: a stalled iterate is only as
+    accurate as its residuals, so a tighter fit would hold X to more than
+    the solve could deliver.  When `cp_distance_floor` proves that no
+    nonnegative factorization can come within that budget, no fit is tried
+    and the event names the gate.  Otherwise `_fit` runs its chain of starts from
     the `row_floor` count.  The certification event names the start that
     won, the polish that ran, whether the atom count is the floor, and the
     residual against the budget.  The gate, the floor and the fit share one
     `eigh(X)`.
     """
     tag = f"{tag} (factorization)"
-    level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
-    budget = max(FACTOR_TOL, 10.0 * level) * (1.0 + float(np.linalg.norm(X)))
+    budget = _factor_budget(X, csol)
     lam, V = np.linalg.eigh(X)
     floor, gate = cp_distance_floor(X, lam)
     if floor > budget:

@@ -121,10 +121,10 @@ def moment_cone_constraints(
 def symmetric(values) -> np.ndarray:
     """A read-only copy of a real symmetric matrix, exactly symmetric.
 
-    The lower triangle is mirrored from the upper one by
-    `vech_inv(vech(.))`, so out[i, j] == out[j, i] holds bitwise.  Input asymmetry beyond 1e-12 (relative to the
-    largest entry, or absolute below 1) is rejected rather than silently
-    averaged away.
+    The lower triangle is mirrored from the upper one by vech_inv(vech(.)),
+    so out[i, j] == out[j, i] holds bitwise.  Input asymmetry beyond 1e-12
+    (relative to the largest entry, or absolute below 1) is rejected rather
+    than silently averaged away.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

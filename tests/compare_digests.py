@@ -8,7 +8,9 @@ prints
 
   - the solves whose bits changed (any of `primal`, `dual_eq`, `dual_cone`),
   - the solves whose status or iteration count changed,
-  - the outcomes whose status, order k or atom count changed,
+  - the outcomes whose status, order k or atom count changed, each with
+    the factor residual over its budget (`margin`) on both sides, so a
+    certificate that sat near its budget shows,
   - the largest move of gamma over the paired outcomes, relative to
     max(1, |gamma|) as the solver's relative gap is,
 
@@ -31,6 +33,11 @@ def _calls(records: list[dict], call: str) -> list[dict]:
 
 def _gamma(record: dict) -> float | None:
     return None if record["gamma"] == "None" else float(record["gamma"])
+
+
+def _margin(record: dict) -> str:
+    margin = record.get("margin")
+    return "-" if margin is None else f"{margin:.3g}"
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
@@ -59,7 +66,8 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             if any(x[key] != y[key] for key in ("status", "k", "atoms")):
                 outcomes.append(
                     f"  {test} #{i}: {x['status']} k={x['k']} atoms={x['atoms']} -> "
-                    f"{y['status']} k={y['k']} atoms={y['atoms']}"
+                    f"{y['status']} k={y['k']} atoms={y['atoms']} "
+                    f"(margin {_margin(x)} -> {_margin(y)})"
                 )
             ga, gb = _gamma(x), _gamma(y)
             if ga is not None and gb is not None and abs(ga - gb) / max(1.0, abs(ga)) > worst:

@@ -4,8 +4,9 @@
 
 writes, for every test, each `conic.solve` call (status, iterations and the
 SHA-256 of the bytes of `primal`, `dual_eq` and `dual_cone`) and each
-`driver.approximate` call (status, order, repr of gamma and atom count), in
-call order, to a JSON file.  Two trees' digests compare every solve bitwise
+`driver.approximate` call (status, order, repr of gamma, atom count and,
+for a certified outcome, its factor residual over the certification
+budget), in call order, to a JSON file.  Two trees' digests compare every solve bitwise
 and every outcome exactly: `python tests/compare_digests.py A.json B.json`
 lists what moved and exits 1 when a status, order or atom count did.
 Without the option nothing is wrapped.  Give
@@ -45,14 +46,22 @@ def _solve_record(sol) -> dict:
 
 
 def _outcome_record(out) -> dict:
+    from cpproj.driver import _factor_budget
+    from cpproj.extraction import verify_decomposition
+
     gamma = getattr(out, "gamma", getattr(out, "gamma_lower", None))
     dec = getattr(out, "decomposition", None)
+    margin = None
+    if dec is not None:
+        X = out.matrix
+        margin = verify_decomposition(X, dec) / _factor_budget(X, out.relaxation.conic)
     return {
         "call": "driver.approximate",
         "status": out.status,
         "k": getattr(out, "k_used", getattr(out, "k_last", None)),
         "gamma": repr(gamma),
         "atoms": None if dec is None else int(dec.rank),
+        "margin": margin,
     }
 
 

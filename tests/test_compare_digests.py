@@ -8,9 +8,9 @@ def _solve(status, iterations, primal):
             "primal": primal, "dual_eq": "y", "dual_cone": "z"}
 
 
-def _outcome(status, k, gamma, atoms):
+def _outcome(status, k, gamma, atoms, margin=None):
     return {"call": "driver.approximate", "status": status, "k": k,
-            "gamma": repr(gamma), "atoms": atoms}
+            "gamma": repr(gamma), "atoms": atoms, "margin": margin}
 
 
 def _run(tmp_path, capsys, a, b):
@@ -50,3 +50,16 @@ def test_a_changed_status_order_or_atom_count_fails(tmp_path, capsys):
                      {"t::s": [_solve("iteration_limit", 9, "p")]})
     assert code == 1
     assert "  t::s #0: optimal 9 -> iteration_limit 9" in out
+
+
+def test_a_moved_outcome_prints_its_margin_on_both_sides(tmp_path, capsys):
+    a = {"t::one": [_outcome("projected", 1, 0.5, 4, margin=0.94)]}
+    b = {"t::one": [_outcome("projected", 3, 0.5, 4, margin=0.021)]}
+    code, out = _run(tmp_path, capsys, a, b)
+    assert code == 1
+    assert "  t::one #0: projected k=1 atoms=4 -> projected k=3 atoms=4 (margin 0.94 -> 0.021)" in out
+    # an uncertified side, or a digest written before the field, prints "-"
+    del a["t::one"][0]["margin"]
+    b = {"t::one": [_outcome("inconclusive", 3, 0.5, None)]}
+    code, out = _run(tmp_path, capsys, a, b)
+    assert "  t::one #0: projected k=1 atoms=4 -> inconclusive k=3 atoms=None (margin - -> -)" in out

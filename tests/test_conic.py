@@ -15,6 +15,7 @@ from cpproj.conic import (
     _Kkt,
     _dist_outside_cone,
     _NonnegMap,
+    _NonnegScaling,
     _PsdMap,
     _PsdScaling,
     _SocScaling,
@@ -430,17 +431,64 @@ def test_psd_step_from_the_scaling_factors_matches_the_generalized_eigenvalue():
     z = svec(B @ B.T + 0.1 * np.eye(order))
     sc = _PsdScaling(s, z, order)
     D = rng.normal(size=(order, order))
+
+    def steps(ds, dz):
+        return sc.step(sc.wtinv_vec(ds)), sc.step(sc.w_vec(dz))
+
     for d in (svec(D + D.T), -svec(D + D.T)):
-        got = sc.max_step(d, -d)
+        got = steps(d, -d)
         ref = (_psd_step_reference(s, d, order), _psd_step_reference(z, -d, order))
         npt.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
         assert all(np.isfinite(a) and a > 0 for a in got)
     P = svec(D @ D.T)
-    assert sc.max_step(P, P) == (np.inf, np.inf)
-    got = sc.max_step(-P, P)
+    assert steps(P, P) == (np.inf, np.inf)
+    got = steps(-P, P)
     assert got[1] == np.inf
     npt.assert_allclose(got[0], _psd_step_reference(s, -P, order), rtol=1e-10, atol=0.0)
     assert np.isfinite(got[0]) and got[0] > 0
+
+
+def _raw_step(kind, u, du):
+    """The largest alpha keeping u + alpha du in the cone, from the raw pair:
+    a ratio test for nonneg; for soc the root of the concave
+    (u + alpha du)_0 - ||(u + alpha du)_1||, which is positive at 0."""
+    if kind == "nonneg":
+        return float(np.min(-u[du < 0] / du[du < 0], initial=np.inf))
+    if du[0] >= np.linalg.norm(du[1:]):
+        return np.inf
+
+    def f(alpha):
+        return u[0] + alpha * du[0] - np.linalg.norm(u[1:] + alpha * du[1:])
+
+    from scipy.optimize import brentq
+
+    hi = 1.0
+    while f(hi) >= 0:
+        hi *= 2.0
+    return brentq(f, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kind", ["nonneg", "soc"])
+def test_step_against_lam_is_the_raw_step(kind):
+    rng = np.random.default_rng(24)
+    for q in (2, 3, 7):
+        s, z = rng.uniform(0.1, 3.0, size=(2, q))
+        if kind == "soc":
+            s[0] = np.linalg.norm(s[1:]) + rng.uniform(0.01, 2.0)
+            z[0] = np.linalg.norm(z[1:]) + rng.uniform(0.01, 2.0)
+        sc = (_NonnegScaling if kind == "nonneg" else _SocScaling)(s, z)
+        for _ in range(5):
+            ds, dz = rng.normal(size=(2, q))
+            for u, du, got in ((s, ds, sc.step(sc.wtinv_vec(ds))), (z, dz, sc.step(sc.w_vec(dz)))):
+                ref = _raw_step(kind, u, du)
+                assert got == ref == np.inf or abs(got - ref) <= 1e-10 * ref, (got, ref)
+        # a direction inside the cone never leaves it
+        inside = np.abs(rng.normal(size=q))
+        inside[0] += np.linalg.norm(inside[1:])
+        assert sc.step(sc.wtinv_vec(inside)) == sc.step(sc.w_vec(inside)) == np.inf
+        # a step to the boundary is finite
+        assert np.isfinite(sc.step(sc.wtinv_vec(-inside)))
+        assert np.isfinite(sc.step(sc.w_vec(-inside)))
 
 
 def _nonneg_map_case(name):

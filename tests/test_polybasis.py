@@ -66,9 +66,11 @@ def test_symmetric_mirrors_the_upper_triangle_bitwise():
     rng = np.random.default_rng(24)
     for order in range(1, 9):
         for _ in range(25):
-            A = rng.normal(size=(order, order))
-            A[rng.random((order, order)) < 0.3] = -0.0
-            A = np.triu(A) + np.triu(A, k=1).T
+            B = rng.normal(size=(order, order))
+            A = B + B.T
+            zero = rng.random((order, order)) < 0.3
+            A[zero | zero.T] = -0.0
+            A[zero & (rng.random((order, order)) < 0.5)] = 0.0  # mixed-sign zero pairs
             ref = np.triu(A) + np.triu(A, k=1).T
             assert symmetric(A).tobytes() == ref.tobytes()
 
