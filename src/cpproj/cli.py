@@ -22,10 +22,11 @@ The problem file looks like
     }
 
 with "kind" either "eq" (<A, X> = b) or "ge" (<A, X> >= b); "constraints"
-may be omitted.  C and every A must be symmetric to within 1e-12 relative
-to their largest entry (absolute below 1), as `ProblemSpec` requires.  All
-numbers in the result are printed with 12 significant digits, and the same
-input with the same flags always produces byte-identical output.
+may be omitted.  C and every A must be finite and symmetric to within
+1e-12 relative to their largest entry (absolute below 1), as `ProblemSpec`
+requires.  All numbers in the result are printed with 12 significant
+digits, and the same input with the same flags always produces
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -51,9 +52,7 @@ from .driver import (
     check_cp_membership,
 )
 from .extraction import CpDecomposition, verify_decomposition
-from .norms import NORM_KINDS, p_norm
-from .polybasis import symmetric
-from .relaxation import LinearConstraint, ProblemSpec
+from .relaxation import NORM_KINDS, LinearConstraint, ProblemSpec, p_norm, symmetric
 
 __all__ = ["main", "run"]
 

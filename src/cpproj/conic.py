@@ -9,7 +9,9 @@ Programs are stored as
 where K is an ordered product of nonnegative / second-order / PSD blocks
 partitioning the cone image.  PSD blocks use the isometric upper triangle
 vectorization of `svec_index` (off-diagonal entries scaled by sqrt(2)) so
-that block inner products equal plain dot products.
+that block inner products equal plain dot products.  `svec_index` is the
+package's one upper-triangle fold: `vech` and `vech_inv`, `svec` (the
+weighted vech) and `smat` gather through it.
 
 The algorithm embeds the primal-dual pair in a homogeneous self-dual model,
 scales each cone block by its Nesterov-Todd point, and takes Mehrotra
@@ -72,7 +74,10 @@ __all__ = [
     "SolverSettings",
     "ConicSolverError",
     "solve",
+    "svec_gather",
     "svec_index",
+    "vech",
+    "vech_inv",
     "verify_certificate",
 ]
 
@@ -187,7 +192,7 @@ class ConicSolution:
 
 
 # ---------------------------------------------------------------------------
-# svec helpers (isometric symmetric vectorization)
+# the upper-triangle fold: vech, and its isometric weighting svec
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +208,7 @@ def svec_index(order: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _svec_gather(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svec_gather(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """svec_index as gathers: the flat position of each upper-triangle entry,
     the svec position of every entry of an order x order matrix, and the
     weights."""
@@ -216,13 +221,31 @@ def _svec_gather(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, pos, scale
 
 
+def vech(A: np.ndarray) -> np.ndarray:
+    """Row-major upper-triangle vector (A11, A12, ..., A1n, A22, ..., Ann)."""
+    return A.take(svec_gather(A.shape[0])[0])
+
+
+def vech_inv(v: np.ndarray) -> np.ndarray:
+    """Inverse of vech: rebuild the (read-only) symmetric matrix from its
+    upper triangle."""
+    v = np.asarray(v, dtype=float).ravel()
+    n = int(round((math.isqrt(8 * v.size + 1) - 1) / 2))
+    if n * (n + 1) // 2 != v.size:
+        raise ValueError(f"length {v.size} is not a triangular number")
+    # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
+    out = (v + 0.0).take(svec_gather(n)[1])
+    out.setflags(write=False)
+    return out
+
+
 def svec(U: np.ndarray) -> np.ndarray:
-    flat, _, scale = _svec_gather(U.shape[0])
-    return U.take(flat) * scale
+    """vech weighted by svec_index, so that svec(A) . svec(B) = <A, B>."""
+    return vech(U) * svec_gather(U.shape[0])[2]
 
 
 def smat(v: np.ndarray, order: int) -> np.ndarray:
-    _, pos, scale = _svec_gather(order)
+    _, pos, scale = svec_gather(order)
     # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
     return (v / scale + 0.0).take(pos)
 

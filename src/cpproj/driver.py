@@ -101,11 +101,10 @@ class Projected:
 
     `k_used` is the relaxation order that certified, 1 for the DNN
     relaxation, and `relaxation` is that order's solution.  `bounds` lists
-    an (order, distance bound) pair per solve that gave one.
+    an (order, distance bound) pair per solve that gave one.  The
+    projection and its distance are the relaxation's `matrix` and `gamma`.
     """
 
-    matrix: np.ndarray
-    gamma: float
     decomposition: CpDecomposition
     k_used: int
     relaxation: RelaxationSolution
@@ -113,6 +112,14 @@ class Projected:
     bounds: tuple[tuple[int, float], ...] = ()
 
     status = "projected"
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.relaxation.matrix
+
+    @property
+    def gamma(self) -> float:
+        return self.relaxation.gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +138,6 @@ class Inconclusive:
     """No certificate up to k_max; gamma_lower still bounds the distance, and
     `relaxation` is the solution of order `k_last`, the last one solved."""
 
-    gamma_lower: Optional[float]
     k_last: int
     relaxation: RelaxationSolution
     events: tuple[str, ...]
@@ -139,8 +145,18 @@ class Inconclusive:
 
     status = "inconclusive"
 
+    @property
+    def gamma_lower(self) -> Optional[float]:
+        """The largest of the distance bounds, None when no order gave one."""
+        return max((gamma for _, gamma in self.bounds), default=None)
+
 
 Outcome = Union[Projected, Infeasible, Inconclusive]
+
+
+def _residual_level(csol: ConicSolution) -> float:
+    """The solve's worst residual: primal, dual or relative gap (NaN if any is)."""
+    return float(np.max([csol.residuals[key] for key in ("primal_feas", "dual_feas", "rel_gap")]))
 
 
 def _usable_solution(csol, solver: SolverSettings, slack: float = 10.0) -> bool:
@@ -157,13 +173,7 @@ def _usable_solution(csol, solver: SolverSettings, slack: float = 10.0) -> bool:
         return True
     if csol.status != "iteration_limit" or csol.primal is None:
         return False
-    res = csol.residuals
-    far = float("inf")
-    return (
-        res.get("primal_feas", far) <= slack * solver.tol
-        and res.get("dual_feas", far) <= slack * solver.tol
-        and res.get("rel_gap", far) <= slack * solver.tol
-    )
+    return _residual_level(csol) <= slack * solver.tol
 
 
 def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
@@ -177,8 +187,7 @@ def _factor_budget(X: np.ndarray, csol: ConicSolution) -> float:
     """The residual up to which factors of X certify it: FACTOR_TOL, or ten
     times the solve's worst residual when that is larger, relative to
     1 + ||X||."""
-    level = max(csol.residuals.get(key, 0.0) for key in ("primal_feas", "dual_feas", "rel_gap"))
-    return max(FACTOR_TOL, 10.0 * level) * (1.0 + float(np.linalg.norm(X)))
+    return max(FACTOR_TOL, 10.0 * _residual_level(csol)) * (1.0 + float(np.linalg.norm(X)))
 
 
 def _factorize(
@@ -304,7 +313,6 @@ def approximate(
         events.append(msg)
         logger.info(msg)
 
-    gamma_lower: Optional[float] = None
     k_last, last_rsol = 0, None
     bounds: list[tuple[int, float]] = []
 
@@ -336,7 +344,6 @@ def approximate(
         rsol = map_solution(prog, csol)
         k_last, last_rsol = k, rsol
         if near_optimal:
-            gamma_lower = rsol.gamma if gamma_lower is None else max(gamma_lower, rsol.gamma)
             bounds.append((k, rsol.gamma))
             note(f"{tag}: distance bound {rsol.gamma:.10g}")
         else:
@@ -347,8 +354,6 @@ def approximate(
         dec = _factorize(rsol.matrix, csol, spec, note, tag)
         if dec is not None:
             return Projected(
-                matrix=rsol.matrix,
-                gamma=rsol.gamma,
                 decomposition=dec,
                 k_used=k,
                 relaxation=rsol,
@@ -358,7 +363,6 @@ def approximate(
         note(f"{tag}: not certified")
 
     return Inconclusive(
-        gamma_lower=gamma_lower,
         k_last=k_last,
         relaxation=last_rsol,
         events=tuple(events),

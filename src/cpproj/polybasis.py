@@ -1,5 +1,4 @@
-"""Graded-lex monomial index, the moment-cone rows built on it, and the
-vectorizations of symmetric matrices.
+"""Graded-lex monomial index and the moment-cone rows built on it.
 
 Monomials are exponent tuples ordered graded-lexicographically: total degree
 first, ties broken lexicographically with the first variable ranked highest.
@@ -17,7 +16,6 @@ relaxation states these conditions as linear maps from the sequence
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -25,15 +23,9 @@ from typing import Iterator, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import _svec_gather
+from .conic import svec_index
 
-__all__ = [
-    "moment_cone_constraints",
-    "symmetric",
-    "vech",
-    "vech_inv",
-    "weighted_vech",
-]
+__all__ = ["moment_cone_constraints"]
 
 
 def _degree_block(total: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -81,8 +73,8 @@ def moment_cone_constraints(
     <= 2(k - 1), sum_i s[delta + 2 e_i] - s[delta].  `blocks` holds
     `(order, entries)` for the moment matrix (the localizer of 1, half-order
     k) and then the localizers of x_1, ..., x_n (half-order k - 1): row r of
-    `entries` is the r-th upper-triangle position (a, b), row-major, and
-    picks s[alpha_a + alpha_b + shift].  The matrices' arrays are read-only.
+    `entries` is the r-th position (a, b) of `conic.svec_index` and picks
+    s[alpha_a + alpha_b + shift].  The matrices' arrays are read-only.
     """
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
@@ -105,7 +97,7 @@ def moment_cone_constraints(
     blocks = []
     for shift, half in [(np.zeros(n, dtype=np.int64), k)] + [(e, k - 1) for e in eye]:
         rows = monomials_up_to(n, half)
-        a, b = np.triu_indices(len(rows))
+        a, b = svec_index(len(rows))[0]
         entries = sp.csr_matrix(
             (np.ones(a.size), (np.arange(a.size), columns(rows[a] + rows[b] + shift))),
             shape=(a.size, len(index)),
@@ -116,47 +108,3 @@ def moment_cone_constraints(
         for a in (mat.data, mat.indices, mat.indptr):
             a.setflags(write=False)
     return equality, tuple(blocks)
-
-
-def symmetric(values) -> np.ndarray:
-    """A read-only copy of a real symmetric matrix, exactly symmetric.
-
-    The lower triangle is mirrored from the upper one by vech_inv(vech(.)),
-    so out[i, j] == out[j, i] holds bitwise.  Input asymmetry beyond 1e-12
-    (relative to the largest entry, or absolute below 1) is rejected rather
-    than silently averaged away.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    skew = np.abs(arr - arr.T).max(initial=0.0)
-    if skew > 1e-12 * max(1.0, np.abs(arr).max(initial=0.0)):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
-    return vech_inv(vech(arr))
-
-
-def vech(A: np.ndarray) -> np.ndarray:
-    """Row-major upper-triangle vector (A11, A12, ..., A1n, A22, ..., Ann),
-    gathered through the index arrays that svec caches per order."""
-    return A.take(_svec_gather(A.shape[0])[0])
-
-
-def vech_inv(v: np.ndarray) -> np.ndarray:
-    """Inverse of vech: rebuild the (read-only) symmetric matrix from its
-    upper triangle."""
-    v = np.asarray(v, dtype=float).ravel()
-    n = int(round((math.isqrt(8 * v.size + 1) - 1) / 2))
-    if n * (n + 1) // 2 != v.size:
-        raise ValueError(f"length {v.size} is not a triangular number")
-    # + 0.0 maps -0.0 to 0.0, as a sum of the two triangles would
-    out = (v + 0.0).take(_svec_gather(n)[1])
-    out.setflags(write=False)
-    return out
-
-
-def weighted_vech(A: np.ndarray) -> np.ndarray:
-    """vech with off-diagonal entries doubled, so that
-    weighted_vech(A) . vech(X) equals the trace inner product <A, X>."""
-    w = vech(A)
-    w[_svec_gather(A.shape[0])[2] != 1.0] *= 2.0
-    return w

@@ -1,18 +1,19 @@
 """Assembly of the order-k projection relaxation as a conic program.
 
-An instance asks for the matrix nearest to C, in one of the matrix norms
-handled by `cpproj.norms`, among completely positive matrices satisfying
-affine trace constraints <A_i, X> = b_i or >= b_i.  Membership of X in the
-completely positive cone is relaxed by one ladder of conic programs,
-indexed by the order k, that share the constraint and norm rows.
-Order 1 is the doubly nonnegative (DNN) relaxation: X entrywise
+An instance asks for the matrix nearest to C, in one of the matrix norms of
+`NORM_KINDS` (evaluated by `p_norm`), among completely positive matrices
+satisfying affine trace constraints <A_i, X> = b_i or >= b_i; C and every
+A_i pass `symmetric`, which rejects non-finite or asymmetric input.
+Membership of X in the completely positive cone is relaxed by one ladder of
+conic programs, indexed by the order k, that share the constraint and norm
+rows.  Order 1 is the doubly nonnegative (DNN) relaxation: X entrywise
 nonnegative and PSD.  Order k >= 2 uses the moment-sequence description
-from `cpproj.polybasis`: X is identified with the degree-2 slice of a moment
-vector s that satisfies the sphere equalities and the PSD block conditions
-of order k.  CP lies inside every rung, so each optimal value bounds the
-projection distance from below, and from order 2 on the values grow with
-k toward it; certification at finite k happens downstream, through a
-direct nonnegative factorization of the optimal matrix.
+from `cpproj.polybasis`: X is identified with the degree-2 slice of a
+moment vector s that satisfies the sphere equalities and the PSD block
+conditions of order k.  CP lies inside every rung, so each optimal value
+bounds the projection distance from below, and from order 2 on the values
+grow with k toward it; certification at finite k happens downstream,
+through a direct nonnegative factorization of the optimal matrix.
 
 The norm objective turns into standard conic epigraphs:
 
@@ -43,14 +44,16 @@ from .conic import (
     ConicProgram,
     ConicSolution,
     SolverSettings,
-    _svec_gather,
     solve as conic_solve,
+    svec_gather,
     svec_index,
+    vech,
+    vech_inv,
 )
-from .norms import NORM_KINDS
-from .polybasis import moment_cone_constraints, symmetric, vech, vech_inv, weighted_vech
+from .polybasis import moment_cone_constraints
 
 __all__ = [
+    "NORM_KINDS",
     "LinearConstraint",
     "ProblemSpec",
     "RelaxationSolution",
@@ -59,6 +62,8 @@ __all__ = [
     "solve_relaxation",
     "check_weak_duality",
     "project_dnn",
+    "p_norm",
+    "symmetric",
 ]
 
 # the DNN program is small and well conditioned, so its solve is held to a
@@ -66,6 +71,41 @@ __all__ = [
 # accurate
 DNN_TOL = 1e-8
 WEAK_DUALITY_TOL = 1e-7  # absolute slack of the primal bound below the dual objective
+NORM_KINDS: tuple[str, ...] = ("one", "two", "inf", "fro")
+
+
+def symmetric(values) -> np.ndarray:
+    """A read-only copy of a real, finite, symmetric matrix, exactly symmetric.
+
+    The lower triangle is mirrored from the upper one by vech_inv(vech(.)),
+    so out[i, j] == out[j, i] holds bitwise.  A NaN or infinite entry is
+    rejected, and so is input asymmetry beyond 1e-12 (relative to the
+    largest entry, or absolute below 1), rather than silently averaged away.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has a non-finite entry")
+    skew = np.abs(arr - arr.T).max(initial=0.0)
+    if skew > 1e-12 * max(1.0, np.abs(arr).max(initial=0.0)):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
+    return vech_inv(vech(arr))
+
+
+def p_norm(A: np.ndarray, p: str) -> float:
+    """Norm of a symmetric matrix: max column sum / spectral / max row sum / Frobenius."""
+    V = symmetric(A)
+    if p not in NORM_KINDS:
+        raise ValueError(f"unknown norm {p!r}; expected one of {NORM_KINDS}")
+    if p == "one":
+        return float(np.abs(V).sum(axis=0).max(initial=0.0))
+    if p == "inf":
+        return float(np.abs(V).sum(axis=1).max(initial=0.0))
+    if p == "two":
+        # symmetric, so the spectral norm is the largest eigenvalue magnitude
+        return float(np.abs(np.linalg.eigvalsh(V)).max(initial=0.0))
+    return float(np.linalg.norm(V))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +119,10 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.kind not in ("eq", "ineq"):
             raise ValueError(f"constraint kind must be 'eq' or 'ineq', got {self.kind!r}")
-        A = symmetric(self.matrix)
-        object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "matrix", symmetric(self.matrix))
         object.__setattr__(self, "rhs", float(self.rhs))
+        if not np.isfinite(self.rhs):
+            raise ValueError(f"constraint right-hand side must be finite, got {self.rhs}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +201,7 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     n = spec.dim
     nbar = n * (n + 1) // 2
     iu, wgt = svec_index(n)
+    off = iu[0] != iu[1]
     vcol = np.arange(nbar)
     eq, cone = _Rows(), _Rows()
     if k == 1:
@@ -179,9 +221,11 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     t = g + 1  # the columns of vech(T), the entrywise bound on |X - C|
     N = t + nbar if bound else t
 
-    # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block
+    # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block:
+    # <A, X> is vech(A) . vech(X) with the off-diagonal terms counted twice
     for rows, cons, sign in ((eq, spec.equalities, 1.0), (cone, spec.inequalities, -1.0)):
-        W = np.array([weighted_vech(c.matrix) for c in cons]).reshape(len(cons), nbar)
+        W = np.array([vech(c.matrix) for c in cons]).reshape(len(cons), nbar)
+        W[:, off] *= 2.0
         r, m = np.nonzero(W)
         rows.add(r, xcol[m], W[r, m], sign * np.array([c.rhs for c in cons]))
     if bound:
@@ -194,7 +238,6 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
             np.concatenate([np.ones(2 * nbar), np.repeat([-1.0, 1.0], nbar)]),
             np.concatenate([c, -c]),
         )
-        off = iu[0] != iu[1]
         j, m = np.concatenate([iu[0], iu[1][off]]), np.concatenate([vcol, vcol[off]])
         cone.add(
             np.concatenate([np.arange(n), j]),
@@ -219,7 +262,7 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         (a, b), wp = svec_index(2 * n)
         diag, corner = np.flatnonzero(a == b), np.flatnonzero((a < n) & (b >= n))
         i, j = a[corner], b[corner] - n
-        pos = _svec_gather(n)[1]  # the vech position of each entry (i, j)
+        pos = svec_gather(n)[1]  # the vech position of each entry (i, j)
         offset = np.zeros(wp.size)
         offset[corner] = -wp[corner] * spec.C[i, j]
         cone.add(

@@ -7,8 +7,9 @@ identified symmetric matrix.
 """
 import numpy as np
 
-from cpproj.norms import p_norm
-from cpproj.polybasis import monomials_up_to, vech, vech_inv
+from cpproj.conic import vech, vech_inv
+from cpproj.polybasis import monomials_up_to
+from cpproj.relaxation import p_norm
 
 
 def moments_of_atoms(atoms, weights, k: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from cpproj.conic import (
     verify_certificate,
 )
 from cpproj.driver import FACTOR_TOL, DriverSettings, approximate
-from cpproj.norms import p_norm
 from cpproj.polybasis import moment_cone_constraints, monomial_positions, monomials_up_to
 from cpproj.relaxation import (
     LinearConstraint,
@@ -35,6 +34,7 @@ from cpproj.relaxation import (
     assemble,
     check_weak_duality,
     map_solution,
+    p_norm,
     project_dnn,
     solve_relaxation,
 )

@@ -2,8 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cpproj.norms import p_norm
-from cpproj.polybasis import symmetric
+from cpproj.relaxation import p_norm, symmetric
 
 
 def random_sym(rng, n):

@@ -4,15 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cpproj.polybasis import (
-    moment_cone_constraints,
-    monomial_positions,
-    monomials_up_to,
-    symmetric,
-    vech,
-    vech_inv,
-    weighted_vech,
-)
+from cpproj.conic import vech, vech_inv
+from cpproj.polybasis import moment_cone_constraints, monomial_positions, monomials_up_to
+from cpproj.relaxation import symmetric
 from moment_reference import degree2_slice, moments_of_atoms
 
 
@@ -87,15 +81,6 @@ def test_vech_round_trip():
 def test_vech_is_row_major_upper_triangle():
     A = symmetric(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]))
     npt.assert_array_equal(vech(A), [1, 2, 3, 4, 5, 6])
-
-
-def test_weighted_vech_trace_identity():
-    # oracle: explicit double sum for <A, X>
-    rng = np.random.default_rng(11)
-    for n in (2, 4, 7):
-        A, X = random_sym(rng, n), random_sym(rng, n)
-        direct = sum(A[i, j] * X[i, j] for i in range(n) for j in range(n))
-        npt.assert_allclose(weighted_vech(A) @ vech(X), direct, rtol=1e-13)
 
 
 def test_etms_matrix_identification_round_trip():

@@ -13,7 +13,6 @@ MODULES = (
     "cpproj.conic",
     "cpproj.driver",
     "cpproj.extraction",
-    "cpproj.norms",
     "cpproj.polybasis",
     "cpproj.relaxation",
 )
@@ -44,6 +43,21 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert not missing, f"{name} exports missing names {missing}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # an underscore-prefixed name belongs to its own module; a rule that a
+    # second module needs gets a public name in the module that owns it
+    private = [
+        f"{path.stem} imports {alias.name} from {'.' * node.level}{node.module or ''}"
+        for path in sorted((ROOT / "src" / "cpproj").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("cpproj"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported across modules: {private}"
 
 
 def _identifiers(path: Path) -> set[str]:

@@ -11,18 +11,21 @@ from cpproj.conic import (
     _dist_outside_cone,
     smat,
     solve as conic_solve,
+    vech,
+    vech_inv,
 )
 from cpproj.driver import DriverSettings
-from cpproj.norms import p_norm
-from cpproj.polybasis import moment_cone_constraints, vech, vech_inv
+from cpproj.polybasis import moment_cone_constraints
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
     assemble,
     check_weak_duality,
     map_solution,
+    p_norm,
     project_dnn,
     solve_relaxation,
+    symmetric,
 )
 from moment_reference import lift_atomic_point
 
@@ -231,6 +234,43 @@ def test_invalid_inputs_are_rejected():
         ProblemSpec(np.eye(2), constraints=(LinearConstraint(np.eye(3), 1.0),))
     with pytest.raises(ValueError):
         ProblemSpec(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_target_is_rejected(bad):
+    # a NaN asymmetry compares false, so only an explicit check keeps a
+    # NaN or infinite C out of the solver
+    C = np.eye(3)
+    C[0, 2] = C[2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ProblemSpec(C)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_constraint_matrix_is_rejected(bad):
+    A = np.ones((3, 3))
+    A[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        LinearConstraint(A, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_right_hand_side_is_rejected(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        LinearConstraint(np.eye(3), bad, "ineq")
+
+
+def test_constraint_row_is_the_trace_inner_product():
+    # the row assemble builds for <A, X> == b, applied to the columns of
+    # vech(X), against the explicit double sum
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 7):
+        A, X = (symmetric((G + G.T) / 2) for G in rng.standard_normal((2, n, n)))
+        prog = assemble(ProblemSpec(np.zeros((n, n)), "fro", (LinearConstraint(A, 0.0),)), 1)
+        v = np.zeros(prog.objective.size)
+        v[prog.info["X"]] = vech(X)
+        direct = sum(A[i, j] * X[i, j] for i in range(n) for j in range(n))
+        npt.assert_allclose(prog.eq_map @ v, [direct], rtol=1e-13)
 
 
 def test_map_solution_requires_a_point():
