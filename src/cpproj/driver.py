@@ -73,10 +73,6 @@ class SolverFailure(RuntimeError):
 
 
 K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one moment order
-# residual multiplier (on top of the solver tolerance) up to which a stalled
-# iterate is still offered to the factorization; its objective is never
-# recorded as a distance bound in that band
-STALL_SLACK = 100.0
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
 # the factorization is the whole proof that X is completely positive, so its
 # fit is held to ten times the default solver tolerance (widened only for a
@@ -101,7 +97,7 @@ class Projected:
 
     `k_used` is the relaxation order that certified, 1 for the DNN
     relaxation, and `relaxation` is that order's solution.  `bounds` lists
-    an (order, distance bound) pair per solve that gave one.  The
+    an (order, distance bound) pair per order solved, `k_used` the last.  The
     projection and its distance are the relaxation's `matrix` and `gamma`.
     """
 
@@ -159,21 +155,23 @@ def _residual_level(csol: ConicSolution) -> float:
     return float(np.max([csol.residuals[key] for key in ("primal_feas", "dual_feas", "rel_gap")]))
 
 
-def _usable_solution(csol, solver: SolverSettings, slack: float = 10.0) -> bool:
-    """Accept a stalled solve whose best iterate nearly met the tolerances.
+def _usable_solution(csol, solver: SolverSettings) -> bool:
+    """Whether the solve gives both a distance bound and a certification
+    candidate: it is optimal, or it stalled at a residual level within ten
+    times the tolerance.
 
     Moment relaxations are degenerate enough that the interior-point engine
     can stall a small factor short of the request (typically on instances
-    whose optimum touches the cone boundary everywhere).  The iterate it
-    hands back can still be certified, and the binding checks happen
-    downstream on the reconstructed factors and the constraints, so a near
-    miss is worth factorizing rather than aborting.
+    whose optimum touches the cone boundary everywhere).  Such an iterate
+    still bounds the distance, and its factors are held to a budget ten
+    times its residual level (`_factor_budget`).  A solve that stalls
+    further out proves nothing, so it is neither a bound nor a candidate.
     """
     if csol.status == "optimal":
         return True
     if csol.status != "iteration_limit" or csol.primal is None:
         return False
-    return _residual_level(csol) <= slack * solver.tol
+    return _residual_level(csol) <= 10.0 * solver.tol
 
 
 def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
@@ -324,32 +322,25 @@ def approximate(
             # solve() only reports this after verifying the Farkas pair, and
             # CP lies inside every order, so the pair rules out CP as well
             return Infeasible(k_used=k, certificate=csol, events=tuple(events))
-        near_optimal = True
+        if not _usable_solution(csol, st.solver):
+            if not bounds:
+                raise SolverFailure(
+                    f"relaxation order {k} ended with status {csol.status!r} "
+                    f"(residuals {csol.residuals})"
+                )
+            # orders already solved still bound the distance; report those
+            # instead of discarding them over a breakdown higher up
+            note(f"{tag}: solver stalled with status {csol.status!r}; stopping the hierarchy")
+            break
         if csol.status != "optimal":
-            near_optimal = _usable_solution(csol, st.solver)
-            if not near_optimal and not _usable_solution(csol, st.solver, STALL_SLACK):
-                if not bounds:
-                    raise SolverFailure(
-                        f"relaxation order {k} ended with status {csol.status!r} "
-                        f"(residuals {csol.residuals})"
-                    )
-                # orders already solved still bound the distance; report those
-                # instead of discarding them over a breakdown higher up
-                note(f"{tag}: solver stalled with status {csol.status!r}; stopping the hierarchy")
-                break
             note(
                 f"{tag}: accepting a reduced-accuracy iterate "
                 f"(rel_gap {csol.residuals.get('rel_gap', float('nan')):.3e})"
             )
         rsol = map_solution(prog, csol)
         k_last, last_rsol = k, rsol
-        if near_optimal:
-            bounds.append((k, rsol.gamma))
-            note(f"{tag}: distance bound {rsol.gamma:.10g}")
-        else:
-            # a stalled iterate still makes a certification candidate, but its
-            # objective is not trusted as a distance bound
-            note(f"{tag}: distance estimate {rsol.gamma:.10g} at reduced accuracy")
+        bounds.append((k, rsol.gamma))
+        note(f"{tag}: distance bound {rsol.gamma:.10g}")
 
         dec = _factorize(rsol.matrix, csol, spec, note, tag)
         if dec is not None:

@@ -11,7 +11,9 @@ starts polished: `clique_start`, one row per maximal clique of the graph of
 X, the square root's rows, and `edge_start`, one row per edge of that
 graph and per vertex.  `verify_decomposition` measures the residual that
 the caller gates on.  `cp_distance_floor` gives a provable lower bound on
-that residual over all nonnegative factorizations, so a matrix that no
+that residual over all nonnegative factorizations, from the negative
+entries and eigenvalues of X and the Horn cuts, the 12 relabelings of the
+Horn matrix read on each 5x5 principal submatrix; so a matrix that no
 factorization can fit is rejected without a polish.
 
 scipy.optimize loads on the first polish, not on import: most fits never
@@ -22,7 +24,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -160,26 +161,13 @@ _HORN = np.array([
     [1.0, 1.0, -1.0, 1.0, -1.0],
     [-1.0, 1.0, 1.0, -1.0, 1.0],
 ])
-
-
-@lru_cache(maxsize=None)
-def _horn_cuts(n: int) -> np.ndarray:
-    """Every distinct relabeling of _HORN on every 5-subset of n indices.
-
-    Returns an array of shape (count, n, n), zero outside each subset: 12
-    matrices for n = 5, 72 for n = 6, none below 5.
-    """
-    perms = {_HORN[np.ix_(p, p)].tobytes(): p for p in itertools.permutations(range(5))}
-    cuts = []
-    for subset in itertools.combinations(range(n), 5):
-        idx = np.array(subset)
-        for p in perms.values():
-            H = np.zeros((n, n))
-            H[np.ix_(idx, idx)] = _HORN[np.ix_(p, p)]
-            cuts.append(H)
-    cuts = np.array(cuts).reshape(-1, n, n)
-    cuts.setflags(write=False)  # cached, so shared by every caller
-    return cuts
+# its 12 distinct relabelings H[p][:, p], each copositive with Frobenius norm 5:
+# every rotation and reflection of the cycle 0-1-2-3-4 maps H to itself, so
+# the p with p[0] = 0 and p[1] < p[4] give each relabeling once
+_HORN_CUTS = np.array([
+    _HORN[np.ix_(p, p)] for p in itertools.permutations(range(5)) if p[0] == 0 and p[1] < p[4]
+])
+_HORN_CUTS.setflags(write=False)
 
 
 def cp_distance_floor(X: np.ndarray, lam: np.ndarray) -> tuple[float, str]:
@@ -188,17 +176,20 @@ def cp_distance_floor(X: np.ndarray, lam: np.ndarray) -> tuple[float, str]:
     Every F^T F is entrywise nonnegative, PSD and has <H, F^T F> >= 0 for
     each copositive H, so it lies at least ||min(X, 0)||_F ("entrywise"),
     ||min(lam, 0)||_2 ("eigenvalue", with lam the eigenvalues of X) and
-    -<H, X> / ||H||_F ("Horn") away from X.  Returns the largest of these
-    with the name of its gate.
+    -<H, X> / ||H||_F ("Horn") away from X.  The Horn cuts are the
+    relabelings of _HORN on each 5-subset S of the indices, zero elsewhere,
+    so each reads only the principal submatrix X[S, S].  Returns the largest
+    of these floors with the name of its gate.
     """
     floors = {
         "entrywise": float(np.linalg.norm(np.minimum(X, 0.0))),
         "eigenvalue": float(np.linalg.norm(np.minimum(lam, 0.0))),
     }
-    cuts = _horn_cuts(X.shape[0])
-    if cuts.size:
-        # every embedded Horn matrix has Frobenius norm 5
-        floors["Horn"] = max(0.0, float(-np.einsum("kij,ij->k", cuts, X).min()) / 5.0)
+    if X.shape[0] >= 5:
+        subsets = itertools.combinations(range(X.shape[0]), 5)
+        S = np.fromiter(itertools.chain.from_iterable(subsets), np.intp).reshape(-1, 5)
+        inner = np.einsum("pij,sij->sp", _HORN_CUTS, X[S[:, :, None], S[:, None, :]])
+        floors["Horn"] = max(0.0, float(-inner.min()) / 5.0)
     gate = max(floors, key=floors.get)
     return floors[gate], gate
 

@@ -248,6 +248,33 @@ def test_asymmetric_matrix_is_rejected(tmp_path, capsys):
     assert "not symmetric" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("C[0][1]", float("nan"), "must be finite"),
+     ("constraints[0].A[1][1]", float("inf"), "must be finite"),
+     ("constraints[0].b", -float("inf"), "expected a finite number")],
+    ids=["C", "A", "b"],
+)
+def test_non_finite_input_names_the_field(field, value, message, tmp_path, capsys):
+    # json reads NaN, Infinity and -Infinity as floats, so the CLI must
+    # reject them itself
+    C = [[2.0, 1.0], [1.0, 2.0]]
+    con = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": 4.0, "kind": "ge"}
+    if field == "C[0][1]":
+        C[0][1] = C[1][0] = value
+    elif field == "constraints[0].b":
+        con["b"] = value
+    else:
+        con["A"][1][1] = value
+    path = write_problem(tmp_path, {"n": 2, "C": C, "constraints": [con]})
+    text = Path(path).read_text()
+    assert "NaN" in text or "Infinity" in text
+    code, out, err = run_cli(["--norm", "fro", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"{field}: {message}" in err
+
+
 def test_rounding_asymmetry_is_judged_relative_to_the_entries():
     # an asymmetry of 1e-11 on entries near 1e3 is 1e-14 relative: the CLI
     # accepts it, as ProblemSpec does

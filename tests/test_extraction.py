@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,8 +9,9 @@ import cpproj.driver
 import cpproj.extraction
 from cpproj.driver import FACTOR_TOL, DriverSettings, _fit
 from cpproj.extraction import (
+    _HORN,
+    _HORN_CUTS,
     CpDecomposition,
-    _horn_cuts,
     clique_start,
     cp_distance_floor,
     edge_start,
@@ -278,16 +282,87 @@ def test_from_factors_drops_empty_rows_and_normalizes_atoms():
     npt.assert_allclose(dec.reconstruct(), F.T @ F)
 
 
-@pytest.mark.parametrize("n, count", [(4, 0), (5, 12), (6, 72)])
-def test_horn_cuts_are_the_distinct_embedded_relabelings(n, count):
-    cuts = _horn_cuts(n)
-    assert cuts.shape == (count, n, n)
-    assert len({H.tobytes() for H in cuts}) == count
-    for H in cuts:
-        support = np.flatnonzero(np.abs(H).sum(axis=0))
-        assert support.size == 5
+def test_horn_cuts_are_the_distinct_relabelings():
+    assert _HORN_CUTS.shape == (12, 5, 5)
+    assert not _HORN_CUTS.flags.writeable
+    relabelings = {_HORN[np.ix_(p, p)].tobytes() for p in itertools.permutations(range(5))}
+    assert {H.tobytes() for H in _HORN_CUTS} == relabelings
+    assert len(relabelings) == 12
+    for H in _HORN_CUTS:
         assert np.linalg.norm(H) == 5.0
-        npt.assert_array_equal(np.diag(H)[support], 1.0)
+        npt.assert_array_equal(np.diag(H), 1.0)
+
+
+def _padded_floor(X, lam):
+    """cp_distance_floor with each Horn cut embedded in an n x n zero matrix:
+    every distinct relabeling of _HORN on every 5-subset, none below n = 5."""
+    n = X.shape[0]
+    perms = {_HORN[np.ix_(p, p)].tobytes(): p for p in itertools.permutations(range(5))}
+    cuts = []
+    for subset in itertools.combinations(range(n), 5):
+        idx = np.array(subset)
+        for p in perms.values():
+            H = np.zeros((n, n))
+            H[np.ix_(idx, idx)] = _HORN[np.ix_(p, p)]
+            cuts.append(H)
+    cuts = np.array(cuts).reshape(-1, n, n)
+    floors = {
+        "entrywise": float(np.linalg.norm(np.minimum(X, 0.0))),
+        "eigenvalue": float(np.linalg.norm(np.minimum(lam, 0.0))),
+    }
+    if cuts.size:
+        floors["Horn"] = max(0.0, float(-np.einsum("kij,ij->k", cuts, X).min()) / 5.0)
+    gate = max(floors, key=floors.get)
+    return floors[gate], gate
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_cp_distance_floor_matches_the_padded_horn_cuts(n):
+    # half the draws are a CP matrix plus a relabeled cycle matrix on 5
+    # random indices, DNN with the Horn cut setting their floor; the rest are
+    # symmetric Gaussian matrices.  Each cut sums its 25 exact products
+    # +-X_ij in an order that depends on where they lie in memory, so the
+    # two floors agree to 24 roundings of sum |X[S, S]| on each side
+    rng = np.random.default_rng(n)
+    cycle = 1.8 * np.eye(5) + np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)
+    horn = 0
+    for t in range(60):
+        G = rng.standard_normal((n, n))
+        if t % 2:
+            X = (G + G.T) / 2
+        else:
+            X = 0.05 * np.abs(G).T @ np.abs(G)
+            idx = rng.permutation(n)[: min(n, 5)]
+            X[np.ix_(idx, idx)] += 3.0 * cycle[: idx.size, : idx.size]
+        lam = np.linalg.eigvalsh(X)
+        (floor, gate), (ref, ref_gate) = cp_distance_floor(X, lam), _padded_floor(X, lam)
+        assert gate == ref_gate
+        assert abs(floor - ref) <= 240 * (np.finfo(float).eps / 2) * np.abs(X).max()
+        if n == 5:
+            assert floor == ref
+        horn += gate == "Horn"
+    assert (horn >= 20) == (n >= 5)
+
+
+def test_the_horn_gate_holds_no_table():
+    # at n = 16 the 12 C(16, 5) Horn cuts embedded in 16 x 16 zero matrices
+    # take 107 MB; read on the 5 x 5 principal submatrices they need 25 of
+    # the entries each, and nothing outlives the call but its result.  A
+    # first call at n = 6 leaves numpy's one-time setup out of the trace
+    cp_distance_floor(np.eye(6), np.ones(6))
+    rng = np.random.default_rng(16)
+    B = np.abs(rng.standard_normal((19, 16)))
+    X = B.T @ B
+    lam = np.linalg.eigvalsh(X)
+    tracemalloc.start()
+    try:
+        result = cp_distance_floor(X, lam)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (0.0, "entrywise")
+    assert peak < 16e6
+    assert retained < 1e3
 
 
 def test_cp_distance_floor_names_the_gate_that_gives_it():
@@ -307,7 +382,7 @@ def test_cp_distance_floor_names_the_gate_that_gives_it():
     assert bound == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 5, 6])
+@pytest.mark.parametrize("n", [3, 5, 6, 9, 12])
 def test_cp_distance_floor_never_exceeds_a_factorization_residual(n):
     rng = np.random.default_rng(n)
     for _ in range(40):
