@@ -293,10 +293,9 @@ def test_horn_cuts_are_the_distinct_relabelings():
         npt.assert_array_equal(np.diag(H), 1.0)
 
 
-def _padded_floor(X, lam):
-    """cp_distance_floor with each Horn cut embedded in an n x n zero matrix:
-    every distinct relabeling of _HORN on every 5-subset, none below n = 5."""
-    n = X.shape[0]
+def _padded_horn_cuts(n):
+    """Every distinct relabeling of _HORN on every 5-subset of range(n),
+    embedded in an n x n zero matrix; none below n = 5."""
     perms = {_HORN[np.ix_(p, p)].tobytes(): p for p in itertools.permutations(range(5))}
     cuts = []
     for subset in itertools.combinations(range(n), 5):
@@ -305,7 +304,33 @@ def _padded_floor(X, lam):
             H = np.zeros((n, n))
             H[np.ix_(idx, idx)] = _HORN[np.ix_(p, p)]
             cuts.append(H)
-    cuts = np.array(cuts).reshape(-1, n, n)
+    return np.array(cuts).reshape(-1, n, n)
+
+
+@pytest.mark.parametrize("n, count", [(4, 0), (5, 12), (6, 72)])
+def test_horn_cuts_are_the_distinct_embedded_relabelings(n, count):
+    cuts = _padded_horn_cuts(n)
+    assert cuts.shape == (count, n, n)
+    assert len({H.tobytes() for H in cuts}) == count
+    for H in cuts:
+        support = np.flatnonzero(np.abs(H).sum(axis=0))
+        assert support.size == 5
+        assert np.linalg.norm(H) == 5.0
+        npt.assert_array_equal(np.diag(H)[support], 1.0)
+    # the padded cuts are exactly the constant's 12 cuts placed on each 5-subset
+    embedded = set()
+    for subset in itertools.combinations(range(n), 5):
+        idx = np.array(subset)
+        for C in _HORN_CUTS:
+            H = np.zeros((n, n))
+            H[np.ix_(idx, idx)] = C
+            embedded.add(H.tobytes())
+    assert embedded == {H.tobytes() for H in cuts}
+
+
+def _padded_floor(X, lam):
+    """cp_distance_floor evaluated on the padded Horn cuts of _padded_horn_cuts."""
+    cuts = _padded_horn_cuts(X.shape[0])
     floors = {
         "entrywise": float(np.linalg.norm(np.minimum(X, 0.0))),
         "eigenvalue": float(np.linalg.norm(np.minimum(lam, 0.0))),
