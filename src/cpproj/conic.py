@@ -48,12 +48,17 @@ entry of K11 is the same sum, in the same block order, as a sum of
 per-block dense matrices would be, and it is the iteration's only K11 (see
 _Kkt).  The dtau pivot of the homogeneous embedding is taken in whichever
 of two equivalent forms has not lost its digits to cancellation.  Both
-step lengths are measured against the NT point lam = W^{-T} s = W z, as in
-CVXOPT's cone solvers: `direction` returns the scaled pair W^{-T} ds, W dz,
-which the corrector's Jordan term reuses, and each block's one `step`
-finds the largest alpha keeping lam + alpha d in its cone (a ratio test, a
-quadratic root, or one eigvalsh of Lambda^{-1/2} D Lambda^{-1/2} for the
-diagonal Lambda of a PSD block).
+directions are taken in the space scaled by the NT point
+lam = W^{-T} s = W z, as in CVXOPT's cone solvers: `direction` returns
+ds~ = W^{-T} ds and dz~ = W dz = lam^{-1} o d_c - ds~, with neither W nor
+H^{-1}, the corrector's Jordan term reuses the predictor's pair, and only
+the corrector maps dz = W^{-1} dz~ back.  The predictor's pair sums to
+-lam, so its affine gap is (1 - alpha) s . z + alpha^2 ds~ . dz~.  Each
+block's one `step` finds the largest alpha keeping lam + alpha d in its cone
+(a ratio test, a quadratic root, or one dsyevd of Lambda^{-1/2} D
+Lambda^{-1/2} for the diagonal Lambda of a PSD block), and a PSD scaling
+takes two dpotrf and one dgesdd: LAPACK called through scipy.linalg.lapack,
+as in _Kkt, where a nonzero info is a breakdown.
 """
 from __future__ import annotations
 
@@ -281,9 +286,6 @@ class _NonnegScaling:
     def wtinv_vec(self, v):
         return v / self.w
 
-    def w_vec(self, v):
-        return v * self.w
-
     def lam_solve(self, d):
         return d / self.lam
 
@@ -329,11 +331,8 @@ class _SocScaling:
         v[0] += 1.0
         v /= math.sqrt(2.0 * (wbar[0] + 1.0))
         eta = ns / nz
-        # 2 v v' - J and its inverse 2 (Jv)(Jv)' - J, with J = diag(1, -1, ..., -1)
-        # subtracted on the diagonal only
-        W = 2.0 * np.outer(v, v)
-        W[diag, diag] -= sign
-        self.W = math.sqrt(eta) * W
+        # W^{-1} = 2 (Jv)(Jv)' - J, with J = diag(1, -1, ..., -1) subtracted on
+        # the diagonal only
         jv = sign * v
         Winv = 2.0 * np.outer(jv, jv)
         Winv[diag, diag] -= sign
@@ -358,9 +357,6 @@ class _SocScaling:
 
     def wtinv_vec(self, v):
         return self.Winv @ v
-
-    def w_vec(self, v):
-        return self.W @ v
 
     def lam_solve(self, d):
         lam = self.lam
@@ -400,18 +396,14 @@ class _SocScaling:
 class _PsdScaling:
     def __init__(self, s, z, order):
         self.order = order
-        S = smat(s, order)
-        Z = smat(z, order)
-        try:
-            Ls = np.linalg.cholesky(S)
-            Lz = np.linalg.cholesky(Z)
-        except np.linalg.LinAlgError:
-            raise _Breakdown from None
-        U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
-        if sig.min(initial=np.inf) <= 0:
+        Ls, info_s = lapack.dpotrf(smat(s, order), lower=1, clean=1)
+        Lz, info_z = lapack.dpotrf(smat(z, order), lower=1, clean=1)
+        if info_s or info_z:
+            raise _Breakdown
+        U, sig, _, info = lapack.dgesdd(Lz.T @ Ls)
+        if info or sig.min(initial=np.inf) <= 0:
             raise _Breakdown
         isq = 1.0 / np.sqrt(sig)
-        self.R = Ls @ (Vt.T * isq[None, :])
         self.Rinv = (U * isq[None, :]).T @ Lz.T
         self.lam_diag = sig
         # entry (i, j) of Lambda^{-1/2} D Lambda^{-1/2} is D[i, j] times this
@@ -435,9 +427,6 @@ class _PsdScaling:
     def wtinv_vec(self, v):
         return self._congr(v, self.Rinv, self.Rinv.T)
 
-    def w_vec(self, v):
-        return self._congr(v, self.R.T, self.R)
-
     def lam_solve(self, d):
         D = smat(d, self.order)
         denom = 0.5 * (self.lam_diag[:, None] + self.lam_diag[None, :])
@@ -454,7 +443,10 @@ class _PsdScaling:
     def step(self, d):
         """Largest alpha with Lambda + alpha smat(d) PSD, from the smallest
         eigenvalue of Lambda^{-1/2} smat(d) Lambda^{-1/2}."""
-        lam_min = float(np.linalg.eigvalsh(smat(d, self.order) * self.lam_isqrt2)[0])
+        w, _, info = lapack.dsyevd(smat(d, self.order) * self.lam_isqrt2, compute_v=0)
+        if info:
+            raise _Breakdown
+        lam_min = float(w[0])
         return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
 
@@ -893,7 +885,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             if abs(den - den_norm) <= np.finfo(float).eps * magnitude:
                 den = den_norm
 
-            mu = (s @ z + tau * kappa) / (nu + 1)
+            sz = s @ z
+            mu = (sz + tau * kappa) / (nu + 1)
 
             # the parts of both directions that depend on the iterate only
             hr3 = np.zeros(m_k)
@@ -904,9 +897,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             mt_hr3, h_hr3 = M.rmatvec(hr3), h @ hr3
 
             def direction(eta, d_c, d_kappa):
-                w1 = np.zeros(m_k)
+                q, w1 = np.zeros(m_k), np.zeros(m_k)
                 for sl, sc in zip(slices, scalings):
-                    w1[sl] = sc.winv_vec(sc.lam_solve(d_c[sl]))
+                    q[sl] = sc.lam_solve(d_c[sl])
+                    w1[sl] = sc.winv_vec(q[sl])
                 p1 = -eta * r1 + M.rmatvec(w1) - eta * mt_hr3
                 ux, uy = kkt.solve(p1, -eta * r2)
                 p4 = -eta * r4 + h @ w1 - eta * h_hr3 + d_kappa / tau
@@ -915,14 +909,13 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 dx = ux + dtau * vx
                 dy = -(uy + dtau * vy)
                 ds = M @ dx + h * dtau + eta * r3
-                # and the scaled pair W^{-T} ds, W dz, measured against lam
-                dz, ds_t, dz_t = np.zeros(m_k), np.zeros(m_k), np.zeros(m_k)
+                # the scaled pair W^{-T} ds, W dz, measured against lam: since
+                # dz = W^{-1} q - H^{-1} ds, W dz = q - W^{-T} ds
+                ds_t = np.zeros(m_k)
                 for sl, sc in zip(slices, scalings):
-                    dz[sl] = w1[sl] - sc.hinv_vec(ds[sl])
                     ds_t[sl] = sc.wtinv_vec(ds[sl])
-                    dz_t[sl] = sc.w_vec(dz[sl])
                 dkappa = (d_kappa - kappa * dtau) / tau
-                return dx, dy, dz, ds, dtau, dkappa, ds_t, dz_t
+                return dx, dy, ds, dtau, dkappa, ds_t, q - ds_t
 
             def max_step(ds_t, dz_t, dtau, dkappa):
                 # s + alpha ds and z + alpha dz stay in the cone exactly when
@@ -936,11 +929,12 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                     alpha = min(alpha, -kappa / dkappa)
                 return alpha
 
-            # predictor
-            _, _, dza, dsa, dtaua, dkappaa, dsa_t, dza_t = direction(1.0, -lam_sq, -tau * kappa)
+            # predictor: its scaled pair sums to -lam, and s . z = lam . lam, so
+            # (s + alpha ds) . (z + alpha dz) = (1 - alpha) s . z + alpha^2 ds_t . dz_t
+            _, _, _, dtaua, dkappaa, dsa_t, dza_t = direction(1.0, -lam_sq, -tau * kappa)
             alpha_aff = min(1.0, max_step(dsa_t, dza_t, dtaua, dkappaa))
             mu_aff = (
-                (s + alpha_aff * dsa) @ (z + alpha_aff * dza)
+                (1.0 - alpha_aff) * sz + alpha_aff**2 * (dsa_t @ dza_t)
                 + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)
             ) / (nu + 1)
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
@@ -951,7 +945,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
                 corr = sc.jordan(dsa_t[sl], dza_t[sl])
                 d_c2[sl] = sigma * mu * unit[sl] - lam_sq[sl] - corr
             d_kappa2 = sigma * mu - tau * kappa - dtaua * dkappaa
-            dx, dy, dz, ds, dtau, dkappa, ds_t, dz_t = direction(1.0 - sigma, d_c2, d_kappa2)
+            dx, dy, ds, dtau, dkappa, ds_t, dz_t = direction(1.0 - sigma, d_c2, d_kappa2)
+            dz = np.zeros(m_k)
+            for sl, sc in zip(slices, scalings):
+                dz[sl] = sc.winv_vec(dz_t[sl])
 
             alpha = min(1.0, 0.99 * max_step(ds_t, dz_t, dtau, dkappa))
             if alpha < 1e-8:

@@ -13,10 +13,14 @@ prints
     certificate that sat near its budget shows,
   - the largest move of gamma over the paired outcomes, relative to
     max(1, |gamma|) as the solver's relative gap is,
+  - the largest certificate margin on each side, and the largest rise of a
+    paired margin, so a certificate drifting toward its budget shows
+    before it is lost,
 
 then the tests whose record counts differ.  It exits 1 when any solve or
 outcome status, k or atom count differs or a test's record count does,
-and 0 otherwise; changed bits, iteration counts and gammas only print.
+and 0 otherwise; changed bits, iteration counts, gammas and margins only
+print.
 """
 from __future__ import annotations
 
@@ -40,11 +44,25 @@ def _margin(record: dict) -> str:
     return "-" if margin is None else f"{margin:.3g}"
 
 
+def _largest_margin(digest: dict) -> str:
+    margins = [
+        (r["margin"], f"{test} #{i}")
+        for test in sorted(digest)
+        for i, r in enumerate(_calls(digest[test], OUTCOME))
+        if r.get("margin") is not None
+    ]
+    if not margins:
+        return "-"
+    margin, at = max(margins, key=lambda m: m[0])
+    return f"{margin:.3g} ({at})"
+
+
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """The report's lines, and whether a status, k, atom count or record
     count differs."""
     bits, iters, outcomes, counts = [], [], [], []
     nbits, worst, worst_at, status_moved = 0, 0.0, None, False
+    rise, rise_at = 0.0, None
     for test in sorted(a.keys() & b.keys()):
         solves = list(zip(_calls(a[test], SOLVE), _calls(b[test], SOLVE)))
         results = list(zip(_calls(a[test], OUTCOME), _calls(b[test], OUTCOME)))
@@ -69,6 +87,10 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
                     f"{y['status']} k={y['k']} atoms={y['atoms']} "
                     f"(margin {_margin(x)} -> {_margin(y)})"
                 )
+            if x.get("margin") is not None and y.get("margin") is not None:
+                if y["margin"] - x["margin"] > rise:
+                    rise = y["margin"] - x["margin"]
+                    rise_at = f"{test} #{i}: {_margin(x)} -> {_margin(y)}"
             ga, gb = _gamma(x), _gamma(y)
             if ga is not None and gb is not None and abs(ga - gb) / max(1.0, abs(ga)) > worst:
                 worst, worst_at = abs(ga - gb) / max(1.0, abs(ga)), f"{test} #{i}"
@@ -78,6 +100,8 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         f"solves with changed status or iterations: {len(iters)}", *iters,
         f"outcomes with changed status, k or atoms: {len(outcomes)}", *outcomes,
         f"largest relative gamma move: {worst:.3g}" + (f" ({worst_at})" if worst_at else ""),
+        f"largest margin: A {_largest_margin(a)}, B {_largest_margin(b)}",
+        f"largest paired margin rise: {rise:.3g}" + (f" ({rise_at})" if rise_at else ""),
         f"tests with changed record counts: {len(counts)}", *counts,
         f"tests in one digest only: {len(only)}", *only,
     ]

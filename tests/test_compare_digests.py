@@ -63,3 +63,21 @@ def test_a_moved_outcome_prints_its_margin_on_both_sides(tmp_path, capsys):
     b = {"t::one": [_outcome("inconclusive", 3, 0.5, None)]}
     code, out = _run(tmp_path, capsys, a, b)
     assert "  t::one #0: projected k=1 atoms=4 -> inconclusive k=3 atoms=None (margin - -> -)" in out
+
+
+def test_the_largest_margins_and_the_largest_paired_rise_print_but_pass(tmp_path, capsys):
+    def digest(m1, m2, m3):
+        return {"t::one": [_outcome("projected", 1, 0.5, 4, margin=m1),
+                           _outcome("projected", 1, 0.5, 2, margin=m2)],
+                "t::two": [_outcome("projected", 2, 0.5, 3, margin=m3),
+                           _outcome("inconclusive", 3, None, None)]}
+
+    a, b = digest(0.36, 0.86, 0.5), digest(0.52, 0.87, 0.1)
+    code, out = _run(tmp_path, capsys, a, b)
+    assert code == 0
+    assert "largest margin: A 0.86 (t::one #1), B 0.87 (t::one #1)" in out
+    assert "largest paired margin rise: 0.16 (t::one #0: 0.36 -> 0.52)" in out
+    # no margin on a side, or no paired margin that rose
+    code, out = _run(tmp_path, capsys, a, {"t::one": [], "t::two": []})
+    assert "largest margin: A 0.86 (t::one #1), B -" in out
+    assert "largest paired margin rise: 0" in out

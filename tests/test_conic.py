@@ -21,6 +21,7 @@ from cpproj.conic import (
     _SocScaling,
     _block_map,
     _block_slices,
+    _make_scaling,
     smat,
     solve,
     svec,
@@ -430,10 +431,11 @@ def test_psd_step_from_the_scaling_factors_matches_the_generalized_eigenvalue():
     s = svec(A @ A.T + 0.1 * np.eye(order))
     z = svec(B @ B.T + 0.1 * np.eye(order))
     sc = _PsdScaling(s, z, order)
+    R = np.linalg.inv(sc.Rinv)  # W = R' (.) R
     D = rng.normal(size=(order, order))
 
     def steps(ds, dz):
-        return sc.step(sc.wtinv_vec(ds)), sc.step(sc.w_vec(dz))
+        return sc.step(sc.wtinv_vec(ds)), sc.step(svec(R.T @ smat(dz, order) @ R))
 
     for d in (svec(D + D.T), -svec(D + D.T)):
         got = steps(d, -d)
@@ -477,19 +479,49 @@ def test_step_against_lam_is_the_raw_step(kind):
             s[0] = np.linalg.norm(s[1:]) + rng.uniform(0.01, 2.0)
             z[0] = np.linalg.norm(z[1:]) + rng.uniform(0.01, 2.0)
         sc = (_NonnegScaling if kind == "nonneg" else _SocScaling)(s, z)
+        W = _soc_scaling_reference(s, z)[0] if kind == "soc" else None
+
+        def w_vec(v):  # W v, with W built here
+            return v * sc.w if W is None else W @ v
+
         for _ in range(5):
             ds, dz = rng.normal(size=(2, q))
-            got_by = {"s": sc.step(sc.wtinv_vec(ds)), "z": sc.step(sc.w_vec(dz))}
+            got_by = {"s": sc.step(sc.wtinv_vec(ds)), "z": sc.step(w_vec(dz))}
             for side, u, du in (("s", s, ds), ("z", z, dz)):
                 got, ref = got_by[side], _raw_step(kind, u, du)
                 assert got == ref == np.inf or abs(got - ref) <= 1e-10 * ref, (got, ref)
         # a direction inside the cone never leaves it
         inside = np.abs(rng.normal(size=q))
         inside[0] += np.linalg.norm(inside[1:])
-        assert sc.step(sc.wtinv_vec(inside)) == sc.step(sc.w_vec(inside)) == np.inf
+        assert sc.step(sc.wtinv_vec(inside)) == sc.step(w_vec(inside)) == np.inf
         # a step to the boundary is finite
         assert np.isfinite(sc.step(sc.wtinv_vec(-inside)))
-        assert np.isfinite(sc.step(sc.w_vec(-inside)))
+        assert np.isfinite(sc.step(w_vec(-inside)))
+
+
+@pytest.mark.parametrize("kind", ["nonneg", "soc", "psd"])
+def test_the_scaled_pair_gives_the_raw_direction_and_the_affine_gap(kind):
+    # the solver takes dz_t = q - W^{-T} ds, with q = lam_solve(d_c), for
+    # W dz; the predictor's d_c = -lam o lam gives q = -lam, so the gap of its
+    # affine step is (1 - alpha) s . z + alpha^2 ds_t . dz_t
+    rng = np.random.default_rng(27)
+    for size, order in ((3, 2), (6, 3), (10, 4)):
+        block = ConeBlock(kind, size, order if kind == "psd" else 0)
+        for _ in range(5):
+            s, z = (_interior_point(kind, size, order, rng) for _ in range(2))
+            sc = _make_scaling(block, s, z)
+            ds, d_c = rng.normal(size=(2, size))
+            alpha = rng.uniform()
+            q, ds_t = sc.lam_solve(d_c), sc.wtinv_vec(ds)
+            ref = sc.winv_vec(q) - sc.hinv_vec(ds)
+            assert np.linalg.norm(sc.winv_vec(q - ds_t) - ref) <= 1e-12 * np.linalg.norm(ref)
+            lam = svec(np.diag(sc.lam_diag)) if kind == "psd" else sc.lam
+            q = sc.lam_solve(-sc.lam_sq())
+            assert np.linalg.norm(q + lam) <= 1e-12 * np.linalg.norm(lam)
+            dz_t = q - ds_t
+            got = (1.0 - alpha) * (s @ z) + alpha**2 * (ds_t @ dz_t)
+            su, zu = s + alpha * ds, z + alpha * sc.winv_vec(dz_t)
+            assert abs(got - su @ zu) <= 1e-12 * np.linalg.norm(su) * np.linalg.norm(zu)
 
 
 def _nonneg_map_case(name):
@@ -706,8 +738,7 @@ def test_soc_scaling_matches_the_dense_sign_matrix_formulas():
             s[0] = np.linalg.norm(s[1:]) + rng.uniform(0.01, 2.0)
             z[0] = np.linalg.norm(z[1:]) + rng.uniform(0.01, 2.0)
             sc = _SocScaling(s, z)
-            W, Winv, Hinv = _soc_scaling_reference(s, z)
-            assert np.array_equal(sc.W, W)
+            _, Winv, Hinv = _soc_scaling_reference(s, z)
             assert np.array_equal(sc.Winv, Winv)
             assert np.array_equal(sc.Hinv, Hinv)
 
