@@ -34,7 +34,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,7 +41,6 @@ import numpy as np
 
 from .conic import ConicSolverError, SolverSettings
 from .driver import (
-    K_MIN,
     DriverSettings,
     Inconclusive,
     Infeasible,
@@ -52,7 +50,7 @@ from .driver import (
     check_cp_membership,
 )
 from .extraction import CpDecomposition, verify_decomposition
-from .relaxation import NORM_KINDS, LinearConstraint, ProblemSpec, p_norm, symmetric
+from .relaxation import NORM_KINDS, LinearConstraint, ProblemSpec, order_name, p_norm, symmetric
 
 __all__ = ["main", "run"]
 
@@ -308,19 +306,15 @@ def _emit_logs(events: Sequence[str], summary: str, mode: str) -> None:
         print(f"cpproj: {summary}", file=sys.stderr)
 
 
-def _where(k: int) -> str:
-    return "the DNN relaxation" if k == 1 else f"order {k}"
-
-
 def _summarize(doc: dict) -> str:
-    status = doc["status"]
+    status, where = doc["status"], order_name(doc["k_used"], article=True)
     if status == "projected":
         return (
-            f"projected: gamma={_scalar(doc['gamma'])} at {_where(doc['k_used'])}, "
+            f"projected: gamma={_scalar(doc['gamma'])} at {where}, "
             f"{len(doc['decomposition']['weights'])} atoms"
         )
     if status == "infeasible":
-        return f"infeasible: certified at {_where(doc['k_used'])}"
+        return f"infeasible: certified at {where}"
     if status == "checked":
         return f"membership: is_cp={_scalar(doc['is_cp'])} (distance {_scalar(doc['distance'])})"
     gamma = doc.get("gamma", doc.get("distance"))
@@ -340,10 +334,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise InputError("--check always uses the Frobenius norm; drop --norm")
         if not args.check and args.norm is None:
             raise InputError("--norm is required unless --check is given")
-        if args.kmax < K_MIN:
-            raise InputError(f"--kmax must be at least {K_MIN}")
-        if args.tol is not None and not args.tol > 0.0:
-            raise InputError("--tol must be positive")
+        try:
+            solver = SolverSettings() if args.tol is None else SolverSettings(args.tol)
+            settings = DriverSettings(k_max=args.kmax, solver=solver)
+        except (ValueError, ConicSolverError) as exc:
+            raise InputError(str(exc)) from None
         try:
             text = Path(args.problem).read_text()
         except OSError as exc:
@@ -358,9 +353,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cpproj: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    settings = DriverSettings(k_max=args.kmax)
-    if args.tol is not None:
-        settings = replace(settings, solver=SolverSettings(args.tol))
     try:
         if args.check:
             result = check_cp_membership(C, settings=settings)

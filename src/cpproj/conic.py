@@ -162,7 +162,8 @@ MAX_ITERS = 200  # interior-point iterations before a solve ends "iteration_limi
 
 @dataclass(frozen=True)
 class SolverSettings:
-    # one bound on the scaled primal and dual residuals and the relative gap.
+    # one bound on the scaled primal and dual residuals and the relative gap,
+    # in (0, 1): they are relative, so a bound of 1 can be met at the start.
     # Moment relaxations are chronically degenerate: the interior-point engine
     # (a quasi-definite Cholesky KKT solve with refinement) reliably reaches
     # ~1e-7 on them but can stall short of 1e-8, so the default asks for what
@@ -170,8 +171,8 @@ class SolverSettings:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ConicSolverError("the tolerance must be positive")
+        if not 0.0 < self.tol < 1.0:
+            raise ConicSolverError(f"the tolerance must lie in (0, 1), got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

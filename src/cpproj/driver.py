@@ -47,22 +47,11 @@ from .extraction import (
     row_floor,
     verify_decomposition,
 )
-from .relaxation import (
-    ProblemSpec,
-    RelaxationSolution,
-    map_solution,
-    solve_relaxation,
-)
+from .relaxation import ProblemSpec, RelaxationSolution, map_solution, order_name, solve_relaxation
 
 __all__ = [
-    "DriverSettings",
-    "Projected",
-    "Infeasible",
-    "Inconclusive",
-    "SolverFailure",
-    "MembershipResult",
-    "approximate",
-    "check_cp_membership",
+    "DriverSettings", "Projected", "Infeasible", "Inconclusive", "SolverFailure",
+    "MembershipResult", "approximate", "check_cp_membership",
 ]
 
 logger = logging.getLogger(__name__)
@@ -75,8 +64,8 @@ class SolverFailure(RuntimeError):
 K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one moment order
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
 # the factorization is the whole proof that X is completely positive, so its
-# fit is held to ten times the default solver tolerance (widened only for a
-# stalled iterate)
+# fit is held to ten times the default solver tolerance, or to ten times the
+# solve's worst residual when that is larger (`_factor_budget`)
 FACTOR_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 
@@ -315,7 +304,7 @@ def approximate(
     bounds: list[tuple[int, float]] = []
 
     for k in range(1, st.k_max + 1):
-        tag = "DNN relaxation" if k == 1 else f"order {k}"
+        tag = order_name(k)
         prog, csol = solve_relaxation(spec, k, st.solver)
         note(f"{tag}: solver finished {csol.status} after {csol.iterations} iterations")
         if csol.status == "primal_infeasible":

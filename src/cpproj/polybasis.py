@@ -12,7 +12,7 @@ x_j >= 0.  A truncated moment sequence is a candidate for such a measure when
 its sphere-residual localizing matrix vanishes and the moment matrix together
 with every coordinate localizing matrix is positive semidefinite; the
 relaxation states these conditions as linear maps from the sequence
-(`moment_cone_constraints`).
+(`moment_cone_constraints`) and reads X off its degree-2 slice (`vech_columns`).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .conic import svec_index
 
-__all__ = ["moment_cone_constraints"]
+__all__ = ["moment_cone_constraints", "vech_columns"]
 
 
 def _degree_block(total: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -59,6 +59,13 @@ def monomial_positions(n: int, d: int) -> Mapping[tuple[int, ...], int]:
     return MappingProxyType(
         {a: i for i, a in enumerate(map(tuple, monomials_up_to(n, d).tolist()))}
     )
+
+
+def vech_columns(n: int) -> np.ndarray:
+    """The positions of the monomials x_a x_b, in the order (a, b) of
+    `conic.svec_index(n)`, at which a moment vector holds vech(X): the
+    degree-2 block, after the 1 + n monomials of degree <= 1."""
+    return 1 + n + np.arange(n * (n + 1) // 2)
 
 
 @lru_cache(maxsize=None)

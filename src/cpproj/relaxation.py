@@ -5,17 +5,20 @@ An instance asks for the matrix nearest to C, in one of the matrix norms of
 satisfying affine trace constraints <A_i, X> = b_i or >= b_i; C and every
 A_i pass `symmetric`, which rejects non-finite or asymmetric input.
 Membership of X in the completely positive cone is relaxed by one ladder of
-conic programs, indexed by the order k, that share the constraint and norm
-rows.  Order 1 is the doubly nonnegative (DNN) relaxation: X entrywise
-nonnegative and PSD.  Order k >= 2 uses the moment-sequence description
-from `cpproj.polybasis`: X is identified with the degree-2 slice of a
-moment vector s that satisfies the sphere equalities and the PSD block
-conditions of order k.  CP lies inside every rung, so each optimal value
-bounds the projection distance from below, and from order 2 on the values
-grow with k toward it; certification at finite k happens downstream,
-through a direct nonnegative factorization of the optimal matrix.
+conic programs indexed by the order k.  Each order has one rung builder,
+`_rung`, which with `order_name` is the only code that tells the orders
+apart: it gives the head columns, those of vech(X), the equality,
+nonnegative and PSD rows, and the cap on the solver tolerance.  Order 1 is
+the doubly nonnegative (DNN) relaxation: X entrywise nonnegative and PSD.
+Order k >= 2 holds a moment vector of `cpproj.polybasis` under the sphere
+equalities and the PSD blocks of order k, and X is its degree-2 slice.  CP
+lies inside every rung, so each optimal value bounds the projection
+distance from below, and from order 2 on the values grow with k toward it;
+certification happens downstream, by a nonnegative factorization.
 
-The norm objective turns into standard conic epigraphs:
+Every rung shares the constraint and norm rows, built once over the
+columns [vech(X) | gamma | T] and mapped to the program's columns through
+one index array.  The norm objective turns into standard conic epigraphs:
 
   fro        one second-order block (gamma, svec(X - C))
   two        one PSD block [[gamma I, X - C], [X - C, gamma I]]
@@ -23,47 +26,30 @@ The norm objective turns into standard conic epigraphs:
              for every column j (the two norms coincide on symmetric
              matrices, so they share the same reformulation)
 
-Each block of rows is built whole from numpy index arrays (the vech columns
-of X, upper-triangle positions, the column incidence of the one/inf sums,
-the corner positions of the spectral block) and appended to a
-coordinate-array row builder, `_Rows`; one builder makes the equality map
-and one the cone map, each a single CSR matrix.  Every svec weight, of the
-PSD, second-order and spectral blocks alike, comes from `conic.svec_index`.
-`assemble` records the columns of vech(X) and gamma in the program's `info`
-("X", "gamma"), which the solver never reads, for `map_solution`.
+Each block of rows is built whole from numpy index arrays and appended to
+a coordinate-array row builder, `_Rows`, one per map, each making a single
+CSR matrix; every svec weight comes from `conic.svec_index`.  `assemble`
+records the columns of vech(X) and gamma in the program's `info` ("X",
+"gamma"), which the solver never reads, for `map_solution`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import (
-    ConeBlock,
-    ConicProgram,
-    ConicSolution,
-    SolverSettings,
-    solve as conic_solve,
-    svec_gather,
-    svec_index,
-    vech,
-    vech_inv,
-)
-from .polybasis import moment_cone_constraints
+from .conic import ConeBlock, ConicProgram, ConicSolution, SolverSettings
+from .conic import solve as conic_solve, svec_gather, svec_index, vech, vech_inv
+from .polybasis import moment_cone_constraints, vech_columns
 
 __all__ = [
-    "NORM_KINDS",
-    "LinearConstraint",
-    "ProblemSpec",
-    "RelaxationSolution",
-    "assemble",
-    "map_solution",
-    "solve_relaxation",
-    "check_weak_duality",
-    "project_dnn",
-    "p_norm",
-    "symmetric",
+    "NORM_KINDS", "LinearConstraint", "ProblemSpec", "RelaxationSolution", "assemble",
+    "map_solution", "order_name", "solve_relaxation", "check_weak_duality", "project_dnn",
+    "p_norm", "symmetric",
 ]
 
 # the DNN program is small and well conditioned, so its solve is held to a
@@ -168,14 +154,11 @@ class _Rows:
     """Coordinate arrays of one sparse map, appended a whole block of rows at
     a time; `rhs` is the equality right-hand side or the cone offset."""
 
-    def __init__(self) -> None:
-        index = np.zeros(0, dtype=np.int64)
-        self.parts = [(index, index, np.zeros(0), np.zeros(0))]
-        self.size = 0
+    def __init__(self, row, col, val, rhs) -> None:  # the first block of rows
+        self.parts, self.size = [(row, col, val, rhs)], len(rhs)
 
     def add(self, row, col, val, rhs) -> None:
-        """Append len(rhs) rows; entry t is val[t] in column col[t] of the
-        new block's row row[t]."""
+        """Append len(rhs) rows; val[t] goes to (row[t], col[t]) of the new block."""
         self.parts.append((self.size + row, col, val, rhs))
         self.size += len(rhs)
 
@@ -184,42 +167,70 @@ class _Rows:
         return sp.csr_matrix((val, (row, col)), shape=(self.size, width)), rhs
 
 
+class _Rung(NamedTuple):
+    """One order's part of the program: its head width, the head columns of
+    vech(X), its equality and nonnegative rows over the head as (row,
+    column, value, right-hand side) arrays, the (order, svec row, column)
+    entries of each PSD block, and its cap on the solver tolerance."""
+
+    width: int
+    x: np.ndarray
+    eq: tuple
+    nonneg: tuple
+    psd: tuple
+    tol: float
+
+
+def order_name(k: int, article: bool = False) -> str:
+    """Order k as events (and, with `article`, summaries) name it."""
+    return ("the DNN relaxation" if article else "DNN relaxation") if k == 1 else f"order {k}"
+
+
+@lru_cache(maxsize=None)
+def _rung(n: int, k: int) -> _Rung:
+    """The order-k rung for an n x n X, read-only as the cache shares it.
+    Order 1 (DNN) holds vech(X) nonnegative and PSD in one order-n block, at
+    most to DNN_TOL; order k >= 2 holds the moment vector of half-degree k
+    under the sphere equalities and the n + 1 moment PSD blocks (and
+    `moment_cone_constraints` rejects an order below 1)."""
+    nbar = n * (n + 1) // 2
+    no_rows = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
+    if k == 1:
+        v = np.arange(nbar)
+        rung = _Rung(nbar, v, no_rows, (v, v, np.ones(nbar), np.zeros(nbar)), ((n, v, v),), DNN_TOL)
+    else:
+        moment_eq, blocks = moment_cone_constraints(n, k)
+        coo = moment_eq.tocoo()
+        eq = (coo.row, coo.col, coo.data, np.zeros(moment_eq.shape[0]))
+        psd = tuple((order, *entries.nonzero()) for order, entries in blocks)
+        rung = _Rung(moment_eq.shape[1], vech_columns(n), eq, no_rows, psd, math.inf)
+    for a in (rung.x, *rung.eq, *rung.nonneg, *(a for block in rung.psd for a in block[1:])):
+        a.setflags(write=False)
+    return rung
+
+
 def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     """Build the order-k conic relaxation of the projection instance.
 
-    The columns are the head (vech(X) at order 1, the moment vector of
-    half-degree k from order 2 on), then gamma, then for the one and inf
-    norms the bound T on |X - C| (vech order).  Order 1 is the doubly
-    nonnegative relaxation: vech(X) is held entrywise nonnegative by rows at
-    the head of the nonnegative block and PSD by one order-n block.  Order
-    k >= 2 holds the moment vector under the sphere equalities and the
-    n + 1 moment PSD blocks.  Every order shares the constraint and norm
-    rows, and its PSD blocks go through the same svec-scaled map.
+    The columns are the head of the order's `_rung`, gamma, and for the one
+    and inf norms the bound T on |X - C| (vech order).  The rung's equality
+    and nonnegative rows come first and its PSD blocks last; the constraint
+    and norm rows between reach the program's columns through `cols`.
     """
-    if k < 1:
-        raise ValueError("relaxation order must be at least 1")
     n = spec.dim
+    rung = _rung(n, k)
     nbar = n * (n + 1) // 2
     iu, wgt = svec_index(n)
     off = iu[0] != iu[1]
     vcol = np.arange(nbar)
-    eq, cone = _Rows(), _Rows()
-    if k == 1:
-        xcol = vcol  # vech(X) is the whole head
-        width, psd_blocks = nbar, ((n, vcol, vcol),)
-        cone.add(vcol, vcol, np.ones(nbar), np.zeros(nbar))
-    else:
-        xcol = 1 + n + vcol  # the degree-2 moments follow the n + 1 of degree <= 1
-        moment_eq, moment_blocks = moment_cone_constraints(n, k)
-        width = moment_eq.shape[1]
-        coo = moment_eq.tocoo()
-        eq.add(coo.row, coo.col, coo.data, np.zeros(moment_eq.shape[0]))
-        psd_blocks = tuple((order, *entries.nonzero()) for order, entries in moment_blocks)
-
-    g = width  # gamma column
     bound = spec.norm in ("one", "inf")
-    t = g + 1  # the columns of vech(T), the entrywise bound on |X - C|
-    N = t + nbar if bound else t
+    g, t = nbar, nbar + 1  # gamma, and the columns of vech(T), in [vech(X) | gamma | T]
+    N = rung.width + 1 + (nbar if bound else 0)
+    cols = np.concatenate([rung.x, np.arange(rung.width, N)])
+    eq, cone = _Rows(*rung.eq), _Rows(*rung.nonneg)
+
+    def shared(rows: _Rows, row, col, val, rhs) -> None:
+        rows.add(row, cols[col], val, rhs)
 
     # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block:
     # <A, X> is vech(A) . vech(X) with the off-diagonal terms counted twice
@@ -227,19 +238,21 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         W = np.array([vech(c.matrix) for c in cons]).reshape(len(cons), nbar)
         W[:, off] *= 2.0
         r, m = np.nonzero(W)
-        rows.add(r, xcol[m], W[r, m], sign * np.array([c.rhs for c in cons]))
+        shared(rows, r, m, W[r, m], sign * np.array([c.rhs for c in cons]))
     if bound:
         # T - (X - C) >= 0 and T + (X - C) >= 0, then gamma >= sum_i T_ij,
         # where entry m = (a, b) enters the column sums a and b (once if a == b)
         c = vech(spec.C)
-        cone.add(
+        shared(
+            cone,
             np.tile(np.arange(2 * nbar), 2),
-            np.concatenate([t + np.tile(vcol, 2), np.tile(xcol, 2)]),
+            np.concatenate([t + np.tile(vcol, 2), np.tile(vcol, 2)]),
             np.concatenate([np.ones(2 * nbar), np.repeat([-1.0, 1.0], nbar)]),
             np.concatenate([c, -c]),
         )
         j, m = np.concatenate([iu[0], iu[1][off]]), np.concatenate([vcol, vcol[off]])
-        cone.add(
+        shared(
+            cone,
             np.concatenate([np.arange(n), j]),
             np.concatenate([np.full(n, g), t + m]),
             np.concatenate([np.ones(n), np.full(j.size, -1.0)]),
@@ -249,9 +262,10 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
 
     if spec.norm == "fro":
         # (gamma, svec(X - C)) in the second-order cone
-        cone.add(
+        shared(
+            cone,
             np.arange(nbar + 1),
-            np.concatenate([[g], xcol]),
+            np.concatenate([[g], vcol]),
             np.concatenate([[1.0], wgt]),
             np.concatenate([[0.0], -wgt * vech(spec.C)]),
         )
@@ -265,26 +279,26 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         pos = svec_gather(n)[1]  # the vech position of each entry (i, j)
         offset = np.zeros(wp.size)
         offset[corner] = -wp[corner] * spec.C[i, j]
-        cone.add(
+        shared(
+            cone,
             np.concatenate([diag, corner]),
-            np.concatenate([np.full(2 * n, g), xcol[pos[i, j]]]),
+            np.concatenate([np.full(2 * n, g), pos[i, j]]),
             np.concatenate([np.ones(2 * n), wp[corner]]),
             offset,
         )
         blocks.append(ConeBlock("psd", wp.size, 2 * n))
 
-    for order, row, col in psd_blocks:
+    for order, row, col in rung.psd:
         w = svec_index(order)[1]
         cone.add(row, col, w[row], np.zeros(w.size))
         blocks.append(ConeBlock("psd", w.size, order))
 
     objective = np.zeros(N)
-    objective[g] = 1.0
+    objective[rung.width] = 1.0
     eq_map, eq_rhs = eq.csr(N)
     cone_map, cone_offset = cone.csr(N)
-    return ConicProgram(
-        objective, eq_map, eq_rhs, cone_map, cone_offset, tuple(blocks), {"X": xcol, "gamma": g}
-    )
+    info = {"X": rung.x, "gamma": rung.width}
+    return ConicProgram(objective, eq_map, eq_rhs, cone_map, cone_offset, tuple(blocks), info)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,15 +321,10 @@ def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
 def solve_relaxation(
     spec: ProblemSpec, k: int, settings: SolverSettings | None = None
 ) -> tuple[ConicProgram, ConicSolution]:
-    """Assemble and solve one order; returns (program, conic solution).
-
-    At order 1 the tolerance is tightened to at most DNN_TOL.
-    """
-    st = settings or SolverSettings()
-    if k == 1:
-        st = replace(st, tol=min(st.tol, DNN_TOL))
-    prog = assemble(spec, k)
-    return prog, conic_solve(prog, st)
+    """Assemble and solve one order under its rung's tolerance cap (DNN_TOL
+    at order 1); returns (program, conic solution)."""
+    st, prog = settings or SolverSettings(), assemble(spec, k)
+    return prog, conic_solve(prog, replace(st, tol=min(st.tol, _rung(spec.dim, k).tol)))
 
 
 def check_weak_duality(rsol: RelaxationSolution) -> bool:

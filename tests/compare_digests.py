@@ -8,6 +8,9 @@ prints
 
   - the solves whose bits changed (any of `primal`, `dual_eq`, `dual_cone`),
   - the solves whose status or iteration count changed,
+  - the solves whose program data changed (`program`), or "not recorded"
+    when a digest predates the field, so a moved program shows apart
+    from a solve that moved on the same program,
   - the outcomes whose status, order k or atom count changed, each with
     the factor residual over its budget (`margin`) on both sides, so a
     certificate that sat near its budget shows,
@@ -20,7 +23,7 @@ prints
 then the tests whose record counts differ.  It exits 1 when any solve or
 outcome status, k or atom count differs or a test's record count does,
 and 0 otherwise; changed bits, iteration counts, gammas and margins only
-print.
+print, and so do moved programs.
 """
 from __future__ import annotations
 
@@ -57,12 +60,17 @@ def _largest_margin(digest: dict) -> str:
     return f"{margin:.3g} ({at})"
 
 
+def _listed(test: str, moved: list[int], solves: list) -> str:
+    return f"  {test}: {len(moved)} of {len(solves)} (#{', #'.join(map(str, moved))})"
+
+
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """The report's lines, and whether a status, k, atom count or record
     count differs."""
-    bits, iters, outcomes, counts = [], [], [], []
-    nbits, worst, worst_at, status_moved = 0, 0.0, None, False
+    bits, iters, programs, outcomes, counts = [], [], [], [], []
+    nbits, nprograms, worst, worst_at, status_moved = 0, 0, 0.0, None, False
     rise, rise_at = 0.0, None
+    recorded = all("program" in r for d in (a, b) for t in d for r in _calls(d[t], SOLVE))
     for test in sorted(a.keys() & b.keys()):
         solves = list(zip(_calls(a[test], SOLVE), _calls(b[test], SOLVE)))
         results = list(zip(_calls(a[test], OUTCOME), _calls(b[test], OUTCOME)))
@@ -73,7 +81,11 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         moved = [i for i, (x, y) in enumerate(solves) if any(x[h] != y[h] for h in HASHES)]
         if moved:
             nbits += len(moved)
-            bits.append(f"  {test}: {len(moved)} of {len(solves)} (#{', #'.join(map(str, moved))})")
+            bits.append(_listed(test, moved, solves))
+        moved = [i for i, (x, y) in enumerate(solves) if recorded and x["program"] != y["program"]]
+        if moved:
+            nprograms += len(moved)
+            programs.append(_listed(test, moved, solves))
         for i, (x, y) in enumerate(solves):
             status_moved |= x["status"] != y["status"]
             if (x["status"], x["iterations"]) != (y["status"], y["iterations"]):
@@ -98,6 +110,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     lines = [
         f"solves with changed bits: {nbits}", *bits,
         f"solves with changed status or iterations: {len(iters)}", *iters,
+        f"programs with changed data: {nprograms if recorded else 'not recorded'}", *programs,
         f"outcomes with changed status, k or atoms: {len(outcomes)}", *outcomes,
         f"largest relative gamma move: {worst:.3g}" + (f" ({worst_at})" if worst_at else ""),
         f"largest margin: A {_largest_margin(a)}, B {_largest_margin(b)}",

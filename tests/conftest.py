@@ -2,13 +2,16 @@
 
     pytest --outcome-digest=digest.json
 
-writes, for every test, each `conic.solve` call (status, iterations and the
-SHA-256 of the bytes of `primal`, `dual_eq` and `dual_cone`) and each
+writes, for every test, each `conic.solve` call (status, iterations, the
+SHA-256 of the bytes of `primal`, `dual_eq` and `dual_cone`, and under
+`program` one SHA-256 of the solved program's data: objective, the CSR
+arrays of both maps, right-hand side, offset and cone blocks) and each
 `driver.approximate` call (status, order, repr of gamma, atom count and,
 for a certified outcome, its factor residual over the certification
 budget), in call order, to a JSON file.  Two trees' digests compare every
-solve bitwise and every outcome exactly: `python tests/compare_digests.py A.json B.json`
-lists what moved and exits 1 when a status, order or atom count did.
+program and solve bitwise and every outcome exactly:
+`python tests/compare_digests.py A.json B.json` lists what moved and exits
+1 when a status, order or atom count did.
 Without the option nothing is wrapped.  Give
 the path with `=`: pytest reads a separate argument that names an existing
 file as a test path when it picks its root directory.
@@ -36,16 +39,28 @@ def _sha(arr) -> str | None:
     return None if arr is None else hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def _solve_record(sol) -> dict:
+def _program_sha(prog) -> str:
+    h = hashlib.sha256()
+    for mat in (prog.eq_map, prog.cone_map):
+        for arr in (mat.data, mat.indices, mat.indptr):
+            h.update(arr.tobytes())
+    for arr in (prog.objective, prog.eq_rhs, prog.cone_offset):
+        h.update(arr.tobytes())
+    h.update(repr([(b.kind, b.size, b.order) for b in prog.cone_blocks]).encode())
+    return h.hexdigest()
+
+
+def _solve_record(sol, prog, *_, **__) -> dict:
     return {
         "call": "conic.solve",
         "status": sol.status,
         "iterations": int(sol.iterations),
+        "program": _program_sha(prog),
         **{key: _sha(getattr(sol, key)) for key in ("primal", "dual_eq", "dual_cone")},
     }
 
 
-def _outcome_record(out) -> dict:
+def _outcome_record(out, *_, **__) -> dict:
     from cpproj.driver import _factor_budget
     from cpproj.extraction import verify_decomposition
 
@@ -89,7 +104,7 @@ class _OutcomeDigest:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            self.records.setdefault(self.test, []).append(record(result))
+            self.records.setdefault(self.test, []).append(record(result, *args, **kwargs))
             return result
 
         return wrapper

@@ -222,9 +222,10 @@ def test_kmax_below_the_driver_floor_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(["--norm", "fro", "--kmax", str(K_MIN - 1), path], capsys)
     assert code == 1
     assert out == ""
-    assert f"--kmax must be at least {K_MIN}" in err
-    with pytest.raises(ValueError):
+    # the CLI reports the settings' own rule
+    with pytest.raises(ValueError, match=f"k_max must be at least {K_MIN}"):
         DriverSettings(k_max=K_MIN - 1)
+    assert err == f"cpproj: error: k_max must be at least {K_MIN}\n"
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -337,7 +338,18 @@ def test_tol_defaults_to_the_driver_solver_tolerance(tmp_path, capsys):
     assert default_out == explicit_out
     code, _, err = run_cli(["--norm", "two", path, "--tol", "0"], capsys)
     assert code == 1
-    assert "--tol must be positive" in err
+    assert err == "cpproj: error: the tolerance must lie in (0, 1), got 0.0\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "1", "1e3"])
+def test_a_tolerance_outside_0_1_is_a_usage_error(tmp_path, capsys, tol):
+    # at --tol inf the order-2 solve ended "optimal" at its starting point and
+    # projected this non-CP input at gamma 0
+    path = write_problem(tmp_path, {"n": 5, "C": CYCLE5})
+    code, out, err = run_cli(["--norm", "fro", "--kmax", "2", path, "--tol", tol], capsys)
+    assert code == 1
+    assert out == ""
+    assert "the tolerance must lie in (0, 1)" in err
 
 
 def test_emitted_matrix_reparses_as_input(tmp_path, capsys):

@@ -81,3 +81,23 @@ def test_the_largest_margins_and_the_largest_paired_rise_print_but_pass(tmp_path
     code, out = _run(tmp_path, capsys, a, {"t::one": [], "t::two": []})
     assert "largest margin: A 0.86 (t::one #1), B -" in out
     assert "largest paired margin rise: 0" in out
+
+
+def test_moved_programs_print_but_pass_and_an_old_digest_is_not_recorded(tmp_path, capsys):
+    def solve(program, primal="p"):
+        return {**_solve("optimal", 9, primal), "program": program}
+
+    a = {"t::one": [solve("P"), solve("Q")], "t::two": [solve("R")]}
+    b = {"t::one": [solve("P"), solve("Q2", "p2")], "t::two": [solve("R", "p3")]}
+    code, out = _run(tmp_path, capsys, a, b)
+    assert code == 0
+    # the program and the solve of t::one #1 moved; t::two #0 moved on the same program
+    assert "solves with changed bits: 2" in out
+    i = out.index("programs with changed data: 1")
+    assert out[i + 1] == "  t::one: 1 of 2 (#1)"
+    assert out[i + 2].startswith("outcomes with changed")
+    # a digest written before the field records no programs on either side
+    del b["t::two"][0]["program"]
+    code, out = _run(tmp_path, capsys, a, b)
+    assert code == 0
+    assert "programs with changed data: not recorded" in out

@@ -70,6 +70,15 @@ def test_cone_block_validation():
     assert ConeBlock("psd", 10, 4).order == 4
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-7, 1.0, 1e3])
+def test_solver_settings_take_only_a_tolerance_strictly_between_0_and_1(tol):
+    # the residuals are relative, so a bound of 1 or more is met by the
+    # starting point and would pass any program as solved
+    with pytest.raises(ConicSolverError, match=r"must lie in \(0, 1\)"):
+        SolverSettings(tol)
+    assert SolverSettings(0.5).tol == 0.5
+
+
 def test_program_validation():
     with pytest.raises(ConicSolverError):
         ConicProgram(

@@ -416,6 +416,31 @@ def test_a_dense_matrix_above_its_order_in_cp_rank_certifies_from_its_edge_rows(
     )
 
 
+def test_a_draw_whose_clique_start_is_skipped_certifies_from_its_square_root_rows(monkeypatch):
+    # the rotated square-root start misses at 2.5e-3 after its dogbox
+    # polish, and the clique start's 3 rows sit below the row floor of 4, so
+    # the 5 rows of the clipped square root are polished in full, and fit at
+    # about 5.5e-4 of the budget
+    G = np.random.default_rng(3).standard_normal((5, 5))
+    C = (G + G.T) / 2 + 0.5 * np.eye(5)
+    calls = _recording_polish(monkeypatch)
+    out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
+    assert isinstance(out, Projected)
+    assert (out.k_used, out.decomposition.rank) == (1, 5)
+    assert calls == [(4, "dogbox"), (5, "full")]
+    misses = [e for e in out.events if "misses" in e]
+    assert misses[1].endswith(
+        "the clique start's row count 3 is below the floor of 4; polishing 5 square-root rows"
+    )
+    assert any(
+        "DNN relaxation (factorization): certified from the square-root start (full polish) "
+        "with 5 atoms" in e
+        for e in out.events
+    )
+    budget = cpproj.driver._factor_budget(out.matrix, out.relaxation.conic)
+    assert cpproj.extraction.verify_decomposition(out.matrix, out.decomposition) <= 1e-2 * budget
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         DriverSettings(k_max=1)

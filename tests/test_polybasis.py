@@ -4,8 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cpproj.conic import vech, vech_inv
-from cpproj.polybasis import moment_cone_constraints, monomial_positions, monomials_up_to
+from cpproj.conic import svec_index, vech, vech_inv
+from cpproj.polybasis import (
+    moment_cone_constraints,
+    monomial_positions,
+    monomials_up_to,
+    vech_columns,
+)
 from cpproj.relaxation import symmetric
 from moment_reference import degree2_slice, moments_of_atoms
 
@@ -92,6 +97,16 @@ def test_etms_matrix_identification_round_trip():
     iu, ju = np.triu_indices(4)
     want = np.eye(4, dtype=int)[iu] + np.eye(4, dtype=int)[ju]
     npt.assert_array_equal(degree2_slice(monomials_up_to(4, 2), 4), want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vech_columns_are_the_positions_of_the_degree_2_monomials(n):
+    # the moment rungs read vech(X) at these columns; look each x_a x_b up
+    (a, b), _ = svec_index(n)
+    eye = np.eye(n, dtype=int)
+    index = monomial_positions(n, 4)
+    want = [index[tuple(e)] for e in (eye[a] + eye[b]).tolist()]
+    npt.assert_array_equal(vech_columns(n), want)
 
 
 def test_tms_degree2_slice_matches_identification():

@@ -365,3 +365,23 @@ def test_relabeling_leaves_the_order4_probe_solve_unchanged():
     assert status_a == status_b == "optimal"
     assert iters_a == iters_b
     assert abs(gamma_a - gamma_b) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_programs_of_one_order_share_a_read_only_rung(k):
+    # the rung is cached per (n, k), so the X columns that one program hands
+    # out in `info` are the next program's too, and may not be edited
+    first = assemble(ProblemSpec(np.eye(3), "fro"), k)
+    second = assemble(ProblemSpec(2.0 * np.eye(3), "one"), k)
+    assert first.info["X"] is second.info["X"]
+    with pytest.raises(ValueError):
+        first.info["X"][0] = 7
+    with pytest.raises(ValueError, match="at least 1"):
+        assemble(ProblemSpec(np.eye(3)), 0)
+
+
+def test_only_order_1_has_a_name_of_its_own():
+    assert [cpproj.relaxation.order_name(k) for k in (1, 2, 3)] == [
+        "DNN relaxation", "order 2", "order 3"]
+    assert cpproj.relaxation.order_name(1, article=True) == "the DNN relaxation"
+    assert cpproj.relaxation.order_name(2, article=True) == "order 2"
