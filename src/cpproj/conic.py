@@ -45,8 +45,10 @@ cost proportional to the map's nonzeros rather than to dense N x N
 congruences: every PSD block in this package is a moment, localizing or
 norm matrix whose map has a few nonzeros per column (see _PsdMap).  Every
 entry of K11 is the same sum, in the same block order, as a sum of
-per-block dense matrices would be, and it is the iteration's only K11 (see
-_Kkt).  The dtau pivot of the homogeneous embedding is taken in whichever
+per-block dense matrices would be.  The dense working set is allocated once
+per solve: K11, its Cholesky factor, W = L^{-1} E' and W'W (see _Kkt), and
+the PSD blocks' shared chunk scratch; of K11's size, an iteration
+allocates only a nonneg block's bincount.  The dtau pivot of the homogeneous embedding is taken in whichever
 of two equivalent forms has not lost its digits to cancellation.  Both
 directions are taken in the space scaled by the NT point
 lam = W^{-T} s = W z, as in CVXOPT's cone solvers: `direction` returns
@@ -485,11 +487,18 @@ class _NonnegMap:
 
 # Entries of the largest intermediate of one chunk of a PSD block's
 # Schur-complement build (1 MB, twice that with its transposed copy); bounds
-# the build's peak memory.  A sweep of 2^15 ... 2^19 over the 4x4 order-4
+# the build's scratch.  A sweep of 2^15 ... 2^19 over the 4x4 order-4
 # Frobenius relaxation (2-core x86-64 host, 2 MB L2 per core, 1 BLAS thread)
 # built its K11 in 11.3, 9.6, 9.2, 11.3 and 15.2 ms: smaller chunks pay
 # more calls, larger ones fall out of cache.
 PSD_CHUNK_ENTRIES = 1 << 17
+
+
+def _chunk_scratch(orders) -> np.ndarray:
+    """Room for one chunk's X and its transposed copy in a PSD block of any
+    of these orders: a chunk holds at most PSD_CHUNK_ENTRIES entries, or one
+    column's order^2 when that is more."""
+    return np.empty(2 * max([PSD_CHUNK_ENTRIES] + [order * order for order in orders]))
 
 
 class _PsdMap:
@@ -507,19 +516,28 @@ class _PsdMap:
     chunks whose intermediates hold at most PSD_CHUNK_ENTRIES entries.  One
     `schur` call costs N^2 nnz(Mb) for the products and nnz(Q) per used
     column for the reduction, where dense congruences cost 2 N^3 per used
-    column and a dense product with Mb' on top.  It adds each chunk's
-    reduction into the chunk's columns of the caller's K11 (through a view
-    when they are a run), with no per-block temporary, and leaves unused
-    columns as they were.
+    column and a dense product with Mb' on top.  Each chunk's X and its
+    transposed copy are written into `scratch`, which a solve shares among
+    its PSD blocks, so the build allocates no chunk-sized array of its own.
+
+    A block that uses more than half of the columns (a moment matrix) adds
+    each chunk's reduction into the chunk's columns of the caller's K11
+    (through a view when they are a run).  One that uses at most half of
+    them (a localizing matrix) is reduced over its used rows only, into a
+    u x u block over its u used columns, which one flat add scatters into
+    K11.  Either way every entry of K11 the block touches gets one sum, the
+    same as a reduction over every row gives, and the unused rows and
+    columns are left as they were.
     """
 
-    def __init__(self, Mb: sp.spmatrix, order: int):
+    def __init__(self, Mb: sp.spmatrix, order: int, scratch: np.ndarray):
         iu, scale = svec_index(order)
         Mb = sp.csc_matrix(Mb, dtype=float)
         Mb.sum_duplicates()
         Mb.eliminate_zeros()
         self.order = order
         self.size = Mb.shape[1]
+        self.scratch = scratch
         a, b = iu[0][Mb.indices], iu[1][Mb.indices]
         c = Mb.data / (scale[Mb.indices] * np.where(a == b, 2.0, 1.0))
         counts = np.diff(Mb.indptr)
@@ -531,6 +549,12 @@ class _PsdMap:
             shape=(self.size, order * order),
         )
         used = np.flatnonzero(counts)
+        # the position of each column in the block's target: K11 itself, or
+        # the compact block over the used columns
+        self.used, pos = None, np.arange(self.size)
+        if 2 * used.size <= self.size:
+            self.used, self.Q = used, self.Q[used]
+            pos[used] = np.arange(used.size)
         self.chunks = []
         by_count = used[np.argsort(counts[used], kind="stable")]
         for group in np.split(by_count, np.flatnonzero(np.diff(counts[by_count])) + 1):
@@ -539,23 +563,38 @@ class _PsdMap:
             m = counts[group[0]]
             size = max(1, PSD_CHUNK_ENTRIES // (order * max(order, m)))
             for at in range(0, group.size, size):
-                part = group[at : at + size]
-                nz = Mb.indptr[part][:, None] + np.arange(m)
+                nz = Mb.indptr[group[at : at + size]][:, None] + np.arange(m)
+                part = pos[group[at : at + size]]
                 if part[-1] - part[0] == part.size - 1:  # a run of columns: add through a view
                     part = slice(part[0], part[-1] + 1)
                 self.chunks.append((part, a[nz], b[nz], c[nz]))
 
     def schur(self, G: np.ndarray, out: np.ndarray) -> None:
-        """Add Mb' [svec(G smat(Mb[:, j]) G)]_j into out, column block by
-        column block; a Fortran-ordered out takes each as contiguous columns."""
+        """Add Mb' [svec(G smat(Mb[:, j]) G)]_j into the contiguous out,
+        column block by column block; a Fortran-ordered out takes each as
+        contiguous columns."""
         N = self.order
+        if self.used is not None:
+            block = np.empty((self.used.size,) * 2, order="F")
         for part, a, b, c in self.chunks:
-            X = (G[:, a].transpose(1, 0, 2) * c[:, None, :]) @ G[b]
+            size = a.shape[0] * N * N
+            X = np.matmul(
+                G[:, a].transpose(1, 0, 2) * c[:, None, :], G[b],
+                out=self.scratch[:size].reshape(a.shape[0], N, N),
+            )
             # the reduction reads each vec(X_j) as a column
-            R = self.Q @ np.ascontiguousarray(X.reshape(a.shape[0], N * N).T)
-            # R comes out C-ordered; its Fortran copy adds faster than a
-            # strided read of it (by about 1 ms a build on the 4x4 order-4 probe)
-            out[:, part] += np.asfortranarray(R)
+            Y = self.scratch[-size:].reshape(N * N, a.shape[0])
+            np.copyto(Y, X.reshape(a.shape[0], N * N).T)
+            R = self.Q @ Y
+            if self.used is None:
+                # R comes out C-ordered; its Fortran copy adds faster than a
+                # strided read of it (by about 1 ms a build on the 4x4 order-4 probe)
+                out[:, part] += np.asfortranarray(R)
+            else:
+                block[:, part] = R  # each used column belongs to one chunk
+        if self.used is not None:
+            rows, cols = (stride // out.itemsize for stride in out.strides)
+            out.ravel(order="K")[self.used[:, None] * rows + self.used * cols] += block
 
 
 def _make_scaling(block: ConeBlock, s, z):
@@ -566,15 +605,16 @@ def _make_scaling(block: ConeBlock, s, z):
     return _PsdScaling(s, z, block.order)
 
 
-def _block_map(block: ConeBlock, Mb: sp.csr_matrix):
-    """The block's rows of the cone map, in the form its `schur` takes."""
+def _block_map(block: ConeBlock, Mb: sp.csr_matrix, scratch: np.ndarray):
+    """The block's rows of the cone map, in the form its `schur` takes; a
+    PSD block builds in `scratch` (see _PsdMap)."""
     if block.kind == "nonneg":
         return _NonnegMap(Mb)
     if block.kind == "soc":
         cols = np.flatnonzero(Mb.getnnz(axis=0))
         Mu = Mb[:, cols].toarray()
         return (... if cols.size == Mb.shape[1] else np.ix_(cols, cols)), Mu
-    return _PsdMap(Mb, block.order)
+    return _PsdMap(Mb, block.order, scratch)
 
 
 def _unit_element(block: ConeBlock) -> np.ndarray:
@@ -641,10 +681,10 @@ class _CsrOp:
         # bincount of no entries returns integer zeros
         return total.astype(float, copy=False)
 
-    def dense_t(self) -> np.ndarray:
-        """A' as a Fortran-ordered dense array, duplicates summed in stored
-        order as `toarray` sums them."""
-        out = np.zeros(self.shape[::-1], order="F")
+    def dense_t(self, out: np.ndarray) -> np.ndarray:
+        """A' written over out, duplicates summed in stored order as
+        `toarray` sums them."""
+        out.fill(0.0)
         np.add.at(out, (self.cols, self.rows), self.data)
         return out
 
@@ -657,20 +697,29 @@ class _Kkt:
     SIAM J. Optim. 1995).  `factor` builds it by block elimination from two
     Cholesky factors, L L' = K11 + eps and L2 L2' = W'W + eps with
     W = L^{-1} E', the negated Schur complement of the first block.  E is
-    kept as a _CsrOp, which also applies E', and E' is stored dense once per
-    solve.  Rounding can leave K11 a hair indefinite, so a failed Cholesky
-    retries with eps a hundred times larger.  `solve` refines against the
-    unregularized K11 and E, so eps moves the direction only by what the
-    refinement sweeps leave of it.  `factor` keeps a reference to the
-    caller's K11, which must not change before the last `solve`, and writes
-    only to its per-attempt copy, which `dpotrf` factors in place.
+    kept as a _CsrOp, which also applies E'.  Rounding can leave K11 a hair
+    indefinite, so a failed Cholesky retries with eps a hundred times
+    larger.  `solve` refines against the unregularized K11 and E, so eps
+    moves the direction only by what the refinement sweeps leave of it.
+
+    The dense working set is allocated once per solve, Fortran-ordered:
+    `K11`, which `conic.solve` zeroes and builds every iteration; `L`, which
+    each attempt refills from K11 and `dpotrf` overwrites; `W`, into which
+    each attempt scatters E' for `dtrtrs` to overwrite; and `L2`, which
+    takes W'W and is factored in place.  A failed attempt therefore starts
+    the next from K11 itself.  `factor` keeps a reference to the K11 it is
+    given (the buffer, in `conic.solve`), which must not change before the
+    last `solve`, and never writes to it.
     """
 
     def __init__(self, E: sp.csr_matrix, n: int):
         self.n = n
         self.m = E.shape[0]
         self.E = _CsrOp(E)
-        self.ET_dense = self.E.dense_t()
+        self.K11 = np.zeros((n, n), order="F")
+        self.L = np.empty((n, n), order="F")
+        self.W = np.empty((n, self.m), order="F")
+        self.L2 = np.empty((self.m, self.m), order="F")
 
     def factor(self, K11: np.ndarray) -> None:
         self.K11 = K11
@@ -687,19 +736,21 @@ class _Kkt:
         raise _Breakdown
 
     def _factor(self, K11: np.ndarray, eps: float) -> bool:
-        mat = K11.copy(order="F")
+        self.L[...] = K11
         diag = np.arange(self.n)
-        mat[diag, diag] += eps
-        self.L, info = lapack.dpotrf(mat, lower=1, overwrite_a=1)
+        self.L[diag, diag] += eps
+        self.L, info = lapack.dpotrf(self.L, lower=1, overwrite_a=1)
         if info != 0 or not self.m:
             return info == 0
-        self.W, info = lapack.dtrtrs(self.L, self.ET_dense, lower=1)
+        self.W, info = lapack.dtrtrs(self.L, self.E.dense_t(self.W), lower=1, overwrite_b=1)
         if info != 0:
             return False
-        S = self.W.T @ self.W
+        # W'W is exactly symmetric (numpy forms it with one syrk), so the
+        # transposed view of L2 takes the C-ordered product bit for bit
+        np.matmul(self.W.T, self.W, out=self.L2.T)
         diag = np.arange(self.m)
-        S[diag, diag] += eps
-        self.L2, info = lapack.dpotrf(S, lower=1, overwrite_a=1)
+        self.L2[diag, diag] += eps
+        self.L2, info = lapack.dpotrf(self.L2, lower=1, overwrite_a=1)
         return info == 0
 
     def _raw_solve(self, rhs):
@@ -748,7 +799,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     slices = _block_slices(blocks)
     nu = sum(_cone_degree(b) for b in blocks)
 
-    block_maps = [_block_map(b, M[sl]) for b, sl in zip(blocks, slices)]
+    scratch = _chunk_scratch([b.order for b in blocks if b.kind == "psd"])
+    block_maps = [_block_map(b, M[sl], scratch) for b, sl in zip(blocks, slices)]
     kkt = _Kkt(E, n)
     # from here on both maps and their transposes are _CsrOp products
     E, M = kkt.E, _CsrOp(M)
@@ -854,7 +906,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             scalings = [_make_scaling(b, s[sl], z[sl]) for b, sl in zip(blocks, slices)]
 
             # K11 = M' H^{-1} M, each block adding its part in place
-            K11 = np.zeros((n, n), order="F")
+            K11 = kkt.K11
+            K11.fill(0.0)
             hinv_h = np.zeros(m_k)
             for sl, sc, bmap in zip(slices, scalings, block_maps):
                 hinv_h[sl] = sc.hinv_vec(h[sl])

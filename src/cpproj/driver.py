@@ -65,7 +65,8 @@ K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one moment order
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
 # the factorization is the whole proof that X is completely positive, so its
 # fit is held to ten times the default solver tolerance, or to ten times the
-# solve's worst residual when that is larger (`_factor_budget`)
+# solve's worst residual when that is larger, but never to more than ten
+# times FACTOR_TOL, whatever tolerance the solve ran at (`_factor_budget`)
 FACTOR_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 
@@ -171,10 +172,13 @@ def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
 
 
 def _factor_budget(X: np.ndarray, csol: ConicSolution) -> float:
-    """The residual up to which factors of X certify it: FACTOR_TOL, or ten
-    times the solve's worst residual when that is larger, relative to
-    1 + ||X||."""
-    return max(FACTOR_TOL, 10.0 * _residual_level(csol)) * (1.0 + float(np.linalg.norm(X)))
+    """The residual up to which factors of X certify it, relative to
+    1 + ||X||: FACTOR_TOL, or ten times the solve's worst residual when that
+    is larger, capped at 10 FACTOR_TOL.  The cap is the widest budget a
+    usable solve at the default tolerance gets (a stall within ten times
+    it), so a looser tolerance loosens the solve but not the certificate."""
+    level = min(max(FACTOR_TOL, 10.0 * _residual_level(csol)), 10.0 * FACTOR_TOL)
+    return level * (1.0 + float(np.linalg.norm(X)))
 
 
 def _factorize(

@@ -68,7 +68,6 @@ def vech_columns(n: int) -> np.ndarray:
     return 1 + n + np.arange(n * (n + 1) // 2)
 
 
-@lru_cache(maxsize=None)
 def moment_cone_constraints(
     n: int, k: int
 ) -> tuple[sp.csr_matrix, tuple[tuple[int, sp.csr_matrix], ...]]:
@@ -81,7 +80,7 @@ def moment_cone_constraints(
     `(order, entries)` for the moment matrix (the localizer of 1, half-order
     k) and then the localizers of x_1, ..., x_n (half-order k - 1): row r of
     `entries` is the r-th position (a, b) of `conic.svec_index` and picks
-    s[alpha_a + alpha_b + shift].  The matrices' arrays are read-only.
+    s[alpha_a + alpha_b + shift].
     """
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
@@ -110,8 +109,4 @@ def moment_cone_constraints(
             shape=(a.size, len(index)),
         )
         blocks.append((len(rows), entries))
-    # the maps are shared through the cache, so no caller may edit them
-    for mat in (equality, *(entries for _, entries in blocks)):
-        for a in (mat.data, mat.indices, mat.indptr):
-            a.setflags(write=False)
     return equality, tuple(blocks)

@@ -21,6 +21,7 @@ from cpproj.conic import (
     _SocScaling,
     _block_map,
     _block_slices,
+    _chunk_scratch,
     _make_scaling,
     smat,
     solve,
@@ -387,7 +388,7 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     rng = np.random.default_rng(11)
     A = rng.normal(size=(order, order))
     G = A @ A.T / order + np.eye(order)
-    pmap = _PsdMap(sp.csr_matrix(Mb), order)
+    pmap = _PsdMap(sp.csr_matrix(Mb), order, _chunk_scratch([order]))
     # reference: one dense congruence per column of Mb
     ref = Mb.T @ np.array([svec(G @ smat(Mb[:, v], order) @ G) for v in range(Mb.shape[1])]).T
     got = _schur_into_zeros(pmap, G, Mb.shape[1])
@@ -403,8 +404,12 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     assert np.array_equal(out, base + got)
     unused = np.flatnonzero(counts == 0)
     assert np.array_equal(out[:, unused], base[:, unused])
-    # a chunk's columns are an index array, or a slice when they are a run
-    parts = [np.arange(Mb.shape[1])[part] for part, *_ in pmap.chunks]
+    # a chunk's columns are an index array into the block's target (K11, or
+    # the compact block over the used columns), or a slice when they are a
+    # run there
+    cols = np.arange(Mb.shape[1]) if pmap.used is None else pmap.used
+    at = [np.arange(cols.size)[part] for part, *_ in pmap.chunks]
+    parts = [cols[p] for p in at]
     assert sorted(np.concatenate(parts)) == list(used)
     assert all(
         part.size * order * max(order, a.shape[1]) <= cpproj.conic.PSD_CHUNK_ENTRIES
@@ -412,18 +417,46 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
         for part, (_, a, *_) in zip(parts, pmap.chunks)
     )
     assert all(
-        isinstance(part, slice) == (np.ptp(cols) == cols.size - 1)
-        for cols, (part, *_) in zip(parts, pmap.chunks)
+        isinstance(part, slice) == (np.ptp(p) == p.size - 1)
+        for p, (part, *_) in zip(at, pmap.chunks)
     )
+    # only a block that uses at most half of the columns is built compact
+    assert (pmap.used is not None) == (2 * used.size <= Mb.shape[1])
     if name == "moment n=4 k=4":
         assert used.size == 495 and used.size > cpproj.conic.PSD_CHUNK_ENTRIES // order**2
         assert counts.max() == 13
     if name.endswith("small chunks"):
         assert len(pmap.chunks) > np.unique(counts[used]).size
     if name == "coordinate localizer":
-        assert used.size < Mb.shape[1]
+        assert pmap.used is not None
     if name == "two-norm block":
         assert counts.max() == order  # the gamma column: 2n diagonal entries
+
+
+def test_a_compact_psd_block_adds_the_bits_of_a_block_built_over_every_row():
+    # the localizer of x_2 at n = 4, order 3 uses 70 of the 210 columns, so
+    # it is built compact; with two more copies of its used columns it uses
+    # 210 of 350, and adds each chunk into K11's columns over every row.
+    # Each column's sum does not depend on its chunk, so the two agree bit
+    # for bit, and the block is not bitwise symmetric, so a transposed
+    # scatter would show
+    order, entries = moment_cone_constraints(4, 3)[1][2]
+    Mb = _svec_scaled(entries, order).toarray()
+    used = np.flatnonzero(np.count_nonzero(Mb, axis=0))
+    wide = np.hstack([Mb, Mb[:, used], Mb[:, used]])
+    compact, full = (_PsdMap(sp.csr_matrix(B), order, _chunk_scratch([order])) for B in (Mb, wide))
+    assert (used.size, Mb.shape[1]) == (70, 210)
+    assert compact.used is not None and full.used is None
+    A = np.random.default_rng(23).normal(size=(order, order))
+    G = A @ A.T / order + np.eye(order)
+    got = _schur_into_zeros(compact, G, Mb.shape[1])
+    assert not np.array_equal(got, got.T)
+    ref = _schur_into_zeros(full, G, wide.shape[1])[: Mb.shape[1], : Mb.shape[1]]
+    assert got.tobytes() == np.asfortranarray(ref).tobytes()
+    # a C-ordered K11 takes the same scatter
+    out = np.zeros(got.shape)
+    compact.schur(G, out)
+    assert np.array_equal(out, got)
 
 
 def _psd_step_reference(u, du, order):
@@ -661,6 +694,25 @@ def test_kkt_factor_and_solve_are_bit_identical_across_runs():
     assert runs[0].tobytes() == runs[1].tobytes()
 
 
+def test_every_iteration_factors_one_k11_into_the_same_buffers(monkeypatch):
+    # the solve allocates its dense working set once: every iteration builds
+    # the same K11 and factors it into the same Cholesky, W and S memory
+    G = np.random.default_rng(5).standard_normal((3, 3))
+    prog = assemble(ProblemSpec((G + G.T) / 2.0, "fro"), 2)
+    assert prog.eq_map.shape[0] > 0
+    seen, factor = [], _Kkt.factor
+
+    def recording(kkt, K11):
+        factor(kkt, K11)
+        seen.append(tuple(a.__array_interface__["data"][0] for a in (K11, kkt.L, kkt.W, kkt.L2)))
+        assert K11 is kkt.K11 and K11.flags.f_contiguous
+
+    monkeypatch.setattr(_Kkt, "factor", recording)
+    sol = solve(prog)
+    assert sol.status == "optimal" and sol.iterations >= 3 and len(seen) == sol.iterations
+    assert set(seen) == {seen[0]} and len(set(seen[0])) == 4
+
+
 @pytest.mark.parametrize("orders", [(3, 2), (3, 1)])
 def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
     n, k = orders
@@ -685,7 +737,7 @@ def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
         assert touched.size == n * (n + 1) // 2 + 1 < prog.objective.size // 4
     base = np.asfortranarray(rng.normal(size=full.shape))
     out = base.copy(order="F")
-    sc.schur(_block_map(block, Mb), out)
+    sc.schur(_block_map(block, Mb, _chunk_scratch([])), out)
     part = np.ix_(touched, touched)
     rest = np.ones(full.shape, dtype=bool)
     rest[part] = False
@@ -798,8 +850,8 @@ def test_csr_op_is_bitwise_scipys_product(name):
         ref = A.T.tocsr() @ y
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes() == (A.T @ y).tobytes()
-    dense = op.dense_t()
-    assert dense.flags.f_contiguous
+    # written over whatever the buffer held
+    dense = op.dense_t(np.full(A.shape[::-1], np.nan, order="F"))
     assert dense.tobytes() == A.T.tocsr().toarray().tobytes()
 
 

@@ -539,6 +539,30 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
     assert out.gamma_lower == out.bounds[1][1]
 
 
+def test_a_loose_tolerance_does_not_loosen_the_certificate(monkeypatch):
+    # at tol 1e-2 the order-2 solve ends optimal at a relative gap of
+    # 7.5e-3; a budget of ten times that (0.459 with the 1 + ||X|| factor)
+    # let 5 clique rows at 5.5e-2 certify an X whose Horn floor is 5.4e-2.
+    # The budget stops at 10 FACTOR_TOL, as wide as a stalled solve at the
+    # default tolerance makes it
+    budgets, budget = [], cpproj.driver._factor_budget
+
+    def recording(X, csol):
+        budgets.append((budget(X, csol), np.linalg.norm(X)))
+        return budgets[-1][0]
+
+    monkeypatch.setattr(cpproj.driver, "_factor_budget", recording)
+    out = approximate(_cycle_matrix(), DriverSettings(k_max=2, solver=SolverSettings(tol=1e-2)))
+    assert isinstance(out, Inconclusive)
+    assert out.relaxation.conic.residuals["rel_gap"] > 1e-3
+    got, norm = budgets[-1]
+    assert got == pytest.approx(10.0 * FACTOR_TOL * (1.0 + norm))
+    assert any(
+        e.startswith("order 2 (factorization): Horn floor") and e.endswith("polish skipped")
+        for e in out.events
+    )
+
+
 @pytest.mark.parametrize(
     "C, order, scale",
     [(np.array([[2.0, 1.0], [1.0, 2.0]]), 1, 5.0),

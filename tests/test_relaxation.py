@@ -376,6 +376,14 @@ def test_programs_of_one_order_share_a_read_only_rung(k):
     assert first.info["X"] is second.info["X"]
     with pytest.raises(ValueError):
         first.info["X"][0] = 7
+    # the rung keeps the only cached copy of its rows: equality (at order
+    # 2), nonneg (at order 1) and PSD
+    rung = cpproj.relaxation._rung(3, k)
+    rows = [a for a in (*rung.eq, *rung.nonneg, *(a for b in rung.psd for a in b[1:])) if a.size]
+    assert len(rows) == {1: 4 + 2, 2: 4 + 2 * 4}[k]
+    for a in rows:
+        with pytest.raises(ValueError):
+            a[0] = 7
     with pytest.raises(ValueError, match="at least 1"):
         assemble(ProblemSpec(np.eye(3)), 0)
 
