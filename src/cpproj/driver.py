@@ -247,12 +247,14 @@ def _fit(
        orthogonal Q (Groetzner & Duer), so the chain first rotates B toward
        the heaviest rows of the clipped square root (`root_start`,
        `rotate_toward`) and clips the result at zero.
-    2. A miss is polished by the bound-snapping `dogbox` stage alone.
+    2. A miss is polished by the bound stage alone, whose projected steps
+       snap factor entries onto zero.
     3. Then whole starts, each built only once the step before has missed,
-       are polished in full (`trf`, then `dogbox`): `clique_start`, the n
-       rows of the clipped square root, and `edge_start`, whose up to
-       n(n+1)/2 rows leave room for a cp-rank above n.  A start with fewer
-       rows than `least` is skipped: by Eckart-Young it cannot fit.
+       are polished in full (the interior stage, then the bound stage):
+       `clique_start`, the n rows of the clipped square root, and
+       `edge_start`, whose up to n(n+1)/2 rows leave room for a cp-rank
+       above n.  A start with fewer rows than `least` is skipped: by
+       Eckart-Young it cannot fit.
 
     Each miss but the last leaves an event, under `tag`, with its residual
     against the budget and the step that follows."""
@@ -270,9 +272,9 @@ def _fit(
     start, how, skipped = "rotated square-root", "no polish", ""
     resid = verify_decomposition(X, dec)
     if resid > budget:
-        missed(resid, start, how, "polishing it by dogbox")
-        dec = polish_decomposition(X, dec, ("dogbox",))
-        resid, how = verify_decomposition(X, dec), "one dogbox polish"
+        missed(resid, start, how, "polishing it in the bound stage")
+        dec = polish_decomposition(X, dec, ("bound",))
+        resid, how = verify_decomposition(X, dec), "one bound-stage polish"
     for name, build in (
         ("clique", lambda: clique_start(X, budget)),
         ("square-root", lambda: root),

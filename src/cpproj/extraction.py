@@ -5,9 +5,9 @@ with F^T F = X up to a residual budget.  The caller takes the Eckart-Young
 factor of X at its `row_floor` count (`floor_factor`), rotates it toward
 the heaviest rows of `root_start`, the clipped PSD square root of X, with
 `rotate_toward`, and clips it at zero.  Only a rotation that misses is
-polished by bound-constrained least squares (`polish_decomposition`),
-first by its `dogbox` stage alone; only if that misses too are whole
-starts polished: `clique_start`, one row per maximal clique of the graph of
+polished by bounded Gauss-Newton least squares (`polish_decomposition`),
+first by its bound stage alone; only if that misses too are whole starts
+polished: `clique_start`, one row per maximal clique of the graph of
 X, the square root's rows, and `edge_start`, one row per edge of that
 graph and per vertex.  `verify_decomposition` measures the residual that
 the caller gates on.  `cp_distance_floor` gives a provable lower bound on
@@ -16,8 +16,8 @@ entries and eigenvalues of X and the Horn cuts, the 12 relabelings of the
 Horn matrix read on each 5x5 principal submatrix; so a matrix that no
 factorization can fit is rejected without a polish.
 
-scipy.optimize loads on the first polish, not on import: most fits never
-polish, and its import is over a third of the package's import time.
+The polish is a Levenberg-Marquardt loop over numpy and LAPACK's Cholesky
+solve; no part of the package loads scipy.optimize.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-from .conic import svec_index
+from scipy.linalg import lapack
 
 __all__ = [
     "CpDecomposition",
@@ -45,6 +44,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 STALL_ITERS = 50  # a polish stage stops once its cost has not halved over this many iterations
+STEP_TOL = 1e-14  # it also stops once a step or an accepted cost reduction is this small, relative
+HANDOVER_TOL = 1e-6  # the interior stage ends once its Coleman-Li scaled gradient is this small
+INTERIOR_LIFT = 1e-10  # entries at zero start the interior stage this far above the bound
+DAMPING = 1e-3  # the first Levenberg-Marquardt damping, relative to the largest curvature
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,76 +83,182 @@ class CpDecomposition:
         return cls(F[np.lexsort(cls(F).atoms.T[::-1])])
 
 
-def least_squares(*args, **kwargs):
-    """`scipy.optimize.least_squares`, imported on its first call."""
-    from scipy.optimize import least_squares
+def _residual(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F^T F - X, whose svec is the polish's least-squares residual."""
+    return F.T @ F - X
 
-    return least_squares(*args, **kwargs)
+
+def _gauss_newton(F: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient J^T svec(R) = 2 F R of the polish's cost ||R||_F^2 / 2
+    and the Gauss-Newton matrix J^T J, over the row-major entries of F.
+
+    J is the Jacobian of svec(F^T F - X), with d(F^T F)_ab / dF_ic =
+    delta_ca F_ib + delta_cb F_ia.  J^T J maps P to 2 F (P^T F + F^T P), so
+    its entry ((i, c), (j, a)) is 2 (F_ia F_jc + (F F^T)_ij delta_ac), built
+    from F without forming J.
+    """
+    r, n = F.shape
+    H = np.multiply.outer(F, F).transpose(0, 3, 2, 1).reshape(r * n, r * n)
+    H += np.kron(F @ F.T, np.eye(n))
+    return 2.0 * (F @ R).ravel(), 2.0 * H
+
+
+def _damped_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for a damped, so positive definite, Gauss-Newton matrix A."""
+    _, x, info = lapack.dposv(A, b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dposv failed with info {info}")
+    return x
+
+
+def _to_bound(z: np.ndarray, p: np.ndarray) -> float:
+    """The largest t with z + t p >= 0 (inf if p has no negative entry)."""
+    down = p < 0.0
+    return float((z[down] / -p[down]).min()) if down.any() else np.inf
+
+
+def _interior_step(z, g, H, mu) -> tuple[np.ndarray, float]:
+    """A Levenberg-Marquardt step in Coleman and Li's scaled variables,
+    kept strictly inside z >= 0; the trial point and the model's reduction.
+
+    An entry whose gradient is positive is scaled by its distance z_i to
+    the bound, and its curvature gets Coleman-Li's diagonal term g_i, so it
+    moves toward zero by at most about z_i per step; the others are
+    unscaled.  A step that would cross the bound is cut back to theta of the
+    way there, and is replaced by the scaled steepest-descent step (cut back
+    the same way, and no longer) when the model prefers that one.
+    """
+    v = np.where(g > 0.0, z, 1.0)
+    d = np.sqrt(v)
+    gs = d * g
+    Hs = d[:, None] * H * d + np.diag(np.maximum(g, 0.0))
+    ps = _damped_solve(Hs + mu * np.eye(z.size), -gs)
+    reach = _to_bound(z, d * ps)
+    if reach <= 1.0:
+        theta = max(0.995, 1.0 - float(np.abs(v * g).max()))
+        radius = float(np.linalg.norm(ps))
+        ps *= theta * reach
+        curv = gs @ Hs @ gs
+        t = min(gs @ gs / curv, radius / np.linalg.norm(gs), theta * _to_bound(z, -d * gs))
+        if -t * (gs @ gs) + 0.5 * t * t * curv < gs @ ps + 0.5 * ps @ Hs @ ps:
+            ps = -t * gs
+    return z + d * ps, -(gs @ ps + 0.5 * ps @ Hs @ ps)
+
+
+def _bound_step(z, g, H, mu) -> tuple[np.ndarray, float]:
+    """A Levenberg-Marquardt step on the free entries, projected onto
+    z >= 0; the trial point and the model's reduction.
+
+    An entry is free when it is above zero or its gradient points into the
+    bound's inside.  A free entry at zero that the step would take below
+    zero is held there and the step recomputed without it, so the
+    projection only snaps entries that were above zero onto the bound.
+    """
+    free = np.flatnonzero((z > 0.0) | (g < 0.0))
+    while free.size:
+        p = _damped_solve(H[np.ix_(free, free)] + mu * np.eye(free.size), -g[free])
+        held = (z[free] == 0.0) & (p < 0.0)
+        if not held.any():
+            break
+        free = free[~held]
+    trial = z.copy()
+    if free.size:
+        trial[free] = np.maximum(z[free] + p, 0.0)
+    s = trial - z
+    return trial, -(g @ s + 0.5 * s @ H @ s)
+
+
+def _descend(X: np.ndarray, F: np.ndarray, stage: str) -> np.ndarray:
+    """One polish stage, "interior" or "bound": Levenberg-Marquardt on
+    ||F^T F - X||_F^2 / 2 over F >= 0, from F, with the trial points of
+    `_interior_step` or `_bound_step`.  The interior stage first lifts
+    entries at zero to INTERIOR_LIFT, so that it starts strictly inside.
+
+    A trial point is taken when it achieves more than 1e-4 of the model's
+    reduction, and the damping follows Nielsen's update.  The stage stops at
+    an exact fit, at a step or accepted reduction below STEP_TOL relative to
+    the iterate or the cost, once its cost has not halved over the last
+    STALL_ITERS iterations, after 100 iterations per entry, or when a
+    damped solve fails; the interior stage also hands over once its scaled
+    gradient is below HANDOVER_TOL.  It returns its last accepted point.
+    """
+    interior = stage == "interior"
+    if interior:
+        F = np.maximum(F, INTERIOR_LIFT)
+    step = _interior_step if interior else _bound_step
+    z = F.ravel()
+    R = _residual(F, X)
+    cost = 0.5 * float(np.einsum("ij,ij->", R, R))
+    g, H = _gauss_newton(F, R)
+    top = float(H.diagonal().max())
+    mu, floor, grow = DAMPING * top, np.finfo(float).eps * top, 2.0
+    costs = [cost]
+    for _ in range(100 * z.size):
+        if cost == 0.0:
+            break
+        if interior and np.abs(np.where(g > 0.0, z, 1.0) * g).max() < HANDOVER_TOL:
+            break
+        try:
+            trial, predicted = step(z, g, H, max(mu, floor))
+        except np.linalg.LinAlgError as exc:
+            # a failed solve keeps the last accepted point, which the
+            # caller's residual gate then judges like any other candidate
+            logger.debug("%s polish stage failed (%s); keeping its last point", stage, exc)
+            break
+        Ft = trial.reshape(F.shape)
+        Rt = _residual(Ft, X)
+        reduction = cost - 0.5 * float(np.einsum("ij,ij->", Rt, Rt))
+        rho = reduction / predicted if predicted > 0.0 else -1.0
+        moved = float(np.linalg.norm(trial - z))
+        if rho > 1e-4:
+            settled = reduction < STEP_TOL * cost and rho > 0.25
+            z, R, cost = trial, Rt, cost - reduction
+            g, H = _gauss_newton(Ft, Rt)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            grow = 2.0
+            if settled:
+                break
+        else:
+            mu *= grow
+            grow *= 2.0
+        if moved < STEP_TOL * (STEP_TOL + np.linalg.norm(z)):
+            break
+        costs.append(cost)
+        if len(costs) > STALL_ITERS and costs[-1] > 0.5 * costs[-1 - STALL_ITERS]:
+            break
+    return z.reshape(F.shape)
 
 
 def polish_decomposition(
-    X: np.ndarray, dec: CpDecomposition, stages: tuple[str, ...] = ("trf", "dogbox")
+    X: np.ndarray, dec: CpDecomposition, stages: tuple[str, ...] = ("interior", "bound")
 ) -> CpDecomposition:
     """Locally refine the factors so their outer-product sum matches X.
 
-    Bound-constrained least squares on the factor matrix, by default in
-    two stages under the same bounds, tolerances and stall stop.  The
-    interior trust-region stage (`trf`) does the bulk of the fit but never
-    quite reaches the bound, so factor entries that must vanish stall a
-    little above zero (on the identity, at a residual of 3e-5).  The dogleg
-    stage (`dogbox`), started from its result, steps onto the bound and
-    finishes such fits to rounding level; a start already near a fit, such
-    as a clipped rotation of the Eckart-Young factor, needs that stage
-    alone (`stages=("dogbox",)`).  The factor count never grows, entries stay
-    nonnegative by the bound constraint, and rows whose mass collapses are
-    dropped.  A stage whose cost has not halved over the last STALL_ITERS
-    iterations stops where it is: on boundary matrices the bounded steps can
-    crawl for thousands of evaluations without reaching the gate.  Any
-    factor set this returns is validated by the caller through
-    `verify_decomposition`, so a polish that stalls in a poor local minimum
-    is caught there rather than here.  The first polish of a process loads
-    scipy.optimize (`least_squares`).
+    Bounded Gauss-Newton on the least-squares residual svec(F^T F - X) over
+    the factor entries, with their bound F >= 0 enforced by each step, by
+    default in two stages under the same stops (`_descend`).  The interior
+    stage keeps every entry strictly above zero and takes Coleman-Li scaled
+    steps: it does the bulk of a fit from a whole start but only approaches
+    the bound, so entries that must vanish stay a little above zero (on the
+    identity, at over a hundred times the certification budget).  The bound
+    stage, started from its result, takes projected steps on the free
+    entries, snaps entries onto zero and finishes such fits to rounding
+    level; a start already near a fit, such as a clipped rotation of the
+    Eckart-Young factor, needs that stage alone (`stages=("bound",)`).  The
+    factor count never grows, and rows whose mass collapses are dropped.  A
+    stage whose cost has not halved over the last STALL_ITERS iterations
+    stops where it is: on boundary matrices the bounded steps can crawl for
+    thousands of iterations without reaching the gate.  Any factor set this
+    returns is validated by the caller through `verify_decomposition`, so a
+    polish that stalls in a poor local minimum is caught there rather than
+    here.
     """
     if dec.factors.size == 0:
         return dec
-    r, n = dec.factors.shape
-    iu, wgt = svec_index(n)
-    target = X[iu] * wgt
-    rows = np.arange(iu[0].size)
-
-    def resid(z: np.ndarray) -> np.ndarray:
-        F = z.reshape(r, n)
-        return (F.T @ F)[iu] * wgt - target
-
-    def jac(z: np.ndarray) -> np.ndarray:
-        # d(F^T F)_ab / dF_ic = delta_ca F_ib + delta_cb F_ia
-        F = z.reshape(r, n)
-        J = np.zeros((rows.size, r, n))
-        J[rows, :, iu[0]] += wgt[:, None] * F[:, iu[1]].T
-        J[rows, :, iu[1]] += wgt[:, None] * F[:, iu[0]].T
-        return J.reshape(rows.size, r * n)
-
-    costs: list[float] = []
-
-    def stall_stop(intermediate_result) -> None:
-        costs.append(intermediate_result.cost)
-        if len(costs) > STALL_ITERS and costs[-1] > 0.5 * costs[-1 - STALL_ITERS]:
-            raise StopIteration
-
-    z = np.clip(dec.factors.ravel(), 0.0, None)
-    for method in stages:
-        costs.clear()
-        try:
-            z = least_squares(
-                resid, z, jac=jac, bounds=(0.0, np.inf), method=method, xtol=1e-14,
-                ftol=1e-14, callback=stall_stop,
-            ).x
-        except np.linalg.LinAlgError as exc:
-            # a failed fit keeps the last good point, which the caller's
-            # residual gate then judges like any other candidate
-            logger.debug("%s polish failed (%s); keeping its start", method, exc)
-            break
-    return CpDecomposition.from_factors(z.reshape(r, n))
+    F = np.clip(dec.factors, 0.0, None)
+    for stage in stages:
+        F = _descend(X, F, stage)
+    return CpDecomposition.from_factors(F)
 
 
 # the Horn matrix: copositive, yet not a PSD plus a nonnegative matrix, so

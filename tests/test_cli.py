@@ -11,6 +11,7 @@ import pytest
 from cpproj.cli import InputError, load_problem, render_json, run
 from cpproj.driver import K_MIN, DriverSettings
 from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
+from test_acceptance import K23
 
 CP2 = [[2.0, 1.0], [1.0, 2.0]]
 
@@ -430,15 +431,24 @@ def test_a_projection_that_needs_no_polish_does_not_load_scipy_optimize(tmp_path
     assert json.loads(out.read_text())["status"] == "projected"
 
 
-def test_the_first_polish_loads_scipy_optimize():
+def test_polishing_whole_starts_does_not_load_scipy_optimize():
+    # K_{2,3} certifies from its clique rows after a full polish, and rng21
+    # draw 7 after a bound-stage polish and a full one: both stages run
     code = (
         "import numpy as np\n"
-        "from cpproj.extraction import *\n"
-        "start = CpDecomposition(np.array([[0.9, 0.1], [0.1, 0.9]]))\n"
-        "dec = polish_decomposition(np.eye(2), start)\n"
-        "assert verify_decomposition(np.eye(2), dec) <= 1e-10"
+        "from cpproj.driver import DriverSettings, approximate\n"
+        "from cpproj.relaxation import ProblemSpec\n"
+        f"out = approximate(ProblemSpec(np.array({K23.tolist()!r}), 'one'))\n"
+        "assert (out.status, out.decomposition.rank) == ('projected', 6)\n"
+        "assert any('clique start (full polish)' in e for e in out.events)\n"
+        "rng = np.random.default_rng(21)\n"
+        "for i in range(8):\n"
+        "    G = rng.standard_normal((3 + i % 2, 3 + i % 2))\n"
+        "out = approximate(ProblemSpec((G + G.T) / 2, 'one'), DriverSettings(k_max=3))\n"
+        "assert out.status == 'projected'\n"
+        "assert any('full polish' in e for e in out.events)"
     )
-    assert loads_optimize(code)
+    assert not loads_optimize(code)
 
 
 def test_load_problem_accepts_missing_constraints_key():

@@ -30,7 +30,7 @@ from cpproj.relaxation import (
     map_solution,
     solve_relaxation,
 )
-from test_acceptance import K23
+from test_acceptance import K23, _counting_fits
 
 
 def test_identity_projects_to_itself():
@@ -52,7 +52,7 @@ def test_identity_projects_to_itself():
 ])
 def test_inputs_with_a_diagonal_projection_certify_at_the_dnn_relaxation(C):
     # each projects to the identity, whose factors must reach exact zeros;
-    # the polish's dogbox stage takes them onto the bound, so the DNN
+    # the polish's bound stage takes them onto the bound, so the DNN
     # optimum factors within budget and the hierarchy is never entered
     out = approximate(C)
     assert isinstance(out, Projected)
@@ -200,14 +200,14 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
 
 
 def _recording_polish(monkeypatch):
-    """Record every polish the driver runs, as (rows, "dogbox") for the
-    dogbox-only polish of a rotated start and (rows, "full") for the full
+    """Record every polish the driver runs, as (rows, "bound") for the
+    bound-stage polish of a rotated start and (rows, "full") for the full
     polish of a start."""
     calls = []
     polish = cpproj.driver.polish_decomposition
 
     def polishing(X, dec, *stages):
-        calls.append((dec.rank, "dogbox" if stages == (("dogbox",),) else "full"))
+        calls.append((dec.rank, "bound" if stages == (("bound",),) else "full"))
         return polish(X, dec, *stages)
 
     monkeypatch.setattr(cpproj.driver, "polish_decomposition", polishing)
@@ -253,8 +253,8 @@ def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget
 def test_draw_15_certifies_at_its_floor_without_a_least_squares_call(monkeypatch):
     # at the DNN relaxation too, where the driver certifies draw 15, the
     # clipped root misses the budget threefold while its rotated
-    # Eckart-Young factor fits at the floor of 2 atoms: no least_squares
-    # call runs, so fits that would fail do not matter
+    # Eckart-Young factor fits at the floor of 2 atoms: no polish runs, so
+    # fits that would fail do not matter
     calls = _failing_fits(monkeypatch)
     out = approximate(ProblemSpec(_draw_15(), "fro"))
     assert isinstance(out, Projected)
@@ -273,10 +273,10 @@ def test_draw_15_certifies_at_its_floor_without_a_least_squares_call(monkeypatch
 
 
 @pytest.mark.parametrize("draw", [22, 42])
-def test_a_rotated_start_that_misses_certifies_after_one_dogbox_polish(draw, monkeypatch):
+def test_a_rotated_start_that_misses_certifies_after_one_bound_stage_polish(draw, monkeypatch):
     # draws 22 and 42 of the acceptance suite's seed-7 set (both 3x3): the
     # clipped rotation misses the budget, its event gives the residual, and
-    # one dogbox polish of its 2 rows certifies, with no full polish
+    # one bound-stage polish of its 2 rows certifies, with no full polish
     rng = np.random.default_rng(7)
     for _ in range(draw + 1):
         n = int(rng.integers(3, 5))
@@ -286,18 +286,18 @@ def test_a_rotated_start_that_misses_certifies_after_one_dogbox_polish(draw, mon
     assert isinstance(out, Projected)
     assert out.k_used == 1
     assert out.decomposition.rank == 2
-    assert calls == [(2, "dogbox")]
+    assert calls == [(2, "bound")]
     miss, = [e for e in out.events if "misses" in e]
     assert miss.startswith(
         "DNN relaxation (factorization): the rotated square-root start misses (no polish) "
         "with factor residual"
     )
-    assert miss.endswith("polishing it by dogbox")
+    assert miss.endswith("polishing it in the bound stage")
     resid, budget = map(float, re.search(r"residual (\S+) against (\S+);", miss).groups())
     assert budget == pytest.approx(FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix)), rel=1e-3)
     assert resid > budget
     assert any(
-        "certified from the rotated square-root start (one dogbox polish) with 2 atoms "
+        "certified from the rotated square-root start (one bound-stage polish) with 2 atoms "
         "(the Eckart-Young minimum)" in e
         for e in out.events
     )
@@ -345,7 +345,7 @@ def _draw_35():
 def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeypatch):
     # the clipped square root of draw 35's DNN optimum misses the budget
     # with all 5 rows polished, but the Eckart-Young factor at its row floor
-    # of 4, rotated toward the heaviest root rows, fits after one dogbox
+    # of 4, rotated toward the heaviest root rows, fits after one bound-stage
     # polish: the rotation comes first, so no later start is needed
     calls = _recording_polish(monkeypatch)
     C, norm = _draw_35()
@@ -354,11 +354,11 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
     assert out.k_used == 1
     assert out.decomposition.rank == 4
     assert out.gamma == pytest.approx(1.6287910457500272, rel=1e-9)
-    assert calls == [(4, "dogbox")]
+    assert calls == [(4, "bound")]
     assert not any("clique" in e for e in out.events)
     assert any(
         "DNN relaxation (factorization): certified from the rotated square-root start "
-        "(one dogbox polish) with 4 atoms (the Eckart-Young minimum)" in e
+        "(one bound-stage polish) with 4 atoms (the Eckart-Young minimum)" in e
         for e in out.events
     )
 
@@ -366,8 +366,8 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
 def test_a_missed_square_root_start_certifies_k23_from_its_clique_rows(monkeypatch):
     # K_{2,3}'s cp-rank is 6, while its order and row floor are 5.  No 5
     # rows fit: the rotated square-root start misses, unpolished and after
-    # one dogbox polish; the clique start, one row on each edge, fits after
-    # its full polish
+    # one bound-stage polish; the clique start, one row on each edge, fits
+    # after its full polish
     C = K23
     calls = _recording_polish(monkeypatch)
     out = approximate(ProblemSpec(C, "one"))
@@ -377,11 +377,12 @@ def test_a_missed_square_root_start_certifies_k23_from_its_clique_rows(monkeypat
     assert out.decomposition.rank == 6
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
     assert row_floor(np.linalg.eigvalsh(out.matrix), budget) == 5
-    assert calls == [(5, "dogbox"), (6, "full")]
+    assert calls == [(5, "bound"), (6, "full")]
     misses = [e for e in out.events if "misses" in e]
     assert [e.split(" with ")[0] for e in misses] == [
         "DNN relaxation (factorization): the rotated square-root start misses (no polish)",
-        "DNN relaxation (factorization): the rotated square-root start misses (one dogbox polish)",
+        "DNN relaxation (factorization): the rotated square-root start misses "
+        "(one bound-stage polish)",
     ]
     assert misses[1].endswith("polishing 6 clique rows")
     assert any(
@@ -404,7 +405,7 @@ def test_a_dense_matrix_above_its_order_in_cp_rank_certifies_from_its_edge_rows(
     assert out.k_used == 1
     assert abs(out.gamma) <= 1e-8
     assert 5 < out.decomposition.rank <= 15
-    assert calls == [(5, "dogbox"), (5, "full"), (14, "full")]
+    assert calls == [(5, "bound"), (5, "full"), (14, "full")]
     misses = [e for e in out.events if "misses" in e]
     assert misses[1].endswith(
         "the clique start's row count 1 is below the floor of 5; polishing 5 square-root rows"
@@ -416,18 +417,40 @@ def test_a_dense_matrix_above_its_order_in_cp_rank_certifies_from_its_edge_rows(
     )
 
 
-def test_a_draw_whose_clique_start_is_skipped_certifies_from_its_square_root_rows(monkeypatch):
-    # the rotated square-root start misses at 2.5e-3 after its dogbox
-    # polish, and the clique start's 3 rows sit below the row floor of 4, so
-    # the 5 rows of the clipped square root are polished in full, and fit at
-    # about 5.5e-4 of the budget
-    G = np.random.default_rng(3).standard_normal((5, 5))
-    C = (G + G.T) / 2 + 0.5 * np.eye(5)
+def _shifted_draw(seed):
+    """(G + G^T) / 2 + I / 2 for the 5x5 G of `default_rng(seed)`."""
+    G = np.random.default_rng(seed).standard_normal((5, 5))
+    return (G + G.T) / 2 + 0.5 * np.eye(5)
+
+
+def test_the_bound_stage_certifies_a_draw_at_its_row_floor(monkeypatch):
+    # the rotated square-root start of seed 3's DNN optimum misses the
+    # budget, and one bound-stage polish of its 4 rows certifies the matrix
+    # at its row floor, so neither the clique rows (3, below the floor) nor
+    # the 5 square-root rows are built
     calls = _recording_polish(monkeypatch)
-    out = approximate(ProblemSpec(C, "fro"), DriverSettings(k_max=2))
+    out = approximate(ProblemSpec(_shifted_draw(3), "fro"), DriverSettings(k_max=2))
+    assert isinstance(out, Projected)
+    assert (out.k_used, out.decomposition.rank) == (1, 4)
+    assert calls == [(4, "bound")]
+    assert not any("clique" in e for e in out.events)
+    assert any(
+        "DNN relaxation (factorization): certified from the rotated square-root start "
+        "(one bound-stage polish) with 4 atoms (the Eckart-Young minimum)" in e
+        for e in out.events
+    )
+
+
+def test_a_draw_whose_clique_start_is_skipped_certifies_from_its_square_root_rows(monkeypatch):
+    # seed 66: the rotated square-root start misses at 3.2e-2 after its
+    # bound-stage polish, and the clique start's 3 rows sit below the row
+    # floor of 4, so the 5 rows of the clipped square root are polished in
+    # full, and fit at about 7e-11 of the budget
+    calls = _recording_polish(monkeypatch)
+    out = approximate(ProblemSpec(_shifted_draw(66), "fro"), DriverSettings(k_max=2))
     assert isinstance(out, Projected)
     assert (out.k_used, out.decomposition.rank) == (1, 5)
-    assert calls == [(4, "dogbox"), (5, "full")]
+    assert calls == [(4, "bound"), (5, "full")]
     misses = [e for e in out.events if "misses" in e]
     assert misses[1].endswith(
         "the clique start's row count 3 is below the floor of 4; polishing 5 square-root rows"
@@ -475,14 +498,15 @@ def _cycle_matrix():
 
 
 def _failing_fits(monkeypatch):
-    """Make every least_squares call raise, as an SVD that does not converge does."""
+    """Make every damped solve of the polish raise, as a Cholesky
+    factorization that breaks down does."""
     calls = []
 
-    def failing(*args, **kwargs):
+    def failing(*args):
         calls.append(1)
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("dposv failed")
 
-    monkeypatch.setattr(cpproj.extraction, "least_squares", failing)
+    monkeypatch.setattr(cpproj.extraction, "_damped_solve", failing)
     return calls
 
 
@@ -505,7 +529,7 @@ def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
 def test_a_nonnegative_square_root_certifies_without_a_fit(monkeypatch):
     # every 2x2 DNN matrix has a nonnegative square root, which is already
     # an exact factorization; so is its rotated Eckart-Young factor, and no
-    # least_squares call runs, so fits that would fail do not matter
+    # polish runs, so fits that would fail do not matter
     calls = _failing_fits(monkeypatch)
     out = approximate(np.array([[2.0, 1.0], [1.0, 2.0]]), DriverSettings(k_max=2))
     assert isinstance(out, Projected)
@@ -648,49 +672,48 @@ def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatc
 
 
 def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):
-    fits = []
-    fit = cpproj.extraction.least_squares
+    nfev = _counting_fits(monkeypatch)
 
-    def counting(*args, **kwargs):
-        res = fit(*args, **kwargs)
-        fits.append((res.nfev, res.status))
-        return res
-
-    monkeypatch.setattr(cpproj.extraction, "least_squares", counting)
-
-    # a CP boundary matrix (an order-1 optimum of rand41 below, with entries
-    # of 1e-9 and less) and a 3-row start: the bounded trf stage crawls, the
-    # stall stop ends it, and the dogbox stage finishes the fit
+    # a CP boundary matrix (the DNN optimum of draw 2 of `default_rng(2026)`,
+    # with entries of 1e-9 and less) and its 5 clipped square-root rows: the
+    # interior stage hands over and the bound stage finishes the fit, each
+    # ended by the stall stop.  Without it the bound stage crawls to its
+    # cap of 100 iterations per factor entry.
     X = np.array([
-        [1.5311335573058642, 0.30432021759551786, 2.000502087103216e-09, 1.095352895037716],
-        [0.30432021759551786, 0.261833479657983, 0.048125374614484455, -2.1295285885964058e-12],
-        [2.000502087103216e-09, 0.048125374614484455, 0.4009836644513979, 4.448041534302649e-08],
-        [1.095352895037716, -2.1295285885964058e-12, 4.448041534302649e-08, 1.0259471727719016],
+        [0.0891361305795615, 2.8100393847955274e-10, 0.32644370565034647,
+         0.15785752652879598, 0.024079831403989223],
+        [2.8100393847955274e-10, 1.3168194463100225, 2.2444567150226216e-09,
+         9.142713583014863e-10, 1.1300263808612057],
+        [0.32644370565034647, 2.2444567150226216e-09, 1.4460079179807612,
+         0.6974604702658368, 4.6808911217397996e-11],
+        [0.15785752652879598, 9.142713583014863e-10, 0.6974604702658368,
+         0.33754003134205646, 4.872521655144899e-09],
+        [0.024079831403989223, 1.1300263808612057, 4.6808911217397996e-11,
+         4.872521655144899e-09, 1.007636475599109],
     ])
-    F = np.array([
-        [2.551799985234779e-12, 0.07877397543773494, 0.6563497993525533, 3.6322049170663425e-07],
-        [1.062361216319675, 5.784917576971064e-13, 6.555146138915296e-08, 0.9953006969665481],
-        [0.6233524577137435, 0.5244943832020798, 4.415996589272223e-12, 1.3071135093180622e-12],
-    ])
-    dec = cpproj.extraction.polish_decomposition(
-        X, cpproj.extraction.CpDecomposition(F)
-    )
-    assert fits[0][1] == -2  # trf stopped by the callback
-    assert len(fits) == 2 and sum(nfev for nfev, _ in fits) < 200
+    start = CpDecomposition.from_factors(root_start(*np.linalg.eigh(X)))
+    dec = cpproj.extraction.polish_decomposition(X, start)
+    assert len(nfev) == 2 and sum(nfev) < 200
     resid = cpproj.extraction.verify_decomposition(X, dec)
     assert resid <= 0.1 * FACTOR_TOL * (1.0 + np.linalg.norm(X))
+    monkeypatch.setattr(cpproj.extraction, "STALL_ITERS", 10**9)
+    nfev.clear()
+    cpproj.extraction.polish_decomposition(X, start)
+    assert nfev[1] > 2000
 
     # draw 41 of the acceptance suite's seed-7 set: its DNN optimum is a CP
-    # boundary matrix, on which bounded trf fits crawl to their evaluation
-    # cap (6,273 evaluations in all without the stall stop)
+    # boundary matrix, on which the bounded fits of whole starts once
+    # crawled to their evaluation cap (6,273 evaluations in all without the
+    # stall stop); its rotated start now certifies after one bound-stage
+    # polish of 15 residual evaluations
     C = np.array([
         [1.272591177882884, 0.6115922042386994, -0.21173324322243775, 1.371384810658078],
         [0.6115922042386994, -0.10335341582736501, 0.0919186627761294, -1.0166193235613654],
         [-0.21173324322243775, 0.0919186627761294, 0.39573076180964684, 0.02708085549524727],
         [1.371384810658078, -1.0166193235613654, 0.02708085549524727, 0.7312429884948122],
     ])
-    fits.clear()
+    nfev.clear()
     out = approximate(ProblemSpec(C, "fro"))
     assert isinstance(out, Projected)
     assert out.k_used == 1
-    assert sum(nfev for nfev, _ in fits) < 2000
+    assert sum(nfev) < 30

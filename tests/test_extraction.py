@@ -48,30 +48,35 @@ def test_polish_repairs_perturbed_factors(seed):
     )
 
 
-def test_polish_takes_factor_entries_of_the_identity_onto_the_bound(monkeypatch):
-    # 3 uniform rows scaled to the trace of I2: the trf stage stalls with an
-    # entry that must vanish still a little above zero, at a residual of
-    # 3.4e-5, beyond the 2.4e-6 budget; the dogbox stage from there steps
-    # onto the bound and ends at 6.5e-10, where its gradient test stops it
+def test_polish_takes_factor_entries_of_the_identity_onto_the_bound():
+    # 3 uniform rows scaled to the trace of I2: the interior stage hands
+    # over with the entries that must vanish still a little above zero, at
+    # a residual of 3.8e-4, beyond the 2.4e-6 budget; the bound stage from
+    # there snaps them onto the bound and fits to rounding level
     X = np.eye(2)
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
-    stages = []
-    fit = cpproj.extraction.least_squares
-
-    def recording(*args, **kwargs):
-        res = fit(*args, **kwargs)
-        stages.append((kwargs["method"], np.linalg.norm(res.fun)))
-        return res
-
-    monkeypatch.setattr(cpproj.extraction, "least_squares", recording)
     F = np.random.default_rng(0).uniform(size=(3, 2))
     F *= np.sqrt(np.trace(X)) / np.linalg.norm(F)
-    dec = polish_decomposition(X, CpDecomposition.from_factors(F))
-    (first, trf_resid), (second, _) = stages
-    assert (first, second) == ("trf", "dogbox")
-    assert trf_resid > 10.0 * budget
-    assert verify_decomposition(X, dec) <= 1e-8
-    assert dec.factors.min() >= 0.0
+    start = CpDecomposition.from_factors(F)
+    inner = polish_decomposition(X, start, ("interior",))
+    assert inner.factors.min() > 0.0
+    assert verify_decomposition(X, inner) > 10.0 * budget
+    for dec in (polish_decomposition(X, inner, ("bound",)), polish_decomposition(X, start)):
+        assert verify_decomposition(X, dec) <= 1e-8
+        assert dec.factors.min() >= 0.0
+
+
+@pytest.mark.parametrize("diag", [(1.0, 1.0), (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("seed", range(16))
+def test_the_polish_fits_a_diagonal_matrix_to_rounding_level(diag, seed):
+    # the only nonnegative factors of a diagonal matrix have one nonzero per
+    # row; from its square root, an exact factorization, with every entry
+    # moved up by up to 1e-2, the entries off the diagonal must go back onto
+    # the bound, and the fit ends at rounding level, not at a gradient test
+    X = np.diag(diag)
+    noise = 1e-2 * np.random.default_rng(seed).uniform(size=X.shape)
+    dec = polish_decomposition(X, CpDecomposition(np.sqrt(X) + noise))
+    assert verify_decomposition(X, dec) <= 1e-12
 
 
 def test_polish_keeps_empty_decomposition():
@@ -82,8 +87,8 @@ def test_polish_keeps_empty_decomposition():
 
 def _spy_on_polish(monkeypatch, miss=False):
     """Record (row count, result) of every polish that the driver's
-    factorization chain runs; a dogbox-only polish records its row count as
-    ("dogbox", rows).
+    factorization chain runs; a bound-stage polish records its row count as
+    ("bound", rows).
 
     With `miss`, every polish hands its start back unpolished, as a failed
     fit does, so the chain has to go on.
@@ -93,7 +98,7 @@ def _spy_on_polish(monkeypatch, miss=False):
 
     def spy(X, dec, *stages):
         out = dec if miss else polish(X, dec, *stages)
-        calls.append((("dogbox", dec.rank) if stages == (("dogbox",),) else dec.rank, out))
+        calls.append((("bound", dec.rank) if stages == (("bound",),) else dec.rank, out))
         return out
 
     monkeypatch.setattr(cpproj.driver, "polish_decomposition", spy)
@@ -157,10 +162,11 @@ def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
 def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     # the order-2 X of draw 46 of the acceptance suite's seed-7 set is not
     # CP, so the rotated floor factor at its 3 rows misses the factorization
-    # budget, unpolished and after one dogbox polish.  Its graph is the path
-    # 0 - 1 - 2, whose 2 clique rows cannot fit 3 rows' worth of spectrum,
-    # so the chain skips them, polishes the 3 square-root rows in full and
-    # ends with the full polish of the 5 edge rows, returned bit for bit
+    # budget, unpolished and after one bound-stage polish.  Its graph is the
+    # path 0 - 1 - 2, whose 2 clique rows cannot fit 3 rows' worth of
+    # spectrum, so the chain skips them, polishes the 3 square-root rows in
+    # full and ends with the full polish of the 5 edge rows, returned bit
+    # for bit
     C = np.array([
         [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
         [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
@@ -178,7 +184,7 @@ def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     events = []
     got, resid, how = _fit(X, lam, V, least, tol, events.append, "draw 46")
     (jump_rows, jump), (root_rows, root), (edge_rows, _) = calls
-    assert jump_rows == ("dogbox", least) and least == 3
+    assert jump_rows == ("bound", least) and least == 3
     assert verify_decomposition(X, jump) > tol
     assert root_rows == 3
     assert verify_decomposition(X, root) > tol
@@ -187,7 +193,7 @@ def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     assert resid == verify_decomposition(X, got) > tol
     assert [e.split(" with ")[0] for e in events] == [
         "draw 46: the rotated square-root start misses (no polish)",
-        "draw 46: the rotated square-root start misses (one dogbox polish)",
+        "draw 46: the rotated square-root start misses (one bound-stage polish)",
         "draw 46: the square-root start misses (full polish)",
     ]
     assert events[1].endswith(
@@ -223,8 +229,8 @@ def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monke
     # a rank-2 CP matrix with no zero entry: its graph is complete, so the
     # clique start is a single row, and by Eckart-Young no single row fits
     # a floor of 2.  With every polish made to miss, the chain goes from the
-    # dogbox polish of the 2 rotated rows straight to the 3 square-root rows,
-    # and then to the 3 edge rows
+    # bound-stage polish of the 2 rotated rows straight to the 3 square-root
+    # rows, and then to the 3 edge rows
     F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
     X = F.T @ F
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
@@ -235,7 +241,7 @@ def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monke
     events = []
     _, resid, how = _fit(X, lam, V, least, tol, events.append, "dense")
     assert least == 2
-    assert [rows for rows, _ in calls] == [("dogbox", 2), 3, 3]
+    assert [rows for rows, _ in calls] == [("bound", 2), 3, 3]
     assert how == "the edge start (full polish)"
     assert resid > tol
     assert events[1].endswith(

@@ -119,26 +119,53 @@ def _owner(cls: type, name: str):
     return next((c for c in cls.__mro__ if name in vars(c)), cls)
 
 
+def _annotated_class(annotation, module):
+    """The class a plain-name annotation names in `module`, or None."""
+    if module is None or not isinstance(annotation, ast.Name):
+        return None
+    cls = getattr(module, annotation.id, None)
+    return cls if isinstance(cls, type) else None
+
+
 def _reads(tree: ast.Module, module) -> list[tuple[ast.AST, object]]:
     """(node, key) for every name read in the tree.
 
     A `self.<name>` read inside a top-level class of `module` is keyed by
     (the class that defines name, name), so it uses only that method; with
     no module (a file outside the package) such reads key by (None, name)
-    and use no package method.  Every other read is keyed by its bare name:
-    bare names, other attributes, and names imported under another name.
+    and use no package method.  So is an `x.<name>` read inside a function
+    whose parameter x is annotated with a class of `module`'s namespace,
+    and a `self.<field>.<name>` read inside a class whose field is.  Every
+    other read is keyed by its bare name: bare names, other attributes,
+    and names imported under another name.
     """
     resolved = {}
+
+    def resolve(scope, bound):
+        for x in ast.walk(scope):
+            if isinstance(x, ast.Attribute):
+                target = ast.unparse(x.value)
+                if target in bound:
+                    cls = bound[target]
+                    resolved[id(x)] = (None if cls is None else _owner(cls, x.attr), x.attr)
+
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             cls = getattr(module, node.name) if module is not None else None
-            for x in ast.walk(node):
-                if (
-                    isinstance(x, ast.Attribute)
-                    and isinstance(x.value, ast.Name)
-                    and x.value.id == "self"
-                ):
-                    resolved[id(x)] = (None if cls is None else _owner(cls, x.attr), x.attr)
+            fields = {
+                f"self.{member.target.id}": _annotated_class(member.annotation, module)
+                for member in node.body
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+            }
+            resolve(node, {"self": cls, **{k: c for k, c in fields.items() if c is not None}})
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = {
+                arg.arg: _annotated_class(arg.annotation, module)
+                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            }
+            resolve(node, {k: c for k, c in params.items() if c is not None and k != "self"})
     reads = []
     for node in ast.walk(tree):
         if id(node) in resolved:
@@ -204,6 +231,40 @@ class B:
     defined = {label: key for label, key, _ in _definitions(tree, module)}
     assert defined["A.step"] in keys
     assert defined["B.step"] not in keys and "step" not in keys
+
+
+def test_a_read_through_an_annotated_name_uses_only_its_class():
+    # B.step is read only through a parameter and a dataclass field that
+    # are annotated with A, so it finds no user even though the name is
+    # read, while A.step does
+    source = """
+from dataclasses import dataclass
+
+class A:
+    def step(self):
+        return 1
+
+class B:
+    def step(self):
+        return 2
+
+def run(a: A):
+    return a.step()
+
+@dataclass
+class C:
+    a: A
+
+    def run(self):
+        return self.a.step()
+"""
+    module = types.ModuleType("classes")
+    exec(source, module.__dict__)
+    tree = ast.parse(source)
+    reads = [k for _, k in _reads(tree, module)]
+    defined = {label: key for label, key, _ in _definitions(tree, module)}
+    assert reads.count(defined["A.step"]) == 2
+    assert defined["B.step"] not in reads and "step" not in reads
 
 
 def _defaults(tree: ast.Module, module: str):
