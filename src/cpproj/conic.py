@@ -286,14 +286,10 @@ class _NonnegScaling:
     def winv_vec(self, v):
         return v / self.w
 
-    def wtinv_vec(self, v):
-        return v / self.w
+    wtinv_vec = winv_vec  # W is symmetric
 
     def lam_solve(self, d):
         return d / self.lam
-
-    def lam_sq(self):
-        return self.lam * self.lam
 
     def jordan(self, a, b):
         return a * b
@@ -358,8 +354,7 @@ class _SocScaling:
     def winv_vec(self, v):
         return self.Winv @ v
 
-    def wtinv_vec(self, v):
-        return self.Winv @ v
+    wtinv_vec = winv_vec  # W is symmetric
 
     def lam_solve(self, d):
         lam = self.lam
@@ -369,9 +364,6 @@ class _SocScaling:
         u0 = (lam[0] * d[0] - lam[1:] @ d[1:]) / det
         u1 = (d[1:] - u0 * lam[1:]) / lam[0]
         return np.concatenate(([u0], u1))
-
-    def lam_sq(self):
-        return self.jordan(self.lam, self.lam)
 
     def jordan(self, a, b):
         return np.concatenate(([a @ b], a[0] * b[1:] + b[0] * a[1:]))
@@ -409,6 +401,7 @@ class _PsdScaling:
         isq = 1.0 / np.sqrt(sig)
         self.Rinv = (U * isq[None, :]).T @ Lz.T
         self.lam_diag = sig
+        self.lam = svec(np.diag(sig))
         # entry (i, j) of Lambda^{-1/2} D Lambda^{-1/2} is D[i, j] times this
         self.lam_isqrt2 = np.outer(isq, isq)
         G = self.Rinv.T @ self.Rinv  # (R R^T)^{-1}
@@ -434,9 +427,6 @@ class _PsdScaling:
         D = smat(d, self.order)
         denom = 0.5 * (self.lam_diag[:, None] + self.lam_diag[None, :])
         return svec(D / denom)
-
-    def lam_sq(self):
-        return svec(np.diag(self.lam_diag * self.lam_diag))
 
     def jordan(self, a, b):
         A = smat(a, self.order)
@@ -947,7 +937,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
             lam_sq = np.zeros(m_k)
             for sl, sc in zip(slices, scalings):
                 hr3[sl] = sc.hinv_vec(r3[sl])
-                lam_sq[sl] = sc.lam_sq()
+                lam_sq[sl] = sc.jordan(sc.lam, sc.lam)
             mt_hr3, h_hr3 = M.rmatvec(hr3), h @ hr3
 
             def direction(eta, d_c, d_kappa):

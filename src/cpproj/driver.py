@@ -8,11 +8,11 @@ incompatible constraints, a verified Farkas certificate that ends the run.
 Every order's optimal matrix goes through one certification: the driver
 fits nonnegative factors to the matrix directly and accepts them only if
 their residual is within FACTOR_TOL and the matrix meets the constraints.
-Each fit is one chain of starts (`_fit`), from the rotated Eckart-Young
-factor to whole starts polished in full, that stops at the first fit
-within the budget.  A candidate matrix whose provable distance from the CP
-cone (`cp_distance_floor`) already exceeds the residual budget skips the
-fit altogether.
+Each fit is one loop over a table of starts (`_fit`), each with its own
+polish stages, from the rotated Eckart-Young factor to whole starts, that
+stops at the first fit within the budget.  A candidate matrix whose
+provable distance from the CP cone (`cp_distance_floor`) already exceeds
+the residual budget skips the fit altogether.
 
 Three outcomes are possible:
 
@@ -190,17 +190,20 @@ def _factorize(
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    The fit must reach `_factor_budget`: a stalled iterate is only as
-    accurate as its residuals, so a tighter fit would hold X to more than
-    the solve could deliver.  When `cp_distance_floor` proves that no
-    nonnegative factorization can come within that budget, no fit is tried
-    and the event names the gate.  Otherwise `_fit` runs its chain of starts from
-    the `row_floor` count.  The certification event names the start that
-    won, the polish that ran, whether the atom count is the floor, and the
-    residual against the budget.  The gate, the floor and the fit share one
-    `eigh(X)`.
+    X must first meet the constraints; that check reads X alone, so a miss
+    there costs no fit.  The fit must then reach `_factor_budget`: a stalled
+    iterate is only as accurate as its residuals, so a tighter fit would
+    hold X to more than the solve could deliver.  When `cp_distance_floor`
+    proves that no nonnegative factorization can come within that budget,
+    no fit is tried and the event names the gate.  Otherwise `_fit` runs its
+    table of starts from the `row_floor` count and writes the certificate's
+    event.  The gate, the floor and the fit share one `eigh(X)`.
     """
     tag = f"{tag} (factorization)"
+    bad = _constraints_hold(spec, X)
+    if bad is not None:
+        note(f"{tag}: {bad}")
+        return None
     budget = _factor_budget(X, csol)
     lam, V = np.linalg.eigh(X)
     floor, gate = cp_distance_floor(X, lam)
@@ -213,20 +216,7 @@ def _factorize(
     # every row adds its squared norm to the trace of F^T F, so a matrix
     # without a positive trace gets the empty factorization as its floor
     least = row_floor(lam, budget) if lam.sum() > 0.0 else 0
-    dec, resid, source = _fit(X, lam, V, least, budget, note, tag)
-    if resid > budget:
-        note(f"{tag}: factor residual {resid:.3e} exceeds {budget:.3e}")
-        return None
-    bad = _constraints_hold(spec, X)
-    if bad is not None:
-        note(f"{tag}: {bad}")
-        return None
-    minimum = " (the Eckart-Young minimum)" if dec.rank == least else ""
-    note(
-        f"{tag}: certified from {source} with {dec.rank} atoms{minimum}, "
-        f"factor residual {resid:.3e} against {budget:.3e}"
-    )
-    return dec
+    return _fit(X, lam, V, least, budget, note, tag)
 
 
 def _fit(
@@ -237,60 +227,56 @@ def _fit(
     budget: float,
     note: Callable[[str], None],
     tag: str,
-) -> tuple[CpDecomposition, float, str]:
-    """Fit nonnegative factors to X = V diag(lam) V^T by one chain of starts;
-    the first factors within the budget (the last step's if none is), their
-    residual, and the start and polish that reached them.
+) -> Optional[CpDecomposition]:
+    """Fit nonnegative factors to X = V diag(lam) V^T by one loop over a
+    table of starts, each row a name, its factor rows and its polish stages
+    (`polish_decomposition`); the first factors within the budget, or None.
 
-    1. Every exact factorization of B^T B with as many rows as the
-       Eckart-Young factor B at `least` rows (`floor_factor`) is Q B for an
-       orthogonal Q (Groetzner & Duer), so the chain first rotates B toward
-       the heaviest rows of the clipped square root (`root_start`,
-       `rotate_toward`) and clips the result at zero.
-    2. A miss is polished by the bound stage alone, whose projected steps
-       snap factor entries onto zero.
-    3. Then whole starts, each built only once the step before has missed,
-       are polished in full (the interior stage, then the bound stage):
-       `clique_start`, the n rows of the clipped square root, and
-       `edge_start`, whose up to n(n+1)/2 rows leave room for a cp-rank
-       above n.  A start with fewer rows than `least` is skipped: by
-       Eckart-Young it cannot fit.
+    First the Eckart-Young factor B at `least` rows (`floor_factor`): every
+    exact factorization of B^T B with that many rows is Q B for an
+    orthogonal Q (Groetzner & Duer), so B is rotated toward the heaviest
+    rows of the clipped square root (`root_start`, `rotate_toward`) and
+    clipped at zero.  Such a start is near a fit, and the bound stage alone
+    finishes it.  Then whole starts, which the interior stage takes out of
+    the local minima that projected steps fall into before the bound stage
+    finishes them: `clique_start`, the clipped square root's n rows, and
+    `edge_start`, whose up to n(n+1)/2 rows leave room for a cp-rank above n.
 
-    Each miss but the last leaves an event, under `tag`, with its residual
-    against the budget and the step that follows."""
-
-    def missed(resid: float, start: str, how: str, then: str) -> None:
-        note(
-            f"{tag}: the {start} start misses ({how}) with factor residual {resid:.3e} "
-            f"against {budget:.3e}; {then}"
-        )
-
+    Every start, built once the one before has missed, takes the same steps:
+    it is skipped below `least` rows (by Eckart-Young it cannot fit), else
+    accepted as built, else polished and accepted if it fits.  Each leaves
+    one event under `tag`: the skip, the miss, or the certificate, which
+    names the start, its polish, its residual against the budget and
+    whether its atom count is the floor.
+    """
     root = root_start(lam, V)
-    dec = CpDecomposition.from_factors(
-        np.maximum(rotate_toward(floor_factor(lam, V, least), root), 0.0)
-    )
-    start, how, skipped = "rotated square-root", "no polish", ""
-    resid = verify_decomposition(X, dec)
-    if resid > budget:
-        missed(resid, start, how, "polishing it in the bound stage")
-        dec = polish_decomposition(X, dec, ("bound",))
-        resid, how = verify_decomposition(X, dec), "one bound-stage polish"
-    for name, build in (
-        ("clique", lambda: clique_start(X, budget)),
-        ("square-root", lambda: root),
-        ("edge", lambda: edge_start(X, budget)),
+    whole = ("interior", "bound")
+    for name, build, stages in (
+        ("rotated square-root",
+         lambda: np.maximum(rotate_toward(floor_factor(lam, V, least), root), 0.0), ("bound",)),
+        ("clique", lambda: clique_start(X, budget), whole),
+        ("square-root", lambda: root, whole),
+        ("edge", lambda: edge_start(X, budget), whole),
     ):
-        if resid <= budget:
-            break
-        rows = CpDecomposition.from_factors(build())
-        if rows.rank < least:
-            skipped += f"the {name} start's row count {rows.rank} is below the floor of {least}; "
+        dec = CpDecomposition.from_factors(build())
+        start = f"the {name} start"
+        if dec.rank < least:
+            note(f"{tag}: {start}'s row count {dec.rank} is below the floor of {least}; skipped")
             continue
-        missed(resid, start, how, f"{skipped}polishing {rows.rank} {name} rows")
-        dec = polish_decomposition(X, rows)
-        resid = verify_decomposition(X, dec)
-        start, how, skipped = name, "full polish", ""
-    return dec, resid, f"the {start} start ({how})"
+        resid, how = verify_decomposition(X, dec), "no polish"
+        if resid > budget:
+            how = f"{' and '.join(stages)} polish from {resid:.3e}"
+            dec = polish_decomposition(X, dec, stages)
+            resid = verify_decomposition(X, dec)
+        against = f"factor residual {resid:.3e} against {budget:.3e}"
+        if resid <= budget:
+            minimum = " (the Eckart-Young minimum)" if dec.rank == least else ""
+            note(
+                f"{tag}: certified from {start} ({how}) with {dec.rank} atoms{minimum}, {against}"
+            )
+            return dec
+        note(f"{tag}: {start} misses ({how}) with {against}")
+    return None
 
 
 def approximate(

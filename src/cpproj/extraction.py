@@ -1,16 +1,15 @@
 """Nonnegative factorizations of a candidate matrix, and their gates.
 
 A matrix X is certified completely positive by nonnegative factor rows F
-with F^T F = X up to a residual budget.  The caller takes the Eckart-Young
-factor of X at its `row_floor` count (`floor_factor`), rotates it toward
-the heaviest rows of `root_start`, the clipped PSD square root of X, with
-`rotate_toward`, and clips it at zero.  Only a rotation that misses is
-polished by bounded Gauss-Newton least squares (`polish_decomposition`),
-first by its bound stage alone; only if that misses too are whole starts
-polished: `clique_start`, one row per maximal clique of the graph of
-X, the square root's rows, and `edge_start`, one row per edge of that
-graph and per vertex.  `verify_decomposition` measures the residual that
-the caller gates on.  `cp_distance_floor` gives a provable lower bound on
+with F^T F = X up to a residual budget.  The starts are the Eckart-Young
+factor of X at its `row_floor` count (`floor_factor`), rotated toward the
+heaviest rows of `root_start`, the clipped PSD square root of X, with
+`rotate_toward` and clipped at zero; `clique_start`, one row per maximal
+clique of the graph of X; the square root's rows; and `edge_start`, one
+row per edge of that graph and per vertex.  A start that misses is
+polished by bounded Gauss-Newton least squares (`polish_decomposition`) in
+the stages the caller names for it.  `verify_decomposition` measures the
+residual that the caller gates on.  `cp_distance_floor` gives a provable lower bound on
 that residual over all nonnegative factorizations, from the negative
 entries and eigenvalues of X and the Horn cuts, the 12 relabelings of the
 Horn matrix read on each 5x5 principal submatrix; so a matrix that no
@@ -230,21 +229,23 @@ def _descend(X: np.ndarray, F: np.ndarray, stage: str) -> np.ndarray:
 
 
 def polish_decomposition(
-    X: np.ndarray, dec: CpDecomposition, stages: tuple[str, ...] = ("interior", "bound")
+    X: np.ndarray, dec: CpDecomposition, stages: tuple[str, ...]
 ) -> CpDecomposition:
     """Locally refine the factors so their outer-product sum matches X.
 
     Bounded Gauss-Newton on the least-squares residual svec(F^T F - X) over
-    the factor entries, with their bound F >= 0 enforced by each step, by
-    default in two stages under the same stops (`_descend`).  The interior
-    stage keeps every entry strictly above zero and takes Coleman-Li scaled
-    steps: it does the bulk of a fit from a whole start but only approaches
-    the bound, so entries that must vanish stay a little above zero (on the
-    identity, at over a hundred times the certification budget).  The bound
-    stage, started from its result, takes projected steps on the free
-    entries, snaps entries onto zero and finishes such fits to rounding
-    level; a start already near a fit, such as a clipped rotation of the
-    Eckart-Young factor, needs that stage alone (`stages=("bound",)`).  The
+    the factor entries, with their bound F >= 0 enforced by each step, in
+    the named `stages`, in order, under the same stops (`_descend`).  The
+    "interior" stage keeps every entry strictly above zero and takes
+    Coleman-Li scaled steps: it does the bulk of a fit from a whole start,
+    and leaves local minima that projected steps fall into, but only
+    approaches the bound, so entries that must vanish stay a little above
+    zero (on the identity, at over a hundred times the certification
+    budget).  The "bound" stage takes projected steps on the free entries,
+    snaps entries onto zero and finishes such fits to rounding level; a
+    start already near a fit, such as a clipped rotation of the
+    Eckart-Young factor, needs that stage alone.  The caller's table of
+    starts (`cpproj.driver._fit`) names the stages of each start.  The
     factor count never grows, and rows whose mass collapses are dropped.  A
     stage whose cost has not halved over the last STALL_ITERS iterations
     stops where it is: on boundary matrices the bounded steps can crawl for

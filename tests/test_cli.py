@@ -440,13 +440,13 @@ def test_polishing_whole_starts_does_not_load_scipy_optimize():
         "from cpproj.relaxation import ProblemSpec\n"
         f"out = approximate(ProblemSpec(np.array({K23.tolist()!r}), 'one'))\n"
         "assert (out.status, out.decomposition.rank) == ('projected', 6)\n"
-        "assert any('clique start (full polish)' in e for e in out.events)\n"
+        "assert any('clique start (interior and bound polish' in e for e in out.events)\n"
         "rng = np.random.default_rng(21)\n"
         "for i in range(8):\n"
         "    G = rng.standard_normal((3 + i % 2, 3 + i % 2))\n"
         "out = approximate(ProblemSpec((G + G.T) / 2, 'one'), DriverSettings(k_max=3))\n"
         "assert out.status == 'projected'\n"
-        "assert any('full polish' in e for e in out.events)"
+        "assert any('interior and bound polish' in e for e in out.events)"
     )
     assert not loads_optimize(code)
 

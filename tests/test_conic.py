@@ -557,9 +557,8 @@ def test_the_scaled_pair_gives_the_raw_direction_and_the_affine_gap(kind):
             q, ds_t = sc.lam_solve(d_c), sc.wtinv_vec(ds)
             ref = sc.winv_vec(q) - sc.hinv_vec(ds)
             assert np.linalg.norm(sc.winv_vec(q - ds_t) - ref) <= 1e-12 * np.linalg.norm(ref)
-            lam = svec(np.diag(sc.lam_diag)) if kind == "psd" else sc.lam
-            q = sc.lam_solve(-sc.lam_sq())
-            assert np.linalg.norm(q + lam) <= 1e-12 * np.linalg.norm(lam)
+            q = sc.lam_solve(-sc.jordan(sc.lam, sc.lam))
+            assert np.linalg.norm(q + sc.lam) <= 1e-12 * np.linalg.norm(sc.lam)
             dz_t = q - ds_t
             got = (1.0 - alpha) * (s @ z) + alpha**2 * (ds_t @ dz_t)
             su, zu = s + alpha * ds, z + alpha * sc.winv_vec(dz_t)

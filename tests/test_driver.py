@@ -272,35 +272,108 @@ def test_draw_15_certifies_at_its_floor_without_a_least_squares_call(monkeypatch
     )
 
 
-@pytest.mark.parametrize("draw", [22, 42])
-def test_a_rotated_start_that_misses_certifies_after_one_bound_stage_polish(draw, monkeypatch):
-    # draws 22 and 42 of the acceptance suite's seed-7 set (both 3x3): the
-    # clipped rotation misses the budget, its event gives the residual, and
-    # one bound-stage polish of its 2 rows certifies, with no full polish
+def _seed7_draw(draw):
+    """Draw `draw` of the acceptance suite's seed-7 set."""
     rng = np.random.default_rng(7)
     for _ in range(draw + 1):
         n = int(rng.integers(3, 5))
         G = rng.standard_normal((n, n))
+    return (G + G.T) / 2.0
+
+
+@pytest.mark.parametrize("draw", [22, 42])
+def test_a_rotated_start_that_misses_certifies_after_one_bound_stage_polish(draw, monkeypatch):
+    # draws 22 and 42 of the acceptance suite's seed-7 set (both 3x3): the
+    # clipped rotation misses the budget, and one bound-stage polish of its
+    # 2 rows certifies, with no full polish; the start's one event gives its
+    # residual before the polish and after it, against the budget
     calls = _recording_polish(monkeypatch)
-    out = approximate(ProblemSpec((G + G.T) / 2.0, "fro"))
+    out = approximate(ProblemSpec(_seed7_draw(draw), "fro"))
     assert isinstance(out, Projected)
     assert out.k_used == 1
     assert out.decomposition.rank == 2
     assert calls == [(2, "bound")]
-    miss, = [e for e in out.events if "misses" in e]
-    assert miss.startswith(
-        "DNN relaxation (factorization): the rotated square-root start misses (no polish) "
-        "with factor residual"
+    assert not any("misses" in e for e in out.events)
+    cert, = [e for e in out.events if "certified" in e]
+    assert cert.startswith(
+        "DNN relaxation (factorization): certified from the rotated square-root start "
+        "(bound polish from "
     )
-    assert miss.endswith("polishing it in the bound stage")
-    resid, budget = map(float, re.search(r"residual (\S+) against (\S+);", miss).groups())
+    built, resid, budget = map(float, re.search(
+        r"from (\S+)\) with 2 atoms \(the Eckart-Young minimum\), "
+        r"factor residual (\S+) against (\S+)$", cert
+    ).groups())
     assert budget == pytest.approx(FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix)), rel=1e-3)
-    assert resid > budget
+    assert resid <= budget < built
+
+
+def test_a_candidate_that_misses_a_constraint_is_rejected_before_any_polish(monkeypatch):
+    # draw 22's DNN optimum X certifies only after its rotated start is
+    # polished.  Under a constraint that X meets and one that it misses by
+    # 0.5, far beyond CONSTRAINT_TOL (1 + |b|), the constraint check, which
+    # reads X alone, rejects X first: the event names the constraint, and
+    # no polish runs
+    C = _seed7_draw(22)
+    prog, csol = solve_relaxation(ProblemSpec(C, "fro"), 1, DriverSettings().solver)
+    X = map_solution(prog, csol).matrix
+    calls = _recording_polish(monkeypatch)
+    assert _factorize(X, csol, ProblemSpec(C, "fro"), [].append, "DNN relaxation") is not None
+    assert calls == [(2, "bound")]
+    E00 = np.zeros_like(X)
+    E00[0, 0] = 1.0
+    spec = ProblemSpec(C, "fro", (
+        LinearConstraint(np.eye(3), np.trace(X), "eq"),
+        LinearConstraint(E00, X[0, 0] + 0.5, "ineq"),
+    ))
+    assert 0.5 > cpproj.driver.CONSTRAINT_TOL * (1.0 + X[0, 0] + 0.5)
+    calls.clear()
+    events = []
+    assert _factorize(X, csol, spec, events.append, "DNN relaxation") is None
+    assert calls == []
+    assert events == ["DNN relaxation (factorization): constraint 1 off by 5.000e-01"]
+
+
+def _dominant_draw_2():
+    """Draw 2 of a seeded loop of nonnegative diagonally dominant matrices:
+    a sparse symmetric A with zero diagonal plus diag(row sums of A + u)."""
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        n = int(rng.integers(3, 7))
+        A = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        A = (A + A.T) / 2.0
+        np.fill_diagonal(A, 0.0)
+        X = A + np.diag(A.sum(axis=1) + rng.uniform(0.0, 0.3, n))
+    assert n == 4
+    return X
+
+
+def test_the_interior_stage_takes_the_square_root_start_to_the_row_floor(monkeypatch):
+    # the rotated start of this draw's DNN optimum misses after its
+    # bound-stage polish, the 2 clique rows are below the row floor of 4,
+    # and the 4 square-root rows, polished in the interior stage and then
+    # the bound stage, fit at rounding level: 4 atoms, the Eckart-Young
+    # minimum.  Polished in the bound stage alone, they fall into the
+    # rotated start's local minimum, and the chain certifies only from the
+    # 9 edge rows, an exact factorization of a dominant matrix
+    spec, settings = ProblemSpec(_dominant_draw_2(), "fro"), DriverSettings(k_max=2)
+    calls = _recording_polish(monkeypatch)
+    out = approximate(spec, settings)
+    assert isinstance(out, Projected)
+    assert (out.k_used, out.decomposition.rank) == (1, 4)
+    assert calls == [(4, "bound"), (4, "full")]
     assert any(
-        "certified from the rotated square-root start (one bound-stage polish) with 2 atoms "
-        "(the Eckart-Young minimum)" in e
+        "DNN relaxation (factorization): certified from the square-root start "
+        "(interior and bound polish from " in e and "with 4 atoms (the Eckart-Young minimum)" in e
         for e in out.events
     )
+    budget = cpproj.driver._factor_budget(out.matrix, out.relaxation.conic)
+    assert cpproj.extraction.verify_decomposition(out.matrix, out.decomposition) <= 1e-6 * budget
+    polish = cpproj.extraction.polish_decomposition
+    monkeypatch.setattr(
+        cpproj.driver, "polish_decomposition", lambda X, dec, stages: polish(X, dec, ("bound",))
+    )
+    out = approximate(spec, settings)
+    assert (out.k_used, out.decomposition.rank) == (1, 9)
 
 
 def test_a_matrix_whose_norm_fits_the_budget_certifies_with_no_atoms(monkeypatch):
@@ -358,16 +431,16 @@ def test_the_row_floor_jump_certifies_draw_35_from_the_square_root_start(monkeyp
     assert not any("clique" in e for e in out.events)
     assert any(
         "DNN relaxation (factorization): certified from the rotated square-root start "
-        "(one bound-stage polish) with 4 atoms (the Eckart-Young minimum)" in e
+        "(bound polish from " in e and "with 4 atoms (the Eckart-Young minimum)" in e
         for e in out.events
     )
 
 
 def test_a_missed_square_root_start_certifies_k23_from_its_clique_rows(monkeypatch):
     # K_{2,3}'s cp-rank is 6, while its order and row floor are 5.  No 5
-    # rows fit: the rotated square-root start misses, unpolished and after
-    # one bound-stage polish; the clique start, one row on each edge, fits
-    # after its full polish
+    # rows fit: the rotated square-root start misses, after one bound-stage
+    # polish too; the clique start, one row on each edge, fits after its
+    # full polish.  Each start leaves one event
     C = K23
     calls = _recording_polish(monkeypatch)
     out = approximate(ProblemSpec(C, "one"))
@@ -378,16 +451,14 @@ def test_a_missed_square_root_start_certifies_k23_from_its_clique_rows(monkeypat
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix))
     assert row_floor(np.linalg.eigvalsh(out.matrix), budget) == 5
     assert calls == [(5, "bound"), (6, "full")]
-    misses = [e for e in out.events if "misses" in e]
-    assert [e.split(" with ")[0] for e in misses] == [
-        "DNN relaxation (factorization): the rotated square-root start misses (no polish)",
-        "DNN relaxation (factorization): the rotated square-root start misses "
-        "(one bound-stage polish)",
+    starts = [e.split(" from ")[0] for e in out.events if "(factorization)" in e]
+    assert starts == [
+        "DNN relaxation (factorization): the rotated square-root start misses (bound polish",
+        "DNN relaxation (factorization): certified",
     ]
-    assert misses[1].endswith("polishing 6 clique rows")
     assert any(
         "DNN relaxation (factorization): certified from the clique start "
-        "(full polish) with 6 atoms, factor residual" in e
+        "(interior and bound polish from " in e and ") with 6 atoms, factor residual" in e
         for e in out.events
     )
 
@@ -397,7 +468,8 @@ def test_a_dense_matrix_above_its_order_in_cp_rank_certifies_from_its_edge_rows(
     # matrices of cp-rank at most 5 form a closed set that misses K_{2,3}.
     # Its graph is complete, so the single clique row is skipped under the
     # floor of 5, and the 5 square-root rows miss after their full polish;
-    # the 14 edge rows, one per pair and one per diagonal surplus, fit
+    # the 14 edge rows, one per pair and one per diagonal surplus, fit.
+    # Each of the four starts leaves one event
     C = K23 + 1e-3
     calls = _recording_polish(monkeypatch)
     out = approximate(ProblemSpec(C, "one"))
@@ -406,13 +478,18 @@ def test_a_dense_matrix_above_its_order_in_cp_rank_certifies_from_its_edge_rows(
     assert abs(out.gamma) <= 1e-8
     assert 5 < out.decomposition.rank <= 15
     assert calls == [(5, "bound"), (5, "full"), (14, "full")]
-    misses = [e for e in out.events if "misses" in e]
-    assert misses[1].endswith(
-        "the clique start's row count 1 is below the floor of 5; polishing 5 square-root rows"
-    )
-    assert misses[2].endswith("polishing 14 edge rows")
+    starts = [e.split(" from ")[0] for e in out.events if "(factorization)" in e]
+    assert starts == [
+        "DNN relaxation (factorization): the rotated square-root start misses (bound polish",
+        "DNN relaxation (factorization): the clique start's row count 1 is below the floor "
+        "of 5; skipped",
+        "DNN relaxation (factorization): the square-root start misses "
+        "(interior and bound polish",
+        "DNN relaxation (factorization): certified",
+    ]
     assert any(
-        "DNN relaxation (factorization): certified from the edge start (full polish)" in e
+        "DNN relaxation (factorization): certified from the edge start "
+        "(interior and bound polish from " in e and ") with 14 atoms, factor residual" in e
         for e in out.events
     )
 
@@ -436,7 +513,7 @@ def test_the_bound_stage_certifies_a_draw_at_its_row_floor(monkeypatch):
     assert not any("clique" in e for e in out.events)
     assert any(
         "DNN relaxation (factorization): certified from the rotated square-root start "
-        "(one bound-stage polish) with 4 atoms (the Eckart-Young minimum)" in e
+        "(bound polish from " in e and "with 4 atoms (the Eckart-Young minimum)" in e
         for e in out.events
     )
 
@@ -451,13 +528,11 @@ def test_a_draw_whose_clique_start_is_skipped_certifies_from_its_square_root_row
     assert isinstance(out, Projected)
     assert (out.k_used, out.decomposition.rank) == (1, 5)
     assert calls == [(4, "bound"), (5, "full")]
-    misses = [e for e in out.events if "misses" in e]
-    assert misses[1].endswith(
-        "the clique start's row count 3 is below the floor of 4; polishing 5 square-root rows"
-    )
+    assert "DNN relaxation (factorization): the clique start's row count 3 is below the " \
+        "floor of 4; skipped" in out.events
     assert any(
-        "DNN relaxation (factorization): certified from the square-root start (full polish) "
-        "with 5 atoms" in e
+        "DNN relaxation (factorization): certified from the square-root start "
+        "(interior and bound polish from " in e and ") with 5 atoms, factor residual" in e
         for e in out.events
     )
     budget = cpproj.driver._factor_budget(out.matrix, out.relaxation.conic)
@@ -515,7 +590,8 @@ def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
     # and approximate returns an outcome instead of raising.  This rank-2 CP
     # matrix has no zero entry, so its single clique row is skipped, its
     # square root has negative entries, so neither the clipped root nor its
-    # rotation fits unpolished, and its edge rows overshoot its diagonal
+    # rotation fits unpolished, and its edge rows overshoot its diagonal:
+    # the edge start, the last, misses, and its event ends the chain
     calls = _failing_fits(monkeypatch)
     F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
     C = F.T @ F
@@ -523,7 +599,11 @@ def test_a_failed_polish_is_rejected_by_the_residual_gate(monkeypatch):
     out = approximate(C, DriverSettings(k_max=2))
     assert isinstance(out, Inconclusive)
     assert calls
-    assert any("DNN relaxation (factorization): factor residual" in e for e in out.events)
+    assert any(
+        e.startswith("DNN relaxation (factorization): the edge start misses (interior and bound")
+        for e in out.events
+    )
+    assert "DNN relaxation: not certified" in out.events
 
 
 def test_a_nonnegative_square_root_certifies_without_a_fit(monkeypatch):
@@ -548,7 +628,7 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
     # 0.05587.  Both exceed the factor budget, so no polish runs at all
     polished = []
     monkeypatch.setattr(
-        cpproj.driver, "polish_decomposition", lambda X, dec: polished.append(1) or dec
+        cpproj.driver, "polish_decomposition", lambda X, dec, stages: polished.append(1) or dec
     )
     out = approximate(_cycle_matrix(), DriverSettings(k_max=2))
     assert isinstance(out, Inconclusive)
@@ -692,13 +772,13 @@ def test_a_stalled_polish_stops_early_and_rand41_still_certifies(monkeypatch):
          4.872521655144899e-09, 1.007636475599109],
     ])
     start = CpDecomposition.from_factors(root_start(*np.linalg.eigh(X)))
-    dec = cpproj.extraction.polish_decomposition(X, start)
+    dec = cpproj.extraction.polish_decomposition(X, start, ("interior", "bound"))
     assert len(nfev) == 2 and sum(nfev) < 200
     resid = cpproj.extraction.verify_decomposition(X, dec)
     assert resid <= 0.1 * FACTOR_TOL * (1.0 + np.linalg.norm(X))
     monkeypatch.setattr(cpproj.extraction, "STALL_ITERS", 10**9)
     nfev.clear()
-    cpproj.extraction.polish_decomposition(X, start)
+    cpproj.extraction.polish_decomposition(X, start, ("interior", "bound"))
     assert nfev[1] > 2000
 
     # draw 41 of the acceptance suite's seed-7 set: its DNN optimum is a CP

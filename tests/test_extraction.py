@@ -25,6 +25,8 @@ from cpproj.extraction import (
 from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 from test_acceptance import K23
 
+WHOLE = ("interior", "bound")  # the polish stages of a whole start
+
 
 def test_verify_decomposition_rejects_negative_factors():
     dec = CpDecomposition.from_factors(np.array([[0.6, 0.8]]))
@@ -40,7 +42,7 @@ def test_polish_repairs_perturbed_factors(seed):
     F = np.abs(rng.normal(size=(r, n))) + 0.05
     X = F.T @ F
     noisy = np.clip(F + 1e-3 * rng.normal(size=F.shape), 0.0, None)
-    dec = polish_decomposition(X, CpDecomposition(noisy))
+    dec = polish_decomposition(X, CpDecomposition(noisy), WHOLE)
     assert dec.factors.min() >= 0.0
     assert verify_decomposition(X, dec) <= 1e-8 * (1 + np.linalg.norm(X))
     npt.assert_allclose(
@@ -61,7 +63,7 @@ def test_polish_takes_factor_entries_of_the_identity_onto_the_bound():
     inner = polish_decomposition(X, start, ("interior",))
     assert inner.factors.min() > 0.0
     assert verify_decomposition(X, inner) > 10.0 * budget
-    for dec in (polish_decomposition(X, inner, ("bound",)), polish_decomposition(X, start)):
+    for dec in (polish_decomposition(X, inner, ("bound",)), polish_decomposition(X, start, WHOLE)):
         assert verify_decomposition(X, dec) <= 1e-8
         assert dec.factors.min() >= 0.0
 
@@ -75,13 +77,13 @@ def test_the_polish_fits_a_diagonal_matrix_to_rounding_level(diag, seed):
     # the bound, and the fit ends at rounding level, not at a gradient test
     X = np.diag(diag)
     noise = 1e-2 * np.random.default_rng(seed).uniform(size=X.shape)
-    dec = polish_decomposition(X, CpDecomposition(np.sqrt(X) + noise))
+    dec = polish_decomposition(X, CpDecomposition(np.sqrt(X) + noise), WHOLE)
     assert verify_decomposition(X, dec) <= 1e-12
 
 
 def test_polish_keeps_empty_decomposition():
     empty = CpDecomposition(np.empty((0, 3)))
-    out = polish_decomposition(np.zeros((3, 3)), empty)
+    out = polish_decomposition(np.zeros((3, 3)), empty, WHOLE)
     assert out.rank == 0
 
 
@@ -165,8 +167,9 @@ def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     # budget, unpolished and after one bound-stage polish.  Its graph is the
     # path 0 - 1 - 2, whose 2 clique rows cannot fit 3 rows' worth of
     # spectrum, so the chain skips them, polishes the 3 square-root rows in
-    # full and ends with the full polish of the 5 edge rows, returned bit
-    # for bit
+    # full and ends with the full polish of the 5 edge rows, which misses
+    # too: each start leaves one event, and the chain returns None.  The
+    # last polish is the one a direct call runs, bit for bit
     C = np.array([
         [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
         [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
@@ -178,28 +181,24 @@ def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
     lam, V = np.linalg.eigh(X)
     least = row_floor(lam, tol)
     assert clique_start(X, tol).shape == (2, 3)
-    want = polish_decomposition(X, CpDecomposition.from_factors(edge_start(X, tol)))
+    want = polish_decomposition(X, CpDecomposition.from_factors(edge_start(X, tol)), WHOLE)
 
     calls = _spy_on_polish(monkeypatch)
     events = []
-    got, resid, how = _fit(X, lam, V, least, tol, events.append, "draw 46")
-    (jump_rows, jump), (root_rows, root), (edge_rows, _) = calls
+    assert _fit(X, lam, V, least, tol, events.append, "draw 46") is None
+    (jump_rows, jump), (root_rows, root), (edge_rows, got) = calls
     assert jump_rows == ("bound", least) and least == 3
     assert verify_decomposition(X, jump) > tol
     assert root_rows == 3
     assert verify_decomposition(X, root) > tol
     assert edge_rows == 5
-    assert how == "the edge start (full polish)"
-    assert resid == verify_decomposition(X, got) > tol
-    assert [e.split(" with ")[0] for e in events] == [
-        "draw 46: the rotated square-root start misses (no polish)",
-        "draw 46: the rotated square-root start misses (one bound-stage polish)",
-        "draw 46: the square-root start misses (full polish)",
+    assert verify_decomposition(X, got) > tol
+    assert [e.split(" from ")[0] for e in events] == [
+        "draw 46: the rotated square-root start misses (bound polish",
+        "draw 46: the clique start's row count 2 is below the floor of 3; skipped",
+        "draw 46: the square-root start misses (interior and bound polish",
+        "draw 46: the edge start misses (interior and bound polish",
     ]
-    assert events[1].endswith(
-        "the clique start's row count 2 is below the floor of 3; polishing 3 square-root rows"
-    )
-    assert events[2].endswith("polishing 5 edge rows")
     for field in ("atoms", "weights", "factors"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -230,7 +229,7 @@ def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monke
     # clique start is a single row, and by Eckart-Young no single row fits
     # a floor of 2.  With every polish made to miss, the chain goes from the
     # bound-stage polish of the 2 rotated rows straight to the 3 square-root
-    # rows, and then to the 3 edge rows
+    # rows, and then to the 3 edge rows, and returns None
     F = np.array([[1.0, 1.0, 0.1], [0.1, 1.0, 1.0]])
     X = F.T @ F
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
@@ -239,15 +238,14 @@ def test_a_dense_matrix_gives_one_clique_row_that_the_chain_never_polishes(monke
     least = row_floor(lam, tol)
     calls = _spy_on_polish(monkeypatch, miss=True)
     events = []
-    _, resid, how = _fit(X, lam, V, least, tol, events.append, "dense")
+    assert _fit(X, lam, V, least, tol, events.append, "dense") is None
     assert least == 2
     assert [rows for rows, _ in calls] == [("bound", 2), 3, 3]
-    assert how == "the edge start (full polish)"
-    assert resid > tol
-    assert events[1].endswith(
-        "the clique start's row count 1 is below the floor of 2; polishing 3 square-root rows"
-    )
-    assert events[2].endswith("polishing 3 edge rows")
+    assert events[1] == "dense: the clique start's row count 1 is below the floor of 2; skipped"
+    assert [e.split(" (")[0] for e in events[2:]] == [
+        "dense: the square-root start misses",
+        "dense: the edge start misses",
+    ]
 
 
 def test_the_edge_start_of_a_dominant_matrix_is_its_factorization():
