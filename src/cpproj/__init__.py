@@ -26,12 +26,12 @@ Entry points:
   malformed program; `CpDecomposition` holds the certified factors.
 
 The layers those entry points are built from are imported from their own
-modules: the monomial index and the moment-cone constraints built on it
-(`cpproj.polybasis`), the factorization starts, factor polish and the CP
-distance floor (`cpproj.extraction`), the four norms, the input symmetry
-rule and the conic relaxations built from them (`cpproj.relaxation`), and
-a self-contained homogeneous conic interior-point solver that also owns
-the upper-triangle fold of symmetric matrices (`cpproj.conic`).
+modules: the factorization starts, factor polish and the CP distance floor
+(`cpproj.extraction`), the four norms, the input symmetry rule, the
+monomial index and the conic relaxations built from them
+(`cpproj.relaxation`), and a self-contained homogeneous conic
+interior-point solver that also owns the upper-triangle fold of symmetric
+matrices (`cpproj.conic`).
 """
 from .conic import ConicSolverError, SolverSettings
 from .driver import (

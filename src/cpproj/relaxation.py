@@ -10,11 +10,12 @@ conic programs indexed by the order k.  Each order has one rung builder,
 apart: it gives the head columns, those of vech(X), the equality,
 nonnegative and PSD rows, and the cap on the solver tolerance.  Order 1 is
 the doubly nonnegative (DNN) relaxation: X entrywise nonnegative and PSD.
-Order k >= 2 holds a moment vector of `cpproj.polybasis` under the sphere
-equalities and the PSD blocks of order k, and X is its degree-2 slice.  CP
-lies inside every rung, so each optimal value bounds the projection
-distance from below, and from order 2 on the values grow with k toward it;
-certification happens downstream, by a nonnegative factorization.
+Order k >= 2 holds a moment vector, one entry per monomial of degree <= 2k
+in the graded-lex order of `_monomials`, under the sphere equalities and
+the PSD blocks of order k, and X is its degree-2 slice.  CP lies inside
+every rung, so each optimal value bounds the projection distance from
+below, and from order 2 on the values grow with k toward it; certification
+happens downstream, by a nonnegative factorization.
 
 Every rung shares the constraint and norm rows, built once over the
 columns [vech(X) | gamma | T] and mapped to the program's columns through
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +46,6 @@ import scipy.sparse as sp
 
 from .conic import ConeBlock, ConicProgram, ConicSolution, SolverSettings
 from .conic import solve as conic_solve, svec_gather, svec_index, vech, vech_inv
-from .polybasis import moment_cone_constraints, vech_columns
 
 __all__ = [
     "NORM_KINDS", "LinearConstraint", "ProblemSpec", "RelaxationSolution", "assemble",
@@ -186,24 +187,60 @@ def order_name(k: int, article: bool = False) -> str:
     return ("the DNN relaxation" if article else "DNN relaxation") if k == 1 else f"order {k}"
 
 
+def _monomials(n: int, d: int) -> np.ndarray:
+    """The (C(n + d, n), n) exponents of the n-variate monomials of degree
+    <= d in graded-lex order: by degree, then lexicographically with the
+    first variable ranked highest, which is the lexicographic order of the
+    multisets of variables.  So the monomials of degree <= d' < d are the
+    first C(n + d', n) rows, and the degree-2 ones follow the 1 + n of
+    degree <= 1 in the order (a, b) of `conic.svec_index(n)`."""
+    return np.array(
+        [[c.count(i) for i in range(n)]
+         for t in range(d + 1) for c in combinations_with_replacement(range(n), t)],
+        dtype=np.int64,
+    ).reshape(-1, n)
+
+
 @lru_cache(maxsize=None)
 def _rung(n: int, k: int) -> _Rung:
     """The order-k rung for an n x n X, read-only as the cache shares it.
     Order 1 (DNN) holds vech(X) nonnegative and PSD in one order-n block, at
-    most to DNN_TOL; order k >= 2 holds the moment vector of half-degree k
-    under the sphere equalities and the n + 1 moment PSD blocks (and
-    `moment_cone_constraints` rejects an order below 1)."""
+    most to DNN_TOL.  Order k >= 2 holds the moment vector s over
+    `_monomials(n, 2k)`, under the sphere residual's localizer entries,
+    which depend only on alpha + beta, so one row sum_i s[delta + 2 e_i] -
+    s[delta] == 0 per delta of degree <= 2(k - 1); and under the PSD moment
+    matrix (the localizer of 1, half-order k), whose svec row (a, b) picks
+    s[alpha_a + alpha_b], and the localizers of x_1, ..., x_n (half-order
+    k - 1), whose row (a, b) picks s[alpha_a + alpha_b + e_j]."""
+    if k < 1:
+        raise ValueError("relaxation order must be at least 1")
     nbar = n * (n + 1) // 2
     no_rows = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
     if k == 1:
         v = np.arange(nbar)
         rung = _Rung(nbar, v, no_rows, (v, v, np.ones(nbar), np.zeros(nbar)), ((n, v, v),), DNN_TOL)
     else:
-        moment_eq, blocks = moment_cone_constraints(n, k)
-        coo = moment_eq.tocoo()
-        eq = (coo.row, coo.col, coo.data, np.zeros(moment_eq.shape[0]))
-        psd = tuple((order, *entries.nonzero()) for order, entries in blocks)
-        rung = _Rung(moment_eq.shape[1], vech_columns(n), eq, no_rows, psd, math.inf)
+        exps = _monomials(n, 2 * k)
+        index = {a: i for i, a in enumerate(map(tuple, exps.tolist()))}
+
+        def columns(alphas: np.ndarray) -> np.ndarray:
+            return np.array([index[a] for a in map(tuple, alphas.reshape(-1, n).tolist())])
+
+        eye = np.eye(n, dtype=np.int64)
+        deltas = exps[: math.comb(n + 2 * k - 2, n)]
+        m = len(deltas)
+        eq = (
+            np.repeat(np.arange(m), n + 1),
+            columns(np.concatenate([deltas[:, None] + 2 * eye, deltas[:, None]], axis=1)),
+            np.tile(np.append(np.ones(n), -1.0), m),
+            np.zeros(m),
+        )
+        psd = []
+        for shift, half in [(0, k)] + [(e, k - 1) for e in eye]:
+            rows = exps[: math.comb(n + half, n)]
+            a, b = svec_index(len(rows))[0]
+            psd.append((len(rows), np.arange(a.size), columns(rows[a] + rows[b] + shift)))
+        rung = _Rung(len(exps), 1 + n + np.arange(nbar), eq, no_rows, tuple(psd), math.inf)
     for a in (rung.x, *rung.eq, *rung.nonneg, *(a for block in rung.psd for a in block[1:])):
         a.setflags(write=False)
     return rung

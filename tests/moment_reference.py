@@ -1,15 +1,24 @@
 """Reference moment vectors of atomic measures, for tests of the relaxation rows.
 
 The moment vector of a measure has one entry per monomial of degree <= 2k,
-in the graded-lex order of `cpproj.polybasis.monomials_up_to`, so its
-degree-2 entries (after the n + 1 entries of degree <= 1) list vech of the
-identified symmetric matrix.
+in graded-lex order (`graded_lex`, enumerated here apart from the
+package's own index), so its degree-2 entries (after the n + 1 entries of
+degree <= 1) list vech of the identified symmetric matrix.
 """
+from itertools import product
+
 import numpy as np
+import scipy.sparse as sp
 
 from cpproj.conic import vech, vech_inv
-from cpproj.polybasis import monomials_up_to
-from cpproj.relaxation import p_norm
+from cpproj.relaxation import _rung, p_norm
+
+
+def graded_lex(n: int, d: int) -> list[tuple[int, ...]]:
+    """The exponents of the n-variate monomials of degree <= d, by degree and
+    then lexicographically descending (the first variable ranked highest)."""
+    exps = (a for a in product(range(d + 1), repeat=n) if sum(a) <= d)
+    return sorted(exps, key=lambda a: (sum(a), [-e for e in a]))
 
 
 def moments_of_atoms(atoms, weights, k: int) -> np.ndarray:
@@ -18,9 +27,26 @@ def moments_of_atoms(atoms, weights, k: int) -> np.ndarray:
     wts = np.asarray(weights, dtype=float).ravel()
     if len(pts) != wts.size:
         raise ValueError(f"{len(pts)} atoms but {wts.size} weights")
-    exps = monomials_up_to(pts.shape[1], 2 * k)
+    exps = np.array(graded_lex(pts.shape[1], 2 * k)).reshape(-1, pts.shape[1])
     # atom^alpha for every basis monomial at once; 0**0 == 1 covers alpha = 0
     return wts @ np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+
+
+def rung_maps(n: int, k: int):
+    """The rows of the order-k moment rung (k >= 2) as sparse maps over the
+    moment vector: `(equality, blocks)`, with `equality @ s` the sphere
+    rows' residuals (their right-hand side is zero) and, per PSD block,
+    `(order, entries)` whose `entries @ s` lists the block's upper triangle
+    row by row."""
+    rung = _rung(n, k)
+    row, col, val, rhs = rung.eq
+    assert not rhs.any()
+    equality = sp.csr_matrix((val, (row, col)), shape=(rhs.size, rung.width))
+    blocks = tuple(
+        (order, sp.csr_matrix((np.ones(r.size), (r, c)), shape=(order * (order + 1) // 2, rung.width)))
+        for order, r, c in rung.psd
+    )
+    return equality, blocks
 
 
 def degree2_slice(s: np.ndarray, n: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from cpproj.conic import (
     verify_certificate,
 )
 from cpproj.driver import FACTOR_TOL, DriverSettings, approximate
-from cpproj.polybasis import moment_cone_constraints, monomial_positions, monomials_up_to
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -38,6 +37,7 @@ from cpproj.relaxation import (
     project_dnn,
     solve_relaxation,
 )
+from moment_reference import graded_lex, rung_maps
 
 C4 = np.array([
     [2.0, 1, 1, 1],
@@ -594,26 +594,29 @@ def test_one_c4_order_3_does_not_hang_on_the_kkt_regularization(monkeypatch):
 
 def _moment_identity_residual():
     """Largest deviation of the relaxation's moment-cone rows from their
-    defining index formulas: each PSD block entry (a, b) of the localizer of
-    the monomial x^g is s[alpha_a + alpha_b + g], and each equality row is
-    the sphere residual sum_i s[delta + 2 e_i] - s[delta]."""
+    defining index formulas, over the reference graded-lex basis: each PSD
+    block entry (a, b) of the localizer of the monomial x^g is
+    s[alpha_a + alpha_b + g], and each equality row is the sphere residual
+    sum_i s[delta + 2 e_i] - s[delta].  (4, 4) is the order-4 probe's
+    program."""
     rng = np.random.default_rng(3)
     worst = 0.0
-    for n, k in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        position = monomial_positions(n, 2 * k)
-        s = rng.standard_normal(len(position))
-        equality, blocks = moment_cone_constraints(n, k)
+    for n, k in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4)):
+        basis = graded_lex(n, 2 * k)
+        position = {alpha: i for i, alpha in enumerate(basis)}
+        s = rng.standard_normal(len(basis))
+        equality, blocks = rung_maps(n, k)
         # the localizer of 1 at half-order k, then of x_j at half-order k - 1
         shifts = [((0,) * n, k)] + [(tuple(e), k - 1) for e in np.eye(n, dtype=int)]
         for (order, entries), (g, half) in zip(blocks, shifts, strict=True):
-            rows = monomials_up_to(n, half)
+            rows = np.array(graded_lex(n, half))
             assert order == len(rows)
             want = [
                 s[position[tuple(rows[a] + rows[b] + np.asarray(g))]]
                 for a in range(order) for b in range(a, order)
             ]
             worst = max(worst, float(np.abs(entries @ s - want).max()))
-        deltas = monomials_up_to(n, 2 * (k - 1))
+        deltas = np.array(graded_lex(n, 2 * (k - 1)))
         want = [
             sum(s[position[tuple(d + 2 * e)]] for e in np.eye(n, dtype=int))
             - s[position[tuple(d)]]

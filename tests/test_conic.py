@@ -29,8 +29,8 @@ from cpproj.conic import (
     svec_index,
     verify_certificate,
 )
-from cpproj.polybasis import moment_cone_constraints
 from cpproj.relaxation import ProblemSpec, assemble
+from moment_reference import rung_maps
 from test_acceptance import REFERENCE_INSTANCES
 
 
@@ -328,12 +328,12 @@ def test_iteration_limit_reports_best_iterate(monkeypatch):
     assert "primal_feas" in sol.residuals
 
 
-def _svec_scaled(entries, order):
-    """A moment block's 0/1 entry map with the cone map's svec weights."""
-    scale = np.array(
-        [1.0 if a == b else np.sqrt(2.0) for a in range(order) for b in range(a, order)]
-    )
-    return sp.diags(scale) @ entries
+def _rung_block(n, k, i):
+    """PSD block i of the order-k rung (0 the moment matrix, j >= 1 the
+    localizer of x_j) over the moment vector, with the cone map's svec
+    weights, as a dense array, and its order."""
+    order, entries = rung_maps(n, k)[1][i]
+    return (sp.diags(svec_index(order)[1]) @ entries).toarray(), order
 
 
 def _program_block(norm, n, kind, order=0):
@@ -357,10 +357,8 @@ def _psd_map_case(name):
     if name == "two-norm block":
         return _program_block("two", 3, "psd", 6).toarray(), 6
     if name.startswith("moment n=4 k=4"):
-        order, entries = moment_cone_constraints(4, 4)[1][0]
-    else:  # x_1 times the order-1 moment block of n=3, k=2
-        order, entries = moment_cone_constraints(3, 2)[1][2]
-    return _svec_scaled(entries, order).toarray(), order
+        return _rung_block(4, 4, 0)
+    return _rung_block(3, 2, 2)  # x_2 times the order-1 moment block of n=3, k=2
 
 
 def _schur_into_zeros(bmap, weights, n):
@@ -440,8 +438,7 @@ def test_a_compact_psd_block_adds_the_bits_of_a_block_built_over_every_row():
     # Each column's sum does not depend on its chunk, so the two agree bit
     # for bit, and the block is not bitwise symmetric, so a transposed
     # scatter would show
-    order, entries = moment_cone_constraints(4, 3)[1][2]
-    Mb = _svec_scaled(entries, order).toarray()
+    Mb, order = _rung_block(4, 3, 2)
     used = np.flatnonzero(np.count_nonzero(Mb, axis=0))
     wide = np.hstack([Mb, Mb[:, used], Mb[:, used]])
     compact, full = (_PsdMap(sp.csr_matrix(B), order, _chunk_scratch([order])) for B in (Mb, wide))

@@ -1,11 +1,13 @@
+"""The order-k moment rung's rows (`relaxation._rung`, k >= 2) checked
+against atomic measures on the nonnegative unit sphere."""
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cpproj.polybasis import moment_cone_constraints, monomials_up_to
-from moment_reference import moments_of_atoms
+from cpproj.relaxation import _rung
+from moment_reference import graded_lex, moments_of_atoms, rung_maps
 
 
 def sphere_atoms(rng, r, n):
@@ -16,7 +18,7 @@ def sphere_atoms(rng, r, n):
 def block_matrices(n, k, s):
     """The symmetric matrices of the order-k PSD blocks at sequence s."""
     out = []
-    for order, entries in moment_cone_constraints(n, k)[1]:
+    for order, entries in rung_maps(n, k)[1]:
         M = np.zeros((order, order))
         M[np.triu_indices(order)] = entries @ s
         out.append(M + np.triu(M, 1).T)
@@ -25,20 +27,21 @@ def block_matrices(n, k, s):
 
 def evaluations(pts, n, t):
     """Row i: every monomial of degree <= t evaluated at atom i."""
-    exps = monomials_up_to(n, t)
+    exps = np.array(graded_lex(n, t)).reshape(-1, n)
     return np.stack([np.prod(p ** exps, axis=1) for p in pts])
 
 
 def test_sizes_smallest_case():
-    # n = 1, k = 1: moment matrix 2x2, sphere and coordinate localizers 1x1
-    equality, blocks = moment_cone_constraints(1, 1)
-    assert [order for order, _ in blocks] == [2, 1]
-    assert equality.shape == (1, math.comb(1 + 2, 2))
+    # n = 1, k = 2, the smallest moment rung: moment matrix 3x3, sphere rows
+    # 3, coordinate localizer 2x2, over the 5 moments of degree <= 4
+    equality, blocks = rung_maps(1, 2)
+    assert [order for order, _ in blocks] == [3, 2]
+    assert equality.shape == (3, math.comb(1 + 4, 4))
 
 
 def test_localizer_size_formula():
     for n, k in [(2, 2), (3, 3), (4, 2)]:
-        orders = [order for order, _ in moment_cone_constraints(n, k)[1]]
+        orders = [order for order, *_ in _rung(n, k).psd]
         assert orders == [math.comb(n + k, k)] + [math.comb(n + k - 1, k - 1)] * n
 
 
@@ -74,7 +77,7 @@ def test_sphere_residual_vanishes_on_sphere_measures():
     rng = np.random.default_rng(31)
     n, k = 4, 3
     pts = sphere_atoms(rng, 3, n)
-    equality = moment_cone_constraints(n, k)[0]
+    equality = rung_maps(n, k)[0]
     s = moments_of_atoms(pts, rng.uniform(0.5, 1.5, 3), k)
     assert np.abs(equality @ s).max() < 1e-12
     # scaling an atom off the sphere breaks it
@@ -84,8 +87,8 @@ def test_sphere_residual_vanishes_on_sphere_measures():
 
 def test_localizing_degree_overflow_rejected():
     # below order 1 the x_j localizers would need a negative half-order
-    with pytest.raises(ValueError):
-        moment_cone_constraints(2, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        _rung(2, 0)
 
 
 def test_membership_constraints_necessary_for_atomic_measures():
@@ -94,7 +97,7 @@ def test_membership_constraints_necessary_for_atomic_measures():
     pts = sphere_atoms(rng, 4, n)
     wts = rng.uniform(0.2, 2.0, 4)
     s = moments_of_atoms(pts, wts, k)
-    equality = moment_cone_constraints(n, k)[0]
+    equality = rung_maps(n, k)[0]
     npt.assert_allclose(equality @ s, 0.0, atol=1e-12)
     blocks = block_matrices(n, k, s)
     for M in blocks:
@@ -106,12 +109,12 @@ def test_membership_constraints_necessary_for_atomic_measures():
 
 def test_negative_mass_violates_unit_block():
     n, k = 2, 2
-    s_vec = np.zeros(len(monomials_up_to(n, 2 * k)))
+    s_vec = np.zeros(_rung(n, k).width)
     s_vec[0] = -1.0
     M = block_matrices(n, k, s_vec)[0]
     assert np.linalg.eigvalsh(M).min() < -0.5
 
 
 def test_equality_rows_are_deduplicated():
-    equality = moment_cone_constraints(2, 2)[0]
+    equality = rung_maps(2, 2)[0]
     assert equality.shape[0] == math.comb(2 + 2, 2)  # 6 distinct sums

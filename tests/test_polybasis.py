@@ -1,3 +1,8 @@
+"""Tests of the polynomial basis of the moment rungs: the graded-lex
+monomial index `relaxation._monomials`, the degree-2 slice of the moment
+vector at which `relaxation._rung(n, k).x` reads vech(X), and the
+symmetric-matrix fold (`symmetric`, `vech`, `vech_inv`) that identifies X
+with that slice."""
 import math
 
 import numpy as np
@@ -5,14 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from cpproj.conic import svec_index, vech, vech_inv
-from cpproj.polybasis import (
-    moment_cone_constraints,
-    monomial_positions,
-    monomials_up_to,
-    vech_columns,
-)
-from cpproj.relaxation import symmetric
-from moment_reference import degree2_slice, moments_of_atoms
+from cpproj.relaxation import _monomials, _rung, symmetric
+from moment_reference import degree2_slice, graded_lex, moments_of_atoms
 
 
 def random_sym(rng, n, scale=1.0):
@@ -21,34 +20,26 @@ def random_sym(rng, n, scale=1.0):
 
 
 def test_basis_ordering_n2_d2():
-    got = [tuple(a) for a in monomials_up_to(2, 2).tolist()]
+    got = [tuple(a) for a in _monomials(2, 2).tolist()]
     assert got == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def test_basis_size_matches_binomial():
     # oracle: C(n + d, d), frozen for the spot case (4, 3) -> 35
-    assert len(monomials_up_to(4, 3)) == 35
+    assert len(_monomials(4, 3)) == 35
     for n in range(1, 6):
         for d in range(0, 5):
-            assert monomials_up_to(n, d).shape == (math.comb(n + d, d), n)
-            assert len(monomial_positions(n, d)) == math.comb(n + d, d)
+            assert _monomials(n, d).shape == (math.comb(n + d, d), n)
+            # row for row the reference enumeration
+            assert [tuple(a) for a in _monomials(n, d).tolist()] == graded_lex(n, d)
 
 
 def test_basis_prefix_property():
-    small = monomials_up_to(3, 2)
-    big = monomials_up_to(3, 6)
+    # a smaller basis is a prefix of a larger one, so a monomial keeps its
+    # row in every enclosing basis
+    small = _monomials(3, 2)
+    big = _monomials(3, 6)
     npt.assert_array_equal(big[: len(small)], small)
-    positions = monomial_positions(3, 6)
-    for i, alpha in enumerate(small.tolist()):
-        assert positions[tuple(alpha)] == i
-
-
-def test_basis_position_rejects_unknown():
-    positions = monomial_positions(2, 2)
-    with pytest.raises(KeyError):
-        positions[(3, 0)]
-    with pytest.raises(KeyError):
-        positions[(1, 1, 0)]
 
 
 def test_sym_matrix_exact_symmetry_and_rejection():
@@ -96,17 +87,20 @@ def test_etms_matrix_identification_round_trip():
     # row-major upper-triangle pairs (i, j), i <= j, as e_i + e_j
     iu, ju = np.triu_indices(4)
     want = np.eye(4, dtype=int)[iu] + np.eye(4, dtype=int)[ju]
-    npt.assert_array_equal(degree2_slice(monomials_up_to(4, 2), 4), want)
+    npt.assert_array_equal(degree2_slice(_monomials(4, 2), 4), want)
+    npt.assert_array_equal(_monomials(4, 4)[_rung(4, 2).x], want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_vech_columns_are_the_positions_of_the_degree_2_monomials(n):
     # the moment rungs read vech(X) at these columns; look each x_a x_b up
+    # in the reference basis, whose degree <= 4 part prefixes every order's
     (a, b), _ = svec_index(n)
     eye = np.eye(n, dtype=int)
-    index = monomial_positions(n, 4)
+    index = {alpha: i for i, alpha in enumerate(graded_lex(n, 4))}
     want = [index[tuple(e)] for e in (eye[a] + eye[b]).tolist()]
-    npt.assert_array_equal(vech_columns(n), want)
+    for k in (2, 3):
+        npt.assert_array_equal(_rung(n, k).x, want)
 
 
 def test_tms_degree2_slice_matches_identification():
@@ -131,25 +125,7 @@ def test_moments_of_atoms_against_matrix_sum():
     # spot-check a degree-6 entry against the raw sum
     alpha = (3, 1, 2, 0)
     want = float(sum(w * np.prod(u ** np.array(alpha)) for w, u in zip(wts, pts)))
-    npt.assert_allclose(s[monomial_positions(n, 2 * k)[alpha]], want, rtol=1e-12)
-
-
-def test_basis_position_stable_across_enclosing_bases():
-    # the position of any degree <= 2t monomial agrees in bases (n, 2t), (n, 2k)
-    n = 3
-    small = monomial_positions(n, 4)
-    big = monomial_positions(n, 8)
-    for alpha, i in small.items():
-        assert big[alpha] == i
-
-
-def test_cached_index_is_read_only():
-    # the index is shared through the cache, so no caller may edit it
-    exps = monomials_up_to(2, 1)
-    with pytest.raises(ValueError):
-        exps[0, 0] = 5
-    with pytest.raises(TypeError):
-        monomial_positions(2, 1)[(9, 9)] = 0
+    npt.assert_allclose(s[graded_lex(n, 2 * k).index(alpha)], want, rtol=1e-12)
 
 
 def test_malformed_matrices_and_vectors_are_rejected():

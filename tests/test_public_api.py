@@ -7,15 +7,16 @@ import cpproj
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODULES = (
-    "cpproj",
-    "cpproj.cli",
-    "cpproj.conic",
-    "cpproj.driver",
-    "cpproj.extraction",
-    "cpproj.polybasis",
-    "cpproj.relaxation",
-)
+PACKAGE = sorted((ROOT / "src" / "cpproj").glob("*.py"))
+
+
+def _module_name(path: Path) -> str:
+    return "cpproj" if path.stem == "__init__" else f"cpproj.{path.stem}"
+
+
+# the package and each of its modules, but not the `python -m cpproj`
+# script, which exports nothing
+MODULES = tuple(_module_name(path) for path in PACKAGE if path.stem != "__main__")
 
 
 def test_package_exports_only_entry_points_and_outcomes():
@@ -50,7 +51,7 @@ def test_no_module_imports_a_private_name_from_another():
     # second module needs gets a public name in the module that owns it
     private = [
         f"{path.stem} imports {alias.name} from {'.' * node.level}{node.module or ''}"
-        for path in sorted((ROOT / "src" / "cpproj").glob("*.py"))
+        for path in PACKAGE
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ImportFrom)
         and (node.level or (node.module or "").startswith("cpproj"))
@@ -77,10 +78,12 @@ def test_every_module_export_is_used_outside_its_module():
     # a name in a module's __all__ that neither another module of the
     # package nor the benchmark uses is a dead helper or a private one;
     # the package's own exports are the public interface and are exempt
-    sources = [*(ROOT / "src" / "cpproj").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    sources = [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]
     users = {path.resolve(): _identifiers(path) for path in sources}
     unused = []
-    for name in MODULES[1:]:
+    for name in MODULES:
+        if name == "cpproj":
+            continue
         module = importlib.import_module(name)
         own = Path(module.__file__).resolve()
         for attr in module.__all__:
@@ -185,17 +188,13 @@ def test_every_top_level_definition_is_used():
     # code, whether exported or not; the package's own exports are the
     # public interface and are exempt, and so are dunder names.  A method
     # read as `self.<name>` counts only for the class that name resolves to
-    package = sorted((ROOT / "src" / "cpproj").glob("*.py"))
-    modules = {
-        path: importlib.import_module("cpproj" if path.stem == "__init__" else f"cpproj.{path.stem}")
-        for path in package
-    }
-    trees = {path: ast.parse(path.read_text()) for path in package}
+    modules = {path: importlib.import_module(_module_name(path)) for path in PACKAGE}
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE}
     trees.update({p: ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")})
     reads = {path: _reads(tree, modules.get(path)) for path, tree in trees.items()}
     keys = {path: {key for _, key in found} for path, found in reads.items()}
     unused = []
-    for path in package:
+    for path in PACKAGE:
         for label, key, node in _definitions(trees[path], modules[path]):
             name = key if isinstance(key, str) else key[1]
             if name.startswith("__") or label in cpproj.__all__:
@@ -326,12 +325,11 @@ def test_every_default_is_overridden_by_some_caller():
     # package or the benchmark ever passes is a setting nobody sets: its
     # default is a constant.  A pass counts by position, by keyword, or by a
     # `replace` keyword (dataclass fields); names match by bare name
-    package = sorted((ROOT / "src" / "cpproj").glob("*.py"))
-    sources = [*package, *sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py"))]
     calls = [c for path in sources for c in _passes(ast.parse(path.read_text()))]
     replaced = {kw for callee, _, kws in calls if callee == "replace" for kw in kws}
     unset = []
-    for path in package:
+    for path in PACKAGE:
         for label, callee, position, name, field in _defaults(
             ast.parse(path.read_text()), path.stem
         ):

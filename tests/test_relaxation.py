@@ -15,7 +15,6 @@ from cpproj.conic import (
     vech_inv,
 )
 from cpproj.driver import DriverSettings
-from cpproj.polybasis import moment_cone_constraints
 from cpproj.relaxation import (
     LinearConstraint,
     ProblemSpec,
@@ -169,7 +168,7 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     nonneg = [vech(X)] if k == 1 else []
     nonneg.append([np.sum(A * X) + 1.0])
     eq_res = prog.eq_map @ v - prog.eq_rhs
-    sphere = 0 if k == 1 else moment_cone_constraints(n, k)[0].shape[0]
+    sphere = 0 if k == 1 else cpproj.relaxation._rung(n, k).eq[3].size
     assert eq_res.size == sphere + 1
     assert prog.eq_map[:, prog.info["gamma"] :].nnz == 0
     npt.assert_allclose(eq_res[-1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
