@@ -21,7 +21,7 @@ MAX_ITERS iterations have run.  Primal infeasibility surfaces as a
 convergence mode of the embedding; a Farkas certificate is only reported
 after it has been re-verified against the raw program data.
 Every program built in this package has an objective bounded below by zero
-(a distance bound, or a positive definite functional of a moment matrix),
+(the distance bound gamma, which the norm block holds nonnegative),
 so a dual infeasible program cannot arise; one would end without a
 certificate.  The search direction comes from the cone-eliminated
 KKT system with static regularization, which is quasi-definite and is
@@ -42,8 +42,8 @@ with one weighted bincount (see _NonnegMap), a second-order block as a
 dense product over its touched columns, and a PSD block from low-rank
 congruences and a sparse reduction, column block by column block, at a
 cost proportional to the map's nonzeros rather than to dense N x N
-congruences: every PSD block in this package is a moment, localizing or
-norm matrix whose map has a few nonzeros per column (see _PsdMap).  Every
+congruences: every PSD block in this package is a DNN, parity-class or
+spectral block whose map has a few nonzeros per column (see _PsdMap).  Every
 entry of K11 is the same sum, in the same block order, as a sum of
 per-block dense matrices would be.  The dense working set is allocated once
 per solve: K11, its Cholesky factor, W = L^{-1} E' and W'W (see _Kkt), and
@@ -166,7 +166,7 @@ MAX_ITERS = 200  # interior-point iterations before a solve ends "iteration_limi
 class SolverSettings:
     # one bound on the scaled primal and dual residuals and the relative gap,
     # in (0, 1): they are relative, so a bound of 1 can be met at the start.
-    # Moment relaxations are chronically degenerate: the interior-point engine
+    # The relaxations are chronically degenerate: the interior-point engine
     # (a quasi-definite Cholesky KKT solve with refinement) reliably reaches
     # ~1e-7 on them but can stall short of 1e-8, so the default asks for what
     # is attainable; the order-1 (DNN) solve is held to relaxation.DNN_TOL
@@ -510,13 +510,14 @@ class _PsdMap:
     transposed copy are written into `scratch`, which a solve shares among
     its PSD blocks, so the build allocates no chunk-sized array of its own.
 
-    A block that uses more than half of the columns (a moment matrix) adds
-    each chunk's reduction into the chunk's columns of the caller's K11
-    (through a view when they are a run).  One that uses at most half of
-    them (a localizing matrix) is reduced over its used rows only, into a
-    u x u block over its u used columns, which one flat add scatters into
-    K11.  Either way every entry of K11 the block touches gets one sum, the
-    same as a reduction over every row gives, and the unused rows and
+    A block that uses more than half of the columns (the DNN block of a
+    Frobenius instance, or the probe's order-10 class blocks) adds each
+    chunk's reduction into the chunk's columns of the caller's K11 (through
+    a view when they are a run).  One that uses at most half of them (the
+    class blocks of an order-2 rung) is reduced over its used rows only,
+    into a u x u block over its u used columns, which one flat add scatters
+    into K11.  Either way every entry of K11 the block touches gets one sum,
+    the same as a reduction over every row gives, and the unused rows and
     columns are left as they were.
     """
 

@@ -1,10 +1,12 @@
 """End-to-end projection driver.
 
 Solves the relaxations of `cpproj.relaxation` for k = 1, 2, ..., k_max.
-Order 1 is the doubly nonnegative (DNN) relaxation, and orders k >= 2 are
-the moment relaxations.  CP lies inside every order (and equals DNN for
-n <= 4), so each order either gives a lower bound on the distance or, for
-incompatible constraints, a verified Farkas certificate that ends the run.
+Order 1 is the doubly nonnegative (DNN) relaxation, and order k >= 2 is the
+dual of Parrilo's cone K^(k - 1), which lies inside the order below it.  CP
+lies inside every order (and equals DNN for n <= 4), so each order either
+gives a lower bound on the distance, no lower than the one before it, or,
+for incompatible constraints, a verified Farkas certificate that ends the
+run.
 Every order's optimal matrix goes through one certification: the driver
 fits nonnegative factors to the matrix directly and accepts them only if
 their residual is within FACTOR_TOL and the matrix meets the constraints.
@@ -61,7 +63,7 @@ class SolverFailure(RuntimeError):
     """The conic solve broke down before the algorithm could decide."""
 
 
-K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one moment order
+K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one order past DNN
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
 # the factorization is the whole proof that X is completely positive, so its
 # fit is held to ten times the default solver tolerance, or to ten times the
@@ -150,7 +152,7 @@ def _usable_solution(csol, solver: SolverSettings) -> bool:
     candidate: it is optimal, or it stalled at a residual level within ten
     times the tolerance.
 
-    Moment relaxations are degenerate enough that the interior-point engine
+    The relaxations are degenerate enough that the interior-point engine
     can stall a small factor short of the request (typically on instances
     whose optimum touches the cone boundary everywhere).  Such an iterate
     still bounds the distance, and its factors are held to a budget ten

@@ -10,12 +10,16 @@ conic programs indexed by the order k.  Each order has one rung builder,
 apart: it gives the head columns, those of vech(X), the equality,
 nonnegative and PSD rows, and the cap on the solver tolerance.  Order 1 is
 the doubly nonnegative (DNN) relaxation: X entrywise nonnegative and PSD.
-Order k >= 2 holds a moment vector, one entry per monomial of degree <= 2k
-in the graded-lex order of `_monomials`, under the sphere equalities and
-the PSD blocks of order k, and X is its degree-2 slice.  CP lies inside
-every rung, so each optimal value bounds the projection distance from
-below, and from order 2 on the values grow with k toward it; certification
-happens downstream, by a nonnegative factorization.
+Order k >= 2 is the dual of Parrilo's cone K^(r), r = k - 1, of the
+matrices M for which (sum_i u_i^2)^r sum_ij M_ij u_i^2 u_j^2 is a sum of
+squares: X is tied to the moments z_beta, |beta| = r + 2, of a measure on
+the nonnegative orthant, under one PSD block per parity class of the
+monomials of degree r + 2 in u (Parrilo 2000; Bomze and de Klerk 2002).
+K^(0) is PSD + nonnegative, whose dual is DNN, and K^(r) grows with r, so
+CP lies inside every rung and each rung inside the one below it: the
+optimal values bound the projection distance from below and never fall
+from one order to the next.  Certification happens downstream, by a
+nonnegative factorization.
 
 Every rung shares the constraint and norm rows, built once over the
 columns [vech(X) | gamma | T] and mapped to the program's columns through
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -192,8 +196,8 @@ def _monomials(n: int, d: int) -> np.ndarray:
     <= d in graded-lex order: by degree, then lexicographically with the
     first variable ranked highest, which is the lexicographic order of the
     multisets of variables.  So the monomials of degree <= d' < d are the
-    first C(n + d', n) rows, and the degree-2 ones follow the 1 + n of
-    degree <= 1 in the order (a, b) of `conic.svec_index(n)`."""
+    first C(n + d', n) rows, and those of degree exactly d' the rows from
+    C(n + d' - 1, n) on."""
     return np.array(
         [[c.count(i) for i in range(n)]
          for t in range(d + 1) for c in combinations_with_replacement(range(n), t)],
@@ -205,42 +209,56 @@ def _monomials(n: int, d: int) -> np.ndarray:
 def _rung(n: int, k: int) -> _Rung:
     """The order-k rung for an n x n X, read-only as the cache shares it.
     Order 1 (DNN) holds vech(X) nonnegative and PSD in one order-n block, at
-    most to DNN_TOL.  Order k >= 2 holds the moment vector s over
-    `_monomials(n, 2k)`, under the sphere residual's localizer entries,
-    which depend only on alpha + beta, so one row sum_i s[delta + 2 e_i] -
-    s[delta] == 0 per delta of degree <= 2(k - 1); and under the PSD moment
-    matrix (the localizer of 1, half-order k), whose svec row (a, b) picks
-    s[alpha_a + alpha_b], and the localizers of x_1, ..., x_n (half-order
-    k - 1), whose row (a, b) picks s[alpha_a + alpha_b + e_j]."""
+    most to DNN_TOL.  Order k >= 2 is the dual of Parrilo's cone K^(r),
+    r = k - 1: its head is [vech(X) | z], z_beta one moment per exponent of
+    degree r + 2 in the order of `_monomials`, under one equality row per
+    entry (a, b), X_ab - sum_{|gamma| = r} (r!/gamma!) z_{e_a + e_b + gamma}
+    == 0, and, per parity class p in {0, 1}^n with |p| = r mod 2 and
+    |p| <= r + 2, the PSD block [z_{p + gamma_a + gamma_b}] over the
+    exponents gamma of degree (r + 2 - |p|) / 2, whose svec row (a, b) picks
+    that z; a block of order 1 is a nonnegative row instead."""
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
     nbar = n * (n + 1) // 2
     no_rows = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
+    v = np.arange(nbar)
     if k == 1:
-        v = np.arange(nbar)
         rung = _Rung(nbar, v, no_rows, (v, v, np.ones(nbar), np.zeros(nbar)), ((n, v, v),), DNN_TOL)
     else:
-        exps = _monomials(n, 2 * k)
-        index = {a: i for i, a in enumerate(map(tuple, exps.tolist()))}
+        r = k - 1
+
+        def degree(d: int) -> np.ndarray:
+            return _monomials(n, d)[math.comb(n + d - 1, n):]
+
+        index = {a: i for i, a in enumerate(map(tuple, degree(r + 2).tolist()))}
 
         def columns(alphas: np.ndarray) -> np.ndarray:
-            return np.array([index[a] for a in map(tuple, alphas.reshape(-1, n).tolist())])
+            return nbar + np.array([index[a] for a in map(tuple, alphas.reshape(-1, n).tolist())])
 
         eye = np.eye(n, dtype=np.int64)
-        deltas = exps[: math.comb(n + 2 * k - 2, n)]
-        m = len(deltas)
+        a, b = svec_index(n)[0]
+        gammas = degree(r)
+        coef = np.array([math.factorial(r) / math.prod(map(math.factorial, g)) for g in gammas])
+        pairs = columns((eye[a] + eye[b])[:, None] + gammas).reshape(nbar, -1)
         eq = (
-            np.repeat(np.arange(m), n + 1),
-            columns(np.concatenate([deltas[:, None] + 2 * eye, deltas[:, None]], axis=1)),
-            np.tile(np.append(np.ones(n), -1.0), m),
-            np.zeros(m),
+            np.repeat(v, 1 + len(gammas)),
+            np.column_stack([v, pairs]).ravel(),
+            np.tile(np.append(1.0, -coef), nbar),
+            np.zeros(nbar),
         )
-        psd = []
-        for shift, half in [(0, k)] + [(e, k - 1) for e in eye]:
-            rows = exps[: math.comb(n + half, n)]
-            a, b = svec_index(len(rows))[0]
-            psd.append((len(rows), np.arange(a.size), columns(rows[a] + rows[b] + shift)))
-        rung = _Rung(len(exps), 1 + n + np.arange(nbar), eq, no_rows, tuple(psd), math.inf)
+        single, psd = [], []
+        for size in range(r % 2, min(r + 2, n) + 1, 2):
+            gammas = degree((r + 2 - size) // 2)
+            i, j = svec_index(len(gammas))[0]
+            for p in combinations(range(n), size):
+                col = columns(eye[list(p)].sum(axis=0) + gammas[i] + gammas[j])
+                if len(gammas) == 1:
+                    single.extend(col)
+                else:
+                    psd.append((len(gammas), np.arange(i.size), col))
+        m = len(single)
+        nonneg = (np.arange(m), np.array(single, dtype=np.int64), np.ones(m), np.zeros(m))
+        rung = _Rung(nbar + len(index), v, eq, nonneg, tuple(psd), math.inf)
     for a in (rung.x, *rung.eq, *rung.nonneg, *(a for block in rung.psd for a in block[1:])):
         a.setflags(write=False)
     return rung

@@ -9,6 +9,8 @@ conic engine).  Each test prints one verdict line so a log scrape shows the
 whole gate at a glance.
 """
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -37,7 +39,7 @@ from cpproj.relaxation import (
     project_dnn,
     solve_relaxation,
 )
-from moment_reference import graded_lex, rung_maps
+from moment_reference import exponents, rung_maps
 
 C4 = np.array([
     [2.0, 1, 1, 1],
@@ -188,7 +190,7 @@ REFERENCE_INSTANCES = {
 }
 
 
-# instances whose relaxations the structural suite solves at orders 2 and 3
+# instances whose relaxations the structural suite solves at orders 1 to 3
 BOUND_STEP_INSTANCES = ("one-c1", "one-c2", "two-c1", "two-c2", "fro-c1", "six-c1")
 
 
@@ -503,6 +505,99 @@ def test_rng21_draw_7_is_certified_with_at_most_four_atoms(capsys):
     _verdict(capsys, "rng21 draw 7 (the 4-cycle)", failures, detail)
 
 
+# 1.8 I + adj(C5): DNN, but the Horn matrix H has <H, CYCLE5> = -1 and
+# ||H||_F = 5, so CYCLE5 lies at least 0.2 from the CP cone
+CYCLE5 = 1.8 * np.eye(5) + np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)
+
+
+def _cycle_family():
+    """CYCLE5, then pc0 - pc7: CYCLE5 + 0.2 (G + G')/2 for eight successive
+    G = default_rng(3).standard_normal((5, 5))."""
+    rng = np.random.default_rng(3)
+    pcs = [CYCLE5 + 0.1 * (G + G.T) for G in (rng.standard_normal((5, 5)) for _ in range(8))]
+    return [("CYCLE5", CYCLE5)] + [(f"pc{i}", C) for i, C in enumerate(pcs)]
+
+
+def _recheck_projection(failures, name, spec, out, k_max):
+    """Check a projected outcome from the outcome alone: its order, its
+    factors against X and C, its constraints, and that each order's bound is
+    no lower than the one before it, within tol (1 + |gamma|).  Returns the
+    certificate's factor residual over its budget and the largest fall of a
+    bound over its allowance (0 when none falls)."""
+    tol = SolverSettings().tol
+    if out.status != "projected":
+        _check(failures, False, f"{name}: {out.status}")
+        return 0.0, 0.0
+    F, X = out.decomposition.factors, out.matrix
+    recon = float(np.linalg.norm(F.T @ F - X))
+    budget = cpproj.driver._factor_budget(X, out.relaxation.conic)
+    dist = p_norm(F.T @ F - spec.C, spec.norm)
+    _check(failures, out.k_used <= k_max, f"{name}: certified only at k={out.k_used}")
+    _check(failures, F.min() >= 0.0, f"{name}: negative factor entry {F.min():.2e}")
+    _check(failures, recon <= budget, f"{name}: factor residual {recon:.2e} > {budget:.2e}")
+    _check(failures, abs(dist - out.gamma) <= 1e-6 * (1.0 + out.gamma),
+           f"{name}: factors' distance {dist:.10f} vs gamma {out.gamma:.10f}")
+    _check(failures, _constraint_violation(spec, X) <= 1e-6, f"{name}: constraints missed")
+    bounds = [gamma for _, gamma in out.bounds]
+    falls = [(lo - hi) / (tol * (1.0 + abs(lo))) for lo, hi in zip(bounds, bounds[1:])]
+    _check(failures, max(falls, default=0.0) <= 1.0, f"{name}: a distance bound dropped: {bounds}")
+    return recon / budget, max(falls, default=0.0)
+
+
+@pytest.mark.parametrize("norm", ["fro", "one", "two"])
+def test_the_cycle_family_is_projected_with_nested_bounds(norm, capsys):
+    """CYCLE5 is DNN but not CP, and pc0 - pc7 perturb it.  Order 2, the
+    dual of Parrilo's K^(1), holds every Horn cut, so each is projected by
+    order 3 with rechecked factors, its bounds never fall from one order to
+    the next, and CYCLE5's Frobenius distance is the Horn bound 0.2."""
+    failures, margins, falls, orders = [], [], [], []
+    for name, C in _cycle_family():
+        spec = ProblemSpec(C, norm)
+        out = approximate(spec, DriverSettings(k_max=3))
+        margin, fall = _recheck_projection(failures, name, spec, out, 3)
+        margins.append(margin)
+        falls.append(fall)
+        orders.append(getattr(out, "k_used", None))
+        if name == "CYCLE5" and norm == "fro" and out.status == "projected":
+            _check(failures, out.gamma >= 0.2 - 1e-6, f"CYCLE5 gamma {out.gamma:.8f} < 0.2")
+    _verdict(capsys, f"cycle family ({norm})", failures,
+             f"orders {orders}, largest certificate margin {max(margins):.2e}, "
+             f"largest bound fall {max(falls):.2f} of its allowance")
+
+
+def _sizing(n):
+    """(G + G')/2 + 0.5 I with G = default_rng(n).standard_normal((n, n))."""
+    G = np.random.default_rng(n).standard_normal((n, n))
+    return (G + G.T) / 2.0 + 0.5 * np.eye(n)
+
+
+def _d2026(draws):
+    """Draws t of one default_rng(2026): n = 5 + t % 2, G an n x n normal
+    draw, C = (G + G')/2 + U(0, 1.5) I."""
+    rng, out = np.random.default_rng(2026), {}
+    for t in range(max(draws) + 1):
+        n = 5 + t % 2
+        G = rng.standard_normal((n, n))
+        C = (G + G.T) / 2.0 + rng.uniform(0.0, 1.5) * np.eye(n)
+        if t in draws:
+            out[f"d2026 #{t}"] = C
+    return out
+
+
+def test_sizing_and_d2026_draws_certify_by_order_2(capsys):
+    """Each of these certifies at order 2, with rechecked factors; a
+    ladder on which one of them needs order 3, or on which d2026 #19 ends
+    inconclusive, certifies less at the same order."""
+    cases = {"sizing-6": _sizing(6), "sizing-7": _sizing(7), **_d2026((0, 3, 19, 33, 39))}
+    failures, margins = [], {}
+    for name, C in cases.items():
+        spec = ProblemSpec(C, "fro")
+        out = approximate(spec, DriverSettings(k_max=3))
+        margins[name] = _recheck_projection(failures, name, spec, out, 2)[0]
+    _verdict(capsys, "sizing and d2026 draws by order 2", failures,
+             ", ".join(f"{name} margin {m:.2e}" for name, m in margins.items()))
+
+
 def _counting_fits(monkeypatch):
     """Record, for every polish stage that runs, how many residuals it
     evaluates (its start's included)."""
@@ -593,36 +688,50 @@ def test_one_c4_order_3_does_not_hang_on_the_kkt_regularization(monkeypatch):
 
 
 def _moment_identity_residual():
-    """Largest deviation of the relaxation's moment-cone rows from their
-    defining index formulas, over the reference graded-lex basis: each PSD
-    block entry (a, b) of the localizer of the monomial x^g is
-    s[alpha_a + alpha_b + g], and each equality row is the sphere residual
-    sum_i s[delta + 2 e_i] - s[delta].  (4, 4) is the order-4 probe's
+    """Largest deviation of the relaxation's rung rows (k >= 2, the dual of
+    Parrilo's K^(r), r = k - 1) from their defining index formulas, at a
+    random head [vech(X) | z] over the reference exponents: each equality
+    row is X_ab - sum_{|gamma| = r} (r!/gamma!) z[e_a + e_b + gamma], and
+    the parity class p in {0, 1}^n, |p| = r mod 2, |p| <= r + 2, gives the
+    block [z[p + gamma_a + gamma_b]] over |gamma| = (r + 2 - |p|) / 2, a
+    nonneg row when it has order 1.  (4, 4) is the order-4 probe's
     program."""
     rng = np.random.default_rng(3)
     worst = 0.0
-    for n, k in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4)):
-        basis = graded_lex(n, 2 * k)
-        position = {alpha: i for i, alpha in enumerate(basis)}
-        s = rng.standard_normal(len(basis))
-        equality, blocks = rung_maps(n, k)
-        # the localizer of 1 at half-order k, then of x_j at half-order k - 1
-        shifts = [((0,) * n, k)] + [(tuple(e), k - 1) for e in np.eye(n, dtype=int)]
-        for (order, entries), (g, half) in zip(blocks, shifts, strict=True):
-            rows = np.array(graded_lex(n, half))
-            assert order == len(rows)
-            want = [
-                s[position[tuple(rows[a] + rows[b] + np.asarray(g))]]
-                for a in range(order) for b in range(a, order)
-            ]
-            worst = max(worst, float(np.abs(entries @ s - want).max()))
-        deltas = np.array(graded_lex(n, 2 * (k - 1)))
+    for n, k in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3)):
+        r, nbar = k - 1, n * (n + 1) // 2
+        position = {beta: nbar + i for i, beta in enumerate(exponents(n, r + 2))}
+        head = rng.standard_normal(nbar + len(position))
+        equality, nonneg, blocks = rung_maps(n, k)
+        eye = np.eye(n, dtype=int)
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        gammas = np.array(exponents(n, r))
+        weight = [math.factorial(r) / math.prod(map(math.factorial, g)) for g in gammas]
         want = [
-            sum(s[position[tuple(d + 2 * e)]] for e in np.eye(n, dtype=int))
-            - s[position[tuple(d)]]
-            for d in deltas
+            head[m] - sum(w * head[position[tuple(eye[a] + eye[b] + g)]]
+                          for w, g in zip(weight, gammas))
+            for m, (a, b) in enumerate(pairs)
         ]
-        worst = max(worst, float(np.abs(equality @ s - want).max()))
+        worst = max(worst, float(np.abs(equality @ head - want).max()))
+        classes = sorted(
+            (p for p in itertools.product((0, 1), repeat=n)
+             if sum(p) % 2 == r % 2 and sum(p) <= r + 2),
+            key=lambda p: (sum(p), [-e for e in p]),
+        )
+        single, psd = [], []
+        for p in classes:
+            rows = np.array(exponents(n, (r + 2 - sum(p)) // 2))
+            entries = [
+                head[position[tuple(np.array(p) + rows[a] + rows[b])]]
+                for a in range(len(rows)) for b in range(a, len(rows))
+            ]
+            (single if len(rows) == 1 else psd).append(entries)
+        assert [order * (order + 1) // 2 for order, _ in blocks] == [len(e) for e in psd]
+        for (_, entries), want in zip(blocks, psd):
+            worst = max(worst, float(np.abs(entries @ head - want).max()))
+        assert nonneg.shape[0] == len(single)
+        if single:
+            worst = max(worst, float(np.abs(nonneg @ head - np.ravel(single)).max()))
     return worst
 
 
@@ -776,10 +885,11 @@ def test_structural_property_suites(reference_outcomes, capsys):
         ok = sol.status == "primal_infeasible" and verify_certificate(prog, sol)
         _check(failures, ok, f"infeasible {seed}: {sol.status}, certificate {ok}")
 
-    # every moment order the driver reached, at least order 2 (the driver
-    # may stop at order 1, the DNN relaxation), and orders 2 and 3
-    # of the instances in BOUND_STEP_INSTANCES however early the driver
-    # certified them, so the monotonicity check always has steps to compare
+    # every order the driver reached, from the DNN relaxation to at least
+    # order 2 (the driver may stop at order 1), and orders 1 to 3 of the
+    # instances in BOUND_STEP_INSTANCES however early the driver certified
+    # them, so the monotonicity check always has steps to compare: each
+    # rung lies inside the one before it, order 2 inside DNN included
     st = SolverSettings(tol=1e-7)
     steps = 0
     optimal_solves = 0
@@ -791,7 +901,7 @@ def test_structural_property_suites(reference_outcomes, capsys):
         if name in BOUND_STEP_INSTANCES:
             k_hi = max(k_hi, 3)
         bd = []
-        for k in range(2, k_hi + 1):
+        for k in range(1, k_hi + 1):
             prog, csol = solve_relaxation(REFERENCE_INSTANCES[name], k, st)
             if csol.status != "optimal":
                 skipped.append(f"{name} k={k} {csol.status}")

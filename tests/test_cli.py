@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cpproj.driver
 from cpproj.cli import InputError, load_problem, render_json, run
 from cpproj.driver import K_MIN, DriverSettings
 from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
@@ -134,13 +135,18 @@ def test_infeasible_gives_exit_10_and_certificate(tmp_path, capsys):
     assert res["certificate"]["dual_cone"]
 
 
-def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys):
+def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys, monkeypatch):
     # the cycle matrix is its own DNN projection, but the Horn matrix H has
     # <H, CYCLE5> = -1 and <H, Y> >= 0 for every CP Y, so CYCLE5 lies at least
-    # 1 / ||H||_F = 0.2 from the CP cone.  The order-2 optimal matrix still
-    # has a Horn floor of 0.056, about 9,000 times the factorization budget.
-    # Capping at 2 leaves the question open, and the emitted gamma is the
-    # order-2 relaxation lower bound
+    # 1 / ||H||_F = 0.2 from the CP cone.  Order 2 certifies its projection,
+    # and no input is known that order 2 leaves open, so every order here is
+    # CYCLE5's DNN solve: its X keeps the Horn floor of 0.2, far above the
+    # factorization budget.  Capping at 2 leaves the question open, and the
+    # emitted gamma is that order-2 lower bound
+    cycle = ProblemSpec(np.array(CYCLE5), "fro")
+    prog, csol = solve_relaxation(cycle, 1, DriverSettings().solver)
+    assert csol.status == "optimal"
+    monkeypatch.setattr(cpproj.driver, "solve_relaxation", lambda spec, k, settings: (prog, csol))
     path = write_problem(tmp_path, {"n": 5, "C": CYCLE5})
     code, out, _ = run_cli(["--norm", "fro", "--kmax", "2", path], capsys)
     assert code == 20
@@ -148,12 +154,8 @@ def test_exhausted_hierarchy_gives_exit_20(tmp_path, capsys):
     assert res["status"] == "inconclusive"
     assert res["decomposition"] is None
     assert res["k_used"] == 2
-    prog, csol = solve_relaxation(
-        ProblemSpec(np.array(CYCLE5), "fro"), 2, DriverSettings().solver
-    )
-    assert csol.status == "optimal"
     assert res["gamma"] == json.loads(render_json(map_solution(prog, csol).gamma))
-    assert res["gamma"] == pytest.approx(0.1491502912, abs=1e-10)
+    npt.assert_allclose(res["X"], CYCLE5, atol=1e-6)
 
 
 def test_factorization_certificate_reports_no_truncation(tmp_path, capsys):

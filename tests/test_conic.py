@@ -329,10 +329,10 @@ def test_iteration_limit_reports_best_iterate(monkeypatch):
 
 
 def _rung_block(n, k, i):
-    """PSD block i of the order-k rung (0 the moment matrix, j >= 1 the
-    localizer of x_j) over the moment vector, with the cone map's svec
+    """PSD block i of the order-k rung (one per parity class, the classes of
+    fewest variables first) over the rung's head, with the cone map's svec
     weights, as a dense array, and its order."""
-    order, entries = rung_maps(n, k)[1][i]
+    order, entries = rung_maps(n, k)[2][i]
     return (sp.diags(svec_index(order)[1]) @ entries).toarray(), order
 
 
@@ -357,8 +357,8 @@ def _psd_map_case(name):
     if name == "two-norm block":
         return _program_block("two", 3, "psd", 6).toarray(), 6
     if name.startswith("moment n=4 k=4"):
-        return _rung_block(4, 4, 0)
-    return _rung_block(3, 2, 2)  # x_2 times the order-1 moment block of n=3, k=2
+        return _rung_block(4, 4, 0)  # the order-4 probe's class e_1, of order 10
+    return _rung_block(3, 2, 1)  # the class e_2 of n=3, k=2: x_2 times the order-1 moments
 
 
 def _schur_into_zeros(bmap, weights, n):
@@ -381,7 +381,7 @@ def _schur_into_zeros(bmap, weights, n):
 def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     Mb, order = _psd_map_case(name)
     if name.endswith("small chunks"):
-        # at most 8 columns of order 70 per chunk, so count groups split
+        # at most 8 columns of order 10 per chunk, so count groups split
         monkeypatch.setattr(cpproj.conic, "PSD_CHUNK_ENTRIES", 8 * order * order)
     rng = np.random.default_rng(11)
     A = rng.normal(size=(order, order))
@@ -421,8 +421,11 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     # only a block that uses at most half of the columns is built compact
     assert (pmap.used is not None) == (2 * used.size <= Mb.shape[1])
     if name == "moment n=4 k=4":
-        assert used.size == 495 and used.size > cpproj.conic.PSD_CHUNK_ENTRIES // order**2
-        assert counts.max() == 13
+        # the 35 moments of degree 5 that hold x_1, of the head's 66 columns;
+        # each sits in at most 3 entries of the block's upper triangle, and
+        # at the default size each count gets one chunk
+        assert (used.size, Mb.shape[1]) == (35, 66) and counts.max() == 3
+        assert len(pmap.chunks) == np.unique(counts[used]).size
     if name.endswith("small chunks"):
         assert len(pmap.chunks) > np.unique(counts[used]).size
     if name == "coordinate localizer":
@@ -432,17 +435,18 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
 
 
 def test_a_compact_psd_block_adds_the_bits_of_a_block_built_over_every_row():
-    # the localizer of x_2 at n = 4, order 3 uses 70 of the 210 columns, so
-    # it is built compact; with two more copies of its used columns it uses
-    # 210 of 350, and adds each chunk into K11's columns over every row.
+    # the block of the class 0 at n = 5, order 4 (r = 3) uses 70 of the
+    # head's 141 columns, so it is built compact; with two more copies of
+    # its used columns it uses 210 of 281, and adds each chunk into K11's
+    # columns over every row.
     # Each column's sum does not depend on its chunk, so the two agree bit
     # for bit, and the block is not bitwise symmetric, so a transposed
     # scatter would show
-    Mb, order = _rung_block(4, 3, 2)
+    Mb, order = _rung_block(5, 4, 0)
     used = np.flatnonzero(np.count_nonzero(Mb, axis=0))
     wide = np.hstack([Mb, Mb[:, used], Mb[:, used]])
     compact, full = (_PsdMap(sp.csr_matrix(B), order, _chunk_scratch([order])) for B in (Mb, wide))
-    assert (used.size, Mb.shape[1]) == (70, 210)
+    assert (used.size, Mb.shape[1]) == (70, 141)
     assert compact.used is not None and full.used is None
     A = np.random.default_rng(23).normal(size=(order, order))
     G = A @ A.T / order + np.eye(order)
@@ -709,7 +713,7 @@ def test_every_iteration_factors_one_k11_into_the_same_buffers(monkeypatch):
     assert set(seen) == {seen[0]} and len(set(seen[0])) == 4
 
 
-@pytest.mark.parametrize("orders", [(3, 2), (3, 1)])
+@pytest.mark.parametrize("orders", [(5, 3), (3, 1)])
 def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
     n, k = orders
     G = np.random.default_rng(2).normal(size=(n, n))

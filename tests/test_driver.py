@@ -178,25 +178,25 @@ def _order2(C):
 
 
 def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
-    # draw 19 of the acceptance suite's seed-7 DNN-oracle set: its order-2
-    # distance is 1.6e-5 below the DNN distance, and CP = DNN for n = 4, so
-    # the order-2 matrix lies at least 1.6e-5 from the CP cone.  Its entries
-    # reach -4.1e-5, and that entrywise floor (5.8e-5) is 21 times the
-    # factorization budget, so no polish is tried; the extracted-atom budget
-    # 1e-4 * (1 + ||X||) would admit a 2-atom fit.  The driver certifies
-    # this draw at the DNN relaxation, so the order-2 matrix is handed to
-    # the factorization directly
-    C = np.array([
-        [-0.061344079833248494, -0.04752070495388338, 0.2260475390418809, 0.6498794000316037],
-        [-0.04752070495388338, 1.1880942172123188, -0.11041043468631645, 0.47938866899588234],
-        [0.2260475390418809, -0.11041043468631645, -0.3894303048753847, -0.4499534834136761],
-        [0.6498794000316037, 0.47938866899588234, -0.4499534834136761, 0.6688984464469374],
-    ])
-    spec, csol, X = _order2(C)
-    events = []
-    assert _factorize(X, csol, spec, events.append, "order 2") is None
-    assert [e for e in events if "certified" in e] == []
-    assert any("order 2 (factorization): entrywise floor" in e for e in events)
+    # the cycle matrix is DNN, and the Horn matrix keeps it 0.2 from the CP
+    # cone, 3.3e4 times the factorization budget of its own DNN solve, so
+    # no polish is tried.  A 4 x 4 matrix with one entry at -1e-2 is PSD,
+    # and its entrywise floor of 1.4e-2 keeps it outside the cone as well
+    C5 = _cycle_matrix()
+    spec = ProblemSpec(C5, "fro")
+    prog, csol = solve_relaxation(spec, 1, DriverSettings().solver)
+    assert map_solution(prog, csol).gamma <= 1e-8  # C5 is its own DNN projection
+    B = 0.5 * (np.eye(4) + 1.0)
+    B[0, 1] = B[1, 0] = -1e-2
+    assert np.linalg.eigvalsh(B).min() > 0.1
+    for X, gate in [(C5, "Horn floor 2.000e-01"), (B, "entrywise floor 1.414e-02")]:
+        events = []
+        assert _factorize(X, csol, ProblemSpec(X, "fro"), events.append, "order 2") is None
+        assert [e for e in events if "certified" in e] == []
+        assert any(
+            e.startswith(f"order 2 (factorization): {gate}") and e.endswith("polish skipped")
+            for e in events
+        )
 
 
 def _recording_polish(monkeypatch):
@@ -572,6 +572,18 @@ def _cycle_matrix():
     return A
 
 
+def _cycle_at_every_order(monkeypatch, tol=cpproj.relaxation.DNN_TOL):
+    """Make every order's solve the cycle matrix's DNN solve at `tol`, whose
+    X is 1.8 I + adj(C5) to within the solve's accuracy.  No input is known
+    that the K^(r) ladder leaves open at order 2, so a test that needs an
+    Inconclusive run only to exercise what follows one takes this path."""
+    prog, st = assemble(ProblemSpec(_cycle_matrix(), "fro"), 1), SolverSettings(tol=tol)
+    monkeypatch.setattr(
+        cpproj.driver, "solve_relaxation",
+        lambda spec, k, settings: (prog, cpproj.relaxation.conic_solve(prog, st)),
+    )
+
+
 def _failing_fits(monkeypatch):
     """Make every damped solve of the polish raise, as a Cholesky
     factorization that breaks down does."""
@@ -624,8 +636,10 @@ def test_a_nonnegative_square_root_certifies_without_a_fit(monkeypatch):
 
 def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
     # the DNN optimum of the cycle matrix is the matrix itself, and the Horn
-    # matrix keeps every CP matrix 0.2 away from it; at order 2 the bound is
-    # 0.05587.  Both exceed the factor budget, so no polish runs at all
+    # matrix keeps every CP matrix 0.2 away from it.  With that solve at
+    # both orders (order 2 certifies the cycle matrix's real projection),
+    # the floor exceeds the factor budget each time, so no polish runs at all
+    _cycle_at_every_order(monkeypatch)
     polished = []
     monkeypatch.setattr(
         cpproj.driver, "polish_decomposition", lambda X, dec, stages: polished.append(1) or dec
@@ -638,17 +652,18 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
         "DNN relaxation (factorization)",
         "order 2 (factorization)",
     ]
-    assert "Horn floor 2.000e-01" in skips[0]
+    assert all("Horn floor 2.000e-01" in e for e in skips)
     assert [k for k, _ in out.bounds] == [1, 2]
     assert out.gamma_lower == out.bounds[1][1]
 
 
 def test_a_loose_tolerance_does_not_loosen_the_certificate(monkeypatch):
-    # at tol 1e-2 the order-2 solve ends optimal at a relative gap of
-    # 7.5e-3; a budget of ten times that (0.459 with the 1 + ||X|| factor)
-    # let 5 clique rows at 5.5e-2 certify an X whose Horn floor is 5.4e-2.
-    # The budget stops at 10 FACTOR_TOL, as wide as a stalled solve at the
-    # default tolerance makes it
+    # every order is the cycle matrix's DNN solve at tol 1e-2, which ends at
+    # a relative gap of 4.6e-4, so ten times its residual level would make a
+    # budget of 2.8e-2 with the 1 + ||X|| factor, wide enough for factors
+    # of a matrix outside the CP cone.  The budget stops at 10 FACTOR_TOL,
+    # as wide as a stalled solve at the default tolerance makes it
+    _cycle_at_every_order(monkeypatch, 1e-2)
     budgets, budget = [], cpproj.driver._factor_budget
 
     def recording(X, csol):
@@ -658,7 +673,7 @@ def test_a_loose_tolerance_does_not_loosen_the_certificate(monkeypatch):
     monkeypatch.setattr(cpproj.driver, "_factor_budget", recording)
     out = approximate(_cycle_matrix(), DriverSettings(k_max=2, solver=SolverSettings(tol=1e-2)))
     assert isinstance(out, Inconclusive)
-    assert out.relaxation.conic.residuals["rel_gap"] > 1e-3
+    assert out.relaxation.conic.residuals["rel_gap"] > 100 * FACTOR_TOL
     got, norm = budgets[-1]
     assert got == pytest.approx(10.0 * FACTOR_TOL * (1.0 + norm))
     assert any(
@@ -746,8 +761,9 @@ def test_every_relaxation_solve_goes_through_assemble_and_conic_solve(monkeypatc
 
     monkeypatch.setattr(cpproj.relaxation, "assemble", assembling)
     monkeypatch.setattr(cpproj.relaxation, "conic_solve", solving)
-    out = approximate(_cycle_matrix(), DriverSettings(k_max=2))
-    assert isinstance(out, Inconclusive)
+    out = approximate(_cycle_matrix(), DriverSettings(k_max=3))
+    # the cycle matrix is not CP, so order 1 cannot certify it; order 2 does
+    assert isinstance(out, Projected) and out.k_used == 2
     assert seen == [("assemble", 1), ("conic_solve", 1), ("assemble", 2), ("conic_solve", 2)]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import cpproj.driver
 import cpproj.extraction
-from cpproj.driver import FACTOR_TOL, DriverSettings, _fit
+from cpproj.driver import FACTOR_TOL, _fit
 from cpproj.extraction import (
     _HORN,
     _HORN_CUTS,
@@ -22,7 +22,6 @@ from cpproj.extraction import (
     row_floor,
     verify_decomposition,
 )
-from cpproj.relaxation import ProblemSpec, map_solution, solve_relaxation
 from test_acceptance import K23
 
 WHOLE = ("interior", "bound")  # the polish stages of a whole start
@@ -162,42 +161,38 @@ def test_row_floor_counts_a_tail_exactly_at_tol_as_fitting():
 
 
 def test_a_matrix_outside_the_cp_cone_runs_the_whole_chain(monkeypatch):
-    # the order-2 X of draw 46 of the acceptance suite's seed-7 set is not
-    # CP, so the rotated floor factor at its 3 rows misses the factorization
-    # budget, unpolished and after one bound-stage polish.  Its graph is the
-    # path 0 - 1 - 2, whose 2 clique rows cannot fit 3 rows' worth of
-    # spectrum, so the chain skips them, polishes the 3 square-root rows in
-    # full and ends with the full polish of the 5 edge rows, which misses
-    # too: each start leaves one event, and the chain returns None.  The
-    # last polish is the one a direct call runs, bit for bit
-    C = np.array([
-        [1.469359036471145, -0.5824111870571382, -0.8477403269276138],
-        [-0.5824111870571382, 0.78650572409622, 0.06507137558352677],
-        [-0.8477403269276138, 0.06507137558352677, 0.3368524787764621],
-    ])
-    prog, csol = solve_relaxation(ProblemSpec(C, "fro"), 2, DriverSettings().solver)
-    X = map_solution(prog, csol).matrix
+    # the cycle matrix 1.8 I + adj(C5) is DNN, and the Horn matrix keeps it
+    # 0.2 from the CP cone, so the rotated floor factor at its 5 rows misses
+    # the factorization budget, unpolished and after one bound-stage
+    # polish.  Its graph is the 5-cycle, whose 5 clique rows (its edges)
+    # reach the floor, so the chain polishes them in full, then the 5
+    # square-root rows, and ends with the full polish of the 5 edge rows,
+    # which misses too: each start leaves one event, and the chain returns
+    # None.  The last polish is the one a direct call runs, bit for bit
+    X = 1.8 * np.eye(5)
+    for i in range(5):
+        X[i, (i + 1) % 5] = X[(i + 1) % 5, i] = 1.0
     tol = FACTOR_TOL * (1.0 + np.linalg.norm(X))
     lam, V = np.linalg.eigh(X)
     least = row_floor(lam, tol)
-    assert clique_start(X, tol).shape == (2, 3)
+    assert clique_start(X, tol).shape == (5, 5)
     want = polish_decomposition(X, CpDecomposition.from_factors(edge_start(X, tol)), WHOLE)
 
     calls = _spy_on_polish(monkeypatch)
     events = []
-    assert _fit(X, lam, V, least, tol, events.append, "draw 46") is None
-    (jump_rows, jump), (root_rows, root), (edge_rows, got) = calls
-    assert jump_rows == ("bound", least) and least == 3
-    assert verify_decomposition(X, jump) > tol
-    assert root_rows == 3
-    assert verify_decomposition(X, root) > tol
-    assert edge_rows == 5
-    assert verify_decomposition(X, got) > tol
+    assert _fit(X, lam, V, least, tol, events.append, "C5") is None
+    (jump_rows, jump), (clique_rows, clique), (root_rows, root), (edge_rows, got) = calls
+    assert jump_rows == ("bound", least) and least == 5
+    # <Horn, F'F> >= 0 for any factors F >= 0, so each fit stays at least
+    # 0.2 = |<Horn, X>| / ||Horn||_F away from X
+    for dec in (jump, clique, root, got):
+        assert verify_decomposition(X, dec) >= 0.2 - 1e-9
+    assert clique_rows == root_rows == edge_rows == 5
     assert [e.split(" from ")[0] for e in events] == [
-        "draw 46: the rotated square-root start misses (bound polish",
-        "draw 46: the clique start's row count 2 is below the floor of 3; skipped",
-        "draw 46: the square-root start misses (interior and bound polish",
-        "draw 46: the edge start misses (interior and bound polish",
+        "C5: the rotated square-root start misses (bound polish",
+        "C5: the clique start misses (interior and bound polish",
+        "C5: the square-root start misses (interior and bound polish",
+        "C5: the edge start misses (interior and bound polish",
     ]
     for field in ("atoms", "weights", "factors"):
         assert np.array_equal(getattr(got, field), getattr(want, field))

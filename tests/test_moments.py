@@ -1,5 +1,6 @@
-"""The order-k moment rung's rows (`relaxation._rung`, k >= 2) checked
-against atomic measures on the nonnegative unit sphere."""
+"""The order-k rung's rows (`relaxation._rung`, k >= 2, the dual of
+Parrilo's K^(k - 1)) checked against the definition (`kr_rows`) and
+against atomic measures on the nonnegative orthant."""
 import math
 
 import numpy as np
@@ -7,86 +8,119 @@ import numpy.testing as npt
 import pytest
 
 from cpproj.relaxation import _rung
-from moment_reference import graded_lex, moments_of_atoms, rung_maps
+from moment_reference import exponents, kr_rows, lift_atoms, moments, rung_maps
 
 
-def sphere_atoms(rng, r, n):
-    pts = np.abs(rng.standard_normal((r, n)))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def block_matrices(n, k, s):
-    """The symmetric matrices of the order-k PSD blocks at sequence s."""
+def block_matrices(n, k, head, blocks=None):
+    """The symmetric matrices of the order-k rung's PSD blocks (or of
+    `blocks`, in the form of `kr_rows`) at head."""
     out = []
-    for order, entries in rung_maps(n, k)[1]:
+    for order, entries in blocks or rung_maps(n, k)[2]:
         M = np.zeros((order, order))
-        M[np.triu_indices(order)] = entries @ s
+        M[np.triu_indices(order)] = entries @ head
         out.append(M + np.triu(M, 1).T)
     return out
 
 
-def evaluations(pts, n, t):
-    """Row i: every monomial of degree <= t evaluated at atom i."""
-    exps = np.array(graded_lex(n, t)).reshape(-1, n)
+def evaluations(pts, n, d):
+    """Row t: every monomial of degree exactly d evaluated at atom t."""
+    exps = np.array(exponents(n, d)).reshape(-1, n)
     return np.stack([np.prod(p ** exps, axis=1) for p in pts])
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", range(2, 5))
+def test_rows_equal_the_definition(n, k):
+    # the rung's rows are the K^(r) dual's, rebuilt from the definition
+    # with an enumeration of their own: same head, same rows in the same order
+    (eq, nonneg, blocks), (ref_eq, ref_nonneg, ref_blocks) = rung_maps(n, k), kr_rows(n, k)
+    for got, want in [(eq, ref_eq), (nonneg, ref_nonneg)]:
+        assert got.shape == want.shape
+        assert (got != want).nnz == 0
+    assert [order for order, _ in blocks] == [order for order, _ in ref_blocks]
+    for (_, got), (_, want) in zip(blocks, ref_blocks):
+        assert got.shape == want.shape
+        assert (got != want).nnz == 0
+
+
 def test_sizes_smallest_case():
-    # n = 1, k = 2, the smallest moment rung: moment matrix 3x3, sphere rows
-    # 3, coordinate localizer 2x2, over the 5 moments of degree <= 4
-    equality, blocks = rung_maps(1, 2)
-    assert [order for order, _ in blocks] == [3, 2]
-    assert equality.shape == (3, math.comb(1 + 4, 4))
+    # n = 1, k = 2, the smallest rung: the head [X | z_3], one equality row
+    # X - z_3 == 0 and one block of order 1, which is the nonneg row z_3 >= 0
+    equality, nonneg, blocks = rung_maps(1, 2)
+    assert blocks == ()
+    assert equality.shape == nonneg.shape == (1, 1 + math.comb(1 + 2, 3))
+    npt.assert_array_equal(equality.toarray(), [[1.0, -1.0]])
+    npt.assert_array_equal(nonneg.toarray(), [[0.0, 1.0]])
 
 
 def test_localizer_size_formula():
-    for n, k in [(2, 2), (3, 3), (4, 2)]:
-        orders = [order for order, *_ in _rung(n, k).psd]
-        assert orders == [math.comb(n + k, k)] + [math.comb(n + k - 1, k - 1)] * n
+    # per class size s = r mod 2, s <= r + 2, C(n, s) classes of order
+    # C(n + h - 1, h), h = (r + 2 - s) / 2; those of order 1 are nonneg rows
+    for n, k in [(2, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 3)]:
+        r = k - 1
+        rung = _rung(n, k)
+        want, single = [], 0
+        for s in range(r % 2, min(r + 2, n) + 1, 2):
+            h = (r + 2 - s) // 2
+            order = math.comb(n + h - 1, h)
+            if order == 1:
+                single += math.comb(n, s)
+            else:
+                want += [order] * math.comb(n, s)
+        assert [order for order, *_ in rung.psd] == want
+        assert rung.nonneg[3].size == single
+        assert rung.width == n * (n + 1) // 2 + math.comb(n + r + 1, r + 2)
+    # the benchmark probe's shape: 4 blocks of order 10, 4 of order 4, 10 rows
+    assert [order for order, *_ in _rung(4, 4).psd] == [10] * 4 + [4] * 4
+    assert (_rung(4, 4).width, _rung(4, 4).eq[3].size) == (66, 10)
 
 
 def test_moment_matrix_entries_and_rank():
-    # the unit block of the relaxation is the moment matrix of the sequence
+    # the block of class p is the moment matrix sum_t w_t x_t^p v_t v_t',
+    # with v_t the degree-h monomials at atom t, so two atoms give rank 2
     rng = np.random.default_rng(23)
-    n, k, r = 3, 2, 2
-    pts = sphere_atoms(rng, r, n)
-    wts = rng.uniform(0.5, 2.0, r)
-    s = moments_of_atoms(pts, wts, k)
-    M = block_matrices(n, k, s)[0]
-    # oracle: M = sum_i w_i v_i v_i^T with v_i the monomial evaluation vector
-    V = evaluations(pts, n, k)
+    n, k, count = 3, 3, 2  # r = 2: the class 0 (order 6), then the pairs (order 3)
+    pts = np.abs(rng.standard_normal((count, n)))
+    wts = rng.uniform(0.5, 2.0, count)
+    head, _ = lift_atoms(pts, wts, k)
+    M = block_matrices(n, k, head)[0]
+    V = evaluations(pts, n, 2)
     npt.assert_allclose(M, V.T @ (wts[:, None] * V), rtol=1e-12, atol=1e-13)
     sv = np.linalg.svd(M, compute_uv=False)
-    assert sv[r - 1] > 1e-6 > sv[r]
+    assert sv[count - 1] > 1e-6 > sv[count]
     assert np.linalg.eigvalsh(M).min() > -1e-12
 
 
 def test_localizing_matrix_single_atom_oracle():
-    # the coordinate blocks are the localizing matrices of x_j, indexed by
-    # the monomials of degree <= k - 1
+    # at r = 1 the class e_j's block is [z_{e_j + e_a + e_b}], the moment
+    # matrix localized at x_j, which for one atom u of weight w is w u_j u u'
     rng = np.random.default_rng(29)
     n, k = 3, 2
     u = np.abs(rng.standard_normal(n)) + 0.1
-    s = moments_of_atoms([u], [1.7], k)
-    v = evaluations([u], n, k - 1)[0]
-    for j, L in enumerate(block_matrices(n, k, s)[1:]):
-        npt.assert_allclose(L, 1.7 * u[j] * np.outer(v, v), rtol=1e-12)
+    head, _ = lift_atoms([u], [1.7], k)
+    for j, L in enumerate(block_matrices(n, k, head)):
+        npt.assert_allclose(L, 1.7 * u[j] * np.outer(u, u), rtol=1e-12)
 
 
-def test_sphere_residual_vanishes_on_sphere_measures():
+def test_equality_rows_vanish_on_atomic_measures():
+    # X_ab == sum_gamma (r!/gamma!) z_{e_a + e_b + gamma} holds at
+    # X = sum_t w_t (1'x_t)^r x_t x_t' for atoms anywhere in the orthant
     rng = np.random.default_rng(31)
     n, k = 4, 3
-    pts = sphere_atoms(rng, 3, n)
+    pts = np.abs(rng.standard_normal((3, n)))
+    wts = rng.uniform(0.5, 1.5, 3)
     equality = rung_maps(n, k)[0]
-    s = moments_of_atoms(pts, rng.uniform(0.5, 1.5, 3), k)
-    assert np.abs(equality @ s).max() < 1e-12
-    # scaling an atom off the sphere breaks it
-    s_off = moments_of_atoms(pts * 1.1, np.ones(3), k)
-    assert np.abs(equality @ s_off).max() > 1e-3
+    head, X = lift_atoms(pts, wts, k)
+    assert np.abs(equality @ head).max() < 1e-12 * np.abs(X).max()
+    # the X of the same atoms without the factor (1'x_t)^r breaks it
+    nbar = n * (n + 1) // 2
+    off = head.copy()
+    off[:nbar] = lift_atoms(pts, wts, 1)[0]
+    assert np.abs(equality @ off).max() > 1e-1
 
 
 def test_localizing_degree_overflow_rejected():
-    # below order 1 the x_j localizers would need a negative half-order
+    # below order 1 there is no rung: order k is the dual of K^(k - 1)
     with pytest.raises(ValueError, match="at least 1"):
         _rung(2, 0)
 
@@ -94,27 +128,61 @@ def test_localizing_degree_overflow_rejected():
 def test_membership_constraints_necessary_for_atomic_measures():
     rng = np.random.default_rng(37)
     n, k = 3, 2
-    pts = sphere_atoms(rng, 4, n)
+    pts = np.abs(rng.standard_normal((4, n)))
     wts = rng.uniform(0.2, 2.0, 4)
-    s = moments_of_atoms(pts, wts, k)
-    equality = rung_maps(n, k)[0]
-    npt.assert_allclose(equality @ s, 0.0, atol=1e-12)
-    blocks = block_matrices(n, k, s)
+    head, X = lift_atoms(pts, wts, k)
+    equality, nonneg, _ = rung_maps(n, k)
+    npt.assert_allclose(equality @ head, 0.0, atol=1e-12 * np.abs(X).max())
+    assert (nonneg @ head >= 0).all() and nonneg.shape[0] == 1  # z_{e_1 + e_2 + e_3}
+    blocks = block_matrices(n, k, head)
     for M in blocks:
         assert np.linalg.eigvalsh(M).min() > -1e-12
-    # the unit block is the moment matrix sum_i w_i v_i v_i^T
-    V = evaluations(pts, n, k)
-    npt.assert_allclose(blocks[0], V.T @ (wts[:, None] * V), rtol=1e-12, atol=1e-13)
+    # X is the sum of the blocks of the classes e_j, so it is PSD as well
+    npt.assert_allclose(sum(blocks), X, rtol=1e-12)
 
 
 def test_negative_mass_violates_unit_block():
+    # an atom of negative weight at the unit vector e_1 makes z_{3 e_1} = -1
+    # the (1, 1) entry of the class e_1's block
     n, k = 2, 2
-    s_vec = np.zeros(_rung(n, k).width)
-    s_vec[0] = -1.0
-    M = block_matrices(n, k, s_vec)[0]
+    head = np.zeros(_rung(n, k).width)
+    head[n * (n + 1) // 2 :] = moments([[1.0, 0.0]], [-1.0], exponents(n, 3))
+    M = block_matrices(n, k, head)[0]
     assert np.linalg.eigvalsh(M).min() < -0.5
 
 
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 3), (5, 4)])
+def test_atomic_measures_meet_every_row_and_a_negative_weight_breaks_a_block(n, k):
+    # the identity holds for the rows of the definition and for the rung's
+    rng = np.random.default_rng(41 + n)
+    pts = np.abs(rng.standard_normal((n + 2, n)))
+    wts = rng.uniform(0.2, 2.0, n + 2)
+    for equality, nonneg, blocks in (kr_rows(n, k), rung_maps(n, k)):
+        head, X = lift_atoms(pts, wts, k)
+        assert np.abs(equality @ head).max() <= 1e-12 * np.abs(X).max()
+        assert (nonneg @ head >= 0).all()
+        for M in block_matrices(n, k, head, blocks):
+            assert np.linalg.eigvalsh(M).min() >= -1e-12 * np.abs(M).max()
+        # give one atom a negative weight that outweighs the rest: the rows
+        # still hold (they are linear), but some block is no longer PSD
+        bad = np.append(-10.0 * wts.sum(), wts[1:])
+        head, X = lift_atoms(pts, bad, k)
+        assert np.abs(equality @ head).max() <= 1e-12 * np.abs(X).max()
+        worst = min(
+            min(np.linalg.eigvalsh(M).min() for M in block_matrices(n, k, head, blocks)),
+            (nonneg @ head).min(initial=np.inf),
+        )
+        assert worst < -1e-3
+
+
 def test_equality_rows_are_deduplicated():
-    equality = rung_maps(2, 2)[0]
-    assert equality.shape[0] == math.comb(2 + 2, 2)  # 6 distinct sums
+    # row m ties the head column m, entry (a, b) of vech(X), to the moments
+    # e_a + e_b + gamma, each named once, so no sum hides a repeat
+    for n, k in [(2, 2), (3, 4), (4, 3)]:
+        row, col, _, rhs = _rung(n, k).eq
+        nbar = n * (n + 1) // 2
+        assert rhs.size == nbar
+        assert np.unique(row * _rung(n, k).width + col).size == row.size
+        npt.assert_array_equal(col[col < nbar], np.arange(nbar))
+        npt.assert_array_equal(row[col < nbar], np.arange(nbar))
+        assert np.bincount(row).tolist() == [1 + math.comb(n + k - 2, k - 1)] * nbar

@@ -1,8 +1,8 @@
-"""Tests of the polynomial basis of the moment rungs: the graded-lex
-monomial index `relaxation._monomials`, the degree-2 slice of the moment
-vector at which `relaxation._rung(n, k).x` reads vech(X), and the
-symmetric-matrix fold (`symmetric`, `vech`, `vech_inv`) that identifies X
-with that slice."""
+"""Tests of the polynomial basis of the rungs: the graded-lex monomial
+index `relaxation._monomials`, from which `relaxation._rung(n, k)` takes the
+exponents of its moments, the tie of each head column of vech(X) to the
+moments of its degree-2 monomial, and the symmetric-matrix fold
+(`symmetric`, `vech`, `vech_inv`) that identifies X with vech(X)."""
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from cpproj.conic import svec_index, vech, vech_inv
 from cpproj.relaxation import _monomials, _rung, symmetric
-from moment_reference import degree2_slice, graded_lex, moments_of_atoms
+from moment_reference import degree2_slice, exponents, graded_lex, moments_of_atoms
 
 
 def random_sym(rng, n, scale=1.0):
@@ -88,19 +88,38 @@ def test_etms_matrix_identification_round_trip():
     iu, ju = np.triu_indices(4)
     want = np.eye(4, dtype=int)[iu] + np.eye(4, dtype=int)[ju]
     npt.assert_array_equal(degree2_slice(_monomials(4, 2), 4), want)
-    npt.assert_array_equal(_monomials(4, 4)[_rung(4, 2).x], want)
+    # the order-2 rung reads vech(X) at its first head columns, and the
+    # equality row of column m names the moments e_a + e_b + e_j, whose
+    # entrywise least exponent is that pair's monomial
+    rung = _rung(4, 2)
+    npt.assert_array_equal(rung.x, np.arange(10))
+    row, col, _, _ = rung.eq
+    z = _monomials(4, 3)[math.comb(4 + 2, 4):]  # the degree-3 exponents, one per moment
+    least = [z[col[(row == m) & (col >= 10)] - 10].min(axis=0) for m in range(10)]
+    npt.assert_array_equal(least, want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_vech_columns_are_the_positions_of_the_degree_2_monomials(n):
-    # the moment rungs read vech(X) at these columns; look each x_a x_b up
-    # in the reference basis, whose degree <= 4 part prefixes every order's
+    # the rungs read vech(X) at head columns 0, 1, ... in the order (a, b) of
+    # svec_index; the equality row of column m names exactly the moments
+    # x_a x_b x^gamma, |gamma| = k - 1, looked up in the reference's own
+    # enumeration of the exponents of degree k + 1
     (a, b), _ = svec_index(n)
+    nbar = a.size
     eye = np.eye(n, dtype=int)
-    index = {alpha: i for i, alpha in enumerate(graded_lex(n, 4))}
-    want = [index[tuple(e)] for e in (eye[a] + eye[b]).tolist()]
     for k in (2, 3):
-        npt.assert_array_equal(_rung(n, k).x, want)
+        rung = _rung(n, k)
+        npt.assert_array_equal(rung.x, np.arange(nbar))
+        index = {beta: nbar + i for i, beta in enumerate(exponents(n, k + 1))}
+        row, col, _, _ = rung.eq
+        for m in range(nbar):
+            named = sorted(col[row == m])
+            want = [m] + sorted(
+                c for beta, c in index.items()
+                if all(x >= y for x, y in zip(beta, eye[a[m]] + eye[b[m]]))
+            )
+            assert named == want
 
 
 def test_tms_degree2_slice_matches_identification():

@@ -26,7 +26,7 @@ from cpproj.relaxation import (
     solve_relaxation,
     symmetric,
 )
-from moment_reference import lift_atomic_point
+from moment_reference import exponents, lift_atomic_point, lift_atoms
 
 
 # these checks assume the solver's accuracy of 1e-8, a decade below its default
@@ -43,14 +43,15 @@ def _block_slices(blocks):
 
 def test_frobenius_assembly_sizes():
     prog = assemble(ProblemSpec(np.eye(2), norm="fro"), 2)
-    assert prog.objective.size == 16  # 15 moments + gamma
-    assert prog.eq_map.shape[0] == 6  # one sphere row per monomial of degree <= 2
+    assert prog.objective.size == 8  # vech(X), the 4 moments of degree 3, gamma
+    assert prog.eq_map.shape[0] == 3  # one row per entry of vech(X)
     kinds = [(b.kind, b.order) for b in prog.cone_blocks]
-    assert kinds == [("soc", 0), ("psd", 6), ("psd", 3), ("psd", 3)]
+    # the parity classes e_1 and e_2; the class of size 3 needs n >= 3
+    assert kinds == [("soc", 0), ("psd", 2), ("psd", 2)]
     assert prog.cone_blocks[0].size == 4  # gamma plus three weighted entries
-    # vech(X) follows the moments of degree <= 1; gamma follows the moments
-    npt.assert_array_equal(prog.info["X"], [3, 4, 5])
-    assert prog.info["gamma"] == 15
+    # vech(X) leads the head; gamma follows the moments
+    npt.assert_array_equal(prog.info["X"], [0, 1, 2])
+    assert prog.info["gamma"] == 7
 
 
 def test_one_and_inf_agree():
@@ -118,7 +119,7 @@ def test_lifted_atomic_measures_are_feasible(norm):
     atoms = np.abs(rng.normal(size=(3, n)))
     atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
     weights = rng.uniform(0.5, 2.0, size=3)
-    X = (atoms.T * weights) @ atoms
+    X = lift_atoms(atoms, weights, k)[1]  # sum_t w_t (1'x_t) x_t x_t'
     spec = ProblemSpec(
         np.eye(n),
         norm=norm,
@@ -146,8 +147,8 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     # at an arbitrary point, feasible or not, the rows evaluate to the
     # encoding itself: the nonneg block (for one/inf with the bound rows
     # T - (X - C), T + (X - C) and the column sums), then the norm block (fro,
-    # two); the only equality rows are the sphere rows (k >= 2) and the
-    # user's
+    # two); the only equality rows are the rung's (k >= 2), which tie vech(X)
+    # to the moments, and the user's
     rng = np.random.default_rng(8)
     n = 3
     G = rng.standard_normal((n, n))
@@ -165,11 +166,14 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     blocks = list(zip(prog.cone_blocks, _block_slices(prog.cone_blocks)))
     iu = np.triu_indices(n)
     weight = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    nonneg = [vech(X)] if k == 1 else []
+    # order 1 holds vech(X) >= 0; order 2 at n = 3 the one moment of the
+    # class of size 3, z_{e_1 + e_2 + e_3}, whose head column follows vech(X)
+    z111 = iu[0].size + exponents(n, 3).index((1, 1, 1))
+    nonneg = [vech(X)] if k == 1 else [v[z111 : z111 + 1]]
     nonneg.append([np.sum(A * X) + 1.0])
     eq_res = prog.eq_map @ v - prog.eq_rhs
-    sphere = 0 if k == 1 else cpproj.relaxation._rung(n, k).eq[3].size
-    assert eq_res.size == sphere + 1
+    rung = 0 if k == 1 else cpproj.relaxation._rung(n, k).eq[3].size
+    assert eq_res.size == rung + 1
     assert prog.eq_map[:, prog.info["gamma"] :].nnz == 0
     npt.assert_allclose(eq_res[-1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
     if norm in ("one", "inf"):
@@ -284,14 +288,13 @@ def test_map_solution_requires_a_point():
 
 
 def test_map_solution_reads_the_same_matrix_at_orders_1_and_2():
-    # order 1 holds vech(X) in its head columns, order 2 the moment vector
-    # with vech(X) after the moments of degree <= 1
+    # order 1's head is vech(X) alone, order 2's is vech(X) and then the
+    # moments of degree 3, which map_solution must not read
     X = np.array([[2.0, 0.5], [0.5, 1.0]])
     for k in (1, 2):
         prog = assemble(ProblemSpec(np.eye(2)), k)
-        primal = np.zeros(prog.objective.size)
-        at = 0 if k == 1 else 3
-        primal[at : at + 3] = [2.0, 0.5, 1.0]
+        primal = np.full(prog.objective.size, 9.0)
+        primal[:3] = [2.0, 0.5, 1.0]
         primal[prog.info["gamma"]] = 0.25
         sol = ConicSolution("optimal", primal, None, None, None, None, {}, 0)
         rs = map_solution(prog, sol)
@@ -376,10 +379,11 @@ def test_programs_of_one_order_share_a_read_only_rung(k):
     with pytest.raises(ValueError):
         first.info["X"][0] = 7
     # the rung keeps the only cached copy of its rows: equality (at order
-    # 2), nonneg (at order 1) and PSD
+    # 2), nonneg (at order 1 vech(X), at order 2 the class of size 3) and PSD
+    # (at order 2 the classes of size 1)
     rung = cpproj.relaxation._rung(3, k)
     rows = [a for a in (*rung.eq, *rung.nonneg, *(a for b in rung.psd for a in b[1:])) if a.size]
-    assert len(rows) == {1: 4 + 2, 2: 4 + 2 * 4}[k]
+    assert len(rows) == {1: 4 + 2, 2: 4 + 4 + 2 * 3}[k]
     for a in rows:
         with pytest.raises(ValueError):
             a[0] = 7
