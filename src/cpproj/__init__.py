@@ -7,12 +7,13 @@ The package solves, in the 1-, 2-, infinity-, or Frobenius norm,
 returning either the projection together with an explicit nonnegative rank-one
 decomposition of it, or a certificate that no completely positive matrix
 satisfies the constraints.  The computation climbs one ladder of conic
-relaxations with the built-in interior-point method: order 1 is the doubly
-nonnegative relaxation and order k >= 2 is the dual of Parrilo's cone
-K^(k - 1), a semidefinite program over moments of degree k + 1.  Each order
-bounds the distance from below, no lower than the order before it (or
-proves the constraints infeasible), and its optimal matrix is certified
-completely positive by a direct nonnegative factorization.
+relaxations with the built-in interior-point method: order k is the dual of
+Parrilo's cone K^(k - 1), a semidefinite program over the moments of degree
+k + 1 of which X is a linear image, and order 1, the dual of K^(0), is the
+doubly nonnegative relaxation.  Each order bounds the distance from below,
+no lower than the order before it (or proves the constraints infeasible),
+and its optimal matrix is certified completely positive by a direct
+nonnegative factorization.
 
 Entry points:
 

@@ -37,13 +37,15 @@ entries (see _CsrOp) that are bitwise SciPy's, so no sparse transpose is
 made and no sparse mat-vec dispatched; svec and smat are gathers through
 index arrays cached per order.  Each iteration builds K11 = M' H^{-1} M in
 one Fortran-ordered buffer, into which every block adds its Schur
-complement in place, over only the columns its map touches: a nonneg block
-with one weighted bincount (see _NonnegMap), a second-order block as a
-dense product over its touched columns, and a PSD block from low-rank
-congruences and a sparse reduction, column block by column block, at a
-cost proportional to the map's nonzeros rather than to dense N x N
-congruences: every PSD block in this package is a DNN, parity-class or
-spectral block whose map has a few nonzeros per column (see _PsdMap).  Every
+complement in place: a nonneg block with one weighted bincount (see
+_NonnegMap), a second-order block as one dense product over all columns
+(the norm block of this package's programs touches every column), and a
+PSD block over only the columns its map uses, from low-rank congruences
+and a sparse reduction, column block by column block, into a compact block
+that one flat add scatters into K11, at a cost proportional to the map's
+nonzeros rather than to dense N x N congruences: every PSD block in this
+package is a parity-class or spectral block whose map has a few nonzeros
+per column (see _PsdMap).  Every
 entry of K11 is the same sum, in the same block order, as a sum of
 per-block dense matrices would be.  The dense working set is allocated once
 per solve: K11, its Cholesky factor, W = L^{-1} E' and W'W (see _Kkt), and
@@ -339,14 +341,9 @@ class _SocScaling:
         self.Hinv = self.Winv @ self.Winv
         self.lam = self.Winv @ s
 
-    def schur(self, soc_map: tuple, out: np.ndarray) -> None:
-        """Add Mb' H^{-1} Mb into out over the columns the block's map touches.
-
-        `soc_map` is the (index, dense columns Mu) pair of `_block_map`; the
-        index is `...` when every column is touched, so a program whose
-        block touches them all makes a plain whole-array add."""
-        cols, Mu = soc_map
-        out[cols] += Mu.T @ (self.Hinv @ Mu)
+    def schur(self, Mb: np.ndarray, out: np.ndarray) -> None:
+        """Add Mb' H^{-1} Mb into out, from the block's dense rows."""
+        out += Mb.T @ (self.Hinv @ Mb)
 
     def hinv_vec(self, v):
         return self.Hinv @ v
@@ -510,15 +507,11 @@ class _PsdMap:
     transposed copy are written into `scratch`, which a solve shares among
     its PSD blocks, so the build allocates no chunk-sized array of its own.
 
-    A block that uses more than half of the columns (the DNN block of a
-    Frobenius instance, or the probe's order-10 class blocks) adds each
-    chunk's reduction into the chunk's columns of the caller's K11 (through
-    a view when they are a run).  One that uses at most half of them (the
-    class blocks of an order-2 rung) is reduced over its used rows only,
-    into a u x u block over its u used columns, which one flat add scatters
-    into K11.  Either way every entry of K11 the block touches gets one sum,
-    the same as a reduction over every row gives, and the unused rows and
-    columns are left as they were.
+    Every block is reduced over its used rows only, each chunk into its
+    columns (a view when they are a run) of a u x u block over the u used
+    columns, which one flat add scatters into K11.  So every entry of K11
+    the block touches gets one sum, the same as a reduction over every row
+    gives, and the unused rows and columns are left as they were.
     """
 
     def __init__(self, Mb: sp.spmatrix, order: int, scratch: np.ndarray):
@@ -539,13 +532,11 @@ class _PsdMap:
              (np.concatenate([cols, cols]), np.concatenate([a * order + b, b * order + a]))),
             shape=(self.size, order * order),
         )
-        used = np.flatnonzero(counts)
-        # the position of each column in the block's target: K11 itself, or
-        # the compact block over the used columns
-        self.used, pos = None, np.arange(self.size)
-        if 2 * used.size <= self.size:
-            self.used, self.Q = used, self.Q[used]
-            pos[used] = np.arange(used.size)
+        # the used columns, and the position of each in the compact block
+        used = self.used = np.flatnonzero(counts)
+        self.Q = self.Q[used]
+        pos = np.zeros(self.size, dtype=np.int64)
+        pos[used] = np.arange(used.size)
         self.chunks = []
         by_count = used[np.argsort(counts[used], kind="stable")]
         for group in np.split(by_count, np.flatnonzero(np.diff(counts[by_count])) + 1):
@@ -561,12 +552,10 @@ class _PsdMap:
                 self.chunks.append((part, a[nz], b[nz], c[nz]))
 
     def schur(self, G: np.ndarray, out: np.ndarray) -> None:
-        """Add Mb' [svec(G smat(Mb[:, j]) G)]_j into the contiguous out,
-        column block by column block; a Fortran-ordered out takes each as
-        contiguous columns."""
+        """Add Mb' [svec(G smat(Mb[:, j]) G)]_j into the contiguous out, of
+        either layout, column block by column block."""
         N = self.order
-        if self.used is not None:
-            block = np.empty((self.used.size,) * 2, order="F")
+        block = np.empty((self.used.size,) * 2, order="F")
         for part, a, b, c in self.chunks:
             size = a.shape[0] * N * N
             X = np.matmul(
@@ -576,16 +565,9 @@ class _PsdMap:
             # the reduction reads each vec(X_j) as a column
             Y = self.scratch[-size:].reshape(N * N, a.shape[0])
             np.copyto(Y, X.reshape(a.shape[0], N * N).T)
-            R = self.Q @ Y
-            if self.used is None:
-                # R comes out C-ordered; its Fortran copy adds faster than a
-                # strided read of it (by about 1 ms a build on the 4x4 order-4 probe)
-                out[:, part] += np.asfortranarray(R)
-            else:
-                block[:, part] = R  # each used column belongs to one chunk
-        if self.used is not None:
-            rows, cols = (stride // out.itemsize for stride in out.strides)
-            out.ravel(order="K")[self.used[:, None] * rows + self.used * cols] += block
+            block[:, part] = self.Q @ Y  # each used column belongs to one chunk
+        rows, cols = (stride // out.itemsize for stride in out.strides)
+        out.ravel(order="K")[self.used[:, None] * rows + self.used * cols] += block
 
 
 def _make_scaling(block: ConeBlock, s, z):
@@ -602,9 +584,7 @@ def _block_map(block: ConeBlock, Mb: sp.csr_matrix, scratch: np.ndarray):
     if block.kind == "nonneg":
         return _NonnegMap(Mb)
     if block.kind == "soc":
-        cols = np.flatnonzero(Mb.getnnz(axis=0))
-        Mu = Mb[:, cols].toarray()
-        return (... if cols.size == Mb.shape[1] else np.ix_(cols, cols)), Mu
+        return Mb.toarray()
     return _PsdMap(Mb, block.order, scratch)
 
 

@@ -5,25 +5,25 @@ An instance asks for the matrix nearest to C, in one of the matrix norms of
 satisfying affine trace constraints <A_i, X> = b_i or >= b_i; C and every
 A_i pass `symmetric`, which rejects non-finite or asymmetric input.
 Membership of X in the completely positive cone is relaxed by one ladder of
-conic programs indexed by the order k.  Each order has one rung builder,
-`_rung`, which with `order_name` is the only code that tells the orders
-apart: it gives the head columns, those of vech(X), the equality,
-nonnegative and PSD rows, and the cap on the solver tolerance.  Order 1 is
-the doubly nonnegative (DNN) relaxation: X entrywise nonnegative and PSD.
-Order k >= 2 is the dual of Parrilo's cone K^(r), r = k - 1, of the
-matrices M for which (sum_i u_i^2)^r sum_ij M_ij u_i^2 u_j^2 is a sum of
-squares: X is tied to the moments z_beta, |beta| = r + 2, of a measure on
-the nonnegative orthant, under one PSD block per parity class of the
-monomials of degree r + 2 in u (Parrilo 2000; Bomze and de Klerk 2002).
-K^(0) is PSD + nonnegative, whose dual is DNN, and K^(r) grows with r, so
-CP lies inside every rung and each rung inside the one below it: the
-optimal values bound the projection distance from below and never fall
-from one order to the next.  Certification happens downstream, by a
-nonnegative factorization.
+conic programs indexed by the order k, all built by one formula, `_rung`:
+order k is the dual of Parrilo's cone K^(r), r = k - 1, of the matrices M
+for which (sum_i u_i^2)^r sum_ij M_ij u_i^2 u_j^2 is a sum of squares.  Its
+columns are the moments z_beta, |beta| = r + 2, of a measure on the
+nonnegative orthant, under one PSD block per parity class of the monomials
+of degree r + 2 in u, and X is their linear image vech(X) = P z, not a
+variable of its own (Parrilo 2000; Bomze and de Klerk 2002).  K^(0) is
+PSD + nonnegative, whose dual is DNN: at order 1, P is the identity and
+the rung is X PSD with nonnegative off-diagonal entries, the doubly
+nonnegative (DNN) relaxation.  K^(r) grows with r, so CP lies inside every
+rung and each rung inside the one below it: the optimal values bound the
+projection distance from below and never fall from one order to the next.
+The only rule that tells the orders apart is the cap on the solver
+tolerance (`DNN_TOL` at order 1), with `order_name` for their names.
+Certification happens downstream, by a nonnegative factorization.
 
-Every rung shares the constraint and norm rows, built once over the
-columns [vech(X) | gamma | T] and mapped to the program's columns through
-one index array.  The norm objective turns into standard conic epigraphs:
+Every rung shares the constraint and norm rows, built once over
+[vech(X) | gamma | T], each entry at a column of vech(X) spread over that
+column's row of P.  The norm objective turns into standard conic epigraphs:
 
   fro        one second-order block (gamma, svec(X - C))
   two        one PSD block [[gamma I, X - C], [X - C, gamma I]]
@@ -34,8 +34,8 @@ one index array.  The norm objective turns into standard conic epigraphs:
 Each block of rows is built whole from numpy index arrays and appended to
 a coordinate-array row builder, `_Rows`, one per map, each making a single
 CSR matrix; every svec weight comes from `conic.svec_index`.  `assemble`
-records the columns of vech(X) and gamma in the program's `info` ("X",
-"gamma"), which the solver never reads, for `map_solution`.
+records P and the column of gamma in the program's `info` ("P", "gamma"),
+which the solver never reads, for `map_solution`.
 """
 from __future__ import annotations
 
@@ -159,8 +159,8 @@ class _Rows:
     """Coordinate arrays of one sparse map, appended a whole block of rows at
     a time; `rhs` is the equality right-hand side or the cone offset."""
 
-    def __init__(self, row, col, val, rhs) -> None:  # the first block of rows
-        self.parts, self.size = [(row, col, val, rhs)], len(rhs)
+    def __init__(self) -> None:  # one empty part, so a map of no rows still concatenates
+        self.parts, self.size = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2], 0
 
     def add(self, row, col, val, rhs) -> None:
         """Append len(rhs) rows; val[t] goes to (row[t], col[t]) of the new block."""
@@ -173,15 +173,15 @@ class _Rows:
 
 
 class _Rung(NamedTuple):
-    """One order's part of the program: its head width, the head columns of
-    vech(X), its equality and nonnegative rows over the head as (row,
-    column, value, right-hand side) arrays, the (order, svec row, column)
-    entries of each PSD block, and its cap on the solver tolerance."""
+    """One order's part of the program: its moment count, vech(X) = P z as
+    the (n(n+1)/2, g) moment columns of P's rows and their g weights (every
+    row has the same), the moments held nonnegative, the (order, moment per
+    svec row) of each PSD block, and its cap on the solver tolerance."""
 
-    width: int
-    x: np.ndarray
-    eq: tuple
-    nonneg: tuple
+    size: int
+    P: np.ndarray
+    weights: np.ndarray
+    nonneg: np.ndarray
     psd: tuple
     tol: float
 
@@ -207,70 +207,59 @@ def _monomials(n: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _rung(n: int, k: int) -> _Rung:
-    """The order-k rung for an n x n X, read-only as the cache shares it.
-    Order 1 (DNN) holds vech(X) nonnegative and PSD in one order-n block, at
-    most to DNN_TOL.  Order k >= 2 is the dual of Parrilo's cone K^(r),
-    r = k - 1: its head is [vech(X) | z], z_beta one moment per exponent of
-    degree r + 2 in the order of `_monomials`, under one equality row per
-    entry (a, b), X_ab - sum_{|gamma| = r} (r!/gamma!) z_{e_a + e_b + gamma}
-    == 0, and, per parity class p in {0, 1}^n with |p| = r mod 2 and
-    |p| <= r + 2, the PSD block [z_{p + gamma_a + gamma_b}] over the
-    exponents gamma of degree (r + 2 - |p|) / 2, whose svec row (a, b) picks
-    that z; a block of order 1 is a nonnegative row instead."""
+    """The order-k rung for an n x n X, read-only as the cache shares it: the
+    dual of Parrilo's cone K^(r), r = k - 1, over the moments z_beta, one per
+    exponent of degree r + 2 in the order of `_monomials`.  Row (a, b) of P
+    is sum_{|gamma| = r} (r!/gamma!) z_{e_a + e_b + gamma}.  Per parity class
+    p in {0, 1}^n with |p| = r mod 2 and |p| <= r + 2, the PSD block
+    [z_{p + gamma_a + gamma_b}] runs over the exponents gamma of degree
+    (r + 2 - |p|) / 2, and its svec row (a, b) picks that z; a block of
+    order 1 is a nonnegative z instead.  At r = 0 (DNN, held to at most
+    DNN_TOL) P is the identity, since the degree-2 monomials are vech's
+    pairs, the class 0 gives the order-n block and the classes of size 2 the
+    off-diagonal entries."""
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
-    nbar = n * (n + 1) // 2
-    no_rows = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 2
-    v = np.arange(nbar)
-    if k == 1:
-        rung = _Rung(nbar, v, no_rows, (v, v, np.ones(nbar), np.zeros(nbar)), ((n, v, v),), DNN_TOL)
-    else:
-        r = k - 1
+    r = k - 1
 
-        def degree(d: int) -> np.ndarray:
-            return _monomials(n, d)[math.comb(n + d - 1, n):]
+    def degree(d: int) -> np.ndarray:
+        return _monomials(n, d)[math.comb(n + d - 1, n):]
 
-        index = {a: i for i, a in enumerate(map(tuple, degree(r + 2).tolist()))}
+    index = {a: i for i, a in enumerate(map(tuple, degree(r + 2).tolist()))}
 
-        def columns(alphas: np.ndarray) -> np.ndarray:
-            return nbar + np.array([index[a] for a in map(tuple, alphas.reshape(-1, n).tolist())])
+    def columns(alphas: np.ndarray) -> np.ndarray:
+        return np.array([index[a] for a in map(tuple, alphas.reshape(-1, n).tolist())])
 
-        eye = np.eye(n, dtype=np.int64)
-        a, b = svec_index(n)[0]
-        gammas = degree(r)
-        coef = np.array([math.factorial(r) / math.prod(map(math.factorial, g)) for g in gammas])
-        pairs = columns((eye[a] + eye[b])[:, None] + gammas).reshape(nbar, -1)
-        eq = (
-            np.repeat(v, 1 + len(gammas)),
-            np.column_stack([v, pairs]).ravel(),
-            np.tile(np.append(1.0, -coef), nbar),
-            np.zeros(nbar),
-        )
-        single, psd = [], []
-        for size in range(r % 2, min(r + 2, n) + 1, 2):
-            gammas = degree((r + 2 - size) // 2)
-            i, j = svec_index(len(gammas))[0]
-            for p in combinations(range(n), size):
-                col = columns(eye[list(p)].sum(axis=0) + gammas[i] + gammas[j])
-                if len(gammas) == 1:
-                    single.extend(col)
-                else:
-                    psd.append((len(gammas), np.arange(i.size), col))
-        m = len(single)
-        nonneg = (np.arange(m), np.array(single, dtype=np.int64), np.ones(m), np.zeros(m))
-        rung = _Rung(nbar + len(index), v, eq, nonneg, tuple(psd), math.inf)
-    for a in (rung.x, *rung.eq, *rung.nonneg, *(a for block in rung.psd for a in block[1:])):
-        a.setflags(write=False)
+    eye = np.eye(n, dtype=np.int64)
+    a, b = svec_index(n)[0]
+    gammas = degree(r)
+    weights = np.array([math.factorial(r) / math.prod(map(math.factorial, g)) for g in gammas])
+    P = columns((eye[a] + eye[b])[:, None] + gammas).reshape(a.size, -1)
+    single, psd = [], []
+    for size in range(r % 2, min(r + 2, n) + 1, 2):
+        gammas = degree((r + 2 - size) // 2)
+        i, j = svec_index(len(gammas))[0]
+        for p in combinations(range(n), size):
+            col = columns(eye[list(p)].sum(axis=0) + gammas[i] + gammas[j])
+            if len(gammas) == 1:
+                single.extend(col)
+            else:
+                psd.append((len(gammas), col))
+    nonneg = np.array(single, dtype=np.int64)
+    rung = _Rung(len(index), P, weights, nonneg, tuple(psd), DNN_TOL if k == 1 else math.inf)
+    for arr in (P, weights, nonneg, *(col for _, col in rung.psd)):
+        arr.setflags(write=False)
     return rung
 
 
 def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     """Build the order-k conic relaxation of the projection instance.
 
-    The columns are the head of the order's `_rung`, gamma, and for the one
-    and inf norms the bound T on |X - C| (vech order).  The rung's equality
-    and nonnegative rows come first and its PSD blocks last; the constraint
-    and norm rows between reach the program's columns through `cols`.
+    The columns are the order's moments z (see `_rung`), gamma, and for the
+    one and inf norms the bound T on |X - C| (vech order).  The rung's
+    nonnegative rows come first and its PSD blocks last; the constraint and
+    norm rows between are built over [vech(X) | gamma | T] and reach z
+    through vech(X) = P z.
     """
     n = spec.dim
     rung = _rung(n, k)
@@ -280,12 +269,20 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
     vcol = np.arange(nbar)
     bound = spec.norm in ("one", "inf")
     g, t = nbar, nbar + 1  # gamma, and the columns of vech(T), in [vech(X) | gamma | T]
-    N = rung.width + 1 + (nbar if bound else 0)
-    cols = np.concatenate([rung.x, np.arange(rung.width, N)])
-    eq, cone = _Rows(*rung.eq), _Rows(*rung.nonneg)
+    N = rung.size + 1 + (nbar if bound else 0)
+    eq, cone = _Rows(), _Rows()
+    held = rung.nonneg.size
+    cone.add(np.arange(held), rung.nonneg, np.ones(held), np.zeros(held))
 
     def shared(rows: _Rows, row, col, val, rhs) -> None:
-        rows.add(row, cols[col], val, rhs)
+        # an entry at a column of vech(X) spreads over that column's row of P
+        x = col < nbar
+        rows.add(
+            np.concatenate([np.repeat(row[x], rung.weights.size), row[~x]]),
+            np.concatenate([rung.P[col[x]].ravel(), col[~x] + rung.size - nbar]),
+            np.concatenate([np.outer(val[x], rung.weights).ravel(), val[~x]]),
+            rhs,
+        )
 
     # <A, X> == b rows, and <A, X> - b >= 0 rows at the nonnegative block:
     # <A, X> is vech(A) . vech(X) with the off-diagonal terms counted twice
@@ -343,16 +340,16 @@ def assemble(spec: ProblemSpec, k: int) -> ConicProgram:
         )
         blocks.append(ConeBlock("psd", wp.size, 2 * n))
 
-    for order, row, col in rung.psd:
+    for order, col in rung.psd:
         w = svec_index(order)[1]
-        cone.add(row, col, w[row], np.zeros(w.size))
+        cone.add(np.arange(w.size), col, w, np.zeros(w.size))
         blocks.append(ConeBlock("psd", w.size, order))
 
     objective = np.zeros(N)
-    objective[rung.width] = 1.0
+    objective[rung.size] = 1.0
     eq_map, eq_rhs = eq.csr(N)
     cone_map, cone_offset = cone.csr(N)
-    info = {"X": rung.x, "gamma": rung.width}
+    info = {"P": (rung.P, rung.weights), "gamma": rung.size}
     return ConicProgram(objective, eq_map, eq_rhs, cone_map, cone_offset, tuple(blocks), info)
 
 
@@ -369,8 +366,8 @@ def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
     """Read the matrix X and the distance gamma off a conic solution."""
     if sol.primal is None:
         raise ValueError(f"solution with status {sol.status!r} carries no point")
-    xt = sol.primal
-    return RelaxationSolution(vech_inv(xt[prog.info["X"]]), float(xt[prog.info["gamma"]]), sol)
+    xt, (P, weights) = sol.primal, prog.info["P"]
+    return RelaxationSolution(vech_inv(xt[P] @ weights), float(xt[prog.info["gamma"]]), sol)
 
 
 def solve_relaxation(

@@ -1,28 +1,30 @@
 """Reference rows of the relaxation's rungs, and moments of atomic measures,
 for tests of the relaxation rows.
 
-Order k >= 2 is the dual of Parrilo's cone
+Order k >= 1 is the dual of Parrilo's cone
 
     K^(r) = {M : (sum_i u_i^2)^r sum_ij M_ij u_i^2 u_j^2 is a sum of squares},
 
-r = k - 1, over the head [vech(X) | z]: one moment z_beta per exponent beta
-of degree r + 2 of a measure on the nonnegative orthant.  `kr_rows` builds
-its rows from that definition, with an enumeration of its own
-(`itertools.product` over exponents), apart from the package's index:
+r = k - 1, over the moments z: one moment z_beta per exponent beta of
+degree r + 2 of a measure on the nonnegative orthant, with X = P z.
+`kr_rows` builds P and the cone rows from that definition, with an
+enumeration of its own (`itertools.product` over exponents), apart from
+the package's index:
 
   - pairing M with X is applying the moment functional to the form above,
     so X_ab sums z_{e_a + e_b + w} over the words w in {1..n}^r, which
     counts each gamma of degree r with its multinomial weight r!/gamma!;
+    at r = 0 the one word is empty and P is the identity;
   - the Gram matrix of that functional over the u-monomials u^a of degree
     r + 2 has entry (a, b) = z_{(a + b)/2} when a + b is even and 0
     otherwise, so it splits into one block per parity class a mod 2, and
     a block of order 1 is a nonnegative entry.
 
-The head lists vech(X) (upper triangle, row by row) and then z by
-exponent, lexicographically descending; equality rows follow vech, blocks
-are ordered by the size of their class and then descending, and the
-entries of each by descending row exponent.  `rung_maps` puts
-`relaxation._rung`'s rows in the same form, so the two compare exactly.
+z is listed by exponent, lexicographically descending; P's rows follow
+vech(X) (upper triangle, row by row), blocks are ordered by the size of
+their class and then descending, and the entries of each by descending row
+exponent.  `rung_maps` puts `relaxation._rung`'s maps in the same form, so
+the two compare exactly.
 """
 from itertools import product
 
@@ -70,30 +72,26 @@ def degree2_slice(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def kr_rows(n: int, k: int):
-    """The rows of the order-k rung (k >= 2) from the K^(r) definition, as
-    sparse maps over the head: `(equality, nonneg, blocks)`, with
-    `equality @ head` the residuals of X_ab - sum_w z_{e_a + e_b + w} (their
-    right-hand side is zero), `nonneg @ head` the entries that must be
-    nonnegative, and per PSD block `(order, entries)`, whose
-    `entries @ head` lists the block's upper triangle row by row."""
+    """The maps of the order-k rung from the K^(r) definition, as sparse
+    maps over z: `(P, nonneg, blocks)`, with `P @ z` = vech(X),
+    `nonneg @ z` the moments that must be nonnegative, and per PSD block
+    `(order, entries)`, whose `entries @ z` lists the block's upper
+    triangle row by row."""
     r = k - 1
-    nbar = n * (n + 1) // 2
-    column = {beta: nbar + i for i, beta in enumerate(exponents(n, r + 2))}
-    width = nbar + len(column)
+    column = {beta: i for i, beta in enumerate(exponents(n, r + 2))}
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    equality = sp.lil_matrix((nbar, width))
+    P = sp.lil_matrix((len(pairs), len(column)))
     for m, (a, b) in enumerate(pairs):
-        equality[m, m] = 1.0
         for word in product(range(n), repeat=r):
             beta = np.bincount([a, b, *word], minlength=n)
-            equality[m, column[tuple(beta)]] -= 1.0
+            P[m, column[tuple(beta)]] += 1.0
     classes: dict[tuple[int, ...], list[np.ndarray]] = {}
     for a in exponents(n, r + 2):  # the u-monomials of degree r + 2
         classes.setdefault(tuple(np.array(a) % 2), []).append(np.array(a))
     nonneg, blocks = [], []
     for p in sorted(classes, key=lambda p: (sum(p), [-e for e in p])):
         rows = classes[p]
-        entries = sp.lil_matrix((len(rows) * (len(rows) + 1) // 2, width))
+        entries = sp.lil_matrix((len(rows) * (len(rows) + 1) // 2, len(column)))
         at = 0
         for i in range(len(rows)):
             for j in range(i, len(rows)):
@@ -103,48 +101,53 @@ def kr_rows(n: int, k: int):
             nonneg.append(entries)
         else:
             blocks.append((len(rows), entries.tocsr()))
-    nonneg = sp.vstack(nonneg, format="csr") if nonneg else sp.csr_matrix((0, width))
-    return equality.tocsr(), nonneg, tuple(blocks)
+    nonneg = sp.vstack(nonneg, format="csr") if nonneg else sp.csr_matrix((0, len(column)))
+    return P.tocsr(), nonneg, tuple(blocks)
 
 
 def rung_maps(n: int, k: int):
-    """`relaxation._rung(n, k)`'s rows (k >= 2) in the form of `kr_rows`."""
+    """`relaxation._rung(n, k)`'s maps in the form of `kr_rows`."""
     rung = _rung(n, k)
-    row, col, val, rhs = rung.eq
-    assert not rhs.any()
-    equality = sp.csr_matrix((val, (row, col)), shape=(rhs.size, rung.width))
-    row, col, val, rhs = rung.nonneg
-    assert not rhs.any()
-    nonneg = sp.csr_matrix((val, (row, col)), shape=(rhs.size, rung.width))
-    blocks = tuple(
-        (order, sp.csr_matrix((np.ones(r.size), (r, c)), shape=(r.size, rung.width)))
-        for order, r, c in rung.psd
+    nbar, g = rung.P.shape
+    P = sp.csr_matrix(
+        (np.tile(rung.weights, nbar), (np.repeat(np.arange(nbar), g), rung.P.ravel())),
+        shape=(nbar, rung.size),
     )
-    return equality, nonneg, blocks
+    m = rung.nonneg.size
+    nonneg = sp.csr_matrix((np.ones(m), (np.arange(m), rung.nonneg)), shape=(m, rung.size))
+    blocks = tuple(
+        (order, sp.csr_matrix((np.ones(c.size), (np.arange(c.size), c)),
+                              shape=(c.size, rung.size)))
+        for order, c in rung.psd
+    )
+    return P, nonneg, blocks
 
 
-def lift_atoms(atoms, weights, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-k head at the atomic measure sum_t weights[t] delta(atoms[t])
-    and its X: vech(X) alone at k = 1, else [vech(X) | z], with
-    z_beta = sum_t w_t x_t^beta over the exponents of degree k + 1 and
-    X = sum_t w_t (1'x_t)^(k - 1) x_t x_t', exactly symmetric."""
+def lift_atoms(atoms, weights, k: int) -> np.ndarray:
+    """The order-k moments z at the atomic measure sum_t weights[t]
+    delta(atoms[t]): z_beta = sum_t w_t x_t^beta over the exponents of
+    degree k + 1."""
+    pts = np.atleast_2d(np.asarray(atoms, dtype=float))
+    return moments(pts, weights, exponents(pts.shape[1], k + 1))
+
+
+def atomic_matrix(atoms, weights, k: int) -> np.ndarray:
+    """X = sum_t w_t (1'x_t)^(k - 1) x_t x_t', exactly symmetric: the matrix
+    that P maps the order-k moments of the same atoms to."""
     pts = np.atleast_2d(np.asarray(atoms, dtype=float))
     wts = np.asarray(weights, dtype=float).ravel()
-    X = vech_inv(vech((pts.T * (wts * pts.sum(axis=1) ** (k - 1))) @ pts))
-    if k == 1:
-        return vech(X), X
-    return np.concatenate([vech(X), moments(pts, wts, exponents(pts.shape[1], k + 1))]), X
+    return vech_inv(vech((pts.T * (wts * pts.sum(axis=1) ** (k - 1))) @ pts))
 
 
 def lift_atomic_point(spec, k: int, atoms, weights) -> np.ndarray:
     """Decision vector of the order-k program evaluated at an atomic measure.
 
-    The lift of any measure with nonnegative atoms satisfies every rung row,
+    The lift of any measure with nonnegative atoms meets every rung row,
     and gamma is set to the exact distance so the norm block is tight; for
     the one and inf norms the bound T is |X - C| itself.
     """
-    head, X = lift_atoms(atoms, weights, k)
-    parts = [head, [p_norm(X - spec.C, spec.norm)]]
+    X = atomic_matrix(atoms, weights, k)
+    parts = [lift_atoms(atoms, weights, k), [p_norm(X - spec.C, spec.norm)]]
     if spec.norm in ("one", "inf"):
         parts.append(np.abs(vech(X - spec.C)))
     return np.concatenate([np.asarray(p, dtype=float) for p in parts])

@@ -688,31 +688,30 @@ def test_one_c4_order_3_does_not_hang_on_the_kkt_regularization(monkeypatch):
 
 
 def _moment_identity_residual():
-    """Largest deviation of the relaxation's rung rows (k >= 2, the dual of
-    Parrilo's K^(r), r = k - 1) from their defining index formulas, at a
-    random head [vech(X) | z] over the reference exponents: each equality
-    row is X_ab - sum_{|gamma| = r} (r!/gamma!) z[e_a + e_b + gamma], and
-    the parity class p in {0, 1}^n, |p| = r mod 2, |p| <= r + 2, gives the
+    """Largest deviation of the relaxation's rung maps (the dual of
+    Parrilo's K^(r), r = k - 1, order 1 included) from their defining index
+    formulas, at random moments z over the reference exponents: row (a, b)
+    of P z is sum_{|gamma| = r} (r!/gamma!) z[e_a + e_b + gamma], and the
+    parity class p in {0, 1}^n, |p| = r mod 2, |p| <= r + 2, gives the
     block [z[p + gamma_a + gamma_b]] over |gamma| = (r + 2 - |p|) / 2, a
     nonneg row when it has order 1.  (4, 4) is the order-4 probe's
     program."""
     rng = np.random.default_rng(3)
     worst = 0.0
-    for n, k in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3)):
-        r, nbar = k - 1, n * (n + 1) // 2
-        position = {beta: nbar + i for i, beta in enumerate(exponents(n, r + 2))}
-        head = rng.standard_normal(nbar + len(position))
-        equality, nonneg, blocks = rung_maps(n, k)
+    for n, k in ((3, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3)):
+        r = k - 1
+        position = {beta: i for i, beta in enumerate(exponents(n, r + 2))}
+        head = rng.standard_normal(len(position))
+        P, nonneg, blocks = rung_maps(n, k)
         eye = np.eye(n, dtype=int)
         pairs = [(a, b) for a in range(n) for b in range(a, n)]
-        gammas = np.array(exponents(n, r))
+        gammas = np.array(exponents(n, r)).reshape(-1, n)
         weight = [math.factorial(r) / math.prod(map(math.factorial, g)) for g in gammas]
         want = [
-            head[m] - sum(w * head[position[tuple(eye[a] + eye[b] + g)]]
-                          for w, g in zip(weight, gammas))
-            for m, (a, b) in enumerate(pairs)
+            sum(w * head[position[tuple(eye[a] + eye[b] + g)]] for w, g in zip(weight, gammas))
+            for a, b in pairs
         ]
-        worst = max(worst, float(np.abs(equality @ head - want).max()))
+        worst = max(worst, float(np.abs(P @ head - want).max()))
         classes = sorted(
             (p for p in itertools.product((0, 1), repeat=n)
              if sum(p) % 2 == r % 2 and sum(p) <= r + 2),

@@ -29,7 +29,7 @@ from cpproj.conic import (
     svec_index,
     verify_certificate,
 )
-from cpproj.relaxation import ProblemSpec, assemble
+from cpproj.relaxation import LinearConstraint, ProblemSpec, assemble
 from moment_reference import rung_maps
 from test_acceptance import REFERENCE_INSTANCES
 
@@ -402,10 +402,9 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     assert np.array_equal(out, base + got)
     unused = np.flatnonzero(counts == 0)
     assert np.array_equal(out[:, unused], base[:, unused])
-    # a chunk's columns are an index array into the block's target (K11, or
-    # the compact block over the used columns), or a slice when they are a
-    # run there
-    cols = np.arange(Mb.shape[1]) if pmap.used is None else pmap.used
+    # a chunk's columns are an index array into the compact block over the
+    # used columns, or a slice when they are a run there
+    cols = pmap.used
     at = [np.arange(cols.size)[part] for part, *_ in pmap.chunks]
     parts = [cols[p] for p in at]
     assert sorted(np.concatenate(parts)) == list(used)
@@ -418,46 +417,57 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
         isinstance(part, slice) == (np.ptp(p) == p.size - 1)
         for p, (part, *_) in zip(at, pmap.chunks)
     )
-    # only a block that uses at most half of the columns is built compact
-    assert (pmap.used is not None) == (2 * used.size <= Mb.shape[1])
+    # every block is built compact, over exactly the columns it uses
+    assert np.array_equal(pmap.used, used)
     if name == "moment n=4 k=4":
-        # the 35 moments of degree 5 that hold x_1, of the head's 66 columns;
+        # the 35 moments of degree 5 that hold x_1, of the rung's 56;
         # each sits in at most 3 entries of the block's upper triangle, and
         # at the default size each count gets one chunk
-        assert (used.size, Mb.shape[1]) == (35, 66) and counts.max() == 3
+        assert (used.size, Mb.shape[1]) == (35, 56) and counts.max() == 3
         assert len(pmap.chunks) == np.unique(counts[used]).size
     if name.endswith("small chunks"):
         assert len(pmap.chunks) > np.unique(counts[used]).size
     if name == "coordinate localizer":
-        assert pmap.used is not None
+        # x_2 times the moments of degree 2: 6 of the 10 moments of degree 3
+        assert (used.size, Mb.shape[1]) == (6, 10)
     if name == "two-norm block":
         assert counts.max() == order  # the gamma column: 2n diagonal entries
 
 
-def test_a_compact_psd_block_adds_the_bits_of_a_block_built_over_every_row():
+def test_a_psd_block_adds_the_same_bits_whatever_its_chunks_and_columns():
     # the block of the class 0 at n = 5, order 4 (r = 3) uses 70 of the
-    # head's 141 columns, so it is built compact; with two more copies of
-    # its used columns it uses 210 of 281, and adds each chunk into K11's
-    # columns over every row.
-    # Each column's sum does not depend on its chunk, so the two agree bit
-    # for bit, and the block is not bitwise symmetric, so a transposed
-    # scatter would show
+    # rung's 126 moments; with two more copies of its used columns it uses
+    # 210 of 266, so its count groups split into other chunks.  Each
+    # column's sum does not depend on its chunk, so the two agree bit for
+    # bit over the first map's columns
     Mb, order = _rung_block(5, 4, 0)
     used = np.flatnonzero(np.count_nonzero(Mb, axis=0))
     wide = np.hstack([Mb, Mb[:, used], Mb[:, used]])
-    compact, full = (_PsdMap(sp.csr_matrix(B), order, _chunk_scratch([order])) for B in (Mb, wide))
-    assert (used.size, Mb.shape[1]) == (70, 141)
-    assert compact.used is not None and full.used is None
+    block, widened = (
+        _PsdMap(sp.csr_matrix(B), order, _chunk_scratch([order])) for B in (Mb, wide)
+    )
+    assert (used.size, Mb.shape[1], widened.used.size) == (70, 126, 210)
     A = np.random.default_rng(23).normal(size=(order, order))
     G = A @ A.T / order + np.eye(order)
-    got = _schur_into_zeros(compact, G, Mb.shape[1])
-    assert not np.array_equal(got, got.T)
-    ref = _schur_into_zeros(full, G, wide.shape[1])[: Mb.shape[1], : Mb.shape[1]]
+    got = _schur_into_zeros(block, G, Mb.shape[1])
+    ref = _schur_into_zeros(widened, G, wide.shape[1])[: Mb.shape[1], : Mb.shape[1]]
     assert got.tobytes() == np.asfortranarray(ref).tobytes()
     # a C-ordered K11 takes the same scatter
     out = np.zeros(got.shape)
-    compact.schur(G, out)
+    block.schur(G, out)
     assert np.array_equal(out, got)
+    # entry (i, j) of the compact block lands at (used[i], used[j]): with a
+    # nonsymmetric G the build 2 <smat(Mb[:, i]), G U_j G>, U_j the upper
+    # half of smat(Mb[:, j]), is far from symmetric, so a transposed scatter
+    # would show, into a Fortran- or a C-ordered K11 alike
+    G = A / order + np.eye(order)
+    S = [smat(Mb[:, j], order) for j in range(Mb.shape[1])]
+    U = [np.triu(Sj, 1) + np.diag(np.diag(Sj)) / 2.0 for Sj in S]
+    want = np.array([[2.0 * np.sum(Si * (G @ Uj @ G)) for Uj in U] for Si in S])
+    assert np.abs(want - want.T).max() > 1e-2 * np.abs(want).max()
+    for out in (np.zeros(got.shape, order="F"), np.zeros(got.shape)):
+        block.schur(G, out)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _psd_step_reference(u, du, order):
@@ -696,10 +706,11 @@ def test_kkt_factor_and_solve_are_bit_identical_across_runs():
 
 def test_every_iteration_factors_one_k11_into_the_same_buffers(monkeypatch):
     # the solve allocates its dense working set once: every iteration builds
-    # the same K11 and factors it into the same Cholesky, W and S memory
+    # the same K11 and factors it into the same Cholesky, W and S memory;
+    # a user equality row makes W and L2 part of the working set
     G = np.random.default_rng(5).standard_normal((3, 3))
-    prog = assemble(ProblemSpec((G + G.T) / 2.0, "fro"), 2)
-    assert prog.eq_map.shape[0] > 0
+    prog = assemble(ProblemSpec((G + G.T) / 2.0, "fro", (LinearConstraint(np.eye(3), 3.0),)), 2)
+    assert prog.eq_map.shape[0] == 1
     seen, factor = [], _Kkt.factor
 
     def recording(kkt, K11):
@@ -723,6 +734,11 @@ def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
         if b.kind == "soc"
     ]
     Mb = prog.cone_map[at]
+    # X = P z reaches every moment, so at every order the block touches
+    # every column but the bound T's (none here)
+    assert np.count_nonzero(Mb.getnnz(axis=0)) == prog.objective.size
+    # one more column that no row touches: the dense product is zero there
+    Mb = sp.hstack([Mb, sp.csr_matrix((block.size, 1))], format="csr")
     rng = np.random.default_rng(21)
     s, z = rng.normal(size=(2, block.size))
     s[0] = np.linalg.norm(s[1:]) + 0.5
@@ -731,10 +747,7 @@ def test_soc_schur_adds_the_dense_product_over_the_touched_columns(orders):
     dense = Mb.toarray()
     full = dense.T @ (sc.Hinv @ dense)
     touched = np.flatnonzero(np.abs(dense).sum(axis=0))
-    if k == 1:  # the order-1 block touches every column: a whole-array add
-        assert touched.size == prog.objective.size
-    else:
-        assert touched.size == n * (n + 1) // 2 + 1 < prog.objective.size // 4
+    assert touched.size == prog.objective.size == Mb.shape[1] - 1
     base = np.asfortranarray(rng.normal(size=full.shape))
     out = base.copy(order="F")
     sc.schur(_block_map(block, Mb, _chunk_scratch([])), out)

@@ -1,6 +1,6 @@
-"""The order-k rung's rows (`relaxation._rung`, k >= 2, the dual of
-Parrilo's K^(k - 1)) checked against the definition (`kr_rows`) and
-against atomic measures on the nonnegative orthant."""
+"""The order-k rung's maps (`relaxation._rung`, the dual of Parrilo's
+K^(k - 1), order 1 included) checked against the definition (`kr_rows`)
+and against atomic measures on the nonnegative orthant."""
 import math
 
 import numpy as np
@@ -8,16 +8,17 @@ import numpy.testing as npt
 import pytest
 
 from cpproj.relaxation import _rung
-from moment_reference import exponents, kr_rows, lift_atoms, moments, rung_maps
+from cpproj.conic import vech
+from moment_reference import atomic_matrix, exponents, kr_rows, lift_atoms, moments, rung_maps
 
 
-def block_matrices(n, k, head, blocks=None):
+def block_matrices(n, k, z, blocks=None):
     """The symmetric matrices of the order-k rung's PSD blocks (or of
-    `blocks`, in the form of `kr_rows`) at head."""
+    `blocks`, in the form of `kr_rows`) at the moments z."""
     out = []
     for order, entries in blocks or rung_maps(n, k)[2]:
         M = np.zeros((order, order))
-        M[np.triu_indices(order)] = entries @ head
+        M[np.triu_indices(order)] = entries @ z
         out.append(M + np.triu(M, 1).T)
     return out
 
@@ -29,12 +30,13 @@ def evaluations(pts, n, d):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("k", range(2, 5))
+@pytest.mark.parametrize("k", range(1, 5))
 def test_rows_equal_the_definition(n, k):
-    # the rung's rows are the K^(r) dual's, rebuilt from the definition
-    # with an enumeration of their own: same head, same rows in the same order
-    (eq, nonneg, blocks), (ref_eq, ref_nonneg, ref_blocks) = rung_maps(n, k), kr_rows(n, k)
-    for got, want in [(eq, ref_eq), (nonneg, ref_nonneg)]:
+    # the rung's maps are the K^(r) dual's, rebuilt from the definition
+    # with an enumeration of their own: same moments, same P, same rows in
+    # the same order; at k = 1 that is the DNN rung
+    (P, nonneg, blocks), (ref_P, ref_nonneg, ref_blocks) = rung_maps(n, k), kr_rows(n, k)
+    for got, want in [(P, ref_P), (nonneg, ref_nonneg)]:
         assert got.shape == want.shape
         assert (got != want).nnz == 0
     assert [order for order, _ in blocks] == [order for order, _ in ref_blocks]
@@ -44,19 +46,19 @@ def test_rows_equal_the_definition(n, k):
 
 
 def test_sizes_smallest_case():
-    # n = 1, k = 2, the smallest rung: the head [X | z_3], one equality row
-    # X - z_3 == 0 and one block of order 1, which is the nonneg row z_3 >= 0
-    equality, nonneg, blocks = rung_maps(1, 2)
+    # n = 1, k = 2, the smallest rung above DNN: the one moment z_3, read
+    # as X = z_3, and one block of order 1, which is the nonneg row z_3 >= 0
+    P, nonneg, blocks = rung_maps(1, 2)
     assert blocks == ()
-    assert equality.shape == nonneg.shape == (1, 1 + math.comb(1 + 2, 3))
-    npt.assert_array_equal(equality.toarray(), [[1.0, -1.0]])
-    npt.assert_array_equal(nonneg.toarray(), [[0.0, 1.0]])
+    assert P.shape == nonneg.shape == (1, math.comb(1 + 2, 3))
+    npt.assert_array_equal(P.toarray(), [[1.0]])
+    npt.assert_array_equal(nonneg.toarray(), [[1.0]])
 
 
 def test_localizer_size_formula():
     # per class size s = r mod 2, s <= r + 2, C(n, s) classes of order
     # C(n + h - 1, h), h = (r + 2 - s) / 2; those of order 1 are nonneg rows
-    for n, k in [(2, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 3)]:
+    for n, k in [(1, 1), (4, 1), (2, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 3)]:
         r = k - 1
         rung = _rung(n, k)
         want, single = [], 0
@@ -68,11 +70,12 @@ def test_localizer_size_formula():
             else:
                 want += [order] * math.comb(n, s)
         assert [order for order, *_ in rung.psd] == want
-        assert rung.nonneg[3].size == single
-        assert rung.width == n * (n + 1) // 2 + math.comb(n + r + 1, r + 2)
-    # the benchmark probe's shape: 4 blocks of order 10, 4 of order 4, 10 rows
+        assert rung.nonneg.size == single
+        assert rung.size == math.comb(n + r + 1, r + 2)
+    # the benchmark probe's shape: 4 blocks of order 10, 4 of order 4, 56
+    # moments, and X read through 20 of them per entry
     assert [order for order, *_ in _rung(4, 4).psd] == [10] * 4 + [4] * 4
-    assert (_rung(4, 4).width, _rung(4, 4).eq[3].size) == (66, 10)
+    assert (_rung(4, 4).size, _rung(4, 4).P.shape) == (56, (10, 20))
 
 
 def test_moment_matrix_entries_and_rank():
@@ -82,8 +85,7 @@ def test_moment_matrix_entries_and_rank():
     n, k, count = 3, 3, 2  # r = 2: the class 0 (order 6), then the pairs (order 3)
     pts = np.abs(rng.standard_normal((count, n)))
     wts = rng.uniform(0.5, 2.0, count)
-    head, _ = lift_atoms(pts, wts, k)
-    M = block_matrices(n, k, head)[0]
+    M = block_matrices(n, k, lift_atoms(pts, wts, k))[0]
     V = evaluations(pts, n, 2)
     npt.assert_allclose(M, V.T @ (wts[:, None] * V), rtol=1e-12, atol=1e-13)
     sv = np.linalg.svd(M, compute_uv=False)
@@ -97,26 +99,23 @@ def test_localizing_matrix_single_atom_oracle():
     rng = np.random.default_rng(29)
     n, k = 3, 2
     u = np.abs(rng.standard_normal(n)) + 0.1
-    head, _ = lift_atoms([u], [1.7], k)
-    for j, L in enumerate(block_matrices(n, k, head)):
+    for j, L in enumerate(block_matrices(n, k, lift_atoms([u], [1.7], k))):
         npt.assert_allclose(L, 1.7 * u[j] * np.outer(u, u), rtol=1e-12)
 
 
 def test_equality_rows_vanish_on_atomic_measures():
-    # X_ab == sum_gamma (r!/gamma!) z_{e_a + e_b + gamma} holds at
-    # X = sum_t w_t (1'x_t)^r x_t x_t' for atoms anywhere in the orthant
+    # vech(X) = P z, X_ab = sum_gamma (r!/gamma!) z_{e_a + e_b + gamma},
+    # holds at X = sum_t w_t (1'x_t)^r x_t x_t' for atoms anywhere in the
+    # orthant, so X needs no equality row to tie it to z
     rng = np.random.default_rng(31)
     n, k = 4, 3
     pts = np.abs(rng.standard_normal((3, n)))
     wts = rng.uniform(0.5, 1.5, 3)
-    equality = rung_maps(n, k)[0]
-    head, X = lift_atoms(pts, wts, k)
-    assert np.abs(equality @ head).max() < 1e-12 * np.abs(X).max()
-    # the X of the same atoms without the factor (1'x_t)^r breaks it
-    nbar = n * (n + 1) // 2
-    off = head.copy()
-    off[:nbar] = lift_atoms(pts, wts, 1)[0]
-    assert np.abs(equality @ off).max() > 1e-1
+    P = rung_maps(n, k)[0]
+    z, X = lift_atoms(pts, wts, k), atomic_matrix(pts, wts, k)
+    assert np.abs(P @ z - vech(X)).max() < 1e-12 * np.abs(X).max()
+    # the X of the same atoms without the factor (1'x_t)^r is not P z
+    assert np.abs(P @ z - vech(atomic_matrix(pts, wts, 1))).max() > 1e-1
 
 
 def test_localizing_degree_overflow_rejected():
@@ -130,11 +129,11 @@ def test_membership_constraints_necessary_for_atomic_measures():
     n, k = 3, 2
     pts = np.abs(rng.standard_normal((4, n)))
     wts = rng.uniform(0.2, 2.0, 4)
-    head, X = lift_atoms(pts, wts, k)
-    equality, nonneg, _ = rung_maps(n, k)
-    npt.assert_allclose(equality @ head, 0.0, atol=1e-12 * np.abs(X).max())
-    assert (nonneg @ head >= 0).all() and nonneg.shape[0] == 1  # z_{e_1 + e_2 + e_3}
-    blocks = block_matrices(n, k, head)
+    z, X = lift_atoms(pts, wts, k), atomic_matrix(pts, wts, k)
+    P, nonneg, _ = rung_maps(n, k)
+    npt.assert_allclose(P @ z, vech(X), rtol=0, atol=1e-12 * np.abs(X).max())
+    assert (nonneg @ z >= 0).all() and nonneg.shape[0] == 1  # z_{e_1 + e_2 + e_3}
+    blocks = block_matrices(n, k, z)
     for M in blocks:
         assert np.linalg.eigvalsh(M).min() > -1e-12
     # X is the sum of the blocks of the classes e_j, so it is PSD as well
@@ -145,44 +144,43 @@ def test_negative_mass_violates_unit_block():
     # an atom of negative weight at the unit vector e_1 makes z_{3 e_1} = -1
     # the (1, 1) entry of the class e_1's block
     n, k = 2, 2
-    head = np.zeros(_rung(n, k).width)
-    head[n * (n + 1) // 2 :] = moments([[1.0, 0.0]], [-1.0], exponents(n, 3))
-    M = block_matrices(n, k, head)[0]
+    z = moments([[1.0, 0.0]], [-1.0], exponents(n, 3))
+    assert z.size == _rung(n, k).size
+    M = block_matrices(n, k, z)[0]
     assert np.linalg.eigvalsh(M).min() < -0.5
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 3), (5, 4)])
 def test_atomic_measures_meet_every_row_and_a_negative_weight_breaks_a_block(n, k):
-    # the identity holds for the rows of the definition and for the rung's
+    # the identity holds for the maps of the definition and for the rung's
     rng = np.random.default_rng(41 + n)
     pts = np.abs(rng.standard_normal((n + 2, n)))
     wts = rng.uniform(0.2, 2.0, n + 2)
-    for equality, nonneg, blocks in (kr_rows(n, k), rung_maps(n, k)):
-        head, X = lift_atoms(pts, wts, k)
-        assert np.abs(equality @ head).max() <= 1e-12 * np.abs(X).max()
-        assert (nonneg @ head >= 0).all()
-        for M in block_matrices(n, k, head, blocks):
+    for P, nonneg, blocks in (kr_rows(n, k), rung_maps(n, k)):
+        z, X = lift_atoms(pts, wts, k), atomic_matrix(pts, wts, k)
+        assert np.abs(P @ z - vech(X)).max() <= 1e-12 * np.abs(X).max()
+        assert (nonneg @ z >= 0).all()
+        for M in block_matrices(n, k, z, blocks):
             assert np.linalg.eigvalsh(M).min() >= -1e-12 * np.abs(M).max()
-        # give one atom a negative weight that outweighs the rest: the rows
-        # still hold (they are linear), but some block is no longer PSD
+        # give one atom a negative weight that outweighs the rest: X = P z
+        # still holds (it is linear), but some block is no longer PSD
         bad = np.append(-10.0 * wts.sum(), wts[1:])
-        head, X = lift_atoms(pts, bad, k)
-        assert np.abs(equality @ head).max() <= 1e-12 * np.abs(X).max()
+        z, X = lift_atoms(pts, bad, k), atomic_matrix(pts, bad, k)
+        assert np.abs(P @ z - vech(X)).max() <= 1e-12 * np.abs(X).max()
         worst = min(
-            min(np.linalg.eigvalsh(M).min() for M in block_matrices(n, k, head, blocks)),
-            (nonneg @ head).min(initial=np.inf),
+            min(np.linalg.eigvalsh(M).min() for M in block_matrices(n, k, z, blocks)),
+            (nonneg @ z).min(initial=np.inf),
         )
         assert worst < -1e-3
 
 
 def test_equality_rows_are_deduplicated():
-    # row m ties the head column m, entry (a, b) of vech(X), to the moments
-    # e_a + e_b + gamma, each named once, so no sum hides a repeat
-    for n, k in [(2, 2), (3, 4), (4, 3)]:
-        row, col, _, rhs = _rung(n, k).eq
-        nbar = n * (n + 1) // 2
-        assert rhs.size == nbar
-        assert np.unique(row * _rung(n, k).width + col).size == row.size
-        npt.assert_array_equal(col[col < nbar], np.arange(nbar))
-        npt.assert_array_equal(row[col < nbar], np.arange(nbar))
-        assert np.bincount(row).tolist() == [1 + math.comb(n + k - 2, k - 1)] * nbar
+    # row m of P, entry (a, b) of vech(X), names the moments
+    # e_a + e_b + gamma, |gamma| = k - 1, each once, so no sum hides a repeat
+    for n, k in [(3, 1), (2, 2), (3, 4), (4, 3)]:
+        P = _rung(n, k).P
+        nbar, g = n * (n + 1) // 2, math.comb(n + k - 2, k - 1)
+        assert P.shape == (nbar, g)
+        assert all(np.unique(row).size == g for row in P)
+        # the sparse P that sums duplicates keeps g entries per row
+        assert rung_maps(n, k)[0].getnnz(axis=1).tolist() == [g] * nbar

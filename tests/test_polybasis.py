@@ -1,7 +1,7 @@
 """Tests of the polynomial basis of the rungs: the graded-lex monomial
 index `relaxation._monomials`, from which `relaxation._rung(n, k)` takes the
-exponents of its moments, the tie of each head column of vech(X) to the
-moments of its degree-2 monomial, and the symmetric-matrix fold
+exponents of its moments, the row of P that reads each entry of vech(X)
+off the moments of its degree-2 monomial, and the symmetric-matrix fold
 (`symmetric`, `vech`, `vech_inv`) that identifies X with vech(X)."""
 import math
 
@@ -88,34 +88,32 @@ def test_etms_matrix_identification_round_trip():
     iu, ju = np.triu_indices(4)
     want = np.eye(4, dtype=int)[iu] + np.eye(4, dtype=int)[ju]
     npt.assert_array_equal(degree2_slice(_monomials(4, 2), 4), want)
-    # the order-2 rung reads vech(X) at its first head columns, and the
-    # equality row of column m names the moments e_a + e_b + e_j, whose
-    # entrywise least exponent is that pair's monomial
-    rung = _rung(4, 2)
-    npt.assert_array_equal(rung.x, np.arange(10))
-    row, col, _, _ = rung.eq
+    # so the order-1 rung reads vech(X) as its moments in order (P is the
+    # identity), and row m of the order-2 rung's P names the moments
+    # e_a + e_b + e_j, whose entrywise least exponent is that pair's monomial
+    npt.assert_array_equal(_rung(4, 1).P, np.arange(10)[:, None])
+    P = _rung(4, 2).P
     z = _monomials(4, 3)[math.comb(4 + 2, 4):]  # the degree-3 exponents, one per moment
-    least = [z[col[(row == m) & (col >= 10)] - 10].min(axis=0) for m in range(10)]
+    least = [z[P[m]].min(axis=0) for m in range(10)]
     npt.assert_array_equal(least, want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_vech_columns_are_the_positions_of_the_degree_2_monomials(n):
-    # the rungs read vech(X) at head columns 0, 1, ... in the order (a, b) of
-    # svec_index; the equality row of column m names exactly the moments
+    # the order-1 rung reads vech(X) at moments 0, 1, ... in the order (a, b)
+    # of svec_index; at k = 2, 3 row m of P names exactly the moments
     # x_a x_b x^gamma, |gamma| = k - 1, looked up in the reference's own
     # enumeration of the exponents of degree k + 1
     (a, b), _ = svec_index(n)
     nbar = a.size
     eye = np.eye(n, dtype=int)
+    npt.assert_array_equal(_rung(n, 1).P, np.arange(nbar)[:, None])
     for k in (2, 3):
-        rung = _rung(n, k)
-        npt.assert_array_equal(rung.x, np.arange(nbar))
-        index = {beta: nbar + i for i, beta in enumerate(exponents(n, k + 1))}
-        row, col, _, _ = rung.eq
+        P = _rung(n, k).P
+        index = {beta: i for i, beta in enumerate(exponents(n, k + 1))}
         for m in range(nbar):
-            named = sorted(col[row == m])
-            want = [m] + sorted(
+            named = sorted(P[m])
+            want = sorted(
                 c for beta, c in index.items()
                 if all(x >= y for x, y in zip(beta, eye[a[m]] + eye[b[m]]))
             )

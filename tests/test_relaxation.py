@@ -16,6 +16,7 @@ from cpproj.conic import (
 )
 from cpproj.driver import DriverSettings
 from cpproj.relaxation import (
+    NORM_KINDS,
     LinearConstraint,
     ProblemSpec,
     assemble,
@@ -26,7 +27,7 @@ from cpproj.relaxation import (
     solve_relaxation,
     symmetric,
 )
-from moment_reference import exponents, lift_atomic_point, lift_atoms
+from moment_reference import atomic_matrix, exponents, lift_atomic_point
 
 
 # these checks assume the solver's accuracy of 1e-8, a decade below its default
@@ -43,15 +44,18 @@ def _block_slices(blocks):
 
 def test_frobenius_assembly_sizes():
     prog = assemble(ProblemSpec(np.eye(2), norm="fro"), 2)
-    assert prog.objective.size == 8  # vech(X), the 4 moments of degree 3, gamma
-    assert prog.eq_map.shape[0] == 3  # one row per entry of vech(X)
+    assert prog.objective.size == 5  # the 4 moments of degree 3, gamma
+    assert prog.eq_map.shape[0] == 0  # X = P z needs no equality row
     kinds = [(b.kind, b.order) for b in prog.cone_blocks]
     # the parity classes e_1 and e_2; the class of size 3 needs n >= 3
     assert kinds == [("soc", 0), ("psd", 2), ("psd", 2)]
     assert prog.cone_blocks[0].size == 4  # gamma plus three weighted entries
-    # vech(X) leads the head; gamma follows the moments
-    npt.assert_array_equal(prog.info["X"], [0, 1, 2])
-    assert prog.info["gamma"] == 7
+    # row (a, b) of P names z_{e_a + e_b + e_j}, j = 1, 2, with weight 1,
+    # over the moments z_30, z_21, z_12, z_03; gamma follows the moments
+    P, weights = prog.info["P"]
+    npt.assert_array_equal(P, [[0, 1], [1, 2], [2, 3]])
+    npt.assert_array_equal(weights, [1.0, 1.0])
+    assert prog.info["gamma"] == 4
 
 
 def test_one_and_inf_agree():
@@ -119,7 +123,7 @@ def test_lifted_atomic_measures_are_feasible(norm):
     atoms = np.abs(rng.normal(size=(3, n)))
     atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
     weights = rng.uniform(0.5, 2.0, size=3)
-    X = lift_atoms(atoms, weights, k)[1]  # sum_t w_t (1'x_t) x_t x_t'
+    X = atomic_matrix(atoms, weights, k)  # sum_t w_t (1'x_t) x_t x_t'
     spec = ProblemSpec(
         np.eye(n),
         norm=norm,
@@ -139,6 +143,9 @@ def test_lifted_atomic_measures_are_feasible(norm):
     assert xt[prog.info["gamma"]] == pytest.approx(
         p_norm(X - spec.C, norm), abs=1e-12
     )
+    # the program reads that X off the lifted moments
+    rs = map_solution(prog, ConicSolution("optimal", xt, None, None, None, None, {}, 0))
+    npt.assert_allclose(rs.matrix, X, rtol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -147,8 +154,7 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     # at an arbitrary point, feasible or not, the rows evaluate to the
     # encoding itself: the nonneg block (for one/inf with the bound rows
     # T - (X - C), T + (X - C) and the column sums), then the norm block (fro,
-    # two); the only equality rows are the rung's (k >= 2), which tie vech(X)
-    # to the moments, and the user's
+    # two); the only equality row is the user's, as X = P z needs none
     rng = np.random.default_rng(8)
     n = 3
     G = rng.standard_normal((n, n))
@@ -166,14 +172,14 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
     blocks = list(zip(prog.cone_blocks, _block_slices(prog.cone_blocks)))
     iu = np.triu_indices(n)
     weight = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    # order 1 holds vech(X) >= 0; order 2 at n = 3 the one moment of the
-    # class of size 3, z_{e_1 + e_2 + e_3}, whose head column follows vech(X)
-    z111 = iu[0].size + exponents(n, 3).index((1, 1, 1))
-    nonneg = [vech(X)] if k == 1 else [v[z111 : z111 + 1]]
+    # order 1 holds the off-diagonal entries of X >= 0 (the PSD block
+    # holds the diagonal); order 2 at n = 3 the one moment of the class of
+    # size 3, z_{e_1 + e_2 + e_3}
+    z111 = exponents(n, 3).index((1, 1, 1))
+    nonneg = [X[np.triu_indices(n, 1)]] if k == 1 else [v[z111 : z111 + 1]]
     nonneg.append([np.sum(A * X) + 1.0])
     eq_res = prog.eq_map @ v - prog.eq_rhs
-    rung = 0 if k == 1 else cpproj.relaxation._rung(n, k).eq[3].size
-    assert eq_res.size == rung + 1
+    assert eq_res.size == 1
     assert prog.eq_map[:, prog.info["gamma"] :].nnz == 0
     npt.assert_allclose(eq_res[-1], np.trace(X) - 2.0, rtol=0, atol=1e-12)
     if norm in ("one", "inf"):
@@ -193,6 +199,23 @@ def test_cone_image_is_the_exact_norm_encoding(norm, k):
         assert (block.kind, block.order) == ("psd", 2 * n)
         want = np.block([[gamma * np.eye(n), D], [D, gamma * np.eye(n)]])
         npt.assert_allclose(smat(img[sl], 2 * n), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("norm", NORM_KINDS)
+def test_no_unconstrained_program_has_an_equality_row(norm):
+    # X = P z is read off the moments, so only a user constraint makes an
+    # equality row; and the Frobenius block, (gamma, svec(P z - C)), touches
+    # every column, since every moment sits in some row of P
+    rng = np.random.default_rng(9)
+    for n in range(1, 6):
+        G = rng.standard_normal((n, n))
+        for k in range(1, 5):
+            prog = assemble(ProblemSpec((G + G.T) / 2.0, norm), k)
+            assert prog.eq_map.shape == (0, prog.objective.size)
+            if norm == "fro":
+                (sl,) = [sl for b, sl in zip(prog.cone_blocks, _block_slices(prog.cone_blocks))
+                         if b.kind == "soc"]
+                assert np.count_nonzero(prog.cone_map[sl].getnnz(axis=0)) == prog.objective.size
 
 
 def test_equality_constraint_is_enforced():
@@ -270,8 +293,12 @@ def test_constraint_row_is_the_trace_inner_product():
     for n in (2, 4, 7):
         A, X = (symmetric((G + G.T) / 2) for G in rng.standard_normal((2, n, n)))
         prog = assemble(ProblemSpec(np.zeros((n, n)), "fro", (LinearConstraint(A, 0.0),)), 1)
+        # at order 1, P is the identity: moment m is entry m of vech(X)
+        P, weights = prog.info["P"]
+        npt.assert_array_equal(P, np.arange(n * (n + 1) // 2)[:, None])
+        npt.assert_array_equal(weights, [1.0])
         v = np.zeros(prog.objective.size)
-        v[prog.info["X"]] = vech(X)
+        v[P[:, 0]] = vech(X)
         direct = sum(A[i, j] * X[i, j] for i in range(n) for j in range(n))
         npt.assert_allclose(prog.eq_map @ v, [direct], rtol=1e-13)
 
@@ -288,13 +315,15 @@ def test_map_solution_requires_a_point():
 
 
 def test_map_solution_reads_the_same_matrix_at_orders_1_and_2():
-    # order 1's head is vech(X) alone, order 2's is vech(X) and then the
-    # moments of degree 3, which map_solution must not read
+    # order 1's moments are vech(X) itself, order 2's the moments z_30,
+    # z_21, z_12, z_03 of degree 3, which map_solution reads through
+    # X_11 = z_30 + z_21, X_12 = z_21 + z_12, X_22 = z_12 + z_03; the bound
+    # T of the one norm follows gamma, and map_solution must not read it
     X = np.array([[2.0, 0.5], [0.5, 1.0]])
-    for k in (1, 2):
-        prog = assemble(ProblemSpec(np.eye(2)), k)
+    for k, z in ((1, [2.0, 0.5, 1.0]), (2, [1.5, 0.5, 0.0, 1.0])):
+        prog = assemble(ProblemSpec(np.eye(2), "one"), k)
         primal = np.full(prog.objective.size, 9.0)
-        primal[:3] = [2.0, 0.5, 1.0]
+        primal[: len(z)] = z
         primal[prog.info["gamma"]] = 0.25
         sol = ConicSolution("optimal", primal, None, None, None, None, {}, 0)
         rs = map_solution(prog, sol)
@@ -371,19 +400,21 @@ def test_relabeling_leaves_the_order4_probe_solve_unchanged():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_programs_of_one_order_share_a_read_only_rung(k):
-    # the rung is cached per (n, k), so the X columns that one program hands
-    # out in `info` are the next program's too, and may not be edited
+    # the rung is cached per (n, k), so the map P that one program hands
+    # out in `info` is the next program's too, and may not be edited
     first = assemble(ProblemSpec(np.eye(3), "fro"), k)
     second = assemble(ProblemSpec(2.0 * np.eye(3), "one"), k)
-    assert first.info["X"] is second.info["X"]
-    with pytest.raises(ValueError):
-        first.info["X"][0] = 7
-    # the rung keeps the only cached copy of its rows: equality (at order
-    # 2), nonneg (at order 1 vech(X), at order 2 the class of size 3) and PSD
-    # (at order 2 the classes of size 1)
+    assert all(a is b for a, b in zip(first.info["P"], second.info["P"]))
+    for a in first.info["P"]:
+        with pytest.raises(ValueError):
+            a[0] = 7
+    # the rung keeps the only cached copy of its rows: P and its weights,
+    # the nonneg moments (at order 1 the off-diagonal entries, at order 2
+    # the class of size 3) and the PSD columns (at order 1 the class 0, at
+    # order 2 the classes of size 1)
     rung = cpproj.relaxation._rung(3, k)
-    rows = [a for a in (*rung.eq, *rung.nonneg, *(a for b in rung.psd for a in b[1:])) if a.size]
-    assert len(rows) == {1: 4 + 2, 2: 4 + 4 + 2 * 3}[k]
+    rows = [a for a in (rung.P, rung.weights, rung.nonneg, *(c for _, c in rung.psd)) if a.size]
+    assert len(rows) == {1: 3 + 1, 2: 3 + 3}[k]
     for a in rows:
         with pytest.raises(ValueError):
             a[0] = 7
