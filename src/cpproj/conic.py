@@ -168,11 +168,10 @@ MAX_ITERS = 200  # interior-point iterations before a solve ends "iteration_limi
 class SolverSettings:
     # one bound on the scaled primal and dual residuals and the relative gap,
     # in (0, 1): they are relative, so a bound of 1 can be met at the start.
-    # The relaxations are chronically degenerate: the interior-point engine
-    # (a quasi-definite Cholesky KKT solve with refinement) reliably reaches
-    # ~1e-7 on them but can stall short of 1e-8, so the default asks for what
-    # is attainable; the order-1 (DNN) solve is held to relaxation.DNN_TOL
-    tol: float = 1e-7
+    # Every relaxation order reads X off the moments of an interior point,
+    # which at a tolerance of 1e-7 are only about sqrt(gap) accurate, so the
+    # default is a decade tighter
+    tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:

@@ -66,9 +66,9 @@ class SolverFailure(RuntimeError):
 K_MIN = 2  # the smallest k_max: the hierarchy reaches at least one order past DNN
 CONSTRAINT_TOL = 1e-6  # constraint violation, relative to 1 + |b|
 # the factorization is the whole proof that X is completely positive, so its
-# fit is held to ten times the default solver tolerance, or to ten times the
-# solve's worst residual when that is larger, but never to more than ten
-# times FACTOR_TOL, whatever tolerance the solve ran at (`_factor_budget`)
+# fit is held to FACTOR_TOL (1 + ||X||) whatever tolerance the solve ran at
+# (`_factor_budget`): a hundred times the default solver tolerance, and ten
+# times the worst residual of a usable solve at that default
 FACTOR_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-5  # distance below which C itself counts as CP
 
@@ -142,28 +142,24 @@ class Inconclusive:
 Outcome = Union[Projected, Infeasible, Inconclusive]
 
 
-def _residual_level(csol: ConicSolution) -> float:
-    """The solve's worst residual: primal, dual or relative gap (NaN if any is)."""
-    return float(np.max([csol.residuals[key] for key in ("primal_feas", "dual_feas", "rel_gap")]))
-
-
 def _usable_solution(csol, solver: SolverSettings) -> bool:
     """Whether the solve gives both a distance bound and a certification
-    candidate: it is optimal, or it stalled at a residual level within ten
-    times the tolerance.
+    candidate: it is optimal, or it stalled with every residual (primal,
+    dual and relative gap) within ten times the tolerance it ran at.
 
     The relaxations are degenerate enough that the interior-point engine
     can stall a small factor short of the request (typically on instances
     whose optimum touches the cone boundary everywhere).  Such an iterate
-    still bounds the distance, and its factors are held to a budget ten
-    times its residual level (`_factor_budget`).  A solve that stalls
-    further out proves nothing, so it is neither a bound nor a candidate.
+    still bounds the distance, and its factors are held to the same budget
+    as an optimal solve's (`_factor_budget`).  A solve that stalls further
+    out proves nothing, so it is neither a bound nor a candidate.
     """
     if csol.status == "optimal":
         return True
     if csol.status != "iteration_limit" or csol.primal is None:
         return False
-    return _residual_level(csol) <= 10.0 * solver.tol
+    keys = ("primal_feas", "dual_feas", "rel_gap")
+    return all(csol.residuals[key] <= 10.0 * solver.tol for key in keys)
 
 
 def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
@@ -173,40 +169,35 @@ def _constraints_hold(spec: ProblemSpec, X: np.ndarray) -> Optional[str]:
     return None
 
 
-def _factor_budget(X: np.ndarray, csol: ConicSolution) -> float:
-    """The residual up to which factors of X certify it, relative to
-    1 + ||X||: FACTOR_TOL, or ten times the solve's worst residual when that
-    is larger, capped at 10 FACTOR_TOL.  The cap is the widest budget a
-    usable solve at the default tolerance gets (a stall within ten times
-    it), so a looser tolerance loosens the solve but not the certificate."""
-    level = min(max(FACTOR_TOL, 10.0 * _residual_level(csol)), 10.0 * FACTOR_TOL)
-    return level * (1.0 + float(np.linalg.norm(X)))
+def _factor_budget(X: np.ndarray) -> float:
+    """The residual up to which factors of X certify it, FACTOR_TOL (1 + ||X||):
+    it reads X alone, so a looser tolerance loosens the solve but not the
+    certificate."""
+    return FACTOR_TOL * (1.0 + float(np.linalg.norm(X)))
 
 
 def _factorize(
     X: np.ndarray,
-    csol: ConicSolution,
     spec: ProblemSpec,
     note: Callable[[str], None],
     tag: str,
 ) -> Optional[CpDecomposition]:
     """Fit nonnegative factors to X directly; None unless every gate passes.
 
-    X must first meet the constraints; that check reads X alone, so a miss
-    there costs no fit.  The fit must then reach `_factor_budget`: a stalled
-    iterate is only as accurate as its residuals, so a tighter fit would
-    hold X to more than the solve could deliver.  When `cp_distance_floor`
-    proves that no nonnegative factorization can come within that budget,
-    no fit is tried and the event names the gate.  Otherwise `_fit` runs its
-    table of starts from the `row_floor` count and writes the certificate's
-    event.  The gate, the floor and the fit share one `eigh(X)`.
+    X must first meet the constraints, and the fit must then reach
+    `_factor_budget`; both read X alone, so a miss at the constraints costs
+    no fit.  When `cp_distance_floor` proves that no nonnegative
+    factorization can come within that budget, no fit is tried and the
+    event names the gate.  Otherwise `_fit` runs its table of starts from
+    the `row_floor` count and writes the certificate's event.  The gate, the
+    floor and the fit share one `eigh(X)`.
     """
     tag = f"{tag} (factorization)"
     bad = _constraints_hold(spec, X)
     if bad is not None:
         note(f"{tag}: {bad}")
         return None
-    budget = _factor_budget(X, csol)
+    budget = _factor_budget(X)
     lam, V = np.linalg.eigh(X)
     floor, gate = cp_distance_floor(X, lam)
     if floor > budget:
@@ -325,7 +316,7 @@ def approximate(
         bounds.append((k, rsol.gamma))
         note(f"{tag}: distance bound {rsol.gamma:.10g}")
 
-        dec = _factorize(rsol.matrix, csol, spec, note, tag)
+        dec = _factorize(rsol.matrix, spec, note, tag)
         if dec is not None:
             return Projected(
                 decomposition=dec,

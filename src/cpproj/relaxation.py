@@ -17,9 +17,9 @@ the rung is X PSD with nonnegative off-diagonal entries, the doubly
 nonnegative (DNN) relaxation.  K^(r) grows with r, so CP lies inside every
 rung and each rung inside the one below it: the optimal values bound the
 projection distance from below and never fall from one order to the next.
-The only rule that tells the orders apart is the cap on the solver
-tolerance (`DNN_TOL` at order 1), with `order_name` for their names.
-Certification happens downstream, by a nonnegative factorization.
+Every order solves at the one tolerance it is given, and `order_name`
+names the orders.  Certification happens downstream, by a nonnegative
+factorization.
 
 Every rung shares the constraint and norm rows, built once over
 [vech(X) | gamma | T], each entry at a column of vech(X) spread over that
@@ -40,7 +40,7 @@ which the solver never reads, for `map_solution`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
@@ -57,10 +57,6 @@ __all__ = [
     "p_norm", "symmetric",
 ]
 
-# the DNN program is small and well conditioned, so its solve is held to a
-# decade below the engine's default: at 1e-7 its X is only about sqrt(gap)
-# accurate
-DNN_TOL = 1e-8
 WEAK_DUALITY_TOL = 1e-7  # absolute slack of the primal bound below the dual objective
 NORM_KINDS: tuple[str, ...] = ("one", "two", "inf", "fro")
 
@@ -176,14 +172,13 @@ class _Rung(NamedTuple):
     """One order's part of the program: its moment count, vech(X) = P z as
     the (n(n+1)/2, g) moment columns of P's rows and their g weights (every
     row has the same), the moments held nonnegative, the (order, moment per
-    svec row) of each PSD block, and its cap on the solver tolerance."""
+    svec row) of each PSD block."""
 
     size: int
     P: np.ndarray
     weights: np.ndarray
     nonneg: np.ndarray
     psd: tuple
-    tol: float
 
 
 def order_name(k: int, article: bool = False) -> str:
@@ -214,10 +209,9 @@ def _rung(n: int, k: int) -> _Rung:
     p in {0, 1}^n with |p| = r mod 2 and |p| <= r + 2, the PSD block
     [z_{p + gamma_a + gamma_b}] runs over the exponents gamma of degree
     (r + 2 - |p|) / 2, and its svec row (a, b) picks that z; a block of
-    order 1 is a nonnegative z instead.  At r = 0 (DNN, held to at most
-    DNN_TOL) P is the identity, since the degree-2 monomials are vech's
-    pairs, the class 0 gives the order-n block and the classes of size 2 the
-    off-diagonal entries."""
+    order 1 is a nonnegative z instead.  At r = 0 (DNN) P is the identity,
+    since the degree-2 monomials are vech's pairs, the class 0 gives the
+    order-n block and the classes of size 2 the off-diagonal entries."""
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
     r = k - 1
@@ -246,7 +240,7 @@ def _rung(n: int, k: int) -> _Rung:
             else:
                 psd.append((len(gammas), col))
     nonneg = np.array(single, dtype=np.int64)
-    rung = _Rung(len(index), P, weights, nonneg, tuple(psd), DNN_TOL if k == 1 else math.inf)
+    rung = _Rung(len(index), P, weights, nonneg, tuple(psd))
     for arr in (P, weights, nonneg, *(col for _, col in rung.psd)):
         arr.setflags(write=False)
     return rung
@@ -373,10 +367,10 @@ def map_solution(prog: ConicProgram, sol: ConicSolution) -> RelaxationSolution:
 def solve_relaxation(
     spec: ProblemSpec, k: int, settings: SolverSettings | None = None
 ) -> tuple[ConicProgram, ConicSolution]:
-    """Assemble and solve one order under its rung's tolerance cap (DNN_TOL
-    at order 1); returns (program, conic solution)."""
-    st, prog = settings or SolverSettings(), assemble(spec, k)
-    return prog, conic_solve(prog, replace(st, tol=min(st.tol, _rung(spec.dim, k).tol)))
+    """Assemble and solve one order at `settings` (the solver's default if
+    None), whatever the order; returns (program, conic solution)."""
+    prog = assemble(spec, k)
+    return prog, conic_solve(prog, settings or SolverSettings())
 
 
 def check_weak_duality(rsol: RelaxationSolution) -> bool:

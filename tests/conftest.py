@@ -69,7 +69,7 @@ def _outcome_record(out, *_, **__) -> dict:
     margin = None
     if dec is not None:
         X = out.matrix
-        margin = verify_decomposition(X, dec) / _factor_budget(X, out.relaxation.conic)
+        margin = verify_decomposition(X, dec) / _factor_budget(X)
     return {
         "call": "driver.approximate",
         "status": out.status,

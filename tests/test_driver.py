@@ -170,17 +170,17 @@ def test_direct_factorization_certifies_without_a_flat_truncation():
 
 
 def _order2(C):
-    """Spec, order-2 conic solution and optimal matrix of a Frobenius instance."""
+    """Spec and order-2 optimal matrix of a Frobenius instance."""
     spec = ProblemSpec(C, "fro")
     prog, csol = solve_relaxation(spec, 2, DriverSettings().solver)
     assert csol.status == "optimal"
-    return spec, csol, map_solution(prog, csol).matrix
+    return spec, map_solution(prog, csol).matrix
 
 
 def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
-    # the cycle matrix is DNN, and the Horn matrix keeps it 0.2 from the CP
-    # cone, 3.3e4 times the factorization budget of its own DNN solve, so
-    # no polish is tried.  A 4 x 4 matrix with one entry at -1e-2 is PSD,
+    # the cycle matrix is its own DNN projection, and the Horn matrix keeps
+    # it 0.2 from the CP cone, 3.3e4 times its factorization budget, so no
+    # polish is tried.  A 4 x 4 matrix with one entry at -1e-2 is PSD,
     # and its entrywise floor of 1.4e-2 keeps it outside the cone as well
     C5 = _cycle_matrix()
     spec = ProblemSpec(C5, "fro")
@@ -191,7 +191,7 @@ def test_direct_factorization_rejects_a_matrix_outside_the_cp_cone():
     assert np.linalg.eigvalsh(B).min() > 0.1
     for X, gate in [(C5, "Horn floor 2.000e-01"), (B, "entrywise floor 1.414e-02")]:
         events = []
-        assert _factorize(X, csol, ProblemSpec(X, "fro"), events.append, "order 2") is None
+        assert _factorize(X, ProblemSpec(X, "fro"), events.append, "order 2") is None
         assert [e for e in events if "certified" in e] == []
         assert any(
             e.startswith(f"order 2 (factorization): {gate}") and e.endswith("polish skipped")
@@ -230,7 +230,7 @@ def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget
     # more than threefold unpolished; the Eckart-Young factor at the row
     # floor of 2, rotated toward the 2 heaviest of them and clipped,
     # certifies the matrix with no polish at all
-    spec, csol, X = _order2(_draw_15())
+    spec, X = _order2(_draw_15())
     root = CpDecomposition.from_factors(root_start(*np.linalg.eigh(X)))
     budget = FACTOR_TOL * (1.0 + np.linalg.norm(X))
     assert root.rank == 4
@@ -238,7 +238,7 @@ def test_the_row_floor_jump_rescues_a_factorization_start_that_misses_the_budget
     assert row_floor(np.linalg.eigvalsh(X), budget) == 2
     calls = _recording_polish(monkeypatch)
     events = []
-    dec = _factorize(X, csol, spec, events.append, "order 2")
+    dec = _factorize(X, spec, events.append, "order 2")
     assert dec is not None
     assert dec.rank == 2
     assert calls == []
@@ -317,7 +317,7 @@ def test_a_candidate_that_misses_a_constraint_is_rejected_before_any_polish(monk
     prog, csol = solve_relaxation(ProblemSpec(C, "fro"), 1, DriverSettings().solver)
     X = map_solution(prog, csol).matrix
     calls = _recording_polish(monkeypatch)
-    assert _factorize(X, csol, ProblemSpec(C, "fro"), [].append, "DNN relaxation") is not None
+    assert _factorize(X, ProblemSpec(C, "fro"), [].append, "DNN relaxation") is not None
     assert calls == [(2, "bound")]
     E00 = np.zeros_like(X)
     E00[0, 0] = 1.0
@@ -328,7 +328,7 @@ def test_a_candidate_that_misses_a_constraint_is_rejected_before_any_polish(monk
     assert 0.5 > cpproj.driver.CONSTRAINT_TOL * (1.0 + X[0, 0] + 0.5)
     calls.clear()
     events = []
-    assert _factorize(X, csol, spec, events.append, "DNN relaxation") is None
+    assert _factorize(X, spec, events.append, "DNN relaxation") is None
     assert calls == []
     assert events == ["DNN relaxation (factorization): constraint 1 off by 5.000e-01"]
 
@@ -366,7 +366,7 @@ def test_the_interior_stage_takes_the_square_root_start_to_the_row_floor(monkeyp
         "(interior and bound polish from " in e and "with 4 atoms (the Eckart-Young minimum)" in e
         for e in out.events
     )
-    budget = cpproj.driver._factor_budget(out.matrix, out.relaxation.conic)
+    budget = cpproj.driver._factor_budget(out.matrix)
     assert cpproj.extraction.verify_decomposition(out.matrix, out.decomposition) <= 1e-6 * budget
     polish = cpproj.extraction.polish_decomposition
     monkeypatch.setattr(
@@ -535,7 +535,7 @@ def test_a_draw_whose_clique_start_is_skipped_certifies_from_its_square_root_row
         "(interior and bound polish from " in e and ") with 5 atoms, factor residual" in e
         for e in out.events
     )
-    budget = cpproj.driver._factor_budget(out.matrix, out.relaxation.conic)
+    budget = cpproj.driver._factor_budget(out.matrix)
     assert cpproj.extraction.verify_decomposition(out.matrix, out.decomposition) <= 1e-2 * budget
 
 
@@ -547,10 +547,9 @@ def test_settings_validation():
 
 def test_the_driver_solves_at_the_solver_default():
     # one tolerance default: the driver adds no setting of its own, and
-    # only order 1 is held tighter, at DNN_TOL
+    # every order solves at it (test_every_order_solves_at_its_settings)
     assert DriverSettings().solver == SolverSettings()
-    assert SolverSettings().tol == 1e-7
-    assert cpproj.relaxation.DNN_TOL < SolverSettings().tol
+    assert SolverSettings().tol == 1e-8
 
 
 @pytest.mark.parametrize("norm", ["one", "two", "inf", "fro"])
@@ -572,7 +571,7 @@ def _cycle_matrix():
     return A
 
 
-def _cycle_at_every_order(monkeypatch, tol=cpproj.relaxation.DNN_TOL):
+def _cycle_at_every_order(monkeypatch, tol=SolverSettings().tol):
     """Make every order's solve the cycle matrix's DNN solve at `tol`, whose
     X is 1.8 I + adj(C5) to within the solve's accuracy.  No input is known
     that the K^(r) ladder leaves open at order 2, so a test that needs an
@@ -659,27 +658,32 @@ def test_a_provable_miss_skips_polish_and_names_the_gate(monkeypatch):
 
 def test_a_loose_tolerance_does_not_loosen_the_certificate(monkeypatch):
     # every order is the cycle matrix's DNN solve at tol 1e-2, which ends at
-    # a relative gap of 4.6e-4, so ten times its residual level would make a
-    # budget of 2.8e-2 with the 1 + ||X|| factor, wide enough for factors
-    # of a matrix outside the CP cone.  The budget stops at 10 FACTOR_TOL,
-    # as wide as a stalled solve at the default tolerance makes it
+    # a relative gap of 1.8e-4, so a budget of ten times its residual level
+    # would be 1.1e-2 with the 1 + ||X|| factor, wide enough for factors of
+    # a matrix outside the CP cone.  The budget reads X alone, FACTOR_TOL
+    # (1 + ||X||) as at the default tolerance, and the Horn floor of this
+    # loose X clears it at least tenfold at both orders
     _cycle_at_every_order(monkeypatch, 1e-2)
     budgets, budget = [], cpproj.driver._factor_budget
 
-    def recording(X, csol):
-        budgets.append((budget(X, csol), np.linalg.norm(X)))
+    def recording(X):
+        budgets.append((budget(X), np.linalg.norm(X)))
         return budgets[-1][0]
 
     monkeypatch.setattr(cpproj.driver, "_factor_budget", recording)
     out = approximate(_cycle_matrix(), DriverSettings(k_max=2, solver=SolverSettings(tol=1e-2)))
     assert isinstance(out, Inconclusive)
     assert out.relaxation.conic.residuals["rel_gap"] > 100 * FACTOR_TOL
-    got, norm = budgets[-1]
-    assert got == pytest.approx(10.0 * FACTOR_TOL * (1.0 + norm))
-    assert any(
-        e.startswith("order 2 (factorization): Horn floor") and e.endswith("polish skipped")
-        for e in out.events
-    )
+    assert len(budgets) == 2
+    for got, norm in budgets:
+        assert got == pytest.approx(FACTOR_TOL * (1.0 + norm))
+    skips = [e for e in out.events if "Horn floor" in e and e.endswith("polish skipped")]
+    assert [e.split(":")[0] for e in skips] == [
+        "DNN relaxation (factorization)",
+        "order 2 (factorization)",
+    ]
+    for e in skips:
+        assert float(re.search(r"\((\S+) times\)", e).group(1)) >= 10.0
 
 
 @pytest.mark.parametrize(
@@ -693,8 +697,8 @@ def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkey
     # the order's real solve, handed back as "iteration_limit" with every
     # residual at scale times the tolerance.  Within 10 times, it is used as
     # an optimal solve is: its objective bounds the distance and it is a
-    # certification candidate, with the factor budget widened to 10 times
-    # the residual level.  Beyond that it is neither ("estimate", at 50
+    # certification candidate, held to the same factor budget, FACTOR_TOL
+    # (1 + ||X||).  Beyond that it is neither ("estimate", at 50
     # times): at order 1, with no bound below, approximate raises
     # SolverFailure; higher up the hierarchy stops, keeps the bounds of the
     # orders below and reports the last of them, whose X the CLI prints
@@ -731,7 +735,7 @@ def test_a_stalled_solve_is_judged_by_its_residual_level(C, order, scale, monkey
         # the certified order is among the bounds: its gamma is one
         assert isinstance(out, Projected) and out.k_used == order
         assert out.bounds == ((order, out.gamma),)
-        assert budgets == [pytest.approx(10.0 * level * (1.0 + np.linalg.norm(out.matrix)))]
+        assert budgets == [pytest.approx(FACTOR_TOL * (1.0 + np.linalg.norm(out.matrix)))]
     else:
         stop = f"{tag}: solver stalled with status 'iteration_limit'; stopping the hierarchy"
         assert stop in out.events
