@@ -305,37 +305,28 @@ def _soc_det(u):
     return u[0] * u[0] - u[1:] @ u[1:]
 
 
-@lru_cache(maxsize=None)
-def _soc_sign(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal (1, -1, ..., -1) of J and its index, read-only."""
-    sign = np.full(size, -1.0)
-    sign[0] = 1.0
-    diag = np.arange(size)
-    for a in (sign, diag):
-        a.setflags(write=False)
-    return sign, diag
-
-
 class _SocScaling:
     def __init__(self, s, z):
         ds, dz = _soc_det(s), _soc_det(z)
         if ds <= 0 or dz <= 0 or s[0] <= 0 or z[0] <= 0:
             raise _Breakdown
-        sign, diag = _soc_sign(s.size)
         ns, nz = math.sqrt(ds), math.sqrt(dz)
         sh, zh = s / ns, z / nz
         gamma = math.sqrt((1.0 + sh @ zh) / 2.0)
-        wbar = (sh + sign * zh) / (2.0 * gamma)
+        jz = -zh  # J zh, with J = diag(1, -1, ..., -1)
+        jz[0] = zh[0]
+        wbar = (sh + jz) / (2.0 * gamma)
         # Jordan square root of wbar (its determinant is 1 by construction)
         v = wbar.copy()
         v[0] += 1.0
         v /= math.sqrt(2.0 * (wbar[0] + 1.0))
         eta = ns / nz
-        # W^{-1} = 2 (Jv)(Jv)' - J, with J = diag(1, -1, ..., -1) subtracted on
-        # the diagonal only
-        jv = sign * v
+        # W^{-1} = 2 (Jv)(Jv)' - J, with J subtracted on the diagonal only
+        jv = -v
+        jv[0] = v[0]
         Winv = 2.0 * np.outer(jv, jv)
-        Winv[diag, diag] -= sign
+        Winv[0, 0] -= 1.0
+        Winv.flat[s.size + 1 :: s.size + 1] += 1.0
         self.Winv = Winv / math.sqrt(eta)
         self.Hinv = self.Winv @ self.Winv
         self.lam = self.Winv @ s
@@ -506,9 +497,9 @@ class _PsdMap:
     transposed copy are written into `scratch`, which a solve shares among
     its PSD blocks, so the build allocates no chunk-sized array of its own.
 
-    Every block is reduced over its used rows only, each chunk into its
-    columns (a view when they are a run) of a u x u block over the u used
-    columns, which one flat add scatters into K11.  So every entry of K11
+    Every block is reduced over its used rows only, each chunk into its run
+    of columns of a u x u block over the u used columns, taken in chunk
+    order, which one flat add scatters into K11.  So every entry of K11
     the block touches gets one sum, the same as a reduction over every row
     gives, and the unused rows and columns are left as they were.
     """
@@ -531,24 +522,21 @@ class _PsdMap:
              (np.concatenate([cols, cols]), np.concatenate([a * order + b, b * order + a]))),
             shape=(self.size, order * order),
         )
-        # the used columns, and the position of each in the compact block
-        used = self.used = np.flatnonzero(counts)
+        # the used columns by nonzero count, in the compact block's order
+        used = np.flatnonzero(counts)
+        used = self.used = used[np.argsort(counts[used], kind="stable")]
         self.Q = self.Q[used]
-        pos = np.zeros(self.size, dtype=np.int64)
-        pos[used] = np.arange(used.size)
         self.chunks = []
-        by_count = used[np.argsort(counts[used], kind="stable")]
-        for group in np.split(by_count, np.flatnonzero(np.diff(counts[by_count])) + 1):
+        at = 0
+        for group in np.split(used, np.flatnonzero(np.diff(counts[used])) + 1):
             if not group.size:  # no column of Mb is used
                 continue
             m = counts[group[0]]
             size = max(1, PSD_CHUNK_ENTRIES // (order * max(order, m)))
-            for at in range(0, group.size, size):
-                nz = Mb.indptr[group[at : at + size]][:, None] + np.arange(m)
-                part = pos[group[at : at + size]]
-                if part[-1] - part[0] == part.size - 1:  # a run of columns: add through a view
-                    part = slice(part[0], part[-1] + 1)
-                self.chunks.append((part, a[nz], b[nz], c[nz]))
+            for cols in np.split(group, range(size, group.size, size)):
+                nz = Mb.indptr[cols][:, None] + np.arange(m)
+                self.chunks.append((slice(at, at + cols.size), a[nz], b[nz], c[nz]))
+                at += cols.size
 
     def schur(self, G: np.ndarray, out: np.ndarray) -> None:
         """Add Mb' [svec(G smat(Mb[:, j]) G)]_j into the contiguous out, of

@@ -134,9 +134,10 @@ class Inconclusive:
     status = "inconclusive"
 
     @property
-    def gamma_lower(self) -> Optional[float]:
-        """The largest of the distance bounds, None when no order gave one."""
-        return max((gamma for _, gamma in self.bounds), default=None)
+    def gamma_lower(self) -> float:
+        """The largest of the distance bounds; `approximate` raises
+        SolverFailure rather than return an Inconclusive without one."""
+        return max(gamma for _, gamma in self.bounds)
 
 
 Outcome = Union[Projected, Infeasible, Inconclusive]
@@ -373,7 +374,7 @@ def check_cp_membership(
             return MembershipResult(True, outcome.gamma, dec, outcome)
         return MembershipResult(False, outcome.gamma, None, outcome)
     if isinstance(outcome, Inconclusive):
-        if outcome.gamma_lower is not None and outcome.gamma_lower > MEMBERSHIP_TOL * scale:
+        if outcome.gamma_lower > MEMBERSHIP_TOL * scale:
             # the relaxation bound already separates C from the cone
             return MembershipResult(False, outcome.gamma_lower, None, outcome)
         return MembershipResult(None, outcome.gamma_lower, None, outcome)

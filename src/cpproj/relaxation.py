@@ -11,15 +11,16 @@ for which (sum_i u_i^2)^r sum_ij M_ij u_i^2 u_j^2 is a sum of squares.  Its
 columns are the moments z_beta, |beta| = r + 2, of a measure on the
 nonnegative orthant, under one PSD block per parity class of the monomials
 of degree r + 2 in u, and X is their linear image vech(X) = P z, not a
-variable of its own (Parrilo 2000; Bomze and de Klerk 2002).  K^(0) is
-PSD + nonnegative, whose dual is DNN: at order 1, P is the identity and
-the rung is X PSD with nonnegative off-diagonal entries, the doubly
-nonnegative (DNN) relaxation.  K^(r) grows with r, so CP lies inside every
-rung and each rung inside the one below it: the optimal values bound the
-projection distance from below and never fall from one order to the next.
-Every order solves at the one tolerance it is given, and `order_name`
-names the orders.  Certification happens downstream, by a nonnegative
-factorization.
+variable of its own (Parrilo 2000; Bomze and de Klerk 2002).  So every
+index the rung builds runs over the monomials of one degree, which
+`_monomials` lists.  K^(0) is PSD + nonnegative, whose dual is DNN: at
+order 1, P is the identity and the rung is X PSD with nonnegative
+off-diagonal entries, the doubly nonnegative (DNN) relaxation.  K^(r)
+grows with r, so CP lies inside every rung and each rung inside the one
+below it: the optimal values bound the projection distance from below and
+never fall from one order to the next.  Every order solves at the one
+tolerance it is given, and `order_name` names the orders.  Certification
+happens downstream, by a nonnegative factorization.
 
 Every rung shares the constraint and norm rows, built once over
 [vech(X) | gamma | T], each entry at a column of vech(X) spread over that
@@ -187,15 +188,12 @@ def order_name(k: int, article: bool = False) -> str:
 
 
 def _monomials(n: int, d: int) -> np.ndarray:
-    """The (C(n + d, n), n) exponents of the n-variate monomials of degree
-    <= d in graded-lex order: by degree, then lexicographically with the
-    first variable ranked highest, which is the lexicographic order of the
-    multisets of variables.  So the monomials of degree <= d' < d are the
-    first C(n + d', n) rows, and those of degree exactly d' the rows from
-    C(n + d' - 1, n) on."""
+    """The (C(n + d - 1, d), n) exponents of the n-variate monomials of
+    degree exactly d, lexicographically with the first variable ranked
+    highest, which is the lexicographic order of the multisets of
+    variables."""
     return np.array(
-        [[c.count(i) for i in range(n)]
-         for t in range(d + 1) for c in combinations_with_replacement(range(n), t)],
+        [[c.count(i) for i in range(n)] for c in combinations_with_replacement(range(n), d)],
         dtype=np.int64,
     ).reshape(-1, n)
 
@@ -204,7 +202,7 @@ def _monomials(n: int, d: int) -> np.ndarray:
 def _rung(n: int, k: int) -> _Rung:
     """The order-k rung for an n x n X, read-only as the cache shares it: the
     dual of Parrilo's cone K^(r), r = k - 1, over the moments z_beta, one per
-    exponent of degree r + 2 in the order of `_monomials`.  Row (a, b) of P
+    row of `_monomials(n, r + 2)`, in its order.  Row (a, b) of P
     is sum_{|gamma| = r} (r!/gamma!) z_{e_a + e_b + gamma}.  Per parity class
     p in {0, 1}^n with |p| = r mod 2 and |p| <= r + 2, the PSD block
     [z_{p + gamma_a + gamma_b}] runs over the exponents gamma of degree
@@ -215,23 +213,19 @@ def _rung(n: int, k: int) -> _Rung:
     if k < 1:
         raise ValueError("relaxation order must be at least 1")
     r = k - 1
-
-    def degree(d: int) -> np.ndarray:
-        return _monomials(n, d)[math.comb(n + d - 1, n):]
-
-    index = {a: i for i, a in enumerate(map(tuple, degree(r + 2).tolist()))}
+    index = {a: i for i, a in enumerate(map(tuple, _monomials(n, r + 2).tolist()))}
 
     def columns(alphas: np.ndarray) -> np.ndarray:
         return np.array([index[a] for a in map(tuple, alphas.reshape(-1, n).tolist())])
 
     eye = np.eye(n, dtype=np.int64)
     a, b = svec_index(n)[0]
-    gammas = degree(r)
+    gammas = _monomials(n, r)
     weights = np.array([math.factorial(r) / math.prod(map(math.factorial, g)) for g in gammas])
     P = columns((eye[a] + eye[b])[:, None] + gammas).reshape(a.size, -1)
     single, psd = [], []
     for size in range(r % 2, min(r + 2, n) + 1, 2):
-        gammas = degree((r + 2 - size) // 2)
+        gammas = _monomials(n, (r + 2 - size) // 2)
         i, j = svec_index(len(gammas))[0]
         for p in combinations(range(n), size):
             col = columns(eye[list(p)].sum(axis=0) + gammas[i] + gammas[j])

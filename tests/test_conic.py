@@ -402,23 +402,22 @@ def test_psd_map_schur_matches_the_columnwise_congruence(name, monkeypatch):
     assert np.array_equal(out, base + got)
     unused = np.flatnonzero(counts == 0)
     assert np.array_equal(out[:, unused], base[:, unused])
-    # a chunk's columns are an index array into the compact block over the
-    # used columns, or a slice when they are a run there
-    cols = pmap.used
-    at = [np.arange(cols.size)[part] for part, *_ in pmap.chunks]
-    parts = [cols[p] for p in at]
-    assert sorted(np.concatenate(parts)) == list(used)
+    # every block is built compact, over exactly the columns it uses, taken
+    # in stable nonzero-count order, so each chunk's columns are a slice of
+    # the compact block, and the chunks cover it in order
+    assert np.array_equal(pmap.used, used[np.argsort(counts[used], kind="stable")])
+    assert all(isinstance(part, slice) for part, *_ in pmap.chunks)
+    parts = [np.arange(used.size)[part] for part, *_ in pmap.chunks]
+    assert np.array_equal(np.concatenate(parts), np.arange(used.size))
     assert all(
-        part.size * order * max(order, a.shape[1]) <= cpproj.conic.PSD_CHUNK_ENTRIES
-        or part.size == 1
-        for part, (_, a, *_) in zip(parts, pmap.chunks)
+        p.size * order * max(order, a.shape[1]) <= cpproj.conic.PSD_CHUNK_ENTRIES
+        or p.size == 1
+        for p, (_, a, *_) in zip(parts, pmap.chunks)
     )
+    # and every column of a chunk has that chunk's nonzero count
     assert all(
-        isinstance(part, slice) == (np.ptp(p) == p.size - 1)
-        for p, (part, *_) in zip(at, pmap.chunks)
+        (counts[pmap.used[part]] == a.shape[1]).all() for part, a, *_ in pmap.chunks
     )
-    # every block is built compact, over exactly the columns it uses
-    assert np.array_equal(pmap.used, used)
     if name == "moment n=4 k=4":
         # the 35 moments of degree 5 that hold x_1, of the rung's 56;
         # each sits in at most 3 entries of the block's upper triangle, and

@@ -1,4 +1,4 @@
-"""Tests of the polynomial basis of the rungs: the graded-lex monomial
+"""Tests of the polynomial basis of the rungs: the one-degree monomial
 index `relaxation._monomials`, from which `relaxation._rung(n, k)` takes the
 exponents of its moments, the row of P that reads each entry of vech(X)
 off the moments of its degree-2 monomial, and the symmetric-matrix fold
@@ -21,25 +21,17 @@ def random_sym(rng, n, scale=1.0):
 
 def test_basis_ordering_n2_d2():
     got = [tuple(a) for a in _monomials(2, 2).tolist()]
-    assert got == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert got == [(2, 0), (1, 1), (0, 2)]
 
 
 def test_basis_size_matches_binomial():
-    # oracle: C(n + d, d), frozen for the spot case (4, 3) -> 35
-    assert len(_monomials(4, 3)) == 35
+    # oracle: C(n + d - 1, d), frozen for the spot case (4, 3) -> 20
+    assert len(_monomials(4, 3)) == 20
     for n in range(1, 6):
         for d in range(0, 5):
-            assert _monomials(n, d).shape == (math.comb(n + d, d), n)
-            # row for row the reference enumeration
-            assert [tuple(a) for a in _monomials(n, d).tolist()] == graded_lex(n, d)
-
-
-def test_basis_prefix_property():
-    # a smaller basis is a prefix of a larger one, so a monomial keeps its
-    # row in every enclosing basis
-    small = _monomials(3, 2)
-    big = _monomials(3, 6)
-    npt.assert_array_equal(big[: len(small)], small)
+            assert _monomials(n, d).shape == (math.comb(n + d - 1, d), n)
+            # row for row the reference enumeration of degree d
+            assert [tuple(a) for a in _monomials(n, d).tolist()] == exponents(n, d)
 
 
 def test_sym_matrix_exact_symmetry_and_rejection():
@@ -83,17 +75,17 @@ def test_etms_matrix_identification_round_trip():
     rng = np.random.default_rng(5)
     A = random_sym(rng, 4)
     npt.assert_array_equal(vech_inv(vech(A)), A)
-    # degree-2 monomials in graded-lex order line up with vech order: the
+    # degree-2 monomials in lexicographic order line up with vech order: the
     # row-major upper-triangle pairs (i, j), i <= j, as e_i + e_j
     iu, ju = np.triu_indices(4)
     want = np.eye(4, dtype=int)[iu] + np.eye(4, dtype=int)[ju]
-    npt.assert_array_equal(degree2_slice(_monomials(4, 2), 4), want)
+    npt.assert_array_equal(_monomials(4, 2), want)
     # so the order-1 rung reads vech(X) as its moments in order (P is the
     # identity), and row m of the order-2 rung's P names the moments
     # e_a + e_b + e_j, whose entrywise least exponent is that pair's monomial
     npt.assert_array_equal(_rung(4, 1).P, np.arange(10)[:, None])
     P = _rung(4, 2).P
-    z = _monomials(4, 3)[math.comb(4 + 2, 4):]  # the degree-3 exponents, one per moment
+    z = _monomials(4, 3)  # the degree-3 exponents, one per moment
     least = [z[P[m]].min(axis=0) for m in range(10)]
     npt.assert_array_equal(least, want)
 
